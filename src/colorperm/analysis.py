@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoding import label_to_binary, label_to_onehot
 from .feasibility import decode_binary_and_check, feasible_global_positions
-from .hamiltonian import energy_table
+from .hamiltonian import TABLE_LIMIT, energy_table
 from .simulator import block_mixer_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -101,7 +101,7 @@ class EnvelopeState:
     betas: tuple
     per_block: np.ndarray
 
-    def full_distribution(self, limit=2**22):
+    def full_distribution(self, limit=TABLE_LIMIT):
         """Expand the product over blocks to a distribution over labels."""
         p = self.params
         if p.S**p.n > limit:

@@ -37,7 +37,7 @@ from .encoding import (
     grouped,
 )
 from .feasibility import decode_binary_and_check, feasible_global_positions
-from .hamiltonian import EnergyModel, PenaltyWeights
+from .hamiltonian import TABLE_LIMIT, EnergyModel, PenaltyWeights
 from .instances import ParseError, load_instance, qubit_counts
 from .simulator import AmplitudeBudgetError, register_dim
 from .solver import (
@@ -68,7 +68,7 @@ _DEFAULTS = {
     "score": "objective",
     "no_reference": False,
     "skip_phqc": False,
-    "phqc_budget": 2**22,
+    "phqc_budget": TABLE_LIMIT,
     "gamma": None,
     "beta": None,
     "pairs": None,
@@ -95,9 +95,29 @@ def _resolve(args, file_config):
         else:
             cfg[key] = default
     if cfg["jobs"] is None:
-        cfg["jobs"] = int(os.environ.get("COLORPERM_JOBS", "1"))
+        env_jobs = os.environ.get("COLORPERM_JOBS", "1")
+        try:
+            cfg["jobs"] = int(env_jobs)
+        except ValueError:
+            raise ValueError(f"COLORPERM_JOBS must be an integer, not {env_jobs!r}") from None
     cfg["_given"] = given
     return cfg
+
+
+def _read_config(path):
+    """The --config file: a flat JSON object whose keys are flag dest
+    names. Malformed JSON, a non-object, or an unknown key is an error."""
+    with open(path) as fh:
+        try:
+            file_config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(file_config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(file_config) - set(_DEFAULTS))
+    if unknown:
+        raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+    return file_config
 
 
 def _config_echo(cfg, command):
@@ -560,16 +580,9 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    file_config = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_config = json.load(fh)
-        except FileNotFoundError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
-    cfg = _resolve(args, file_config)
     try:
+        file_config = _read_config(args.config) if getattr(args, "config", None) else {}
+        cfg = _resolve(args, file_config)
         return _COMMANDS[args.command](cfg)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,8 +17,11 @@ contributes lam_pad and is excluded from the once/capacity/objective
 sums, which are built from projectors onto valid words only. A customer
 covered by no valid block therefore still pays its (0 - 1)^2 once-term.
 
-Everything here is a plain function of the basis-state label, evaluated
-vectorized over numpy arrays of labels.
+Everything here is a plain function of the basis-state label.
+`energy_components` evaluates it over an array of labels and is the
+reference; `energy_table` builds the whole register's diagonal by
+broadcasting per-digit terms over a (radix,)*n array, adding them in
+the reference's order so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .encoding import EncodingParams, symbol_index
 
 CAP_MODES = ("hinge", "quadratic-surrogate", "filter-only")
 REGISTERS = ("onehot", "binary")
+# Largest register dimension that gets a dense energy table.
+TABLE_LIMIT = 2**22
 
 
 @dataclass(frozen=True)
@@ -245,11 +250,90 @@ def energy_total(z, model):
     return float(energy_components(model, [z])["total"][0])
 
 
-def energy_table(model, limit=2**22):
-    """Energies of every label in the register; refuses above `limit`."""
+def _axis_view(vec_or_mat, axes, n):
+    """Reshape a per-digit vector (one axis) or a pair matrix (two
+    ascending axes) so it broadcasts over a (radix,)*n array."""
+    shape = [1] * n
+    for axis, size in zip(axes, vec_or_mat.shape):
+        shape[axis] = size
+    return vec_or_mat.reshape(shape)
+
+
+def energy_table(model, limit=TABLE_LIMIT):
+    """Total energy of every label in the register, indexed by label.
+
+    Refuses registers above `limit`. Each term of `energy_components` is
+    a sum of per-digit or per-digit-pair pieces, so it is built by
+    broadcasting small vectors and matrices over a (radix,)*n array;
+    the additions run in the reference's order and the result equals
+    `energy_components(model, arange(dim))["total"]` exactly.
+    """
     if model.dim > limit:
         raise ValueError(f"register dimension {model.dim} exceeds the table limit {limit}")
-    return energy_components(model, np.arange(model.dim))["total"]
+    inst = model.inst
+    p = model.params
+    w = model.weights
+    n, K, S, radix = p.n, p.K, p.S, model.radix
+    shape = (radix,) * n
+    digit = np.arange(radix)
+    valid = digit < S
+    sym = np.minimum(digit, S - 1)
+    cust = sym % n
+    veh = sym // n
+
+    # once: 2 per same-customer pair of valid digits plus 1 per padded
+    # digit, counted exactly in integers (at most n*n) and scaled once
+    same = valid[:, None] & valid[None, :] & (cust[:, None] == cust[None, :])
+    same = 2 * same.astype(np.int16)
+    count = np.zeros(shape, dtype=np.int16)
+    for j1 in range(n):
+        for j2 in range(j1 + 1, n):
+            count += _axis_view(same, (j1, j2), n)
+    padded = (~valid).astype(np.int16)
+    n_padded = None
+    if padded.any():
+        n_padded = np.zeros(shape, dtype=np.int16)
+        for j in range(n):
+            n_padded += _axis_view(padded, (j,), n)
+        count += n_padded
+    total = count.astype(float)
+    total *= w.lam_once
+
+    if w.cap_mode != "filter-only":
+        demand = np.asarray(inst.d, dtype=float)
+        cap = np.zeros(shape)
+        load = np.empty(shape)
+        for k in range(K):
+            per_digit = np.where(valid & (veh == k), demand[cust], 0.0)
+            load.fill(0.0)
+            for j in range(n):
+                load += _axis_view(per_digit, (j,), n)
+            # in place: hinge max(0, load - Q_k)**2 or surrogate (load - Q)**2
+            if w.cap_mode == "hinge":
+                load -= inst.Q[k]
+                np.maximum(load, 0.0, out=load)
+            else:
+                load -= inst.uniform_capacity()
+            load *= load
+            cap += load
+        cap *= w.lam_cap
+        total += cap
+        del load, cap
+
+    edges, start, close = edge_cost_matrix(inst)
+    pair_ok = valid[:, None] & valid[None, :]
+    edge = np.where(pair_ok, edges[sym[:, None], sym[None, :]], 0.0)
+    obj = np.empty(shape)
+    obj[...] = _axis_view(np.where(valid, start[sym], 0.0), (0,), n)
+    for j in range(n - 1):
+        obj += _axis_view(edge, (j, j + 1), n)
+    obj += _axis_view(np.where(valid, close[sym], 0.0), (n - 1,), n)
+    obj *= w.lam_obj
+    total += obj
+
+    if n_padded is not None:
+        total += w.lam_pad * n_padded.astype(float)
+    return total.reshape(-1)
 
 
 def energy_trace_csv(model, path, labels=None):

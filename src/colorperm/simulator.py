@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodingParams, label_to_binary, label_to_onehot
-from .hamiltonian import energy_components
+from .hamiltonian import TABLE_LIMIT, energy_components, energy_table
 
 AMPLITUDE_BUDGET = 2**27
-TABLE_LIMIT = 2**22
 PHASE_CHUNK = 2**20
 
 
@@ -167,18 +166,17 @@ def apply_mixer(state, beta):
 def apply_phase(state, gamma, model, energies=None, table_limit=TABLE_LIMIT):
     """Diagonal phase layer: amplitude[z] *= exp(-i*gamma*E(z)).
 
-    Pass a precomputed energy vector to skip re-evaluation; otherwise a
-    full table is built when the register fits under `table_limit` and
-    the labels are streamed in chunks above it.
+    Pass a precomputed energy table to skip re-evaluation; otherwise the
+    table is built when the register fits under `table_limit` and the
+    labels are streamed in chunks above it.
     """
     if model.register != state.register:
         raise ValueError("model register does not match the state")
     amps = state.amplitudes.copy()
+    if energies is None and state.dim <= table_limit:
+        energies = energy_table(model, limit=table_limit)
     if energies is not None:
         amps *= np.exp(-1j * gamma * energies)
-    elif state.dim <= table_limit:
-        comp = energy_components(model, np.arange(state.dim))
-        amps *= np.exp(-1j * gamma * comp["total"])
     else:
         for lo in range(0, state.dim, PHASE_CHUNK):
             hi = min(lo + PHASE_CHUNK, state.dim)
@@ -187,11 +185,21 @@ def apply_phase(state, gamma, model, energies=None, table_limit=TABLE_LIMIT):
     return EncodedState(amps, state.register, state.params)
 
 
-def run_ansatz(params, model, schedule, amplitude_budget=AMPLITUDE_BUDGET, table_limit=TABLE_LIMIT):
+def run_ansatz(
+    params,
+    model,
+    schedule,
+    amplitude_budget=AMPLITUDE_BUDGET,
+    table_limit=TABLE_LIMIT,
+    energies=None,
+):
     """Alternate phase and mixer layers from the uniform initial state.
 
     Refuses registers above `amplitude_budget` before allocating
-    anything.
+    anything. `energies` is the model's energy table when the caller
+    already holds it (a sweep builds it once for all its grid points);
+    without it the table is built here, or streamed per layer above
+    `table_limit`.
     """
     if params != model.params:
         raise ValueError("params do not match the model")
@@ -200,9 +208,10 @@ def run_ansatz(params, model, schedule, amplitude_budget=AMPLITUDE_BUDGET, table
         raise AmplitudeBudgetError(
             f"register dimension {dim} exceeds the amplitude budget {amplitude_budget}"
         )
-    energies = None
-    if dim <= table_limit:
-        energies = energy_components(model, np.arange(dim))["total"]
+    if energies is None and dim <= table_limit:
+        energies = energy_table(model, limit=table_limit)
+    if energies is not None and np.shape(energies) != (dim,):
+        raise ValueError(f"energy table must have length {dim}")
     state = initial_state(params, model.register)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
         state = apply_phase(state, gamma, model, energies=energies, table_limit=table_limit)

@@ -4,9 +4,11 @@ The solver sweeps a coarse (gamma, beta) grid. At each point it prepares
 the depth-p state, draws a seeded multinomial sample, rejects every
 string the feasibility oracle refuses, scores the survivors with the
 timeline objective (or the full diagonal cost on request), and keeps the
-strict minimum. Grid points are independent work items; the reduction is
-an associative min keyed by (score, grid_index, label), so worker count
-never changes the result.
+strict minimum. The energy table does not depend on the angles, so a
+sweep builds it once and hands it to every grid point (to each worker
+process once, through the pool initializer). Grid points are independent
+work items; the reduction is an associative min keyed by (score,
+grid_index, label), so worker count never changes the result.
 
 The exact oracle enumerates customer permutations crossed with the
 contiguous vehicle labelings of the timeline (ordered segmentations into
@@ -31,7 +33,13 @@ from .encoding import (
     label_to_onehot,
 )
 from .feasibility import decode_binary_and_check, feasible_global_positions
-from .hamiltonian import edge_cost_matrix, energy_objective, energy_total
+from .hamiltonian import (
+    TABLE_LIMIT,
+    edge_cost_matrix,
+    energy_objective,
+    energy_table,
+    energy_total,
+)
 from .simulator import Schedule, exact_distribution, run_ansatz, sample
 
 ENUMERATION_CEILING = 9
@@ -240,12 +248,14 @@ def _score_sample(label, bits, model, score_mode):
     return energy_objective(assignment, model.inst, model.weights.lam_obj)
 
 
-def _grid_point(model, gamma, beta, depth, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
+def _grid_point(
+    model, gamma, beta, depth, shots, base_seed, index, score_mode, optimal_labels, optimal_cost, energies=None
+):
     """One grid point: evolve, sample, filter, score. Returns the record
     and the local best as (score, index, label, bits)."""
     params = model.params
     schedule = Schedule.constant(gamma, beta, depth)
-    state = run_ansatz(params, model, schedule)
+    state = run_ansatz(params, model, schedule, energies=energies)
     samples = sample(state, shots, (base_seed, index))
     check = feasible_global_positions if model.register == "onehot" else decode_binary_and_check
     render = label_to_onehot if model.register == "onehot" else label_to_binary
@@ -291,8 +301,18 @@ def _grid_point(model, gamma, beta, depth, shots, base_seed, index, score_mode, 
     return record, local_best, feasible_bits
 
 
+# The sweep's energy table in a worker process, set once by the pool
+# initializer so it is never pickled into a task.
+_worker_energies = None
+
+
+def _init_worker(energies):
+    global _worker_energies
+    _worker_energies = energies
+
+
 def _grid_point_star(args):
-    return _grid_point(*args)
+    return _grid_point(*args, energies=_worker_energies)
 
 
 def phqc(
@@ -323,15 +343,18 @@ def phqc(
     if exact_reference is not None and exact_reference.optimal_assignments:
         optimal_labels = exact_reference.optimal_labels(params, model.register)
         optimal_cost = exact_reference.optimal_cost
+    energies = energy_table(model) if model.dim <= TABLE_LIMIT else None
     tasks = [
         (model, g, b, depth, shots_per_point, seed, idx, score, optimal_labels, optimal_cost)
         for idx, g, b in grid.points()
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(energies,)
+        ) as pool:
             outcomes = list(pool.map(_grid_point_star, tasks, chunksize=1))
     else:
-        outcomes = [_grid_point_star(t) for t in tasks]
+        outcomes = [_grid_point(*t, energies=energies) for t in tasks]
     records = []
     best = None
     pooled = {}

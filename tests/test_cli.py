@@ -392,3 +392,35 @@ def test_solve_binary_register_matches_onehot_best(capsys, exa_json):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_jobs_env_var_not_an_integer(capsys, monkeypatch, exa_json):
+    monkeypatch.setenv("COLORPERM_JOBS", "abc")
+    assert main(["solve", "--instance", exa_json, "--shots", "16", "--grid-points", "2"]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_malformed_config_file(tmp_path, capsys, exa_json):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"shots": 32,')
+    assert main(["solve", "--instance", exa_json, "--config", str(config)]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_config_file_not_an_object(tmp_path, capsys, exa_json):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps([["shots", 32]]))
+    assert main(["solve", "--instance", exa_json, "--config", str(config)]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_config_file_unknown_key(tmp_path, capsys, exa_json):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"shots": 32, "shot": 64}))
+    assert main(["solve", "--instance", exa_json, "--config", str(config)]) == 1
+    assert _single_error_line(capsys)
