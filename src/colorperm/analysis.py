@@ -18,7 +18,7 @@ the off-peak maximum M_p gives a dimension-free lower bound on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .encoding import label_to_binary, label_to_onehot
 from .feasibility import decode_binary_and_check, feasible_global_positions
 from .hamiltonian import TABLE_LIMIT, energy_table
 from .simulator import block_mixer_matrix
+from .solver import feasible_histogram
 
 TWO_PI = 2.0 * math.pi
 REPORT_CONFIDENCES = (0.90, 0.95, 0.99)
@@ -87,9 +88,16 @@ def phase_profile_from_energies(energies, gamma, optimal_labels):
     return PhaseProfile(float(gamma), theta, theta_star, delta, optimal_labels)
 
 
+def _onehot_table(model):
+    """Energy of every one-hot label: the S^n manifold the ansatz and the
+    mixer envelope live on, whatever the model's register."""
+    return energy_table(replace(model, register="onehot"))
+
+
 def phase_profile(model, gamma, optimal_set):
-    """Phase profile of a model's full energy table at one gamma."""
-    return phase_profile_from_energies(energy_table(model), gamma, optimal_set)
+    """Phase profile of the model's energies over the one-hot labels at
+    one gamma; `optimal_set` holds one-hot labels."""
+    return phase_profile_from_energies(_onehot_table(model), gamma, optimal_set)
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ class EnvelopeState:
     def full_distribution(self, limit=TABLE_LIMIT):
         """Expand the product over blocks to a distribution over labels."""
         p = self.params
-        if p.S**p.n > limit:
+        if p.dim("onehot") > limit:
             raise ValueError("register too large to expand the envelope")
         full = np.ones(1)
         for j in range(p.n):
@@ -229,14 +237,15 @@ def surrogate_scores(model, params, beta_grid, lam, rho=0.0, alpha=0.0, lp_weigh
 
     S_LP pairs externally supplied weights lp_weights[s, s'] with the
     envelope's expected adjacent-position symbol-pair indicators; it is 0
-    when no weights are given.
+    when no weights are given. C covers the one-hot labels, so both
+    registers give the same rows.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     beta_grid = [float(b) for b in beta_grid]
     if not beta_grid:
         raise ValueError("beta grid is empty")
-    costs = energy_table(model)
+    costs = _onehot_table(model)
     rows = []
     for beta in beta_grid:
         env = envelope(params, [beta] * depth)
@@ -303,32 +312,21 @@ class AnticoncentrationReport:
 def anticoncentration_report(samples, model, params):
     """Histogram the feasible outcomes of a SampleSet and report what
     fraction of them beat the uniform baseline 1/D, D = (nK)^n."""
-    D = params.S**params.n
-    baseline = 1.0 / D
+    D = params.dim("onehot")
     check = feasible_global_positions if samples.register == "onehot" else decode_binary_and_check
-    rows = []
-    above = 0
-    feas_shots = 0
     render = label_to_onehot if samples.register == "onehot" else label_to_binary
+    feasible = {}
     for z in samples.labels():
-        count = samples.counts[z]
         bits = render(z, samples.params)
-        verdict = check(bits, model.inst)
-        if not verdict.feasible:
-            continue
-        freq = count / samples.shots
-        rows.append((bits, count, freq, freq / baseline))
-        feas_shots += count
-        if freq > baseline:
-            above += 1
-    share = above / len(rows) if rows else 0.0
-    rows.sort(key=lambda r: (-r[1], r[0]))
+        if check(bits, model.inst).feasible:
+            feasible[bits] = samples.counts[z]
+    rows, share = feasible_histogram(feasible, samples.shots, params)
     return AnticoncentrationReport(
         D=D,
-        baseline=baseline,
+        baseline=1.0 / D,
         share_above_baseline=share,
         feasible_distinct=len(rows),
-        feasible_shots=feas_shots,
+        feasible_shots=sum(feasible.values()),
         total_shots=samples.shots,
         histogram=tuple(rows),
     )

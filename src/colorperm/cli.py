@@ -26,6 +26,7 @@ import sys
 
 from .analysis import envelope, fejer_bound, phase_profile
 from .encoding import (
+    REGISTERS,
     CodecError,
     ColoredAssignment,
     EncodingParams,
@@ -37,9 +38,9 @@ from .encoding import (
     grouped,
 )
 from .feasibility import decode_binary_and_check, feasible_global_positions
-from .hamiltonian import TABLE_LIMIT, EnergyModel, PenaltyWeights
-from .instances import ParseError, load_instance, qubit_counts
-from .simulator import AmplitudeBudgetError, register_dim
+from .hamiltonian import CAP_MODES, TABLE_LIMIT, EnergyModel, PenaltyWeights
+from .instances import ROUNDING_MODES, ParseError, load_instance, qubit_counts
+from .simulator import AmplitudeBudgetError
 from .solver import (
     ENUMERATION_CEILING,
     GridSpec,
@@ -77,6 +78,19 @@ _DEFAULTS = {
     "instance": None,
     "dir": None,
     "out": None,
+}
+
+# Value types of config-file keys, as their flags parse them; every
+# other key is a string (beta may also be a number).
+_INT_KEYS = ("K", "shots", "seed", "depth", "jobs", "grid_points", "phqc_budget")
+_NUMBER_KEYS = ("lam_once", "lam_cap", "lam_obj", "lam_pad", "gamma")
+_BOOL_KEYS = ("no_reference", "skip_phqc", "zero_based")
+_CHOICES = {
+    "register": REGISTERS,
+    "cap_mode": CAP_MODES,
+    "rounding": ROUNDING_MODES,
+    "shots_rule": ("cubed", "fifty-cubed"),
+    "score": ("objective", "total"),
 }
 
 
@@ -117,7 +131,28 @@ def _read_config(path):
     unknown = sorted(set(file_config) - set(_DEFAULTS))
     if unknown:
         raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+    for key, value in sorted(file_config.items()):
+        want = _config_type_error(key, value)
+        if want:
+            raise ValueError(f"config file {path}: {key} must be {want}, not {value!r}")
     return file_config
+
+
+def _config_type_error(key, value):
+    """What a config-file value should be when it does not fit its flag,
+    else None. A null stands for the default where the default is null."""
+    if value is None and _DEFAULTS[key] is None:
+        return None
+    if key in _CHOICES:
+        return None if value in _CHOICES[key] else "one of " + ", ".join(_CHOICES[key])
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in _INT_KEYS:
+        return None if number and isinstance(value, int) else "an integer"
+    if key in _NUMBER_KEYS:
+        return None if number else "a number"
+    if key in _BOOL_KEYS:
+        return None if isinstance(value, bool) else "true or false"
+    return None if isinstance(value, str) or (key == "beta" and number) else "a string"
 
 
 def _config_echo(cfg, command):
@@ -173,15 +208,13 @@ def _model(cfg, inst):
     return EnergyModel.for_instance(inst, weights, register=cfg["register"])
 
 
-def cmd_solve(cfg):
-    inst = _load(cfg)
-    model = _model(cfg, inst)
+def _sweep(cfg, inst, model, exact):
+    """The configured grid sweep, shared by solve and bench. Returns the
+    grid, the PhqcResult and whether its best score matches the exact
+    optimum (None without a reference)."""
     params = model.params
     grid = GridSpec.default(params, cfg["grid_points"])
     shots = cfg["shots"] if cfg["shots"] is not None else default_shots(params, cfg["shots_rule"])
-    exact = None
-    if not cfg["no_reference"] and inst.n <= ENUMERATION_CEILING:
-        exact = exact_solve(inst, model)
     result = phqc(
         inst,
         model,
@@ -193,6 +226,24 @@ def cmd_solve(cfg):
         jobs=cfg["jobs"],
         exact_reference=exact,
     )
+    match = None
+    if exact is not None:
+        match = (
+            result.best_score is not None
+            and exact.optimal_cost is not None
+            and abs(result.best_score - exact.optimal_cost) <= SCORE_TOL
+        )
+    return grid, result, match
+
+
+def cmd_solve(cfg):
+    inst = _load(cfg)
+    model = _model(cfg, inst)
+    params = model.params
+    exact = None
+    if not cfg["no_reference"] and inst.n <= ENUMERATION_CEILING:
+        exact = exact_solve(inst, model)
+    grid, result, match = _sweep(cfg, inst, model, exact)
     echo = _config_echo(cfg, "solve")
     record = {
         "config": echo,
@@ -205,11 +256,7 @@ def cmd_solve(cfg):
             "optimal_cost": exact.optimal_cost,
             "feasible_count": exact.feasible_count,
         }
-        record["match"] = (
-            result.best_score is not None
-            and exact.optimal_cost is not None
-            and abs(result.best_score - exact.optimal_cost) <= SCORE_TOL
-        )
+        record["match"] = match
     _emit_json(record, cfg["out"])
     if cfg["out"]:
         base = cfg["out"][:-5] if cfg["out"].endswith(".json") else cfg["out"]
@@ -302,7 +349,8 @@ def cmd_bound(cfg):
     if not exact.optimal_assignments:
         sys.stderr.write("no feasible configuration: the optimal set is empty\n")
         return 3
-    labels = exact.optimal_labels(params, cfg["register"])
+    # profile and envelope both cover the one-hot labels
+    labels = exact.optimal_labels(params)
     profile = phase_profile(model, cfg["gamma"], labels)
     env = envelope(params, betas)
     report = fejer_bound(profile, env, labels, len(betas))
@@ -312,7 +360,7 @@ def cmd_bound(cfg):
         "gamma": cfg["gamma"],
         "betas": list(betas),
         "optimal_cost": exact.optimal_cost,
-        "optimal_labels": [int(z) for z in labels],
+        "optimal_labels": [int(z) for z in exact.optimal_labels(params, cfg["register"])],
         "report": report.to_dict(),
     }
     _emit_json(record, cfg["out"])
@@ -366,7 +414,7 @@ def _detect_register(length, K, forced=None):
         if forced == "onehot":
             raise CodecError(f"length {length} is not n^2*K for any n at K={K}")
     for n in range(1, 4096):
-        q = (n * K - 1).bit_length()
+        q = EncodingParams(n, K).q
         if n * q == length and q > 0:
             return "binary", n
         if n * q > length:
@@ -413,64 +461,6 @@ def cmd_bench(cfg):
         key=lambda p: p.name,
     )
     echo = _config_echo(cfg, "bench")
-    rows = []
-    for path in files:
-        row = {
-            "instance": path.stem,
-            "n": "",
-            "K": "",
-            "onehot_qubits": "",
-            "binary_qubits": "",
-            "oracle_optimum": "",
-            "phqc_best": "",
-            "match": "",
-            "error": "",
-        }
-        try:
-            inst = load_instance(path, K=cfg["K"], rounding_mode=cfg["rounding"])
-            row["n"], row["K"] = inst.n, inst.K
-            oh, bi = qubit_counts(inst.n, inst.K)
-            row["onehot_qubits"], row["binary_qubits"] = oh, bi
-            model = _model(cfg, inst)
-            params = model.params
-            exact = None
-            if inst.n <= ENUMERATION_CEILING:
-                exact = exact_solve(inst, model)
-                if exact.optimal_cost is not None:
-                    row["oracle_optimum"] = repr(exact.optimal_cost)
-            if not cfg["skip_phqc"]:
-                if register_dim(params, cfg["register"]) > cfg["phqc_budget"]:
-                    row["phqc_best"] = "budget-exceeded"
-                else:
-                    grid = GridSpec.default(params, cfg["grid_points"])
-                    shots = (
-                        cfg["shots"]
-                        if cfg["shots"] is not None
-                        else default_shots(params, cfg["shots_rule"])
-                    )
-                    result = phqc(
-                        inst,
-                        model,
-                        grid,
-                        shots,
-                        cfg["seed"],
-                        depth=cfg["depth"],
-                        score=cfg["score"],
-                        jobs=cfg["jobs"],
-                        exact_reference=exact,
-                    )
-                    if result.best_score is not None:
-                        row["phqc_best"] = repr(result.best_score)
-                    if result.best_score is not None and exact is not None:
-                        row["match"] = (
-                            "yes"
-                            if abs(result.best_score - exact.optimal_cost) <= SCORE_TOL
-                            else "no"
-                        )
-        except (ParseError, ValueError, AmplitudeBudgetError, OSError) as exc:
-            row["error"] = str(exc)
-        rows.append(row)
-
     columns = [
         "instance",
         "n",
@@ -482,14 +472,37 @@ def cmd_bench(cfg):
         "match",
         "error",
     ]
-    lines = [_config_comment(echo) + "\n"]
     buf = io.StringIO()
+    buf.write(_config_comment(echo) + "\n")
     writer = csv.writer(buf)
     writer.writerow(columns)
-    for row in rows:
+    for path in files:
+        row = dict.fromkeys(columns, "")
+        row["instance"] = path.stem
+        try:
+            inst = load_instance(path, K=cfg["K"], rounding_mode=cfg["rounding"])
+            row["n"], row["K"] = inst.n, inst.K
+            oh, bi = qubit_counts(inst.n, inst.K)
+            row["onehot_qubits"], row["binary_qubits"] = oh, bi
+            model = _model(cfg, inst)
+            exact = None
+            if inst.n <= ENUMERATION_CEILING:
+                exact = exact_solve(inst, model)
+                if exact.optimal_cost is not None:
+                    row["oracle_optimum"] = repr(exact.optimal_cost)
+            if not cfg["skip_phqc"]:
+                if model.dim > cfg["phqc_budget"]:
+                    row["phqc_best"] = "budget-exceeded"
+                else:
+                    _, result, match = _sweep(cfg, inst, model, exact)
+                    if result.best_score is not None:
+                        row["phqc_best"] = repr(result.best_score)
+                        if match is not None:
+                            row["match"] = "yes" if match else "no"
+        except (ParseError, ValueError, AmplitudeBudgetError, OSError) as exc:
+            row["error"] = str(exc)
         writer.writerow([row[c] for c in columns])
-    lines.append(buf.getvalue())
-    text = "".join(lines)
+    text = buf.getvalue()
     if cfg["out"]:
         with open(cfg["out"], "w", newline="") as fh:
             fh.write(text)
@@ -501,9 +514,9 @@ def cmd_bench(cfg):
 def _add_common(sub):
     sub.add_argument("--instance", help="path to a .vrp or .json instance file")
     sub.add_argument("--K", type=int, help="fleet size (default: -k<d> filename token, then 2)")
-    sub.add_argument("--register", choices=("onehot", "binary"))
-    sub.add_argument("--cap-mode", dest="cap_mode", choices=("hinge", "quadratic-surrogate", "filter-only"))
-    sub.add_argument("--rounding", choices=("exact", "nearest-integer"))
+    sub.add_argument("--register", choices=_CHOICES["register"])
+    sub.add_argument("--cap-mode", dest="cap_mode", choices=_CHOICES["cap_mode"])
+    sub.add_argument("--rounding", choices=_CHOICES["rounding"])
     sub.add_argument("--lam-once", dest="lam_once", type=float)
     sub.add_argument("--lam-cap", dest="lam_cap", type=float)
     sub.add_argument("--lam-obj", dest="lam_obj", type=float)
@@ -515,11 +528,11 @@ def _add_common(sub):
 
 def _add_sweep(sub):
     sub.add_argument("--grid-points", dest="grid_points", type=int, help="points per grid axis (default S+1)")
-    sub.add_argument("--shots-rule", dest="shots_rule", choices=("cubed", "fifty-cubed"))
+    sub.add_argument("--shots-rule", dest="shots_rule", choices=_CHOICES["shots_rule"])
     sub.add_argument("--shots", type=int, help="shots per grid point (overrides the rule)")
     sub.add_argument("--depth", type=int)
     sub.add_argument("--jobs", type=int, help="worker pool size (default $COLORPERM_JOBS or 1)")
-    sub.add_argument("--score", choices=("objective", "total"))
+    sub.add_argument("--score", choices=_CHOICES["score"])
 
 
 def build_parser():

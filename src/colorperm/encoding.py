@@ -14,7 +14,9 @@ handled here:
 
 Basis states of the encoded registers are also addressed by integer
 labels: mixed-radix numerals with block 0 as the most significant digit,
-radix S (one-hot register) or 2^q (binary register).
+radix S (one-hot register) or 2^q (binary register). `EncodingParams`
+owns this geometry: the radix and dimension of each register, and the
+digit-wise relabelling of one-hot labels into binary ones.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+REGISTERS = ("onehot", "binary")
 
 
 class CodecError(ValueError):
@@ -87,6 +91,28 @@ class EncodingParams:
     @property
     def binary_len(self):
         return self.n * self.q
+
+    def radix(self, register):
+        """Label digit radix: S (one-hot register) or 2^q (binary)."""
+        if register == "onehot":
+            return self.S
+        if register == "binary":
+            return 1 << self.q
+        raise ValueError(f"unknown register {register!r}")
+
+    def dim(self, register):
+        """Number of basis labels of the register, radix^n."""
+        return self.radix(register) ** self.n
+
+    def binary_labels(self):
+        """Binary-register label of every one-hot label, indexed by the
+        one-hot label: the same digits read in radix 2^q. The result is
+        ascending and misses exactly the labels with a padded word."""
+        digits = np.arange(self.S, dtype=np.int64)
+        labels = np.zeros(1, dtype=np.int64)
+        for _ in range(self.n):
+            labels = ((labels[:, None] << self.q) + digits).ravel()
+        return labels
 
     @classmethod
     def for_instance(cls, inst):
@@ -189,12 +215,7 @@ def encode_assignment(a, p):
     """One-hot bitstring of an assignment: block j one-hot at i_j + n*k_j."""
     if a.n != p.n or a.K != p.K:
         raise CodecError("assignment shape does not match encoding params")
-    blocks = []
-    for i, k in a.symbols:
-        block = ["0"] * p.S
-        block[symbol_index(i, k, p.n, p.K)] = "1"
-        blocks.append("".join(block))
-    return "".join(blocks)
+    return label_to_onehot(assignment_label(a, p), p)
 
 
 def decode_bitstring(b, p):
@@ -214,17 +235,7 @@ def decode_bitstring(b, p):
 
 def compress(b, p):
     """One-hot string -> binary string, one q-bit MSB-first word per block."""
-    _check_bits(b, p.onehot_len, "one-hot bitstring")
-    words = []
-    for j in range(p.n):
-        block = b[j * p.S : (j + 1) * p.S]
-        ones = block.count("1")
-        if ones == 0:
-            raise ZeroHotError(j)
-        if ones > 1:
-            raise MultiHotError(j)
-        words.append(format(block.index("1"), f"0{p.q}b") if p.q else "")
-    return "".join(words)
+    return label_to_binary(assignment_label(decode_bitstring(b, p), p, "binary"), p)
 
 
 def decompress(y, p):
@@ -284,7 +295,8 @@ def label_to_onehot(z, p):
 
 def label_to_binary(z, p):
     """Binary bitstring of a binary-register label (padding words kept)."""
-    return "".join(format(w, f"0{p.q}b") if p.q else "" for w in label_digits(z, p.n, 1 << p.q))
+    words = label_digits(z, p.n, p.radix("binary"))
+    return "".join(format(w, f"0{p.q}b") if p.q else "" for w in words)
 
 
 def onehot_to_label(b, p):
@@ -295,14 +307,13 @@ def onehot_to_label(b, p):
 def binary_to_label(y, p):
     _check_bits(y, p.binary_len, "binary bitstring")
     words = [int(y[j * p.q : (j + 1) * p.q], 2) if p.q else 0 for j in range(p.n)]
-    return digits_label(words, 1 << p.q)
+    return digits_label(words, p.radix("binary"))
 
 
 def assignment_label(a, p, register="onehot"):
     """Register label of an assignment (its symbol digits in either radix)."""
     digits = [symbol_index(i, k, p.n, p.K) for i, k in a.symbols]
-    radix = p.S if register == "onehot" else 1 << p.q
-    return digits_label(digits, radix)
+    return digits_label(digits, p.radix(register))
 
 
 def label_assignment(z, p):

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingParams, symbol_index
+from .encoding import REGISTERS, EncodingParams, symbol_index
 
 CAP_MODES = ("hinge", "quadratic-surrogate", "filter-only")
-REGISTERS = ("onehot", "binary")
 # Largest register dimension that gets a dense energy table.
 TABLE_LIMIT = 2**22
 
@@ -80,13 +79,11 @@ class EnergyModel:
 
     @property
     def dim(self):
-        p = self.params
-        return p.S**p.n if self.register == "onehot" else 1 << (p.n * p.q)
+        return self.params.dim(self.register)
 
     @property
     def radix(self):
-        p = self.params
-        return p.S if self.register == "onehot" else 1 << p.q
+        return self.params.radix(self.register)
 
     @classmethod
     def for_instance(cls, inst, weights=None, register="onehot"):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import EncodingParams
+
 ROUNDING_MODES = ("exact", "nearest-integer")
 
 
@@ -65,11 +67,8 @@ def qubit_counts(n, K):
     needs n*ceil(log2(S)) bits, with ceil(log2(1)) = 0 for the degenerate
     single-symbol alphabet.
     """
-    if n < 1 or K < 1:
-        raise ValueError("need n >= 1 and K >= 1")
-    S = n * K
-    q = (S - 1).bit_length()
-    return K * n * n, n * q
+    p = EncodingParams(n, K)
+    return p.onehot_len, p.binary_len
 
 
 def _as_readonly(a, dtype=float):

@@ -2,9 +2,9 @@
 
 The one-hot register never represents the full n^2*K qubits: its basis
 IS the block-one-hot sector, addressed by mixed-radix labels over n
-symbol digits, so the state is a dense complex vector of size S^n (or
-2^(n*q) for the binary register). One ansatz layer applies the diagonal
-phase exp(-i*gamma*E(z)) and then the per-block mixer.
+symbol digits, so the state is a dense complex vector of size S^n. One
+ansatz layer applies the diagonal phase exp(-i*gamma*E(z)) and then the
+per-block mixer.
 
 The block mixer is the exponential of the normalized hopping generator
 (J - I)/(S - 1) on one block, evaluated in closed form from its two
@@ -13,14 +13,16 @@ complement (eigenvalue -1/(S-1)),
 
     U(beta) = exp(-i*beta) * P_u + exp(+i*beta/(S-1)) * (I - P_u).
 
-On the binary register the same matrix acts on the valid-code span of
-each q-bit word and padded words are left alone, so amplitude started on
-valid codes stays there exactly.
+The binary register is a relabelling of the same S^n state, not a
+second simulator: the ansatz always evolves the one-hot labels, and a
+binary run scatters the final amplitudes onto their binary labels once
+(`EncodingParams.binary_labels`). Labels with a padded word are never
+written, so their amplitude is exactly zero by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,11 +38,7 @@ class AmplitudeBudgetError(RuntimeError):
 
 
 def register_dim(params, register):
-    if register == "onehot":
-        return params.S**params.n
-    if register == "binary":
-        return 1 << (params.n * params.q)
-    raise ValueError(f"unknown register {register!r}")
+    return params.dim(register)
 
 
 @dataclass
@@ -52,17 +50,13 @@ class EncodedState:
     params: EncodingParams
 
     def __post_init__(self):
-        expected = register_dim(self.params, self.register)
+        expected = self.params.dim(self.register)
         if self.amplitudes.shape != (expected,):
             raise ValueError(f"amplitude vector must have length {expected}")
 
     @property
     def dim(self):
         return len(self.amplitudes)
-
-    @property
-    def radix(self):
-        return self.params.S if self.register == "onehot" else 1 << self.params.q
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
@@ -98,29 +92,22 @@ class Schedule:
 
 
 def initial_state(params, register="onehot"):
-    """Uniform superposition over the encoded basis.
-
-    One-hot register: every label gets 1/sqrt(S^n) (a uniform product of
-    per-block uniform symbol states). Binary register: the same weight on
-    every all-valid code label, zero on labels with any padded word.
-    """
-    dim = register_dim(params, register)
+    """Uniform superposition over the encoded basis: 1/sqrt(S^n) on every
+    one-hot label (a uniform product of per-block uniform symbol states),
+    relabelled into `register`."""
     amp = 1.0 / np.sqrt(float(params.S) ** params.n)
+    state = EncodedState(np.full(params.dim("onehot"), amp, dtype=complex), "onehot", params)
+    return _relabel(state, register)
+
+
+def _relabel(state, register):
+    """A one-hot state in `register`'s numbering. The binary register
+    gets each amplitude at its binary label and exact zeros on padding."""
     if register == "onehot":
-        vec = np.full(dim, amp, dtype=complex)
-    else:
-        vec = np.zeros(dim, dtype=complex)
-        vec[_valid_binary_labels(params)] = amp
-    return EncodedState(vec, register, params)
-
-
-def _valid_binary_labels(params):
-    """Binary-register labels whose words are all < S, ascending."""
-    S, n, q = params.S, params.n, params.q
-    labels = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        labels = ((labels[:, None] << q) + np.arange(S, dtype=np.int64)[None, :]).ravel()
-    return labels
+        return state
+    vec = np.zeros(state.params.dim(register), dtype=complex)
+    vec[state.params.binary_labels()] = state.amplitudes
+    return EncodedState(vec, register, state.params)
 
 
 def block_mixer_matrix(S, beta):
@@ -140,27 +127,18 @@ def block_mixer_matrix(S, beta):
     return U
 
 
-def _block_unitary(params, register, beta):
-    U = block_mixer_matrix(params.S, beta)
-    if register == "onehot":
-        return U
-    full = np.eye(1 << params.q, dtype=complex)
-    full[: params.S, : params.S] = U
-    return full
-
-
-def _apply_block_matrix(state, U):
-    n = state.params.n
-    radix = state.radix
-    tensor = state.amplitudes.reshape((radix,) * n)
-    for axis in range(n):
-        tensor = np.moveaxis(np.tensordot(U, tensor, axes=(1, axis)), 0, axis)
-    return EncodedState(np.ascontiguousarray(tensor.reshape(-1)), state.register, state.params)
-
-
 def apply_mixer(state, beta):
-    """One mixer layer: the block unitary on each of the n blocks."""
-    return _apply_block_matrix(state, _block_unitary(state.params, state.register, beta))
+    """One mixer layer: the block unitary on each of the n blocks of a
+    one-hot state. Binary states are only relabelled outputs of
+    `run_ansatz`, so they are refused."""
+    if state.register != "onehot":
+        raise ValueError("the mixer acts on one-hot states; run_ansatz relabels binary runs")
+    p = state.params
+    U = block_mixer_matrix(p.S, beta)
+    tensor = state.amplitudes.reshape((p.S,) * p.n)
+    for axis in range(p.n):
+        tensor = np.moveaxis(np.tensordot(U, tensor, axes=(1, axis)), 0, axis)
+    return EncodedState(np.ascontiguousarray(tensor.reshape(-1)), state.register, p)
 
 
 def apply_phase(state, gamma, model, energies=None, table_limit=TABLE_LIMIT):
@@ -195,28 +173,30 @@ def run_ansatz(
 ):
     """Alternate phase and mixer layers from the uniform initial state.
 
-    Refuses registers above `amplitude_budget` before allocating
-    anything. `energies` is the model's energy table when the caller
-    already holds it (a sweep builds it once for all its grid points);
-    without it the table is built here, or streamed per layer above
-    `table_limit`.
+    Every register evolves on the S^n one-hot labels; a binary model's
+    final state is relabelled into its register once at the end. Refuses
+    registers above `amplitude_budget` before allocating anything.
+    `energies` is the one-hot energy table when the caller already holds
+    it (a sweep builds it once for all its grid points); without it the
+    table is built here, or streamed per layer above `table_limit`.
     """
     if params != model.params:
         raise ValueError("params do not match the model")
-    dim = register_dim(params, model.register)
+    dim = params.dim(model.register)
     if dim > amplitude_budget:
         raise AmplitudeBudgetError(
             f"register dimension {dim} exceeds the amplitude budget {amplitude_budget}"
         )
-    if energies is None and dim <= table_limit:
-        energies = energy_table(model, limit=table_limit)
-    if energies is not None and np.shape(energies) != (dim,):
-        raise ValueError(f"energy table must have length {dim}")
-    state = initial_state(params, model.register)
+    onehot = replace(model, register="onehot")
+    if energies is None and onehot.dim <= table_limit:
+        energies = energy_table(onehot, limit=table_limit)
+    if energies is not None and np.shape(energies) != (onehot.dim,):
+        raise ValueError(f"energy table must have length {onehot.dim}")
+    state = initial_state(params)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
-        state = apply_phase(state, gamma, model, energies=energies, table_limit=table_limit)
+        state = apply_phase(state, gamma, onehot, energies=energies, table_limit=table_limit)
         state = apply_mixer(state, beta)
-    return state
+    return _relabel(state, model.register)
 
 
 def exact_distribution(state):

@@ -6,9 +6,11 @@ string the feasibility oracle refuses, scores the survivors with the
 timeline objective (or the full diagonal cost on request), and keeps the
 strict minimum. The energy table does not depend on the angles, so a
 sweep builds it once and hands it to every grid point (to each worker
-process once, through the pool initializer). Grid points are independent
-work items; the reduction is an associative min keyed by (score,
-grid_index, label), so worker count never changes the result.
+process once, through the pool initializer); it is the one-hot table for
+either register, since the ansatz always evolves the one-hot labels.
+Grid points are independent work items; the reduction is an associative
+min keyed by (score, grid_index, label), so worker count never changes
+the result.
 
 The exact oracle enumerates customer permutations crossed with the
 contiguous vehicle labelings of the timeline (ordered segmentations into
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,10 +237,8 @@ class PhqcResult:
 
 
 def _decode_sample(bits, model):
-    params = model.params
-    if model.register == "onehot":
-        return decode_bitstring(bits, params)
-    return decode_bitstring(decompress(bits, params), params)
+    onehot = bits if model.register == "onehot" else decompress(bits, model.params)
+    return decode_bitstring(onehot, model.params)
 
 
 def _score_sample(label, bits, model, score_mode):
@@ -259,32 +259,22 @@ def _grid_point(
     samples = sample(state, shots, (base_seed, index))
     check = feasible_global_positions if model.register == "onehot" else decode_binary_and_check
     render = label_to_onehot if model.register == "onehot" else label_to_binary
-    D = params.S**params.n
-    baseline = 1.0 / D
-    feasible_count = 0
-    feasible_distinct = 0
-    above = 0
     hits = 0 if optimal_labels is not None else None
     local_best = None
     feasible_bits = {}
     for z in samples.labels():
         count = samples.counts[z]
         bits = render(z, params)
-        verdict = check(bits, model.inst)
-        if not verdict.feasible:
+        if not check(bits, model.inst).feasible:
             continue
-        feasible_count += count
-        feasible_distinct += 1
         feasible_bits[bits] = count
-        if count / shots > baseline:
-            above += 1
         score = _score_sample(z, bits, model, score_mode)
         if optimal_labels is not None and abs(score - optimal_cost) <= SCORE_TOL:
             hits += count
         key = (score, index, z)
         if local_best is None or key < local_best[:3]:
             local_best = (score, index, z, bits)
-    share = above / feasible_distinct if feasible_distinct else 0.0
+    _, share = feasible_histogram(feasible_bits, shots, params)
     p_star_exact = None
     if optimal_labels is not None:
         probs = exact_distribution(state)
@@ -293,7 +283,7 @@ def _grid_point(
         index=index,
         gamma=gamma,
         beta=beta,
-        feasible_count=feasible_count,
+        feasible_count=sum(feasible_bits.values()),
         share_above_baseline=share,
         optimal_hits=hits,
         p_star_exact=p_star_exact,
@@ -343,7 +333,9 @@ def phqc(
     if exact_reference is not None and exact_reference.optimal_assignments:
         optimal_labels = exact_reference.optimal_labels(params, model.register)
         optimal_cost = exact_reference.optimal_cost
-    energies = energy_table(model) if model.dim <= TABLE_LIMIT else None
+    # The ansatz evolves every register on the one-hot labels.
+    onehot = replace(model, register="onehot")
+    energies = energy_table(onehot) if onehot.dim <= TABLE_LIMIT else None
     tasks = [
         (model, g, b, depth, shots_per_point, seed, idx, score, optimal_labels, optimal_cost)
         for idx, g, b in grid.points()
@@ -378,17 +370,25 @@ def phqc(
     )
 
 
-def phqc_histogram(result, params):
-    """Plot-ready rows (bitstring, count, frequency, baseline_ratio) from
-    the pooled feasible counts of a sweep."""
-    D = params.S**params.n
-    baseline = 1.0 / D
+def feasible_histogram(feasible_counts, shots, params):
+    """Plot-ready rows (bitstring, count, frequency, baseline_ratio) of
+    feasible outcomes {bitstring: count} out of `shots`, most frequent
+    first, and the share of them above the uniform baseline 1/D,
+    D = S^n."""
+    baseline = 1.0 / params.dim("onehot")
     rows = []
-    for bits, count in result.feasible_counts.items():
-        freq = count / result.total_shots
+    above = 0
+    for bits, count in feasible_counts.items():
+        freq = count / shots
         rows.append((bits, count, freq, freq / baseline))
+        above += freq > baseline
     rows.sort(key=lambda r: (-r[1], r[0]))
-    return rows
+    return rows, (above / len(rows) if rows else 0.0)
+
+
+def phqc_histogram(result, params):
+    """Histogram rows of the pooled feasible counts of a sweep."""
+    return feasible_histogram(result.feasible_counts, result.total_shots, params)[0]
 
 
 def p_star(inst, model, gamma, beta, depth=1, exact=None):

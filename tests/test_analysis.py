@@ -374,3 +374,12 @@ def test_anticoncentration_binary_register(exA, params3):
     rep = anticoncentration_report(ss, model, params3)
     assert rep.feasible_distinct == 1
     assert rep.feasible_shots == 10
+
+
+def test_surrogate_scores_binary_model_matches_onehot(exA, params3):
+    # exA has S = 6, so the binary register carries padded words; the
+    # surrogate still scores the S^n envelope against one-hot energies
+    onehot = EnergyModel.for_instance(exA)
+    binary = EnergyModel.for_instance(exA, register="binary")
+    args = (params3, [0.3, 1.2], 0.02)
+    assert surrogate_scores(binary, *args, rho=0.5) == surrogate_scores(onehot, *args, rho=0.5)

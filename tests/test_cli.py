@@ -424,3 +424,42 @@ def test_config_file_unknown_key(tmp_path, capsys, exa_json):
     config.write_text(json.dumps({"shots": 32, "shot": 64}))
     assert main(["solve", "--instance", exa_json, "--config", str(config)]) == 1
     assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"shots": "32"}, {"lam_once": "4.0"}, {"register": "dense"}],
+    ids=["string-int", "string-float", "bad-choice"],
+)
+def test_config_file_value_types(tmp_path, capsys, exa_json, entry):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(entry))
+    assert main(["solve", "--instance", exa_json, "--config", str(config)]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_bound_binary_register_padded_alphabet(capsys, exa_json):
+    # exA has S = 6, not a power of two: the binary register has padding
+    from colorperm.encoding import digits_label, label_digits
+
+    args = ["bound", "--instance", exa_json, "--gamma", "0.05", "--beta", "1.1", "--depth", "2"]
+    code, onehot = run_json(capsys, args)
+    assert code == 0
+    code, binary = run_json(capsys, args + ["--register", "binary"])
+    assert code == 0
+    assert binary["report"] == onehot["report"]
+    expect = [digits_label(label_digits(z, 3, 6), 8) for z in onehot["optimal_labels"]]
+    assert binary["optimal_labels"] == expect
+
+
+def test_solve_binary_grid_rows_equal_onehot(tmp_path, exa_json):
+    rows = {}
+    for register in ("onehot", "binary"):
+        out = tmp_path / f"{register}.json"
+        argv = ["solve", "--instance", exa_json, "--grid-points", "4", "--shots", "216"]
+        assert main(argv + ["--register", register, "--out", str(out)]) == 0
+        lines = (tmp_path / f"{register}.grid.csv").read_text().splitlines()
+        assert lines[0].startswith("# config ")
+        rows[register] = lines[1:]
+    assert len(rows["binary"]) == 1 + 16
+    assert rows["binary"] == rows["onehot"]

@@ -19,6 +19,7 @@ from colorperm.hamiltonian import (
     energy_objective,
     energy_once,
 )
+from colorperm.instances import Instance
 from colorperm.simulator import (
     AmplitudeBudgetError,
     EncodedState,
@@ -294,3 +295,30 @@ def test_sampleset_views(params3):
     assert all(len(bits) == 18 and set(bits) <= {"0", "1"} for bits in bc)
     binary = sample(initial_state(params3, "binary"), 50, 3)
     assert all(len(bits) == 9 for bits in binary.bitstring_counts())
+
+
+def _binary_label(z, n, S, q):
+    return digits_label(label_digits(z, n, S), 1 << q)
+
+
+@pytest.mark.parametrize("K_demands", [(2, [1, 1, 1]), (3, [1, 2, 1])])
+def test_binary_run_is_exact_relabelling(exA, K_demands):
+    # (n, K) = (3, 2): S = 6, radix 8; (3, 3): S = 9, radix 16
+    K, demands = K_demands
+    inst = Instance(f"n3k{K}", 3, K, demands, [3] * K, exA.W, exA.dep_to, exA.to_dep)
+    params = EncodingParams(3, K)
+    sched = Schedule((0.03, 0.05), (0.9, 0.4))
+    st1 = run_ansatz(params, EnergyModel.for_instance(inst), sched)
+    st2 = run_ansatz(params, EnergyModel.for_instance(inst, register="binary"), sched)
+    assert st2.register == "binary" and st2.dim == 1 << (3 * params.q)
+    relabel = np.array([_binary_label(z, 3, params.S, params.q) for z in range(st1.dim)])
+    assert np.array_equal(params.binary_labels(), relabel)
+    assert np.array_equal(st2.amplitudes[relabel], st1.amplitudes)
+    padded = np.setdiff1d(np.arange(st2.dim), relabel)
+    assert len(padded) == st2.dim - st1.dim
+    assert (st2.amplitudes[padded] == 0).all()
+
+
+def test_apply_mixer_refuses_binary_state(params3):
+    with pytest.raises(ValueError):
+        apply_mixer(initial_state(params3, "binary"), 0.4)
