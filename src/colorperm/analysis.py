@@ -22,11 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import label_to_binary, label_to_onehot
-from .feasibility import decode_binary_and_check, feasible_global_positions
 from .hamiltonian import TABLE_LIMIT, energy_table
 from .simulator import block_mixer_matrix
-from .solver import feasible_histogram
+from .solver import feasible_histogram, feasible_samples
 
 TWO_PI = 2.0 * math.pi
 REPORT_CONFIDENCES = (0.90, 0.95, 0.99)
@@ -313,20 +311,14 @@ def anticoncentration_report(samples, model, params):
     """Histogram the feasible outcomes of a SampleSet and report what
     fraction of them beat the uniform baseline 1/D, D = (nK)^n."""
     D = params.dim("onehot")
-    check = feasible_global_positions if samples.register == "onehot" else decode_binary_and_check
-    render = label_to_onehot if samples.register == "onehot" else label_to_binary
-    feasible = {}
-    for z in samples.labels():
-        bits = render(z, samples.params)
-        if check(bits, model.inst).feasible:
-            feasible[bits] = samples.counts[z]
-    rows, share = feasible_histogram(feasible, samples.shots, params)
+    _, counts, bits = feasible_samples(samples, model.inst)
+    rows, share = feasible_histogram(dict(zip(bits, counts)), samples.shots, params)
     return AnticoncentrationReport(
         D=D,
         baseline=1.0 / D,
         share_above_baseline=share,
         feasible_distinct=len(rows),
-        feasible_shots=sum(feasible.values()),
+        feasible_shots=sum(counts),
         total_shots=samples.shots,
         histogram=tuple(rows),
     )

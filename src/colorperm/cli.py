@@ -600,7 +600,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ParseError, CodecError, AmplitudeBudgetError, ValueError) as exc:
+    except (ParseError, CodecError, AmplitudeBudgetError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -240,17 +240,11 @@ def compress(b, p):
 
 def decompress(y, p):
     """Binary string -> one-hot string; rejects word values >= S."""
-    _check_bits(y, p.binary_len, "binary bitstring")
-    blocks = []
-    for j in range(p.n):
-        word = y[j * p.q : (j + 1) * p.q]
-        s = int(word, 2) if p.q else 0
+    words = label_digits(binary_to_label(y, p), p.n, p.radix("binary"))
+    for j, s in enumerate(words):
         if s >= p.S:
             raise PaddingLeakError(j, s)
-        block = ["0"] * p.S
-        block[s] = "1"
-        blocks.append("".join(block))
-    return "".join(blocks)
+    return _onehot(words, p.S)
 
 
 def grouped(bits, width):
@@ -274,6 +268,17 @@ def label_digits(z, n, radix):
     return tuple(reversed(digits))
 
 
+def label_digits_array(labels, n, radix):
+    """(n, m) digit array of m labels, block 0 in row 0 (most significant)."""
+    digits = np.empty((n, len(labels)), dtype=np.int64)
+    rem = np.asarray(labels, dtype=np.int64).copy()
+    for j in range(n - 1, -1, -1):
+        rem, digits[j] = np.divmod(rem, radix)
+    if (rem != 0).any():
+        raise ValueError("label out of range for this register")
+    return digits
+
+
 def digits_label(digits, radix):
     z = 0
     for d in digits:
@@ -283,20 +288,25 @@ def digits_label(digits, radix):
     return z
 
 
+def _onehot(digits, S):
+    """Blocks of S bits, one-hot at each symbol digit."""
+    return "".join("0" * s + "1" + "0" * (S - 1 - s) for s in digits)
+
+
 def label_to_onehot(z, p):
     """One-hot bitstring of a one-hot-register label."""
-    blocks = []
-    for s in label_digits(z, p.n, p.S):
-        block = ["0"] * p.S
-        block[s] = "1"
-        blocks.append("".join(block))
-    return "".join(blocks)
+    return _onehot(label_digits(z, p.n, p.S), p.S)
 
 
 def label_to_binary(z, p):
     """Binary bitstring of a binary-register label (padding words kept)."""
     words = label_digits(z, p.n, p.radix("binary"))
     return "".join(format(w, f"0{p.q}b") if p.q else "" for w in words)
+
+
+def label_bitstring(z, p, register):
+    """Bitstring of a register label: one-hot blocks or binary words."""
+    return (label_to_onehot if register == "onehot" else label_to_binary)(z, p)
 
 
 def onehot_to_label(b, p):
@@ -316,7 +326,7 @@ def assignment_label(a, p, register="onehot"):
     return digits_label(digits, p.radix(register))
 
 
-def label_assignment(z, p):
-    """Assignment of a one-hot-register label."""
-    symbols = tuple(symbol_unindex(s, p.n) for s in label_digits(z, p.n, p.S))
+def label_assignment(z, p, register="onehot"):
+    """Assignment of a register label (its digits are symbol indices)."""
+    symbols = tuple(symbol_unindex(s, p.n) for s in label_digits(z, p.n, p.radix(register)))
     return ColoredAssignment(symbols, p.K)

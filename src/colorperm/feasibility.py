@@ -11,13 +11,19 @@ O(n^2 K) bit visits.
 
 The verdict reports the first violation in exactly that scan order, so a
 given string always fails for the same reason.
+
+The scan is the reference. Sampled register labels are already digit
+arrays, so `label_reasons` gives the same reason for many labels at once
+straight from their digits, without rendering or scanning a string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import EncodingParams, PaddingLeakError, _check_bits, decompress
+import numpy as np
+
+from .encoding import EncodingParams, PaddingLeakError, _check_bits, decompress, label_digits_array
 
 OK = "OK"
 ZERO_HOT = "ZeroHot"
@@ -150,3 +156,31 @@ def decode_binary_and_check(y, inst):
     except PaddingLeakError as exc:
         return FeasibilityVerdict(False, PADDING_LEAK, (exc.block,))
     return feasible_global_positions(b, inst)
+
+
+def label_reasons(labels, inst, register):
+    """Index into REASONS of the reference verdict on each register label.
+
+    A label's blocks are one-hot by construction, so the codes are, in
+    the scan's order of precedence: PaddingLeak (a binary word >= S),
+    RepeatedCustomer, then per vehicle k = 0..K-1 capacity before
+    contiguity, else OK.
+    """
+    p = EncodingParams.for_instance(inst)
+    digits = label_digits_array(labels, p.n, p.radix(register))
+    sym = np.minimum(digits, p.S - 1)
+    cust, veh = sym % p.n, sym // p.n
+    codes = np.zeros(digits.shape[1], dtype=np.int8)
+    demand = np.asarray(inst.d)[cust]
+    positions = np.arange(p.n)[:, None]
+    for k in range(p.K - 1, -1, -1):
+        on = veh == k
+        count = on.sum(axis=0)
+        first = np.where(on, positions, p.n).min(axis=0)
+        last = np.where(on, positions, -1).max(axis=0)
+        codes[(count > 0) & (last - first + 1 != count)] = REASONS.index(NON_CONTIGUOUS)
+        codes[np.where(on, demand, 0).sum(axis=0) > inst.Q[k]] = REASONS.index(CAPACITY_VIOLATION)
+    repeated = (np.diff(np.sort(cust, axis=0), axis=0) == 0).any(axis=0)
+    codes[repeated] = REASONS.index(REPEATED_CUSTOMER)
+    codes[(digits >= p.S).any(axis=0)] = REASONS.index(PADDING_LEAK)
+    return codes

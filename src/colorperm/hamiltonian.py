@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import REGISTERS, EncodingParams, symbol_index
+from .encoding import REGISTERS, EncodingParams, label_digits_array, symbol_index
 
 CAP_MODES = ("hinge", "quadratic-surrogate", "filter-only")
 # Largest register dimension that gets a dense energy table.
@@ -157,31 +157,9 @@ def energy_objective(a, inst, lam_obj=1.0):
     return lam_obj * total
 
 
-def energy_objective_pdp(a, pdp, lam_obj=1.0):
-    """Timeline objective over atomic tours: identical structure with the
-    tour-to-tour dead-mile matrix and per-vehicle depot legs."""
-    syms = a.symbols
-    t0, k0 = syms[0]
-    total = pdp.dep_out(t0, k0)
-    for (t, k), (t2, k2) in zip(syms, syms[1:]):
-        if k == k2:
-            total += float(pdp.Wtilde[t, t2])
-        else:
-            total += pdp.dep_in(t, k) + pdp.dep_out(t2, k2)
-    tN, kN = syms[-1]
-    total += pdp.dep_in(tN, kN)
-    return lam_obj * total
-
-
-def _label_digits_array(labels, n, radix):
-    """(n, m) digit array of m labels, block 0 in row 0 (most significant)."""
-    digits = np.empty((n, len(labels)), dtype=np.int64)
-    rem = np.asarray(labels, dtype=np.int64).copy()
-    for j in range(n - 1, -1, -1):
-        rem, digits[j] = np.divmod(rem, radix)
-    if (rem != 0).any():
-        raise ValueError("label out of range for this register")
-    return digits
+# Pickup-and-delivery tours score the same way: PdpInstance.W is its
+# dead-mile matrix Wtilde.
+energy_objective_pdp = energy_objective
 
 
 def energy_components(model, labels):
@@ -196,7 +174,7 @@ def energy_components(model, labels):
     n, K, S = p.n, p.K, p.S
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     m = len(labels)
-    digits = _label_digits_array(labels, n, model.radix)
+    digits = label_digits_array(labels, n, model.radix)
     valid = (
         np.ones((n, m), dtype=bool) if model.register == "onehot" else digits < S
     )

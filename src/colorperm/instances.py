@@ -198,6 +198,11 @@ class PdpInstance:
         object.__setattr__(self, "dep_to", legs[0])
         object.__setattr__(self, "to_dep", legs[1])
 
+    @property
+    def W(self):
+        """Wtilde under the CVRP name, so `energy_objective` scores tours."""
+        return self.Wtilde
+
     def dep_out(self, t, k):
         v = self.dep_to
         return float(v[t] if v.ndim == 1 else v[t, k])
@@ -321,9 +326,13 @@ def from_matrices(record, K=None, rounding_mode="exact", name=None):
     Required keys: W, d, Q. Optional: dep_to, to_dep (to_dep defaults to
     dep_to, both default to zeros), name, K (overridden by the argument).
     """
+    if not isinstance(record, dict):
+        raise ParseError("instance record must be a JSON object")
     if "W" not in record:
         raise ParseError("record needs a W matrix")
     W = np.asarray(record["W"], dtype=float)
+    if W.ndim != 2:
+        raise ParseError("W must be an n x n matrix")
     n = W.shape[0]
     if "d" not in record or "Q" not in record:
         raise ParseError("record needs demand vector d and capacity vector Q")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import EncodingParams, label_to_binary, label_to_onehot
+from .encoding import EncodingParams, label_bitstring
 from .hamiltonian import TABLE_LIMIT, energy_components, energy_table
 
 AMPLITUDE_BUDGET = 2**27
@@ -62,9 +62,7 @@ class EncodedState:
         return float(np.linalg.norm(self.amplitudes))
 
     def label_bitstring(self, z):
-        if self.register == "onehot":
-            return label_to_onehot(z, self.params)
-        return label_to_binary(z, self.params)
+        return label_bitstring(z, self.params, self.register)
 
 
 @dataclass(frozen=True)
@@ -223,8 +221,7 @@ class SampleSet:
         return sorted(self.counts)
 
     def bitstring_counts(self):
-        render = label_to_onehot if self.register == "onehot" else label_to_binary
-        return {render(z, self.params): c for z, c in sorted(self.counts.items())}
+        return {label_bitstring(z, self.params, self.register): c for z, c in sorted(self.counts.items())}
 
 
 def _seed_sequence(seed):

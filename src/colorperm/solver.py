@@ -2,15 +2,15 @@
 
 The solver sweeps a coarse (gamma, beta) grid. At each point it prepares
 the depth-p state, draws a seeded multinomial sample, rejects every
-string the feasibility oracle refuses, scores the survivors with the
-timeline objective (or the full diagonal cost on request), and keeps the
-strict minimum. The energy table does not depend on the angles, so a
-sweep builds it once and hands it to every grid point (to each worker
-process once, through the pool initializer); it is the one-hot table for
-either register, since the ansatz always evolves the one-hot labels.
-Grid points are independent work items; the reduction is an associative
-min keyed by (score, grid_index, label), so worker count never changes
-the result.
+label the digit-level feasibility verdict refuses, scores the survivors
+with the timeline objective (or the full diagonal cost on request) in one
+vectorized call, and keeps the strict minimum. The energy table does not
+depend on the angles, so a sweep builds it once and hands it to every
+grid point (to each worker process once, through the pool initializer);
+it is the one-hot table for either register, since the ansatz always
+evolves the one-hot labels. Grid points are independent work items; the
+reduction is an associative min keyed by (score, grid_index, label), so
+worker count never changes the result.
 
 The exact oracle enumerates customer permutations crossed with the
 contiguous vehicle labelings of the timeline (ordered segmentations into
@@ -26,22 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import (
-    ColoredAssignment,
-    assignment_label,
-    decode_bitstring,
-    decompress,
-    label_to_binary,
-    label_to_onehot,
-)
-from .feasibility import decode_binary_and_check, feasible_global_positions
-from .hamiltonian import (
-    TABLE_LIMIT,
-    edge_cost_matrix,
-    energy_objective,
-    energy_table,
-    energy_total,
-)
+from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring
+from .feasibility import OK, REASONS, label_reasons
+from .hamiltonian import TABLE_LIMIT, edge_cost_matrix, energy_components, energy_objective, energy_table
 from .simulator import Schedule, exact_distribution, run_ansatz, sample
 
 ENUMERATION_CEILING = 9
@@ -236,54 +223,43 @@ class PhqcResult:
         }
 
 
-def _decode_sample(bits, model):
-    onehot = bits if model.register == "onehot" else decompress(bits, model.params)
-    return decode_bitstring(onehot, model.params)
-
-
-def _score_sample(label, bits, model, score_mode):
-    if score_mode == "total":
-        return energy_total(label, model)
-    assignment = _decode_sample(bits, model)
-    return energy_objective(assignment, model.inst, model.weights.lam_obj)
+def feasible_samples(samples, inst):
+    """The distinct sampled labels the feasibility oracle accepts, in
+    ascending order, as (labels, counts, bitstrings). One digit-level
+    verdict covers every label; only the accepted ones are rendered."""
+    labels = np.asarray(samples.labels(), dtype=np.int64)
+    labels = labels[label_reasons(labels, inst, samples.register) == REASONS.index(OK)].tolist()
+    counts = [samples.counts[z] for z in labels]
+    bits = [label_bitstring(z, samples.params, samples.register) for z in labels]
+    return labels, counts, bits
 
 
 def _grid_point(
     model, gamma, beta, depth, shots, base_seed, index, score_mode, optimal_labels, optimal_cost, energies=None
 ):
-    """One grid point: evolve, sample, filter, score. Returns the record
-    and the local best as (score, index, label, bits)."""
+    """One grid point: evolve, sample, filter, score. Returns the record,
+    the local best as (score, index, label, bits) and the accepted
+    {bits: count}."""
     params = model.params
     schedule = Schedule.constant(gamma, beta, depth)
     state = run_ansatz(params, model, schedule, energies=energies)
     samples = sample(state, shots, (base_seed, index))
-    check = feasible_global_positions if model.register == "onehot" else decode_binary_and_check
-    render = label_to_onehot if model.register == "onehot" else label_to_binary
-    hits = 0 if optimal_labels is not None else None
-    local_best = None
-    feasible_bits = {}
-    for z in samples.labels():
-        count = samples.counts[z]
-        bits = render(z, params)
-        if not check(bits, model.inst).feasible:
-            continue
-        feasible_bits[bits] = count
-        score = _score_sample(z, bits, model, score_mode)
-        if optimal_labels is not None and abs(score - optimal_cost) <= SCORE_TOL:
-            hits += count
-        key = (score, index, z)
-        if local_best is None or key < local_best[:3]:
-            local_best = (score, index, z, bits)
+    labels, counts, bits = feasible_samples(samples, model.inst)
+    # for feasible labels "obj" equals energy_objective bit for bit
+    scores = energy_components(model, labels)["obj" if score_mode == "objective" else "total"].tolist()
+    local_best = min(zip(scores, [index] * len(labels), labels, bits), default=None)
+    feasible_bits = dict(zip(bits, counts))
     _, share = feasible_histogram(feasible_bits, shots, params)
-    p_star_exact = None
+    hits = p_star_exact = None
     if optimal_labels is not None:
+        hits = sum(c for c, score in zip(counts, scores) if abs(score - optimal_cost) <= SCORE_TOL)
         probs = exact_distribution(state)
         p_star_exact = float(probs[np.asarray(optimal_labels, dtype=np.int64)].sum())
     record = GridPointRecord(
         index=index,
         gamma=gamma,
         beta=beta,
-        feasible_count=sum(feasible_bits.values()),
+        feasible_count=sum(counts),
         share_above_baseline=share,
         optimal_hits=hits,
         p_star_exact=p_star_exact,
@@ -359,7 +335,7 @@ def phqc(
     return PhqcResult(
         best_bitstring=None if best is None else best[3],
         best_score=None if best is None else float(best[0]),
-        best_assignment=None if best is None else _decode_sample(best[3], model),
+        best_assignment=None if best is None else label_assignment(best[2], params, model.register),
         records=tuple(records),
         total_shots=shots_per_point * len(grid),
         shots_per_point=shots_per_point,

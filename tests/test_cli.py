@@ -6,6 +6,7 @@ against the library calls the commands wrap.
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,8 +270,8 @@ def test_bound_requires_angles(capsys, exa_json):
 def test_bench_skip_phqc(tmp_path, exa_json, demo_vrp_path):
     bench_dir = tmp_path / "bench"
     bench_dir.mkdir()
-    (bench_dir / "exa.json").write_text(open(exa_json).read())
-    (bench_dir / "demo-n4-k2.vrp").write_text(open(demo_vrp_path).read())
+    (bench_dir / "exa.json").write_text(Path(exa_json).read_text())
+    (bench_dir / "demo-n4-k2.vrp").write_text(Path(demo_vrp_path).read_text())
     out = tmp_path / "bench.csv"
     code = main(["bench", "--dir", str(bench_dir), "--skip-phqc", "--out", str(out)])
     assert code == 0
@@ -292,7 +293,7 @@ def test_bench_skip_phqc(tmp_path, exa_json, demo_vrp_path):
 def test_bench_with_sweep_and_budget(tmp_path, capsys, exa_json):
     bench_dir = tmp_path / "bench"
     bench_dir.mkdir()
-    (bench_dir / "exa.json").write_text(open(exa_json).read())
+    (bench_dir / "exa.json").write_text(Path(exa_json).read_text())
     code = main(
         ["bench", "--dir", str(bench_dir), "--grid-points", "5", "--shots", "216"]
     )
@@ -312,7 +313,7 @@ def test_bench_with_sweep_and_budget(tmp_path, capsys, exa_json):
 def test_bench_error_row(tmp_path, capsys, exa_json):
     bench_dir = tmp_path / "bench"
     bench_dir.mkdir()
-    (bench_dir / "exa.json").write_text(open(exa_json).read())
+    (bench_dir / "exa.json").write_text(Path(exa_json).read_text())
     (bench_dir / "broken.vrp").write_text("NAME : broken\nCAPACITY : 5\nEOF\n")
     code = main(["bench", "--dir", str(bench_dir), "--skip-phqc"])
     assert code == 0
@@ -435,6 +436,33 @@ def test_config_file_value_types(tmp_path, capsys, exa_json, entry):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(entry))
     assert main(["solve", "--instance", exa_json, "--config", str(config)]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_instance_path_is_a_directory(tmp_path, capsys):
+    assert main(["brute", "--instance", str(tmp_path)]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_config_path_is_a_directory(tmp_path, capsys, exa_json):
+    assert main(["brute", "--instance", exa_json, "--config", str(tmp_path)]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_out_path_is_a_directory(tmp_path, capsys, exa_json):
+    assert main(["brute", "--instance", exa_json, "--out", str(tmp_path)]) == 1
+    assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [["W", "d", "Q"], {"W": 5, "d": [1], "Q": [3]}],
+    ids=["list", "scalar-W"],
+)
+def test_malformed_json_instance(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["brute", "--instance", str(path)]) == 1
     assert _single_error_line(capsys)
 
 

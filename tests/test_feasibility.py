@@ -12,19 +12,23 @@ position, then per-vehicle capacity before contiguity for k = 0..K-1.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from colorperm.encoding import EncodingParams, label_to_onehot
+from colorperm.encoding import REGISTERS, EncodingParams, label_to_binary, label_to_onehot
 from colorperm.feasibility import (
     CAPACITY_VIOLATION,
     MULTI_HOT,
     NON_CONTIGUOUS,
     OK,
     PADDING_LEAK,
+    REASONS,
     REPEATED_CUSTOMER,
     ZERO_HOT,
     FeasibilityVerdict,
     decode_binary_and_check,
     feasible_global_positions,
+    label_reasons,
     scan_cost,
 )
 from colorperm.instances import Instance
@@ -207,3 +211,52 @@ def test_binary_check_matches_decompressed(exA):
             assert v == feasible_global_positions(bits, exA)
         else:
             assert v.reason == PADDING_LEAK
+
+
+def _reference_reason(z, inst, register):
+    p = EncodingParams.for_instance(inst)
+    if register == "onehot":
+        return feasible_global_positions(label_to_onehot(z, p), inst).reason
+    return decode_binary_and_check(label_to_binary(z, p), inst).reason
+
+
+@st.composite
+def instances_and_labels(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    K = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    Q = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=K, max_size=K))
+    inst = Instance("h", n, K, d, Q, np.zeros((n, n)), np.zeros(n), np.zeros(n))
+    register = draw(st.sampled_from(REGISTERS))
+    top = EncodingParams(n, K).dim(register) - 1
+    labels = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=1, max_size=30))
+    return inst, register, labels
+
+
+@given(instances_and_labels())
+@settings(max_examples=200, deadline=None)
+def test_label_reasons_match_the_reference_scan(case):
+    # binary registers whose S is not a power of two include padded words
+    inst, register, labels = case
+    codes = label_reasons(labels, inst, register)
+    assert [REASONS[c] for c in codes] == [_reference_reason(z, inst, register) for z in labels]
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+def test_label_reasons_exhaustive_example_a(exA, register):
+    # S = 6: 512 binary labels, 296 of them with a padded word
+    labels = list(range(EncodingParams(3, 2).dim(register)))
+    codes = label_reasons(labels, exA, register)
+    assert [REASONS[c] for c in codes] == [_reference_reason(z, exA, register) for z in labels]
+    assert (codes == REASONS.index(PADDING_LEAK)).sum() == (296 if register == "binary" else 0)
+
+
+def test_label_reasons_exhaustive_first_failing_vehicle():
+    # tight unequal capacities: one vehicle can fail capacity while the
+    # other fails contiguity, so the verdict must come from the lower k
+    inst = Instance("tight", 4, 2, [1, 2, 2, 1], [2, 4], np.zeros((4, 4)), np.zeros(4), np.zeros(4))
+    labels = list(range(EncodingParams(4, 2).dim("onehot")))
+    codes = label_reasons(labels, inst, "onehot")
+    reasons = [_reference_reason(z, inst, "onehot") for z in labels]
+    assert [REASONS[c] for c in codes] == reasons
+    assert {CAPACITY_VIOLATION, NON_CONTIGUOUS, OK} <= set(reasons)

@@ -131,6 +131,16 @@ def test_from_matrices_requires_w():
         from_matrices({"d": [1], "Q": [1]})
 
 
+def test_from_matrices_refuses_a_list():
+    with pytest.raises(ParseError):
+        from_matrices(["W", "d", "Q"])
+
+
+def test_from_matrices_refuses_a_scalar_w():
+    with pytest.raises(ParseError):
+        from_matrices({"W": 5, "d": [1], "Q": [3]})
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         Instance("bad", 2, 1, [-1, 0], [3], [[0, 1], [1, 0]], [0, 0], [0, 0])

@@ -9,9 +9,24 @@ the optimum and the feasible count.
 import numpy as np
 import pytest
 
-from colorperm.encoding import EncodingParams, label_to_onehot
-from colorperm.feasibility import decode_binary_and_check, feasible_global_positions
-from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_objective, energy_total
+from colorperm import solver
+from colorperm.encoding import REGISTERS, EncodingParams, assignment_label, label_assignment, label_to_onehot
+from colorperm.feasibility import (
+    OK,
+    PADDING_LEAK,
+    REASONS,
+    REPEATED_CUSTOMER,
+    decode_binary_and_check,
+    feasible_global_positions,
+    label_reasons,
+)
+from colorperm.hamiltonian import (
+    EnergyModel,
+    PenaltyWeights,
+    energy_components,
+    energy_objective,
+    energy_total,
+)
 from colorperm.instances import Instance
 from colorperm.solver import (
     ENUMERATION_CEILING,
@@ -328,3 +343,49 @@ def test_phqc_result_to_dict(exA, params3):
     assert d["register"] == "onehot"
     assert d["seed"] == 7
     assert isinstance(d["best_assignment"], list)
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+def test_sweep_scores_equal_the_scalar_evaluators(exA, monkeypatch, register):
+    # the sweep scores its accepted labels in one energy_components call;
+    # each "obj" and "total" must equal the scalar scores exactly
+    scored = []
+
+    def spy(model, labels):
+        comp = energy_components(model, labels)
+        scored.append((model, list(labels), comp))
+        return comp
+
+    monkeypatch.setattr(solver, "energy_components", spy)
+    w = PenaltyWeights(lam_obj=1.7, cap_mode="quadratic-surrogate")
+    model = EnergyModel.for_instance(exA, w, register)
+    grid = GridSpec((0.0, 0.3), (0.4, 1.1))
+    for score in ("objective", "total"):
+        res = phqc(exA, model, grid, 128, 7, score=score)
+        if score == "objective":
+            assert res.best_score == energy_objective(res.best_assignment, exA, 1.7)
+        else:
+            z = assignment_label(res.best_assignment, model.params, register)
+            assert res.best_score == energy_total(z, model)
+    assert sum(len(labels) for _, labels, _ in scored) > 8
+    for m, labels, comp in scored:
+        for z, obj, total in zip(labels, comp["obj"].tolist(), comp["total"].tolist()):
+            assert obj == energy_objective(label_assignment(z, m.params, register), exA, 1.7)
+            assert total == energy_total(z, m)
+
+
+def test_binary_sweep_draws_no_padding_leak(exA, params3, monkeypatch):
+    # exA has S = 6, so 296 of the 512 binary labels carry a padded word;
+    # the relabelled state gives them exactly zero mass
+    codes = []
+
+    def spy(labels, inst, register):
+        out = label_reasons(labels, inst, register)
+        codes.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(solver, "label_reasons", spy)
+    model = EnergyModel.for_instance(exA, register="binary")
+    phqc(exA, model, GridSpec.default(params3, 4), 216, 7)
+    assert REASONS.index(OK) in codes and REASONS.index(REPEATED_CUSTOMER) in codes
+    assert REASONS.index(PADDING_LEAK) not in codes
