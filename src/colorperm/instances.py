@@ -10,6 +10,8 @@ is a plain array lookup.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import pathlib
 import re
 from dataclasses import dataclass
@@ -77,6 +79,22 @@ def _as_readonly(a, dtype=float):
     return arr
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _integers(values, what):
+    """`values` as a read-only int64 array. Each entry must be an integer
+    (an integral float such as 2.0 counts) that fits in 64 bits; anything
+    else is a ParseError rather than a truncation or a TypeError."""
+    items = np.asarray(values, dtype=object)
+    for v in items.flat:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) or v != int(v):
+            raise ParseError(f"{what} must be integers, not {v!r}")
+        if not _INT64.min <= v <= _INT64.max:
+            raise ParseError(f"{what} must fit in 64 bits, not {v!r}")
+    return _as_readonly(items, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class Instance:
     """Immutable CVRP problem datum.
@@ -103,8 +121,8 @@ class Instance:
             raise ValueError("need n >= 1 and K >= 1")
         if self.rounding_mode not in ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {self.rounding_mode!r}")
-        d = _as_readonly(self.d, dtype=int)
-        Q = _as_readonly(self.Q, dtype=int)
+        d = _integers(self.d, "demands")
+        Q = _integers(self.Q, "capacities")
         W = _as_readonly(self.W)
         if d.shape != (self.n,):
             raise ValueError("demand vector must have length n")
@@ -116,8 +134,8 @@ class Instance:
             raise ValueError("capacities must be nonnegative")
         if W.shape != (self.n, self.n):
             raise ValueError("W must be n x n")
-        if (W < 0).any():
-            raise ValueError("distances must be nonnegative")
+        if not (W >= 0).all():
+            raise ValueError("distances must be nonnegative numbers")
         if np.abs(np.diagonal(W)).max(initial=0.0) > 0:
             raise ValueError("W must have a zero diagonal")
         legs = []
@@ -125,8 +143,8 @@ class Instance:
             v = _as_readonly(getattr(self, name))
             if v.shape not in ((self.n,), (self.n, self.K)):
                 raise ValueError(f"{name} must have shape (n,) or (n, K)")
-            if (v < 0).any():
-                raise ValueError("depot legs must be nonnegative")
+            if not (v >= 0).all():
+                raise ValueError("depot legs must be nonnegative numbers")
             legs.append(v)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "Q", Q)
@@ -175,22 +193,22 @@ class PdpInstance:
     def __post_init__(self):
         if self.T < 1 or self.K < 1:
             raise ValueError("need T >= 1 and K >= 1")
-        d = _as_readonly(self.d, dtype=int)
-        Q = _as_readonly(self.Q, dtype=int)
+        d = _integers(self.d, "tour weights")
+        Q = _integers(self.Q, "capacities")
         Wt = _as_readonly(self.Wtilde)
         if d.shape != (self.T,) or (d < 0).any():
             raise ValueError("tour weights must be length T and nonnegative")
         if Q.shape != (self.K,) or (Q < 0).any():
             raise ValueError("capacities must be length K and nonnegative")
-        if Wt.shape != (self.T, self.T) or (Wt < 0).any():
+        if Wt.shape != (self.T, self.T) or not (Wt >= 0).all():
             raise ValueError("Wtilde must be a nonnegative T x T matrix")
         legs = []
         for name in ("dep_to", "to_dep"):
             v = _as_readonly(getattr(self, name))
             if v.shape not in ((self.T,), (self.T, self.K)):
                 raise ValueError(f"{name} must have shape (T,) or (T, K)")
-            if (v < 0).any():
-                raise ValueError("depot legs must be nonnegative")
+            if not (v >= 0).all():
+                raise ValueError("depot legs must be nonnegative numbers")
             legs.append(v)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "Q", Q)
@@ -336,7 +354,7 @@ def from_matrices(record, K=None, rounding_mode="exact", name=None):
     n = W.shape[0]
     if "d" not in record or "Q" not in record:
         raise ParseError("record needs demand vector d and capacity vector Q")
-    Q = np.atleast_1d(np.asarray(record["Q"], dtype=int))
+    Q = np.atleast_1d(_integers(record["Q"], "capacities"))
     k = K if K is not None else record.get("K", len(Q))
     if len(Q) == 1 and k > 1:
         Q = np.repeat(Q, k)

@@ -4,14 +4,21 @@ The one-hot register never represents the full n^2*K qubits: its basis
 IS the block-one-hot sector, addressed by mixed-radix labels over n
 symbol digits, so the state is a dense complex vector of size S^n. One
 ansatz layer applies the diagonal phase exp(-i*gamma*E(z)) and then the
-per-block mixer.
+per-block mixer, both in place on one buffer.
 
 The block mixer is the exponential of the normalized hopping generator
 (J - I)/(S - 1) on one block, evaluated in closed form from its two
 eigenspaces: the uniform vector (eigenvalue 1) and its orthogonal
 complement (eigenvalue -1/(S-1)),
 
-    U(beta) = exp(-i*beta) * P_u + exp(+i*beta/(S-1)) * (I - P_u).
+    U(beta) = exp(-i*beta) * P_u + exp(+i*beta/(S-1)) * (I - P_u)
+            = dg * I + off * J,
+
+so each block axis is mixed in place as x <- dg*x + off*sum(x).
+
+A grid row shares its first layer: from the uniform state, the first
+phase layer depends only on the first gamma, so `evolve_row` computes it
+once and evolves each schedule of the row from a copy of it.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: the ansatz always evolves the one-hot labels, and a
@@ -29,12 +36,18 @@ import numpy as np
 from .encoding import EncodingParams, label_bitstring
 from .hamiltonian import TABLE_LIMIT, energy_components, energy_table
 
-AMPLITUDE_BUDGET = 2**27
+# The memory ceiling of a run, in bytes, and the peak memory of a sweep
+# per amplitude of its S^n state: the evolved state and the shared first
+# layer (16 bytes each), the energy table, the distribution and the drawn
+# counts (8 each); 53 bytes were measured at n = 6, K = 2. A binary run
+# also counts the amplitudes of its relabelled vector.
+MEMORY_BUDGET = 2**32
+BYTES_PER_AMPLITUDE = 56
 PHASE_CHUNK = 2**20
 
 
 class AmplitudeBudgetError(RuntimeError):
-    """Register too large for the configured amplitude budget."""
+    """Register too large for the memory budget."""
 
 
 def register_dim(params, register):
@@ -89,21 +102,41 @@ class Schedule:
         return cls((gamma,) * p, (beta,) * p)
 
 
+def check_budget(params, register, amplitude_budget=None):
+    """Refuse a run that would need more than MEMORY_BUDGET bytes (or
+    `amplitude_budget` amplitudes), at BYTES_PER_AMPLITUDE for each S^n
+    evolved label and each label of a binary run's relabelled vector."""
+    amplitudes = params.dim("onehot") + (params.dim(register) if register != "onehot" else 0)
+    need = BYTES_PER_AMPLITUDE * amplitudes
+    budget = MEMORY_BUDGET if amplitude_budget is None else BYTES_PER_AMPLITUDE * amplitude_budget
+    if need > budget:
+        raise AmplitudeBudgetError(
+            f"a {register} run on {params.dim(register)} labels needs about {need} bytes, "
+            f"over the memory budget of {budget} bytes"
+        )
+
+
+def _uniform(params):
+    """1/sqrt(S^n) on every one-hot label, in a new buffer."""
+    amp = 1.0 / np.sqrt(float(params.S) ** params.n)
+    return np.full(params.dim("onehot"), amp, dtype=complex)
+
+
 def initial_state(params, register="onehot"):
     """Uniform superposition over the encoded basis: 1/sqrt(S^n) on every
     one-hot label (a uniform product of per-block uniform symbol states),
     relabelled into `register`."""
-    amp = 1.0 / np.sqrt(float(params.S) ** params.n)
-    state = EncodedState(np.full(params.dim("onehot"), amp, dtype=complex), "onehot", params)
-    return _relabel(state, register)
+    return _relabel(EncodedState(_uniform(params), "onehot", params), register)
 
 
-def _relabel(state, register):
+def _relabel(state, register, out=None):
     """A one-hot state in `register`'s numbering. The binary register
-    gets each amplitude at its binary label and exact zeros on padding."""
+    gets each amplitude at its binary label and exact zeros on padding,
+    in `out` when given: the vector of an earlier relabelling, whose
+    padding is still zero."""
     if register == "onehot":
         return state
-    vec = np.zeros(state.params.dim(register), dtype=complex)
+    vec = np.zeros(state.params.dim(register), dtype=complex) if out is None else out
     vec[state.params.binary_labels()] = state.amplitudes
     return EncodedState(vec, register, state.params)
 
@@ -118,29 +151,56 @@ def block_mixer_matrix(S, beta):
         raise ValueError("S must be positive")
     if S == 1:
         return np.ones((1, 1), dtype=complex)
-    diag = np.exp(1j * beta / (S - 1))
-    off = (np.exp(-1j * beta) - diag) / S
+    dg, off = _mixer_coefficients(S, beta)
     U = np.full((S, S), off, dtype=complex)
-    np.fill_diagonal(U, diag + off)
+    np.fill_diagonal(U, dg + off)
     return U
+
+
+def _mixer_coefficients(S, beta):
+    """(dg, off) with U(beta) = dg*I + off*J on one block of S > 1 symbols."""
+    dg = np.exp(1j * beta / (S - 1))
+    return dg, (np.exp(-1j * beta) - dg) / S
+
+
+def _mix(amps, params, beta):
+    """The block mixer on every axis of the (S,)*n view of `amps`, in
+    place; only one reduced axis is allocated at a time."""
+    if params.S == 1:
+        return
+    dg, off = _mixer_coefficients(params.S, beta)
+    tensor = amps.reshape((params.S,) * params.n)
+    for axis in range(params.n):
+        total = tensor.sum(axis=axis, keepdims=True)
+        total *= off
+        tensor *= dg
+        tensor += total
+
+
+def _phase(amps, gamma, model, energies):
+    """amps[z] *= exp(-i*gamma*E(z)) in place, PHASE_CHUNK labels at a
+    time, with E from the table or, without one, from `energy_components`
+    over each chunk."""
+    for lo in range(0, len(amps), PHASE_CHUNK):
+        hi = min(lo + PHASE_CHUNK, len(amps))
+        chunk = energies[lo:hi] if energies is not None else energy_components(model, np.arange(lo, hi))["total"]
+        amps[lo:hi] *= np.exp(-1j * gamma * chunk)
 
 
 def apply_mixer(state, beta):
     """One mixer layer: the block unitary on each of the n blocks of a
-    one-hot state. Binary states are only relabelled outputs of
-    `run_ansatz`, so they are refused."""
+    one-hot state, returned as a new state. Binary states are only
+    relabelled outputs of `run_ansatz`, so they are refused."""
     if state.register != "onehot":
         raise ValueError("the mixer acts on one-hot states; run_ansatz relabels binary runs")
-    p = state.params
-    U = block_mixer_matrix(p.S, beta)
-    tensor = state.amplitudes.reshape((p.S,) * p.n)
-    for axis in range(p.n):
-        tensor = np.moveaxis(np.tensordot(U, tensor, axes=(1, axis)), 0, axis)
-    return EncodedState(np.ascontiguousarray(tensor.reshape(-1)), state.register, p)
+    amps = state.amplitudes.copy()
+    _mix(amps, state.params, beta)
+    return EncodedState(amps, state.register, state.params)
 
 
 def apply_phase(state, gamma, model, energies=None, table_limit=TABLE_LIMIT):
-    """Diagonal phase layer: amplitude[z] *= exp(-i*gamma*E(z)).
+    """Diagonal phase layer: amplitude[z] *= exp(-i*gamma*E(z)), returned
+    as a new state.
 
     Pass a precomputed energy table to skip re-evaluation; otherwise the
     table is built when the register fits under `table_limit` and the
@@ -148,58 +208,86 @@ def apply_phase(state, gamma, model, energies=None, table_limit=TABLE_LIMIT):
     """
     if model.register != state.register:
         raise ValueError("model register does not match the state")
-    amps = state.amplitudes.copy()
     if energies is None and state.dim <= table_limit:
         energies = energy_table(model, limit=table_limit)
-    if energies is not None:
-        amps *= np.exp(-1j * gamma * energies)
-    else:
-        for lo in range(0, state.dim, PHASE_CHUNK):
-            hi = min(lo + PHASE_CHUNK, state.dim)
-            comp = energy_components(model, np.arange(lo, hi))
-            amps[lo:hi] *= np.exp(-1j * gamma * comp["total"])
+    amps = state.amplitudes.copy()
+    _phase(amps, gamma, model, energies)
     return EncodedState(amps, state.register, state.params)
 
 
-def run_ansatz(
+def evolve_row(
     params,
     model,
-    schedule,
-    amplitude_budget=AMPLITUDE_BUDGET,
+    schedules,
+    amplitude_budget=None,
     table_limit=TABLE_LIMIT,
     energies=None,
 ):
-    """Alternate phase and mixer layers from the uniform initial state.
+    """Yield the final state of each schedule, in order, for schedules
+    that all open with the same gamma.
 
     Every register evolves on the S^n one-hot labels; a binary model's
-    final state is relabelled into its register once at the end. Refuses
-    registers above `amplitude_budget` before allocating anything.
+    final states are relabelled into its register. The first phase layer
+    on the uniform state is computed once for the whole row; each
+    schedule but the last evolves a copy of it in one work buffer, and
+    the last evolves the shared layer itself. Every yielded state lives
+    in a buffer that the next one overwrites, so use it before drawing
+    the next.
+
+    Refuses runs over the memory budget (`check_budget`) before
+    allocating anything.
     `energies` is the one-hot energy table when the caller already holds
     it (a sweep builds it once for all its grid points); without it the
     table is built here, or streamed per layer above `table_limit`.
     """
     if params != model.params:
         raise ValueError("params do not match the model")
-    dim = params.dim(model.register)
-    if dim > amplitude_budget:
-        raise AmplitudeBudgetError(
-            f"register dimension {dim} exceeds the amplitude budget {amplitude_budget}"
-        )
+    if len({s.gammas[0] for s in schedules}) != 1:
+        raise ValueError("the schedules of a row must open with one gamma")
+    check_budget(params, model.register, amplitude_budget)
     onehot = replace(model, register="onehot")
     if energies is None and onehot.dim <= table_limit:
         energies = energy_table(onehot, limit=table_limit)
     if energies is not None and np.shape(energies) != (onehot.dim,):
         raise ValueError(f"energy table must have length {onehot.dim}")
-    state = initial_state(params)
-    for gamma, beta in zip(schedule.gammas, schedule.betas):
-        state = apply_phase(state, gamma, onehot, energies=energies, table_limit=table_limit)
-        state = apply_mixer(state, beta)
-    return _relabel(state, model.register)
+    first = _uniform(params)
+    _phase(first, schedules[0].gammas[0], onehot, energies)
+    work = out = None
+    for i, schedule in enumerate(schedules):
+        if i == len(schedules) - 1:
+            work = first
+        elif work is None:
+            work = first.copy()
+        else:
+            np.copyto(work, first)
+        _mix(work, params, schedule.betas[0])
+        for gamma, beta in zip(schedule.gammas[1:], schedule.betas[1:]):
+            _phase(work, gamma, onehot, energies)
+            _mix(work, params, beta)
+        state = _relabel(EncodedState(work, "onehot", params), model.register, out)
+        out = state.amplitudes
+        yield state
+
+
+def run_ansatz(
+    params,
+    model,
+    schedule,
+    amplitude_budget=None,
+    table_limit=TABLE_LIMIT,
+    energies=None,
+):
+    """Alternate phase and mixer layers from the uniform initial state:
+    the row of one schedule (`evolve_row`)."""
+    (state,) = evolve_row(params, model, [schedule], amplitude_budget, table_limit, energies)
+    return state
 
 
 def exact_distribution(state):
     """Probability of every basis label, as a vector indexed by label."""
-    return np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.amplitudes)
+    probs **= 2
+    return probs
 
 
 @dataclass
@@ -232,17 +320,19 @@ def _seed_sequence(seed):
     return np.random.SeedSequence(int(seed))
 
 
-def sample(state, shots, seed):
+def sample(state, shots, seed, probs=None):
     """Draw a seeded multinomial sample from the exact distribution.
 
     `seed` is an int, a numpy SeedSequence, or a tuple (entropy,
     *spawn_key) for derived per-worker seeds. Identical seeds reproduce
-    identical SampleSets.
+    identical SampleSets. `probs` is `exact_distribution(state)` when the
+    caller already holds it; it is normalised in place.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
-    probs = exact_distribution(state)
-    probs = probs / probs.sum()
+    if probs is None:
+        probs = exact_distribution(state)
+    probs /= probs.sum()
     rng = np.random.default_rng(_seed_sequence(seed))
     drawn = rng.multinomial(shots, probs)
     nonzero = np.nonzero(drawn)[0]

@@ -1,6 +1,7 @@
 """Hybrid grid-search solver and the exhaustive classical oracle.
 
-The solver sweeps a coarse (gamma, beta) grid. At each point it prepares
+The solver sweeps a coarse (gamma, beta) grid row by row: the points of
+one gamma row share their first phase layer. At each point it prepares
 the depth-p state, draws a seeded multinomial sample, rejects every
 label the digit-level feasibility verdict refuses, scores the survivors
 with the timeline objective (or the full diagonal cost on request) in one
@@ -8,7 +9,7 @@ vectorized call, and keeps the strict minimum. The energy table does not
 depend on the angles, so a sweep builds it once and hands it to every
 grid point (to each worker process once, through the pool initializer);
 it is the one-hot table for either register, since the ansatz always
-evolves the one-hot labels. Grid points are independent work items; the
+evolves the one-hot labels. Grid rows are independent work items; the
 reduction is an associative min keyed by (score, grid_index, label), so
 worker count never changes the result.
 
@@ -29,7 +30,7 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import TABLE_LIMIT, edge_cost_matrix, energy_components, energy_objective, energy_table
-from .simulator import Schedule, exact_distribution, run_ansatz, sample
+from .simulator import Schedule, check_budget, evolve_row, exact_distribution, run_ansatz, sample
 
 ENUMERATION_CEILING = 9
 SCORE_TOL = 1e-9
@@ -234,27 +235,26 @@ def feasible_samples(samples, inst):
     return labels, counts, bits
 
 
-def _grid_point(
-    model, gamma, beta, depth, shots, base_seed, index, score_mode, optimal_labels, optimal_cost, energies=None
-):
-    """One grid point: evolve, sample, filter, score. Returns the record,
-    the local best as (score, index, label, bits) and the accepted
-    {bits: count}."""
+def _grid_point(model, state, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
+    """One grid point of a prepared state: sample, filter, score. Returns
+    the record, the local best as (score, index, label, bits) and the
+    accepted {bits: count}."""
     params = model.params
-    schedule = Schedule.constant(gamma, beta, depth)
-    state = run_ansatz(params, model, schedule, energies=energies)
-    samples = sample(state, shots, (base_seed, index))
+    probs = exact_distribution(state)
+    p_star_exact = None
+    if optimal_labels is not None:
+        p_star_exact = float(probs[np.asarray(optimal_labels, dtype=np.int64)].sum())
+    # sample normalises the one distribution in place
+    samples = sample(state, shots, (base_seed, index), probs)
     labels, counts, bits = feasible_samples(samples, model.inst)
     # for feasible labels "obj" equals energy_objective bit for bit
     scores = energy_components(model, labels)["obj" if score_mode == "objective" else "total"].tolist()
     local_best = min(zip(scores, [index] * len(labels), labels, bits), default=None)
     feasible_bits = dict(zip(bits, counts))
     _, share = feasible_histogram(feasible_bits, shots, params)
-    hits = p_star_exact = None
+    hits = None
     if optimal_labels is not None:
         hits = sum(c for c, score in zip(counts, scores) if abs(score - optimal_cost) <= SCORE_TOL)
-        probs = exact_distribution(state)
-        p_star_exact = float(probs[np.asarray(optimal_labels, dtype=np.int64)].sum())
     record = GridPointRecord(
         index=index,
         gamma=gamma,
@@ -267,6 +267,19 @@ def _grid_point(
     return record, local_best, feasible_bits
 
 
+def _grid_row(
+    model, gamma, betas, first_index, depth, shots, base_seed, score_mode, optimal_labels, optimal_cost, energies=None
+):
+    """The grid points (gamma, beta) for every beta of one row, evolved
+    from one shared first phase layer; their outcomes in index order."""
+    schedules = [Schedule.constant(gamma, beta, depth) for beta in betas]
+    states = evolve_row(model.params, model, schedules, energies=energies)
+    return [
+        _grid_point(model, state, gamma, beta, shots, base_seed, first_index + j, score_mode, optimal_labels, optimal_cost)
+        for j, (beta, state) in enumerate(zip(betas, states))
+    ]
+
+
 # The sweep's energy table in a worker process, set once by the pool
 # initializer so it is never pickled into a task.
 _worker_energies = None
@@ -277,8 +290,8 @@ def _init_worker(energies):
     _worker_energies = energies
 
 
-def _grid_point_star(args):
-    return _grid_point(*args, energies=_worker_energies)
+def _grid_row_star(args):
+    return _grid_row(*args, energies=_worker_energies)
 
 
 def phqc(
@@ -294,16 +307,20 @@ def phqc(
 ):
     """Grid sweep with feasibility filtering and strict-minimum scoring.
 
-    When `exact_reference` (an ExactSolution) is given, per-point records
-    also carry optimal-hit counts and the exact optimal mass of the
-    prepared state. The histogram of all feasible samples pooled over the
-    sweep is available through `phqc_histogram`.
+    The sweep runs row by row: one task per gamma evolves every beta of
+    its row from a shared first phase layer. When `exact_reference` (an
+    ExactSolution) is given, per-point records also carry optimal-hit
+    counts and the exact optimal mass of the prepared state. The
+    histogram of all feasible samples pooled over the sweep is available
+    through `phqc_histogram`. Refuses runs over the memory budget before
+    allocating the table or any state.
     """
     if shots_per_point < 1:
         raise ValueError("need shots_per_point >= 1")
     if score not in ("objective", "total"):
         raise ValueError(f"unknown score mode {score!r}")
     params = model.params
+    check_budget(params, model.register)
     optimal_labels = None
     optimal_cost = None
     if exact_reference is not None and exact_reference.optimal_assignments:
@@ -313,20 +330,20 @@ def phqc(
     onehot = replace(model, register="onehot")
     energies = energy_table(onehot) if onehot.dim <= TABLE_LIMIT else None
     tasks = [
-        (model, g, b, depth, shots_per_point, seed, idx, score, optimal_labels, optimal_cost)
-        for idx, g, b in grid.points()
+        (model, g, grid.betas, row * len(grid.betas), depth, shots_per_point, seed, score, optimal_labels, optimal_cost)
+        for row, g in enumerate(grid.gammas)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(energies,)
         ) as pool:
-            outcomes = list(pool.map(_grid_point_star, tasks, chunksize=1))
+            rows = list(pool.map(_grid_row_star, tasks, chunksize=1))
     else:
-        outcomes = [_grid_point(*t, energies=energies) for t in tasks]
+        rows = [_grid_row(*t, energies=energies) for t in tasks]
     records = []
     best = None
     pooled = {}
-    for record, local_best, feasible_bits in outcomes:
+    for record, local_best, feasible_bits in itertools.chain.from_iterable(rows):
         records.append(record)
         for bits, count in feasible_bits.items():
             pooled[bits] = pooled.get(bits, 0) + count

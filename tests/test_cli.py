@@ -491,3 +491,29 @@ def test_solve_binary_grid_rows_equal_onehot(tmp_path, exa_json):
         rows[register] = lines[1:]
     assert len(rows["binary"]) == 1 + 16
     assert rows["binary"] == rows["onehot"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", [1.5, 1, 1]), ("d", [None, 1, 1]), ("d", {"a": 1}), ("Q", [1e30])],
+    ids=["fractional", "null", "object", "overflow"],
+)
+def test_malformed_instance_numbers(tmp_path, capsys, field, value):
+    record = {"W": np.asarray(EXA_W).tolist(), "d": [1, 1, 1], "Q": [3, 3]}
+    record[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["brute", "--instance", str(path)]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_overflowing_vrp_demand(tmp_path, capsys, demo_vrp_path):
+    text = demo_vrp_path.read_text()
+    lines = text.splitlines()
+    at = lines.index("DEMAND_SECTION") + 2
+    node = lines[at].split()[0]
+    lines[at] = f"{node} 12345678901234567890"
+    path = tmp_path / "big.vrp"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["brute", "--instance", str(path)]) == 1
+    assert _single_error_line(capsys)

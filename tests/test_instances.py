@@ -198,3 +198,38 @@ def test_load_instance_json(tmp_path):
 def test_load_instance_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_instance(tmp_path / "nope.vrp")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", [1.5, 1]), ("Q", [2.5]), ("d", [None, 1]), ("d", {"a": 1}), ("Q", [1e30]), ("d", [True, 1])],
+    ids=["fractional-demand", "fractional-capacity", "null", "object", "overflow", "boolean"],
+)
+def test_json_demands_and_capacities_must_be_integers(field, value):
+    record = {"W": [[0, 2], [2, 0]], "d": [1, 1], "Q": [3]}
+    record[field] = value
+    with pytest.raises(ParseError):
+        from_matrices(record)
+
+
+def test_json_integral_floats_are_integers():
+    inst = from_matrices({"W": [[0, 2], [2, 0]], "d": [1.0, 2], "Q": 3.0})
+    assert inst.d.tolist() == [1, 2] and inst.Q.tolist() == [3]
+    assert inst.d.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("4 1\n", "4 1.5\n"), ("CAPACITY : 3", "CAPACITY : 2.5"),
+     ("4 1\n", "4 12345678901234567890\n"), ("CAPACITY : 3", "CAPACITY : 12345678901234567890")],
+    ids=["fractional-demand", "fractional-capacity", "overflow-demand", "overflow-capacity"],
+)
+def test_vrp_demands_and_capacities_must_be_integers(old, new):
+    assert old in MINIMAL_VRP
+    with pytest.raises(ParseError):
+        parse_vrp(MINIMAL_VRP.replace(old, new))
+
+
+def test_missing_distance_is_refused():
+    with pytest.raises(ValueError, match="nonnegative numbers"):
+        from_matrices({"W": [[0, None], [None, 0]], "d": [1, 1], "Q": [3]})
