@@ -513,7 +513,7 @@ def cmd_bench(cfg):
 
 def _add_common(sub):
     sub.add_argument("--instance", help="path to a .vrp or .json instance file")
-    sub.add_argument("--K", type=int, help="fleet size (default: -k<d> filename token, then 2)")
+    sub.add_argument("--K", type=int, help="fleet size (default: a JSON record's \"K\", then a -k<d> filename token, then 2)")
     sub.add_argument("--register", choices=_CHOICES["register"])
     sub.add_argument("--cap-mode", dest="cap_mode", choices=_CHOICES["cap_mode"])
     sub.add_argument("--rounding", choices=_CHOICES["rounding"])

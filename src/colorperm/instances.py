@@ -377,13 +377,18 @@ _K_IN_NAME = re.compile(r"-k(\d+)", re.IGNORECASE)
 
 
 def load_instance(path, K=None, rounding_mode="exact"):
-    """Load a .vrp or .json instance file; K falls back to a -k<digits>
-    filename token, then to 2."""
+    """Load a .vrp or .json instance file; K falls back to a JSON
+    record's own "K", then to a -k<digits> filename token, then to 2."""
     p = pathlib.Path(path)
+    text = p.read_text()
+    record = json.loads(text) if p.suffix.lower() == ".json" else None
+    if K is None and isinstance(record, dict) and "K" in record:
+        K = record["K"]
+        if isinstance(K, bool) or not isinstance(K, int):
+            raise ParseError(f"fleet size K must be an integer, not {K!r}")
     if K is None:
         m = _K_IN_NAME.search(p.stem)
         K = int(m.group(1)) if m else 2
-    text = p.read_text()
-    if p.suffix.lower() == ".json":
-        return from_matrices(json.loads(text), K=K, rounding_mode=rounding_mode, name=p.stem)
+    if record is not None:
+        return from_matrices(record, K=K, rounding_mode=rounding_mode, name=p.stem)
     return parse_vrp(text, K=K, rounding_mode=rounding_mode, name=p.stem)

@@ -13,10 +13,16 @@ evolves the one-hot labels. Grid rows are independent work items; the
 reduction is an associative min keyed by (score, grid_index, label), so
 worker count never changes the result.
 
-The exact oracle enumerates customer permutations crossed with the
-contiguous vehicle labelings of the timeline (ordered segmentations into
-at most K runs with pairwise distinct labels), applies capacity, and
-scores survivors vectorized over all permutations at once.
+The exact oracle splits the timeline cost into routes: each used vehicle
+serves one contiguous run and pays its start leg, W along the run and its
+close leg. A Held-Karp table prices every customer subset on every vehicle
+(O(K 2^n n^2)); a dynamic program over the vehicles in index order gives
+the optimum and the feasible count (O(K 3^n)); backtracking recovers every
+timeline near the optimum, scored as the permutation enumeration scores
+it. The tables stay small well past n = 9 but the winner set does not: at
+n = 8, K = 2 with W and the depot legs all 0, each of the 645,120 feasible
+timelines wins and rescoring them takes seconds, hence
+ENUMERATION_CEILING = 9.
 """
 
 from __future__ import annotations
@@ -112,8 +118,94 @@ def contiguous_labelings(n, K):
                 yield np.repeat(np.asarray(labels, dtype=np.int64), lengths)
 
 
+def _route_tables(inst, start, close):
+    """Per vehicle, as lists: the Held-Karp table P[mask][last] (start leg
+    plus W along the cheapest path over mask that ends at last), the steps
+    [W | close legs] (column n is the depot), each subset's route cost
+    (min over last of P plus the close leg) and whether it fits."""
+    n = inst.n
+    masks = np.arange(1 << n)
+    members = (masks[:, None] >> np.arange(n)) & 1
+    loads = members @ np.asarray(inst.d, dtype=np.int64)
+    tables = []
+    for k in range(inst.K):
+        first, last = start[k * n : (k + 1) * n], close[k * n : (k + 1) * n]
+        P = np.full((1 << n, n), np.inf)
+        P[1 << np.arange(n), np.arange(n)] = first
+        for layer in (masks[members.sum(axis=1) == m] for m in range(2, n + 1)):
+            for j in range(n):
+                on = layer[members[layer, j] == 1]
+                P[on, j] = (P[on ^ (1 << j)] + inst.W[:, j]).min(axis=1)
+        steps = np.column_stack([inst.W, last])
+        tables.append((P.tolist(), steps.tolist(), (P + last).min(axis=1).tolist(), (loads <= inst.Q[k]).tolist()))
+    return tables
+
+
+def _vehicle_tables(tables, n):
+    """G[k][mask], the least cost of serving mask with vehicles 0..k-1,
+    each unused or on one route (the last vehicle fills the full mask
+    only), and the feasible timeline count: over route sets, r! orders of
+    the r routes times |B|! orders within each route B."""
+    full = (1 << n) - 1
+    fact = [1, *np.cumprod(np.arange(1, max(n, len(tables)) + 1)).tolist()]
+    G, N = [[0.0] + [np.inf] * full], [[1]] + [[0]] * full  # N[mask][r]: weighted ways on r routes
+    for k, (_, _, cost, fits) in enumerate(tables):
+        prev, g, cnt = G[-1], list(G[-1]), [c + [0] for c in N]
+        for mask in range(1, full + 1) if k < len(tables) - 1 else (full,):
+            sub = mask
+            while sub:
+                if fits[sub]:
+                    g[mask] = min(g[mask], prev[mask ^ sub] + cost[sub])
+                    for r, c in enumerate(N[mask ^ sub]):
+                        cnt[mask][r + 1] += c * fact[sub.bit_count()]
+                sub = (sub - 1) & mask
+        G.append(g)
+        N = cnt
+    return G, sum(fact[r] * c for r, c in enumerate(N[full]))
+
+
+def _timelines(tables, G, n, bound):
+    """Symbol rows i + n*k of every feasible timeline whose route costs sum
+    to at most bound: each route set within it, each in-route order within
+    it, and every order of the routes along the timeline."""
+
+    def sets(k, mask, acc, chosen):
+        # vehicles 0..k-1 still to serve mask; the chosen routes cost acc
+        if k == 0:
+            if not mask:
+                yield chosen
+            return
+        cost, fits = tables[k - 1][2:]
+        if G[k - 1][mask] + acc <= bound:
+            yield from sets(k - 1, mask, acc, chosen)
+        sub = mask
+        while sub:
+            if fits[sub] and G[k - 1][mask ^ sub] + cost[sub] + acc <= bound:
+                yield from sets(k - 1, mask ^ sub, acc + cost[sub], chosen + ((k - 1, sub),))
+            sub = (sub - 1) & mask
+
+    def orders(P, steps, k, mask, head, tail, others, seq, found):
+        # orders of mask before seq, which starts at head (n: the depot)
+        # and costs tail from there on
+        if not mask:
+            found.append(seq)
+        for i in range(n):
+            step = steps[i][head] + tail
+            if mask >> i & 1 and P[mask][i] + step + others <= bound:
+                orders(P, steps, k, mask ^ (1 << i), i, step, others, (i + n * k,) + seq, found)
+        return found
+
+    for chosen in sets(len(tables), (1 << n) - 1, 0.0, ()):
+        runs = [
+            orders(*tables[k][:2], k, sub, n, 0.0, sum(tables[o][2][b] for o, b in chosen if o != k), (), [])
+            for k, sub in chosen
+        ]
+        for order in itertools.permutations(runs):
+            yield from map(tuple, map(itertools.chain.from_iterable, itertools.product(*order)))
+
+
 def exact_solve(inst, model=None, ceiling=ENUMERATION_CEILING):
-    """Enumerate every feasible configuration and return the optimum.
+    """Return the optimum over every feasible configuration.
 
     Scores use the timeline objective scaled by the model's lam_obj
     (1.0 without a model). Argmins are gathered to a 1e-9 tolerance and
@@ -125,38 +217,25 @@ def exact_solve(inst, model=None, ceiling=ENUMERATION_CEILING):
         raise ValueError(f"n = {n} exceeds the enumeration ceiling {ceiling}")
     lam_obj = model.weights.lam_obj if model is not None else 1.0
     edges, start, close = edge_cost_matrix(inst)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    demand = np.asarray(inst.d, dtype=np.int64)
-    dem_rows = demand[perms]
-    feasible_count = 0
-    best = np.inf
-    batches = []
-    for kseq in contiguous_labelings(n, K):
-        ok = np.ones(len(perms), dtype=bool)
-        for k in range(K):
-            cols = np.nonzero(kseq == k)[0]
-            if len(cols):
-                ok &= dem_rows[:, cols].sum(axis=1) <= inst.Q[k]
-        feasible_count += int(ok.sum())
-        if not ok.any():
-            continue
-        syms = perms + n * kseq[None, :]
-        cost = start[syms[:, 0]] + close[syms[:, -1]]
-        for j in range(n - 1):
-            cost = cost + edges[syms[:, j], syms[:, j + 1]]
-        cost = lam_obj * cost
-        masked = np.where(ok, cost, np.inf)
-        batches.append((kseq, masked))
-        lo = float(masked.min())
-        if lo < best:
-            best = lo
-    if not batches:
+    tables = _route_tables(inst, start, close)
+    G, feasible_count = _vehicle_tables(tables, n)
+    if not feasible_count:
         return ExactSolution(None, (), 0)
-    assignments = []
-    for kseq, masked in batches:
-        for row in np.nonzero(masked <= best + SCORE_TOL)[0]:
-            symbols = tuple((int(perms[row, j]), int(kseq[j])) for j in range(n))
-            assignments.append(ColoredAssignment(symbols, K))
+    # The tables sum route by route, a timeline's score along the timeline;
+    # the two can differ in the last bits. So recover every timeline within
+    # a margin past the tolerance and gather them on their timeline scores.
+    best = G[K][-1]
+    bound = best + (SCORE_TOL / lam_obj if lam_obj > 0 else np.inf) + 1e-9 * (1 + best)
+    syms = np.fromiter(_timelines(tables, G, n, bound), dtype=np.dtype((np.int64, (n,))))
+    cost = start[syms[:, 0]] + close[syms[:, -1]]
+    for j in range(n - 1):
+        cost = cost + edges[syms[:, j], syms[:, j + 1]]
+    cost = lam_obj * cost
+    pairs = [(s % n, s // n) for s in range(n * K)]
+    assignments = [
+        ColoredAssignment(tuple(map(pairs.__getitem__, row)), K)
+        for row in syms[cost <= cost.min() + SCORE_TOL].tolist()
+    ]
     rescored = [(energy_objective(a, inst, lam_obj), a) for a in assignments]
     optimum = min(s for s, _ in rescored)
     winners = sorted(

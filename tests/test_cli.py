@@ -517,3 +517,42 @@ def test_overflowing_vrp_demand(tmp_path, capsys, demo_vrp_path):
     path.write_text("\n".join(lines) + "\n")
     assert main(["brute", "--instance", str(path)]) == 1
     assert _single_error_line(capsys)
+
+
+def _fleet_json(tmp_path, name, **extra):
+    record = {"W": EXA_W, "d": [1, 1, 1], "Q": [2], "dep_to": EXA_LEGS, "to_dep": EXA_LEGS, **extra}
+    path = tmp_path / name
+    path.write_text(json.dumps(record))
+    return str(path), record
+
+
+def _brute_fleet(capsys, argv, record, K):
+    from colorperm.instances import from_matrices
+    from colorperm.solver import exact_solve
+
+    code, rec = run_json(capsys, ["brute", *argv])
+    assert code == 0
+    assert rec["exact"] == json.loads(json.dumps(exact_solve(from_matrices(record, K=K)).to_dict()))
+    return {k for a in rec["exact"]["optimal_assignments"] for _, k in a}
+
+
+def test_brute_reads_json_fleet_size(tmp_path, capsys):
+    path, record = _fleet_json(tmp_path, "fleet-k2.json", K=3)
+    assert _brute_fleet(capsys, ["--instance", path], record, 3) == {1, 2, 3}
+
+
+def test_brute_fleet_flag_overrides_json_record(tmp_path, capsys):
+    path, record = _fleet_json(tmp_path, "fleet.json", K=3)
+    assert _brute_fleet(capsys, ["--instance", path, "--K", "2"], record, 2) == {1, 2}
+
+
+def test_brute_json_without_fleet_reads_filename_token(tmp_path, capsys):
+    path, record = _fleet_json(tmp_path, "fleet-k3.json")
+    assert _brute_fleet(capsys, ["--instance", path], record, 3) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("K", ["3", 2.5, True, [3]], ids=["string", "fraction", "bool", "list"])
+def test_json_fleet_size_not_an_integer(tmp_path, capsys, K):
+    path, _ = _fleet_json(tmp_path, "fleet.json", K=K)
+    assert main(["brute", "--instance", path]) == 1
+    assert _single_error_line(capsys)

@@ -1,0 +1,141 @@
+"""The route dynamic program of `exact_solve` against the plain enumeration.
+
+`reference_exact_solve` is the slow oracle: it enumerates customer
+permutations crossed with the contiguous vehicle labelings of the timeline,
+applies capacity, and scores survivors vectorized over all permutations at
+once. The fast oracle must return the same `ExactSolution` on every instance:
+the same optimum under ==, the same winners in the same order and the same
+feasible count, so its JSON bytes cannot move.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from colorperm.encoding import ColoredAssignment, EncodingParams
+from colorperm.hamiltonian import EnergyModel, PenaltyWeights, edge_cost_matrix, energy_objective
+from colorperm.instances import Instance
+from colorperm.solver import SCORE_TOL, ExactSolution, contiguous_labelings, exact_solve
+
+
+def reference_exact_solve(inst, model=None):
+    """Enumerate every feasible configuration and return the optimum."""
+    n, K = inst.n, inst.K
+    lam_obj = model.weights.lam_obj if model is not None else 1.0
+    edges, start, close = edge_cost_matrix(inst)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    demand = np.asarray(inst.d, dtype=np.int64)
+    dem_rows = demand[perms]
+    feasible_count = 0
+    best = np.inf
+    batches = []
+    for kseq in contiguous_labelings(n, K):
+        ok = np.ones(len(perms), dtype=bool)
+        for k in range(K):
+            cols = np.nonzero(kseq == k)[0]
+            if len(cols):
+                ok &= dem_rows[:, cols].sum(axis=1) <= inst.Q[k]
+        feasible_count += int(ok.sum())
+        if not ok.any():
+            continue
+        syms = perms + n * kseq[None, :]
+        cost = start[syms[:, 0]] + close[syms[:, -1]]
+        for j in range(n - 1):
+            cost = cost + edges[syms[:, j], syms[:, j + 1]]
+        cost = lam_obj * cost
+        masked = np.where(ok, cost, np.inf)
+        batches.append((kseq, masked))
+        lo = float(masked.min())
+        if lo < best:
+            best = lo
+    if not batches:
+        return ExactSolution(None, (), 0)
+    assignments = []
+    for kseq, masked in batches:
+        for row in np.nonzero(masked <= best + SCORE_TOL)[0]:
+            symbols = tuple((int(perms[row, j]), int(kseq[j])) for j in range(n))
+            assignments.append(ColoredAssignment(symbols, K))
+    rescored = [(energy_objective(a, inst, lam_obj), a) for a in assignments]
+    optimum = min(s for s, _ in rescored)
+    winners = sorted(
+        (a for s, a in rescored if s <= optimum + SCORE_TOL), key=lambda a: a.symbols
+    )
+    return ExactSolution(float(optimum), tuple(winners), feasible_count)
+
+
+def _model(inst, lam_obj):
+    return EnergyModel(inst, PenaltyWeights(lam_obj=lam_obj), EncodingParams(inst.n, inst.K))
+
+
+def assert_same(inst, lam_obj=1.0):
+    model = _model(inst, lam_obj)
+    fast = exact_solve(inst, model)
+    slow = reference_exact_solve(inst, model)
+    assert fast.optimal_cost == slow.optimal_cost
+    assert fast.to_dict() == slow.to_dict()
+    return fast
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([0, 2, 9]))
+    W = np.array(draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+    if draw(st.booleans()):
+        W = np.triu(W, 1) + np.triu(W, 1).T
+    np.fill_diagonal(W, 0.0)
+    if draw(st.booleans()):
+        # non-integer distances: scores then depend on summation order
+        W = W * draw(st.sampled_from([0.1, 1.7, 33.3]))
+    shape = draw(st.sampled_from([(n,), (n, K)]))
+    size = int(np.prod(shape))
+    dep_to = np.array(draw(st.lists(st.integers(0, 5), min_size=size, max_size=size)), dtype=float).reshape(shape)
+    to_dep = np.array(draw(st.lists(st.integers(0, 5), min_size=size, max_size=size)), dtype=float).reshape(shape)
+    d = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    Q = draw(st.lists(st.integers(0, max(sum(d), 1)), min_size=K, max_size=K))
+    lam_obj = draw(st.sampled_from([1.0, 1.0, 0.3, 2.5]))
+    return Instance("prop", n, K, d, Q, W, dep_to, to_dep), lam_obj
+
+
+@given(instances())
+@settings(max_examples=150, deadline=None)
+def test_route_dp_matches_enumeration(case):
+    inst, lam_obj = case
+    assert_same(inst, lam_obj)
+
+
+def _euclidean_instance(demands, K, seed):
+    """Integer points and exact EUC_2D distances, node 0 the depot, with
+    the smallest capacity at least 1.25 * total / K."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 100, size=(len(demands) + 1, 2)).astype(float)
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    Q = max(max(demands), int(np.ceil(1.25 * sum(demands) / K)))
+    n = len(demands)
+    return Instance("euc", n, K, demands, [Q] * K, dist[1:, 1:], dist[0, 1:], dist[0, 1:])
+
+
+def test_route_dp_n8_euclidean():
+    inst = _euclidean_instance([1, 1, 1, 2, 2, 3, 3, 4], 2, seed=3)
+    sol = assert_same(inst)
+    assert sol.feasible_count > 0 and sol.optimal_assignments
+
+
+def test_route_dp_all_infeasible():
+    inst = Instance("starved", 4, 2, [1, 2, 1, 1], [0, 0], np.ones((4, 4)) - np.eye(4), [1.0] * 4, [1.0] * 4)
+    assert exact_solve(inst) == ExactSolution(None, (), 0)
+    assert reference_exact_solve(inst) == ExactSolution(None, (), 0)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_route_dp_all_ties(K):
+    # every timeline scores 0, so every feasible timeline is a winner
+    n = 5
+    inst = Instance("ties", n, K, [1, 2, 1, 3, 1], [8, 4, 5][:K], np.zeros((n, n)), np.zeros(n), np.zeros(n))
+    sol = assert_same(inst)
+    assert sol.optimal_cost == 0.0
+    assert len(sol.optimal_assignments) == sol.feasible_count > 0

@@ -1,8 +1,11 @@
-"""Golden output bytes of `solve` on the committed n = 4 demo instance.
+"""Golden output bytes of `solve` and `brute` on the committed n = 4 demo
+instance.
 
-Each configuration writes run.json, run.grid.csv and run.hist.csv; their
-sha256 digests are pinned here, so a change that moves any output byte
-fails tier-1 instead of waiting for a manual comparison. The outputs echo
+Each `solve` configuration writes run.json, run.grid.csv and run.hist.csv;
+each `brute` configuration writes one JSON record. Their sha256 digests are
+pinned here, so a change that moves any output byte fails tier-1 instead of
+waiting for a manual comparison. The `brute` digests were taken from the
+permutation enumeration the route dynamic program replaced. The outputs echo
 the instance path as given, so the command runs from the repository root
 with the relative path. Float text is rendered with repr, so the digests
 hold for one numpy build (they were taken with numpy 2.4 on x86-64);
@@ -56,3 +59,18 @@ def test_solve_output_digests(tmp_path, monkeypatch, config):
     assert main(["solve", "--instance", INSTANCE, *flags, "--out", str(tmp_path / "run.json")]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
     assert digests == expected
+
+
+BRUTE_GOLDEN = {
+    "K2": ([], "f730905d36ef6f559c87ca594ba7df7e613d7007bc992715079730499ffb34d2"),
+    "K3": (["--K", "3"], "e9c2b3e6e3ec3ded93c05c60ea2c9bccda777981e52c7156eecc316a2f67dae3"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(BRUTE_GOLDEN))
+def test_brute_output_digests(tmp_path, monkeypatch, config):
+    flags, expected = BRUTE_GOLDEN[config]
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "brute.json"
+    assert main(["brute", "--instance", INSTANCE, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
