@@ -311,7 +311,7 @@ def anticoncentration_report(samples, model, params):
     """Histogram the feasible outcomes of a SampleSet and report what
     fraction of them beat the uniform baseline 1/D, D = (nK)^n."""
     D = params.dim("onehot")
-    _, counts, bits = feasible_samples(samples, model.inst)
+    _, counts, bits = feasible_samples(samples, model.inst, samples.register)
     rows, share = feasible_histogram(dict(zip(bits, counts)), samples.shots, params)
     return AnticoncentrationReport(
         D=D,

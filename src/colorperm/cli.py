@@ -114,6 +114,8 @@ def _resolve(args, file_config):
             cfg["jobs"] = int(env_jobs)
         except ValueError:
             raise ValueError(f"COLORPERM_JOBS must be an integer, not {env_jobs!r}") from None
+    if cfg["jobs"] < 1:
+        raise ValueError(f"jobs (--jobs, the config file or COLORPERM_JOBS) must be at least 1, not {cfg['jobs']}")
     cfg["_given"] = given
     return cfg
 

@@ -279,6 +279,11 @@ def label_digits_array(labels, n, radix):
     return digits
 
 
+def recode_labels(labels, p, source, target):
+    """`source` labels without a padded word as `target` labels: the same digits in its radix."""
+    return p.radix(target) ** np.arange(p.n - 1, -1, -1) @ label_digits_array(labels, p.n, p.radix(source))
+
+
 def digits_label(digits, radix):
     z = 0
     for d in digits:

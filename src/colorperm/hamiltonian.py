@@ -52,8 +52,9 @@ class PenaltyWeights:
         if self.lam_pad is None:
             object.__setattr__(self, "lam_pad", self.lam_once)
         for name in ("lam_once", "lam_cap", "lam_obj", "lam_pad"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite nonnegative number, not {value!r}")
         if self.cap_mode not in CAP_MODES:
             raise ValueError(f"unknown cap_mode {self.cap_mode!r}")
 

@@ -53,9 +53,12 @@ def build_matrices(coords, depot_coord, rounding_mode="exact"):
         raise ValueError(f"unknown rounding mode {rounding_mode!r}")
     pts = np.asarray(coords, dtype=float).reshape(len(coords), 2)
     dep = np.asarray(depot_coord, dtype=float).reshape(2)
-    diff = pts[:, None, :] - pts[None, :, :]
-    W = np.sqrt((diff**2).sum(axis=-1))
-    legs = np.sqrt(((pts - dep) ** 2).sum(axis=-1))
+    # coordinates too large (or not finite) give inf or nan distances,
+    # which Instance refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        W = np.sqrt((diff**2).sum(axis=-1))
+        legs = np.sqrt(((pts - dep) ** 2).sum(axis=-1))
     if rounding_mode == "nearest-integer":
         W = _nint(W)
         legs = _nint(legs)
@@ -134,8 +137,8 @@ class Instance:
             raise ValueError("capacities must be nonnegative")
         if W.shape != (self.n, self.n):
             raise ValueError("W must be n x n")
-        if not (W >= 0).all():
-            raise ValueError("distances must be nonnegative numbers")
+        if not (np.isfinite(W) & (W >= 0)).all():
+            raise ValueError("distances must be finite nonnegative numbers")
         if np.abs(np.diagonal(W)).max(initial=0.0) > 0:
             raise ValueError("W must have a zero diagonal")
         legs = []
@@ -143,8 +146,8 @@ class Instance:
             v = _as_readonly(getattr(self, name))
             if v.shape not in ((self.n,), (self.n, self.K)):
                 raise ValueError(f"{name} must have shape (n,) or (n, K)")
-            if not (v >= 0).all():
-                raise ValueError("depot legs must be nonnegative numbers")
+            if not (np.isfinite(v) & (v >= 0)).all():
+                raise ValueError("depot legs must be finite nonnegative numbers")
             legs.append(v)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "Q", Q)
@@ -200,15 +203,15 @@ class PdpInstance:
             raise ValueError("tour weights must be length T and nonnegative")
         if Q.shape != (self.K,) or (Q < 0).any():
             raise ValueError("capacities must be length K and nonnegative")
-        if Wt.shape != (self.T, self.T) or not (Wt >= 0).all():
-            raise ValueError("Wtilde must be a nonnegative T x T matrix")
+        if Wt.shape != (self.T, self.T) or not (np.isfinite(Wt) & (Wt >= 0)).all():
+            raise ValueError("Wtilde must be a finite nonnegative T x T matrix")
         legs = []
         for name in ("dep_to", "to_dep"):
             v = _as_readonly(getattr(self, name))
             if v.shape not in ((self.T,), (self.T, self.K)):
                 raise ValueError(f"{name} must have shape (T,) or (T, K)")
-            if not (v >= 0).all():
-                raise ValueError("depot legs must be nonnegative numbers")
+            if not (np.isfinite(v) & (v >= 0)).all():
+                raise ValueError("depot legs must be finite nonnegative numbers")
             legs.append(v)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "Q", Q)

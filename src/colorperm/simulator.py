@@ -21,10 +21,11 @@ phase layer depends only on the first gamma, so `evolve_row` computes it
 once and evolves each schedule of the row from a copy of it.
 
 The binary register is a relabelling of the same S^n state, not a
-second simulator: the ansatz always evolves the one-hot labels, and a
-binary run scatters the final amplitudes onto their binary labels once
-(`EncodingParams.binary_labels`). Labels with a padded word are never
-written, so their amplitude is exactly zero by construction.
+second simulator: the ansatz always evolves the one-hot labels, and
+`run_ansatz` scatters a binary model's final amplitudes onto their
+binary labels (`EncodingParams.binary_labels`), leaving exact zeros on
+the padded words. A sweep never builds that vector: it samples the
+one-hot state and relabels only the labels it accepts.
 """
 
 from __future__ import annotations
@@ -36,13 +37,17 @@ import numpy as np
 from .encoding import EncodingParams, label_bitstring
 from .hamiltonian import TABLE_LIMIT, energy_components, energy_table
 
-# The memory ceiling of a run, in bytes, and the peak memory of a sweep
-# per amplitude of its S^n state: the evolved state and the shared first
-# layer (16 bytes each), the energy table, the distribution and the drawn
-# counts (8 each); 53 bytes were measured at n = 6, K = 2. A binary run
-# also counts the amplitudes of its relabelled vector.
+# The memory ceiling of a run, in bytes, and its charge per label of the
+# S^n state: the energy table once (8 bytes), and in each process that
+# evolves grid rows the evolved state and the shared first layer (16
+# each), the distribution and the drawn counts (8 each) plus allocator
+# slack. Measured peaks are 55.9 (n = 6, K = 2) and 59.6 (n = 5, K = 5)
+# bytes per label for one process, and 43.6 and 52.6 bytes per label of
+# each worker's own pages under --jobs 2.
 MEMORY_BUDGET = 2**32
-BYTES_PER_AMPLITUDE = 56
+TABLE_BYTES = 8
+WORKER_BYTES = 56
+BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
 PHASE_CHUNK = 2**20
 
 
@@ -102,17 +107,19 @@ class Schedule:
         return cls((gamma,) * p, (beta,) * p)
 
 
-def check_budget(params, register, amplitude_budget=None):
+def check_budget(params, register, amplitude_budget=None, workers=1):
     """Refuse a run that would need more than MEMORY_BUDGET bytes (or
-    `amplitude_budget` amplitudes), at BYTES_PER_AMPLITUDE for each S^n
-    evolved label and each label of a binary run's relabelled vector."""
-    amplitudes = params.dim("onehot") + (params.dim(register) if register != "onehot" else 0)
-    need = BYTES_PER_AMPLITUDE * amplitudes
+    `amplitude_budget` amplitudes at BYTES_PER_AMPLITUDE): per S^n label,
+    the table once and WORKER_BYTES in each of `workers` processes, plus
+    BYTES_PER_AMPLITUDE per label of a relabelled binary state."""
+    need = (TABLE_BYTES + WORKER_BYTES * workers) * params.dim("onehot")
+    if register != "onehot":
+        need += BYTES_PER_AMPLITUDE * params.dim(register)
     budget = MEMORY_BUDGET if amplitude_budget is None else BYTES_PER_AMPLITUDE * amplitude_budget
     if need > budget:
         raise AmplitudeBudgetError(
-            f"a {register} run on {params.dim(register)} labels needs about {need} bytes, "
-            f"over the memory budget of {budget} bytes"
+            f"a {register} run on {params.dim(register)} labels in {workers} worker process"
+            f"{'es' if workers > 1 else ''} needs about {need} bytes, over the memory budget of {budget} bytes"
         )
 
 
@@ -129,14 +136,12 @@ def initial_state(params, register="onehot"):
     return _relabel(EncodedState(_uniform(params), "onehot", params), register)
 
 
-def _relabel(state, register, out=None):
+def _relabel(state, register):
     """A one-hot state in `register`'s numbering. The binary register
-    gets each amplitude at its binary label and exact zeros on padding,
-    in `out` when given: the vector of an earlier relabelling, whose
-    padding is still zero."""
+    gets each amplitude at its binary label and exact zeros on padding."""
     if register == "onehot":
         return state
-    vec = np.zeros(state.params.dim(register), dtype=complex) if out is None else out
+    vec = np.zeros(state.params.dim(register), dtype=complex)
     vec[state.params.binary_labels()] = state.amplitudes
     return EncodedState(vec, register, state.params)
 
@@ -215,14 +220,7 @@ def apply_phase(state, gamma, model, energies=None, table_limit=TABLE_LIMIT):
     return EncodedState(amps, state.register, state.params)
 
 
-def evolve_row(
-    params,
-    model,
-    schedules,
-    amplitude_budget=None,
-    table_limit=TABLE_LIMIT,
-    energies=None,
-):
+def evolve_row(params, model, schedules, amplitude_budget=None, energies=None):
     """Yield the final state of each schedule, in order, for schedules
     that all open with the same gamma.
 
@@ -230,15 +228,15 @@ def evolve_row(
     final states are relabelled into its register. The first phase layer
     on the uniform state is computed once for the whole row; each
     schedule but the last evolves a copy of it in one work buffer, and
-    the last evolves the shared layer itself. Every yielded state lives
-    in a buffer that the next one overwrites, so use it before drawing
-    the next.
+    the last evolves the shared layer itself. Every yielded one-hot state
+    lives in a buffer that the next one overwrites, so use it before
+    drawing the next.
 
     Refuses runs over the memory budget (`check_budget`) before
     allocating anything.
     `energies` is the one-hot energy table when the caller already holds
     it (a sweep builds it once for all its grid points); without it the
-    table is built here, or streamed per layer above `table_limit`.
+    table is built here.
     """
     if params != model.params:
         raise ValueError("params do not match the model")
@@ -246,13 +244,13 @@ def evolve_row(
         raise ValueError("the schedules of a row must open with one gamma")
     check_budget(params, model.register, amplitude_budget)
     onehot = replace(model, register="onehot")
-    if energies is None and onehot.dim <= table_limit:
-        energies = energy_table(onehot, limit=table_limit)
-    if energies is not None and np.shape(energies) != (onehot.dim,):
+    if energies is None:
+        energies = energy_table(onehot, limit=onehot.dim)
+    if np.shape(energies) != (onehot.dim,):
         raise ValueError(f"energy table must have length {onehot.dim}")
     first = _uniform(params)
     _phase(first, schedules[0].gammas[0], onehot, energies)
-    work = out = None
+    work = None
     for i, schedule in enumerate(schedules):
         if i == len(schedules) - 1:
             work = first
@@ -264,22 +262,13 @@ def evolve_row(
         for gamma, beta in zip(schedule.gammas[1:], schedule.betas[1:]):
             _phase(work, gamma, onehot, energies)
             _mix(work, params, beta)
-        state = _relabel(EncodedState(work, "onehot", params), model.register, out)
-        out = state.amplitudes
-        yield state
+        yield _relabel(EncodedState(work, "onehot", params), model.register)
 
 
-def run_ansatz(
-    params,
-    model,
-    schedule,
-    amplitude_budget=None,
-    table_limit=TABLE_LIMIT,
-    energies=None,
-):
+def run_ansatz(params, model, schedule, amplitude_budget=None, energies=None):
     """Alternate phase and mixer layers from the uniform initial state:
     the row of one schedule (`evolve_row`)."""
-    (state,) = evolve_row(params, model, [schedule], amplitude_budget, table_limit, energies)
+    (state,) = evolve_row(params, model, [schedule], amplitude_budget, energies)
     return state
 
 

@@ -6,12 +6,13 @@ the depth-p state, draws a seeded multinomial sample, rejects every
 label the digit-level feasibility verdict refuses, scores the survivors
 with the timeline objective (or the full diagonal cost on request) in one
 vectorized call, and keeps the strict minimum. The energy table does not
-depend on the angles, so a sweep builds it once and hands it to every
-grid point (to each worker process once, through the pool initializer);
-it is the one-hot table for either register, since the ansatz always
-evolves the one-hot labels. Grid rows are independent work items; the
-reduction is an associative min keyed by (score, grid_index, label), so
-worker count never changes the result.
+depend on the angles, so a sweep builds it once (at any size its budget
+admits) and hands it to every grid point (to each worker process once,
+through the pool initializer). Either register evolves and samples the
+one-hot labels; a binary sweep relabels only the labels it accepts. Grid
+rows are independent work items; the reduction is an associative min
+keyed by (score, grid_index, label), so worker count never changes the
+result.
 
 The exact oracle splits the timeline cost into routes: each used vehicle
 serves one contiguous run and pays its start leg, W along the run and its
@@ -33,9 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring
+from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
-from .hamiltonian import TABLE_LIMIT, edge_cost_matrix, energy_components, energy_objective, energy_table
+from .hamiltonian import edge_cost_matrix, energy_components, energy_objective, energy_table
 from .simulator import Schedule, check_budget, evolve_row, exact_distribution, run_ansatz, sample
 
 ENUMERATION_CEILING = 9
@@ -303,21 +304,24 @@ class PhqcResult:
         }
 
 
-def feasible_samples(samples, inst):
+def feasible_samples(samples, inst, register):
     """The distinct sampled labels the feasibility oracle accepts, in
-    ascending order, as (labels, counts, bitstrings). One digit-level
-    verdict covers every label; only the accepted ones are rendered."""
+    ascending order, as (labels, counts, bitstrings) of `register`. One
+    digit-level verdict covers every label; only the accepted ones are
+    relabelled and rendered."""
     labels = np.asarray(samples.labels(), dtype=np.int64)
-    labels = labels[label_reasons(labels, inst, samples.register) == REASONS.index(OK)].tolist()
-    counts = [samples.counts[z] for z in labels]
-    bits = [label_bitstring(z, samples.params, samples.register) for z in labels]
+    labels = labels[label_reasons(labels, inst, samples.register) == REASONS.index(OK)]
+    counts = [samples.counts[z] for z in labels.tolist()]
+    labels = recode_labels(labels, samples.params, samples.register, register).tolist()
+    bits = [label_bitstring(z, samples.params, register) for z in labels]
     return labels, counts, bits
 
 
 def _grid_point(model, state, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
-    """One grid point of a prepared state: sample, filter, score. Returns
-    the record, the local best as (score, index, label, bits) and the
-    accepted {bits: count}."""
+    """One grid point of a prepared state (`optimal_labels` in its
+    register): sample, filter, score. Returns the record, the local best
+    as (score, index, label, bits) and the accepted {bits: count}, both
+    in the model's register."""
     params = model.params
     probs = exact_distribution(state)
     p_star_exact = None
@@ -325,7 +329,7 @@ def _grid_point(model, state, gamma, beta, shots, base_seed, index, score_mode, 
         p_star_exact = float(probs[np.asarray(optimal_labels, dtype=np.int64)].sum())
     # sample normalises the one distribution in place
     samples = sample(state, shots, (base_seed, index), probs)
-    labels, counts, bits = feasible_samples(samples, model.inst)
+    labels, counts, bits = feasible_samples(samples, model.inst, model.register)
     # for feasible labels "obj" equals energy_objective bit for bit
     scores = energy_components(model, labels)["obj" if score_mode == "objective" else "total"].tolist()
     local_best = min(zip(scores, [index] * len(labels), labels, bits), default=None)
@@ -350,9 +354,9 @@ def _grid_row(
     model, gamma, betas, first_index, depth, shots, base_seed, score_mode, optimal_labels, optimal_cost, energies=None
 ):
     """The grid points (gamma, beta) for every beta of one row, evolved
-    from one shared first phase layer; their outcomes in index order."""
+    one-hot from one shared first phase layer; outcomes in index order."""
     schedules = [Schedule.constant(gamma, beta, depth) for beta in betas]
-    states = evolve_row(model.params, model, schedules, energies=energies)
+    states = evolve_row(model.params, replace(model, register="onehot"), schedules, energies=energies)
     return [
         _grid_point(model, state, gamma, beta, shots, base_seed, first_index + j, score_mode, optimal_labels, optimal_cost)
         for j, (beta, state) in enumerate(zip(betas, states))
@@ -391,23 +395,25 @@ def phqc(
     ExactSolution) is given, per-point records also carry optimal-hit
     counts and the exact optimal mass of the prepared state. The
     histogram of all feasible samples pooled over the sweep is available
-    through `phqc_histogram`. Refuses runs over the memory budget before
-    allocating the table or any state.
+    through `phqc_histogram`. Refuses runs over the memory budget, with
+    one charge per worker that gets a gamma row, before allocating the
+    table or any state.
     """
     if shots_per_point < 1:
         raise ValueError("need shots_per_point >= 1")
     if score not in ("objective", "total"):
         raise ValueError(f"unknown score mode {score!r}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, not {jobs}")
     params = model.params
-    check_budget(params, model.register)
+    check_budget(params, "onehot", workers=min(jobs, len(grid.gammas)))
     optimal_labels = None
     optimal_cost = None
     if exact_reference is not None and exact_reference.optimal_assignments:
-        optimal_labels = exact_reference.optimal_labels(params, model.register)
+        optimal_labels = exact_reference.optimal_labels(params)
         optimal_cost = exact_reference.optimal_cost
-    # The ansatz evolves every register on the one-hot labels.
     onehot = replace(model, register="onehot")
-    energies = energy_table(onehot) if onehot.dim <= TABLE_LIMIT else None
+    energies = energy_table(onehot, limit=onehot.dim)
     tasks = [
         (model, g, grid.betas, row * len(grid.betas), depth, shots_per_point, seed, score, optimal_labels, optimal_cost)
         for row, g in enumerate(grid.gammas)

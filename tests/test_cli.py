@@ -556,3 +556,67 @@ def test_json_fleet_size_not_an_integer(tmp_path, capsys, K):
     path, _ = _fleet_json(tmp_path, "fleet.json", K=K)
     assert main(["brute", "--instance", path]) == 1
     assert _single_error_line(capsys)
+
+
+def test_json_non_finite_distances_exit_with_one_error_line(tmp_path, capsys):
+    # json.loads reads Infinity as a float; the instance refuses it
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"W": [[0, Infinity, 1], [1, 0, 1], [1, 1, 0]], "d": [1, 1, 1], "Q": [2, 2],'
+        ' "dep_to": [Infinity, Infinity, Infinity]}'
+    )
+    assert main(["brute", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "finite" in err
+
+
+def test_vrp_overflowing_distances_exit_with_one_error_line(tmp_path, capsys, demo_vrp_path):
+    # 1e200 squared overflows, so the customer's distances come out inf
+    text = Path(demo_vrp_path).read_text()
+    assert "\n2 2 1\n" in text
+    path = tmp_path / "far.vrp"
+    path.write_text(text.replace("\n2 2 1\n", "\n2 1e200 1\n"))
+    assert main(["brute", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["brute", "--lam-obj", "inf"], "lam_obj"), (["brute", "--lam-obj", "nan"], "lam_obj"),
+     (["solve", "--lam-once", "nan", "--grid-points", "2"], "lam_once"),
+     (["brute", "--lam-pad", "inf"], "lam_pad")],
+    ids=["brute-inf-obj", "brute-nan-obj", "solve-nan-once", "brute-inf-pad"],
+)
+def test_non_finite_weights_exit_with_one_error_line(capsys, exa_json, argv, name):
+    assert main([*argv, "--instance", exa_json]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a finite") and len(err.splitlines()) == 1
+
+
+def test_non_finite_config_weight_exits_with_one_error_line(tmp_path, capsys, exa_json):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"lam_cap": NaN}')
+    assert main(["brute", "--instance", exa_json, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lam_cap must be a finite") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_with_one_error_line(capsys, monkeypatch, exa_json, tmp_path, jobs):
+    monkeypatch.delenv("COLORPERM_JOBS", raising=False)
+    out = tmp_path / "run.json"
+    argv = ["solve", "--instance", exa_json, "--grid-points", "2", "--out", str(out)]
+    assert main([*argv, "--jobs", jobs]) == 1
+    assert _single_error_line(capsys)
+    monkeypatch.setenv("COLORPERM_JOBS", jobs)
+    assert main(argv) == 1
+    assert _single_error_line(capsys)
+    config = tmp_path / "cfg.json"
+    config.write_text(f'{{"jobs": {jobs}}}')
+    monkeypatch.delenv("COLORPERM_JOBS")
+    assert main([*argv, "--config", str(config)]) == 1
+    assert _single_error_line(capsys)
+    assert not out.exists()

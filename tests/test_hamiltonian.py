@@ -54,6 +54,13 @@ def test_weights_defaults_and_validation():
         PenaltyWeights(cap_mode="soft")
 
 
+@pytest.mark.parametrize("name", ["lam_once", "lam_cap", "lam_obj", "lam_pad"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf")])
+def test_weights_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite nonnegative number"):
+        PenaltyWeights(**{name: value})
+
+
 def test_model_shapes(exA):
     m = EnergyModel.for_instance(exA)
     assert (m.dim, m.radix) == (216, 6)

@@ -233,3 +233,32 @@ def test_vrp_demands_and_capacities_must_be_integers(old, new):
 def test_missing_distance_is_refused():
     with pytest.raises(ValueError, match="nonnegative numbers"):
         from_matrices({"W": [[0, None], [None, 0]], "d": [1, 1], "Q": [3]})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("W", [[0, math.inf], [1, 0]]), ("W", [[0, math.nan], [1, 0]]),
+     ("dep_to", [math.inf, 1]), ("to_dep", [1, math.inf])],
+    ids=["inf-distance", "nan-distance", "inf-start-leg", "inf-close-leg"],
+)
+def test_json_non_finite_distances_are_refused(field, value):
+    record = {"W": [[0, 1], [1, 0]], "d": [1, 1], "Q": [3], field: value}
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        from_matrices(record)
+
+
+@pytest.mark.parametrize("x", ["1e200", "inf"], ids=["overflow", "infinite"])
+def test_vrp_non_finite_distances_are_refused(x):
+    # 1e200 squared overflows to inf, and inf - inf is nan
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        parse_vrp(MINIMAL_VRP.replace("2 1 0\n", f"2 {x} 0\n"))
+
+
+@pytest.mark.parametrize(
+    "Wt, legs",
+    [([[0, math.inf], [1, 0]], [1, 1]), ([[0, 1], [1, 0]], [math.inf, 1])],
+    ids=["inf-dead-mile", "inf-leg"],
+)
+def test_pdp_non_finite_costs_are_refused(Wt, legs):
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        PdpInstance(2, 1, [1, 1], [3], Wt, legs, [1, 1])

@@ -6,7 +6,9 @@ The chunked in-place phase must equal the whole-vector product
 amplitudes * exp(-i*gamma*E) bit for bit, from the table or streamed.
 A sweep evolves each gamma row from one shared first phase layer; its
 records, best and histogram must equal a per-point run_ansatz loop, for
-any worker count. The memory ceiling refuses a run before allocating.
+any worker count. Either register samples the one-hot state, with its
+phases from one energy table. The memory ceiling, charged per worker,
+refuses a run before allocating or starting a pool.
 """
 
 import numpy as np
@@ -17,10 +19,13 @@ from hypothesis import strategies as st
 from colorperm import simulator, solver
 from colorperm.cli import main
 from colorperm.encoding import REGISTERS, EncodingParams
-from colorperm.hamiltonian import EnergyModel, energy_components
+from colorperm.feasibility import OK, REASONS, label_reasons
+from colorperm.hamiltonian import EnergyModel, energy_components, energy_table
 from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
     MEMORY_BUDGET,
+    TABLE_BYTES,
+    WORKER_BYTES,
     AmplitudeBudgetError,
     EncodedState,
     Schedule,
@@ -204,3 +209,87 @@ def test_solve_over_budget_exits_with_one_error_line(tmp_path, capsys, monkeypat
     assert "memory budget" in err
     assert not (tmp_path / "run.json").exists()
 
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+def test_sweep_draws_from_the_onehot_distribution(exA, params3, monkeypatch, register):
+    # exA: 216 one-hot labels; a binary sweep never builds its 512 labels
+    sizes = []
+    original_distribution, original_sample = simulator.exact_distribution, simulator.sample
+
+    def distribution(state):
+        sizes.append(state.dim)
+        return original_distribution(state)
+
+    def draw(state, shots, seed, probs=None):
+        sizes.extend([state.dim, len(probs)])
+        return original_sample(state, shots, seed, probs)
+
+    monkeypatch.setattr(solver, "exact_distribution", distribution)
+    monkeypatch.setattr(solver, "sample", draw)
+    model = EnergyModel.for_instance(exA, register=register)
+    grid = GridSpec.default(params3, 3)
+    phqc(exA, model, grid, 100, 5, exact_reference=exact_solve(exA, model))
+    assert len(sizes) == 3 * len(grid)
+    assert set(sizes) == {params3.dim("onehot")}
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
+    # no size limit switches a sweep to phases streamed from energy_components
+    monkeypatch.setattr(solver, "TABLE_LIMIT", 0, raising=False)
+    tables, scored = [], []
+
+    def table(model, *args, **kwargs):
+        tables.append(model.register)
+        return energy_table(model, *args, **kwargs)
+
+    def components(model, labels):
+        scored.append(np.asarray(labels, dtype=np.int64))
+        return energy_components(model, labels)
+
+    for module in (solver, simulator):
+        monkeypatch.setattr(module, "energy_table", table)
+        monkeypatch.setattr(module, "energy_components", components)
+    model = EnergyModel.for_instance(exA, register=register)
+    grid = GridSpec((0.1, 0.2, 0.3), (0.4, 0.9))
+    phqc(exA, model, grid, 40, 3)
+    assert tables == ["onehot"]
+    # one scoring call per grid point, on the accepted labels only
+    assert len(scored) == len(grid)
+    for labels in scored:
+        assert len(labels) <= 40
+        assert (label_reasons(labels, exA, register) == REASONS.index(OK)).all()
+
+
+def test_budget_charges_the_table_once_and_each_worker(params3, monkeypatch):
+    # arithmetic on exA's 216 one-hot labels
+    assert BYTES_PER_AMPLITUDE == TABLE_BYTES + WORKER_BYTES
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + WORKER_BYTES * workers) * 216)
+        check_budget(params3, "onehot", workers=workers)
+        with pytest.raises(AmplitudeBudgetError, match=f"in {workers + 1} worker processes"):
+            check_budget(params3, "onehot", workers=workers + 1)
+
+
+class PoolStarted(Exception):
+    pass
+
+
+def test_sweep_charges_a_worker_per_gamma_row_before_the_pool_starts(exA, monkeypatch):
+    def pool(*args, **kwargs):
+        raise PoolStarted
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + 2 * WORKER_BYTES) * 216)
+    model = EnergyModel.for_instance(exA)
+    three_rows = GridSpec((0.1, 0.2, 0.3), (0.4,))
+    with pytest.raises(AmplitudeBudgetError, match="in 3 worker processes"):
+        phqc(exA, model, three_rows, 10, 1, jobs=3)
+    # jobs beyond the gamma rows add no worker; one process needs no pool
+    with pytest.raises(PoolStarted):
+        phqc(exA, model, GridSpec((0.1, 0.2), (0.4,)), 10, 1, jobs=3)
+    assert phqc(exA, model, three_rows, 10, 1, jobs=1).total_shots == 30
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs >= 1"):
+            phqc(exA, model, three_rows, 10, 1, jobs=jobs)
