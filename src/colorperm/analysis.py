@@ -18,12 +18,12 @@ the off-peak maximum M_p gives a dimension-free lower bound on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import TABLE_LIMIT, energy_table
-from .simulator import block_mixer_matrix
+from .hamiltonian import energy_table
+from .simulator import ANALYSIS_BYTES, block_mixer_matrix, check_budget
 from .solver import feasible_histogram, feasible_samples
 
 TWO_PI = 2.0 * math.pi
@@ -67,6 +67,8 @@ class PhaseProfile:
 
 
 def phase_profile_from_energies(energies, gamma, optimal_labels):
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, not {gamma!r}")
     energies = np.asarray(energies, dtype=float)
     optimal_labels = np.asarray(sorted(int(z) for z in optimal_labels), dtype=np.int64)
     if len(optimal_labels) == 0:
@@ -86,16 +88,12 @@ def phase_profile_from_energies(energies, gamma, optimal_labels):
     return PhaseProfile(float(gamma), theta, theta_star, delta, optimal_labels)
 
 
-def _onehot_table(model):
-    """Energy of every one-hot label: the S^n manifold the ansatz and the
-    mixer envelope live on, whatever the model's register."""
-    return energy_table(replace(model, register="onehot"))
-
-
 def phase_profile(model, gamma, optimal_set):
     """Phase profile of the model's energies over the one-hot labels at
-    one gamma; `optimal_set` holds one-hot labels."""
-    return phase_profile_from_energies(_onehot_table(model), gamma, optimal_set)
+    one gamma; `optimal_set` holds one-hot labels. Charged ANALYSIS_BYTES
+    per label against the memory budget."""
+    check_budget(model.params, label_bytes=ANALYSIS_BYTES)
+    return phase_profile_from_energies(energy_table(model), gamma, optimal_set)
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,11 @@ class EnvelopeState:
     betas: tuple
     per_block: np.ndarray
 
-    def full_distribution(self, limit=TABLE_LIMIT):
-        """Expand the product over blocks to a distribution over labels."""
+    def full_distribution(self):
+        """Expand the product over blocks to a distribution over labels,
+        charged ANALYSIS_BYTES per label against the memory budget."""
         p = self.params
-        if p.dim("onehot") > limit:
-            raise ValueError("register too large to expand the envelope")
+        check_budget(p, label_bytes=ANALYSIS_BYTES)
         full = np.ones(1)
         for j in range(p.n):
             full = np.multiply.outer(full, self.per_block[j]).reshape(-1)
@@ -129,12 +127,15 @@ def dephased_kernel(S, beta):
 
 def envelope(params, betas):
     """W_p from the uniform per-block start through the beta schedule."""
+    betas = tuple(float(b) for b in betas)
+    if not np.isfinite(betas).all():
+        raise ValueError(f"beta angles must be finite, not {betas}")
     S = params.S
     v = np.full((params.n, S), 1.0 / S)
     for beta in betas:
         kernel = dephased_kernel(S, beta)
         v = v @ kernel.T
-    return EnvelopeState(params, tuple(float(b) for b in betas), v)
+    return EnvelopeState(params, betas, v)
 
 
 @dataclass(frozen=True)
@@ -236,14 +237,16 @@ def surrogate_scores(model, params, beta_grid, lam, rho=0.0, alpha=0.0, lp_weigh
     S_LP pairs externally supplied weights lp_weights[s, s'] with the
     envelope's expected adjacent-position symbol-pair indicators; it is 0
     when no weights are given. C covers the one-hot labels, so both
-    registers give the same rows.
+    registers give the same rows. Charged ANALYSIS_BYTES per label
+    against the memory budget.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     beta_grid = [float(b) for b in beta_grid]
     if not beta_grid:
         raise ValueError("beta grid is empty")
-    costs = _onehot_table(model)
+    check_budget(params, label_bytes=ANALYSIS_BYTES)
+    costs = energy_table(model)
     rows = []
     for beta in beta_grid:
         env = envelope(params, [beta] * depth)

@@ -38,7 +38,7 @@ from .encoding import (
     grouped,
 )
 from .feasibility import decode_binary_and_check, feasible_global_positions
-from .hamiltonian import CAP_MODES, TABLE_LIMIT, EnergyModel, PenaltyWeights
+from .hamiltonian import CAP_MODES, EnergyModel, PenaltyWeights
 from .instances import ROUNDING_MODES, ParseError, load_instance, qubit_counts
 from .simulator import AmplitudeBudgetError
 from .solver import (
@@ -69,7 +69,8 @@ _DEFAULTS = {
     "score": "objective",
     "no_reference": False,
     "skip_phqc": False,
-    "phqc_budget": TABLE_LIMIT,
+    # a bench policy in S^n labels, not a memory ceiling (check_budget is)
+    "phqc_budget": 4194304,
     "gamma": None,
     "beta": None,
     "pairs": None,
@@ -346,6 +347,8 @@ def cmd_bound(cfg):
     params = model.params
     if cfg["gamma"] is None:
         raise ValueError("bound needs --gamma")
+    if cfg["depth"] < 1:
+        raise ValueError(f"depth must be at least 1, not {cfg['depth']}")
     betas = _parse_betas(cfg)
     exact = exact_solve(inst, model)
     if not exact.optimal_assignments:
@@ -429,6 +432,8 @@ def cmd_decode(cfg):
         raise ValueError("decode needs --bits")
     bits = cfg["bits"].replace(" ", "")
     K = cfg["K"] if cfg["K"] is not None else 2
+    if K < 1:
+        raise ValueError(f"K must be at least 1, not {K}")
     forced = cfg["register"] if "register" in cfg["_given"] else None
     register, n = _detect_register(len(bits), K, forced)
     p = EncodingParams(n, K)
@@ -493,7 +498,7 @@ def cmd_bench(cfg):
                 if exact.optimal_cost is not None:
                     row["oracle_optimum"] = repr(exact.optimal_cost)
             if not cfg["skip_phqc"]:
-                if model.dim > cfg["phqc_budget"]:
+                if model.params.dim("onehot") > cfg["phqc_budget"]:
                     row["phqc_best"] = "budget-exceeded"
                 else:
                     _, result, match = _sweep(cfg, inst, model, exact)
@@ -577,7 +582,7 @@ def build_parser():
     p.add_argument("--dir", help="directory of .vrp/.json instance files")
     p.add_argument("--skip-phqc", dest="skip_phqc", action="store_true")
     p.add_argument("--phqc-budget", dest="phqc_budget", type=int,
-                   help="largest register dimension the sweep column will simulate")
+                   help="most S^n one-hot labels the sweep column will simulate, for either register")
     return parser
 
 

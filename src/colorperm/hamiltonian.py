@@ -18,10 +18,12 @@ sums, which are built from projectors onto valid words only. A customer
 covered by no valid block therefore still pays its (0 - 1)^2 once-term.
 
 Everything here is a plain function of the basis-state label.
-`energy_components` evaluates it over an array of labels and is the
-reference; `energy_table` builds the whole register's diagonal by
-broadcasting per-digit terms over a (radix,)*n array, adding them in
-the reference's order so the two agree bit for bit.
+`energy_components` evaluates it over an array of labels of either
+register and is the reference; padded words exist only there.
+`energy_table` builds the one diagonal the simulator and the analysis
+read, over the S^n one-hot labels whatever the model's register, by
+broadcasting per-digit terms over an (S,)*n array and adding them in the
+reference's order so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import numpy as np
 from .encoding import REGISTERS, EncodingParams, label_digits_array, symbol_index
 
 CAP_MODES = ("hinge", "quadratic-surrogate", "filter-only")
-# Largest register dimension that gets a dense energy table.
-TABLE_LIMIT = 2**22
 
 
 @dataclass(frozen=True)
@@ -235,43 +235,32 @@ def _axis_view(vec_or_mat, axes, n):
     return vec_or_mat.reshape(shape)
 
 
-def energy_table(model, limit=TABLE_LIMIT):
-    """Total energy of every label in the register, indexed by label.
+def energy_table(model):
+    """Total energy of every S^n one-hot label, whatever the register.
 
-    Refuses registers above `limit`. Each term of `energy_components` is
-    a sum of per-digit or per-digit-pair pieces, so it is built by
-    broadcasting small vectors and matrices over a (radix,)*n array;
-    the additions run in the reference's order and the result equals
-    `energy_components(model, arange(dim))["total"]` exactly.
+    Allocates at any size: its callers charge the memory budget first
+    (`simulator.check_budget`). Each term of `energy_components` is a sum
+    of per-digit or per-digit-pair pieces, so it is built by broadcasting
+    small vectors and matrices over an (S,)*n array; the additions run in
+    the reference's order and the result equals `energy_components` of
+    the one-hot model at arange(S^n) exactly.
     """
-    if model.dim > limit:
-        raise ValueError(f"register dimension {model.dim} exceeds the table limit {limit}")
     inst = model.inst
     p = model.params
     w = model.weights
-    n, K, S, radix = p.n, p.K, p.S, model.radix
-    shape = (radix,) * n
-    digit = np.arange(radix)
-    valid = digit < S
-    sym = np.minimum(digit, S - 1)
+    n, K, S = p.n, p.K, p.S
+    shape = (S,) * n
+    sym = np.arange(S)
     cust = sym % n
     veh = sym // n
 
-    # once: 2 per same-customer pair of valid digits plus 1 per padded
-    # digit, counted exactly in integers (at most n*n) and scaled once
-    same = valid[:, None] & valid[None, :] & (cust[:, None] == cust[None, :])
-    same = 2 * same.astype(np.int16)
+    # once: 2 per same-customer digit pair, counted exactly in integers
+    # (at most n*n) and scaled once
+    same = 2 * (cust[:, None] == cust[None, :]).astype(np.int16)
     count = np.zeros(shape, dtype=np.int16)
     for j1 in range(n):
         for j2 in range(j1 + 1, n):
             count += _axis_view(same, (j1, j2), n)
-    padded = (~valid).astype(np.int16)
-    n_padded = None
-    if padded.any():
-        n_padded = np.zeros(shape, dtype=np.int16)
-        for j in range(n):
-            n_padded += _axis_view(padded, (j,), n)
-        count += n_padded
     total = count.astype(float)
     total *= w.lam_once
 
@@ -280,7 +269,7 @@ def energy_table(model, limit=TABLE_LIMIT):
         cap = np.zeros(shape)
         load = np.empty(shape)
         for k in range(K):
-            per_digit = np.where(valid & (veh == k), demand[cust], 0.0)
+            per_digit = np.where(veh == k, demand[cust], 0.0)
             load.fill(0.0)
             for j in range(n):
                 load += _axis_view(per_digit, (j,), n)
@@ -297,18 +286,13 @@ def energy_table(model, limit=TABLE_LIMIT):
         del load, cap
 
     edges, start, close = edge_cost_matrix(inst)
-    pair_ok = valid[:, None] & valid[None, :]
-    edge = np.where(pair_ok, edges[sym[:, None], sym[None, :]], 0.0)
     obj = np.empty(shape)
-    obj[...] = _axis_view(np.where(valid, start[sym], 0.0), (0,), n)
+    obj[...] = _axis_view(start, (0,), n)
     for j in range(n - 1):
-        obj += _axis_view(edge, (j, j + 1), n)
-    obj += _axis_view(np.where(valid, close[sym], 0.0), (n - 1,), n)
+        obj += _axis_view(edges, (j, j + 1), n)
+    obj += _axis_view(close, (n - 1,), n)
     obj *= w.lam_obj
     total += obj
-
-    if n_padded is not None:
-        total += w.lam_pad * n_padded.astype(float)
     return total.reshape(-1)
 
 

@@ -21,21 +21,23 @@ phase layer depends only on the first gamma, so `evolve_row` computes it
 once and evolves each schedule of the row from a copy of it.
 
 The binary register is a relabelling of the same S^n state, not a
-second simulator: the ansatz always evolves the one-hot labels, and
-`run_ansatz` scatters a binary model's final amplitudes onto their
-binary labels (`EncodingParams.binary_labels`), leaving exact zeros on
-the padded words. A sweep never builds that vector: it samples the
-one-hot state and relabels only the labels it accepts.
+second simulator: the ansatz always evolves the one-hot labels, with
+phases from the one S^n energy table, and `run_ansatz` scatters a binary
+model's final amplitudes onto their binary labels
+(`EncodingParams.binary_labels`), leaving exact zeros on the padded
+words. A sweep never builds that vector: it samples the one-hot state
+and relabels only the labels it accepts. `check_budget` is the one
+ceiling on S^n-sized work; every entry charges it before it allocates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import EncodingParams, label_bitstring
-from .hamiltonian import TABLE_LIMIT, energy_components, energy_table
+from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per label of the
 # S^n state: the energy table once (8 bytes), and in each process that
@@ -43,11 +45,15 @@ from .hamiltonian import TABLE_LIMIT, energy_components, energy_table
 # each), the distribution and the drawn counts (8 each) plus allocator
 # slack. Measured peaks are 55.9 (n = 6, K = 2) and 59.6 (n = 5, K = 5)
 # bytes per label for one process, and 43.6 and 52.6 bytes per label of
-# each worker's own pages under --jobs 2.
+# each worker's own pages under --jobs 2. The analysis entries (phase
+# profile, envelope, surrogate) are charged ANALYSIS_BYTES per label: the
+# whole `bound` pipeline peaks at 80.5 (n = 6, K = 2) and 74.2 (n = 5,
+# K = 5) bytes per label, `surrogate_scores` at 33.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 56
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
+ANALYSIS_BYTES = 88
 PHASE_CHUNK = 2**20
 
 
@@ -97,6 +103,8 @@ class Schedule:
         object.__setattr__(self, "betas", betas)
         if len(gammas) != len(betas) or not gammas:
             raise ValueError("need p >= 1 gamma/beta pairs")
+        if not np.isfinite(gammas + betas).all():
+            raise ValueError(f"angles must be finite, not gammas {gammas} and betas {betas}")
 
     @property
     def p(self):
@@ -107,19 +115,20 @@ class Schedule:
         return cls((gamma,) * p, (beta,) * p)
 
 
-def check_budget(params, register, amplitude_budget=None, workers=1):
-    """Refuse a run that would need more than MEMORY_BUDGET bytes (or
-    `amplitude_budget` amplitudes at BYTES_PER_AMPLITUDE): per S^n label,
-    the table once and WORKER_BYTES in each of `workers` processes, plus
-    BYTES_PER_AMPLITUDE per label of a relabelled binary state."""
-    need = (TABLE_BYTES + WORKER_BYTES * workers) * params.dim("onehot")
+def check_budget(params, register="onehot", workers=1, label_bytes=None):
+    """Refuse work that would need more than MEMORY_BUDGET bytes. A run
+    is charged, per S^n label, the table once and WORKER_BYTES in each of
+    `workers` processes, plus BYTES_PER_AMPLITUDE per label of a
+    relabelled binary state; other S^n work passes its own `label_bytes`."""
+    if label_bytes is None:
+        label_bytes = TABLE_BYTES + WORKER_BYTES * workers
+    need = label_bytes * params.dim("onehot")
     if register != "onehot":
         need += BYTES_PER_AMPLITUDE * params.dim(register)
-    budget = MEMORY_BUDGET if amplitude_budget is None else BYTES_PER_AMPLITUDE * amplitude_budget
-    if need > budget:
+    if need > MEMORY_BUDGET:
         raise AmplitudeBudgetError(
             f"a {register} run on {params.dim(register)} labels in {workers} worker process"
-            f"{'es' if workers > 1 else ''} needs about {need} bytes, over the memory budget of {budget} bytes"
+            f"{'es' if workers > 1 else ''} needs about {need} bytes, over the memory budget of {MEMORY_BUDGET} bytes"
         )
 
 
@@ -182,14 +191,11 @@ def _mix(amps, params, beta):
         tensor += total
 
 
-def _phase(amps, gamma, model, energies):
-    """amps[z] *= exp(-i*gamma*E(z)) in place, PHASE_CHUNK labels at a
-    time, with E from the table or, without one, from `energy_components`
-    over each chunk."""
+def _phase(amps, gamma, energies):
+    """amps[z] *= exp(-i*gamma*energies[z]) in place, PHASE_CHUNK labels
+    at a time, so the exp temporaries stay small."""
     for lo in range(0, len(amps), PHASE_CHUNK):
-        hi = min(lo + PHASE_CHUNK, len(amps))
-        chunk = energies[lo:hi] if energies is not None else energy_components(model, np.arange(lo, hi))["total"]
-        amps[lo:hi] *= np.exp(-1j * gamma * chunk)
+        amps[lo : lo + PHASE_CHUNK] *= np.exp(-1j * gamma * energies[lo : lo + PHASE_CHUNK])
 
 
 def apply_mixer(state, beta):
@@ -203,24 +209,27 @@ def apply_mixer(state, beta):
     return EncodedState(amps, state.register, state.params)
 
 
-def apply_phase(state, gamma, model, energies=None, table_limit=TABLE_LIMIT):
-    """Diagonal phase layer: amplitude[z] *= exp(-i*gamma*E(z)), returned
-    as a new state.
+def apply_phase(state, gamma, model, energies=None):
+    """Diagonal phase layer on a one-hot state: amplitude[z] *=
+    exp(-i*gamma*E(z)), returned as a new state. Binary states are
+    refused, as by `apply_mixer`.
 
     Pass a precomputed energy table to skip re-evaluation; otherwise the
-    table is built when the register fits under `table_limit` and the
-    labels are streamed in chunks above it.
+    table is built here, once `check_budget` admits the state.
     """
+    if state.register != "onehot":
+        raise ValueError("the phase acts on one-hot states; run_ansatz relabels binary runs")
     if model.register != state.register:
         raise ValueError("model register does not match the state")
-    if energies is None and state.dim <= table_limit:
-        energies = energy_table(model, limit=table_limit)
+    check_budget(state.params)
+    if energies is None:
+        energies = energy_table(model)
     amps = state.amplitudes.copy()
-    _phase(amps, gamma, model, energies)
+    _phase(amps, gamma, energies)
     return EncodedState(amps, state.register, state.params)
 
 
-def evolve_row(params, model, schedules, amplitude_budget=None, energies=None):
+def evolve_row(params, model, schedules, energies=None):
     """Yield the final state of each schedule, in order, for schedules
     that all open with the same gamma.
 
@@ -234,22 +243,21 @@ def evolve_row(params, model, schedules, amplitude_budget=None, energies=None):
 
     Refuses runs over the memory budget (`check_budget`) before
     allocating anything.
-    `energies` is the one-hot energy table when the caller already holds
-    it (a sweep builds it once for all its grid points); without it the
-    table is built here.
+    `energies` is the energy table when the caller already holds it (a
+    sweep builds it once for all its grid points); without it the table
+    is built here.
     """
     if params != model.params:
         raise ValueError("params do not match the model")
     if len({s.gammas[0] for s in schedules}) != 1:
         raise ValueError("the schedules of a row must open with one gamma")
-    check_budget(params, model.register, amplitude_budget)
-    onehot = replace(model, register="onehot")
+    check_budget(params, model.register)
     if energies is None:
-        energies = energy_table(onehot, limit=onehot.dim)
-    if np.shape(energies) != (onehot.dim,):
-        raise ValueError(f"energy table must have length {onehot.dim}")
+        energies = energy_table(model)
+    if np.shape(energies) != (params.dim("onehot"),):
+        raise ValueError(f"energy table must have length {params.dim('onehot')}")
     first = _uniform(params)
-    _phase(first, schedules[0].gammas[0], onehot, energies)
+    _phase(first, schedules[0].gammas[0], energies)
     work = None
     for i, schedule in enumerate(schedules):
         if i == len(schedules) - 1:
@@ -260,15 +268,15 @@ def evolve_row(params, model, schedules, amplitude_budget=None, energies=None):
             np.copyto(work, first)
         _mix(work, params, schedule.betas[0])
         for gamma, beta in zip(schedule.gammas[1:], schedule.betas[1:]):
-            _phase(work, gamma, onehot, energies)
+            _phase(work, gamma, energies)
             _mix(work, params, beta)
         yield _relabel(EncodedState(work, "onehot", params), model.register)
 
 
-def run_ansatz(params, model, schedule, amplitude_budget=None, energies=None):
+def run_ansatz(params, model, schedule, energies=None):
     """Alternate phase and mixer layers from the uniform initial state:
     the row of one schedule (`evolve_row`)."""
-    (state,) = evolve_row(params, model, [schedule], amplitude_budget, energies)
+    (state,) = evolve_row(params, model, [schedule], energies)
     return state
 
 

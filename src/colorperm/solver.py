@@ -412,8 +412,7 @@ def phqc(
     if exact_reference is not None and exact_reference.optimal_assignments:
         optimal_labels = exact_reference.optimal_labels(params)
         optimal_cost = exact_reference.optimal_cost
-    onehot = replace(model, register="onehot")
-    energies = energy_table(onehot, limit=onehot.dim)
+    energies = energy_table(model)
     tasks = [
         (model, g, grid.betas, row * len(grid.betas), depth, shots_per_point, seed, score, optimal_labels, optimal_cost)
         for row, g in enumerate(grid.gammas)

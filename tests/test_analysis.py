@@ -29,7 +29,8 @@ from colorperm.encoding import EncodingParams, label_to_onehot
 from colorperm.feasibility import feasible_global_positions
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_table
 from colorperm.instances import Instance
-from colorperm.simulator import SampleSet
+from colorperm import simulator
+from colorperm.simulator import ANALYSIS_BYTES, AmplitudeBudgetError, SampleSet
 
 TWO_PI = 2 * math.pi
 
@@ -129,6 +130,18 @@ def test_dephased_kernel_doubly_stochastic():
         assert np.abs(kern.sum(axis=1) - 1).max() < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_phase_profile_refuses_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        phase_profile_from_energies([1.0, 2.0], gamma, [0])
+
+
+@pytest.mark.parametrize("betas", [[math.nan], [0.4, math.inf], [-math.inf]])
+def test_envelope_refuses_non_finite_betas(params3, betas):
+    with pytest.raises(ValueError, match="beta angles must be finite"):
+        envelope(params3, betas)
+
+
 def test_envelope_identity_at_zero(params3):
     env = envelope(params3, [0.0, 0.0])
     assert np.allclose(env.per_block, 1.0 / 6.0, atol=1e-15)
@@ -142,13 +155,14 @@ def test_envelope_uniform_fixed_point(params3):
         assert np.abs(env.block_mass() - 1.0).max() < 1e-12
 
 
-def test_envelope_full_distribution(params3):
+def test_envelope_full_distribution(params3, monkeypatch):
     env = envelope(params3, [0.8])
     full = env.full_distribution()
     assert full.shape == (216,)
     assert full.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        env.full_distribution(limit=100)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", ANALYSIS_BYTES * 100)
+    with pytest.raises(AmplitudeBudgetError):
+        env.full_distribution()
 
 
 def test_envelope_nonuniform_block_expansion(params3):

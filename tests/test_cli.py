@@ -620,3 +620,50 @@ def test_jobs_below_one_exit_with_one_error_line(capsys, monkeypatch, exa_json, 
     assert main([*argv, "--config", str(config)]) == 1
     assert _single_error_line(capsys)
     assert not out.exists()
+
+
+def test_bench_budget_counts_onehot_labels_of_a_binary_row(tmp_path, capsys, exa_json):
+    # exa: 216 one-hot labels, 512 binary labels; a binary sweep holds the 216
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "exa.json").write_text(Path(exa_json).read_text())
+    argv = ["bench", "--dir", str(bench_dir), "--register", "binary", "--grid-points", "3", "--shots", "216"]
+    assert main([*argv, "--phqc-budget", "216"]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[6] not in ("", "budget-exceeded")
+    assert row[7] in ("yes", "no")
+    assert main([*argv, "--phqc-budget", "215"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split(",")[6] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("K", ["0", "-1"])
+def test_decode_fleet_below_one_exits_with_one_error_line(capsys, K):
+    assert main(["decode", "--bits", EXA_ONEHOT, "--K", K]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: K must be at least 1, not {K}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--gamma", "nan", "--beta", "0.5"], ["--gamma=-inf", "--beta", "0.5"],
+     ["--gamma", "0.1", "--beta", "inf"], ["--gamma", "0.1", "--beta", "0.5,nan"],
+     ["--gamma", "0.1", "--beta", "0.5", "--depth", "0"], ["--gamma", "0.1", "--beta", "0.5", "--depth", "-2"]],
+    ids=["nan-gamma", "inf-gamma", "inf-beta", "nan-beta-in-schedule", "depth-0", "depth-negative"],
+)
+def test_bound_refuses_non_finite_angles_and_depth_below_one(tmp_path, capsys, exa_json, argv):
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--instance", exa_json, *argv, "--out", str(out)]) == 1
+    assert _single_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    ['{"gamma": NaN, "beta": "0.5"}', '{"gamma": 0.1, "beta": Infinity}', '{"gamma": 0.1, "beta": 0.5, "depth": 0}'],
+    ids=["nan-gamma", "inf-beta", "depth-0"],
+)
+def test_bound_config_refuses_non_finite_angles_and_depth_below_one(tmp_path, capsys, exa_json, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    assert main(["bound", "--instance", exa_json, "--config", str(path)]) == 1
+    assert _single_error_line(capsys)

@@ -1,9 +1,11 @@
 """The broadcast energy table against the per-label reference, and its
 reuse across a sweep.
 
-energy_table must equal energy_components(model, arange(dim))["total"]
-exactly (not to a tolerance) on both registers, in every capacity mode,
-under arbitrary weights; phqc must build it once per sweep.
+energy_table is the S^n one-hot diagonal of either register: it must
+equal energy_components at every one-hot label, or at its binary label
+(`EncodingParams.binary_labels`) on the binary register, exactly (not to
+a tolerance), in every capacity mode, under arbitrary weights; phqc must
+build it once per sweep.
 """
 
 import numpy as np
@@ -59,9 +61,11 @@ def models(draw):
 @given(models())
 @settings(max_examples=150, deadline=None)
 def test_table_equals_reference_exactly(model):
+    p = model.params
     table = energy_table(model)
-    reference = energy_components(model, np.arange(model.dim))["total"]
-    assert table.shape == (model.dim,)
+    labels = np.arange(p.dim("onehot")) if model.register == "onehot" else p.binary_labels()
+    reference = energy_components(model, labels)["total"]
+    assert table.shape == (p.dim("onehot"),)
     assert np.array_equal(table, reference)
 
 

@@ -234,8 +234,6 @@ def test_energy_table_and_limit(exA):
     table = energy_table(model)
     assert table.shape == (216,)
     assert table[np.argmin(table)] <= table.min() + 1e-12
-    with pytest.raises(ValueError):
-        energy_table(model, limit=100)
 
 
 def test_label_out_of_range_rejected(exA):

@@ -3,7 +3,8 @@
 The mixer runs the closed form x <- dg*x + off*sum(x) in place on each
 block axis; it must match the block_mixer_matrix tensordot contraction.
 The chunked in-place phase must equal the whole-vector product
-amplitudes * exp(-i*gamma*E) bit for bit, from the table or streamed.
+amplitudes * exp(-i*gamma*E) bit for bit, from its own table or a
+given one.
 A sweep evolves each gamma row from one shared first phase layer; its
 records, best and histogram must equal a per-point run_ansatz loop, for
 any worker count. Either register samples the one-hot state, with its
@@ -77,16 +78,16 @@ def test_single_symbol_mixer_is_identity():
     assert np.array_equal(apply_mixer(state, 1.3).amplitudes, state.amplitudes)
 
 
-@pytest.mark.parametrize("table_limit", [simulator.TABLE_LIMIT, 0], ids=["table", "streamed"])
+@pytest.mark.parametrize("source", ["table", "given"])
 @pytest.mark.parametrize("chunk", [7, 50, simulator.PHASE_CHUNK])
-def test_chunked_phase_equals_whole_vector_product(exA, params3, monkeypatch, table_limit, chunk):
+def test_chunked_phase_equals_whole_vector_product(exA, params3, monkeypatch, source, chunk):
     monkeypatch.setattr(simulator, "PHASE_CHUNK", chunk)
     model = EnergyModel.for_instance(exA)
     state = run_ansatz(params3, model, Schedule.constant(0.3, 0.8))
     energies = energy_components(model, np.arange(model.dim))["total"]
     for gamma in (0.0, 0.05, 1.7):
         expected = state.amplitudes * np.exp(-1j * gamma * energies)
-        got = apply_phase(state, gamma, model, table_limit=table_limit)
+        got = apply_phase(state, gamma, model, energies if source == "given" else None)
         assert np.array_equal(got.amplitudes, expected)
 
 
@@ -182,12 +183,15 @@ def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
         phqc(exA, model, GridSpec((0.1,), (0.2,)), 10, 1)
 
 
-def test_budget_counts_the_binary_vector(params3):
+def test_budget_counts_the_binary_vector(params3, monkeypatch):
     # exA: 216 one-hot labels and 512 binary labels
-    check_budget(params3, "onehot", amplitude_budget=216)
-    check_budget(params3, "binary", amplitude_budget=216 + 512)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * 216)
+    check_budget(params3, "onehot")
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * (216 + 512))
+    check_budget(params3, "binary")
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * (216 + 512) - 1)
     with pytest.raises(AmplitudeBudgetError):
-        check_budget(params3, "binary", amplitude_budget=216 + 511)
+        check_budget(params3, "binary")
 
 
 def test_budget_refuses_n7_k2_and_admits_n6(monkeypatch):
@@ -236,25 +240,25 @@ def test_sweep_draws_from_the_onehot_distribution(exA, params3, monkeypatch, reg
 
 @pytest.mark.parametrize("register", REGISTERS)
 def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
-    # no size limit switches a sweep to phases streamed from energy_components
-    monkeypatch.setattr(solver, "TABLE_LIMIT", 0, raising=False)
+    # one S^n table (exA: 216 labels) serves every phase, whatever the register
     tables, scored = [], []
 
-    def table(model, *args, **kwargs):
-        tables.append(model.register)
-        return energy_table(model, *args, **kwargs)
+    def table(model):
+        built = energy_table(model)
+        tables.append(len(built))
+        return built
 
     def components(model, labels):
         scored.append(np.asarray(labels, dtype=np.int64))
         return energy_components(model, labels)
 
-    for module in (solver, simulator):
-        monkeypatch.setattr(module, "energy_table", table)
-        monkeypatch.setattr(module, "energy_components", components)
+    monkeypatch.setattr(solver, "energy_table", table)
+    monkeypatch.setattr(simulator, "energy_table", table)
+    monkeypatch.setattr(solver, "energy_components", components)
     model = EnergyModel.for_instance(exA, register=register)
     grid = GridSpec((0.1, 0.2, 0.3), (0.4, 0.9))
     phqc(exA, model, grid, 40, 3)
-    assert tables == ["onehot"]
+    assert tables == [216]
     # one scoring call per grid point, on the accepted labels only
     assert len(scored) == len(grid)
     for labels in scored:
