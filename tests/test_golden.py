@@ -1,8 +1,10 @@
-"""Golden output bytes of `solve` and `brute` on the committed n = 4 demo
+"""Golden output bytes of every command on the committed n = 4 demo
 instance.
 
 Each `solve` configuration writes run.json, run.grid.csv and run.hist.csv;
-each `brute` configuration writes one JSON record. Their sha256 digests are
+each `brute` configuration writes one JSON record; `bound`, `encode`,
+`decode`, `check` and `bench` are pinned on what they print (one `bench`
+case writes through `--out` instead). Their sha256 digests are
 pinned here, so a change that moves any output byte fails tier-1 instead of
 waiting for a manual comparison. The `brute` digests were taken from the
 permutation enumeration the route dynamic program replaced. The outputs echo
@@ -14,6 +16,7 @@ rounding.
 """
 
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,46 @@ def test_brute_output_digests(tmp_path, monkeypatch, config):
     out = tmp_path / "brute.json"
     assert main(["brute", "--instance", INSTANCE, *flags, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+ONEHOT = "10000000" "01000000" "00000010" "00000001"  # pairs 1:1,2:1,3:2,4:2
+REPEATED = "10000000" "10000000" "00000010" "00000001"  # customer 1 twice
+
+# name -> (argv, stdin, exit code, sha256 of the output); "{out}" names a
+# file under tmp_path, whose bytes are then hashed instead of stdout's
+COMMAND_GOLDEN = {
+    "bound-onehot": (
+        ["bound", "--instance", INSTANCE, "--gamma", "0.4", "--beta", "0.9,1.3"],
+        "",
+        0,
+        "3e7eb53ac53bc10d07da3da8f8c456f6d28739550def24088c7340ed8782a619",
+    ),
+    "bound-binary-depth3": (
+        ["bound", "--instance", INSTANCE, "--gamma", "0.4", "--beta", "0.9", "--depth", "3", "--register", "binary"],
+        "",
+        0,
+        "6d903dcfefb8123ffc15e1ea79b4124cfea0cc2b75e3857bbb252135e72505c7",
+    ),
+    "encode": (["encode", "--pairs", "1:1,2:1,3:2,4:2"], "", 0, "f527338a127b73aa1f4206c64d3e70ad25e03336b5cb2ae5b605ec29bf8696d6"),
+    "decode": (["decode", "--bits", ONEHOT], "", 0, "cc176b249c5e90c132e583a43f6a9749f947a85c75fb0027d714bfbc17d1b780"),
+    "check": (["check", "--instance", INSTANCE], f"{ONEHOT}\n{REPEATED}\n0101\n", 1, "4a10156d7f14b62f3a0b17c6f3536795e4a77dc3be7a9ff83901de0a24bc3b05"),
+    "bench": (["bench", "--dir", "tests/data"], "", 0, "92dfbc9a96a1a9af8d2c88bf10b3db432e97b2c921bdb4f7c48374a42f44f502"),
+    "bench-skip-phqc-binary": (
+        ["bench", "--dir", "tests/data", "--skip-phqc", "--register", "binary", "--out", "{out}"],
+        "",
+        0,
+        "a43ec1715061fac99c32e1ea97088cf1d183c71a24873aab3a56ed2955137f6f",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(COMMAND_GOLDEN))
+def test_command_output_digests(tmp_path, monkeypatch, capsys, config):
+    argv, stdin, code, expected = COMMAND_GOLDEN[config]
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("COLORPERM_JOBS", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    out = tmp_path / "out"
+    assert main([arg.format(out=out) for arg in argv]) == code
+    data = out.read_bytes() if out.exists() else capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == expected
