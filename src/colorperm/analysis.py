@@ -67,9 +67,10 @@ class PhaseProfile:
 
 
 def phase_profile_from_energies(energies, gamma, optimal_labels):
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, not {gamma!r}")
     energies = np.asarray(energies, dtype=float)
+    # a finite gamma can still overflow gamma * E; max |E| without a temporary
+    if not math.isfinite(gamma * float(max(energies.max(initial=0.0), -energies.min(initial=0.0)))):
+        raise ValueError(f"gamma must be finite, and so must gamma * max |E|, not {gamma!r}")
     optimal_labels = np.asarray(sorted(int(z) for z in optimal_labels), dtype=np.int64)
     if len(optimal_labels) == 0:
         raise ValueError("optimal set is empty")

@@ -51,55 +51,46 @@ from .solver import (
     phqc_histogram,
 )
 
-_DEFAULTS = {
-    "K": None,
-    "register": "onehot",
-    "cap_mode": "hinge",
-    "rounding": "exact",
-    "lam_once": 4.0,
-    "lam_cap": 4.0,
-    "lam_obj": 1.0,
-    "lam_pad": None,
-    "grid_points": None,
-    "shots_rule": "cubed",
-    "shots": None,
-    "seed": 7,
-    "depth": 1,
-    "jobs": None,
-    "score": "objective",
-    "no_reference": False,
-    "skip_phqc": False,
+# dest -> (default, kind, help). The flag is "--" plus the dest with "_"
+# written "-"; the kind is int, float, str, bool (a store_true switch) or a
+# tuple of choices. Every command resolves and echoes every key.
+_OPTIONS = {
+    "instance": (None, str, "path to a .vrp or .json instance file"),
+    "K": (None, int, "fleet size (default: a JSON record's \"K\", then a -k<d> filename token, then 2)"),
+    "register": ("onehot", REGISTERS, None),
+    "cap_mode": ("hinge", CAP_MODES, None),
+    "rounding": ("exact", ROUNDING_MODES, None),
+    "lam_once": (4.0, float, None),
+    "lam_cap": (4.0, float, None),
+    "lam_obj": (1.0, float, None),
+    "lam_pad": (None, float, None),
+    "seed": (7, int, None),
+    "out": (None, str, "output file (default: stdout)"),
+    "grid_points": (None, int, "points per grid axis (default S+1)"),
+    "shots_rule": ("cubed", ("cubed", "fifty-cubed"), None),
+    "shots": (None, int, "shots per grid point (overrides the rule)"),
+    "depth": (1, int, "ansatz layers; bound replicates a single --beta this many times"),
+    "jobs": (None, int, "worker pool size (default $COLORPERM_JOBS or 1)"),
+    "score": ("objective", ("objective", "total"), None),
+    "no_reference": (False, bool, "skip the exact oracle cross-check"),
+    "skip_phqc": (False, bool, None),
     # a bench policy in S^n labels, not a memory ceiling (check_budget is)
-    "phqc_budget": 4194304,
-    "gamma": None,
-    "beta": None,
-    "pairs": None,
-    "bits": None,
-    "zero_based": False,
-    "instance": None,
-    "dir": None,
-    "out": None,
-}
-
-# Value types of config-file keys, as their flags parse them; every
-# other key is a string (beta may also be a number).
-_INT_KEYS = ("K", "shots", "seed", "depth", "jobs", "grid_points", "phqc_budget")
-_NUMBER_KEYS = ("lam_once", "lam_cap", "lam_obj", "lam_pad", "gamma")
-_BOOL_KEYS = ("no_reference", "skip_phqc", "zero_based")
-_CHOICES = {
-    "register": REGISTERS,
-    "cap_mode": CAP_MODES,
-    "rounding": ROUNDING_MODES,
-    "shots_rule": ("cubed", "fifty-cubed"),
-    "score": ("objective", "total"),
+    "phqc_budget": (4194304, int, "most S^n one-hot labels the sweep column will simulate, for either register"),
+    "gamma": (None, float, "phase angle"),
+    "beta": (None, str, "mixer angle, or a comma list for a schedule"),
+    "pairs": (None, str, "comma list i:k, one-based by default"),
+    "zero_based": (False, bool, None),
+    "bits": (None, str, "one-hot or binary bitstring (spaces allowed)"),
+    "dir": (None, str, "directory of .vrp/.json instance files"),
 }
 
 
 def _resolve(args, file_config):
-    """flags > config file > defaults, for every key the command knows."""
+    """flags > config file > defaults, for every key of _OPTIONS; refuses
+    out-of-range run-wide settings."""
     cfg = {}
     given = set()
-    for key, default in _DEFAULTS.items():
+    for key, (default, _, _) in _OPTIONS.items():
         flag = getattr(args, key, None)
         if flag is not None and flag is not False:
             cfg[key] = flag
@@ -117,6 +108,9 @@ def _resolve(args, file_config):
             raise ValueError(f"COLORPERM_JOBS must be an integer, not {env_jobs!r}") from None
     if cfg["jobs"] < 1:
         raise ValueError(f"jobs (--jobs, the config file or COLORPERM_JOBS) must be at least 1, not {cfg['jobs']}")
+    for key, least in (("K", 1), ("shots", 1), ("grid_points", 1), ("depth", 1), ("seed", 0)):
+        if cfg[key] is not None and cfg[key] < least:
+            raise ValueError(f"{key} must be at least {least}, not {cfg[key]}")
     cfg["_given"] = given
     return cfg
 
@@ -131,7 +125,7 @@ def _read_config(path):
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(file_config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(file_config) - set(_DEFAULTS))
+    unknown = sorted(set(file_config) - set(_OPTIONS))
     if unknown:
         raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     for key, value in sorted(file_config.items()):
@@ -142,32 +136,29 @@ def _read_config(path):
 
 
 def _config_type_error(key, value):
-    """What a config-file value should be when it does not fit its flag,
-    else None. A null stands for the default where the default is null."""
-    if value is None and _DEFAULTS[key] is None:
+    """What a config-file value should be when it does not fit its flag's
+    kind, else None. A null stands for the default where the default is
+    null; beta may also be a number."""
+    default, kind, _ = _OPTIONS[key]
+    if value is None and default is None:
         return None
-    if key in _CHOICES:
-        return None if value in _CHOICES[key] else "one of " + ", ".join(_CHOICES[key])
+    if isinstance(kind, tuple):
+        return None if value in kind else "one of " + ", ".join(kind)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if key in _INT_KEYS:
-        return None if number and isinstance(value, int) else "an integer"
-    if key in _NUMBER_KEYS:
-        return None if number else "a number"
-    if key in _BOOL_KEYS:
-        return None if isinstance(value, bool) else "true or false"
-    return None if isinstance(value, str) or (key == "beta" and number) else "a string"
+    fits, want = {
+        int: (number and isinstance(value, int), "an integer"),
+        float: (number, "a number"),
+        bool: (isinstance(value, bool), "true or false"),
+        str: (isinstance(value, str) or (key == "beta" and number), "a string"),
+    }[kind]
+    return None if fits else want
 
 
 def _config_echo(cfg, command):
     """Resolved config embedded in every output. The output path itself
     is excluded: it never affects content, so identical configs yield
     byte-identical files wherever they are written."""
-    echo = {"command": command}
-    for key in sorted(_DEFAULTS):
-        if key in ("pairs", "bits", "out"):
-            continue
-        echo[key] = cfg[key]
-    return echo
+    return {"command": command, **{k: cfg[k] for k in _OPTIONS if k not in ("pairs", "bits", "out")}}
 
 
 def _jsonable(obj):
@@ -180,17 +171,27 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_json(record, out):
-    text = json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n"
+def _write(text, out):
+    """Write one output to the file `out`, or to stdout when there is none."""
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _config_comment(echo):
-    return "# config " + json.dumps(_jsonable(echo), sort_keys=True)
+def _emit_json(record, out):
+    _write(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n", out)
+
+
+def _csv_text(echo, header, rows):
+    """A CSV table under its `# config` comment line."""
+    buf = io.StringIO()
+    buf.write("# config " + json.dumps(_jsonable(echo), sort_keys=True) + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _load(cfg):
@@ -262,38 +263,12 @@ def cmd_solve(cfg):
         record["match"] = match
     _emit_json(record, cfg["out"])
     if cfg["out"]:
-        base = cfg["out"][:-5] if cfg["out"].endswith(".json") else cfg["out"]
-        _write_grid_csv(base + ".grid.csv", echo, result)
-        _write_hist_csv(base + ".hist.csv", echo, result, params)
+        base = cfg["out"].removesuffix(".json")
+        header = ["index", "gamma", "beta", "feasible_count", "optimal_hits", "p_star_exact", "share_above_baseline"]
+        _write(_csv_text(echo, header, (rec.to_row() for rec in result.records)), base + ".grid.csv")
+        hist = ([bits, count, repr(freq), repr(ratio)] for bits, count, freq, ratio in phqc_histogram(result, params))
+        _write(_csv_text(echo, ["bitstring", "count", "frequency", "baseline_ratio"], hist), base + ".hist.csv")
     return 0
-
-
-def _write_grid_csv(path, echo, result):
-    with open(path, "w", newline="") as fh:
-        fh.write(_config_comment(echo) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "index",
-                "gamma",
-                "beta",
-                "feasible_count",
-                "optimal_hits",
-                "p_star_exact",
-                "share_above_baseline",
-            ]
-        )
-        for rec in result.records:
-            writer.writerow(rec.to_row())
-
-
-def _write_hist_csv(path, echo, result, params):
-    with open(path, "w", newline="") as fh:
-        fh.write(_config_comment(echo) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["bitstring", "count", "frequency", "baseline_ratio"])
-        for bits, count, freq, ratio in phqc_histogram(result, params):
-            writer.writerow([bits, count, repr(freq), repr(ratio)])
 
 
 def cmd_brute(cfg):
@@ -321,14 +296,11 @@ def cmd_check(cfg, stream=None):
         if not bits:
             continue
         try:
-            verdict = checker(bits, inst)
-            sys.stdout.write(json.dumps(verdict.to_dict(), sort_keys=True) + "\n")
-            all_ok = all_ok and verdict.feasible
+            record = checker(bits, inst).to_dict()
         except CodecError as exc:
-            sys.stdout.write(
-                json.dumps({"error": str(exc), "feasible": False}, sort_keys=True) + "\n"
-            )
-            all_ok = False
+            record = {"error": str(exc), "feasible": False}
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        all_ok = all_ok and record["feasible"]
     return 0 if all_ok else 1
 
 
@@ -347,8 +319,6 @@ def cmd_bound(cfg):
     params = model.params
     if cfg["gamma"] is None:
         raise ValueError("bound needs --gamma")
-    if cfg["depth"] < 1:
-        raise ValueError(f"depth must be at least 1, not {cfg['depth']}")
     betas = _parse_betas(cfg)
     exact = exact_solve(inst, model)
     if not exact.optimal_assignments:
@@ -432,8 +402,6 @@ def cmd_decode(cfg):
         raise ValueError("decode needs --bits")
     bits = cfg["bits"].replace(" ", "")
     K = cfg["K"] if cfg["K"] is not None else 2
-    if K < 1:
-        raise ValueError(f"K must be at least 1, not {K}")
     forced = cfg["register"] if "register" in cfg["_given"] else None
     register, n = _detect_register(len(bits), K, forced)
     p = EncodingParams(n, K)
@@ -479,10 +447,7 @@ def cmd_bench(cfg):
         "match",
         "error",
     ]
-    buf = io.StringIO()
-    buf.write(_config_comment(echo) + "\n")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
+    rows = []
     for path in files:
         row = dict.fromkeys(columns, "")
         row["instance"] = path.stem
@@ -508,38 +473,25 @@ def cmd_bench(cfg):
                             row["match"] = "yes" if match else "no"
         except (ParseError, ValueError, AmplitudeBudgetError, OSError) as exc:
             row["error"] = str(exc)
-        writer.writerow([row[c] for c in columns])
-    text = buf.getvalue()
-    if cfg["out"]:
-        with open(cfg["out"], "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        rows.append([row[c] for c in columns])
+    _write(_csv_text(echo, columns, rows), cfg["out"])
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--instance", help="path to a .vrp or .json instance file")
-    sub.add_argument("--K", type=int, help="fleet size (default: a JSON record's \"K\", then a -k<d> filename token, then 2)")
-    sub.add_argument("--register", choices=_CHOICES["register"])
-    sub.add_argument("--cap-mode", dest="cap_mode", choices=_CHOICES["cap_mode"])
-    sub.add_argument("--rounding", choices=_CHOICES["rounding"])
-    sub.add_argument("--lam-once", dest="lam_once", type=float)
-    sub.add_argument("--lam-cap", dest="lam_cap", type=float)
-    sub.add_argument("--lam-obj", dest="lam_obj", type=float)
-    sub.add_argument("--lam-pad", dest="lam_pad", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--config", help="JSON file of default flag values")
-    sub.add_argument("--out", help="output file (default: stdout)")
+_COMMON = ("instance", "K", "register", "cap_mode", "rounding", "lam_once", "lam_cap", "lam_obj", "lam_pad", "seed", "out")
+_SWEEP = ("grid_points", "shots_rule", "shots", "depth", "jobs", "score")
 
-
-def _add_sweep(sub):
-    sub.add_argument("--grid-points", dest="grid_points", type=int, help="points per grid axis (default S+1)")
-    sub.add_argument("--shots-rule", dest="shots_rule", choices=_CHOICES["shots_rule"])
-    sub.add_argument("--shots", type=int, help="shots per grid point (overrides the rule)")
-    sub.add_argument("--depth", type=int)
-    sub.add_argument("--jobs", type=int, help="worker pool size (default $COLORPERM_JOBS or 1)")
-    sub.add_argument("--score", choices=_CHOICES["score"])
+# command -> (handler, help, the dests of its flags); every command also
+# takes --config
+_COMMANDS = {
+    "solve": (cmd_solve, "run the sampling pipeline over a parameter grid", _COMMON + _SWEEP + ("no_reference",)),
+    "brute": (cmd_brute, "exhaustive classical optimum", _COMMON),
+    "check": (cmd_check, "feasibility verdicts for bitstrings on stdin", _COMMON),
+    "bound": (cmd_bound, "success-mass lower bound report", _COMMON + ("gamma", "beta", "depth")),
+    "encode": (cmd_encode, "assignment pairs to bitstrings", _COMMON + ("pairs", "zero_based")),
+    "decode": (cmd_decode, "bitstring to assignment pairs", _COMMON + ("bits",)),
+    "bench": (cmd_bench, "table over a directory of instances", _COMMON + _SWEEP + ("dir", "skip_phqc", "phqc_budget")),
+}
 
 
 def build_parser():
@@ -548,62 +500,26 @@ def build_parser():
         description="Colored-permutation routing encoder, simulator, and grid-sweep solver.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("solve", help="run the sampling pipeline over a parameter grid")
-    _add_common(p)
-    _add_sweep(p)
-    p.add_argument("--no-reference", dest="no_reference", action="store_true",
-                   help="skip the exact oracle cross-check")
-
-    p = subs.add_parser("brute", help="exhaustive classical optimum")
-    _add_common(p)
-
-    p = subs.add_parser("check", help="feasibility verdicts for bitstrings on stdin")
-    _add_common(p)
-
-    p = subs.add_parser("bound", help="success-mass lower bound report")
-    _add_common(p)
-    p.add_argument("--gamma", type=float, help="phase angle")
-    p.add_argument("--beta", help="mixer angle, or a comma list for a schedule")
-    p.add_argument("--depth", type=int, help="replicate a single --beta this many times")
-
-    p = subs.add_parser("encode", help="assignment pairs to bitstrings")
-    _add_common(p)
-    p.add_argument("--pairs", help="comma list i:k, one-based by default")
-    p.add_argument("--zero-based", dest="zero_based", action="store_true")
-
-    p = subs.add_parser("decode", help="bitstring to assignment pairs")
-    _add_common(p)
-    p.add_argument("--bits", help="one-hot or binary bitstring (spaces allowed)")
-
-    p = subs.add_parser("bench", help="table over a directory of instances")
-    _add_common(p)
-    _add_sweep(p)
-    p.add_argument("--dir", help="directory of .vrp/.json instance files")
-    p.add_argument("--skip-phqc", dest="skip_phqc", action="store_true")
-    p.add_argument("--phqc-budget", dest="phqc_budget", type=int,
-                   help="most S^n one-hot labels the sweep column will simulate, for either register")
+    for command, (_, about, dests) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=about)
+        sub.add_argument("--config", help="JSON file of default flag values")
+        for dest in dests:
+            _, kind, text = _OPTIONS[dest]
+            if kind is bool:
+                spec = {"action": "store_true"}
+            else:
+                spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sub.add_argument("--" + dest.replace("_", "-"), help=text, **spec)
     return parser
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "brute": cmd_brute,
-    "check": cmd_check,
-    "bound": cmd_bound,
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-    "bench": cmd_bench,
-}
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        file_config = _read_config(args.config) if getattr(args, "config", None) else {}
+        file_config = _read_config(args.config) if args.config else {}
         cfg = _resolve(args, file_config)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

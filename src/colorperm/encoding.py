@@ -80,11 +80,6 @@ class EncodingParams:
         return (self.S - 1).bit_length()
 
     @property
-    def m(self):
-        """Number of blocks (= n)."""
-        return self.n
-
-    @property
     def onehot_len(self):
         return self.n * self.S
 

@@ -61,10 +61,6 @@ class AmplitudeBudgetError(RuntimeError):
     """Register too large for the memory budget."""
 
 
-def register_dim(params, register):
-    return params.dim(register)
-
-
 @dataclass
 class EncodedState:
     """Complex amplitudes over the register's basis labels."""

@@ -205,7 +205,7 @@ def _timelines(tables, G, n, bound):
             yield from map(tuple, map(itertools.chain.from_iterable, itertools.product(*order)))
 
 
-def exact_solve(inst, model=None, ceiling=ENUMERATION_CEILING):
+def exact_solve(inst, model=None):
     """Return the optimum over every feasible configuration.
 
     Scores use the timeline objective scaled by the model's lam_obj
@@ -214,8 +214,8 @@ def exact_solve(inst, model=None, ceiling=ENUMERATION_CEILING):
     bit-comparable with per-sample scores elsewhere.
     """
     n, K = inst.n, inst.K
-    if n > ceiling:
-        raise ValueError(f"n = {n} exceeds the enumeration ceiling {ceiling}")
+    if n > ENUMERATION_CEILING:
+        raise ValueError(f"n = {n} exceeds the enumeration ceiling {ENUMERATION_CEILING}")
     lam_obj = model.weights.lam_obj if model is not None else 1.0
     edges, start, close = edge_cost_matrix(inst)
     tables = _route_tables(inst, start, close)

@@ -136,6 +136,14 @@ def test_phase_profile_refuses_non_finite_gamma(gamma):
         phase_profile_from_energies([1.0, 2.0], gamma, [0])
 
 
+@pytest.mark.parametrize("gamma", [1e308, -1e300])
+def test_phase_profile_refuses_a_gamma_that_overflows_the_phases(gamma):
+    # gamma itself is finite; gamma * E is not, for the largest |E| = 1e10
+    with pytest.raises(ValueError, match="gamma must be finite, and so must gamma"):
+        phase_profile_from_energies([1.0, -1e10, 2.0], gamma, [0])
+    assert phase_profile_from_energies([1.0, -1e10, 2.0], 1e290, [0]).delta >= 0
+
+
 @pytest.mark.parametrize("betas", [[math.nan], [0.4, math.inf], [-math.inf]])
 def test_envelope_refuses_non_finite_betas(params3, betas):
     with pytest.raises(ValueError, match="beta angles must be finite"):

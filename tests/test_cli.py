@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colorperm.cli import main
+from colorperm.cli import _OPTIONS, main
 from tests.conftest import EXA_BINARY, EXA_LEGS, EXA_ONEHOT, EXA_W
 
 NONCONTIG = "100000" + "000010" + "001000"
@@ -667,3 +667,109 @@ def test_bound_config_refuses_non_finite_angles_and_depth_below_one(tmp_path, ca
     path.write_text(config)
     assert main(["bound", "--instance", exa_json, "--config", str(path)]) == 1
     assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--seed", "-1", "seed"), ("--shots", "0", "shots"), ("--depth", "0", "depth"),
+     ("--grid-points", "0", "grid_points"), ("--K", "0", "K")],
+    ids=["seed", "shots", "depth", "grid-points", "K"],
+)
+def test_bench_refuses_out_of_range_settings_once(tmp_path, capsys, exa_json, flag, value, name):
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "exa.json").write_text(Path(exa_json).read_text())
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(bench_dir), flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {name} must be at least {0 if name == 'seed' else 1}, not {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config", ['{"seed": -1}', '{"shots": 0}', '{"grid_points": -3}'], ids=["seed", "shots", "grid-points"]
+)
+def test_solve_refuses_out_of_range_settings_from_a_config_file(tmp_path, capsys, exa_json, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    assert main(["solve", "--instance", exa_json, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(json.loads(config)))} must be at least ")
+    assert len(err.splitlines()) == 1
+
+
+def test_bound_refuses_a_gamma_that_overflows_the_phases(tmp_path, capsys, exa_json):
+    out = tmp_path / "bound.json"
+    argv = ["bound", "--instance", exa_json, "--gamma", "1e308", "--beta", "0.5", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma must be finite") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+EXA = "data/exa.json"
+BOUND = ["bound", "--instance", EXA, "--gamma", "0.1", "--beta", "0.5"]
+SWEEP = ["solve", "--instance", EXA, "--grid-points", "2"]
+SOLVE = SWEEP + ["--shots", "16"]
+ENCODE = ["encode", "--pairs", "1:1,2:2,3:2"]
+
+# option -> (a cheap command that takes its flag and reads its value,
+# without the flag; the flag's value; the same value in a config file).
+# Paths are relative to a directory holding data/exa.json and
+# data/demo-n4-k2.vrp.
+FLAG_CASES = {
+    "instance": (["brute"], EXA, EXA),
+    "K": (ENCODE, "3", 3),
+    "register": (BOUND, "binary", "binary"),
+    "cap_mode": (BOUND, "filter-only", "filter-only"),
+    "rounding": (["brute", "--instance", "data/demo-n4-k2.vrp"], "nearest-integer", "nearest-integer"),
+    "lam_once": (BOUND, "2.5", 2.5),
+    "lam_cap": (BOUND, "2.5", 2.5),
+    "lam_obj": (["brute", "--instance", EXA], "2.5", 2.5),
+    "lam_pad": (BOUND + ["--register", "binary"], "2.5", 2.5),
+    "seed": (SOLVE, "3", 3),
+    "out": (ENCODE, "out.json", "out.json"),
+    "grid_points": (["solve", "--instance", EXA, "--shots", "16"], "3", 3),
+    "shots_rule": (SWEEP, "fifty-cubed", "fifty-cubed"),
+    "shots": (SWEEP, "8", 8),
+    "depth": (BOUND, "2", 2),
+    "jobs": (SOLVE, "2", 2),
+    "score": (SOLVE, "total", "total"),
+    "no_reference": (SOLVE, None, True),
+    "skip_phqc": (["bench", "--dir", "data", "--shots", "16", "--grid-points", "2"], None, True),
+    "phqc_budget": (["bench", "--dir", "data"], "100", 100),
+    "gamma": (["bound", "--instance", EXA, "--beta", "0.5"], "0.2", 0.2),
+    "beta": (["bound", "--instance", EXA, "--gamma", "0.1"], "0.5,0.7", "0.5,0.7"),
+    "pairs": (["encode"], "1:1,2:2,3:2", "1:1,2:2,3:2"),
+    "zero_based": (["encode", "--pairs", "0:0,1:1,2:1"], None, True),
+    "bits": (["decode"], EXA_ONEHOT, EXA_ONEHOT),
+    "dir": (["bench", "--skip-phqc"], "data", "data"),
+}
+
+
+def _run_bytes(capsys, tmp_path, argv):
+    """Exit code, stdout and every file the command wrote, as bytes."""
+    code = main(argv)
+    written = {}
+    for path in sorted(tmp_path.glob("out*")):
+        written[path.name] = path.read_bytes()
+        path.unlink()
+    return code, capsys.readouterr().out, written
+
+
+@pytest.mark.parametrize("key", sorted(_OPTIONS))
+def test_flag_and_config_file_give_the_same_bytes(tmp_path, capsys, monkeypatch, exa_json, demo_vrp_path, key):
+    argv, flag_value, config_value = FLAG_CASES[key]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COLORPERM_JOBS", raising=False)
+    (tmp_path / "data").mkdir()
+    (tmp_path / EXA).write_text(Path(exa_json).read_text())
+    (tmp_path / "data" / "demo-n4-k2.vrp").write_text(demo_vrp_path.read_text())
+    (tmp_path / "cfg.json").write_text(json.dumps({key: config_value}))
+    flag = ["--" + key.replace("_", "-")] + ([] if flag_value is None else [flag_value])
+    by_flag = _run_bytes(capsys, tmp_path, [*argv, *flag])
+    by_file = _run_bytes(capsys, tmp_path, [*argv, "--config", "cfg.json"])
+    assert by_flag[0] == 0
+    assert by_flag == by_file
+    # the value is not the default: without it the output differs
+    assert _run_bytes(capsys, tmp_path, argv) != by_flag

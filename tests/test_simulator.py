@@ -32,7 +32,6 @@ from colorperm.simulator import (
     block_mixer_matrix,
     exact_distribution,
     initial_state,
-    register_dim,
     run_ansatz,
     sample,
 )
@@ -61,10 +60,10 @@ def mixer_generator(S):
 
 
 def test_register_dim(params3):
-    assert register_dim(params3, "onehot") == 216
-    assert register_dim(params3, "binary") == 512
+    assert params3.dim("onehot") == 216
+    assert params3.dim("binary") == 512
     with pytest.raises(ValueError):
-        register_dim(params3, "dense")
+        params3.dim("dense")
 
 
 def test_schedule_validation():

@@ -150,9 +150,7 @@ def test_exact_solve_lam_obj_scaling(exA):
     assert sol.optimal_cost == pytest.approx(2 * 92.06, abs=1e-9)
 
 
-def test_exact_solve_ceiling(exA):
-    with pytest.raises(ValueError):
-        exact_solve(exA, ceiling=2)
+def test_exact_solve_ceiling():
     n = ENUMERATION_CEILING + 1
     big = Instance(
         "big", n, 2, [1] * n, [n, n], np.zeros((n, n)), np.zeros(n), np.zeros(n)
