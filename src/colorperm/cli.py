@@ -290,6 +290,7 @@ def cmd_check(cfg, stream=None):
         feasible_global_positions if cfg["register"] == "onehot" else decode_binary_and_check
     )
     stream = stream if stream is not None else sys.stdin
+    lines = []
     all_ok = True
     for line in stream:
         bits = line.strip()
@@ -299,8 +300,9 @@ def cmd_check(cfg, stream=None):
             record = checker(bits, inst).to_dict()
         except CodecError as exc:
             record = {"error": str(exc), "feasible": False}
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
         all_ok = all_ok and record["feasible"]
+    _write("".join(lines), cfg["out"])
     return 0 if all_ok else 1
 
 
@@ -308,6 +310,8 @@ def _parse_betas(cfg):
     if cfg["beta"] is None:
         raise ValueError("bound needs --beta")
     betas = tuple(float(tok) for tok in str(cfg["beta"]).split(","))
+    if len(betas) > 1 and "depth" in cfg["_given"] and cfg["depth"] != len(betas):
+        raise ValueError(f"depth {cfg['depth']} contradicts the {len(betas)} angles given by --beta")
     if len(betas) == 1 and cfg["depth"] > 1:
         betas = betas * cfg["depth"]
     return betas

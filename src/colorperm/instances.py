@@ -98,8 +98,61 @@ def _integers(values, what):
     return _as_readonly(items, dtype=np.int64)
 
 
+class _Record:
+    """Validation and depot legs shared by both instance records: n items
+    (customers or tours), K vehicles, integer demands `d` and capacities
+    `Q`, an n x n cost matrix and the legs `dep_to` / `to_dep`, each a
+    length-n vector (shared depot) or an n x K matrix (per-vehicle depots).
+    """
+
+    def _validate(self, n, cost, cvrp):
+        """Check the shared fields and freeze them read-only; `cvrp` adds the
+        rounding-mode and zero-diagonal checks in place, keeping the order."""
+        if n < 1 or self.K < 1:
+            raise ValueError("need n >= 1 and K >= 1")
+        if cvrp and self.rounding_mode not in ROUNDING_MODES:
+            raise ValueError(f"unknown rounding mode {self.rounding_mode!r}")
+        d = _integers(self.d, "demands")
+        Q = _integers(self.Q, "capacities")
+        W = _as_readonly(getattr(self, cost))
+        if d.shape != (n,):
+            raise ValueError("demand vector must have length n")
+        if Q.shape != (self.K,):
+            raise ValueError("capacity vector must have length K")
+        if (d < 0).any():
+            raise ValueError("demands must be nonnegative")
+        if (Q < 0).any():
+            raise ValueError("capacities must be nonnegative")
+        if W.shape != (n, n):
+            raise ValueError("W must be n x n")
+        if not (np.isfinite(W) & (W >= 0)).all():
+            raise ValueError("distances must be finite nonnegative numbers")
+        if cvrp and np.abs(np.diagonal(W)).max(initial=0.0) > 0:
+            raise ValueError("W must have a zero diagonal")
+        for name in ("dep_to", "to_dep"):
+            v = _as_readonly(getattr(self, name))
+            if v.shape not in ((n,), (n, self.K)):
+                raise ValueError(f"{name} must have shape (n,) or (n, K)")
+            if not (np.isfinite(v) & (v >= 0)).all():
+                raise ValueError("depot legs must be finite nonnegative numbers")
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, cost, W)
+
+    def dep_out(self, i, k):
+        """Depot -> item i leg for vehicle k."""
+        v = self.dep_to
+        return float(v[i] if v.ndim == 1 else v[i, k])
+
+    def dep_in(self, i, k):
+        """Item i -> depot leg for vehicle k."""
+        v = self.to_dep
+        return float(v[i] if v.ndim == 1 else v[i, k])
+
+
 @dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """Immutable CVRP problem datum.
 
     `dep_to` / `to_dep` are either length-n vectors (shared depot) or
@@ -120,54 +173,11 @@ class Instance:
     rounding_mode: str = "exact"
 
     def __post_init__(self):
-        if self.n < 1 or self.K < 1:
-            raise ValueError("need n >= 1 and K >= 1")
-        if self.rounding_mode not in ROUNDING_MODES:
-            raise ValueError(f"unknown rounding mode {self.rounding_mode!r}")
-        d = _integers(self.d, "demands")
-        Q = _integers(self.Q, "capacities")
-        W = _as_readonly(self.W)
-        if d.shape != (self.n,):
-            raise ValueError("demand vector must have length n")
-        if Q.shape != (self.K,):
-            raise ValueError("capacity vector must have length K")
-        if (d < 0).any():
-            raise ValueError("demands must be nonnegative")
-        if (Q < 0).any():
-            raise ValueError("capacities must be nonnegative")
-        if W.shape != (self.n, self.n):
-            raise ValueError("W must be n x n")
-        if not (np.isfinite(W) & (W >= 0)).all():
-            raise ValueError("distances must be finite nonnegative numbers")
-        if np.abs(np.diagonal(W)).max(initial=0.0) > 0:
-            raise ValueError("W must have a zero diagonal")
-        legs = []
-        for name in ("dep_to", "to_dep"):
-            v = _as_readonly(getattr(self, name))
-            if v.shape not in ((self.n,), (self.n, self.K)):
-                raise ValueError(f"{name} must have shape (n,) or (n, K)")
-            if not (np.isfinite(v) & (v >= 0)).all():
-                raise ValueError("depot legs must be finite nonnegative numbers")
-            legs.append(v)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "dep_to", legs[0])
-        object.__setattr__(self, "to_dep", legs[1])
+        self._validate(self.n, "W", cvrp=True)
         if self.coords is not None:
             object.__setattr__(self, "coords", _as_readonly(self.coords))
         if self.depot_coord is not None:
             object.__setattr__(self, "depot_coord", _as_readonly(self.depot_coord))
-
-    def dep_out(self, i, k):
-        """Depot -> customer i leg for vehicle k."""
-        v = self.dep_to
-        return float(v[i] if v.ndim == 1 else v[i, k])
-
-    def dep_in(self, i, k):
-        """Customer i -> depot leg for vehicle k."""
-        v = self.to_dep
-        return float(v[i] if v.ndim == 1 else v[i, k])
 
     def uniform_capacity(self):
         """The shared capacity value, or None if vehicles differ."""
@@ -177,12 +187,14 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class PdpInstance:
+class PdpInstance(_Record):
     """Pickup-and-delivery data: T atomic tours routed by K vehicles.
 
     Wtilde[t, t'] is the dead-mile cost of running tour t' right after
     tour t on the same vehicle; it may be asymmetric and its diagonal is
-    not required to vanish. Zero tour weights are allowed.
+    not required to vanish. Zero tour weights are allowed. The checks and
+    their messages are `Instance`'s, with n standing for T and W for
+    Wtilde.
     """
 
     T: int
@@ -194,43 +206,12 @@ class PdpInstance:
     to_dep: np.ndarray
 
     def __post_init__(self):
-        if self.T < 1 or self.K < 1:
-            raise ValueError("need T >= 1 and K >= 1")
-        d = _integers(self.d, "tour weights")
-        Q = _integers(self.Q, "capacities")
-        Wt = _as_readonly(self.Wtilde)
-        if d.shape != (self.T,) or (d < 0).any():
-            raise ValueError("tour weights must be length T and nonnegative")
-        if Q.shape != (self.K,) or (Q < 0).any():
-            raise ValueError("capacities must be length K and nonnegative")
-        if Wt.shape != (self.T, self.T) or not (np.isfinite(Wt) & (Wt >= 0)).all():
-            raise ValueError("Wtilde must be a finite nonnegative T x T matrix")
-        legs = []
-        for name in ("dep_to", "to_dep"):
-            v = _as_readonly(getattr(self, name))
-            if v.shape not in ((self.T,), (self.T, self.K)):
-                raise ValueError(f"{name} must have shape (T,) or (T, K)")
-            if not (np.isfinite(v) & (v >= 0)).all():
-                raise ValueError("depot legs must be finite nonnegative numbers")
-            legs.append(v)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "Wtilde", Wt)
-        object.__setattr__(self, "dep_to", legs[0])
-        object.__setattr__(self, "to_dep", legs[1])
+        self._validate(self.T, "Wtilde", cvrp=False)
 
     @property
     def W(self):
         """Wtilde under the CVRP name, so `energy_objective` scores tours."""
         return self.Wtilde
-
-    def dep_out(self, t, k):
-        v = self.dep_to
-        return float(v[t] if v.ndim == 1 else v[t, k])
-
-    def dep_in(self, t, k):
-        v = self.to_dep
-        return float(v[t] if v.ndim == 1 else v[t, k])
 
 
 _SECTION_NAMES = {
@@ -317,9 +298,9 @@ def parse_vrp(text, K=2, rounding_mode="exact", name=None):
         raise ParseError("node 1 must be the depot")
 
     n = dimension - 1
-    missing = [node for node in range(1, dimension + 1) if node not in coords]
-    if missing:
-        raise ParseError(f"missing coordinates for nodes {missing}")
+    gap = next((node for node in range(1, dimension + 1) if node not in coords), None)
+    if gap is not None:
+        raise ParseError(f"DIMENSION is {dimension} but node {gap} has no coordinates")
     depot_xy = coords[1]
     customer_xy = [coords[node] for node in range(2, dimension + 1)]
     d = [demands.get(node, 0) for node in range(2, dimension + 1)]
@@ -345,7 +326,8 @@ def from_matrices(record, K=None, rounding_mode="exact", name=None):
     """Build an Instance from an explicit-matrix record (parsed JSON dict).
 
     Required keys: W, d, Q. Optional: dep_to, to_dep (to_dep defaults to
-    dep_to, both default to zeros), name, K (overridden by the argument).
+    dep_to, both default to zeros), name, K (overridden by the argument;
+    without either, K is the length of Q).
     """
     if not isinstance(record, dict):
         raise ParseError("instance record must be a JSON object")
@@ -358,15 +340,18 @@ def from_matrices(record, K=None, rounding_mode="exact", name=None):
     if "d" not in record or "Q" not in record:
         raise ParseError("record needs demand vector d and capacity vector Q")
     Q = np.atleast_1d(_integers(record["Q"], "capacities"))
-    k = K if K is not None else record.get("K", len(Q))
-    if len(Q) == 1 and k > 1:
-        Q = np.repeat(Q, k)
+    if K is None:
+        K = record.get("K", len(Q))
+        if isinstance(K, bool) or not isinstance(K, int):
+            raise ParseError(f"fleet size K must be an integer, not {K!r}")
+    if len(Q) == 1 and K > 1:
+        Q = np.repeat(Q, K)
     dep_to = np.asarray(record.get("dep_to", np.zeros(n)), dtype=float)
     to_dep = np.asarray(record.get("to_dep", dep_to), dtype=float)
     return Instance(
         name=name or record.get("name", "unnamed"),
         n=n,
-        K=int(k),
+        K=int(K),
         d=record["d"],
         Q=Q,
         W=W,
@@ -385,11 +370,7 @@ def load_instance(path, K=None, rounding_mode="exact"):
     p = pathlib.Path(path)
     text = p.read_text()
     record = json.loads(text) if p.suffix.lower() == ".json" else None
-    if K is None and isinstance(record, dict) and "K" in record:
-        K = record["K"]
-        if isinstance(K, bool) or not isinstance(K, int):
-            raise ParseError(f"fleet size K must be an integer, not {K!r}")
-    if K is None:
+    if K is None and not (isinstance(record, dict) and "K" in record):
         m = _K_IN_NAME.search(p.stem)
         K = int(m.group(1)) if m else 2
     if record is not None:

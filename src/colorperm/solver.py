@@ -19,10 +19,10 @@ serves one contiguous run and pays its start leg, W along the run and its
 close leg. A Held-Karp table prices every customer subset on every vehicle
 (O(K 2^n n^2)); a dynamic program over the vehicles in index order gives
 the optimum and the feasible count (O(K 3^n)); backtracking recovers every
-timeline near the optimum, scored as the permutation enumeration scores
-it. The tables stay small well past n = 9 but the winner set does not: at
+timeline near the optimum, each scored once in `energy_objective`'s order.
+The tables stay small well past n = 9 but the winner set does not: at
 n = 8, K = 2 with W and the depot legs all 0, each of the 645,120 feasible
-timelines wins and rescoring them takes seconds, hence
+timelines wins and gathering them takes seconds, hence
 ENUMERATION_CEILING = 9.
 """
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
-from .hamiltonian import edge_cost_matrix, energy_components, energy_objective, energy_table
+from .hamiltonian import edge_cost_matrix, energy_components, energy_table
 from .simulator import Schedule, check_budget, evolve_row, exact_distribution, run_ansatz, sample
 
 ENUMERATION_CEILING = 9
@@ -209,9 +209,9 @@ def exact_solve(inst, model=None):
     """Return the optimum over every feasible configuration.
 
     Scores use the timeline objective scaled by the model's lam_obj
-    (1.0 without a model). Argmins are gathered to a 1e-9 tolerance and
-    re-scored with the scalar evaluator, so the reported optimal_cost is
-    bit-comparable with per-sample scores elsewhere.
+    (1.0 without a model), each summed once in `energy_objective`'s order,
+    so the reported optimal_cost is bit-comparable with per-sample scores
+    elsewhere. Argmins are gathered to a 1e-9 tolerance.
     """
     n, K = inst.n, inst.K
     if n > ENUMERATION_CEILING:
@@ -224,23 +224,20 @@ def exact_solve(inst, model=None):
         return ExactSolution(None, (), 0)
     # The tables sum route by route, a timeline's score along the timeline;
     # the two can differ in the last bits. So recover every timeline within
-    # a margin past the tolerance and gather them on their timeline scores.
+    # a margin past the tolerance and gather them on their timeline scores,
+    # added in energy_objective's order so each equals it bit for bit.
     best = G[K][-1]
     bound = best + (SCORE_TOL / lam_obj if lam_obj > 0 else np.inf) + 1e-9 * (1 + best)
     syms = np.fromiter(_timelines(tables, G, n, bound), dtype=np.dtype((np.int64, (n,))))
-    cost = start[syms[:, 0]] + close[syms[:, -1]]
+    cost = start[syms[:, 0]]
     for j in range(n - 1):
         cost = cost + edges[syms[:, j], syms[:, j + 1]]
-    cost = lam_obj * cost
+    cost = lam_obj * (cost + close[syms[:, -1]])
+    optimum = cost.min()
     pairs = [(s % n, s // n) for s in range(n * K)]
-    assignments = [
-        ColoredAssignment(tuple(map(pairs.__getitem__, row)), K)
-        for row in syms[cost <= cost.min() + SCORE_TOL].tolist()
-    ]
-    rescored = [(energy_objective(a, inst, lam_obj), a) for a in assignments]
-    optimum = min(s for s, _ in rescored)
     winners = sorted(
-        (a for s, a in rescored if s <= optimum + SCORE_TOL), key=lambda a: a.symbols
+        (ColoredAssignment(tuple(map(pairs.__getitem__, r)), K) for r in syms[cost <= optimum + SCORE_TOL].tolist()),
+        key=lambda a: a.symbols,
     )
     return ExactSolution(float(optimum), tuple(winners), feasible_count)
 

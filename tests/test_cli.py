@@ -773,3 +773,41 @@ def test_flag_and_config_file_give_the_same_bytes(tmp_path, capsys, monkeypatch,
     assert by_flag == by_file
     # the value is not the default: without it the output differs
     assert _run_bytes(capsys, tmp_path, argv) != by_flag
+
+
+def test_check_out_writes_the_verdicts_to_the_file(tmp_path, capsys, monkeypatch, exa_json):
+    stream = EXA_ONEHOT + "\n" + NONCONTIG + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    assert main(["check", "--instance", exa_json]) == 1
+    printed = capsys.readouterr().out
+    out = tmp_path / "verdicts.jsonl"
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    assert main(["check", "--instance", exa_json, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed and len(printed.splitlines()) == 2
+
+
+def test_vrp_dimension_past_the_listed_nodes_exits_with_one_short_error_line(tmp_path, capsys):
+    path = tmp_path / "gap.vrp"
+    path.write_text("NAME : gap\nDIMENSION : 1000000\nCAPACITY : 3\nNODE_COORD_SECTION\n1 0 0\n2 1 0\nEOF\n")
+    assert main(["brute", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200 and "DIMENSION" in err and "node 3" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bound_refuses_a_depth_that_contradicts_the_beta_list(tmp_path, capsys, exa_json, source):
+    out = tmp_path / "bound.json"
+    argv = ["bound", "--instance", exa_json, "--gamma", "0.4", "--beta", "0.9,1.3", "--out", str(out)]
+    if source == "flag":
+        extra = ["--depth", "3"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text('{"depth": 3}')
+        extra = ["--config", str(config)]
+    assert main([*argv, *extra]) == 1
+    assert _single_error_line(capsys)
+    assert not out.exists()
+    assert main([*argv, "--depth", "2"]) == 0
+    assert json.loads(out.read_text())["report"]["p"] == 2

@@ -262,3 +262,51 @@ def test_vrp_non_finite_distances_are_refused(x):
 def test_pdp_non_finite_costs_are_refused(Wt, legs):
     with pytest.raises(ValueError, match="finite nonnegative"):
         PdpInstance(2, 1, [1, 1], [3], Wt, legs, [1, 1])
+
+
+GOOD_FIELDS = {"K": 1, "d": [1, 1], "Q": [3], "W": [[0, 1], [1, 0]], "dep_to": [0, 0], "to_dep": [0, 0]}
+
+
+def _record(cls, **fields):
+    """A two-item record of either class; `W` stands for Wtilde."""
+    f = {**GOOD_FIELDS, **fields}
+    lead = ("bad", 2) if cls is Instance else (2,)
+    return cls(*lead, f["K"], f["d"], f["Q"], f["W"], f["dep_to"], f["to_dep"])
+
+
+@pytest.mark.parametrize("cls", [Instance, PdpInstance])
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"K": 0}, "need n >= 1 and K >= 1"),
+     ({"d": [-1, 0]}, "demands must be nonnegative"),
+     ({"Q": [-3]}, "capacities must be nonnegative"),
+     ({"d": [1.5, 1]}, "demands must be integers, not 1.5"),
+     ({"Q": [2.5]}, "capacities must be integers, not 2.5"),
+     ({"d": [1, 1, 1]}, "demand vector must have length n"),
+     ({"Q": [3, 3]}, "capacity vector must have length K"),
+     ({"W": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}, "W must be n x n"),
+     ({"dep_to": [0, 0, 0]}, "dep_to must have shape (n,) or (n, K)"),
+     ({"to_dep": [[0, 0], [0, 0]]}, "to_dep must have shape (n,) or (n, K)"),
+     ({"W": [[0, math.inf], [1, 0]]}, "distances must be finite nonnegative numbers"),
+     ({"W": [[0, math.nan], [1, 0]]}, "distances must be finite nonnegative numbers"),
+     ({"W": [[0, -1], [1, 0]]}, "distances must be finite nonnegative numbers"),
+     ({"dep_to": [math.inf, 0]}, "depot legs must be finite nonnegative numbers"),
+     ({"to_dep": [0, math.nan]}, "depot legs must be finite nonnegative numbers")],
+    ids=["K-0", "negative-demand", "negative-capacity", "fractional-demand", "fractional-capacity",
+         "demand-shape", "capacity-shape", "matrix-shape", "start-leg-shape", "close-leg-shape",
+         "inf-matrix", "nan-matrix", "negative-matrix", "inf-start-leg", "nan-close-leg"],
+)
+def test_both_records_refuse_the_same_bad_fields(cls, fields, message):
+    with pytest.raises(ValueError) as err:
+        _record(cls, **fields)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("K", ["2", 2.5, True], ids=["string", "fraction", "bool"])
+def test_from_matrices_refuses_a_non_integer_fleet_size(K):
+    record = {"W": [[0, 2], [2, 0]], "d": [1, 1], "Q": [3], "K": K}
+    with pytest.raises(ParseError, match="fleet size K must be an integer"):
+        from_matrices(record)
+    # an explicit K overrides the record's, which is then not read
+    assert from_matrices(record, K=3).K == 3
+    assert from_matrices({**record, "K": 3}).K == 3

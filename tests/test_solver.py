@@ -387,3 +387,21 @@ def test_binary_sweep_draws_no_padding_leak(exA, params3, monkeypatch):
     phqc(exA, model, GridSpec.default(params3, 4), 216, 7)
     assert REASONS.index(OK) in codes and REASONS.index(REPEATED_CUSTOMER) in codes
     assert REASONS.index(PADDING_LEAK) not in codes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_solve_scores_equal_energy_objective_bit_for_bit(seed):
+    # non-integer distances and legs, so the order of additions shows in the last bits
+    rng = np.random.default_rng(seed)
+    n, K = 5, 2
+    W = rng.uniform(0.1, 9.9, size=(n, n))
+    np.fill_diagonal(W, 0.0)
+    legs = rng.uniform(0.1, 9.9, size=(n, K))
+    inst = Instance("bits", n, K, [1, 1, 2, 1, 2], [4, 4], W, legs, legs[::-1].copy())
+    model = EnergyModel.for_instance(inst, PenaltyWeights(lam_obj=1.7))
+    sol = exact_solve(inst, model)
+    scores = [energy_objective(a, inst, 1.7) for a in sol.optimal_assignments]
+    assert min(scores) == sol.optimal_cost
+    assert max(scores) <= sol.optimal_cost + solver.SCORE_TOL
+    obj = energy_components(model, sol.optimal_labels(model.params))["obj"]
+    assert sorted(obj.tolist()) == sorted(scores)
