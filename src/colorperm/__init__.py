@@ -36,7 +36,6 @@ from .encoding import (
     label_assignment,
     label_to_binary,
     label_to_onehot,
-    onehot_to_label,
     permutation_view,
     symbol_index,
     symbol_unindex,
@@ -45,7 +44,6 @@ from .feasibility import (
     FeasibilityVerdict,
     decode_binary_and_check,
     feasible_global_positions,
-    scan_cost,
 )
 from .hamiltonian import (
     EnergyModel,
@@ -89,7 +87,6 @@ from .solver import (
     ExactSolution,
     GridSpec,
     PhqcResult,
-    contiguous_labelings,
     default_shots,
     exact_solve,
     p_star,

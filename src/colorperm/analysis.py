@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import energy_table
-from .simulator import ANALYSIS_BYTES, block_mixer_matrix, check_budget
+from .simulator import PHASE_CHUNK, block_mixer_matrix, check_budget
 from .solver import feasible_histogram, feasible_samples
 
 TWO_PI = 2.0 * math.pi
@@ -91,9 +91,9 @@ def phase_profile_from_energies(energies, gamma, optimal_labels):
 
 def phase_profile(model, gamma, optimal_set):
     """Phase profile of the model's energies over the one-hot labels at
-    one gamma; `optimal_set` holds one-hot labels. Charged ANALYSIS_BYTES
-    per label against the memory budget."""
-    check_budget(model.params, label_bytes=ANALYSIS_BYTES)
+    one gamma; `optimal_set` holds one-hot labels. Charged like a sweep
+    against the memory budget."""
+    check_budget(model.params)
     return phase_profile_from_energies(energy_table(model), gamma, optimal_set)
 
 
@@ -108,16 +108,13 @@ class EnvelopeState:
 
     def full_distribution(self):
         """Expand the product over blocks to a distribution over labels,
-        charged ANALYSIS_BYTES per label against the memory budget."""
+        charged like a sweep against the memory budget."""
         p = self.params
-        check_budget(p, label_bytes=ANALYSIS_BYTES)
+        check_budget(p)
         full = np.ones(1)
         for j in range(p.n):
             full = np.multiply.outer(full, self.per_block[j]).reshape(-1)
         return full
-
-    def block_mass(self):
-        return self.per_block.sum(axis=1)
 
 
 def dephased_kernel(S, beta):
@@ -185,7 +182,11 @@ def required_shots(p_star, confidence=0.95):
 
 
 def fejer_bound(profile, env, optimal_set, p):
-    """Assemble the FejerReport from a phase profile and an envelope."""
+    """Assemble the FejerReport from a phase profile and an envelope.
+
+    The filter is filled PHASE_CHUNK labels at a time and the reference
+    law overwrites the envelope, so no full-length temporary of the
+    filter's formula is built and the report fits a sweep's charge."""
     optimal = np.asarray(sorted(int(z) for z in optimal_set), dtype=np.int64)
     if len(optimal) == 0:
         raise ValueError("optimal set is empty")
@@ -195,7 +196,9 @@ def fejer_bound(profile, env, optimal_set, p):
     C_beta = float(W[optimal].sum())
     mask = np.ones(len(W), dtype=bool)
     mask[optimal] = False
-    filt = fejer_kernel(p, profile.theta - profile.theta_star)
+    filt = np.empty(len(W))
+    for lo in range(0, len(W), PHASE_CHUNK):
+        filt[lo : lo + PHASE_CHUNK] = fejer_kernel(p, profile.theta[lo : lo + PHASE_CHUNK] - profile.theta_star)
     if mask.any():
         M_real = float(filt[mask].max())
     else:
@@ -207,7 +210,7 @@ def fejer_bound(profile, env, optimal_set, p):
         M_bound = math.inf
     peak = float(p + 1)
     q0_lower = peak * C_beta / (peak * C_beta + M_real * (1.0 - C_beta))
-    ref = W * filt
+    ref = np.multiply(W, filt, out=W)
     total = float(ref.sum())
     q0_exact = float(ref[optimal].sum() / total) if total > 0 else 0.0
     shots = {}
@@ -238,15 +241,15 @@ def surrogate_scores(model, params, beta_grid, lam, rho=0.0, alpha=0.0, lp_weigh
     S_LP pairs externally supplied weights lp_weights[s, s'] with the
     envelope's expected adjacent-position symbol-pair indicators; it is 0
     when no weights are given. C covers the one-hot labels, so both
-    registers give the same rows. Charged ANALYSIS_BYTES per label
-    against the memory budget.
+    registers give the same rows. Charged like a sweep against the
+    memory budget.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     beta_grid = [float(b) for b in beta_grid]
     if not beta_grid:
         raise ValueError("beta grid is empty")
-    check_budget(params, label_bytes=ANALYSIS_BYTES)
+    check_budget(params)
     costs = energy_table(model)
     rows = []
     for beta in beta_grid:

@@ -293,7 +293,7 @@ def cmd_check(cfg, stream=None):
     lines = []
     all_ok = True
     for line in stream:
-        bits = line.strip()
+        bits = line.strip().replace(" ", "")
         if not bits:
             continue
         try:
@@ -350,7 +350,10 @@ def _parse_pairs(text):
     pairs = []
     for tok in text.split(","):
         left, _, right = tok.partition(":")
-        pairs.append((int(left), int(right)))
+        try:
+            pairs.append((int(left), int(right)))
+        except ValueError:
+            raise ValueError(f"--pairs token {tok!r} is not i:k, two integers like '1:1,3:2,2:1'") from None
     return pairs
 
 

@@ -309,11 +309,6 @@ def label_bitstring(z, p, register):
     return (label_to_onehot if register == "onehot" else label_to_binary)(z, p)
 
 
-def onehot_to_label(b, p):
-    a = decode_bitstring(b, p)
-    return assignment_label(a, p)
-
-
 def binary_to_label(y, p):
     _check_bits(y, p.binary_len, "binary bitstring")
     words = [int(y[j * p.q : (j + 1) * p.q], 2) if p.q else 0 for j in range(p.n)]

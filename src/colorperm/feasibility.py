@@ -79,8 +79,8 @@ class FeasibilityVerdict:
         return out
 
 
-def _scan(b, inst):
-    """Core scan; returns (verdict, visited_bits)."""
+def feasible_global_positions(b, inst):
+    """Run the oracle on a one-hot bitstring of length n^2*K."""
     n, K = inst.n, inst.K
     S = n * K
     _check_bits(b, n * S, "one-hot bitstring")
@@ -89,23 +89,21 @@ def _scan(b, inst):
     count = [0] * K
     firstpos = [-1] * K
     lastpos = [-1] * K
-    visited = 0
     for j in range(n):
         base = j * S
         ones = 0
         s_star = -1
         for s in range(S):
-            visited += 1
             if b[base + s] == "1":
                 ones += 1
                 s_star = s
                 if ones > 1:
-                    return FeasibilityVerdict(False, MULTI_HOT, (j,)), visited
+                    return FeasibilityVerdict(False, MULTI_HOT, (j,))
         if ones == 0:
-            return FeasibilityVerdict(False, ZERO_HOT, (j,)), visited
+            return FeasibilityVerdict(False, ZERO_HOT, (j,))
         i, k = s_star % n, s_star // n
         if seen[i]:
-            return FeasibilityVerdict(False, REPEATED_CUSTOMER, (i,)), visited
+            return FeasibilityVerdict(False, REPEATED_CUSTOMER, (i,))
         seen[i] = True
         load[k] += int(inst.d[i])
         count[k] += 1
@@ -116,32 +114,10 @@ def _scan(b, inst):
     spans = tuple(zip(firstpos, lastpos, count))
     for k in range(K):
         if load[k] > inst.Q[k]:
-            return (
-                FeasibilityVerdict(
-                    False, CAPACITY_VIOLATION, (k, load[k], int(inst.Q[k])), loads, spans
-                ),
-                visited,
-            )
+            return FeasibilityVerdict(False, CAPACITY_VIOLATION, (k, load[k], int(inst.Q[k])), loads, spans)
         if count[k] > 0 and lastpos[k] - firstpos[k] + 1 != count[k]:
-            return (
-                FeasibilityVerdict(
-                    False, NON_CONTIGUOUS, (k, firstpos[k], lastpos[k], count[k]), loads, spans
-                ),
-                visited,
-            )
-    return FeasibilityVerdict(True, OK, (), loads, spans), visited
-
-
-def feasible_global_positions(b, inst):
-    """Run the oracle on a one-hot bitstring of length n^2*K."""
-    verdict, _ = _scan(b, inst)
-    return verdict
-
-
-def scan_cost(b, inst):
-    """Number of bits the early-exit scan visits (for cost accounting)."""
-    _, visited = _scan(b, inst)
-    return visited
+            return FeasibilityVerdict(False, NON_CONTIGUOUS, (k, firstpos[k], lastpos[k], count[k]), loads, spans)
+    return FeasibilityVerdict(True, OK, (), loads, spans)
 
 
 def decode_binary_and_check(y, inst):

@@ -28,7 +28,6 @@ reference's order so the two agree bit for bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,26 +293,6 @@ def energy_table(model):
     obj *= w.lam_obj
     total += obj
     return total.reshape(-1)
-
-
-def energy_trace_csv(model, path, labels=None):
-    """Write a per-label CSV trace (label, E_once, E_cap, E_obj, E_total)."""
-    if labels is None:
-        labels = np.arange(model.dim)
-    comp = energy_components(model, labels)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "E_once", "E_cap", "E_obj", "E_total"])
-        for idx, z in enumerate(labels):
-            writer.writerow(
-                [
-                    int(z),
-                    repr(float(comp["once"][idx])),
-                    repr(float(comp["cap"][idx])),
-                    repr(float(comp["obj"][idx])),
-                    repr(float(comp["total"][idx])),
-                ]
-            )
 
 
 @dataclass(frozen=True)

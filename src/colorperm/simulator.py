@@ -45,15 +45,15 @@ from .hamiltonian import energy_table
 # each), the distribution and the drawn counts (8 each) plus allocator
 # slack. Measured peaks are 55.9 (n = 6, K = 2) and 59.6 (n = 5, K = 5)
 # bytes per label for one process, and 43.6 and 52.6 bytes per label of
-# each worker's own pages under --jobs 2. The analysis entries (phase
-# profile, envelope, surrogate) are charged ANALYSIS_BYTES per label: the
-# whole `bound` pipeline peaks at 80.5 (n = 6, K = 2) and 74.2 (n = 5,
-# K = 5) bytes per label, `surrogate_scores` at 33.
+# each worker's own pages under --jobs 2. Every other S^n entry (phase
+# profile, envelope, surrogate) pays the single-process charge: above the
+# import, the whole `bound` peaks at 56.3 (n = 6, K = 2) and 49.2 (n = 5,
+# K = 5) bytes per label, where `phase_profile` alone does;
+# `surrogate_scores` at 33.4 and 32.6, the envelope at 9.1 and 8.5.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 56
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
-ANALYSIS_BYTES = 88
 PHASE_CHUNK = 2**20
 
 
@@ -111,14 +111,12 @@ class Schedule:
         return cls((gamma,) * p, (beta,) * p)
 
 
-def check_budget(params, register="onehot", workers=1, label_bytes=None):
-    """Refuse work that would need more than MEMORY_BUDGET bytes. A run
-    is charged, per S^n label, the table once and WORKER_BYTES in each of
-    `workers` processes, plus BYTES_PER_AMPLITUDE per label of a
-    relabelled binary state; other S^n work passes its own `label_bytes`."""
-    if label_bytes is None:
-        label_bytes = TABLE_BYTES + WORKER_BYTES * workers
-    need = label_bytes * params.dim("onehot")
+def check_budget(params, register="onehot", workers=1):
+    """Refuse work that would need more than MEMORY_BUDGET bytes. Any S^n
+    work is charged, per S^n label, the table once and WORKER_BYTES in
+    each of `workers` processes, plus BYTES_PER_AMPLITUDE per label of a
+    relabelled binary state."""
+    need = (TABLE_BYTES + WORKER_BYTES * workers) * params.dim("onehot")
     if register != "onehot":
         need += BYTES_PER_AMPLITUDE * params.dim(register)
     if need > MEMORY_BUDGET:

@@ -108,17 +108,6 @@ class ExactSolution:
         }
 
 
-def contiguous_labelings(n, K):
-    """All vehicle-label sequences along the timeline in which every used
-    label occupies one contiguous run; yields int arrays of length n."""
-    for r in range(1, min(n, K) + 1):
-        for cuts in itertools.combinations(range(1, n), r - 1):
-            bounds = (0,) + cuts + (n,)
-            lengths = [bounds[t + 1] - bounds[t] for t in range(r)]
-            for labels in itertools.permutations(range(K), r):
-                yield np.repeat(np.asarray(labels, dtype=np.int64), lengths)
-
-
 def _route_tables(inst, start, close):
     """Per vehicle, as lists: the Held-Karp table P[mask][last] (start leg
     plus W along the cheapest path over mask that ends at last), the steps

@@ -28,9 +28,10 @@ from colorperm.analysis import (
 from colorperm.encoding import EncodingParams, label_to_onehot
 from colorperm.feasibility import feasible_global_positions
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_table
-from colorperm.instances import Instance
-from colorperm import simulator
-from colorperm.simulator import ANALYSIS_BYTES, AmplitudeBudgetError, SampleSet
+from colorperm.instances import Instance, load_instance
+from colorperm import analysis, simulator
+from colorperm.simulator import BYTES_PER_AMPLITUDE, AmplitudeBudgetError, SampleSet
+from colorperm.solver import exact_solve
 
 TWO_PI = 2 * math.pi
 
@@ -160,7 +161,7 @@ def test_envelope_uniform_fixed_point(params3):
     for betas in ([0.9], [1.7, 0.3], [2.5, 0.1, 1.1]):
         env = envelope(params3, betas)
         assert np.abs(env.per_block - 1.0 / 6.0).max() < 1e-12
-        assert np.abs(env.block_mass() - 1.0).max() < 1e-12
+        assert np.abs(env.per_block.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_envelope_full_distribution(params3, monkeypatch):
@@ -168,7 +169,7 @@ def test_envelope_full_distribution(params3, monkeypatch):
     full = env.full_distribution()
     assert full.shape == (216,)
     assert full.sum() == pytest.approx(1.0, abs=1e-12)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", ANALYSIS_BYTES * 100)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * 100)
     with pytest.raises(AmplitudeBudgetError):
         env.full_distribution()
 
@@ -210,6 +211,22 @@ def test_fejer_bound_random_profiles(params3):
         assert rep.M_p_delta <= rep.M_p_bound + 1e-12
         assert rep.q0_lower <= rep.q0_exact_ref + 1e-12
         assert 0.0 <= rep.q0_lower <= 1.0
+
+
+@pytest.mark.parametrize("chunk", [7, 50, analysis.PHASE_CHUNK])
+@pytest.mark.parametrize("K", [2, 3])
+def test_chunked_filter_equals_the_default_chunk(demo_vrp_path, monkeypatch, chunk, K):
+    # demo-n4-k2 has 4,096 labels at K = 2 and 20,736 at K = 3, one default chunk
+    inst = load_instance(demo_vrp_path, K=K)
+    model = EnergyModel.for_instance(inst)
+    labels = exact_solve(inst, model).optimal_labels(model.params)
+    profile = phase_profile(model, 0.4, labels)
+    for betas in ([0.9, 1.3], [0.9] * 3):
+        env = envelope(model.params, betas)
+        expected = fejer_bound(profile, env, labels, len(betas)).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "PHASE_CHUNK", chunk)
+            assert fejer_bound(profile, env, labels, len(betas)).to_dict() == expected
 
 
 def test_fejer_bound_full_optimal_set_collapses():

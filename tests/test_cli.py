@@ -85,6 +85,12 @@ def test_encode_bad_pairs(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("pairs", "token"), [("1:1,2", "'2'"), ("1:1,,2:1", "''"), ("", "''"), ("1:x", "'1:x'")])
+def test_encode_bad_pairs_names_the_token(capsys, pairs, token):
+    assert main(["encode", "--pairs", pairs]) == 1
+    assert capsys.readouterr().err == f"error: --pairs token {token} is not i:k, two integers like '1:1,3:2,2:1'\n"
+
+
 def test_decode_onehot(capsys):
     code, rec = run_json(capsys, ["decode", "--bits", EXA_ONEHOT])
     assert code == 0
@@ -145,6 +151,14 @@ def test_check_binary_register(capsys, monkeypatch, exa_json):
     assert lines[0]["feasible"] is True
     assert lines[1]["reason"] == "PaddingLeak"
     assert "error" in lines[2] and lines[2]["feasible"] is False
+
+
+@pytest.mark.parametrize(("register", "grouped"), [("onehot", "100000 000010 000001"), ("binary", "000 100 101")])
+def test_check_accepts_the_grouped_form(capsys, monkeypatch, exa_json, register, grouped):
+    # the *_grouped strings that encode prints
+    monkeypatch.setattr("sys.stdin", io.StringIO(grouped + "\n"))
+    assert main(["check", "--instance", exa_json, "--register", register]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
 
 
 def test_solve_stdout_and_match(capsys, exa_json):

@@ -23,7 +23,6 @@ from colorperm.encoding import (
     label_assignment,
     label_to_binary,
     label_to_onehot,
-    onehot_to_label,
     permutation_view,
     symbol_index,
     symbol_unindex,
@@ -192,7 +191,7 @@ def test_compress_round_trip_exhaustive(params3):
 @given(st.integers(min_value=0, max_value=6**3 - 1))
 def test_onehot_label_round_trip(z):
     p = EncodingParams(3, 2)
-    assert onehot_to_label(label_to_onehot(z, p), p) == z
+    assert assignment_label(decode_bitstring(label_to_onehot(z, p), p), p) == z
 
 
 @given(st.integers(min_value=0, max_value=2**12 - 1))

@@ -18,7 +18,45 @@ from hypothesis import strategies as st
 from colorperm.encoding import ColoredAssignment, EncodingParams
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, edge_cost_matrix, energy_objective
 from colorperm.instances import Instance
-from colorperm.solver import SCORE_TOL, ExactSolution, contiguous_labelings, exact_solve
+from colorperm.solver import SCORE_TOL, ExactSolution, exact_solve
+
+
+def contiguous_labelings(n, K):
+    """All vehicle-label sequences along the timeline in which every used
+    label occupies one contiguous run; yields int arrays of length n."""
+    for r in range(1, min(n, K) + 1):
+        for cuts in itertools.combinations(range(1, n), r - 1):
+            bounds = (0,) + cuts + (n,)
+            lengths = [bounds[t + 1] - bounds[t] for t in range(r)]
+            for labels in itertools.permutations(range(K), r):
+                yield np.repeat(np.asarray(labels, dtype=np.int64), lengths)
+
+
+def test_contiguous_labelings_count():
+    assert len(list(contiguous_labelings(3, 2))) == 6
+    assert len(list(contiguous_labelings(4, 2))) == 8
+    assert len(list(contiguous_labelings(1, 3))) == 3
+
+
+def test_contiguous_labelings_are_contiguous():
+    seen = set()
+    for seq in contiguous_labelings(4, 3):
+        assert len(seq) == 4
+        key = tuple(int(v) for v in seq)
+        assert key not in seen
+        seen.add(key)
+        for k in set(key):
+            pos = [j for j, v in enumerate(key) if v == k]
+            assert pos[-1] - pos[0] + 1 == len(pos)
+    # sanity: every contiguous sequence over 3 labels shows up
+    brute = 0
+    for key in np.ndindex(3, 3, 3, 3):
+        ok = True
+        for k in set(key):
+            pos = [j for j, v in enumerate(key) if v == k]
+            ok &= pos[-1] - pos[0] + 1 == len(pos)
+        brute += ok
+    assert len(seen) == brute
 
 
 def reference_exact_solve(inst, model=None):

@@ -29,7 +29,6 @@ from colorperm.feasibility import (
     decode_binary_and_check,
     feasible_global_positions,
     label_reasons,
-    scan_cost,
 )
 from colorperm.instances import Instance
 from tests.conftest import EXA_BINARY, EXA_ONEHOT
@@ -168,22 +167,6 @@ def test_feasible_count_36(exA):
         for z in range(6**3)
     )
     assert count == 36
-
-
-def test_scan_cost_bound(exA):
-    p = EncodingParams(3, 2)
-    full = 3 * 3 * 2
-    for z in range(6**3):
-        bits = label_to_onehot(z, p)
-        cost = scan_cost(bits, exA)
-        assert cost <= full
-        if feasible_global_positions(bits, exA).feasible:
-            assert cost == full
-
-
-def test_scan_cost_early_exit(exA):
-    # a double bit in the first block stops the scan inside that block
-    assert scan_cost("110000" + "000010" + "000001", exA) <= 6
 
 
 def test_binary_check_ok(exA):

@@ -5,7 +5,6 @@ recomputation from decoded assignments over the full 216-state register,
 so the two implementations never share a code path for the same number.
 """
 
-import csv
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from colorperm.hamiltonian import (
     energy_once,
     energy_table,
     energy_total,
-    energy_trace_csv,
     export_qubo,
 )
 from colorperm.instances import Instance, PdpInstance
@@ -240,22 +238,6 @@ def test_label_out_of_range_rejected(exA):
     model = EnergyModel.for_instance(exA)
     with pytest.raises(ValueError):
         energy_total(216, model)
-
-
-def test_energy_trace_csv(tmp_path, exA):
-    model = EnergyModel.for_instance(exA)
-    path = tmp_path / "trace.csv"
-    labels = [0, 5, 31]
-    energy_trace_csv(model, path, labels=labels)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["label", "E_once", "E_cap", "E_obj", "E_total"]
-    assert len(rows) == 4
-    comp = energy_components(model, labels)
-    for row, idx in zip(rows[1:], range(3)):
-        assert int(row[0]) == labels[idx]
-        # repr round-trips the float exactly
-        assert float(row[4]) == comp["total"][idx]
 
 
 def test_pdp_single_tour():

@@ -12,7 +12,6 @@ from colorperm import simulator
 from colorperm.analysis import envelope, phase_profile, surrogate_scores
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_table
 from colorperm.simulator import (
-    ANALYSIS_BYTES,
     BYTES_PER_AMPLITUDE,
     AmplitudeBudgetError,
     Schedule,
@@ -25,9 +24,9 @@ from colorperm.simulator import (
 ENTRIES = {
     "apply_phase": (BYTES_PER_AMPLITUDE, lambda model: apply_phase(initial_state(model.params), 0.3, model)),
     "run_ansatz": (BYTES_PER_AMPLITUDE, lambda model: run_ansatz(model.params, model, Schedule.constant(0.3, 0.8))),
-    "phase_profile": (ANALYSIS_BYTES, lambda model: phase_profile(model, 0.3, [0])),
-    "surrogate_scores": (ANALYSIS_BYTES, lambda model: surrogate_scores(model, model.params, [0.4, 0.9], 0.5)),
-    "full_distribution": (ANALYSIS_BYTES, lambda model: envelope(model.params, [0.8]).full_distribution()),
+    "phase_profile": (BYTES_PER_AMPLITUDE, lambda model: phase_profile(model, 0.3, [0])),
+    "surrogate_scores": (BYTES_PER_AMPLITUDE, lambda model: surrogate_scores(model, model.params, [0.4, 0.9], 0.5)),
+    "full_distribution": (BYTES_PER_AMPLITUDE, lambda model: envelope(model.params, [0.8]).full_distribution()),
 }
 
 

@@ -32,7 +32,6 @@ from colorperm.solver import (
     ENUMERATION_CEILING,
     ExactSolution,
     GridSpec,
-    contiguous_labelings,
     default_shots,
     exact_solve,
     p_star,
@@ -89,33 +88,6 @@ def test_default_shots(params3, params4):
     assert default_shots(EncodingParams(1, 1)) == 1
     with pytest.raises(ValueError):
         default_shots(params3, "squared")
-
-
-def test_contiguous_labelings_count():
-    assert len(list(contiguous_labelings(3, 2))) == 6
-    assert len(list(contiguous_labelings(4, 2))) == 8
-    assert len(list(contiguous_labelings(1, 3))) == 3
-
-
-def test_contiguous_labelings_are_contiguous():
-    seen = set()
-    for seq in contiguous_labelings(4, 3):
-        assert len(seq) == 4
-        key = tuple(int(v) for v in seq)
-        assert key not in seen
-        seen.add(key)
-        for k in set(key):
-            pos = [j for j, v in enumerate(key) if v == k]
-            assert pos[-1] - pos[0] + 1 == len(pos)
-    # sanity: every contiguous sequence over 3 labels shows up
-    brute = 0
-    for key in np.ndindex(3, 3, 3, 3):
-        ok = True
-        for k in set(key):
-            pos = [j for j, v in enumerate(key) if v == k]
-            ok &= pos[-1] - pos[0] + 1 == len(pos)
-        brute += ok
-    assert len(seen) == brute
 
 
 def test_exact_solve_golden(exA):
@@ -304,9 +276,9 @@ def test_phqc_total_score_mode(exA, params3):
     model = EnergyModel.for_instance(exA, w)
     grid = GridSpec((0.0, 0.05), (0.4, 1.1))
     res = phqc(exA, model, grid, 128, 7, score="total")
-    from colorperm.encoding import onehot_to_label
+    from colorperm.encoding import decode_bitstring
 
-    z = onehot_to_label(res.best_bitstring, params3)
+    z = assignment_label(decode_bitstring(res.best_bitstring, params3), params3)
     assert res.best_score == pytest.approx(energy_total(z, model), abs=1e-12)
     best_obj = phqc(exA, model, grid, 128, 7, score="objective").best_score
     assert res.best_score != best_obj
