@@ -59,11 +59,9 @@ class PhaseProfile:
     """Wrapped phases of every label at one gamma, with the optimal
     phase and the separation to the nearest non-optimal phase."""
 
-    gamma: float
     theta: np.ndarray
     theta_star: float
     delta: float
-    optimal_labels: np.ndarray
 
 
 def phase_profile_from_energies(energies, gamma, optimal_labels):
@@ -78,15 +76,25 @@ def phase_profile_from_energies(energies, gamma, optimal_labels):
     scale = max(1.0, float(np.abs(opt_e).max()))
     if np.ptp(opt_e) > 1e-9 * scale:
         raise ValueError("optimal labels carry unequal energies")
-    theta = np.mod(gamma * energies, TWO_PI)
+    theta = np.multiply(energies, gamma)
+    np.mod(theta, TWO_PI, out=theta)
     theta_star = float(theta[optimal_labels[0]])
-    mask = np.ones(len(energies), dtype=bool)
-    mask[optimal_labels] = False
-    if mask.any():
-        delta = float(circle_distance(theta[mask], theta_star).min())
-    else:
-        delta = math.pi
-    return PhaseProfile(float(gamma), theta, theta_star, delta, optimal_labels)
+    # no circle distance exceeds pi, so an optimal label set to pi leaves the
+    # minimum over the others unchanged, and pi is delta when all are optimal
+    delta = math.pi
+    for lo, opt in _chunks(len(theta), optimal_labels):
+        dist = circle_distance(theta[lo : lo + PHASE_CHUNK], theta_star)
+        dist[opt] = math.pi
+        delta = min(delta, float(dist.min()))
+    return PhaseProfile(theta, theta_star, delta)
+
+
+def _chunks(size, optimal):
+    """(lo, the sorted `optimal` labels in [lo, lo + PHASE_CHUNK) less lo)
+    for each PHASE_CHUNK slice of `size` labels."""
+    for lo in range(0, size, PHASE_CHUNK):
+        first, last = np.searchsorted(optimal, [lo, lo + PHASE_CHUNK])
+        yield lo, optimal[first:last] - lo
 
 
 def phase_profile(model, gamma, optimal_set):
@@ -184,9 +192,10 @@ def required_shots(p_star, confidence=0.95):
 def fejer_bound(profile, env, optimal_set, p):
     """Assemble the FejerReport from a phase profile and an envelope.
 
-    The filter is filled PHASE_CHUNK labels at a time and the reference
-    law overwrites the envelope, so no full-length temporary of the
-    filter's formula is built and the report fits a sweep's charge."""
+    The filter is built PHASE_CHUNK labels at a time and multiplied into
+    the envelope in place, turning it into the reference law; no
+    full-length filter or mask is built, so the report fits a sweep's
+    charge."""
     optimal = np.asarray(sorted(int(z) for z in optimal_set), dtype=np.int64)
     if len(optimal) == 0:
         raise ValueError("optimal set is empty")
@@ -194,15 +203,14 @@ def fejer_bound(profile, env, optimal_set, p):
     if len(W) != len(profile.theta):
         raise ValueError("envelope and profile cover different registers")
     C_beta = float(W[optimal].sum())
-    mask = np.ones(len(W), dtype=bool)
-    mask[optimal] = False
-    filt = np.empty(len(W))
-    for lo in range(0, len(W), PHASE_CHUNK):
-        filt[lo : lo + PHASE_CHUNK] = fejer_kernel(p, profile.theta[lo : lo + PHASE_CHUNK] - profile.theta_star)
-    if mask.any():
-        M_real = float(filt[mask].max())
-    else:
-        M_real = 0.0
+    # the filter is nonnegative, so zeroing the optimal labels leaves the
+    # maximum over the others unchanged, and 0.0 when all are optimal
+    M_real = 0.0
+    for lo, opt in _chunks(len(W), optimal):
+        filt = fejer_kernel(p, profile.theta[lo : lo + PHASE_CHUNK] - profile.theta_star)
+        W[lo : lo + PHASE_CHUNK] *= filt
+        filt[opt] = 0.0
+        M_real = max(M_real, float(filt.max()))
     delta = profile.delta
     if delta > 0.0:
         M_bound = 1.0 / ((p + 1) * math.sin(0.5 * delta) ** 2)
@@ -210,9 +218,8 @@ def fejer_bound(profile, env, optimal_set, p):
         M_bound = math.inf
     peak = float(p + 1)
     q0_lower = peak * C_beta / (peak * C_beta + M_real * (1.0 - C_beta))
-    ref = np.multiply(W, filt, out=W)
-    total = float(ref.sum())
-    q0_exact = float(ref[optimal].sum() / total) if total > 0 else 0.0
+    total = float(W.sum())
+    q0_exact = float(W[optimal].sum() / total) if total > 0 else 0.0
     shots = {}
     for conf in REPORT_CONFIDENCES:
         shots[conf] = required_shots(q0_lower, conf) if q0_lower > 0 else None

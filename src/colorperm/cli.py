@@ -56,10 +56,10 @@ from .solver import (
 # tuple of choices. Every command resolves and echoes every key.
 _OPTIONS = {
     "instance": (None, str, "path to a .vrp or .json instance file"),
-    "K": (None, int, "fleet size (default: a JSON record's \"K\", then a -k<d> filename token, then 2)"),
+    "K": (None, int, "fleet size (default: a JSON record's \"K\", then a -k<d> filename token, then 2; encode without --instance: the largest vehicle in --pairs)"),
     "register": ("onehot", REGISTERS, None),
     "cap_mode": ("hinge", CAP_MODES, None),
-    "rounding": ("exact", ROUNDING_MODES, None),
+    "rounding": ("exact", ROUNDING_MODES, "rounds the distances of a .vrp file's coordinates; a JSON record's matrices are used as given"),
     "lam_once": (4.0, float, None),
     "lam_cap": (4.0, float, None),
     "lam_obj": (1.0, float, None),
@@ -199,6 +199,13 @@ def _load(cfg):
     if path is None:
         raise FileNotFoundError("no instance given; use --instance")
     return load_instance(path, K=cfg["K"], rounding_mode=cfg["rounding"])
+
+
+def _fleet(cfg, fallback):
+    """K from --K, else from the --instance file, else `fallback`."""
+    if cfg["K"] is not None:
+        return cfg["K"]
+    return _load(cfg).K if cfg["instance"] is not None else fallback
 
 
 def _model(cfg, inst):
@@ -362,8 +369,7 @@ def cmd_encode(cfg):
         raise ValueError("encode needs --pairs like '1:1,3:2,2:1'")
     pairs = _parse_pairs(cfg["pairs"])
     one_based = not cfg["zero_based"]
-    ks = [k for _, k in pairs]
-    K = cfg["K"] if cfg["K"] is not None else max(ks) + (0 if one_based else 1)
+    K = _fleet(cfg, max(k for _, k in pairs) + (0 if one_based else 1))
     a = ColoredAssignment.from_pairs(pairs, K, one_based=one_based)
     p = EncodingParams(a.n, K)
     onehot = encode_assignment(a, p)
@@ -408,7 +414,7 @@ def cmd_decode(cfg):
     if cfg["bits"] is None:
         raise ValueError("decode needs --bits")
     bits = cfg["bits"].replace(" ", "")
-    K = cfg["K"] if cfg["K"] is not None else 2
+    K = _fleet(cfg, 2)
     forced = cfg["register"] if "register" in cfg["_given"] else None
     register, n = _detect_register(len(bits), K, forced)
     p = EncodingParams(n, K)
@@ -532,6 +538,9 @@ def main(argv=None):
         return 2
     except (ParseError, CodecError, AmplitudeBudgetError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 1
 
 

@@ -107,11 +107,9 @@ class _Record:
 
     def _validate(self, n, cost, cvrp):
         """Check the shared fields and freeze them read-only; `cvrp` adds the
-        rounding-mode and zero-diagonal checks in place, keeping the order."""
+        zero-diagonal check in place, keeping the order."""
         if n < 1 or self.K < 1:
             raise ValueError("need n >= 1 and K >= 1")
-        if cvrp and self.rounding_mode not in ROUNDING_MODES:
-            raise ValueError(f"unknown rounding mode {self.rounding_mode!r}")
         d = _integers(self.d, "demands")
         Q = _integers(self.Q, "capacities")
         W = _as_readonly(getattr(self, cost))
@@ -139,6 +137,12 @@ class _Record:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, cost, W)
+
+    def uniform_capacity(self):
+        """The shared capacity value, or None if vehicles differ."""
+        if (self.Q == self.Q[0]).all():
+            return int(self.Q[0])
+        return None
 
     def dep_out(self, i, k):
         """Depot -> item i leg for vehicle k."""
@@ -168,22 +172,9 @@ class Instance(_Record):
     W: np.ndarray
     dep_to: np.ndarray
     to_dep: np.ndarray
-    coords: np.ndarray | None = None
-    depot_coord: np.ndarray | None = None
-    rounding_mode: str = "exact"
 
     def __post_init__(self):
         self._validate(self.n, "W", cvrp=True)
-        if self.coords is not None:
-            object.__setattr__(self, "coords", _as_readonly(self.coords))
-        if self.depot_coord is not None:
-            object.__setattr__(self, "depot_coord", _as_readonly(self.depot_coord))
-
-    def uniform_capacity(self):
-        """The shared capacity value, or None if vehicles differ."""
-        if (self.Q == self.Q[0]).all():
-            return int(self.Q[0])
-        return None
 
 
 @dataclass(frozen=True)
@@ -209,17 +200,22 @@ class PdpInstance(_Record):
         self._validate(self.T, "Wtilde", cvrp=False)
 
     @property
+    def n(self):
+        """T under the CVRP name, so the model and the oracle count tours."""
+        return self.T
+
+    @property
     def W(self):
         """Wtilde under the CVRP name, so `energy_objective` scores tours."""
         return self.Wtilde
 
 
-_SECTION_NAMES = {
-    "NODE_COORD_SECTION",
-    "DEMAND_SECTION",
-    "DEPOT_SECTION",
-    "EDGE_WEIGHT_SECTION",
+# data section -> (each field's conversion, what a line holds, repeat message)
+_DATA_RULES = {
+    "NODE_COORD_SECTION": ((int, float, float), "coordinate", "duplicate node id {}"),
+    "DEMAND_SECTION": ((int, int), "demand", "duplicate demand for node {}"),
 }
+_SECTION_NAMES = {*_DATA_RULES, "DEPOT_SECTION", "EDGE_WEIGHT_SECTION"}
 
 
 def parse_vrp(text, K=2, rounding_mode="exact", name=None):
@@ -229,53 +225,34 @@ def parse_vrp(text, K=2, rounding_mode="exact", name=None):
     instance has DIMENSION - 1 customers. K is supplied by the caller
     (default 2); CAPACITY is replicated across the fleet.
     """
-    header = {}
-    coords = {}
-    demands = {}
-    depots = []
-    lines = text.splitlines()
-    idx = 0
-    section = None
-    while idx < len(lines):
-        raw = lines[idx].strip()
-        idx += 1
+    header, depots, section = {}, [], None
+    rows = {rule: {} for rule in _DATA_RULES}
+    for raw in map(str.strip, text.splitlines()):
+        token = raw.split(":")[0].strip().upper()
         if not raw or raw == "EOF":
             section = None
-            continue
-        token = raw.split(":")[0].strip().upper()
-        if token in _SECTION_NAMES:
+        elif token in _SECTION_NAMES:
             section = token
-            continue
-        if section is None:
+        elif section is None:
             if ":" not in raw:
                 raise ParseError(f"malformed header line: {raw!r}")
             key, _, value = raw.partition(":")
             header[key.strip().upper()] = value.strip()
-            continue
-        parts = raw.split()
-        if section == "NODE_COORD_SECTION":
-            if len(parts) != 3:
-                raise ParseError(f"malformed coordinate line: {raw!r}")
+        elif section in rows:
+            convert, what, repeat = _DATA_RULES[section]
+            parts = raw.split()
+            if len(parts) != len(convert):
+                raise ParseError(f"malformed {what} line: {raw!r}")
             try:
-                node, x, y = int(parts[0]), float(parts[1]), float(parts[2])
+                node, *values = (f(part) for f, part in zip(convert, parts))
             except ValueError as exc:
-                raise ParseError(f"nonnumeric coordinate: {raw!r}") from exc
-            if node in coords:
-                raise ParseError(f"duplicate node id {node}")
-            coords[node] = (x, y)
-        elif section == "DEMAND_SECTION":
-            if len(parts) != 2:
-                raise ParseError(f"malformed demand line: {raw!r}")
-            try:
-                node, dem = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"nonnumeric demand: {raw!r}") from exc
-            if node in demands:
-                raise ParseError(f"duplicate demand for node {node}")
-            demands[node] = dem
+                raise ParseError(f"nonnumeric {what}: {raw!r}") from exc
+            if node in rows[section]:
+                raise ParseError(repeat.format(node))
+            rows[section][node] = values
         elif section == "DEPOT_SECTION":
             try:
-                node = int(parts[0])
+                node = int(raw.split()[0])
             except ValueError as exc:
                 raise ParseError(f"malformed depot line: {raw!r}") from exc
             if node != -1:
@@ -297,32 +274,25 @@ def parse_vrp(text, K=2, rounding_mode="exact", name=None):
     if depots and depots[0] != 1:
         raise ParseError("node 1 must be the depot")
 
-    n = dimension - 1
+    coords, demands = rows["NODE_COORD_SECTION"], rows["DEMAND_SECTION"]
     gap = next((node for node in range(1, dimension + 1) if node not in coords), None)
     if gap is not None:
         raise ParseError(f"DIMENSION is {dimension} but node {gap} has no coordinates")
-    depot_xy = coords[1]
-    customer_xy = [coords[node] for node in range(2, dimension + 1)]
-    d = [demands.get(node, 0) for node in range(2, dimension + 1)]
-    if any(v < 0 for v in d):
-        raise ParseError("negative demand")
-    W, dep_to, to_dep = build_matrices(customer_xy, depot_xy, rounding_mode)
+    customers = range(2, dimension + 1)
+    W, dep_to, to_dep = build_matrices([coords[node] for node in customers], coords[1], rounding_mode)
     return Instance(
         name=name or header.get("NAME", "unnamed"),
-        n=n,
+        n=dimension - 1,
         K=K,
-        d=d,
+        d=[demands.get(node, [0])[0] for node in customers],
         Q=[capacity] * K,
         W=W,
         dep_to=dep_to,
         to_dep=to_dep,
-        coords=customer_xy,
-        depot_coord=depot_xy,
-        rounding_mode=rounding_mode,
     )
 
 
-def from_matrices(record, K=None, rounding_mode="exact", name=None):
+def from_matrices(record, K=None, name=None):
     """Build an Instance from an explicit-matrix record (parsed JSON dict).
 
     Required keys: W, d, Q. Optional: dep_to, to_dep (to_dep defaults to
@@ -357,7 +327,6 @@ def from_matrices(record, K=None, rounding_mode="exact", name=None):
         W=W,
         dep_to=dep_to,
         to_dep=to_dep,
-        rounding_mode=rounding_mode,
     )
 
 
@@ -366,7 +335,10 @@ _K_IN_NAME = re.compile(r"-k(\d+)", re.IGNORECASE)
 
 def load_instance(path, K=None, rounding_mode="exact"):
     """Load a .vrp or .json instance file; K falls back to a JSON
-    record's own "K", then to a -k<digits> filename token, then to 2."""
+    record's own "K", then to a -k<digits> filename token, then to 2.
+    `rounding_mode` rounds a .vrp file's distances, not a JSON record's."""
+    if rounding_mode not in ROUNDING_MODES:
+        raise ValueError(f"unknown rounding mode {rounding_mode!r}")
     p = pathlib.Path(path)
     text = p.read_text()
     record = json.loads(text) if p.suffix.lower() == ".json" else None
@@ -374,5 +346,5 @@ def load_instance(path, K=None, rounding_mode="exact"):
         m = _K_IN_NAME.search(p.stem)
         K = int(m.group(1)) if m else 2
     if record is not None:
-        return from_matrices(record, K=K, rounding_mode=rounding_mode, name=p.stem)
+        return from_matrices(record, K=K, name=p.stem)
     return parse_vrp(text, K=K, rounding_mode=rounding_mode, name=p.stem)

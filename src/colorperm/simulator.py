@@ -47,8 +47,8 @@ from .hamiltonian import energy_table
 # bytes per label for one process, and 43.6 and 52.6 bytes per label of
 # each worker's own pages under --jobs 2. Every other S^n entry (phase
 # profile, envelope, surrogate) pays the single-process charge: above the
-# import, the whole `bound` peaks at 56.3 (n = 6, K = 2) and 49.2 (n = 5,
-# K = 5) bytes per label, where `phase_profile` alone does;
+# import, the whole `bound` peaks at 39.9 (n = 6, K = 2) and 26.2 (n = 5,
+# K = 5) bytes per label, `phase_profile` alone at 27.3 and 26.0,
 # `surrogate_scores` at 33.4 and 32.6, the envelope at 9.1 and 8.5.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
@@ -80,9 +80,6 @@ class EncodedState:
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
-
-    def label_bitstring(self, z):
-        return label_bitstring(z, self.params, self.register)
 
 
 @dataclass(frozen=True)
@@ -267,10 +264,10 @@ def evolve_row(params, model, schedules, energies=None):
         yield _relabel(EncodedState(work, "onehot", params), model.register)
 
 
-def run_ansatz(params, model, schedule, energies=None):
+def run_ansatz(params, model, schedule):
     """Alternate phase and mixer layers from the uniform initial state:
     the row of one schedule (`evolve_row`)."""
-    (state,) = evolve_row(params, model, [schedule], energies)
+    (state,) = evolve_row(params, model, [schedule])
     return state
 
 

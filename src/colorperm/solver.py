@@ -23,7 +23,9 @@ timeline near the optimum, each scored once in `energy_objective`'s order.
 The tables stay small well past n = 9 but the winner set does not: at
 n = 8, K = 2 with W and the depot legs all 0, each of the 645,120 feasible
 timelines wins and gathering them takes seconds, hence
-ENUMERATION_CEILING = 9.
+ENUMERATION_CEILING = 9. A large fleet or many ties can still pass the
+winner ceiling, MEMORY_BUDGET // (WINNER_BYTES * n) timelines, and then
+gathering stops with a ValueError.
 """
 
 from __future__ import annotations
@@ -37,10 +39,14 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import edge_cost_matrix, energy_components, energy_table
-from .simulator import Schedule, check_budget, evolve_row, exact_distribution, run_ansatz, sample
+from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, exact_distribution, run_ansatz, sample
 
 ENUMERATION_CEILING = 9
 SCORE_TOL = 1e-9
+# Bytes a `brute` run holds per customer position of each gathered timeline,
+# through its JSON text: 639 at n = 6 and 635 at n = 7 (8,640 and 70,560
+# winners, K = 2, W and the depot legs all 0; VmHWM above a one-customer run).
+WINNER_BYTES = 640
 
 
 @dataclass(frozen=True)
@@ -160,19 +166,21 @@ def _timelines(tables, G, n, bound):
     it, and every order of the routes along the timeline."""
 
     def sets(k, mask, acc, chosen):
-        # vehicles 0..k-1 still to serve mask; the chosen routes cost acc
-        if k == 0:
-            if not mask:
-                yield chosen
-            return
-        cost, fits = tables[k - 1][2:]
-        if G[k - 1][mask] + acc <= bound:
-            yield from sets(k - 1, mask, acc, chosen)
-        sub = mask
-        while sub:
-            if fits[sub] and G[k - 1][mask ^ sub] + cost[sub] + acc <= bound:
-                yield from sets(k - 1, mask ^ sub, acc + cost[sub], chosen + ((k - 1, sub),))
-            sub = (sub - 1) & mask
+        # vehicles 0..k-1 still to serve mask; the chosen routes cost acc.
+        # Vehicles low..k-1 may stay unused without a call; only a route
+        # recurses, so the depth is the number of routes, not of vehicles.
+        low = k
+        while low and G[low - 1][mask] + acc <= bound:
+            low -= 1
+        if low == 0 and not mask:
+            yield chosen
+        for v in range(max(low, 1) - 1, k):
+            cost, fits = tables[v][2:]
+            sub = mask
+            while sub:
+                if fits[sub] and G[v][mask ^ sub] + cost[sub] + acc <= bound:
+                    yield from sets(v, mask ^ sub, acc + cost[sub], chosen + ((v, sub),))
+                sub = (sub - 1) & mask
 
     def orders(P, steps, k, mask, head, tail, others, seq, found):
         # orders of mask before seq, which starts at head (n: the depot)
@@ -217,7 +225,11 @@ def exact_solve(inst, model=None):
     # added in energy_objective's order so each equals it bit for bit.
     best = G[K][-1]
     bound = best + (SCORE_TOL / lam_obj if lam_obj > 0 else np.inf) + 1e-9 * (1 + best)
-    syms = np.fromiter(_timelines(tables, G, n, bound), dtype=np.dtype((np.int64, (n,))))
+    ceiling = MEMORY_BUDGET // (WINNER_BYTES * n)
+    found = itertools.islice(_timelines(tables, G, n, bound), ceiling + 1)
+    syms = np.fromiter(found, dtype=np.dtype((np.int64, (n,))))
+    if len(syms) > ceiling:
+        raise ValueError(f"more than {ceiling} timelines tie for the optimum, over the winner ceiling at n = {n}")
     cost = start[syms[:, 0]]
     for j in range(n - 1):
         cost = cost + edges[syms[:, j], syms[:, j + 1]]

@@ -226,7 +226,11 @@ def test_chunked_filter_equals_the_default_chunk(demo_vrp_path, monkeypatch, chu
         expected = fejer_bound(profile, env, labels, len(betas)).to_dict()
         with monkeypatch.context() as patch:
             patch.setattr(analysis, "PHASE_CHUNK", chunk)
+            chunked = phase_profile(model, 0.4, labels)
             assert fejer_bound(profile, env, labels, len(betas)).to_dict() == expected
+            assert fejer_bound(chunked, env, labels, len(betas)).to_dict() == expected
+        assert np.array_equal(chunked.theta, profile.theta)
+        assert (chunked.theta_star, chunked.delta) == (profile.theta_star, profile.delta)
 
 
 def test_fejer_bound_full_optimal_set_collapses():

@@ -825,3 +825,55 @@ def test_bound_refuses_a_depth_that_contradicts_the_beta_list(tmp_path, capsys, 
     assert not out.exists()
     assert main([*argv, "--depth", "2"]) == 0
     assert json.loads(out.read_text())["report"]["p"] == 2
+
+
+def _k3_json(tmp_path):
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps({"W": np.zeros((4, 4)).tolist(), "d": [1, 1, 1, 1], "Q": [2], "K": 3}))
+    return str(path)
+
+
+def test_encode_takes_the_fleet_size_from_the_instance(tmp_path, capsys):
+    argv = ["encode", "--instance", _k3_json(tmp_path), "--pairs", "1:1,2:1,3:2,4:2"]
+    code, rec = run_json(capsys, argv)
+    assert code == 0 and rec["K"] == 3 and rec["S"] == 12
+    code, rec = run_json(capsys, [*argv, "--K", "2"])
+    assert code == 0 and rec["K"] == 2
+
+
+def test_decode_takes_the_fleet_size_from_the_instance(tmp_path, capsys):
+    pairs = [(1, 1), (2, 1), (3, 2), (4, 3)]
+    bits = "".join("".join("1" if s == i - 1 + 4 * (k - 1) else "0" for s in range(12)) for i, k in pairs)
+    code, rec = run_json(capsys, ["decode", "--instance", _k3_json(tmp_path), "--bits", bits])
+    assert code == 0
+    assert (rec["K"], rec["n"], rec["detected_register"]) == (3, 4, "onehot")
+    assert rec["pairs_one_based"] == [list(p) for p in pairs]
+
+
+def test_brute_on_a_thousand_vehicles(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"W": [[0]], "d": [1], "Q": [1], "dep_to": [2], "to_dep": [3]}))
+    code, rec = run_json(capsys, ["brute", "--instance", str(path), "--K", "1000"])
+    assert code == 0
+    # one customer on 1,000 identical vehicles: every vehicle's route wins
+    assert (rec["exact"]["optimal_cost"], rec["exact"]["feasible_count"]) == (5.0, 1000)
+    assert rec["exact"]["optimal_assignments"] == [[[1, k]] for k in range(1, 1001)]
+
+
+def test_brute_past_the_winner_ceiling_exits_with_one_error_line(tmp_path, capsys, monkeypatch):
+    from colorperm import solver
+
+    path = tmp_path / "ties.json"
+    path.write_text(json.dumps({"W": np.zeros((4, 4)).tolist(), "d": [1, 1, 1, 1], "Q": [4]}))
+    monkeypatch.setattr(solver, "MEMORY_BUDGET", solver.WINNER_BYTES * 4 * 10)
+    assert main(["brute", "--instance", str(path)]) == 1
+    assert _single_error_line(capsys)
+
+
+def test_out_of_memory_exits_with_one_error_line(capsys, monkeypatch, exa_json):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("colorperm.cli.load_instance", exhausted)
+    assert main(["brute", "--instance", exa_json]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"

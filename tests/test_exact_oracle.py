@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorperm import solver
 from colorperm.encoding import ColoredAssignment, EncodingParams
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, edge_cost_matrix, energy_objective
 from colorperm.instances import Instance
@@ -177,3 +178,14 @@ def test_route_dp_all_ties(K):
     sol = assert_same(inst)
     assert sol.optimal_cost == 0.0
     assert len(sol.optimal_assignments) == sol.feasible_count > 0
+
+
+def test_gathering_stops_at_the_winner_ceiling(monkeypatch):
+    n = 5
+    inst = Instance("ties", n, 2, [1] * n, [n, n], np.zeros((n, n)), np.zeros(n), np.zeros(n))
+    ties = len(exact_solve(inst).optimal_assignments)
+    monkeypatch.setattr(solver, "MEMORY_BUDGET", solver.WINNER_BYTES * n * ties)
+    assert len(exact_solve(inst).optimal_assignments) == ties
+    monkeypatch.setattr(solver, "MEMORY_BUDGET", solver.WINNER_BYTES * n * (ties - 1))
+    with pytest.raises(ValueError, match=f"more than {ties - 1} timelines tie for the optimum"):
+        exact_solve(inst)

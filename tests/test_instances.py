@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from colorperm.cli import main
 from colorperm.instances import (
     Instance,
     ParseError,
@@ -112,6 +114,43 @@ def test_parse_vrp_nonnumeric_demand():
         parse_vrp(text)
 
 
+# one edit of MINIMAL_VRP per ParseError of parse_vrp: (old, new, error, message)
+VRP_ERRORS = {
+    "header": ("NAME : mini", "NAME mini", ParseError, "malformed header line: 'NAME mini'"),
+    "coordinate-fields": ("2 1 0\n", "2 1 0 5\n", ParseError, "malformed coordinate line: '2 1 0 5'"),
+    "coordinate-number": ("2 1 0\n", "2 a 0\n", ParseError, "nonnumeric coordinate: '2 a 0'"),
+    "node-repeat": ("3 0 1", "2 0 1", ParseError, "duplicate node id 2"),
+    "demand-fields": ("2 1\n3 1", "2 1 1\n3 1", ParseError, "malformed demand line: '2 1 1'"),
+    "demand-number": ("2 1\n3 1", "2 x\n3 1", ParseError, "nonnumeric demand: '2 x'"),
+    "demand-repeat": ("2 1\n3 1", "2 1\n2 1", ParseError, "duplicate demand for node 2"),
+    "depot-line": ("DEPOT_SECTION\n1\n", "DEPOT_SECTION\nx\n", ParseError, "malformed depot line: 'x'"),
+    "section": ("EOF", "EDGE_WEIGHT_SECTION\n0 1\nEOF", ParseError, "unsupported section EDGE_WEIGHT_SECTION"),
+    "no-dimension": ("DIMENSION : 4\n", "", ParseError, "missing DIMENSION"),
+    "no-capacity": ("CAPACITY : 3\n", "", ParseError, "missing CAPACITY"),
+    "header-number": ("DIMENSION : 4", "DIMENSION : four", ParseError, "DIMENSION and CAPACITY must be integers"),
+    "no-customer": ("DIMENSION : 4", "DIMENSION : 1", ParseError, "need at least one customer besides the depot"),
+    "depot-node": ("DEPOT_SECTION\n1\n", "DEPOT_SECTION\n2\n", ParseError, "node 1 must be the depot"),
+    "node-gap": ("DIMENSION : 4", "DIMENSION : 5", ParseError, "DIMENSION is 5 but node 5 has no coordinates"),
+    "negative-demand": ("4 1\n", "4 -1\n", ValueError, "demands must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("old, new, error, message", VRP_ERRORS.values(), ids=VRP_ERRORS.keys())
+def test_parse_vrp_error_messages(old, new, error, message):
+    assert MINIMAL_VRP.count(old) == 1
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        parse_vrp(MINIMAL_VRP.replace(old, new))
+    assert type(err.value) is error
+
+
+def test_vrp_error_exits_with_one_error_line(tmp_path, capsys):
+    old, new, _, message = VRP_ERRORS["demand-repeat"]
+    path = tmp_path / "bad.vrp"
+    path.write_text(MINIMAL_VRP.replace(old, new))
+    assert main(["brute", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_from_matrices_example_a():
     record = {
         "W": [[0, 30.41, 36.40], [30.41, 0, 6.08], [36.40, 6.08, 0]],
@@ -177,6 +216,24 @@ def test_pdp_instance_asymmetric_diagonal():
     assert pdp.Wtilde[0][0] == 0.5
     assert pdp.Wtilde[0][1] != pdp.Wtilde[1][0]
     assert pdp.d.tolist() == [0, 1]
+
+
+def test_pdp_instance_reads_as_a_cvrp_record():
+    pdp = PdpInstance(2, 2, [0, 1], [3, 3], [[0.5, 1.0], [2.0, 0.25]], [1.0, 1.0], [1.0, 1.0])
+    assert pdp.n == pdp.T == 2
+    assert pdp.uniform_capacity() == 3
+
+
+def test_load_instance_checks_the_rounding_mode_of_both_formats(tmp_path):
+    vrp, record = tmp_path / "mini.vrp", tmp_path / "mat.json"
+    vrp.write_text(MINIMAL_VRP)
+    record.write_text('{"W": [[0, 1.5], [1.5, 0]], "d": [1, 1], "Q": [2]}')
+    for path in (vrp, record):
+        with pytest.raises(ValueError, match="^unknown rounding mode 'ceil'$"):
+            load_instance(path, rounding_mode="ceil")
+    # the mode rounds a .vrp file's distances (sqrt 2 to 1) and leaves a JSON record's matrices as given
+    assert load_instance(vrp, rounding_mode="nearest-integer").W.max() == 1.0
+    assert load_instance(record, rounding_mode="nearest-integer").W[0, 1] == 1.5
 
 
 def test_load_instance_k_from_filename(tmp_path):

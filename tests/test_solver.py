@@ -27,7 +27,7 @@ from colorperm.hamiltonian import (
     energy_objective,
     energy_total,
 )
-from colorperm.instances import Instance
+from colorperm.instances import Instance, PdpInstance
 from colorperm.solver import (
     ENUMERATION_CEILING,
     ExactSolution,
@@ -377,3 +377,26 @@ def test_exact_solve_scores_equal_energy_objective_bit_for_bit(seed):
     assert max(scores) <= sol.optimal_cost + solver.SCORE_TOL
     obj = energy_components(model, sol.optimal_labels(model.params))["obj"]
     assert sorted(obj.tolist()) == sorted(scores)
+
+
+PDP_DEAD_MILES = [[0.0, 2.0, 5.0], [1.0, 0.0, 3.0], [4.0, 2.0, 0.0]]
+PDP_FIELDS = (2, [1, 2, 1], [3, 2])
+PDP_LEGS = ([1.0, 2.0, 1.5], [2.0, 1.0, 0.5])
+
+
+def test_pdp_reaches_the_oracle_as_the_instance_of_its_arrays():
+    pdp = PdpInstance(3, *PDP_FIELDS, PDP_DEAD_MILES, *PDP_LEGS)
+    inst = Instance("same", 3, *PDP_FIELDS, PDP_DEAD_MILES, *PDP_LEGS)
+    sol = exact_solve(pdp, EnergyModel.for_instance(pdp))
+    assert sol == exact_solve(inst, EnergyModel.for_instance(inst))
+    assert sol.feasible_count > 0
+
+
+def test_phqc_recovers_the_pdp_optimum_with_a_nonzero_diagonal():
+    dead_miles = np.array(PDP_DEAD_MILES) + np.diag([0.5, 1.0, 0.25])
+    pdp = PdpInstance(3, *PDP_FIELDS, dead_miles, *PDP_LEGS)
+    model = EnergyModel.for_instance(pdp)
+    exact = exact_solve(pdp, model)
+    run = phqc(pdp, model, GridSpec.default(model.params, 4), 216, seed=7, exact_reference=exact)
+    assert abs(run.best_score - exact.optimal_cost) <= solver.SCORE_TOL
+    assert feasible_global_positions(run.best_bitstring, pdp).feasible
