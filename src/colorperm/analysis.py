@@ -40,18 +40,23 @@ def fejer_kernel(p, theta):
     """F_p(theta), the squared-magnitude filter of order p.
 
     Evaluated through the sin-ratio form away from multiples of 2*pi and
-    by the exact limit p + 1 on them. Accepts scalars or arrays.
+    by the exact limit p + 1 on them, in place in two arrays. Accepts
+    scalars or arrays.
     """
     if p < 0:
         raise ValueError("need p >= 0")
     theta = np.asarray(theta, dtype=float)
-    half = 0.5 * theta
-    denom = np.sin(half)
-    peak = denom == 0.0
-    safe = np.where(peak, 1.0, denom)
-    ratio = np.sin((p + 1) * half) / safe
-    out = np.where(peak, float(p + 1), ratio * ratio / (p + 1))
-    return float(out) if out.ndim == 0 else out
+    out = np.atleast_1d(0.5 * theta)
+    safe = np.sin(out)
+    peak = safe == 0.0
+    np.copyto(safe, 1.0, where=peak)
+    out *= p + 1
+    np.sin(out, out=out)
+    out /= safe
+    out *= out
+    out /= p + 1
+    np.copyto(out, float(p + 1), where=peak)
+    return float(out[0]) if theta.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -291,11 +296,7 @@ def angle_preselect(model, params, beta_grid, lam, rho=0.0, alpha=0.0, lp_weight
     """The beta maximizing the preselection surrogate (first index wins
     ties)."""
     rows = surrogate_scores(model, params, beta_grid, lam, rho, alpha, lp_weights, depth)
-    best = rows[0]
-    for row in rows[1:]:
-        if row["score"] > best["score"]:
-            best = row
-    return best["beta"]
+    return max(rows, key=lambda row: row["score"])["beta"]
 
 
 @dataclass(frozen=True)

@@ -209,13 +209,7 @@ def _fleet(cfg, fallback):
 
 
 def _model(cfg, inst):
-    weights = PenaltyWeights(
-        lam_once=cfg["lam_once"],
-        lam_cap=cfg["lam_cap"],
-        lam_obj=cfg["lam_obj"],
-        lam_pad=cfg["lam_pad"],
-        cap_mode=cfg["cap_mode"],
-    )
+    weights = PenaltyWeights(**{key: cfg[key] for key in ("lam_once", "lam_cap", "lam_obj", "lam_pad", "cap_mode")})
     return EnergyModel.for_instance(inst, weights, register=cfg["register"])
 
 

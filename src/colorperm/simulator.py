@@ -16,9 +16,12 @@ complement (eigenvalue -1/(S-1)),
 
 so each block axis is mixed in place as x <- dg*x + off*sum(x).
 
-A grid row shares its first layer: from the uniform state, the first
-phase layer depends only on the first gamma, so `evolve_row` computes it
-once and evolves each schedule of the row from a copy of it.
+It runs on cache-sized blocks; a schedule's last layer also squares each
+block. A grid row shares its first layer: from the uniform state, the
+first phase layer depends only on the first gamma, so `evolve_row`
+computes it once and evolves each schedule from a copy of it. `sample`
+replays numpy's multinomial on only the labels a spread-out state can
+draw (`_replica`), and hands numpy any draw it cannot follow.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: the ansatz always evolves the one-hot labels, with
@@ -32,6 +35,7 @@ ceiling on S^n-sized work; every entry charges it before it allocates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +46,24 @@ from .hamiltonian import energy_table
 # The memory ceiling of a run, in bytes, and its charge per label of the
 # S^n state: the energy table once (8 bytes), and in each process that
 # evolves grid rows the evolved state and the shared first layer (16
-# each), the distribution and the drawn counts (8 each) plus allocator
-# slack. Measured peaks are 55.9 (n = 6, K = 2) and 59.6 (n = 5, K = 5)
-# bytes per label for one process, and 43.6 and 52.6 bytes per label of
-# each worker's own pages under --jobs 2. Every other S^n entry (phase
-# profile, envelope, surrogate) pays the single-process charge: above the
-# import, the whole `bound` peaks at 39.9 (n = 6, K = 2) and 26.2 (n = 5,
-# K = 5) bytes per label, `phase_profile` alone at 27.3 and 26.0,
-# `surrogate_scores` at 33.4 and 32.6, the envelope at 9.1 and 8.5.
+# each) and the distribution (8) plus allocator slack. Measured peaks
+# above the import are 53.8 (n = 6, K = 2) and 52.4 (n = 5, K = 5) bytes
+# per label for one process, and 35.6 and 43.6 of each worker's own pages
+# (its VmHWM less the parent's RSS) under --jobs 2. Every other S^n entry
+# (phase profile, envelope, surrogate) pays the single-process charge: the
+# whole `bound` peaks at 28.4 (n = 6, K = 2) and 26.2 (n = 5, K = 5) bytes
+# per label, `phase_profile` alone at 27.5 and 26.2, `surrogate_scores` at
+# 33.3 and 32.5, the envelope at 9.0 and 8.4.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 56
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
 PHASE_CHUNK = 2**20
+# Mixer blocks in amplitudes (512 KiB); `_replica` chunks, and the labels
+# per shot from which it beats numpy (they cross near 125 at n = 5, K = 2).
+MIX_BLOCK = 2**15
+REPLICA_CHUNK = 2**16
+REPLICA_SPREAD = 128
 
 
 class AmplitudeBudgetError(RuntimeError):
@@ -168,18 +177,36 @@ def _mixer_coefficients(S, beta):
     return dg, (np.exp(-1j * beta) - dg) / S
 
 
-def _mix(amps, params, beta):
+def _mix(amps, params, beta, probs=None):
     """The block mixer on every axis of the (S,)*n view of `amps`, in
-    place; only one reduced axis is allocated at a time."""
-    if params.S == 1:
-        return
-    dg, off = _mixer_coefficients(params.S, beta)
-    tensor = amps.reshape((params.S,) * params.n)
-    for axis in range(params.n):
-        total = tensor.sum(axis=axis, keepdims=True)
-        total *= off
-        tensor *= dg
-        tensor += total
+    place, and |amps|**2 into `probs` when given. The fewest leading axes
+    (at most n - 2) whose trailing sub-blocks fit in MIX_BLOCK are mixed
+    on slabs of whole trailing axes, then each sub-block's other axes in
+    one visit that squares it. Each sum keeps its order of additions (a
+    1-D sub-block or 1-column slab would not), so the bytes do too."""
+    S, n = params.S, params.n
+    lead = min(max(n - 2, 0), next(L for L in range(n + 1) if S ** (n - L) <= MIX_BLOCK))
+    cols = max([c for c in range(2, n - lead + 1) if S ** (lead + c) <= MIX_BLOCK], default=1)
+    if S > 1:
+        dg, off = _mixer_coefficients(S, beta)
+
+    def mix_axes(tensor, count):
+        for axis in range(count if S > 1 else 0):
+            total = tensor.sum(axis=axis, keepdims=True)
+            total *= off
+            tensor *= dg
+            tensor += total
+
+    head = amps.reshape((S,) * lead + (-1,))
+    for lo in range(0, head.shape[-1], S**cols):
+        mix_axes(head[..., lo : lo + S**cols], lead)
+    size = S ** (n - lead)
+    for lo in range(0, len(amps), size):
+        block = amps[lo : lo + size]
+        mix_axes(block.reshape((S,) * (n - lead)), n - lead)
+        if probs is not None:
+            np.abs(block, out=probs[lo : lo + size])
+            probs[lo : lo + size] **= 2
 
 
 def _phase(amps, gamma, energies):
@@ -221,16 +248,17 @@ def apply_phase(state, gamma, model, energies=None):
 
 
 def evolve_row(params, model, schedules, energies=None):
-    """Yield the final state of each schedule, in order, for schedules
-    that all open with the same gamma.
+    """Yield (state, probs) for each schedule, in order, for schedules
+    that all open with the same gamma; `probs` is the one-hot
+    distribution, squared in the last mixer layer.
 
     Every register evolves on the S^n one-hot labels; a binary model's
     final states are relabelled into its register. The first phase layer
     on the uniform state is computed once for the whole row; each
     schedule but the last evolves a copy of it in one work buffer, and
     the last evolves the shared layer itself. Every yielded one-hot state
-    lives in a buffer that the next one overwrites, so use it before
-    drawing the next.
+    and distribution lives in a buffer that the next one overwrites, so
+    use them before drawing the next.
 
     Refuses runs over the memory budget (`check_budget`) before
     allocating anything.
@@ -249,6 +277,8 @@ def evolve_row(params, model, schedules, energies=None):
         raise ValueError(f"energy table must have length {params.dim('onehot')}")
     first = _uniform(params)
     _phase(first, schedules[0].gammas[0], energies)
+    # allocated after the first layer, into the heap its temporaries freed
+    probs = np.empty(len(first))
     work = None
     for i, schedule in enumerate(schedules):
         if i == len(schedules) - 1:
@@ -257,17 +287,17 @@ def evolve_row(params, model, schedules, energies=None):
             work = first.copy()
         else:
             np.copyto(work, first)
-        _mix(work, params, schedule.betas[0])
-        for gamma, beta in zip(schedule.gammas[1:], schedule.betas[1:]):
-            _phase(work, gamma, energies)
-            _mix(work, params, beta)
-        yield _relabel(EncodedState(work, "onehot", params), model.register)
+        for layer, (gamma, beta) in enumerate(zip(schedule.gammas, schedule.betas)):
+            if layer:
+                _phase(work, gamma, energies)
+            _mix(work, params, beta, probs if layer == schedule.p - 1 else None)
+        yield _relabel(EncodedState(work, "onehot", params), model.register), probs
 
 
 def run_ansatz(params, model, schedule):
     """Alternate phase and mixer layers from the uniform initial state:
     the row of one schedule (`evolve_row`)."""
-    (state,) = evolve_row(params, model, [schedule])
+    ((state, _),) = evolve_row(params, model, [schedule])
     return state
 
 
@@ -313,16 +343,77 @@ def sample(state, shots, seed, probs=None):
 
     `seed` is an int, a numpy SeedSequence, or a tuple (entropy,
     *spawn_key) for derived per-worker seeds. Identical seeds reproduce
-    identical SampleSets. `probs` is `exact_distribution(state)` when the
-    caller already holds it; it is normalised in place.
+    identical SampleSets: `default_rng(seed).multinomial`'s counts, from
+    `_replica` on spread-out states. `probs` is `exact_distribution(state)`
+    when the caller already holds it; it is normalised in place.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
     if probs is None:
         probs = exact_distribution(state)
     probs /= probs.sum()
-    rng = np.random.default_rng(_seed_sequence(seed))
-    drawn = rng.multinomial(shots, probs)
-    nonzero = np.nonzero(drawn)[0]
-    counts = {int(z): int(drawn[z]) for z in nonzero}
+    seq = _seed_sequence(seed)
+    counts = _replica(probs, shots, np.random.default_rng(seq)) if len(probs) >= REPLICA_SPREAD * shots else None
+    if counts is None:
+        drawn = np.random.default_rng(seq).multinomial(shots, probs)
+        counts = {int(z): int(drawn[z]) for z in np.flatnonzero(drawn)}
     return SampleSet(counts, shots, seed, state.register, state.params)
+
+
+def _replica(probs, shots, rng):
+    """`rng.multinomial(shots, probs)` as {label: count}, or None where
+    numpy leaves this path: it draws binomial(dn, probs[j] / remaining)
+    for j < d - 1 until no shot is left, each an inversion from one double
+    while p <= 0.5 and p*dn <= 30. Before the last shot, p outside
+    (0, 0.5] (numpy draws no double or inverts 1 - p), p*dn > 30 (BTPE)
+    or an inversion restart gives None."""
+    d, dn, counts, carry = len(probs), shots, {}, 1.0
+    for lo in range(0, d - 1, REPLICA_CHUNK):
+        walk, ps, us, carry = _screen(probs[lo : min(lo + REPLICA_CHUNK, d - 1)], carry, dn, rng)
+        for j, p, U in zip(walk, ps, us):
+            X = _inversion(dn, p, U) if 0.0 < p <= 0.5 and p * dn <= 30.0 else None
+            if X is None:
+                return None
+            if X:
+                counts[lo + j] = X
+                dn -= X
+                if not dn:
+                    return counts
+    counts[d - 1] = dn
+    return counts
+
+
+def _screen(pix, carry, dn, rng):
+    """One chunk of `_replica`: the positions that may draw a shot, their
+    p and U, and numpy's running `remaining` after it. An inversion is 0
+    exactly when U <= (1 - p)**dn (Kachitvichyanukul & Schmeiser, CACM
+    1988), so it is where 1 - U >= dn*(p + 2**-52)*(1 + 1e-9) + 1e-15 for
+    any dn up to the chunk's first. The first p outside (0, 0.5] is kept."""
+    rem = np.empty(len(pix) + 1)
+    rem[0] = carry
+    rem[1:] = pix
+    np.subtract.accumulate(rem, out=rem)
+    # a remainder rounded to 0 or below gives p = inf or nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = pix / rem[:-1]
+        v = 1.0 - rng.random(len(pix))  # 1 - U, exactly
+        keep = v < (p + 2.0**-52) * (dn * (1.0 + 1e-9)) + 1e-15
+        if not (p.min() > 0.0 and p.max() <= 0.5):
+            keep[np.argmin((p > 0.0) & (p <= 0.5))] = True
+    walk = np.flatnonzero(keep)
+    return walk.tolist(), p[walk].tolist(), (1.0 - v[walk]).tolist(), float(rem[-1])
+
+
+def _inversion(n, p, U):
+    """numpy's `random_binomial_inversion(n, p)` from U, op for op (with
+    numpy's libm), or None where it would draw another double."""
+    q, np_ = 1.0 - p, n * p
+    cap = np_ + 10.0 * math.sqrt(np_ * q + 1)
+    bound, X, px = n if n < cap else int(cap), 0, math.exp(n * math.log(q))
+    while U > px:
+        X += 1
+        if X > bound:
+            return None
+        U -= px
+        px = ((n - X + 1) * p * px) / (X * q)
+    return X

@@ -31,6 +31,7 @@ gathering stops with a ValueError.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -39,7 +40,7 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import edge_cost_matrix, energy_components, energy_table
-from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, exact_distribution, run_ansatz, sample
+from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, sample
 
 ENUMERATION_CEILING = 9
 SCORE_TOL = 1e-9
@@ -75,11 +76,8 @@ class GridSpec:
         return len(self.gammas) * len(self.betas)
 
     def points(self):
-        index = 0
-        for g in self.gammas:
-            for b in self.betas:
-                yield index, g, b
-                index += 1
+        for index, (g, b) in enumerate(itertools.product(self.gammas, self.betas)):
+            yield index, g, b
 
 
 def default_shots(params, rule="cubed"):
@@ -143,10 +141,12 @@ def _vehicle_tables(tables, n):
     only), and the feasible timeline count: over route sets, r! orders of
     the r routes times |B|! orders within each route B."""
     full = (1 << n) - 1
-    fact = [1, *np.cumprod(np.arange(1, max(n, len(tables)) + 1)).tolist()]
-    G, N = [[0.0] + [np.inf] * full], [[1]] + [[0]] * full  # N[mask][r]: weighted ways on r routes
+    fact = [math.factorial(r) for r in range(n + 1)]
+    # N[mask][r]: weighted ways on r <= |mask| routes (linear in the fleet)
+    G, N = [[0.0] + [np.inf] * full], [[1]] + [[0]] * full
     for k, (_, _, cost, fits) in enumerate(tables):
-        prev, g, cnt = G[-1], list(G[-1]), [c + [0] for c in N]
+        prev, g = G[-1], list(G[-1])
+        cnt = [c + [0] if len(c) <= mask.bit_count() else list(c) for mask, c in enumerate(N)]
         for mask in range(1, full + 1) if k < len(tables) - 1 else (full,):
             sub = mask
             while sub:
@@ -315,13 +315,12 @@ def feasible_samples(samples, inst, register):
     return labels, counts, bits
 
 
-def _grid_point(model, state, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
-    """One grid point of a prepared state (`optimal_labels` in its
-    register): sample, filter, score. Returns the record, the local best
-    as (score, index, label, bits) and the accepted {bits: count}, both
-    in the model's register."""
+def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
+    """One grid point of a prepared state and its distribution `probs`
+    (`optimal_labels` in its register): sample, filter, score. Returns
+    the record, the local best as (score, index, label, bits) and the
+    accepted {bits: count}, both in the model's register."""
     params = model.params
-    probs = exact_distribution(state)
     p_star_exact = None
     if optimal_labels is not None:
         p_star_exact = float(probs[np.asarray(optimal_labels, dtype=np.int64)].sum())
@@ -354,10 +353,10 @@ def _grid_row(
     """The grid points (gamma, beta) for every beta of one row, evolved
     one-hot from one shared first phase layer; outcomes in index order."""
     schedules = [Schedule.constant(gamma, beta, depth) for beta in betas]
-    states = evolve_row(model.params, replace(model, register="onehot"), schedules, energies=energies)
+    rows = evolve_row(model.params, replace(model, register="onehot"), schedules, energies=energies)
     return [
-        _grid_point(model, state, gamma, beta, shots, base_seed, first_index + j, score_mode, optimal_labels, optimal_cost)
-        for j, (beta, state) in enumerate(zip(betas, states))
+        _grid_point(model, state, probs, gamma, beta, shots, base_seed, first_index + j, score_mode, optimal_labels, optimal_cost)
+        for j, (beta, (state, probs)) in enumerate(zip(betas, rows))
     ]
 
 
@@ -472,8 +471,6 @@ def p_star(inst, model, gamma, beta, depth=1, exact=None):
         exact = exact_solve(inst, model)
     if not exact.optimal_assignments:
         return 0.0
-    params = model.params
-    labels = exact.optimal_labels(params, model.register)
-    state = run_ansatz(params, model, Schedule.constant(gamma, beta, depth))
-    probs = exact_distribution(state)
-    return float(probs[np.asarray(labels, dtype=np.int64)].sum())
+    schedule = Schedule.constant(gamma, beta, depth)
+    ((_, probs),) = evolve_row(model.params, replace(model, register="onehot"), [schedule])
+    return float(probs[np.asarray(exact.optimal_labels(model.params), dtype=np.int64)].sum())

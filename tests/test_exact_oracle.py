@@ -180,6 +180,16 @@ def test_route_dp_all_ties(K):
     assert len(sol.optimal_assignments) == sol.feasible_count > 0
 
 
+@pytest.mark.parametrize("n, K", [(1, 5), (2, 25), (3, 7)])
+def test_route_dp_counts_fleets_larger_than_n(n, K):
+    # at most n of the K vehicles carry a route, so the count step keeps
+    # n + 1 route counts per mask; the count must still be the enumeration's
+    W = np.ones((n, n)) - np.eye(n)
+    inst = Instance("fleet", n, K, [1] * n, [n] * K, W, np.arange(1.0, n + 1), np.ones(n))
+    sol = assert_same(inst)
+    assert sol.feasible_count > 0
+
+
 def test_gathering_stops_at_the_winner_ceiling(monkeypatch):
     n = 5
     inst = Instance("ties", n, 2, [1] * n, [n, n], np.zeros((n, n)), np.zeros(n), np.zeros(n))

@@ -35,6 +35,7 @@ from colorperm.simulator import (
     block_mixer_matrix,
     check_budget,
     evolve_row,
+    exact_distribution,
     run_ansatz,
 )
 from colorperm.solver import GridSpec, exact_solve, phqc, phqc_histogram
@@ -100,10 +101,13 @@ def test_row_states_equal_run_ansatz(exA, params3, register):
         Schedule((0.04, 0.07), (2.5, 0.6)),
         Schedule.constant(0.04, 0.0),
     ]
-    # each yielded state is overwritten by the next, so keep copies
-    row = [state.amplitudes.copy() for state in evolve_row(params3, model, schedules)]
-    for amps, schedule in zip(row, schedules):
+    # each yielded state and distribution is overwritten by the next, so keep copies
+    row = [(state.amplitudes.copy(), probs.copy()) for state, probs in evolve_row(params3, model, schedules)]
+    for (amps, probs), schedule in zip(row, schedules):
         assert np.array_equal(amps, run_ansatz(params3, model, schedule).amplitudes)
+        # the distribution squared in the last mixer layer is that of the one-hot state
+        onehot = amps[params3.binary_labels()] if register == "binary" else amps
+        assert np.array_equal(probs, exact_distribution(EncodedState(onehot, "onehot", params3)))
 
 
 def test_row_needs_one_first_gamma(exA, params3):
@@ -120,7 +124,7 @@ def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
     for index, gamma, beta in grid.points():
         state = run_ansatz(model.params, model, Schedule.constant(gamma, beta, depth))
         record, local_best, feasible_bits = solver._grid_point(
-            model, state, gamma, beta, shots, seed, index, score, labels, exact.optimal_cost
+            model, state, exact_distribution(state), gamma, beta, shots, seed, index, score, labels, exact.optimal_cost
         )
         records.append(record)
         for bits, count in feasible_bits.items():
@@ -156,20 +160,39 @@ def test_jobs_parity_over_three_gamma_rows(exA, register):
     assert phqc_histogram(one, model.params) == phqc_histogram(two, model.params)
 
 
+def squared_and_drawn(monkeypatch):
+    """Record the distribution each mixer layer squares into, and the
+    state and distribution each sample draws from; refuse any other
+    squaring of a state."""
+    squared, drawn = [], []
+    original_mix, original_sample = simulator._mix, simulator.sample
+
+    def mix(amps, params, beta, probs=None):
+        if probs is not None:
+            squared.append(probs)
+        original_mix(amps, params, beta, probs)
+
+    def draw(state, shots, seed, probs=None):
+        drawn.append((state, probs))
+        return original_sample(state, shots, seed, probs)
+
+    def distribution(state):
+        raise AssertionError("the sweep squared a state outside the mixer")
+
+    monkeypatch.setattr(simulator, "_mix", mix)
+    monkeypatch.setattr(solver, "sample", draw)
+    monkeypatch.setattr(simulator, "exact_distribution", distribution)
+    return squared, drawn
+
+
 def test_one_distribution_per_grid_point(exA, params3, monkeypatch):
-    calls = []
-    original = simulator.exact_distribution
-
-    def counted(state):
-        calls.append(state.register)
-        return original(state)
-
-    monkeypatch.setattr(solver, "exact_distribution", counted)
-    monkeypatch.setattr(simulator, "exact_distribution", counted)
+    squared, drawn = squared_and_drawn(monkeypatch)
     model = EnergyModel.for_instance(exA)
     grid = GridSpec.default(params3, 3)
     phqc(exA, model, grid, 100, 5, exact_reference=exact_solve(exA, model))
-    assert len(calls) == len(grid)
+    # one square per grid point, in its last mixer layer, and the sample draws from it
+    assert len(squared) == len(drawn) == len(grid)
+    assert all(probs is square for (_, probs), square in zip(drawn, squared))
 
 
 def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
@@ -218,22 +241,11 @@ def test_solve_over_budget_exits_with_one_error_line(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("register", REGISTERS)
 def test_sweep_draws_from_the_onehot_distribution(exA, params3, monkeypatch, register):
     # exA: 216 one-hot labels; a binary sweep never builds its 512 labels
-    sizes = []
-    original_distribution, original_sample = simulator.exact_distribution, simulator.sample
-
-    def distribution(state):
-        sizes.append(state.dim)
-        return original_distribution(state)
-
-    def draw(state, shots, seed, probs=None):
-        sizes.extend([state.dim, len(probs)])
-        return original_sample(state, shots, seed, probs)
-
-    monkeypatch.setattr(solver, "exact_distribution", distribution)
-    monkeypatch.setattr(solver, "sample", draw)
+    squared, drawn = squared_and_drawn(monkeypatch)
     model = EnergyModel.for_instance(exA, register=register)
     grid = GridSpec.default(params3, 3)
     phqc(exA, model, grid, 100, 5, exact_reference=exact_solve(exA, model))
+    sizes = [len(probs) for probs in squared] + [size for state, probs in drawn for size in (state.dim, len(probs))]
     assert len(sizes) == 3 * len(grid)
     assert set(sizes) == {params3.dim("onehot")}
 

@@ -1,0 +1,230 @@
+"""The two per-point kernels of a sweep against their references.
+
+`simulator._replica` replays numpy's multinomial (`random_multinomial`,
+inversion draws only) on the labels that can be drawn; wherever it runs
+it must give `Generator.multinomial`'s counts exactly, and wherever numpy
+would take another path it must hand back to numpy. It depends on numpy
+internals, so a numpy change must fail here rather than move output
+bytes. `simulator._mix` visits cache-sized sub-blocks after mixing the
+leading axes; its bytes must not depend on the blocking.
+
+The n = 6 digests pin a sweep where both new paths run (2,985,984 labels,
+two leading axes mixed whole, 1,728 labels per shot). They were taken
+from the multinomial over every label and the unblocked mixer, and the
+instance is perfbench's sweep-n6k2 instance at seed 11, written by
+`perfbench/gen.py`'s `to_vrp`. It sits in its own directory so that
+`bench --dir tests/data` does not sweep it.
+"""
+
+import hashlib
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from colorperm import simulator
+from colorperm.cli import main
+from colorperm.encoding import EncodingParams
+from colorperm.simulator import EncodedState, sample
+from tests.test_row_evolution import tensordot_mixer
+
+ROOT = Path(__file__).resolve().parent.parent
+N6_INSTANCE = "tests/data/n6/n6-k2.vrp"
+
+N6_GOLDEN = {
+    "default": (
+        [],
+        {
+            "run.json": "0c2c7a84f1d95b6306b147295a97829f19979cf7bc92c6c9d359ea79a90bbbf1",
+            "run.grid.csv": "1a4546c9b3e0f98dbcc04fd58d9b1f0da001d2b7ff19b9f3de5a88b5d6f3770b",
+            "run.hist.csv": "8d5fa686deea588317bd1ba192c446a956b08d219b5f3cc415bead043052775e",
+        },
+    ),
+    "depth2": (
+        ["--depth", "2"],
+        {
+            "run.json": "d941d1141a836c2dc0d573fc68f704f0d328a9334c0d55791a89263366e1e87a",
+            "run.grid.csv": "0c04046c373c792e99bac25ba1b275a7d49aea6789d032620e77151362007e0d",
+            "run.hist.csv": "f0f0f358894a07f5df7c05c6d11fdde2dfab320ed7477a24d79fa273de29b4e7",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(N6_GOLDEN))
+def test_n6_solve_output_digests(tmp_path, monkeypatch, config):
+    flags, expected = N6_GOLDEN[config]
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("COLORPERM_JOBS", raising=False)
+    argv = ["solve", "--instance", N6_INSTANCE, "--grid-points", "2", *flags, "--out", str(tmp_path / "run.json")]
+    assert main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected
+
+
+def multinomial_counts(probs, shots, seed):
+    """{label: count} of numpy's own draw."""
+    counts = np.random.default_rng(seed).multinomial(shots, probs)
+    return {int(z): int(counts[z]) for z in np.flatnonzero(counts)}
+
+
+def lognormal(rng, d, sigma=2.0):
+    return np.exp(sigma * rng.standard_normal(d))
+
+
+@st.composite
+def distributions(draw):
+    """Normalised vectors as `sample` draws from them, and a shot count."""
+    kind = draw(st.sampled_from(["lognormal", "uniform", "peaked", "zeros", "tail", "binary"]))
+    d = draw(st.integers(min_value=1, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "lognormal":
+        w = lognormal(rng, d)
+    elif kind == "uniform":
+        w = np.ones(d)
+    elif kind == "peaked":
+        w = 1e-3 * rng.random(d)
+        w[draw(st.integers(min_value=0, max_value=d - 1))] = 1.0
+    elif kind == "zeros":
+        # zeros on either side of the last shot
+        w = lognormal(rng, d)
+        w[rng.random(d) < draw(st.sampled_from([0.001, 0.05, 0.5]))] = 0.0
+        w[rng.integers(d)] = 1.0
+    elif kind == "tail":
+        # a tail far below the rounding of the running remainder, so that
+        # p = probs[j] / remaining exceeds 1 or the remainder turns negative
+        w = lognormal(rng, d)
+        w[-draw(st.integers(min_value=1, max_value=d)) :] *= 1e-18
+    else:
+        # a binary register's vector: the one-hot law on its labels, zeros on padding
+        params = draw(st.sampled_from([EncodingParams(2, 1), EncodingParams(3, 1), EncodingParams(3, 2)]))
+        w = np.zeros(params.dim("binary"))
+        w[params.binary_labels()] = lognormal(rng, params.dim("onehot"))
+    probs = w / w.sum()
+    shots = draw(st.sampled_from([1, 2, 3, 7, 20, 60]))
+    return probs, shots, draw(st.integers(min_value=0, max_value=2**63 - 1))
+
+
+@given(distributions())
+@settings(max_examples=400, deadline=None)
+def test_replica_draws_numpys_counts(case):
+    probs, shots, seed = case
+    got = simulator._replica(probs, shots, np.random.default_rng(seed))
+    assert got is None or got == multinomial_counts(probs, shots, seed)
+
+
+@pytest.mark.parametrize("chunk", [5, 64, simulator.REPLICA_CHUNK])
+def test_replica_runs_and_matches_across_chunk_edges(monkeypatch, chunk):
+    # 20,000 labels, 1 to 40 shots, half the mass on the last label: numpy
+    # inverts at every label before the last shot, so the replica must run,
+    # whatever its chunk size
+    monkeypatch.setattr(simulator, "REPLICA_CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    for shots in (1, 2, 9, 40):
+        w = lognormal(rng, 20_000, sigma=1.0)
+        w[-1] = w[:-1].sum()
+        probs = w / w.sum()
+        for seed in range(5):
+            got = simulator._replica(probs, shots, np.random.default_rng(seed))
+            assert got == multinomial_counts(probs, shots, seed)
+
+
+def sample_and_reference(probs, shots, seed):
+    """`sample`'s counts from `probs` on a 216-label state, and numpy's
+    multinomial on the same normalised vector."""
+    params = EncodingParams(3, 2)
+    state = EncodedState(np.zeros(params.dim("onehot"), dtype=complex), "onehot", params)
+    drawn = sample(state, shots, seed, probs.copy()).counts
+    return drawn, multinomial_counts(probs / probs.sum(), shots, seed)
+
+
+def uniform_with(head):
+    probs = np.full(216, (1.0 - sum(head)) / (216 - len(head)))
+    probs[: len(head)] = head
+    return probs
+
+
+@pytest.mark.parametrize("case", ["zero", "over-half", "btpe", "restart"])
+def test_each_fallback_hands_the_draw_to_numpy(monkeypatch, case):
+    monkeypatch.setattr(simulator, "REPLICA_SPREAD", 0)
+    shots, probs = 5, uniform_with([])
+    if case == "zero":
+        probs = uniform_with([0.0])  # numpy draws no double for p == 0
+    elif case == "over-half":
+        probs = uniform_with([0.6])  # numpy inverts 1 - p
+    elif case == "btpe":
+        shots = 10_000  # p * dn > 30: numpy's BTPE draw
+    else:
+        # (1 - p)**dn of 0 sends every inversion past its bound
+        monkeypatch.setattr(simulator, "math", type("libm", (), {"exp": lambda x: 0.0, "log": math.log, "sqrt": math.sqrt}))
+    for seed in range(3):
+        assert simulator._replica(probs, shots, np.random.default_rng(seed)) is None
+        drawn, reference = sample_and_reference(probs, shots, seed)
+        assert drawn == reference
+
+
+def test_a_non_finite_law_hands_the_draw_to_numpy(monkeypatch):
+    # numpy refuses the law, and so does sample
+    monkeypatch.setattr(simulator, "REPLICA_SPREAD", 0)
+    probs = uniform_with([np.nan])
+    assert simulator._replica(probs, 5, np.random.default_rng(0)) is None
+    with pytest.raises(ValueError, match="pvals"):
+        np.random.default_rng(0).multinomial(5, probs)
+    with pytest.raises(ValueError, match="pvals"):
+        sample_and_reference(probs, 5, 0)
+
+
+def test_sample_runs_the_replica_only_on_spread_out_states(monkeypatch):
+    ran = []
+    original = simulator._replica
+
+    def replica(probs, shots, rng):
+        ran.append(len(probs) / shots)
+        return original(probs, shots, rng)
+
+    monkeypatch.setattr(simulator, "_replica", replica)
+    probs = uniform_with([])
+    for shots in (1, 2, 3):
+        drawn, reference = sample_and_reference(probs, shots, 4)
+        assert drawn == reference
+    assert ran == [216.0]
+
+
+@pytest.mark.parametrize(
+    "n, K, lead",
+    [(3, 2, 1), (4, 2, 1), (4, 2, 2), (4, 3, 2), (5, 1, 3), (5, 2, 1), (5, 2, 3)],
+)
+@pytest.mark.parametrize("beta", [0.3, 2.1, -5.0])
+def test_blocked_mix_equals_the_whole_state_mix(monkeypatch, n, K, lead, beta):
+    params = EncodingParams(n, K)
+    rng = np.random.default_rng(n * 10 + K)
+    amps = rng.standard_normal(params.dim("onehot")) + 1j * rng.standard_normal(params.dim("onehot"))
+    monkeypatch.setattr(simulator, "MIX_BLOCK", params.dim("onehot"))
+    whole, whole_probs = amps.copy(), np.empty(len(amps))
+    simulator._mix(whole, params, beta, whole_probs)
+    monkeypatch.setattr(simulator, "MIX_BLOCK", params.S ** (n - lead))
+    blocked, probs = amps.copy(), np.empty(len(amps))
+    simulator._mix(blocked, params, beta, probs)
+    assert np.array_equal(blocked, whole)
+    assert np.array_equal(probs, whole_probs)
+    assert np.array_equal(probs, np.abs(whole) ** 2)
+    assert np.abs(blocked - tensordot_mixer(amps, params, beta)).max() < 1e-12
+    without = amps.copy()
+    simulator._mix(without, params, beta)
+    assert np.array_equal(without, whole)
+
+
+@pytest.mark.parametrize("n, K", [(1, 3), (2, 2), (3, 2), (4, 1)])
+def test_blocking_leaves_two_axes_to_each_sub_block(monkeypatch, n, K):
+    # at most n - 2 leading axes are mixed whole, however small MIX_BLOCK:
+    # a 1-D sub-block would sum its last axis in another order
+    params = EncodingParams(n, K)
+    amps = np.random.default_rng(n).standard_normal(params.dim("onehot")).astype(complex)
+    whole, blocked = amps.copy(), amps.copy()
+    simulator._mix(whole, params, 0.7)
+    monkeypatch.setattr(simulator, "MIX_BLOCK", 1)
+    simulator._mix(blocked, params, 0.7)
+    assert np.array_equal(blocked, whole)
