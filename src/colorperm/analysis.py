@@ -18,7 +18,7 @@ the off-peak maximum M_p gives a dimension-free lower bound on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -170,17 +170,9 @@ class FejerReport:
     degenerate: bool
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "delta": self.delta,
-            "C_beta": self.C_beta,
-            "M_p_delta": self.M_p_delta,
-            "M_p_bound": self.M_p_bound,
-            "q0_lower": self.q0_lower,
-            "q0_exact_ref": self.q0_exact_ref,
-            "required_shots": {f"{c:.2f}": s for c, s in sorted(self.required_shots.items())},
-            "degenerate": self.degenerate,
-        }
+        out = asdict(self)
+        out["required_shots"] = {f"{c:.2f}": s for c, s in sorted(self.required_shots.items())}
+        return out
 
 
 def required_shots(p_star, confidence=0.95):
@@ -217,17 +209,12 @@ def fejer_bound(profile, env, optimal_set, p):
         filt[opt] = 0.0
         M_real = max(M_real, float(filt.max()))
     delta = profile.delta
-    if delta > 0.0:
-        M_bound = 1.0 / ((p + 1) * math.sin(0.5 * delta) ** 2)
-    else:
-        M_bound = math.inf
+    M_bound = 1.0 / ((p + 1) * math.sin(0.5 * delta) ** 2) if delta > 0.0 else math.inf
     peak = float(p + 1)
     q0_lower = peak * C_beta / (peak * C_beta + M_real * (1.0 - C_beta))
     total = float(W.sum())
     q0_exact = float(W[optimal].sum() / total) if total > 0 else 0.0
-    shots = {}
-    for conf in REPORT_CONFIDENCES:
-        shots[conf] = required_shots(q0_lower, conf) if q0_lower > 0 else None
+    shots = {conf: required_shots(q0_lower, conf) if q0_lower > 0 else None for conf in REPORT_CONFIDENCES}
     return FejerReport(
         p=int(p),
         delta=float(delta),
@@ -312,14 +299,7 @@ class AnticoncentrationReport:
     histogram: tuple
 
     def to_dict(self):
-        return {
-            "D": self.D,
-            "baseline": self.baseline,
-            "share_above_baseline": self.share_above_baseline,
-            "feasible_distinct": self.feasible_distinct,
-            "feasible_shots": self.feasible_shots,
-            "total_shots": self.total_shots,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
 
 
 def anticoncentration_report(samples, model, params):

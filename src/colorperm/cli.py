@@ -40,7 +40,7 @@ from .encoding import (
 from .feasibility import decode_binary_and_check, feasible_global_positions
 from .hamiltonian import CAP_MODES, EnergyModel, PenaltyWeights
 from .instances import ROUNDING_MODES, ParseError, load_instance, qubit_counts
-from .simulator import AmplitudeBudgetError
+from .simulator import AmplitudeBudgetError, check_budget
 from .solver import (
     ENUMERATION_CEILING,
     GridSpec,
@@ -111,6 +111,8 @@ def _resolve(args, file_config):
     for key, least in (("K", 1), ("shots", 1), ("grid_points", 1), ("depth", 1), ("seed", 0)):
         if cfg[key] is not None and cfg[key] < least:
             raise ValueError(f"{key} must be at least {least}, not {cfg[key]}")
+    if cfg["shots"] is not None and cfg["shots"] >= 2**63:
+        raise ValueError(f"shots must be below 2**63, not {cfg['shots']}")
     cfg["_given"] = given
     return cfg
 
@@ -215,8 +217,8 @@ def _model(cfg, inst):
 
 def _sweep(cfg, inst, model, exact):
     """The configured grid sweep, shared by solve and bench. Returns the
-    grid, the PhqcResult and whether its best score matches the exact
-    optimum (None without a reference)."""
+    grid, the PhqcResult and whether its best sample's objective matches
+    the exact optimum (None without a reference)."""
     params = model.params
     grid = GridSpec.default(params, cfg["grid_points"])
     shots = cfg["shots"] if cfg["shots"] is not None else default_shots(params, cfg["shots_rule"])
@@ -234,9 +236,9 @@ def _sweep(cfg, inst, model, exact):
     match = None
     if exact is not None:
         match = (
-            result.best_score is not None
+            result.best_objective is not None
             and exact.optimal_cost is not None
-            and abs(result.best_score - exact.optimal_cost) <= SCORE_TOL
+            and abs(result.best_objective - exact.optimal_cost) <= SCORE_TOL
         )
     return grid, result, match
 
@@ -324,6 +326,7 @@ def cmd_bound(cfg):
     params = model.params
     if cfg["gamma"] is None:
         raise ValueError("bound needs --gamma")
+    check_budget(params, layers=cfg["depth"])
     betas = _parse_betas(cfg)
     exact = exact_solve(inst, model)
     if not exact.optimal_assignments:

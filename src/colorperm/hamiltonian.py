@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import REGISTERS, EncodingParams, label_digits_array, symbol_index
+from .encoding import REGISTERS, EncodingParams, label_digits_array
 
 CAP_MODES = ("hinge", "quadratic-surrogate", "filter-only")
 
@@ -76,10 +76,6 @@ class EnergyModel:
         if self.weights.cap_mode == "quadratic-surrogate":
             if self.inst.uniform_capacity() is None:
                 raise ValueError("quadratic-surrogate needs a uniform capacity")
-
-    @property
-    def dim(self):
-        return self.params.dim(self.register)
 
     @property
     def radix(self):
@@ -309,9 +305,7 @@ class QuboExport:
     constant: float
 
     def coefficient(self, a, b=None):
-        if b is None:
-            return self.linear.get(a, 0.0)
-        if a == b:
+        if b is None or a == b:
             return self.linear.get(a, 0.0)
         key = (a, b) if a < b else (b, a)
         return self.quadratic.get(key, 0.0)
@@ -341,64 +335,38 @@ def export_qubo(model):
     block-one-hot assignment.
 
     Only the quadratic capacity surrogate (or filter-only) fits a
-    quadratic polynomial; the hinge mode is refused.
+    quadratic polynomial; the hinge mode is refused. Each coefficient sums
+    its once, capacity and objective terms in that order on an (n, S)
+    linear and an (n, S, n, S) coupling array, the pairs read from the
+    coupling's strict upper triangle.
     """
     w = model.weights
     if w.cap_mode == "hinge":
         raise ValueError("hinge capacity is not quadratic; use quadratic-surrogate or filter-only")
     inst = model.inst
-    p = model.params
-    n, K, S = p.n, p.K, p.S
-    linear = {}
-    quadratic = {}
-
-    def add_lin(a, coef):
-        if coef:
-            linear[a] = linear.get(a, 0.0) + coef
-
-    def add_quad(a, b, coef):
-        if not coef:
-            return
-        key = (a, b) if a < b else (b, a)
-        quadratic[key] = quadratic.get(key, 0.0) + coef
-
-    constant = 0.0
+    n, K, S = model.params.n, model.params.K, model.params.S
+    cust, veh = np.arange(S) % n, np.arange(S) // n
     # once-penalty: (sum_a x_a - 1)^2 per customer over its n*K variables
-    for i in range(n):
-        group = [j * S + symbol_index(i, k, n, K) for j in range(n) for k in range(K)]
-        constant += w.lam_once
-        for a in group:
-            add_lin(a, -w.lam_once)
-        for ai in range(len(group)):
-            for bi in range(ai + 1, len(group)):
-                add_quad(group[ai], group[bi], 2.0 * w.lam_once)
-
+    terms = [w.lam_once] * n
+    linear = np.full((n, S), -w.lam_once)
+    coupling = np.zeros((n, S, n, S)) + (2.0 * w.lam_once * (cust[:, None] == cust))[None, :, None]
     if w.cap_mode == "quadratic-surrogate":
         Q0 = inst.uniform_capacity()
-        for k in range(K):
-            group = [
-                (j * S + symbol_index(i, k, n, K), float(inst.d[i]))
-                for j in range(n)
-                for i in range(n)
-            ]
-            constant += w.lam_cap * Q0 * Q0
-            for a, di in group:
-                add_lin(a, w.lam_cap * (di * di - 2.0 * Q0 * di))
-            for ai in range(len(group)):
-                for bi in range(ai + 1, len(group)):
-                    a, da = group[ai]
-                    b, db = group[bi]
-                    add_quad(a, b, 2.0 * w.lam_cap * da * db)
-
+        d = np.asarray(inst.d, dtype=float)[cust]
+        terms += [w.lam_cap * Q0 * Q0] * K
+        linear += w.lam_cap * (d * d - 2.0 * Q0 * d)
+        coupling += np.where(veh[:, None] == veh, 2.0 * w.lam_cap * d[:, None] * d, 0.0)[None, :, None]
     edges, start, close = edge_cost_matrix(inst)
     for j in range(n - 1):
-        for s1 in range(S):
-            for s2 in range(S):
-                add_quad(j * S + s1, (j + 1) * S + s2, w.lam_obj * float(edges[s1, s2]))
-    for s in range(S):
-        add_lin(s, w.lam_obj * float(start[s]))
-        add_lin((n - 1) * S + s, w.lam_obj * float(close[s]))
-
-    linear = {a: c for a, c in linear.items() if c != 0.0}
-    quadratic = {k: c for k, c in quadratic.items() if c != 0.0}
-    return QuboExport(n * S, linear, quadratic, constant)
+        coupling[j, :, j + 1] += w.lam_obj * edges
+    linear[0] += w.lam_obj * start
+    linear[n - 1] += w.lam_obj * close
+    constant = 0.0
+    for term in terms:
+        constant += term
+    coupling = coupling.reshape(n * S, n * S)
+    a, b = np.nonzero(np.triu(coupling, 1))
+    coupling = coupling[a, b]  # only the kept values stay alive
+    ids = np.flatnonzero(linear)
+    linear = dict(zip(ids.tolist(), linear.reshape(-1)[ids].tolist()))
+    return QuboExport(n * S, linear, dict(zip(zip(a.tolist(), b.tolist()), coupling.tolist())), constant)

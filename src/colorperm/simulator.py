@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingParams, label_bitstring
+from .encoding import EncodingParams
 from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per label of the
@@ -53,11 +53,14 @@ from .hamiltonian import energy_table
 # (phase profile, envelope, surrogate) pays the single-process charge: the
 # whole `bound` peaks at 28.4 (n = 6, K = 2) and 26.2 (n = 5, K = 5) bytes
 # per label, `phase_profile` alone at 27.5 and 26.2, `surrogate_scores` at
-# 33.3 and 32.5, the envelope at 9.0 and 8.4.
+# 33.3 and 32.5, the envelope at 9.0 and 8.4. A Schedule holds 16 bytes
+# per layer and peaks at 66 while it is built (tracemalloc, depth 10**6);
+# each layer of a worker's schedules is charged that peak.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 56
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
+SCHEDULE_BYTES = 66
 PHASE_CHUNK = 2**20
 # Mixer blocks in amplitudes (512 KiB); `_replica` chunks, and the labels
 # per shot from which it beats numpy (they cross near 125 at n = 5, K = 2).
@@ -82,13 +85,6 @@ class EncodedState:
         expected = self.params.dim(self.register)
         if self.amplitudes.shape != (expected,):
             raise ValueError(f"amplitude vector must have length {expected}")
-
-    @property
-    def dim(self):
-        return len(self.amplitudes)
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -117,17 +113,18 @@ class Schedule:
         return cls((gamma,) * p, (beta,) * p)
 
 
-def check_budget(params, register="onehot", workers=1):
+def check_budget(params, register="onehot", workers=1, layers=0):
     """Refuse work that would need more than MEMORY_BUDGET bytes. Any S^n
     work is charged, per S^n label, the table once and WORKER_BYTES in
     each of `workers` processes, plus BYTES_PER_AMPLITUDE per label of a
-    relabelled binary state."""
-    need = (TABLE_BYTES + WORKER_BYTES * workers) * params.dim("onehot")
+    relabelled binary state, plus SCHEDULE_BYTES in each process per
+    angle layer of the `layers` its schedules hold."""
+    need = (TABLE_BYTES + WORKER_BYTES * workers) * params.dim("onehot") + SCHEDULE_BYTES * layers * workers
     if register != "onehot":
         need += BYTES_PER_AMPLITUDE * params.dim(register)
     if need > MEMORY_BUDGET:
         raise AmplitudeBudgetError(
-            f"a {register} run on {params.dim(register)} labels in {workers} worker process"
+            f"a {register} run on {params.dim(register)} labels and {layers} schedule layers in {workers} worker process"
             f"{'es' if workers > 1 else ''} needs about {need} bytes, over the memory budget of {MEMORY_BUDGET} bytes"
         )
 
@@ -141,7 +138,8 @@ def _uniform(params):
 def initial_state(params, register="onehot"):
     """Uniform superposition over the encoded basis: 1/sqrt(S^n) on every
     one-hot label (a uniform product of per-block uniform symbol states),
-    relabelled into `register`."""
+    relabelled into `register`, once `check_budget` admits it."""
+    check_budget(params, register)
     return _relabel(EncodedState(_uniform(params), "onehot", params), register)
 
 
@@ -325,9 +323,6 @@ class SampleSet:
     def labels(self):
         """Measured labels in ascending order."""
         return sorted(self.counts)
-
-    def bitstring_counts(self):
-        return {label_bitstring(z, self.params, self.register): c for z, c in sorted(self.counts.items())}
 
 
 def _seed_sequence(seed):

@@ -23,9 +23,11 @@ timeline near the optimum, each scored once in `energy_objective`'s order.
 The tables stay small well past n = 9 but the winner set does not: at
 n = 8, K = 2 with W and the depot legs all 0, each of the 645,120 feasible
 timelines wins and gathering them takes seconds, hence
-ENUMERATION_CEILING = 9. A large fleet or many ties can still pass the
-winner ceiling, MEMORY_BUDGET // (WINNER_BYTES * n) timelines, and then
-gathering stops with a ValueError.
+ENUMERATION_CEILING = 9. The tables grow with the fleet, the S x S edge
+matrix quadratically, so a fleet whose tables would pass MEMORY_BUDGET is
+refused with a ValueError before they are built. Many ties can still pass
+the winner ceiling, MEMORY_BUDGET // (WINNER_BYTES * n) timelines, and
+then gathering stops with a ValueError.
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ SCORE_TOL = 1e-9
 # through its JSON text: 639 at n = 6 and 635 at n = 7 (8,640 and 70,560
 # winners, K = 2, W and the depot legs all 0; VmHWM above a one-customer run).
 WINNER_BYTES = 640
+# Bytes the oracle holds per entry of its route tables, K (n + 2) 2^n in all
+# (Held-Karp rows, route costs, fits and the vehicle DP as Python lists: 46.6
+# at n = 9, K = 200 and 57.7 at n = 5, K = 1,000), and per entry of the S x S
+# edge matrix while it is built (25.0); VmHWM above the loaded instance.
+ROUTE_BYTES = 64
+EDGE_BYTES = 25
 
 
 @dataclass(frozen=True)
@@ -74,10 +82,6 @@ class GridSpec:
 
     def __len__(self):
         return len(self.gammas) * len(self.betas)
-
-    def points(self):
-        for index, (g, b) in enumerate(itertools.product(self.gammas, self.betas)):
-            yield index, g, b
 
 
 def default_shots(params, rule="cubed"):
@@ -167,14 +171,15 @@ def _timelines(tables, G, n, bound):
 
     def sets(k, mask, acc, chosen):
         # vehicles 0..k-1 still to serve mask; the chosen routes cost acc.
-        # Vehicles low..k-1 may stay unused without a call; only a route
-        # recurses, so the depth is the number of routes, not of vehicles.
-        low = k
-        while low and G[low - 1][mask] + acc <= bound:
-            low -= 1
-        if low == 0 and not mask:
+        # The next route is on the highest used vehicle v; G[v + 1][mask]
+        # does not fall as v does, so the first v past the bound ends the
+        # walk, and the depth is the number of routes, not of vehicles.
+        if not mask:
             yield chosen
-        for v in range(max(low, 1) - 1, k):
+            return
+        for v in range(k - 1, -1, -1):
+            if G[v + 1][mask] + acc > bound:
+                break
             cost, fits = tables[v][2:]
             sub = mask
             while sub:
@@ -208,11 +213,15 @@ def exact_solve(inst, model=None):
     Scores use the timeline objective scaled by the model's lam_obj
     (1.0 without a model), each summed once in `energy_objective`'s order,
     so the reported optimal_cost is bit-comparable with per-sample scores
-    elsewhere. Argmins are gathered to a 1e-9 tolerance.
+    elsewhere. Argmins are gathered to a 1e-9 tolerance. Refuses, before
+    building them, tables over the memory budget (ROUTE_BYTES, EDGE_BYTES).
     """
     n, K = inst.n, inst.K
     if n > ENUMERATION_CEILING:
         raise ValueError(f"n = {n} exceeds the enumeration ceiling {ENUMERATION_CEILING}")
+    need = ROUTE_BYTES * (K * (n + 2) << n) + EDGE_BYTES * (n * K) ** 2
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"the exact oracle's tables at n = {n}, K = {K} need about {need} bytes, over the memory budget of {MEMORY_BUDGET} bytes")
     lam_obj = model.weights.lam_obj if model is not None else 1.0
     edges, start, close = edge_cost_matrix(inst)
     tables = _route_tables(inst, start, close)
@@ -272,11 +281,13 @@ class PhqcResult:
     """Best feasible sample and the sweep diagnostics.
 
     feasible_counts pools the accepted samples over all grid points,
-    keyed by bitstring; it feeds the outcome-histogram CSV.
+    keyed by bitstring; it feeds the outcome-histogram CSV. best_objective
+    is the best sample's timeline objective, its score under "objective".
     """
 
     best_bitstring: str | None
     best_score: float | None
+    best_objective: float | None
     best_assignment: ColoredAssignment | None
     records: tuple
     total_shots: int
@@ -318,8 +329,8 @@ def feasible_samples(samples, inst, register):
 def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
     """One grid point of a prepared state and its distribution `probs`
     (`optimal_labels` in its register): sample, filter, score. Returns
-    the record, the local best as (score, index, label, bits) and the
-    accepted {bits: count}, both in the model's register."""
+    the record, the local best as (score, index, label, bits, objective)
+    and the accepted {bits: count}, both in the model's register."""
     params = model.params
     p_star_exact = None
     if optimal_labels is not None:
@@ -327,14 +338,17 @@ def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score
     # sample normalises the one distribution in place
     samples = sample(state, shots, (base_seed, index), probs)
     labels, counts, bits = feasible_samples(samples, model.inst, model.register)
-    # for feasible labels "obj" equals energy_objective bit for bit
-    scores = energy_components(model, labels)["obj" if score_mode == "objective" else "total"].tolist()
-    local_best = min(zip(scores, [index] * len(labels), labels, bits), default=None)
+    # for feasible labels "obj" equals energy_objective bit for bit, and
+    # optimal hits are judged on it whatever the ranking score
+    parts = energy_components(model, labels)
+    objs = parts["obj"].tolist()
+    scores = objs if score_mode == "objective" else parts["total"].tolist()
+    local_best = min(zip(scores, [index] * len(labels), labels, bits, objs), default=None)
     feasible_bits = dict(zip(bits, counts))
     _, share = feasible_histogram(feasible_bits, shots, params)
     hits = None
     if optimal_labels is not None:
-        hits = sum(c for c, score in zip(counts, scores) if abs(score - optimal_cost) <= SCORE_TOL)
+        hits = sum(c for c, obj in zip(counts, objs) if abs(obj - optimal_cost) <= SCORE_TOL)
     record = GridPointRecord(
         index=index,
         gamma=gamma,
@@ -393,17 +407,17 @@ def phqc(
     counts and the exact optimal mass of the prepared state. The
     histogram of all feasible samples pooled over the sweep is available
     through `phqc_histogram`. Refuses runs over the memory budget, with
-    one charge per worker that gets a gamma row, before allocating the
-    table or any state.
+    one charge per worker that gets a gamma row and its schedules, before
+    allocating the table, any state or any schedule.
     """
-    if shots_per_point < 1:
-        raise ValueError("need shots_per_point >= 1")
+    if not 1 <= shots_per_point < 2**63:
+        raise ValueError(f"need 1 <= shots_per_point < 2**63, not {shots_per_point}")
     if score not in ("objective", "total"):
         raise ValueError(f"unknown score mode {score!r}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, not {jobs}")
     params = model.params
-    check_budget(params, "onehot", workers=min(jobs, len(grid.gammas)))
+    check_budget(params, "onehot", workers=min(jobs, len(grid.gammas)), layers=depth * len(grid.betas))
     optimal_labels = None
     optimal_cost = None
     if exact_reference is not None and exact_reference.optimal_assignments:
@@ -433,6 +447,7 @@ def phqc(
     return PhqcResult(
         best_bitstring=None if best is None else best[3],
         best_score=None if best is None else float(best[0]),
+        best_objective=None if best is None else float(best[4]),
         best_assignment=None if best is None else label_assignment(best[2], params, model.register),
         records=tuple(records),
         total_shots=shots_per_point * len(grid),

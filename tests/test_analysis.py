@@ -45,7 +45,7 @@ def optimal_feasible_labels(inst, model):
     table = energy_table(model)
     p = model.params
     feasible = np.array(
-        [feasible_global_positions(label_to_onehot(z, p), inst).feasible for z in range(model.dim)]
+        [feasible_global_positions(label_to_onehot(z, p), inst).feasible for z in range(p.dim(model.register))]
     )
     best = table[feasible].min()
     return np.nonzero(feasible & (table <= best + 1e-9))[0]

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from colorperm import simulator, solver
 from colorperm.cli import _OPTIONS, main
+from colorperm.simulator import BYTES_PER_AMPLITUDE, SCHEDULE_BYTES
 from tests.conftest import EXA_BINARY, EXA_LEGS, EXA_ONEHOT, EXA_W
 
 NONCONTIG = "100000" + "000010" + "001000"
@@ -202,6 +204,25 @@ def test_solve_writes_three_files(tmp_path, exa_json):
     hist_lines = hist_csv.read_text().splitlines()
     assert hist_lines[1] == "bitstring,count,frequency,baseline_ratio"
     assert len(hist_lines) >= 3
+
+
+def test_surrogate_total_score_judges_hits_and_match_on_the_objective(tmp_path, exa_json):
+    # the surrogate's total carries lam_cap * sum (load - Q)^2 on feasible
+    # labels too, so optimal hits and match read the objective instead
+    hits = {}
+    for score in ("total", "objective"):
+        out = tmp_path / f"{score}.json"
+        args = ["--cap-mode", "quadratic-surrogate", "--score", score, "--grid-points", "3", "--out", str(out)]
+        assert main(["solve", "--instance", exa_json] + args) == 0
+        rec = json.loads(out.read_text())
+        assert rec["exact"]["optimal_cost"] == pytest.approx(92.06, abs=1e-9)
+        assert rec["result"]["best_assignment"] == [[3, 1], [2, 1], [1, 1]]
+        assert rec["match"] is True
+        lines = (tmp_path / f"{score}.grid.csv").read_text().splitlines()[2:]
+        hits[score] = [int(line.split(",")[4]) for line in lines]
+    assert rec["result"]["best_score"] == pytest.approx(92.06, abs=1e-9)
+    assert json.loads((tmp_path / "total.json").read_text())["result"]["best_score"] == pytest.approx(128.06, abs=1e-9)
+    assert hits["total"] == hits["objective"] and sum(hits["total"]) > 0
 
 
 def test_solve_deterministic_across_paths(tmp_path, exa_json):
@@ -710,6 +731,42 @@ def test_solve_refuses_out_of_range_settings_from_a_config_file(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {next(iter(json.loads(config)))} must be at least ")
     assert len(err.splitlines()) == 1
+
+
+def test_solve_refuses_shots_past_a_64_bit_count(tmp_path, capsys, exa_json):
+    out = tmp_path / "run.json"
+    assert main(["solve", "--instance", exa_json, "--shots", str(2**63), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: shots must be below 2**63, not {2**63}\n"
+    assert not out.exists()
+    assert main(["solve", "--instance", exa_json, "--shots", "99999999999999999999", "--grid-points", "1"]) == 1
+    assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command, layers_per_depth",
+    [(["solve", "--grid-points", "3", "--shots", "4"], 3), (["bound", "--gamma", "0.1", "--beta", "0.5"], 1)],
+    ids=["solve", "bound"],
+)
+def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json, command, layers_per_depth):
+    # exA's 216 one-hot labels plus ten layers of each schedule the run holds
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * 216 + SCHEDULE_BYTES * layers_per_depth * 10)
+    out = tmp_path / "run.json"
+    argv = [command[0], "--instance", exa_json, *command[1:], "--out", str(out)]
+    assert main(argv + ["--depth", "10"]) == 0
+    out.unlink()
+    assert main(argv + ["--depth", "11"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a onehot run on 216 labels and ") and "over the memory budget" in err
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+def test_brute_refuses_oracle_tables_over_the_budget_in_one_line(capsys, monkeypatch, exa_json):
+    # n = 3, K = 2: route tables of K (n + 2) 2^n entries and a 6 x 6 edge matrix
+    need = solver.ROUTE_BYTES * 2 * 5 * 8 + solver.EDGE_BYTES * 36
+    monkeypatch.setattr(solver, "MEMORY_BUDGET", need - 1)
+    assert main(["brute", "--instance", exa_json]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: the exact oracle's tables at n = 3, K = 2 need about {need} bytes, over the memory budget of {need - 1} bytes\n"
 
 
 def test_bound_refuses_a_gamma_that_overflows_the_phases(tmp_path, capsys, exa_json):

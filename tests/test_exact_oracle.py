@@ -9,6 +9,7 @@ feasible count, so its JSON bytes cannot move.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -199,3 +200,30 @@ def test_gathering_stops_at_the_winner_ceiling(monkeypatch):
     monkeypatch.setattr(solver, "MEMORY_BUDGET", solver.WINNER_BYTES * n * (ties - 1))
     with pytest.raises(ValueError, match=f"more than {ties - 1} timelines tie for the optimum"):
         exact_solve(inst)
+
+
+def test_oracle_tables_are_charged_before_they_are_built(monkeypatch):
+    # one route on either vehicle wins: two winners, under the winner
+    # ceiling of need // (WINNER_BYTES * n) = 3
+    n, K = 3, 2
+    W = np.array([[0.0, 1.0, 5.0], [4.0, 0.0, 2.0], [6.0, 7.0, 0.0]])
+    inst = Instance("two-winners", n, K, [1] * n, [n] * K, W, [1.0, 3.0, 8.0], [9.0, 6.0, 2.0])
+    need = solver.ROUTE_BYTES * (K * (n + 2) << n) + solver.EDGE_BYTES * (n * K) ** 2
+    monkeypatch.setattr(solver, "MEMORY_BUDGET", need)
+    assert len(exact_solve(inst).optimal_assignments) == 2
+    monkeypatch.setattr(solver, "MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(solver, "edge_cost_matrix", None)
+    with pytest.raises(ValueError, match=f"exact oracle's tables at n = 3, K = 2 need about {need} bytes"):
+        exact_solve(inst)
+
+
+def test_gathering_ties_over_a_large_fleet_takes_linear_time():
+    # one customer: every vehicle's route ties, and each walk down the fleet
+    # stops at the first vehicle past the bound, so gathering stays linear in K
+    K = 4000
+    inst = Instance("fleet", 1, K, [1], [1] * K, np.zeros((1, 1)), [1.0], [1.0])
+    start = time.perf_counter()
+    sol = exact_solve(inst)
+    assert time.perf_counter() - start < 2.0
+    assert sol.feasible_count == len(sol.optimal_assignments) == K
+    assert [a.symbols for a in sol.optimal_assignments] == [((0, k),) for k in range(K)]

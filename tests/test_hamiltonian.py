@@ -61,9 +61,9 @@ def test_weights_must_be_finite(name, value):
 
 def test_model_shapes(exA):
     m = EnergyModel.for_instance(exA)
-    assert (m.dim, m.radix) == (216, 6)
+    assert (m.params.dim(m.register), m.radix) == (216, 6)
     b = EnergyModel.for_instance(exA, register="binary")
-    assert (b.dim, b.radix) == (512, 8)
+    assert (b.params.dim(b.register), b.radix) == (512, 8)
     with pytest.raises(ValueError):
         EnergyModel.for_instance(exA, register="gray")
     with pytest.raises(ValueError):
@@ -340,3 +340,29 @@ def test_qubo_to_dict_roundtrip(exA):
     d = qubo.to_dict()
     assert d["num_vars"] == 18
     assert all("," in key for key in d["quadratic"])
+
+
+# sha256 of the sorted-key JSON of to_dict() and the constant, taken when
+# the QUBO was still built one coefficient at a time
+QUBO_PINS = [
+    ("exA", "quadratic-surrogate", 0, "a6ea970d8f2a8460675f7455ba278def447b9d78e32e6dfc8dc25783982ca7e5", 84.0),
+    ("exA", "quadratic-surrogate", 1, "dc0616a758aea3ad05bfe98bb18064e52beb214b65643ccc76e03dddce7260c3", 12.899999999999999),
+    ("exA", "filter-only", 0, "274f885b509196cf4bb63f359c24e8ddf975c3b340c751450bf851e17adb2d63", 12.0),
+    ("exA", "filter-only", 1, "e939c5b37f617a87aef88d95ee629d1b85b8e506147d5a1dc79c0844d858b177", 0.30000000000000004),
+    ("exB", "quadratic-surrogate", 0, "6648b935ed3e9e70d16882c6e5cb637a5fccd7a2a17350179406114ceced9ff0", 88.0),
+    ("exB", "quadratic-surrogate", 1, "e897010776bb055636c959cf7df7d639fe8db2d563faae09f88f5c7a815cf4df", 12.999999999999998),
+    ("exB", "filter-only", 0, "bdd1b5355a239c29d759e3ddaf74f9fea3799406f1cfc4fae83aff33a1d812ff", 16.0),
+    ("exB", "filter-only", 1, "2aaa7062ec24383b37512668387e24fbde45c19909ecc41c7e9e85e86114f2af", 0.4),
+]
+QUBO_WEIGHTS = ({}, {"lam_once": 0.1, "lam_cap": 0.7, "lam_obj": 1.3})
+
+
+@pytest.mark.parametrize("name,mode,weights,digest,constant", QUBO_PINS)
+def test_qubo_export_is_pinned(request, name, mode, weights, digest, constant):
+    import hashlib
+    import json
+
+    inst = request.getfixturevalue(name)
+    qubo = export_qubo(EnergyModel.for_instance(inst, PenaltyWeights(cap_mode=mode, **QUBO_WEIGHTS[weights])))
+    assert hashlib.sha256(json.dumps(qubo.to_dict(), sort_keys=True).encode()).hexdigest() == digest
+    assert qubo.constant == constant

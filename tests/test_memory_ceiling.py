@@ -22,6 +22,7 @@ from colorperm.simulator import (
 
 # entry -> (charge per S^n label, a call of it on a model)
 ENTRIES = {
+    "initial_state": (BYTES_PER_AMPLITUDE, lambda model: initial_state(model.params)),
     "apply_phase": (BYTES_PER_AMPLITUDE, lambda model: apply_phase(initial_state(model.params), 0.3, model)),
     "run_ansatz": (BYTES_PER_AMPLITUDE, lambda model: run_ansatz(model.params, model, Schedule.constant(0.3, 0.8))),
     "phase_profile": (BYTES_PER_AMPLITUDE, lambda model: phase_profile(model, 0.3, [0])),

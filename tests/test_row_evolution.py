@@ -12,6 +12,8 @@ phases from one energy table. The memory ceiling, charged per worker,
 refuses a run before allocating or starting a pool.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from colorperm.hamiltonian import EnergyModel, energy_components, energy_table
 from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
     MEMORY_BUDGET,
+    SCHEDULE_BYTES,
     TABLE_BYTES,
     WORKER_BYTES,
     AmplitudeBudgetError,
@@ -85,7 +88,7 @@ def test_chunked_phase_equals_whole_vector_product(exA, params3, monkeypatch, so
     monkeypatch.setattr(simulator, "PHASE_CHUNK", chunk)
     model = EnergyModel.for_instance(exA)
     state = run_ansatz(params3, model, Schedule.constant(0.3, 0.8))
-    energies = energy_components(model, np.arange(model.dim))["total"]
+    energies = energy_components(model, np.arange(model.params.dim(model.register)))["total"]
     for gamma in (0.0, 0.05, 1.7):
         expected = state.amplitudes * np.exp(-1j * gamma * energies)
         got = apply_phase(state, gamma, model, energies if source == "given" else None)
@@ -121,7 +124,7 @@ def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
     run_ansatz, each from its own uniform state."""
     labels = exact.optimal_labels(model.params, model.register)
     records, best, pooled = [], None, {}
-    for index, gamma, beta in grid.points():
+    for index, (gamma, beta) in enumerate(itertools.product(grid.gammas, grid.betas)):
         state = run_ansatz(model.params, model, Schedule.constant(gamma, beta, depth))
         record, local_best, feasible_bits = solver._grid_point(
             model, state, exact_distribution(state), gamma, beta, shots, seed, index, score, labels, exact.optimal_cost
@@ -245,7 +248,7 @@ def test_sweep_draws_from_the_onehot_distribution(exA, params3, monkeypatch, reg
     model = EnergyModel.for_instance(exA, register=register)
     grid = GridSpec.default(params3, 3)
     phqc(exA, model, grid, 100, 5, exact_reference=exact_solve(exA, model))
-    sizes = [len(probs) for probs in squared] + [size for state, probs in drawn for size in (state.dim, len(probs))]
+    sizes = [len(probs) for probs in squared] + [size for state, probs in drawn for size in (len(state.amplitudes), len(probs))]
     assert len(sizes) == 3 * len(grid)
     assert set(sizes) == {params3.dim("onehot")}
 
@@ -297,7 +300,8 @@ def test_sweep_charges_a_worker_per_gamma_row_before_the_pool_starts(exA, monkey
         raise PoolStarted
 
     monkeypatch.setattr(solver, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + 2 * WORKER_BYTES) * 216)
+    # two workers, each holding its row's one depth-1 schedule
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + 2 * WORKER_BYTES) * 216 + 2 * SCHEDULE_BYTES)
     model = EnergyModel.for_instance(exA)
     three_rows = GridSpec((0.1, 0.2, 0.3), (0.4,))
     with pytest.raises(AmplitudeBudgetError, match="in 3 worker processes"):

