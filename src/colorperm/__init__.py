@@ -2,12 +2,9 @@
 statevector simulator, spectral analysis, and a grid-sweep solver."""
 
 from .analysis import (
-    AnticoncentrationReport,
     EnvelopeState,
     FejerReport,
     PhaseProfile,
-    angle_preselect,
-    anticoncentration_report,
     circle_distance,
     dephased_kernel,
     envelope,
@@ -16,7 +13,6 @@ from .analysis import (
     phase_profile,
     phase_profile_from_energies,
     required_shots,
-    surrogate_scores,
 )
 from .encoding import (
     CodecError,

@@ -1,4 +1,5 @@
-"""Success-probability reference model and diagnostics.
+"""Success-mass lower bound of a depth-p run, as `colorperm bound`
+reports it.
 
 The dephased reference mechanism splits a depth-p run into two
 ingredients that can be computed separately at desk scale:
@@ -18,13 +19,12 @@ the off-peak maximum M_p gives a dimension-free lower bound on it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .hamiltonian import energy_table
 from .simulator import PHASE_CHUNK, block_mixer_matrix, check_budget
-from .solver import feasible_histogram, feasible_samples
 
 TWO_PI = 2.0 * math.pi
 REPORT_CONFIDENCES = (0.90, 0.95, 0.99)
@@ -74,9 +74,7 @@ def phase_profile_from_energies(energies, gamma, optimal_labels):
     # a finite gamma can still overflow gamma * E; max |E| without a temporary
     if not math.isfinite(gamma * float(max(energies.max(initial=0.0), -energies.min(initial=0.0)))):
         raise ValueError(f"gamma must be finite, and so must gamma * max |E|, not {gamma!r}")
-    optimal_labels = np.asarray(sorted(int(z) for z in optimal_labels), dtype=np.int64)
-    if len(optimal_labels) == 0:
-        raise ValueError("optimal set is empty")
+    optimal_labels = _sorted_optimal(optimal_labels)
     opt_e = energies[optimal_labels]
     scale = max(1.0, float(np.abs(opt_e).max()))
     if np.ptp(opt_e) > 1e-9 * scale:
@@ -92,6 +90,14 @@ def phase_profile_from_energies(energies, gamma, optimal_labels):
         dist[opt] = math.pi
         delta = min(delta, float(dist.min()))
     return PhaseProfile(theta, theta_star, delta)
+
+
+def _sorted_optimal(labels):
+    """The optimal labels as a sorted int64 array; refuses an empty set."""
+    optimal = np.asarray(sorted(int(z) for z in labels), dtype=np.int64)
+    if len(optimal) == 0:
+        raise ValueError("optimal set is empty")
+    return optimal
 
 
 def _chunks(size, optimal):
@@ -116,7 +122,6 @@ class EnvelopeState:
     distribution of block j's symbol."""
 
     params: object
-    betas: tuple
     per_block: np.ndarray
 
     def full_distribution(self):
@@ -146,7 +151,7 @@ def envelope(params, betas):
     for beta in betas:
         kernel = dephased_kernel(S, beta)
         v = v @ kernel.T
-    return EnvelopeState(params, betas, v)
+    return EnvelopeState(params, v)
 
 
 @dataclass(frozen=True)
@@ -193,9 +198,7 @@ def fejer_bound(profile, env, optimal_set, p):
     the envelope in place, turning it into the reference law; no
     full-length filter or mask is built, so the report fits a sweep's
     charge."""
-    optimal = np.asarray(sorted(int(z) for z in optimal_set), dtype=np.int64)
-    if len(optimal) == 0:
-        raise ValueError("optimal set is empty")
+    optimal = _sorted_optimal(optimal_set)
     W = env.full_distribution()
     if len(W) != len(profile.theta):
         raise ValueError("envelope and profile cover different registers")
@@ -225,95 +228,4 @@ def fejer_bound(profile, env, optimal_set, p):
         q0_exact_ref=q0_exact,
         required_shots=shots,
         degenerate=delta == 0.0,
-    )
-
-
-def surrogate_scores(model, params, beta_grid, lam, rho=0.0, alpha=0.0, lp_weights=None, depth=1):
-    """Per-beta surrogate ingredients for mixer-angle preselection.
-
-    For each candidate beta the depth-p envelope W_p(.; beta) is built
-    (all layers at the same beta) and scored against the model's full
-    diagonal cost C:
-
-        score = log E[exp(-lam*C)] + alpha*S_LP - rho*std(C)
-
-    S_LP pairs externally supplied weights lp_weights[s, s'] with the
-    envelope's expected adjacent-position symbol-pair indicators; it is 0
-    when no weights are given. C covers the one-hot labels, so both
-    registers give the same rows. Charged like a sweep against the
-    memory budget.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    beta_grid = [float(b) for b in beta_grid]
-    if not beta_grid:
-        raise ValueError("beta grid is empty")
-    check_budget(params)
-    costs = energy_table(model)
-    rows = []
-    for beta in beta_grid:
-        env = envelope(params, [beta] * depth)
-        W = env.full_distribution()
-        mu = float(W @ costs)
-        var = float(W @ (costs - mu) ** 2)
-        sigma = math.sqrt(max(0.0, var))
-        z = float(W @ np.exp(-lam * costs))
-        log_z = math.log(z) if z > 0 else -math.inf
-        s_lp = 0.0
-        if lp_weights is not None:
-            x = np.asarray(lp_weights, dtype=float)
-            if x.shape != (params.S, params.S):
-                raise ValueError("lp_weights must be S x S")
-            for j in range(params.n - 1):
-                s_lp += float(env.per_block[j] @ x @ env.per_block[j + 1])
-        rows.append(
-            {
-                "beta": beta,
-                "mu": mu,
-                "sigma": sigma,
-                "log_z": log_z,
-                "s_lp": s_lp,
-                "score": log_z + alpha * s_lp - rho * sigma,
-            }
-        )
-    return rows
-
-
-def angle_preselect(model, params, beta_grid, lam, rho=0.0, alpha=0.0, lp_weights=None, depth=1):
-    """The beta maximizing the preselection surrogate (first index wins
-    ties)."""
-    rows = surrogate_scores(model, params, beta_grid, lam, rho, alpha, lp_weights, depth)
-    return max(rows, key=lambda row: row["score"])["beta"]
-
-
-@dataclass(frozen=True)
-class AnticoncentrationReport:
-    """Feasible-outcome histogram against the uniform 1/D baseline."""
-
-    D: int
-    baseline: float
-    share_above_baseline: float
-    feasible_distinct: int
-    feasible_shots: int
-    total_shots: int
-    histogram: tuple
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
-
-
-def anticoncentration_report(samples, model, params):
-    """Histogram the feasible outcomes of a SampleSet and report what
-    fraction of them beat the uniform baseline 1/D, D = (nK)^n."""
-    D = params.dim("onehot")
-    _, counts, bits = feasible_samples(samples, model.inst, samples.register)
-    rows, share = feasible_histogram(dict(zip(bits, counts)), samples.shots, params)
-    return AnticoncentrationReport(
-        D=D,
-        baseline=1.0 / D,
-        share_above_baseline=share,
-        feasible_distinct=len(rows),
-        feasible_shots=sum(counts),
-        total_shots=samples.shots,
-        histogram=tuple(rows),
     )

@@ -50,10 +50,10 @@ from .hamiltonian import energy_table
 # above the import are 53.8 (n = 6, K = 2) and 52.4 (n = 5, K = 5) bytes
 # per label for one process, and 35.6 and 43.6 of each worker's own pages
 # (its VmHWM less the parent's RSS) under --jobs 2. Every other S^n entry
-# (phase profile, envelope, surrogate) pays the single-process charge: the
-# whole `bound` peaks at 28.4 (n = 6, K = 2) and 26.2 (n = 5, K = 5) bytes
-# per label, `phase_profile` alone at 27.5 and 26.2, `surrogate_scores` at
-# 33.3 and 32.5, the envelope at 9.0 and 8.4. A Schedule holds 16 bytes
+# (phase profile, envelope) pays the single-process charge: the whole
+# `bound` peaks at 28.4 (n = 6, K = 2) and 26.2 (n = 5, K = 5) bytes per
+# label, `phase_profile` alone at 27.5 and 26.2, the envelope at 9.0 and
+# 8.4. A Schedule holds 16 bytes
 # per layer and peaks at 66 while it is built (tracemalloc, depth 10**6);
 # each layer of a worker's schedules is charged that peak.
 MEMORY_BUDGET = 2**32

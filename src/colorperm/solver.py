@@ -417,7 +417,9 @@ def phqc(
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, not {jobs}")
     params = model.params
-    check_budget(params, "onehot", workers=min(jobs, len(grid.gammas)), layers=depth * len(grid.betas))
+    # jobs beyond the gamma rows would only start idle processes
+    workers = min(jobs, len(grid.gammas))
+    check_budget(params, "onehot", workers=workers, layers=depth * len(grid.betas))
     optimal_labels = None
     optimal_cost = None
     if exact_reference is not None and exact_reference.optimal_assignments:
@@ -428,9 +430,9 @@ def phqc(
         (model, g, grid.betas, row * len(grid.betas), depth, shots_per_point, seed, score, optimal_labels, optimal_cost)
         for row, g in enumerate(grid.gammas)
     ]
-    if jobs > 1:
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(energies,)
+            max_workers=workers, initializer=_init_worker, initargs=(energies,)
         ) as pool:
             rows = list(pool.map(_grid_row_star, tasks, chunksize=1))
     else:

@@ -11,10 +11,7 @@ import numpy as np
 import pytest
 
 from colorperm.analysis import (
-    AnticoncentrationReport,
     EnvelopeState,
-    angle_preselect,
-    anticoncentration_report,
     circle_distance,
     dephased_kernel,
     envelope,
@@ -23,15 +20,14 @@ from colorperm.analysis import (
     phase_profile,
     phase_profile_from_energies,
     required_shots,
-    surrogate_scores,
 )
 from colorperm.encoding import EncodingParams, label_to_onehot
 from colorperm.feasibility import feasible_global_positions
-from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_table
-from colorperm.instances import Instance, load_instance
+from colorperm.hamiltonian import EnergyModel, energy_table
+from colorperm.instances import load_instance
 from colorperm import analysis, simulator
 from colorperm.simulator import BYTES_PER_AMPLITUDE, AmplitudeBudgetError, SampleSet
-from colorperm.solver import exact_solve
+from colorperm.solver import exact_solve, feasible_histogram, feasible_samples
 
 TWO_PI = 2 * math.pi
 
@@ -177,7 +173,7 @@ def test_envelope_full_distribution(params3, monkeypatch):
 def test_envelope_nonuniform_block_expansion(params3):
     # expansion multiplies per-block marginals in block order
     per_block = np.array([[1.0, 0.0], [0.5, 0.5], [0.25, 0.75]])
-    env = EnvelopeState(EncodingParams(3, 1), (), per_block)
+    env = EnvelopeState(EncodingParams(3, 1), per_block)
     full = env.full_distribution()
     assert full.shape == (8,)
     assert full[0] == pytest.approx(1.0 * 0.5 * 0.25)
@@ -303,61 +299,6 @@ def test_required_shots_monte_carlo():
         assert hits.mean() >= 0.94
 
 
-def test_surrogate_scores_match_enumeration(exA, params3):
-    model = EnergyModel.for_instance(exA)
-    costs = energy_table(model)
-    lam = 0.02
-    rows = surrogate_scores(model, params3, [0.3, 1.2], lam, rho=0.5, alpha=0.0)
-    for row in rows:
-        W = envelope(params3, [row["beta"]]).full_distribution()
-        mu = float(W @ costs)
-        sigma = math.sqrt(float(W @ (costs - mu) ** 2))
-        log_z = math.log(float(W @ np.exp(-lam * costs)))
-        assert row["mu"] == pytest.approx(mu, abs=1e-12)
-        assert row["sigma"] == pytest.approx(sigma, abs=1e-12)
-        assert row["log_z"] == pytest.approx(log_z, abs=1e-12)
-        assert row["score"] == pytest.approx(log_z - 0.5 * sigma, abs=1e-12)
-
-
-def test_surrogate_lp_weights(exA, params3):
-    model = EnergyModel.for_instance(exA)
-    rng = np.random.default_rng(8)
-    X = rng.uniform(0.0, 1.0, size=(6, 6))
-    rows = surrogate_scores(model, params3, [0.5], lam=0.1, alpha=2.0, lp_weights=X)
-    u = np.full(6, 1.0 / 6.0)
-    expect = 2 * float(u @ X @ u)
-    assert rows[0]["s_lp"] == pytest.approx(expect, abs=1e-12)
-    with pytest.raises(ValueError):
-        surrogate_scores(model, params3, [0.5], lam=0.1, lp_weights=np.ones((2, 2)))
-
-
-def test_surrogate_validation(exA, params3):
-    model = EnergyModel.for_instance(exA)
-    with pytest.raises(ValueError):
-        surrogate_scores(model, params3, [], lam=0.1)
-    with pytest.raises(ValueError):
-        surrogate_scores(model, params3, [0.5], lam=0.0)
-
-
-def test_angle_preselect_constant_costs():
-    inst = Instance("flat", 1, 1, [1], [1], [[0.0]], [3.0], [3.0])
-    w = PenaltyWeights(cap_mode="filter-only")
-    model = EnergyModel.for_instance(inst, w)
-    grid = [0.4, 1.0, 2.0]
-    assert angle_preselect(model, EncodingParams(1, 1), grid, lam=0.5) == 0.4
-    rows = surrogate_scores(model, EncodingParams(1, 1), grid, lam=0.5)
-    # single label of cost 6: log Z = -lam * 6 for every beta
-    for row in rows:
-        assert row["log_z"] == pytest.approx(-0.5 * 6.0, abs=1e-12)
-
-
-def test_angle_preselect_first_index_tie(exA, params3):
-    # the uniform start makes the surrogate beta-independent, so the
-    # first grid angle must win the tie deterministically
-    model = EnergyModel.for_instance(exA)
-    assert angle_preselect(model, params3, [1.7, 0.2, 2.9], lam=0.05) == 1.7
-
-
 def feasible_label(exA, params3):
     for z in range(216):
         if feasible_global_positions(label_to_onehot(z, params3), exA).feasible:
@@ -365,64 +306,54 @@ def feasible_label(exA, params3):
     raise AssertionError("no feasible label")
 
 
+def feasible_rows(ss, inst):
+    # the feasible histogram of one SampleSet, as solve builds hist.csv
+    _, counts, bits = feasible_samples(ss, inst, ss.register)
+    return feasible_histogram(dict(zip(bits, counts)), ss.shots, ss.params)
+
+
 def test_anticoncentration_single_outcome(exA, params3):
-    model = EnergyModel.for_instance(exA)
     z = feasible_label(exA, params3)
     ss = SampleSet({z: 50}, 50, 0, "onehot", params3)
-    rep = anticoncentration_report(ss, model, params3)
-    assert rep.D == 216
-    assert rep.baseline == pytest.approx(1 / 216)
-    assert rep.share_above_baseline == 1.0
-    assert rep.feasible_distinct == 1
-    assert rep.feasible_shots == 50
-    assert rep.histogram[0][0] == label_to_onehot(z, params3)
-    assert rep.histogram[0][3] == pytest.approx(50.0 / 50.0 * 216)
+    rows, share = feasible_rows(ss, exA)
+    assert share == 1.0
+    assert rows == [(label_to_onehot(z, params3), 50, 1.0, pytest.approx(50.0 / 50.0 * 216))]
 
 
 def test_anticoncentration_filters_infeasible(exA, params3):
-    model = EnergyModel.for_instance(exA)
     z = feasible_label(exA, params3)
     bad = 0  # label 0 repeats customer 0 three times
     assert not feasible_global_positions(label_to_onehot(bad, params3), exA).feasible
     ss = SampleSet({z: 30, bad: 20}, 50, 0, "onehot", params3)
-    rep = anticoncentration_report(ss, model, params3)
-    assert rep.feasible_distinct == 1
-    assert rep.feasible_shots == 30
-    assert rep.total_shots == 50
+    labels, counts, _ = feasible_samples(ss, exA, "onehot")
+    assert labels == [z] and counts == [30]
+    # frequencies stay out of all 50 shots, infeasible ones included
+    rows, _ = feasible_rows(ss, exA)
+    assert [row[2] for row in rows] == [30 / 50]
 
 
 def test_anticoncentration_histogram_order(exA, params3):
-    model = EnergyModel.for_instance(exA)
     labels = [
         z
         for z in range(216)
         if feasible_global_positions(label_to_onehot(z, params3), exA).feasible
     ][:3]
     ss = SampleSet({labels[0]: 5, labels[1]: 20, labels[2]: 5}, 30, 0, "onehot", params3)
-    rep = anticoncentration_report(ss, model, params3)
-    counts = [row[1] for row in rep.histogram]
-    assert counts == sorted(counts, reverse=True)
-    d = rep.to_dict()
-    assert d["D"] == 216 and d["total_shots"] == 30
+    rows, share = feasible_rows(ss, exA)
+    counts = [row[1] for row in rows]
+    assert counts == [20, 5, 5]
+    # the uniform baseline is 1/D, D = 216
+    assert [row[3] for row in rows] == pytest.approx([count / 30 * 216 for count in counts])
+    assert share == 1.0
 
 
 def test_anticoncentration_binary_register(exA, params3):
-    from colorperm.encoding import digits_label, label_digits
+    from colorperm.encoding import digits_label, label_bitstring, label_digits
 
-    model = EnergyModel.for_instance(exA, register="binary")
     z = feasible_label(exA, params3)
     zb = digits_label(label_digits(z, 3, 6), 8)
     padded = digits_label([7, 7, 7], 8)
     ss = SampleSet({zb: 10, padded: 10}, 20, 0, "binary", params3)
-    rep = anticoncentration_report(ss, model, params3)
-    assert rep.feasible_distinct == 1
-    assert rep.feasible_shots == 10
-
-
-def test_surrogate_scores_binary_model_matches_onehot(exA, params3):
-    # exA has S = 6, so the binary register carries padded words; the
-    # surrogate still scores the S^n envelope against one-hot energies
-    onehot = EnergyModel.for_instance(exA)
-    binary = EnergyModel.for_instance(exA, register="binary")
-    args = (params3, [0.3, 1.2], 0.02)
-    assert surrogate_scores(binary, *args, rho=0.5) == surrogate_scores(onehot, *args, rho=0.5)
+    labels, counts, bits = feasible_samples(ss, exA, "binary")
+    assert labels == [zb] and counts == [10]
+    assert bits == [label_bitstring(zb, params3, "binary")]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from colorperm import simulator
-from colorperm.analysis import envelope, phase_profile, surrogate_scores
+from colorperm.analysis import envelope, phase_profile
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_table
 from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
@@ -26,7 +26,6 @@ ENTRIES = {
     "apply_phase": (BYTES_PER_AMPLITUDE, lambda model: apply_phase(initial_state(model.params), 0.3, model)),
     "run_ansatz": (BYTES_PER_AMPLITUDE, lambda model: run_ansatz(model.params, model, Schedule.constant(0.3, 0.8))),
     "phase_profile": (BYTES_PER_AMPLITUDE, lambda model: phase_profile(model, 0.3, [0])),
-    "surrogate_scores": (BYTES_PER_AMPLITUDE, lambda model: surrogate_scores(model, model.params, [0.4, 0.9], 0.5)),
     "full_distribution": (BYTES_PER_AMPLITUDE, lambda model: envelope(model.params, [0.8]).full_distribution()),
 }
 

@@ -296,7 +296,10 @@ class PoolStarted(Exception):
 
 
 def test_sweep_charges_a_worker_per_gamma_row_before_the_pool_starts(exA, monkeypatch):
-    def pool(*args, **kwargs):
+    sizes = []
+
+    def pool(*args, max_workers, **kwargs):
+        sizes.append(max_workers)
         raise PoolStarted
 
     monkeypatch.setattr(solver, "ProcessPoolExecutor", pool)
@@ -306,9 +309,12 @@ def test_sweep_charges_a_worker_per_gamma_row_before_the_pool_starts(exA, monkey
     three_rows = GridSpec((0.1, 0.2, 0.3), (0.4,))
     with pytest.raises(AmplitudeBudgetError, match="in 3 worker processes"):
         phqc(exA, model, three_rows, 10, 1, jobs=3)
-    # jobs beyond the gamma rows add no worker; one process needs no pool
+    # jobs beyond the gamma rows add no worker, to the charge or to the
+    # pool (fork starts all max_workers at the first submit); one process
+    # needs no pool
     with pytest.raises(PoolStarted):
         phqc(exA, model, GridSpec((0.1, 0.2), (0.4,)), 10, 1, jobs=3)
+    assert sizes == [2]
     assert phqc(exA, model, three_rows, 10, 1, jobs=1).total_shots == 30
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs >= 1"):
