@@ -55,12 +55,15 @@ from .hamiltonian import energy_table
 # label, `phase_profile` alone at 27.5 and 26.2, the envelope at 9.0 and
 # 8.4. A Schedule holds 16 bytes
 # per layer and peaks at 66 while it is built (tracemalloc, depth 10**6);
-# each layer of a worker's schedules is charged that peak.
+# each layer of a worker's schedules is charged that peak. The S x S edge
+# matrix the energy table and the oracle start from (`edge_cost_matrix`:
+# three float64 arrays and a bool one) peaks at 25.0 bytes per entry.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 56
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
 SCHEDULE_BYTES = 66
+EDGE_BYTES = 25
 PHASE_CHUNK = 2**20
 # Mixer blocks in amplitudes (512 KiB); `_replica` chunks, and the labels
 # per shot from which it beats numpy (they cross near 125 at n = 5, K = 2).
@@ -118,14 +121,17 @@ def check_budget(params, register="onehot", workers=1, layers=0):
     work is charged, per S^n label, the table once and WORKER_BYTES in
     each of `workers` processes, plus BYTES_PER_AMPLITUDE per label of a
     relabelled binary state, plus SCHEDULE_BYTES in each process per
-    angle layer of the `layers` its schedules hold."""
+    angle layer of the `layers` its schedules hold, plus EDGE_BYTES per
+    entry of the S x S edge matrix."""
     need = (TABLE_BYTES + WORKER_BYTES * workers) * params.dim("onehot") + SCHEDULE_BYTES * layers * workers
+    need += EDGE_BYTES * params.S**2
     if register != "onehot":
         need += BYTES_PER_AMPLITUDE * params.dim(register)
     if need > MEMORY_BUDGET:
         raise AmplitudeBudgetError(
             f"a {register} run on {params.dim(register)} labels and {layers} schedule layers in {workers} worker process"
-            f"{'es' if workers > 1 else ''} needs about {need} bytes, over the memory budget of {MEMORY_BUDGET} bytes"
+            f"{'es' if workers > 1 else ''}, with its {params.S} x {params.S} edge matrix, needs about {need} bytes,"
+            f" over the memory budget of {MEMORY_BUDGET} bytes"
         )
 
 

@@ -16,11 +16,16 @@ result.
 
 The exact oracle splits the timeline cost into routes: each used vehicle
 serves one contiguous run and pays its start leg, W along the run and its
-close leg. A Held-Karp table prices every customer subset on every vehicle
-(O(K 2^n n^2)); a dynamic program over the vehicles in index order gives
-the optimum and the feasible count (O(K 3^n)); backtracking recovers every
-timeline near the optimum, each scored once in `energy_objective`'s order.
-The tables stay small well past n = 9 but the winner set does not: at
+close leg. A Held-Karp table prices every customer subset (O(2^n n^2)),
+once per distinct start-leg vector, so once for a `.vrp` file; each
+vehicle's close legs and capacity then give its route costs and fits. A
+dynamic program over the vehicles in index order gives the optimum and the
+feasible count: O(K 3^n) (rest, submask) pairs, taken as one numpy step per
+reachable rest (the last vehicle: one step in all), with int64 counts
+while the all-fit count stays below 2^63 and Python integers past it.
+Backtracking recovers every timeline near the optimum, each scored once in
+`energy_objective`'s order. The tables stay small well past n = 9 (n = 16,
+K = 2 takes 0.5 s) but the winner set does not: at
 n = 8, K = 2 with W and the depot legs all 0, each of the 645,120 feasible
 timelines wins and gathering them takes seconds, hence
 ENUMERATION_CEILING = 9. The tables grow with the fleet, the S x S edge
@@ -42,7 +47,7 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import edge_cost_matrix, energy_components, energy_table
-from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, sample
+from .simulator import EDGE_BYTES, MEMORY_BUDGET, Schedule, check_budget, evolve_row, sample
 
 ENUMERATION_CEILING = 9
 SCORE_TOL = 1e-9
@@ -50,12 +55,15 @@ SCORE_TOL = 1e-9
 # through its JSON text: 639 at n = 6 and 635 at n = 7 (8,640 and 70,560
 # winners, K = 2, W and the depot legs all 0; VmHWM above a one-customer run).
 WINNER_BYTES = 640
-# Bytes the oracle holds per entry of its route tables, K (n + 2) 2^n in all
-# (Held-Karp rows, route costs, fits and the vehicle DP as Python lists: 46.6
-# at n = 9, K = 200 and 57.7 at n = 5, K = 1,000), and per entry of the S x S
-# edge matrix while it is built (25.0); VmHWM above the loaded instance.
-ROUTE_BYTES = 64
-EDGE_BYTES = 25
+# Bytes the oracle holds per entry of its route tables, K (n + 2) 2^n in all:
+# route costs, fits and the vehicle DP's G as arrays, and as the lists the
+# winner walk reads with the Held-Karp rows. VmHWM above the loaded instance
+# with per-vehicle depot legs: 51.0 at n = 9, K = 200 and 65.0 at n = 5,
+# K = 1,000 (shared legs build one Held-Karp table: 10.6 and 23.9). The
+# S x S edge matrix is charged EDGE_BYTES per entry.
+ROUTE_BYTES = 72
+# Vehicle DP counts are int64 while the all-fit count is below this.
+COUNT_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -117,51 +125,81 @@ class ExactSolution:
 
 
 def _route_tables(inst, start, close):
-    """Per vehicle, as lists: the Held-Karp table P[mask][last] (start leg
-    plus W along the cheapest path over mask that ends at last), the steps
-    [W | close legs] (column n is the depot), each subset's route cost
-    (min over last of P plus the close leg) and whether it fits."""
-    n = inst.n
+    """The route cost of every customer subset on every vehicle (min over
+    the last customer of the Held-Karp table P[mask][last], start leg plus
+    W along the cheapest path over mask that ends at last, plus its close
+    leg) and whether it fits, as (K, 2^n) arrays for the vehicle DP; and
+    per vehicle the lists (P, steps, cost, fits) that `_timelines` walks,
+    steps = [W | close legs] (column n is the depot). P depends on the
+    start legs only, so it is built once per distinct start-leg vector."""
+    n, K = inst.n, inst.K
     masks = np.arange(1 << n)
     members = (masks[:, None] >> np.arange(n)) & 1
     loads = members @ np.asarray(inst.d, dtype=np.int64)
-    tables = []
-    for k in range(inst.K):
-        first, last = start[k * n : (k + 1) * n], close[k * n : (k + 1) * n]
+    costs = np.empty((K, 1 << n))
+    fits = np.empty((K, 1 << n), dtype=bool)
+    tables = [None] * K
+    by_start = {}
+    for k in range(K):
+        by_start.setdefault(start[k * n : (k + 1) * n].tobytes(), []).append(k)
+    for ks in by_start.values():
         P = np.full((1 << n, n), np.inf)
-        P[1 << np.arange(n), np.arange(n)] = first
+        P[1 << np.arange(n), np.arange(n)] = start[ks[0] * n : (ks[0] + 1) * n]
         for layer in (masks[members.sum(axis=1) == m] for m in range(2, n + 1)):
             for j in range(n):
                 on = layer[members[layer, j] == 1]
                 P[on, j] = (P[on ^ (1 << j)] + inst.W[:, j]).min(axis=1)
-        steps = np.column_stack([inst.W, last])
-        tables.append((P.tolist(), steps.tolist(), (P + last).min(axis=1).tolist(), (loads <= inst.Q[k]).tolist()))
-    return tables
+        rows = P.tolist()
+        for k in ks:
+            last = close[k * n : (k + 1) * n]
+            costs[k] = (P + last).min(axis=1)
+            fits[k] = loads <= inst.Q[k]
+            tables[k] = (rows, np.column_stack([inst.W, last]).tolist(), costs[k].tolist(), fits[k].tolist())
+    return costs, fits, tables
 
 
-def _vehicle_tables(tables, n):
+def _vehicle_tables(costs, fits, n):
     """G[k][mask], the least cost of serving mask with vehicles 0..k-1,
     each unused or on one route (the last vehicle fills the full mask
     only), and the feasible timeline count: over route sets, r! orders of
-    the r routes times |B|! orders within each route B."""
-    full = (1 << n) - 1
-    fact = [math.factorial(r) for r in range(n + 1)]
-    # N[mask][r]: weighted ways on r <= |mask| routes (linear in the fleet)
-    G, N = [[0.0] + [np.inf] * full], [[1]] + [[0]] * full
-    for k, (_, _, cost, fits) in enumerate(tables):
-        prev, g = G[-1], list(G[-1])
-        cnt = [c + [0] if len(c) <= mask.bit_count() else list(c) for mask, c in enumerate(N)]
-        for mask in range(1, full + 1) if k < len(tables) - 1 else (full,):
-            sub = mask
-            while sub:
-                if fits[sub]:
-                    g[mask] = min(g[mask], prev[mask ^ sub] + cost[sub])
-                    for r, c in enumerate(N[mask ^ sub]):
-                        cnt[mask][r + 1] += c * fact[sub.bit_count()]
-                sub = (sub - 1) & mask
-        G.append(g)
+    the r routes times |B|! orders within each route B. Each vehicle is one
+    vector step per reachable rest over the fitting submasks of its
+    complement (the last vehicle: one step onto the full mask)."""
+    K, full = len(costs), (1 << n) - 1
+    bits = (np.arange(full + 1)[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    # the all-fit count bounds every count below; past int64, Python ints
+    total = math.factorial(n) * sum(math.comb(n - 1, r - 1) * math.perm(K, r) for r in range(1, n + 1))
+    dtype = np.int64 if total < COUNT_LIMIT else object
+    fact = np.array([math.factorial(r) for r in range(n + 1)], dtype=dtype)
+    G = np.full((K + 1, full + 1), np.inf)
+    G[0, 0] = 0.0
+    # N[mask, r]: ways on r routes, each weighted by its in-route orders
+    N = np.zeros((full + 1, n + 1), dtype=dtype)
+    N[0, 0] = 1
+    for k in range(K):
+        prev, g = G[k], G[k + 1]
+        g[:] = prev
+        cnt = N.copy()
+        # reachable masks a route can still join
+        rests = np.flatnonzero((N[:-1] != 0).any(axis=1))
+        if k < K - 1:
+            for rest in rests.tolist():
+                # the nonempty submasks of free: each index below 2^|free|
+                # with its bits dealt onto free's members
+                free = full ^ rest
+                subs = bits[1 : 1 << size[free], : size[free]] @ (1 << np.flatnonzero(bits[free]))
+                subs = subs[fits[k][subs]]
+                to = rest | subs
+                g[to] = np.minimum(g[to], prev[rest] + costs[k][subs])
+                cnt[to, 1:] += N[rest, :-1] * fact[size[subs], None]
+        else:
+            rests = rests[fits[k][full ^ rests]]
+            subs = full ^ rests
+            g[full] = min(g[full], (prev[rests] + costs[k][subs]).min(initial=np.inf))
+            cnt[full, 1:] += (N[rests, :-1] * fact[size[subs], None]).sum(axis=0)
         N = cnt
-    return G, sum(fact[r] * c for r, c in enumerate(N[full]))
+    return G, int((fact * N[full]).sum())
 
 
 def _timelines(tables, G, n, bound):
@@ -224,10 +262,11 @@ def exact_solve(inst, model=None):
         raise ValueError(f"the exact oracle's tables at n = {n}, K = {K} need about {need} bytes, over the memory budget of {MEMORY_BUDGET} bytes")
     lam_obj = model.weights.lam_obj if model is not None else 1.0
     edges, start, close = edge_cost_matrix(inst)
-    tables = _route_tables(inst, start, close)
-    G, feasible_count = _vehicle_tables(tables, n)
+    costs, fits, tables = _route_tables(inst, start, close)
+    G, feasible_count = _vehicle_tables(costs, fits, n)
     if not feasible_count:
         return ExactSolution(None, (), 0)
+    G = G.tolist()
     # The tables sum route by route, a timeline's score along the timeline;
     # the two can differ in the last bits. So recover every timeline within
     # a margin past the tolerance and gather them on their timeline scores,

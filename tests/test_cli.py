@@ -13,7 +13,7 @@ import pytest
 
 from colorperm import simulator, solver
 from colorperm.cli import _OPTIONS, main
-from colorperm.simulator import BYTES_PER_AMPLITUDE, SCHEDULE_BYTES
+from colorperm.simulator import BYTES_PER_AMPLITUDE, EDGE_BYTES, SCHEDULE_BYTES
 from tests.conftest import EXA_BINARY, EXA_LEGS, EXA_ONEHOT, EXA_W
 
 NONCONTIG = "100000" + "000010" + "001000"
@@ -748,8 +748,10 @@ def test_solve_refuses_shots_past_a_64_bit_count(tmp_path, capsys, exa_json):
     ids=["solve", "bound"],
 )
 def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json, command, layers_per_depth):
-    # exA's 216 one-hot labels plus ten layers of each schedule the run holds
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * 216 + SCHEDULE_BYTES * layers_per_depth * 10)
+    # exA's 216 one-hot labels, its 6 x 6 edge matrix and ten layers of each
+    # schedule the run holds
+    budget = BYTES_PER_AMPLITUDE * 216 + EDGE_BYTES * 36 + SCHEDULE_BYTES * layers_per_depth * 10
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", budget)
     out = tmp_path / "run.json"
     argv = [command[0], "--instance", exa_json, *command[1:], "--out", str(out)]
     assert main(argv + ["--depth", "10"]) == 0
@@ -760,9 +762,27 @@ def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, 
     assert len(err.splitlines()) == 1 and not out.exists()
 
 
+def test_solve_charges_the_edge_matrix_before_the_energy_table(tmp_path, capsys, monkeypatch):
+    # one customer on K = 20 vehicles: 20 labels, but a 20 x 20 edge matrix
+    K = 20
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"W": [[0]], "d": [1], "Q": [1] * K, "K": K}))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the energy table was built before the budget check")
+
+    monkeypatch.setattr(solver, "energy_table", no_table)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", EDGE_BYTES * K**2 - 1)
+    assert BYTES_PER_AMPLITUDE * K + SCHEDULE_BYTES < simulator.MEMORY_BUDGET
+    assert main(["solve", "--instance", str(path), "--no-reference", "--grid-points", "1", "--out", str(tmp_path / "run.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a onehot run on {K} labels ") and f"with its {K} x {K} edge matrix" in err
+    assert len(err.splitlines()) == 1 and not (tmp_path / "run.json").exists()
+
+
 def test_brute_refuses_oracle_tables_over_the_budget_in_one_line(capsys, monkeypatch, exa_json):
     # n = 3, K = 2: route tables of K (n + 2) 2^n entries and a 6 x 6 edge matrix
-    need = solver.ROUTE_BYTES * 2 * 5 * 8 + solver.EDGE_BYTES * 36
+    need = solver.ROUTE_BYTES * 2 * 5 * 8 + EDGE_BYTES * 36
     monkeypatch.setattr(solver, "MEMORY_BUDGET", need - 1)
     assert main(["brute", "--instance", exa_json]) == 1
     err = capsys.readouterr().err

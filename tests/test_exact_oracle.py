@@ -6,9 +6,16 @@ applies capacity, and scores survivors vectorized over all permutations at
 once. The fast oracle must return the same `ExactSolution` on every instance:
 the same optimum under ==, the same winners in the same order and the same
 feasible count, so its JSON bytes cannot move.
+
+`reference_vehicle_tables` is the slow reference of the vehicle DP alone:
+one (mask, submask) pair at a time on Python lists. Its G tables must equal
+the array DP's exactly and its count must be the same integer, also past
+n = 8 where the enumeration no longer runs; there the all-fit count is also
+checked against its closed form.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -20,6 +27,7 @@ from colorperm import solver
 from colorperm.encoding import ColoredAssignment, EncodingParams
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, edge_cost_matrix, energy_objective
 from colorperm.instances import Instance
+from colorperm.simulator import EDGE_BYTES
 from colorperm.solver import SCORE_TOL, ExactSolution, exact_solve
 
 
@@ -208,7 +216,7 @@ def test_oracle_tables_are_charged_before_they_are_built(monkeypatch):
     n, K = 3, 2
     W = np.array([[0.0, 1.0, 5.0], [4.0, 0.0, 2.0], [6.0, 7.0, 0.0]])
     inst = Instance("two-winners", n, K, [1] * n, [n] * K, W, [1.0, 3.0, 8.0], [9.0, 6.0, 2.0])
-    need = solver.ROUTE_BYTES * (K * (n + 2) << n) + solver.EDGE_BYTES * (n * K) ** 2
+    need = solver.ROUTE_BYTES * (K * (n + 2) << n) + EDGE_BYTES * (n * K) ** 2
     monkeypatch.setattr(solver, "MEMORY_BUDGET", need)
     assert len(exact_solve(inst).optimal_assignments) == 2
     monkeypatch.setattr(solver, "MEMORY_BUDGET", need - 1)
@@ -227,3 +235,100 @@ def test_gathering_ties_over_a_large_fleet_takes_linear_time():
     assert time.perf_counter() - start < 2.0
     assert sol.feasible_count == len(sol.optimal_assignments) == K
     assert [a.symbols for a in sol.optimal_assignments] == [((0, k),) for k in range(K)]
+
+
+def reference_vehicle_tables(costs, fits, n):
+    """The vehicle DP one (mask, submask) pair at a time on Python lists and
+    integers: G[k][mask] for every vehicle (the last one on the full mask
+    only) and the feasible timeline count."""
+    full = (1 << n) - 1
+    fact = [math.factorial(r) for r in range(n + 1)]
+    # N[mask][r]: weighted ways on r <= |mask| routes
+    G, N = [[0.0] + [np.inf] * full], [[1]] + [[0]] * full
+    for k, (cost, fit) in enumerate(zip(costs.tolist(), fits.tolist())):
+        prev, g = G[-1], list(G[-1])
+        cnt = [c + [0] if len(c) <= mask.bit_count() else list(c) for mask, c in enumerate(N)]
+        for mask in range(1, full + 1) if k < len(costs) - 1 else (full,):
+            sub = mask
+            while sub:
+                if fit[sub]:
+                    g[mask] = min(g[mask], prev[mask ^ sub] + cost[sub])
+                    for r, c in enumerate(N[mask ^ sub]):
+                        cnt[mask][r + 1] += c * fact[sub.bit_count()]
+                sub = (sub - 1) & mask
+        G.append(g)
+        N = cnt
+    return G, sum(fact[r] * c for r, c in enumerate(N[full]))
+
+
+def all_fit_count(n, K):
+    """Feasible timelines when every subset fits: n! orders of the customers
+    times, for r routes, C(n - 1, r - 1) cuts and K!/(K - r)! vehicles."""
+    return math.factorial(n) * sum(math.comb(n - 1, r - 1) * math.perm(K, r) for r in range(1, min(n, K) + 1))
+
+
+def vehicle_tables(inst):
+    _, start, close = edge_cost_matrix(inst)
+    costs, fits, _ = solver._route_tables(inst, start, close)
+    return costs, fits
+
+
+def assert_same_tables(inst):
+    costs, fits = vehicle_tables(inst)
+    G, count = solver._vehicle_tables(costs, fits, inst.n)
+    ref_G, ref_count = reference_vehicle_tables(costs, fits, inst.n)
+    assert G.shape == (inst.K + 1, 1 << inst.n)
+    for k in range(inst.K):
+        assert np.array_equal(G[k], ref_G[k])
+    assert G[inst.K, -1] == ref_G[inst.K][-1]
+    assert count == ref_count
+    return count
+
+
+@st.composite
+def fleets(draw):
+    n = draw(st.integers(1, 10))
+    K = draw(st.integers(1, 4))
+    W = np.array(draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+    np.fill_diagonal(W, 0.0)
+    legs = [np.array(draw(st.lists(st.integers(0, 5), min_size=n * K, max_size=n * K)), dtype=float).reshape(n, K) for _ in "io"]
+    d = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    Q = draw(st.lists(st.integers(0, sum(d) + 1), min_size=K, max_size=K))
+    return Instance("fleet", n, K, d, Q, W * draw(st.sampled_from([1.0, 0.1, 1.7])), *legs)
+
+
+@given(fleets())
+@settings(max_examples=40, deadline=None)
+def test_vehicle_dp_matches_the_pairwise_reference(inst):
+    assert_same_tables(inst)
+
+
+def test_vehicle_dp_matches_the_pairwise_reference_at_n11_k3():
+    inst = _euclidean_instance([1, 2, 1, 3, 2, 1, 1, 2, 3, 1, 2], 3, seed=5)
+    assert 0 < assert_same_tables(inst) < all_fit_count(11, 3)
+
+
+def test_all_fit_count_closed_form_on_exA(exA):
+    assert all_fit_count(3, 2) == exact_solve(exA).feasible_count == 36
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_vehicle_dp_counts_the_closed_form_when_every_subset_fits(n):
+    K = 3
+    inst = _euclidean_instance([1] * n, K, seed=n)
+    inst = Instance("roomy", n, K, inst.d, [n] * K, inst.W, inst.dep_to, inst.to_dep)
+    assert solver._vehicle_tables(*vehicle_tables(inst), n)[1] == all_fit_count(n, K)
+
+
+def test_vehicle_dp_counts_in_python_integers_past_the_int64_limit(monkeypatch):
+    n, K = 10, 3
+    inst = _euclidean_instance([1, 2, 1, 3, 2, 1, 1, 2, 3, 1], K, seed=9)
+    roomy = Instance("roomy", n, K, inst.d, [sum(inst.d)] * K, inst.W, inst.dep_to, inst.to_dep)
+    tables = [vehicle_tables(case) for case in (inst, roomy)]
+    wide = [solver._vehicle_tables(*t, n) for t in tables]
+    monkeypatch.setattr(solver, "COUNT_LIMIT", 0)
+    for t, (G, count) in zip(tables, wide):
+        exact_G, exact_count = solver._vehicle_tables(*t, n)
+        assert np.array_equal(exact_G[:K], G[:K]) and exact_G[K, -1] == G[K, -1]
+        assert type(exact_count) is int and exact_count == count
+    assert 0 < wide[0][1] < wide[1][1] == all_fit_count(n, K)

@@ -13,6 +13,7 @@ from colorperm.analysis import envelope, phase_profile
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_table
 from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
+    EDGE_BYTES,
     AmplitudeBudgetError,
     Schedule,
     apply_phase,
@@ -32,12 +33,12 @@ ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_entry_admitted_at_its_charge_and_refused_one_byte_below(exA, monkeypatch, entry):
-    # exA: 216 one-hot labels
+    # exA: 216 one-hot labels and a 6 x 6 edge matrix
     label_bytes, call = ENTRIES[entry]
     model = EnergyModel.for_instance(exA)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", label_bytes * 216)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", label_bytes * 216 + EDGE_BYTES * 36)
     call(model)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", label_bytes * 216 - 1)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", label_bytes * 216 + EDGE_BYTES * 36 - 1)
     with pytest.raises(AmplitudeBudgetError):
         call(model)
 

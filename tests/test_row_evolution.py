@@ -26,6 +26,7 @@ from colorperm.feasibility import OK, REASONS, label_reasons
 from colorperm.hamiltonian import EnergyModel, energy_components, energy_table
 from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
+    EDGE_BYTES,
     MEMORY_BUDGET,
     SCHEDULE_BYTES,
     TABLE_BYTES,
@@ -210,12 +211,13 @@ def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
 
 
 def test_budget_counts_the_binary_vector(params3, monkeypatch):
-    # exA: 216 one-hot labels and 512 binary labels
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * 216)
+    # exA: 216 one-hot labels and 512 binary labels, and a 6 x 6 edge matrix
+    edges = EDGE_BYTES * 36
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * 216 + edges)
     check_budget(params3, "onehot")
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * (216 + 512))
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * (216 + 512) + edges)
     check_budget(params3, "binary")
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * (216 + 512) - 1)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * (216 + 512) + edges - 1)
     with pytest.raises(AmplitudeBudgetError):
         check_budget(params3, "binary")
 
@@ -227,6 +229,14 @@ def test_budget_refuses_n7_k2_and_admits_n6(monkeypatch):
         check_budget(EncodingParams(7, 2), "onehot")
     check_budget(EncodingParams(6, 2), "onehot")
     check_budget(EncodingParams(6, 2), "binary")
+
+
+def test_budget_refuses_one_customer_on_a_fleet_of_20000():
+    # arithmetic only: 20,000 labels take 1.3 MB, but the 20,000 x 20,000
+    # edge matrix the energy table starts from would take 10 GB
+    assert BYTES_PER_AMPLITUDE * 20000 < MEMORY_BUDGET < EDGE_BYTES * 20000**2
+    with pytest.raises(AmplitudeBudgetError, match="20000 labels"):
+        check_budget(EncodingParams(1, 20000), "onehot")
 
 
 def test_solve_over_budget_exits_with_one_error_line(tmp_path, capsys, monkeypatch):
@@ -282,10 +292,10 @@ def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
 
 
 def test_budget_charges_the_table_once_and_each_worker(params3, monkeypatch):
-    # arithmetic on exA's 216 one-hot labels
+    # arithmetic on exA's 216 one-hot labels; its 6 x 6 edge matrix is charged once
     assert BYTES_PER_AMPLITUDE == TABLE_BYTES + WORKER_BYTES
     for workers in (1, 2, 3):
-        monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + WORKER_BYTES * workers) * 216)
+        monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + WORKER_BYTES * workers) * 216 + EDGE_BYTES * 36)
         check_budget(params3, "onehot", workers=workers)
         with pytest.raises(AmplitudeBudgetError, match=f"in {workers + 1} worker processes"):
             check_budget(params3, "onehot", workers=workers + 1)
@@ -303,8 +313,8 @@ def test_sweep_charges_a_worker_per_gamma_row_before_the_pool_starts(exA, monkey
         raise PoolStarted
 
     monkeypatch.setattr(solver, "ProcessPoolExecutor", pool)
-    # two workers, each holding its row's one depth-1 schedule
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + 2 * WORKER_BYTES) * 216 + 2 * SCHEDULE_BYTES)
+    # two workers, each holding its row's one depth-1 schedule, and one edge matrix
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + 2 * WORKER_BYTES) * 216 + 2 * SCHEDULE_BYTES + EDGE_BYTES * 36)
     model = EnergyModel.for_instance(exA)
     three_rows = GridSpec((0.1, 0.2, 0.3), (0.4,))
     with pytest.raises(AmplitudeBudgetError, match="in 3 worker processes"):
