@@ -504,14 +504,18 @@ _COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of every command, or, given one, the same parser with
+    the flags of that command only: its help and errors read the same."""
     parser = argparse.ArgumentParser(
         prog="colorperm",
         description="Colored-permutation routing encoder, simulator, and grid-sweep solver.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (_, about, dests) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=about)
+    for name, (_, about, dests) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=about)
+        if command in _COMMANDS and name != command:
+            continue
         sub.add_argument("--config", help="JSON file of default flag values")
         for dest in dests:
             _, kind, text = _OPTIONS[dest]
@@ -524,8 +528,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         file_config = _read_config(args.config) if args.config else {}
         cfg = _resolve(args, file_config)

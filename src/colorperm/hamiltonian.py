@@ -21,9 +21,12 @@ Everything here is a plain function of the basis-state label.
 `energy_components` evaluates it over an array of labels of either
 register and is the reference; padded words exist only there.
 `energy_table` builds the one diagonal the simulator and the analysis
-read, over the S^n one-hot labels whatever the model's register, by
-broadcasting per-digit terms over an (S,)*n array and adding them in the
-reference's order so the two agree bit for bit.
+read, over the S^n one-hot labels whatever the model's register: the
+once and capacity terms on the pairs of distinct symbol multisets of the
+two halves of a label, gathered into S^n, then the objective one
+position at a time. It adds in the reference's order, so the two agree
+bit for bit while every load is an integer below 2**53 (instances refuse
+a larger total demand).
 """
 
 from __future__ import annotations
@@ -221,53 +224,58 @@ def energy_total(z, model):
     return float(energy_components(model, [z])["total"][0])
 
 
-def _axis_view(vec_or_mat, axes, n):
-    """Reshape a per-digit vector (one axis) or a pair matrix (two
-    ascending axes) so it broadcasts over a (radix,)*n array."""
-    shape = [1] * n
-    for axis, size in zip(axes, vec_or_mat.shape):
-        shape[axis] = size
-    return vec_or_mat.reshape(shape)
+def _half_multisets(S, digits):
+    """The distinct symbol multisets of `digits` positions, each as its
+    sorted symbols (a (digits, u) array), and every label's multiset index."""
+    sym = label_digits_array(np.arange(S**digits), digits, S)
+    sym.sort(axis=0)
+    keys, inverse = np.unique(S ** np.arange(digits - 1, -1, -1) @ sym, return_inverse=True)
+    return label_digits_array(keys, digits, S), inverse
 
 
 def energy_table(model):
     """Total energy of every S^n one-hot label, whatever the register.
 
     Allocates at any size: its callers charge the memory budget first
-    (`simulator.check_budget`). Each term of `energy_components` is a sum
-    of per-digit or per-digit-pair pieces, so it is built by broadcasting
-    small vectors and matrices over an (S,)*n array; the additions run in
-    the reference's order and the result equals `energy_components` of
-    the one-hot model at arange(S^n) exactly.
+    (`simulator.check_budget`). The once and capacity terms depend only
+    on the multiset of a label's symbols, and on integer counts and loads
+    that add up exactly (instances keep the total demand below 2**53), so
+    they are scored on each pair of distinct multisets of the first n // 2
+    digits and of the rest and gathered into S^n in one pass. The
+    objective is built one position at a time, each level the last one
+    plus an edge, so every label sums start, edges and close left to
+    right. The float operations run in the reference's order and the
+    result equals `energy_components` of the one-hot model at arange(S^n)
+    exactly.
     """
     inst = model.inst
     p = model.params
     w = model.weights
     n, K, S = p.n, p.K, p.S
-    shape = (S,) * n
-    sym = np.arange(S)
-    cust = sym % n
-    veh = sym // n
+    (head, head_of), (tail, tail_of) = _half_multisets(S, n // 2), _half_multisets(S, n - n // 2)
+    # the symbol at each position of every (head, tail) pair of multisets
+    sym = [row[:, None] for row in head] + [row[None, :] for row in tail]
+    cust = np.arange(S) % n
+    veh = np.arange(S) // n
 
     # once: 2 per same-customer digit pair, counted exactly in integers
     # (at most n*n) and scaled once
     same = 2 * (cust[:, None] == cust[None, :]).astype(np.int16)
-    count = np.zeros(shape, dtype=np.int16)
+    count = np.zeros((head.shape[1], tail.shape[1]), dtype=np.int16)
     for j1 in range(n):
         for j2 in range(j1 + 1, n):
-            count += _axis_view(same, (j1, j2), n)
-    total = count.astype(float)
-    total *= w.lam_once
+            count += same[sym[j1], sym[j2]]
+    pair = count.astype(float)
+    pair *= w.lam_once
 
     if w.cap_mode != "filter-only":
         demand = np.asarray(inst.d, dtype=float)
-        cap = np.zeros(shape)
-        load = np.empty(shape)
+        cap = np.zeros(pair.shape)
         for k in range(K):
             per_digit = np.where(veh == k, demand[cust], 0.0)
-            load.fill(0.0)
+            load = np.zeros(pair.shape)
             for j in range(n):
-                load += _axis_view(per_digit, (j,), n)
+                load += per_digit[sym[j]]
             # in place: hinge max(0, load - Q_k)**2 or surrogate (load - Q)**2
             if w.cap_mode == "hinge":
                 load -= inst.Q[k]
@@ -277,18 +285,18 @@ def energy_table(model):
             load *= load
             cap += load
         cap *= w.lam_cap
-        total += cap
-        del load, cap
+        pair += cap
+    total = np.take(pair[head_of], tail_of, axis=1).reshape(-1)
 
     edges, start, close = edge_cost_matrix(inst)
-    obj = np.empty(shape)
-    obj[...] = _axis_view(start, (0,), n)
-    for j in range(n - 1):
-        obj += _axis_view(edges, (j, j + 1), n)
-    obj += _axis_view(close, (n - 1,), n)
+    obj = start
+    for _ in range(n - 1):
+        obj = (obj.reshape(-1, S, 1) + edges).reshape(-1)
+    last = obj.reshape(-1, S)
+    last += close
     obj *= w.lam_obj
     total += obj
-    return total.reshape(-1)
+    return total
 
 
 @dataclass(frozen=True)

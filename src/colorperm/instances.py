@@ -119,6 +119,9 @@ class _Record:
             raise ValueError("capacity vector must have length K")
         if (d < 0).any():
             raise ValueError("demands must be nonnegative")
+        total = sum(d.tolist())  # in Python integers, past int64
+        if total >= 2**53:  # below it, loads add exactly in any order (`energy_table`)
+            raise ValueError(f"total demand must be below 2**53, not {total}")
         if (Q < 0).any():
             raise ValueError("capacities must be nonnegative")
         if W.shape != (n, n):

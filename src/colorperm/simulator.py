@@ -4,7 +4,7 @@ The one-hot register never represents the full n^2*K qubits: its basis
 IS the block-one-hot sector, addressed by mixed-radix labels over n
 symbol digits, so the state is a dense complex vector of size S^n. One
 ansatz layer applies the diagonal phase exp(-i*gamma*E(z)) and then the
-per-block mixer, both in place on one buffer.
+per-block mixer, in place on one buffer.
 
 The block mixer is the exponential of the normalized hopping generator
 (J - I)/(S - 1) on one block, evaluated in closed form from its two
@@ -17,9 +17,12 @@ complement (eigenvalue -1/(S-1)),
 so each block axis is mixed in place as x <- dg*x + off*sum(x).
 
 It runs on cache-sized blocks; a schedule's last layer also squares each
-block. A grid row shares its first layer: from the uniform state, the
-first phase layer depends only on the first gamma, so `evolve_row`
-computes it once and evolves each schedule from a copy of it. `sample`
+block. A grid row shares its phase factor exp(-i*gamma*E): `evolve_row`
+writes it once per row, and the mixer multiplies it in as it first reads
+each slab, so a layer with the row's gamma takes no pass and no `exp` of
+its own. The first layer reads the factor times the uniform amplitude,
+which is the phased uniform state bit for bit. Layers with another gamma
+and `apply_phase` phase the state in a pass of their own. `sample`
 replays numpy's multinomial on only the labels a spread-out state can
 draw (`_replica`), and hands numpy any draw it cannot follow.
 
@@ -45,15 +48,16 @@ from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per label of the
 # S^n state: the energy table once (8 bytes), and in each process that
-# evolves grid rows the evolved state and the shared first layer (16
+# evolves grid rows the evolved state and the row's phase factor (16
 # each) and the distribution (8) plus allocator slack. Measured peaks
-# above the import are 53.8 (n = 6, K = 2) and 52.4 (n = 5, K = 5) bytes
-# per label for one process, and 35.6 and 43.6 of each worker's own pages
-# (its VmHWM less the parent's RSS) under --jobs 2. Every other S^n entry
-# (phase profile, envelope) pays the single-process charge: the whole
-# `bound` peaks at 28.4 (n = 6, K = 2) and 26.2 (n = 5, K = 5) bytes per
-# label, `phase_profile` alone at 27.5 and 26.2, the envelope at 9.0 and
-# 8.4. A Schedule holds 16 bytes
+# above the import are 51.2 (n = 6, K = 2) and 50.3 (n = 5, K = 5) bytes
+# per label for one process (the same at depth 2), and 43.8 and 41.1 of
+# each worker's own pages (its VmHWM less its RSS as it starts its row)
+# under --jobs 2. Building the table peaks at 18.0 and 19.4. Every other
+# S^n entry (phase profile, envelope) pays the single-process charge: the
+# whole `bound` peaks at 28.8 (n = 6, K = 2) and 19.8 (n = 5, K = 5) bytes
+# per label, `phase_profile` alone at 27.4 and 19.5, the envelope at 9.0
+# and 8.4. A Schedule holds 16 bytes
 # per layer and peaks at 66 while it is built (tracemalloc, depth 10**6);
 # each layer of a worker's schedules is charged that peak. The S x S edge
 # matrix the energy table and the oracle start from (`edge_cost_matrix`:
@@ -135,10 +139,9 @@ def check_budget(params, register="onehot", workers=1, layers=0):
         )
 
 
-def _uniform(params):
-    """1/sqrt(S^n) on every one-hot label, in a new buffer."""
-    amp = 1.0 / np.sqrt(float(params.S) ** params.n)
-    return np.full(params.dim("onehot"), amp, dtype=complex)
+def _amplitude(params):
+    """1/sqrt(S^n), the uniform amplitude of every one-hot label."""
+    return 1.0 / np.sqrt(float(params.S) ** params.n)
 
 
 def initial_state(params, register="onehot"):
@@ -146,7 +149,8 @@ def initial_state(params, register="onehot"):
     one-hot label (a uniform product of per-block uniform symbol states),
     relabelled into `register`, once `check_budget` admits it."""
     check_budget(params, register)
-    return _relabel(EncodedState(_uniform(params), "onehot", params), register)
+    amps = np.full(params.dim("onehot"), _amplitude(params), dtype=complex)
+    return _relabel(EncodedState(amps, "onehot", params), register)
 
 
 def _relabel(state, register):
@@ -181,13 +185,16 @@ def _mixer_coefficients(S, beta):
     return dg, (np.exp(-1j * beta) - dg) / S
 
 
-def _mix(amps, params, beta, probs=None):
+def _mix(amps, params, beta, probs=None, src=None, factor=None):
     """The block mixer on every axis of the (S,)*n view of `amps`, in
-    place, and |amps|**2 into `probs` when given. The fewest leading axes
-    (at most n - 2) whose trailing sub-blocks fit in MIX_BLOCK are mixed
-    on slabs of whole trailing axes, then each sub-block's other axes in
-    one visit that squares it. Each sum keeps its order of additions (a
-    1-D sub-block or 1-column slab would not), so the bytes do too."""
+    place, and |amps|**2 into `probs` when given. With `factor` (a scalar
+    or a per-label array) it mixes src * factor into `amps` instead, `src`
+    being `amps` unless given, both read in the first visit. The fewest
+    leading axes (at most n - 2) whose trailing sub-blocks fit in
+    MIX_BLOCK are mixed on slabs of whole trailing axes, each gathered
+    into one contiguous scratch buffer, then each sub-block's other axes
+    in one visit that squares it. Each sum keeps its order of additions
+    (a 1-D sub-block or 1-column slab would not), so the bytes do too."""
     S, n = params.S, params.n
     lead = min(max(n - 2, 0), next(L for L in range(n + 1) if S ** (n - L) <= MIX_BLOCK))
     cols = max([c for c in range(2, n - lead + 1) if S ** (lead + c) <= MIX_BLOCK], default=1)
@@ -202,8 +209,20 @@ def _mix(amps, params, beta, probs=None):
             tensor += total
 
     head = amps.reshape((S,) * lead + (-1,))
+    src = head if src is None else src.reshape(head.shape)
+    factor = factor.reshape(head.shape) if np.ndim(factor) else factor
+    # without leading axes each slab is contiguous already
+    scratch = np.empty(head.shape[:-1] + (S**cols,), dtype=complex) if lead else None
     for lo in range(0, head.shape[-1], S**cols):
-        mix_axes(head[..., lo : lo + S**cols], lead)
+        part = (..., slice(lo, lo + S**cols))
+        slab = scratch if lead else head[part]
+        if factor is not None:
+            np.multiply(src[part], factor[part] if np.ndim(factor) else factor, out=slab)
+        elif lead:
+            np.copyto(slab, head[part])
+        mix_axes(slab, lead)
+        if lead:
+            head[part] = slab
     size = S ** (n - lead)
     for lo in range(0, len(amps), size):
         block = amps[lo : lo + size]
@@ -257,12 +276,13 @@ def evolve_row(params, model, schedules, energies=None):
     distribution, squared in the last mixer layer.
 
     Every register evolves on the S^n one-hot labels; a binary model's
-    final states are relabelled into its register. The first phase layer
-    on the uniform state is computed once for the whole row; each
-    schedule but the last evolves a copy of it in one work buffer, and
-    the last evolves the shared layer itself. Every yielded one-hot state
-    and distribution lives in a buffer that the next one overwrites, so
-    use them before drawing the next.
+    final states are relabelled into its register. The row's phase
+    factor exp(-i*gamma*E) is computed once, in place; each schedule
+    evolves in one work buffer from the factor times the uniform
+    amplitude, and the last one evolves in the factor's own buffer unless
+    a later layer of its own multiplies by the factor again. Every yielded
+    one-hot state and distribution lives in a buffer that the next one
+    overwrites, so use them before drawing the next.
 
     Refuses runs over the memory budget (`check_budget`) before
     allocating anything.
@@ -279,22 +299,27 @@ def evolve_row(params, model, schedules, energies=None):
         energies = energy_table(model)
     if np.shape(energies) != (params.dim("onehot"),):
         raise ValueError(f"energy table must have length {params.dim('onehot')}")
-    first = _uniform(params)
-    _phase(first, schedules[0].gammas[0], energies)
-    # allocated after the first layer, into the heap its temporaries freed
-    probs = np.empty(len(first))
+    gamma0 = schedules[0].gammas[0]
+    factor = np.multiply(-1j * gamma0, energies, out=np.empty(len(energies), dtype=complex))
+    np.exp(factor, out=factor)
+    probs = np.empty(len(factor))
     work = None
     for i, schedule in enumerate(schedules):
-        if i == len(schedules) - 1:
-            work = first
+        kept = [gamma == gamma0 for gamma in schedule.gammas]
+        if i == len(schedules) - 1 and not any(kept[1:]):
+            work = factor
         elif work is None:
-            work = first.copy()
-        else:
-            np.copyto(work, first)
+            work = np.empty_like(factor)
         for layer, (gamma, beta) in enumerate(zip(schedule.gammas, schedule.betas)):
-            if layer:
+            last = probs if layer == schedule.p - 1 else None
+            if not layer:
+                # the phased uniform state, bit for bit: IEEE products and sums commute
+                _mix(work, params, beta, last, src=factor, factor=_amplitude(params))
+            elif kept[layer]:
+                _mix(work, params, beta, last, factor=factor)
+            else:
                 _phase(work, gamma, energies)
-            _mix(work, params, beta, probs if layer == schedule.p - 1 else None)
+                _mix(work, params, beta, last)
         yield _relabel(EncodedState(work, "onehot", params), model.register), probs
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from colorperm import simulator, solver
-from colorperm.cli import _OPTIONS, main
+from colorperm.cli import _COMMANDS, _OPTIONS, build_parser, main
 from colorperm.simulator import BYTES_PER_AMPLITUDE, EDGE_BYTES, SCHEDULE_BYTES
 from tests.conftest import EXA_BINARY, EXA_LEGS, EXA_ONEHOT, EXA_W
 
@@ -954,3 +954,18 @@ def test_out_of_memory_exits_with_one_error_line(capsys, monkeypatch, exa_json):
     monkeypatch.setattr("colorperm.cli.load_instance", exhausted)
     assert main(["brute", "--instance", exa_json]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def exit_text(run, capsys):
+    with pytest.raises(SystemExit) as stop:
+        run()
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("flags", [["--help"], ["--bogus"], ["--seed", "x"], ["stray"]], ids=["help", "unknown", "bad-value", "extra"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, flags, capsys):
+    # main builds only the named command's flags; its help and errors must not show it
+    argv = [command, *flags]
+    assert exit_text(lambda: main(argv), capsys) == exit_text(lambda: build_parser().parse_args(argv), capsys)

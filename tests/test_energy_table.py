@@ -69,6 +69,33 @@ def test_table_equals_reference_exactly(model):
     assert np.array_equal(table, reference)
 
 
+def seeded_model(n, K, cap_mode, legs, seed):
+    """Float distances and legs, integer demands, and capacities some
+    loads exceed, so every term and every rounding shows."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.0, 100.0, (n, n))
+    np.fill_diagonal(W, 0.0)
+    leg_shape = (n,) if legs == "shared" else (n, K)
+    d = rng.integers(0, 7, n)
+    Q = [int(d.sum()) // K] * K if cap_mode == "quadratic-surrogate" else rng.integers(0, int(d.sum()) + 1, K)
+    inst = Instance("seeded", n, K, d, Q, W, rng.uniform(0.0, 100.0, leg_shape), rng.uniform(0.0, 100.0, leg_shape))
+    weights = PenaltyWeights(lam_once=3.7, lam_cap=1.3, lam_obj=0.9, cap_mode=cap_mode)
+    return EnergyModel.for_instance(inst, weights)
+
+
+@pytest.mark.parametrize("legs", ["shared", "per-vehicle"])
+@pytest.mark.parametrize("cap_mode", CAP_MODES)
+@pytest.mark.parametrize("n, K", [(5, 2), (5, 3), (6, 2), (6, 3)])
+def test_half_table_equals_reference_on_seeded_labels(n, K, cap_mode, legs):
+    # n = 5 splits its digits 2 + 3, n = 6 3 + 3; one table of up to 18^6 labels each
+    model = seeded_model(n, K, cap_mode, legs, seed=1000 * n + 10 * K + CAP_MODES.index(cap_mode))
+    table = energy_table(model)
+    size = model.params.dim("onehot")
+    labels = np.concatenate([[0, size - 1], np.random.default_rng(n * K).integers(0, size, 20000)])
+    assert table.shape == (size,)
+    assert np.array_equal(table[labels], energy_components(model, labels)["total"])
+
+
 @pytest.fixture
 def build_counter(monkeypatch):
     """Count energy_table builds through every binding a sweep can use."""

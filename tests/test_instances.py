@@ -151,6 +151,16 @@ def test_vrp_error_exits_with_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("demands", [[2**52, 2**52], [2**62, 2**62]], ids=["at-2**53", "past-int64"])
+def test_total_demand_of_2_to_the_53_exits_with_one_error_line(tmp_path, capsys, demands):
+    # loads at or above 2**53 no longer add exactly, so the energies would not be exact
+    path = tmp_path / "heavy.json"
+    path.write_text(f'{{"W": [[0, 2], [2, 0]], "d": {demands}, "Q": [3]}}')
+    assert main(["brute", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: total demand must be below 2**53, not {sum(demands)}\n"
+    assert from_matrices({"W": [[0, 2], [2, 0]], "d": [2**52, 2**52 - 1], "Q": [3]}).d.sum() == 2**53 - 1
+
+
 def test_from_matrices_example_a():
     record = {
         "W": [[0, 30.41, 36.40], [30.41, 0, 6.08], [36.40, 6.08, 0]],

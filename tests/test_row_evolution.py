@@ -40,6 +40,7 @@ from colorperm.simulator import (
     check_budget,
     evolve_row,
     exact_distribution,
+    initial_state,
     run_ansatz,
 )
 from colorperm.solver import GridSpec, exact_solve, phqc, phqc_histogram
@@ -114,6 +115,17 @@ def test_row_states_equal_run_ansatz(exA, params3, register):
         assert np.array_equal(probs, exact_distribution(EncodedState(onehot, "onehot", params3)))
 
 
+@pytest.mark.parametrize("gammas", [(0.3, 0.7, 0.3), (0.0, -0.0, 0.05), (0.2, 0.2, 1.1)])
+def test_mixed_gamma_ansatz_equals_the_layer_chain(exA, params3, gammas):
+    # layers with the opening gamma reuse the row's factor, the others phase anew
+    model = EnergyModel.for_instance(exA)
+    schedule = Schedule(gammas, (0.4, 2.2, 1.3))
+    state = initial_state(params3)
+    for gamma, beta in zip(schedule.gammas, schedule.betas):
+        state = apply_mixer(apply_phase(state, gamma, model), beta)
+    assert run_ansatz(params3, model, schedule).amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
 def test_row_needs_one_first_gamma(exA, params3):
     model = EnergyModel.for_instance(exA)
     with pytest.raises(ValueError):
@@ -171,10 +183,10 @@ def squared_and_drawn(monkeypatch):
     squared, drawn = [], []
     original_mix, original_sample = simulator._mix, simulator.sample
 
-    def mix(amps, params, beta, probs=None):
+    def mix(amps, params, beta, probs=None, **first_visit):
         if probs is not None:
             squared.append(probs)
-        original_mix(amps, params, beta, probs)
+        original_mix(amps, params, beta, probs, **first_visit)
 
     def draw(state, shots, seed, probs=None):
         drawn.append((state, probs))

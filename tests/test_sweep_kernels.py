@@ -9,9 +9,10 @@ bytes. `simulator._mix` visits cache-sized sub-blocks after mixing the
 leading axes; its bytes must not depend on the blocking.
 
 The n = 6 digests pin a sweep where both new paths run (2,985,984 labels,
-two leading axes mixed whole, 1,728 labels per shot). They were taken
-from the multinomial over every label and the unblocked mixer, and the
-instance is perfbench's sweep-n6k2 instance at seed 11, written by
+two leading axes mixed whole, 1,728 labels per shot). The depth-1 and
+depth-2 digests were taken from the multinomial over every label and the
+unblocked mixer, the depth-3 ones from the mixer before the phase factor
+moved into its first visit, and the instance is perfbench's sweep-n6k2 instance at seed 11, written by
 `perfbench/gen.py`'s `to_vrp`. It sits in its own directory so that
 `bench --dir tests/data` does not sweep it.
 """
@@ -49,6 +50,14 @@ N6_GOLDEN = {
             "run.json": "d941d1141a836c2dc0d573fc68f704f0d328a9334c0d55791a89263366e1e87a",
             "run.grid.csv": "0c04046c373c792e99bac25ba1b275a7d49aea6789d032620e77151362007e0d",
             "run.hist.csv": "f0f0f358894a07f5df7c05c6d11fdde2dfab320ed7477a24d79fa273de29b4e7",
+        },
+    ),
+    "depth3": (
+        ["--depth", "3"],
+        {
+            "run.json": "734f496e067ef009dcbea073183c5224b88926472d2830f8d900e668842f8242",
+            "run.grid.csv": "6fd4c10662ae583ba114c649f907f31d29ce6f87d8202b41e918066a02305f39",
+            "run.hist.csv": "0d933986bcc25da1e8da45f6f56c39e2b9fc9aa0dc573ddb4f18fc9241d816b1",
         },
     ),
 }
