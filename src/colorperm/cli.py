@@ -42,7 +42,6 @@ from .hamiltonian import CAP_MODES, EnergyModel, PenaltyWeights
 from .instances import ROUNDING_MODES, ParseError, load_instance, qubit_counts
 from .simulator import AmplitudeBudgetError, check_budget
 from .solver import (
-    ENUMERATION_CEILING,
     GridSpec,
     SCORE_TOL,
     default_shots,
@@ -247,9 +246,7 @@ def cmd_solve(cfg):
     inst = _load(cfg)
     model = _model(cfg, inst)
     params = model.params
-    exact = None
-    if not cfg["no_reference"] and inst.n <= ENUMERATION_CEILING:
-        exact = exact_solve(inst, model)
+    exact = None if cfg["no_reference"] else exact_solve(inst, model)
     grid, result, match = _sweep(cfg, inst, model, exact)
     echo = _config_echo(cfg, "solve")
     record = {
@@ -467,11 +464,9 @@ def cmd_bench(cfg):
             oh, bi = qubit_counts(inst.n, inst.K)
             row["onehot_qubits"], row["binary_qubits"] = oh, bi
             model = _model(cfg, inst)
-            exact = None
-            if inst.n <= ENUMERATION_CEILING:
-                exact = exact_solve(inst, model)
-                if exact.optimal_cost is not None:
-                    row["oracle_optimum"] = repr(exact.optimal_cost)
+            exact = exact_solve(inst, model)
+            if exact.optimal_cost is not None:
+                row["oracle_optimum"] = repr(exact.optimal_cost)
             if not cfg["skip_phqc"]:
                 if model.params.dim("onehot") > cfg["phqc_budget"]:
                     row["phqc_best"] = "budget-exceeded"

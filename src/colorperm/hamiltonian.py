@@ -100,24 +100,20 @@ def edge_cost(i, k, i2, k2, inst):
     return inst.dep_in(i, k) + inst.dep_out(i2, k2)
 
 
+def depot_legs(inst):
+    """The depot-start and depot-close vectors indexed by symbol i + n*k."""
+    k_of, i_of = np.divmod(np.arange(inst.n * inst.K), inst.n)
+    return tuple((legs[i_of] if legs.ndim == 1 else legs[i_of, k_of]).astype(float) for legs in (inst.dep_to, inst.to_dep))
+
+
 def edge_cost_matrix(inst):
     """S x S matrix of edge_cost over symbol pairs, plus the depot-start
     and depot-close vectors indexed by symbol."""
-    n, K = inst.n, inst.K
-    S = n * K
-    i_of = np.arange(S) % n
-    k_of = np.arange(S) // n
-    if inst.dep_to.ndim == 1:
-        start = inst.dep_to[i_of]
-    else:
-        start = inst.dep_to[i_of, k_of]
-    if inst.to_dep.ndim == 1:
-        close = inst.to_dep[i_of]
-    else:
-        close = inst.to_dep[i_of, k_of]
+    k_of, i_of = np.divmod(np.arange(inst.n * inst.K), inst.n)
+    start, close = depot_legs(inst)
     same = k_of[:, None] == k_of[None, :]
     edges = np.where(same, inst.W[i_of[:, None], i_of[None, :]], close[:, None] + start[None, :])
-    return edges, start.astype(float), close.astype(float)
+    return edges, start, close
 
 
 def energy_once(assignment_or_counts, weights, n=None):

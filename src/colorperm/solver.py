@@ -24,15 +24,12 @@ feasible count: O(K 3^n) (rest, submask) pairs, taken as one numpy step per
 reachable rest (the last vehicle: one step in all), with int64 counts
 while the all-fit count stays below 2^63 and Python integers past it.
 Backtracking recovers every timeline near the optimum, each scored once in
-`energy_objective`'s order. The tables stay small well past n = 9 (n = 16,
-K = 2 takes 0.5 s) but the winner set does not: at
-n = 8, K = 2 with W and the depot legs all 0, each of the 645,120 feasible
-timelines wins and gathering them takes seconds, hence
-ENUMERATION_CEILING = 9. The tables grow with the fleet, the S x S edge
-matrix quadratically, so a fleet whose tables would pass MEMORY_BUDGET is
-refused with a ValueError before they are built. Many ties can still pass
-the winner ceiling, MEMORY_BUDGET // (WINNER_BYTES * n) timelines, and
-then gathering stops with a ValueError.
+`energy_objective`'s order: W within a vehicle, the close and start legs
+across a vehicle change. Before any table is built, one admission step
+refuses with a ValueError an instance whose route tables would pass
+MEMORY_BUDGET or whose dynamic program would pass WORK_CEILING; many ties
+can still pass the winner ceiling, MEMORY_BUDGET // (WINNER_BYTES * n)
+timelines, and then gathering stops with a ValueError.
 """
 
 from __future__ import annotations
@@ -46,22 +43,30 @@ import numpy as np
 
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
-from .hamiltonian import edge_cost_matrix, energy_components, energy_table
-from .simulator import EDGE_BYTES, MEMORY_BUDGET, Schedule, check_budget, evolve_row, sample
+from .hamiltonian import depot_legs, energy_components, energy_table
+from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, sample
 
-ENUMERATION_CEILING = 9
 SCORE_TOL = 1e-9
 # Bytes a `brute` run holds per customer position of each gathered timeline,
-# through its JSON text: 639 at n = 6 and 635 at n = 7 (8,640 and 70,560
-# winners, K = 2, W and the depot legs all 0; VmHWM above a one-customer run).
+# through its JSON text (VmHWM above a one-customer run): 639 and 635 at n = 6
+# and 7 (all tied, K = 2), 617 and 609 at n = 10 and 12 (tied blocks, K = 1).
 WINNER_BYTES = 640
 # Bytes the oracle holds per entry of its route tables, K (n + 2) 2^n in all:
 # route costs, fits and the vehicle DP's G as arrays, and as the lists the
-# winner walk reads with the Held-Karp rows. VmHWM above the loaded instance
-# with per-vehicle depot legs: 51.0 at n = 9, K = 200 and 65.0 at n = 5,
-# K = 1,000 (shared legs build one Held-Karp table: 10.6 and 23.9). The
-# S x S edge matrix is charged EDGE_BYTES per entry.
-ROUTE_BYTES = 72
+# winner walk reads with the Held-Karp rows. VmHWM above the RSS before the
+# call, all-fit with per-vehicle legs at the work ceiling: 192.6 at n = 1 (each
+# vehicle's lists outweigh its 6 entries), 97.2 at n = 3, 51.4 at n = 9, 53.3
+# at n = 14; 63.0 at n = 18, K = 2 and 59.6 at n = 15, K = 3.
+ROUTE_BYTES = 224
+# The oracle's work in Held-Karp entries (about 22 ns each): per distinct
+# start-leg vector a table of n^2 2^n entries in n^2 numpy steps, and for
+# each vehicle but the first and the last up to 2^n steps over up to 3^n
+# (rest, submask) pairs of n counts each; a numpy step costs STEP_WORK and a
+# count COUNT_WORK. The ceiling admits n = 9, K = 1,359 with per-vehicle
+# legs, the slowest instance an n <= 9 limit admitted.
+STEP_WORK = 1360
+COUNT_WORK = 4
+WORK_CEILING = 1359 * 81 * (2**9 + STEP_WORK) + 1357 * (STEP_WORK * 2**9 + COUNT_WORK * 9 * 3**9)
 # Vehicle DP counts are int64 while the all-fit count is below this.
 COUNT_LIMIT = 2**63
 
@@ -202,10 +207,11 @@ def _vehicle_tables(costs, fits, n):
     return G, int((fact * N[full]).sum())
 
 
-def _timelines(tables, G, n, bound):
+def _timelines(tables, G, n, bound, limit):
     """Symbol rows i + n*k of every feasible timeline whose route costs sum
     to at most bound: each route set within it, each in-route order within
-    it, and every order of the routes along the timeline."""
+    it, and every order of the routes along the timeline. A route lists at
+    most limit + 1 orders: each order makes a timeline of its own."""
 
     def sets(k, mask, acc, chosen):
         # vehicles 0..k-1 still to serve mask; the chosen routes cost acc.
@@ -232,7 +238,7 @@ def _timelines(tables, G, n, bound):
             found.append(seq)
         for i in range(n):
             step = steps[i][head] + tail
-            if mask >> i & 1 and P[mask][i] + step + others <= bound:
+            if len(found) <= limit and mask >> i & 1 and P[mask][i] + step + others <= bound:
                 orders(P, steps, k, mask ^ (1 << i), i, step, others, (i + n * k,) + seq, found)
         return found
 
@@ -252,16 +258,19 @@ def exact_solve(inst, model=None):
     (1.0 without a model), each summed once in `energy_objective`'s order,
     so the reported optimal_cost is bit-comparable with per-sample scores
     elsewhere. Argmins are gathered to a 1e-9 tolerance. Refuses, before
-    building them, tables over the memory budget (ROUTE_BYTES, EDGE_BYTES).
+    building anything, route tables over the memory budget (ROUTE_BYTES
+    per entry) and work over WORK_CEILING.
     """
     n, K = inst.n, inst.K
-    if n > ENUMERATION_CEILING:
-        raise ValueError(f"n = {n} exceeds the enumeration ceiling {ENUMERATION_CEILING}")
-    need = ROUTE_BYTES * (K * (n + 2) << n) + EDGE_BYTES * (n * K) ** 2
+    need = ROUTE_BYTES * (K * (n + 2) << n)
     if need > MEMORY_BUDGET:
         raise ValueError(f"the exact oracle's tables at n = {n}, K = {K} need about {need} bytes, over the memory budget of {MEMORY_BUDGET} bytes")
+    start, close = depot_legs(inst)
+    starts = len({start[k * n : (k + 1) * n].tobytes() for k in range(K)})
+    work = starts * n * n * (2**n + STEP_WORK) + max(K - 2, 0) * (STEP_WORK * 2**n + COUNT_WORK * n * 3**n)
+    if work > WORK_CEILING:
+        raise ValueError(f"the exact oracle at n = {n}, K = {K} needs about {work} units of work, over its work ceiling of {WORK_CEILING}")
     lam_obj = model.weights.lam_obj if model is not None else 1.0
-    edges, start, close = edge_cost_matrix(inst)
     costs, fits, tables = _route_tables(inst, start, close)
     G, feasible_count = _vehicle_tables(costs, fits, n)
     if not feasible_count:
@@ -274,13 +283,13 @@ def exact_solve(inst, model=None):
     best = G[K][-1]
     bound = best + (SCORE_TOL / lam_obj if lam_obj > 0 else np.inf) + 1e-9 * (1 + best)
     ceiling = MEMORY_BUDGET // (WINNER_BYTES * n)
-    found = itertools.islice(_timelines(tables, G, n, bound), ceiling + 1)
+    found = itertools.islice(_timelines(tables, G, n, bound, ceiling), ceiling + 1)
     syms = np.fromiter(found, dtype=np.dtype((np.int64, (n,))))
     if len(syms) > ceiling:
         raise ValueError(f"more than {ceiling} timelines tie for the optimum, over the winner ceiling at n = {n}")
     cost = start[syms[:, 0]]
-    for j in range(n - 1):
-        cost = cost + edges[syms[:, j], syms[:, j + 1]]
+    for a, b in zip(syms.T[:-1], syms.T[1:]):
+        cost = cost + np.where(a // n == b // n, inst.W[a % n, b % n], close[a] + start[b])
     cost = lam_obj * (cost + close[syms[:, -1]])
     optimum = cost.min()
     pairs = [(s % n, s // n) for s in range(n * K)]

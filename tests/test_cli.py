@@ -13,6 +13,7 @@ import pytest
 
 from colorperm import simulator, solver
 from colorperm.cli import _COMMANDS, _OPTIONS, build_parser, main
+from colorperm.instances import load_instance
 from colorperm.simulator import BYTES_PER_AMPLITUDE, EDGE_BYTES, SCHEDULE_BYTES
 from tests.conftest import EXA_BINARY, EXA_LEGS, EXA_ONEHOT, EXA_W
 
@@ -781,12 +782,64 @@ def test_solve_charges_the_edge_matrix_before_the_energy_table(tmp_path, capsys,
 
 
 def test_brute_refuses_oracle_tables_over_the_budget_in_one_line(capsys, monkeypatch, exa_json):
-    # n = 3, K = 2: route tables of K (n + 2) 2^n entries and a 6 x 6 edge matrix
-    need = solver.ROUTE_BYTES * 2 * 5 * 8 + EDGE_BYTES * 36
+    # n = 3, K = 2: route tables of K (n + 2) 2^n entries
+    need = solver.ROUTE_BYTES * 2 * 5 * 8
     monkeypatch.setattr(solver, "MEMORY_BUDGET", need - 1)
     assert main(["brute", "--instance", exa_json]) == 1
     err = capsys.readouterr().err
     assert err == f"error: the exact oracle's tables at n = 3, K = 2 need about {need} bytes, over the memory budget of {need - 1} bytes\n"
+
+
+@pytest.fixture
+def n10_json(tmp_path):
+    # n = 10, K = 2: past any enumeration, inside the oracle's work ceiling
+    rng = np.random.default_rng(4)
+    W = rng.integers(1, 30, size=(10, 10))
+    np.fill_diagonal(W, 0)
+    record = {"W": W.tolist(), "d": [1, 2] * 5, "Q": [9, 9], "K": 2, "dep_to": rng.integers(1, 30, size=10).tolist()}
+    path = tmp_path / "n10.json"
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+def test_brute_answers_n10(capsys, n10_json):
+    sol = solver.exact_solve(load_instance(n10_json))
+    code, rec = run_json(capsys, ["brute", "--instance", n10_json])
+    assert code == 0 and sol.feasible_count > 0
+    assert (rec["exact"]["optimal_cost"], rec["exact"]["feasible_count"]) == (sol.optimal_cost, sol.feasible_count)
+
+
+def test_bench_row_of_n10_carries_the_oracle_optimum(tmp_path, capsys, n10_json):
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "n10.json").write_text(Path(n10_json).read_text())
+    assert main(["bench", "--dir", str(bench_dir)]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    optimum = solver.exact_solve(load_instance(n10_json)).optimal_cost
+    assert row == ["n10", "10", "2", "200", "50", repr(optimum), "budget-exceeded", "", ""]
+
+
+def test_solve_on_n10_prints_the_sweep_budget_line(capsys, n10_json):
+    # the oracle answers, then the sweep over 20^10 labels and the 21 x 1
+    # layers of its default grid is refused
+    labels = 20**10
+    need = (simulator.TABLE_BYTES + simulator.WORKER_BYTES) * labels + SCHEDULE_BYTES * 21 + EDGE_BYTES * 400
+    assert main(["solve", "--instance", n10_json]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a onehot run on {labels} labels and 21 schedule layers in 1 worker process, with its 20 x 20 edge matrix,"
+        f" needs about {need} bytes, over the memory budget of {simulator.MEMORY_BUDGET} bytes\n"
+    )
+
+
+def test_brute_past_the_work_ceiling_exits_with_one_error_line(capsys, monkeypatch, n10_json):
+    # shared legs and K = 2: one Held-Karp table, no middle vehicle
+    work = 10 * 10 * (2**10 + solver.STEP_WORK)
+    monkeypatch.setattr(solver, "WORK_CEILING", work)
+    assert main(["brute", "--instance", n10_json]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(solver, "WORK_CEILING", work - 1)
+    assert main(["brute", "--instance", n10_json]) == 1
+    assert _single_error_line(capsys)
 
 
 def test_bound_refuses_a_gamma_that_overflows_the_phases(tmp_path, capsys, exa_json):

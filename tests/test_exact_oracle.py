@@ -17,17 +17,17 @@ checked against its closed form.
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorperm import solver
+from colorperm import hamiltonian, solver
 from colorperm.encoding import ColoredAssignment, EncodingParams
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, edge_cost_matrix, energy_objective
 from colorperm.instances import Instance
-from colorperm.simulator import EDGE_BYTES
 from colorperm.solver import SCORE_TOL, ExactSolution, exact_solve
 
 
@@ -173,6 +173,37 @@ def test_route_dp_n8_euclidean():
     assert sol.feasible_count > 0 and sol.optimal_assignments
 
 
+def test_route_dp_n10_k1_against_all_orders():
+    # past n = 8 the labelled enumeration no longer runs; at K = 1 the
+    # feasible timelines are the 10! customer orders, scored here 8! at a time
+    # in energy_objective's order; costs in tenths tie, up to the last bits
+    n = 10
+    rng = np.random.default_rng(10)
+    W = rng.integers(0, 3, size=(n, n)) * 0.1
+    np.fill_diagonal(W, 0.0)
+    start, close = rng.integers(0, 3, size=(2, n)) * 0.1
+    inst = Instance("orders", n, 1, [1] * n, [n], W, start, close)
+    tails = np.array(list(itertools.permutations(range(n - 2))), dtype=np.int64)
+    chunks = []
+    for head in itertools.permutations(range(n), 2):
+        rest = np.array([c for c in range(n) if c not in head])
+        orders = np.column_stack([np.tile(head, (len(tails), 1)), rest[tails]])
+        cost = start[orders[:, 0]]
+        for j in range(n - 1):
+            cost = cost + W[orders[:, j], orders[:, j + 1]]
+        cost = cost + close[orders[:, -1]]
+        low = cost.min()
+        chunks.append((low, cost[cost <= low + SCORE_TOL], orders[cost <= low + SCORE_TOL]))
+    best = min(low for low, _, _ in chunks)
+    winners = sorted(
+        tuple((c, 0) for c in row) for _, cost, orders in chunks for row in orders[cost <= best + SCORE_TOL].tolist()
+    )
+    sol = exact_solve(inst)
+    assert sum(len(tails) for _ in chunks) == sol.feasible_count == math.factorial(n)
+    assert sol.optimal_cost == best
+    assert [a.symbols for a in sol.optimal_assignments] == winners and len(winners) > 1
+
+
 def test_route_dp_all_infeasible():
     inst = Instance("starved", 4, 2, [1, 2, 1, 1], [0, 0], np.ones((4, 4)) - np.eye(4), [1.0] * 4, [1.0] * 4)
     assert exact_solve(inst) == ExactSolution(None, (), 0)
@@ -210,24 +241,46 @@ def test_gathering_stops_at_the_winner_ceiling(monkeypatch):
         exact_solve(inst)
 
 
+def test_a_tied_route_stops_listing_orders_past_the_winner_ceiling(monkeypatch):
+    # one vehicle and all 9! orders tied: the walk lists ceiling + 1 orders
+    # of the one route, not all 362,880 (about 46 MB of tuples)
+    n = 9
+    inst = Instance("ties", n, 1, [1] * n, [n], np.zeros((n, n)), np.zeros(n), np.zeros(n))
+    need = solver.ROUTE_BYTES * ((n + 2) << n)
+    monkeypatch.setattr(solver, "MEMORY_BUDGET", need)
+    tracemalloc.start()
+    with pytest.raises(ValueError, match=f"more than {need // (solver.WINNER_BYTES * n)} timelines tie"):
+        exact_solve(inst)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10 * need
+
+
 def test_oracle_tables_are_charged_before_they_are_built(monkeypatch):
     # one route on either vehicle wins: two winners, under the winner
-    # ceiling of need // (WINNER_BYTES * n) = 3
+    # ceiling of need // (WINNER_BYTES * n)
     n, K = 3, 2
     W = np.array([[0.0, 1.0, 5.0], [4.0, 0.0, 2.0], [6.0, 7.0, 0.0]])
     inst = Instance("two-winners", n, K, [1] * n, [n] * K, W, [1.0, 3.0, 8.0], [9.0, 6.0, 2.0])
-    need = solver.ROUTE_BYTES * (K * (n + 2) << n) + EDGE_BYTES * (n * K) ** 2
+    need = solver.ROUTE_BYTES * (K * (n + 2) << n)
+    assert need // (solver.WINNER_BYTES * n) >= 2
     monkeypatch.setattr(solver, "MEMORY_BUDGET", need)
     assert len(exact_solve(inst).optimal_assignments) == 2
     monkeypatch.setattr(solver, "MEMORY_BUDGET", need - 1)
-    monkeypatch.setattr(solver, "edge_cost_matrix", None)
+    monkeypatch.setattr(solver, "_route_tables", None)
     with pytest.raises(ValueError, match=f"exact oracle's tables at n = 3, K = 2 need about {need} bytes"):
         exact_solve(inst)
 
 
-def test_gathering_ties_over_a_large_fleet_takes_linear_time():
+def test_gathering_ties_over_a_large_fleet_takes_linear_time(monkeypatch):
     # one customer: every vehicle's route ties, and each walk down the fleet
-    # stops at the first vehicle past the bound, so gathering stays linear in K
+    # stops at the first vehicle past the bound, so gathering stays linear in
+    # K; the winners are scored without the K x K edge matrix
+    def no_matrix(inst):
+        raise AssertionError("exact_solve built the edge matrix")
+
+    monkeypatch.setattr(hamiltonian, "edge_cost_matrix", no_matrix)
+    monkeypatch.setattr(solver, "edge_cost_matrix", no_matrix, raising=False)
     K = 4000
     inst = Instance("fleet", 1, K, [1], [1] * K, np.zeros((1, 1)), [1.0], [1.0])
     start = time.perf_counter()

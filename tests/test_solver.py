@@ -31,7 +31,6 @@ from colorperm.hamiltonian import (
 )
 from colorperm.instances import Instance, PdpInstance
 from colorperm.solver import (
-    ENUMERATION_CEILING,
     ExactSolution,
     GridSpec,
     default_shots,
@@ -124,13 +123,24 @@ def test_exact_solve_lam_obj_scaling(exA):
     assert sol.optimal_cost == pytest.approx(2 * 92.06, abs=1e-9)
 
 
-def test_exact_solve_ceiling():
-    n = ENUMERATION_CEILING + 1
-    big = Instance(
-        "big", n, 2, [1] * n, [n, n], np.zeros((n, n)), np.zeros(n), np.zeros(n)
-    )
-    with pytest.raises(ValueError):
+def test_exact_solve_ceiling(monkeypatch):
+    # n = 10, K = 3, two distinct start-leg vectors: two Held-Karp tables of
+    # n^2 2^n entries in n^2 steps each, and one middle vehicle of 2^n steps
+    # over 3^n pairs of n counts
+    n = 10
+    legs = np.zeros((n, 3))
+    legs[:, 2] = 1.0
+    big = Instance("big", n, 3, [1] * n, [n] * 3, np.zeros((n, n)), legs, legs)
+    work = 2 * n * n * (2**n + solver.STEP_WORK) + solver.STEP_WORK * 2**n + solver.COUNT_WORK * n * 3**n
+
+    def no_tables(*args):
+        raise AssertionError("the route tables were built before the work check")
+
+    monkeypatch.setattr(solver, "_route_tables", no_tables)
+    monkeypatch.setattr(solver, "WORK_CEILING", work - 1)
+    with pytest.raises(ValueError) as refused:
         exact_solve(big)
+    assert str(refused.value) == f"the exact oracle at n = 10, K = 3 needs about {work} units of work, over its work ceiling of {work - 1}"
 
 
 def test_exact_solve_all_infeasible(exA):
