@@ -44,6 +44,7 @@ from .simulator import AmplitudeBudgetError, check_budget
 from .solver import (
     GridSpec,
     SCORE_TOL,
+    charge_sweep,
     default_shots,
     exact_solve,
     phqc,
@@ -62,7 +63,7 @@ _OPTIONS = {
     "lam_once": (4.0, float, None),
     "lam_cap": (4.0, float, None),
     "lam_obj": (1.0, float, None),
-    "lam_pad": (None, float, None),
+    "lam_pad": (None, float, "padded binary word weight (default: lam_once); only energy_components scores a padded word and no command does, so it changes no output byte but its own echo"),
     "seed": (7, int, None),
     "out": (None, str, "output file (default: stdout)"),
     "grid_points": (None, int, "points per grid axis (default S+1)"),
@@ -214,13 +215,11 @@ def _model(cfg, inst):
     return EnergyModel.for_instance(inst, weights, register=cfg["register"])
 
 
-def _sweep(cfg, inst, model, exact):
-    """The configured grid sweep, shared by solve and bench. Returns the
-    grid, the PhqcResult and whether its best sample's objective matches
-    the exact optimum (None without a reference)."""
-    params = model.params
-    grid = GridSpec.default(params, cfg["grid_points"])
-    shots = cfg["shots"] if cfg["shots"] is not None else default_shots(params, cfg["shots_rule"])
+def _sweep(cfg, inst, model, grid, exact):
+    """The configured sweep of `grid`, shared by solve and bench. Returns
+    the PhqcResult and whether its best sample's objective matches the
+    exact optimum (None without a reference)."""
+    shots = cfg["shots"] if cfg["shots"] is not None else default_shots(model.params, cfg["shots_rule"])
     result = phqc(
         inst,
         model,
@@ -239,15 +238,18 @@ def _sweep(cfg, inst, model, exact):
             and exact.optimal_cost is not None
             and abs(result.best_objective - exact.optimal_cost) <= SCORE_TOL
         )
-    return grid, result, match
+    return result, match
 
 
 def cmd_solve(cfg):
     inst = _load(cfg)
     model = _model(cfg, inst)
     params = model.params
+    grid = GridSpec.default(params, cfg["grid_points"])
+    # the sweep is charged first: the oracle can take a minute before the sweep refuses
+    charge_sweep(params, grid, cfg["depth"], cfg["jobs"])
     exact = None if cfg["no_reference"] else exact_solve(inst, model)
-    grid, result, match = _sweep(cfg, inst, model, exact)
+    result, match = _sweep(cfg, inst, model, grid, exact)
     echo = _config_echo(cfg, "solve")
     record = {
         "config": echo,
@@ -471,7 +473,7 @@ def cmd_bench(cfg):
                 if model.params.dim("onehot") > cfg["phqc_budget"]:
                     row["phqc_best"] = "budget-exceeded"
                 else:
-                    _, result, match = _sweep(cfg, inst, model, exact)
+                    result, match = _sweep(cfg, inst, model, GridSpec.default(model.params, cfg["grid_points"]), exact)
                     if result.best_score is not None:
                         row["phqc_best"] = repr(result.best_score)
                         if match is not None:

@@ -24,12 +24,13 @@ its own. The first layer reads the factor times the uniform amplitude,
 which is the phased uniform state bit for bit. Layers with another gamma
 and `apply_phase` phase the state in a pass of their own. `sample`
 replays numpy's multinomial on only the labels a spread-out state can
-draw (`_replica`), and hands numpy any draw it cannot follow.
+draw (`_replica`), hands numpy any draw it cannot follow, and returns
+the drawn labels, ascending, and their counts as two arrays.
 
 The binary register is a relabelling of the same S^n state, not a
-second simulator: the ansatz always evolves the one-hot labels, with
-phases from the one S^n energy table, and `run_ansatz` scatters a binary
-model's final amplitudes onto their binary labels
+second simulator: `evolve_row` evolves the one-hot labels on the one
+S^n energy table it is given, and `run_ansatz` builds that table and
+scatters a binary model's final amplitudes onto their binary labels
 (`EncodingParams.binary_labels`), leaving exact zeros on the padded
 words. A sweep never builds that vector: it samples the one-hot state
 and relabels only the labels it accepts. `check_budget` is the one
@@ -48,20 +49,22 @@ from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per label of the
 # S^n state: the energy table once (8 bytes), and in each process that
-# evolves grid rows the evolved state and the row's phase factor (16
-# each) and the distribution (8) plus allocator slack. Measured peaks
-# above the import are 51.2 (n = 6, K = 2) and 50.3 (n = 5, K = 5) bytes
-# per label for one process (the same at depth 2), and 43.8 and 41.1 of
-# each worker's own pages (its VmHWM less its RSS as it starts its row)
-# under --jobs 2. Building the table peaks at 18.0 and 19.4. Every other
-# S^n entry (phase profile, envelope) pays the single-process charge: the
-# whole `bound` peaks at 28.8 (n = 6, K = 2) and 19.8 (n = 5, K = 5) bytes
-# per label, `phase_profile` alone at 27.4 and 19.5, the envelope at 9.0
-# and 8.4. A Schedule holds 16 bytes
+# evolves grid rows the evolved state and the row's phase factor (16 each)
+# and the distribution (8) plus allocator slack. Measured peaks above the
+# import are 51.2 (n = 6, K = 2) and 50.3 (n = 5, K = 5) bytes per label
+# for one process (the same at depth 2), and 43.8 and 41.1 of each
+# worker's own pages (its VmHWM less its RSS as it starts its row) under
+# --jobs 2; tracemalloc puts the buffers of one n = 6 row at 41.0. A
+# worker's VmHWM depends on which freed heap pages it inherits from the
+# table build, so it can read below its own buffers. Building the table
+# peaks at 18.0 and 19.4. Every other S^n entry (phase profile, envelope)
+# pays the single-process charge: the whole `bound` peaks at 28.8 (n = 6,
+# K = 2) and 19.8 (n = 5, K = 5) bytes per label, `phase_profile` alone at
+# 27.4 and 19.5, the envelope at 9.0 and 8.4. A Schedule holds 16 bytes
 # per layer and peaks at 66 while it is built (tracemalloc, depth 10**6);
 # each layer of a worker's schedules is charged that peak. The S x S edge
-# matrix the energy table and the oracle start from (`edge_cost_matrix`:
-# three float64 arrays and a bool one) peaks at 25.0 bytes per entry.
+# matrix the energy table starts from (`edge_cost_matrix`: three float64
+# arrays and a bool one) peaks at 25.0 bytes per entry.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 56
@@ -270,33 +273,22 @@ def apply_phase(state, gamma, model, energies=None):
     return EncodedState(amps, state.register, state.params)
 
 
-def evolve_row(params, model, schedules, energies=None):
+def evolve_row(params, energies, schedules):
     """Yield (state, probs) for each schedule, in order, for schedules
-    that all open with the same gamma; `probs` is the one-hot
-    distribution, squared in the last mixer layer.
+    that all open with the same gamma: the one-hot state evolved on the
+    S^n energy table `energies` (a sweep builds it once for all its grid
+    points) and its distribution, squared in the last mixer layer.
 
-    Every register evolves on the S^n one-hot labels; a binary model's
-    final states are relabelled into its register. The row's phase
-    factor exp(-i*gamma*E) is computed once, in place; each schedule
-    evolves in one work buffer from the factor times the uniform
-    amplitude, and the last one evolves in the factor's own buffer unless
-    a later layer of its own multiplies by the factor again. Every yielded
-    one-hot state and distribution lives in a buffer that the next one
-    overwrites, so use them before drawing the next.
-
-    Refuses runs over the memory budget (`check_budget`) before
-    allocating anything.
-    `energies` is the energy table when the caller already holds it (a
-    sweep builds it once for all its grid points); without it the table
-    is built here.
+    The row's phase factor exp(-i*gamma*E) is computed once, in place;
+    each schedule evolves in one work buffer from the factor times the
+    uniform amplitude, and the last one evolves in the factor's own
+    buffer unless a later layer of its own multiplies by the factor
+    again. Every yielded state and distribution lives in a buffer that
+    the next one overwrites, so use them before drawing the next. The
+    caller charges `check_budget` before it builds the table.
     """
-    if params != model.params:
-        raise ValueError("params do not match the model")
     if len({s.gammas[0] for s in schedules}) != 1:
         raise ValueError("the schedules of a row must open with one gamma")
-    check_budget(params, model.register)
-    if energies is None:
-        energies = energy_table(model)
     if np.shape(energies) != (params.dim("onehot"),):
         raise ValueError(f"energy table must have length {params.dim('onehot')}")
     gamma0 = schedules[0].gammas[0]
@@ -320,14 +312,19 @@ def evolve_row(params, model, schedules, energies=None):
             else:
                 _phase(work, gamma, energies)
                 _mix(work, params, beta, last)
-        yield _relabel(EncodedState(work, "onehot", params), model.register), probs
+        yield EncodedState(work, "onehot", params), probs
 
 
 def run_ansatz(params, model, schedule):
     """Alternate phase and mixer layers from the uniform initial state:
-    the row of one schedule (`evolve_row`)."""
-    ((state, _),) = evolve_row(params, model, [schedule])
-    return state
+    the row of one schedule (`evolve_row`) on the model's energy table,
+    relabelled into the model's register. Refuses runs over the memory
+    budget (`check_budget`) before allocating anything."""
+    if params != model.params:
+        raise ValueError("params do not match the model")
+    check_budget(params, model.register)
+    ((state, _),) = evolve_row(params, energy_table(model), [schedule])
+    return _relabel(state, model.register)
 
 
 def exact_distribution(state):
@@ -339,61 +336,55 @@ def exact_distribution(state):
 
 @dataclass
 class SampleSet:
-    """Multinomial measurement outcome: label -> count."""
+    """Multinomial measurement outcome: the drawn labels, strictly
+    ascending, and their counts, as two int64 arrays."""
 
-    counts: dict
+    labels: np.ndarray
+    counts: np.ndarray
     shots: int
-    seed: object
     register: str
     params: EncodingParams
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+        if self.counts.sum() != self.shots:
             raise ValueError("counts must sum to shots")
-
-    def labels(self):
-        """Measured labels in ascending order."""
-        return sorted(self.counts)
-
-
-def _seed_sequence(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, (tuple, list)):
-        return np.random.SeedSequence(entropy=int(seed[0]), spawn_key=tuple(int(s) for s in seed[1:]))
-    return np.random.SeedSequence(int(seed))
+        if len(self.labels) != len(self.counts) or (np.diff(self.labels) <= 0).any() or (self.counts < 1).any():
+            raise ValueError("labels must be strictly ascending, each with a count of at least 1")
 
 
 def sample(state, shots, seed, probs=None):
     """Draw a seeded multinomial sample from the exact distribution.
 
-    `seed` is an int, a numpy SeedSequence, or a tuple (entropy,
-    *spawn_key) for derived per-worker seeds. Identical seeds reproduce
-    identical SampleSets: `default_rng(seed).multinomial`'s counts, from
-    `_replica` on spread-out states. `probs` is `exact_distribution(state)`
-    when the caller already holds it; it is normalised in place.
+    `seed` is an int, or a tuple (entropy, *spawn_key) for derived
+    per-worker seeds. Identical seeds reproduce identical SampleSets:
+    the labels `default_rng(seed).multinomial` draws and their counts,
+    from `_replica` on spread-out states. `probs` is
+    `exact_distribution(state)` when the caller already holds it; it is
+    normalised in place.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
     if probs is None:
         probs = exact_distribution(state)
     probs /= probs.sum()
-    seq = _seed_sequence(seed)
-    counts = _replica(probs, shots, np.random.default_rng(seq)) if len(probs) >= REPLICA_SPREAD * shots else None
-    if counts is None:
-        drawn = np.random.default_rng(seq).multinomial(shots, probs)
-        counts = {int(z): int(drawn[z]) for z in np.flatnonzero(drawn)}
-    return SampleSet(counts, shots, seed, state.register, state.params)
+    entropy, *spawn_key = seed if isinstance(seed, tuple) else (seed,)
+    seq = np.random.SeedSequence(int(entropy), spawn_key=tuple(map(int, spawn_key)))
+    drawn = _replica(probs, shots, np.random.default_rng(seq)) if len(probs) >= REPLICA_SPREAD * shots else None
+    if drawn is None:
+        counts = np.random.default_rng(seq).multinomial(shots, probs)
+        drawn = np.flatnonzero(counts), counts[counts > 0]
+    return SampleSet(*drawn, shots, state.register, state.params)
 
 
 def _replica(probs, shots, rng):
-    """`rng.multinomial(shots, probs)` as {label: count}, or None where
-    numpy leaves this path: it draws binomial(dn, probs[j] / remaining)
-    for j < d - 1 until no shot is left, each an inversion from one double
-    while p <= 0.5 and p*dn <= 30. Before the last shot, p outside
-    (0, 0.5] (numpy draws no double or inverts 1 - p), p*dn > 30 (BTPE)
-    or an inversion restart gives None."""
-    d, dn, counts, carry = len(probs), shots, {}, 1.0
+    """`rng.multinomial(shots, probs)` as (labels, counts) of its nonzero
+    entries, or None where numpy leaves this path: it draws
+    binomial(dn, probs[j] / remaining) for j < d - 1 until no shot is
+    left, each an inversion from one double while p <= 0.5 and
+    p*dn <= 30. Before the last shot, p outside (0, 0.5] (numpy draws no
+    double or inverts 1 - p), p*dn > 30 (BTPE) or an inversion restart
+    gives None."""
+    d, dn, labels, counts, carry = len(probs), shots, [], [], 1.0
     for lo in range(0, d - 1, REPLICA_CHUNK):
         walk, ps, us, carry = _screen(probs[lo : min(lo + REPLICA_CHUNK, d - 1)], carry, dn, rng)
         for j, p, U in zip(walk, ps, us):
@@ -401,12 +392,12 @@ def _replica(probs, shots, rng):
             if X is None:
                 return None
             if X:
-                counts[lo + j] = X
+                labels.append(lo + j)
+                counts.append(X)
                 dn -= X
                 if not dn:
-                    return counts
-    counts[d - 1] = dn
-    return counts
+                    return np.array(labels), np.array(counts)
+    return np.array(labels + [d - 1]), np.array(counts + [dn])
 
 
 def _screen(pix, carry, dn, rng):

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -364,14 +364,12 @@ class PhqcResult:
 def feasible_samples(samples, inst, register):
     """The distinct sampled labels the feasibility oracle accepts, in
     ascending order, as (labels, counts, bitstrings) of `register`. One
-    digit-level verdict covers every label; only the accepted ones are
+    digit-level verdict masks both arrays; only the accepted labels are
     relabelled and rendered."""
-    labels = np.asarray(samples.labels(), dtype=np.int64)
-    labels = labels[label_reasons(labels, inst, samples.register) == REASONS.index(OK)]
-    counts = [samples.counts[z] for z in labels.tolist()]
-    labels = recode_labels(labels, samples.params, samples.register, register).tolist()
+    ok = label_reasons(samples.labels, inst, samples.register) == REASONS.index(OK)
+    labels = recode_labels(samples.labels[ok], samples.params, samples.register, register).tolist()
     bits = [label_bitstring(z, samples.params, register) for z in labels]
-    return labels, counts, bits
+    return labels, samples.counts[ok].tolist(), bits
 
 
 def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
@@ -379,7 +377,6 @@ def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score
     (`optimal_labels` in its register): sample, filter, score. Returns
     the record, the local best as (score, index, label, bits, objective)
     and the accepted {bits: count}, both in the model's register."""
-    params = model.params
     p_star_exact = None
     if optimal_labels is not None:
         p_star_exact = float(probs[np.asarray(optimal_labels, dtype=np.int64)].sum())
@@ -393,7 +390,7 @@ def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score
     scores = objs if score_mode == "objective" else parts["total"].tolist()
     local_best = min(zip(scores, [index] * len(labels), labels, bits, objs), default=None)
     feasible_bits = dict(zip(bits, counts))
-    _, share = feasible_histogram(feasible_bits, shots, params)
+    _, share = feasible_histogram(feasible_bits, shots, model.params)
     hits = None
     if optimal_labels is not None:
         hits = sum(c for c, obj in zip(counts, objs) if abs(obj - optimal_cost) <= SCORE_TOL)
@@ -410,12 +407,12 @@ def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score
 
 
 def _grid_row(
-    model, gamma, betas, first_index, depth, shots, base_seed, score_mode, optimal_labels, optimal_cost, energies=None
+    model, gamma, betas, first_index, depth, shots, base_seed, score_mode, optimal_labels, optimal_cost, energies
 ):
     """The grid points (gamma, beta) for every beta of one row, evolved
     one-hot from one shared first phase layer; outcomes in index order."""
     schedules = [Schedule.constant(gamma, beta, depth) for beta in betas]
-    rows = evolve_row(model.params, replace(model, register="onehot"), schedules, energies=energies)
+    rows = evolve_row(model.params, energies, schedules)
     return [
         _grid_point(model, state, probs, gamma, beta, shots, base_seed, first_index + j, score_mode, optimal_labels, optimal_cost)
         for j, (beta, (state, probs)) in enumerate(zip(betas, rows))
@@ -434,6 +431,16 @@ def _init_worker(energies):
 
 def _grid_row_star(args):
     return _grid_row(*args, energies=_worker_energies)
+
+
+def charge_sweep(params, grid, depth, jobs):
+    """The worker processes a sweep of `grid` at `depth` starts with
+    `jobs` (more than its gamma rows would only start idle processes),
+    once `check_budget` admits one charge per worker that gets a gamma
+    row and its schedules."""
+    workers = min(jobs, len(grid.gammas))
+    check_budget(params, "onehot", workers=workers, layers=depth * len(grid.betas))
+    return workers
 
 
 def phqc(
@@ -465,9 +472,7 @@ def phqc(
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, not {jobs}")
     params = model.params
-    # jobs beyond the gamma rows would only start idle processes
-    workers = min(jobs, len(grid.gammas))
-    check_budget(params, "onehot", workers=workers, layers=depth * len(grid.betas))
+    workers = charge_sweep(params, grid, depth, jobs)
     optimal_labels = None
     optimal_cost = None
     if exact_reference is not None and exact_reference.optimal_assignments:
@@ -537,5 +542,6 @@ def p_star(inst, model, gamma, beta, depth=1, exact=None):
     if not exact.optimal_assignments:
         return 0.0
     schedule = Schedule.constant(gamma, beta, depth)
-    ((_, probs),) = evolve_row(model.params, replace(model, register="onehot"), [schedule])
+    check_budget(model.params)
+    ((_, probs),) = evolve_row(model.params, energy_table(model), [schedule])
     return float(probs[np.asarray(exact.optimal_labels(model.params), dtype=np.int64)].sum())

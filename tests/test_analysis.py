@@ -314,7 +314,7 @@ def feasible_rows(ss, inst):
 
 def test_anticoncentration_single_outcome(exA, params3):
     z = feasible_label(exA, params3)
-    ss = SampleSet({z: 50}, 50, 0, "onehot", params3)
+    ss = SampleSet(np.array([z]), np.array([50]), 50, "onehot", params3)
     rows, share = feasible_rows(ss, exA)
     assert share == 1.0
     assert rows == [(label_to_onehot(z, params3), 50, 1.0, pytest.approx(50.0 / 50.0 * 216))]
@@ -324,7 +324,7 @@ def test_anticoncentration_filters_infeasible(exA, params3):
     z = feasible_label(exA, params3)
     bad = 0  # label 0 repeats customer 0 three times
     assert not feasible_global_positions(label_to_onehot(bad, params3), exA).feasible
-    ss = SampleSet({z: 30, bad: 20}, 50, 0, "onehot", params3)
+    ss = SampleSet(np.array([bad, z]), np.array([20, 30]), 50, "onehot", params3)
     labels, counts, _ = feasible_samples(ss, exA, "onehot")
     assert labels == [z] and counts == [30]
     # frequencies stay out of all 50 shots, infeasible ones included
@@ -338,7 +338,7 @@ def test_anticoncentration_histogram_order(exA, params3):
         for z in range(216)
         if feasible_global_positions(label_to_onehot(z, params3), exA).feasible
     ][:3]
-    ss = SampleSet({labels[0]: 5, labels[1]: 20, labels[2]: 5}, 30, 0, "onehot", params3)
+    ss = SampleSet(np.array(labels), np.array([5, 20, 5]), 30, "onehot", params3)
     rows, share = feasible_rows(ss, exA)
     counts = [row[1] for row in rows]
     assert counts == [20, 5, 5]
@@ -353,7 +353,7 @@ def test_anticoncentration_binary_register(exA, params3):
     z = feasible_label(exA, params3)
     zb = digits_label(label_digits(z, 3, 6), 8)
     padded = digits_label([7, 7, 7], 8)
-    ss = SampleSet({zb: 10, padded: 10}, 20, 0, "binary", params3)
+    ss = SampleSet(np.array([zb, padded]), np.array([10, 10]), 20, "binary", params3)
     labels, counts, bits = feasible_samples(ss, exA, "binary")
     assert labels == [zb] and counts == [10]
     assert bits == [label_bitstring(zb, params3, "binary")]

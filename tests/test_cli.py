@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colorperm import simulator, solver
+from colorperm import cli, simulator, solver
 from colorperm.cli import _COMMANDS, _OPTIONS, build_parser, main
 from colorperm.instances import load_instance
 from colorperm.simulator import BYTES_PER_AMPLITUDE, EDGE_BYTES, SCHEDULE_BYTES
@@ -819,16 +819,29 @@ def test_bench_row_of_n10_carries_the_oracle_optimum(tmp_path, capsys, n10_json)
     assert row == ["n10", "10", "2", "200", "50", repr(optimum), "budget-exceeded", "", ""]
 
 
-def test_solve_on_n10_prints_the_sweep_budget_line(capsys, n10_json):
-    # the oracle answers, then the sweep over 20^10 labels and the 21 x 1
-    # layers of its default grid is refused
+def n10_budget_line():
     labels = 20**10
     need = (simulator.TABLE_BYTES + simulator.WORKER_BYTES) * labels + SCHEDULE_BYTES * 21 + EDGE_BYTES * 400
-    assert main(["solve", "--instance", n10_json]) == 1
-    assert capsys.readouterr().err == (
+    return (
         f"error: a onehot run on {labels} labels and 21 schedule layers in 1 worker process, with its 20 x 20 edge matrix,"
         f" needs about {need} bytes, over the memory budget of {simulator.MEMORY_BUDGET} bytes\n"
     )
+
+
+def test_solve_on_n10_prints_the_sweep_budget_line(capsys, n10_json):
+    # the sweep over 20^10 labels and the 21 x 1 layers of its default grid
+    # is refused before the oracle runs
+    assert main(["solve", "--instance", n10_json]) == 1
+    assert capsys.readouterr().err == n10_budget_line()
+
+
+def test_solve_charges_the_sweep_before_the_oracle(capsys, monkeypatch, n10_json):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the sweep's charge")
+
+    monkeypatch.setattr(cli, "exact_solve", oracle)
+    assert main(["solve", "--instance", n10_json]) == 1
+    assert capsys.readouterr().err == n10_budget_line()
 
 
 def test_brute_past_the_work_ceiling_exits_with_one_error_line(capsys, monkeypatch, n10_json):
@@ -1022,3 +1035,21 @@ def test_one_command_parser_prints_what_the_full_parser_prints(command, flags, c
     # main builds only the named command's flags; its help and errors must not show it
     argv = [command, *flags]
     assert exit_text(lambda: main(argv), capsys) == exit_text(lambda: build_parser().parse_args(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--register", "binary", "--depth", "2", "--score", "total"],
+        ["bound", "--register", "binary", "--gamma", "0.4", "--beta", "0.9"],
+    ],
+)
+def test_lam_pad_changes_no_output_byte_but_its_echo(capsys, demo_vrp_path, argv):
+    # padded words exist only in energy_components, and no command scores one
+    outputs = []
+    for pad in ([], ["--lam-pad", "9"]):
+        assert main([*argv, "--instance", str(demo_vrp_path), *pad]) == 0
+        outputs.append(capsys.readouterr().out)
+    default, padded = outputs
+    assert '"lam_pad": null' in default
+    assert padded.replace('"lam_pad": 9.0', '"lam_pad": null') == default

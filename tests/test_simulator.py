@@ -252,19 +252,24 @@ def test_sample_single_shot(params3):
     ss = sample(st, 1, 42)
     assert ss.shots == 1
     assert len(ss.counts) == 1
-    (z,) = ss.counts
-    assert 0 <= z < 216 and ss.counts[z] == 1
+    (z,) = ss.labels
+    assert 0 <= z < 216 and ss.counts[0] == 1
+
+
+def drawn(ss):
+    """The labels and counts of a SampleSet as lists."""
+    return ss.labels.tolist(), ss.counts.tolist()
 
 
 def test_sample_seed_reproducibility(params3):
     st = initial_state(params3)
     a = sample(st, 500, 1234)
     b = sample(st, 500, 1234)
-    assert a.counts == b.counts
+    assert drawn(a) == drawn(b)
     c = sample(st, 500, (1234, 0))
     d = sample(st, 500, (1234, 0))
-    assert c.counts == d.counts
-    assert sample(st, 500, (1234, 1)).counts != c.counts
+    assert drawn(c) == drawn(d)
+    assert drawn(sample(st, 500, (1234, 1))) != drawn(c)
 
 
 def test_sample_statistics(params3):
@@ -272,7 +277,7 @@ def test_sample_statistics(params3):
     shots = 1_000_000
     ss = sample(st, shots, 7)
     freqs = np.zeros(216)
-    for z, c in ss.counts.items():
+    for z, c in zip(*drawn(ss)):
         freqs[z] = c / shots
     # six-sigma band around the uniform probability
     sigma = np.sqrt((1 / 216) * (1 - 1 / 216) / shots)
@@ -284,19 +289,46 @@ def test_sample_validation(params3):
     with pytest.raises(ValueError):
         sample(st, 0, 1)
     with pytest.raises(ValueError):
-        SampleSet({0: 2}, 3, 1, "onehot", params3)
+        SampleSet(np.array([0]), np.array([2]), 3, "onehot", params3)
+
+
+@pytest.mark.parametrize("n, shots", [(4, 20), (3, 500)])
+def test_sample_returns_ascending_labels_with_positive_counts(monkeypatch, n, shots):
+    # 8^4 = 4,096 labels for 20 shots are spread out, so _replica draws;
+    # 216 labels for 500 shots are not, so numpy's multinomial draws
+    params = EncodingParams(n, 2)
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(params.dim("onehot")) + 1j * rng.standard_normal(params.dim("onehot"))
+    replicas = []
+    original = simulator._replica
+
+    def replica(probs, shots, rng):
+        replicas.append(original(probs, shots, rng))
+        return replicas[-1]
+
+    monkeypatch.setattr(simulator, "_replica", replica)
+    ss = sample(EncodedState(amps, "onehot", params), shots, 11)
+    assert [r is not None for r in replicas] == ([True] if n == 4 else [])
+    assert ss.labels.dtype == ss.counts.dtype == np.int64
+    assert (np.diff(ss.labels) > 0).all() and (ss.counts >= 1).all() and ss.counts.sum() == shots
+
+
+@pytest.mark.parametrize("labels, counts", [([5, 3], [1, 1]), ([3, 3], [1, 1]), ([3, 5], [2, 0])])
+def test_sampleset_refuses_unsorted_labels_and_empty_counts(params3, labels, counts):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SampleSet(np.array(labels), np.array(counts), 2, "onehot", params3)
 
 
 def test_sampleset_views(params3):
     st = initial_state(params3)
     ss = sample(st, 200, 99)
-    labels = ss.labels()
+    labels, counts = drawn(ss)
     assert labels == sorted(labels)
-    bc = {label_bitstring(z, params3, "onehot"): c for z, c in sorted(ss.counts.items())}
+    bc = {label_bitstring(z, params3, "onehot"): c for z, c in zip(labels, counts)}
     assert sum(bc.values()) == 200
     assert all(len(bits) == 18 and set(bits) <= {"0", "1"} for bits in bc)
     binary = sample(initial_state(params3, "binary"), 50, 3)
-    assert all(len(label_bitstring(z, params3, binary.register)) == 9 for z in binary.counts)
+    assert all(len(label_bitstring(z, params3, binary.register)) == 9 for z in binary.labels.tolist())
 
 
 def _binary_label(z, n, S, q):

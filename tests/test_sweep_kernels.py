@@ -75,9 +75,15 @@ def test_n6_solve_output_digests(tmp_path, monkeypatch, config):
 
 
 def multinomial_counts(probs, shots, seed):
-    """{label: count} of numpy's own draw."""
+    """(labels, counts) of numpy's own draw, its nonzero entries, as lists."""
     counts = np.random.default_rng(seed).multinomial(shots, probs)
-    return {int(z): int(counts[z]) for z in np.flatnonzero(counts)}
+    labels = np.flatnonzero(counts)
+    return labels.tolist(), counts[labels].tolist()
+
+
+def listed(drawn):
+    """A (labels, counts) pair of arrays as lists, or None."""
+    return None if drawn is None else (drawn[0].tolist(), drawn[1].tolist())
 
 
 def lognormal(rng, d, sigma=2.0):
@@ -121,7 +127,7 @@ def distributions(draw):
 @settings(max_examples=400, deadline=None)
 def test_replica_draws_numpys_counts(case):
     probs, shots, seed = case
-    got = simulator._replica(probs, shots, np.random.default_rng(seed))
+    got = listed(simulator._replica(probs, shots, np.random.default_rng(seed)))
     assert got is None or got == multinomial_counts(probs, shots, seed)
 
 
@@ -137,7 +143,7 @@ def test_replica_runs_and_matches_across_chunk_edges(monkeypatch, chunk):
         w[-1] = w[:-1].sum()
         probs = w / w.sum()
         for seed in range(5):
-            got = simulator._replica(probs, shots, np.random.default_rng(seed))
+            got = listed(simulator._replica(probs, shots, np.random.default_rng(seed)))
             assert got == multinomial_counts(probs, shots, seed)
 
 
@@ -146,8 +152,8 @@ def sample_and_reference(probs, shots, seed):
     multinomial on the same normalised vector."""
     params = EncodingParams(3, 2)
     state = EncodedState(np.zeros(params.dim("onehot"), dtype=complex), "onehot", params)
-    drawn = sample(state, shots, seed, probs.copy()).counts
-    return drawn, multinomial_counts(probs / probs.sum(), shots, seed)
+    drawn = sample(state, shots, seed, probs.copy())
+    return listed((drawn.labels, drawn.counts)), multinomial_counts(probs / probs.sum(), shots, seed)
 
 
 def uniform_with(head):
