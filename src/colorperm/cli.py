@@ -70,7 +70,7 @@ _OPTIONS = {
     "shots_rule": ("cubed", ("cubed", "fifty-cubed"), None),
     "shots": (None, int, "shots per grid point (overrides the rule)"),
     "depth": (1, int, "ansatz layers; bound replicates a single --beta this many times"),
-    "jobs": (None, int, "worker pool size (default $COLORPERM_JOBS or 1)"),
+    "jobs": (None, int, "threads that share the sweep's gamma rows in one process, at most one per CPU (default $COLORPERM_JOBS or 1)"),
     "score": ("objective", ("objective", "total"), None),
     "no_reference": (False, bool, "skip the exact oracle cross-check"),
     "skip_phqc": (False, bool, None),

@@ -300,8 +300,9 @@ def label_to_onehot(z, p):
 
 def label_to_binary(z, p):
     """Binary bitstring of a binary-register label (padding words kept)."""
-    words = label_digits(z, p.n, p.radix("binary"))
-    return "".join(format(w, f"0{p.q}b") if p.q else "" for w in words)
+    q = p.q
+    words = label_digits(z, p.n, 1 << q)
+    return "".join(format(w, f"0{q}b") for w in words) if q else ""
 
 
 def label_bitstring(z, p, register):

@@ -98,6 +98,22 @@ def _integers(values, what):
     return _as_readonly(items, dtype=np.int64)
 
 
+def _reals(values, what):
+    """`values` as a float array. Each entry must be a real number within
+    float range, not a bool, a string or null; anything else is a
+    ParseError that names the field rather than a TypeError. `Instance`
+    then checks that the entries are finite and nonnegative."""
+    items = np.asarray(values, dtype=object)
+    for v in items.flat:
+        try:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError
+            float(v)
+        except (TypeError, OverflowError):
+            raise ParseError(f"{what} must be finite nonnegative numbers, not {v!r}") from None
+    return items.astype(float)
+
+
 class _Record:
     """Validation and depot legs shared by both instance records: n items
     (customers or tours), K vehicles, integer demands `d` and capacities
@@ -306,7 +322,7 @@ def from_matrices(record, K=None, name=None):
         raise ParseError("instance record must be a JSON object")
     if "W" not in record:
         raise ParseError("record needs a W matrix")
-    W = np.asarray(record["W"], dtype=float)
+    W = _reals(record["W"], "W")
     if W.ndim != 2:
         raise ParseError("W must be an n x n matrix")
     n = W.shape[0]
@@ -319,8 +335,8 @@ def from_matrices(record, K=None, name=None):
             raise ParseError(f"fleet size K must be an integer, not {K!r}")
     if len(Q) == 1 and K > 1:
         Q = np.repeat(Q, K)
-    dep_to = np.asarray(record.get("dep_to", np.zeros(n)), dtype=float)
-    to_dep = np.asarray(record.get("to_dep", dep_to), dtype=float)
+    dep_to = _reals(record.get("dep_to", np.zeros(n)), "dep_to")
+    to_dep = _reals(record.get("to_dep", dep_to), "to_dep")
     return Instance(
         name=name or record.get("name", "unnamed"),
         n=n,

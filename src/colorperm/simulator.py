@@ -48,23 +48,22 @@ from .encoding import EncodingParams
 from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per label of the
-# S^n state: the energy table once (8 bytes), and in each process that
+# S^n state: the energy table once (8 bytes), and in each thread that
 # evolves grid rows the evolved state and the row's phase factor (16 each)
 # and the distribution (8) plus allocator slack. Measured peaks above the
 # import are 51.2 (n = 6, K = 2) and 50.3 (n = 5, K = 5) bytes per label
-# for one process (the same at depth 2), and 43.8 and 41.1 of each
-# worker's own pages (its VmHWM less its RSS as it starts its row) under
-# --jobs 2; tracemalloc puts the buffers of one n = 6 row at 41.0. A
-# worker's VmHWM depends on which freed heap pages it inherits from the
-# table build, so it can read below its own buffers. Building the table
-# peaks at 18.0 and 19.4. Every other S^n entry (phase profile, envelope)
-# pays the single-process charge: the whole `bound` peaks at 28.8 (n = 6,
-# K = 2) and 19.8 (n = 5, K = 5) bytes per label, `phase_profile` alone at
-# 27.4 and 19.5, the envelope at 9.0 and 8.4. A Schedule holds 16 bytes
-# per layer and peaks at 66 while it is built (tracemalloc, depth 10**6);
-# each layer of a worker's schedules is charged that peak. The S x S edge
-# matrix the energy table starts from (`edge_cost_matrix`: three float64
-# arrays and a bool one) peaks at 25.0 bytes per entry.
+# for one thread (the same at depth 2); tracemalloc puts the buffers of
+# one n = 6 row at 41.0. Under --jobs 2 the one process peaks at 93.5
+# (n = 6, K = 2) and 88.8 (n = 6, K = 3, charged 120) bytes per label.
+# Building the table peaks at 18.0 and 19.4. Every other S^n entry (phase
+# profile, envelope) pays the one-thread charge: the whole `bound` peaks
+# at 28.8 (n = 6, K = 2) and 19.8 (n = 5, K = 5) bytes per label,
+# `phase_profile` alone at 27.4 and 19.5, the envelope at 9.0 and 8.4. A
+# Schedule holds 16 bytes per layer and peaks at 66 while it is built
+# (tracemalloc, depth 10**6); each layer of a thread's schedules is
+# charged that peak. The S x S edge matrix the energy table starts from
+# (`edge_cost_matrix`: three float64 arrays and a bool one) peaks at 25.0
+# bytes per entry.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 56
@@ -126,8 +125,8 @@ class Schedule:
 def check_budget(params, register="onehot", workers=1, layers=0):
     """Refuse work that would need more than MEMORY_BUDGET bytes. Any S^n
     work is charged, per S^n label, the table once and WORKER_BYTES in
-    each of `workers` processes, plus BYTES_PER_AMPLITUDE per label of a
-    relabelled binary state, plus SCHEDULE_BYTES in each process per
+    each of `workers` threads, plus BYTES_PER_AMPLITUDE per label of a
+    relabelled binary state, plus SCHEDULE_BYTES in each thread per
     angle layer of the `layers` its schedules hold, plus EDGE_BYTES per
     entry of the S x S edge matrix."""
     need = (TABLE_BYTES + WORKER_BYTES * workers) * params.dim("onehot") + SCHEDULE_BYTES * layers * workers
@@ -136,8 +135,8 @@ def check_budget(params, register="onehot", workers=1, layers=0):
         need += BYTES_PER_AMPLITUDE * params.dim(register)
     if need > MEMORY_BUDGET:
         raise AmplitudeBudgetError(
-            f"a {register} run on {params.dim(register)} labels and {layers} schedule layers in {workers} worker process"
-            f"{'es' if workers > 1 else ''}, with its {params.S} x {params.S} edge matrix, needs about {need} bytes,"
+            f"a {register} run on {params.dim(register)} labels and {layers} schedule layers in {workers} thread"
+            f"{'s' if workers > 1 else ''}, with its {params.S} x {params.S} edge matrix, needs about {need} bytes,"
             f" over the memory budget of {MEMORY_BUDGET} bytes"
         )
 

@@ -7,12 +7,13 @@ label the digit-level feasibility verdict refuses, scores the survivors
 with the timeline objective (or the full diagonal cost on request) in one
 vectorized call, and keeps the strict minimum. The energy table does not
 depend on the angles, so a sweep builds it once (at any size its budget
-admits) and hands it to every grid point (to each worker process once,
-through the pool initializer). Either register evolves and samples the
-one-hot labels; a binary sweep relabels only the labels it accepts. Grid
-rows are independent work items; the reduction is an associative min
-keyed by (score, grid_index, label), so worker count never changes the
-result.
+admits) and every grid point reads it; under `jobs` > 1 the gamma rows
+are dealt to threads of the one process, which all read the same table.
+Either register evolves and samples the one-hot labels; a binary sweep
+relabels only the labels it accepts. Grid rows are independent work
+items, each point drawn from its own (seed, index); the reduction is an
+associative min keyed by (score, grid_index, label), taken in grid
+order, so the thread count never changes the result.
 
 The exact oracle splits the timeline cost into routes: each used vehicle
 serves one contiguous run and pays its start leg, W along the run and its
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -406,39 +408,13 @@ def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score
     return record, local_best, feasible_bits
 
 
-def _grid_row(
-    model, gamma, betas, first_index, depth, shots, base_seed, score_mode, optimal_labels, optimal_cost, energies
-):
-    """The grid points (gamma, beta) for every beta of one row, evolved
-    one-hot from one shared first phase layer; outcomes in index order."""
-    schedules = [Schedule.constant(gamma, beta, depth) for beta in betas]
-    rows = evolve_row(model.params, energies, schedules)
-    return [
-        _grid_point(model, state, probs, gamma, beta, shots, base_seed, first_index + j, score_mode, optimal_labels, optimal_cost)
-        for j, (beta, (state, probs)) in enumerate(zip(betas, rows))
-    ]
-
-
-# The sweep's energy table in a worker process, set once by the pool
-# initializer so it is never pickled into a task.
-_worker_energies = None
-
-
-def _init_worker(energies):
-    global _worker_energies
-    _worker_energies = energies
-
-
-def _grid_row_star(args):
-    return _grid_row(*args, energies=_worker_energies)
-
-
 def charge_sweep(params, grid, depth, jobs):
-    """The worker processes a sweep of `grid` at `depth` starts with
-    `jobs` (more than its gamma rows would only start idle processes),
-    once `check_budget` admits one charge per worker that gets a gamma
-    row and its schedules."""
-    workers = min(jobs, len(grid.gammas))
+    """The threads a sweep of `grid` at `depth` runs its gamma rows on:
+    `jobs`, but no more than its gamma rows or the machine's CPUs (past
+    either, a thread adds a state and no speed), once `check_budget`
+    admits one charge per thread, each holding one row's state, factor,
+    distribution and schedules."""
+    workers = min(jobs, len(grid.gammas), os.cpu_count() or 1)
     check_budget(params, "onehot", workers=workers, layers=depth * len(grid.betas))
     return workers
 
@@ -456,14 +432,14 @@ def phqc(
 ):
     """Grid sweep with feasibility filtering and strict-minimum scoring.
 
-    The sweep runs row by row: one task per gamma evolves every beta of
-    its row from a shared first phase layer. When `exact_reference` (an
-    ExactSolution) is given, per-point records also carry optimal-hit
-    counts and the exact optimal mass of the prepared state. The
-    histogram of all feasible samples pooled over the sweep is available
-    through `phqc_histogram`. Refuses runs over the memory budget, with
-    one charge per worker that gets a gamma row and its schedules, before
-    allocating the table, any state or any schedule.
+    The sweep runs row by row, on up to `jobs` threads: one call per
+    gamma evolves every beta of its row from a shared first phase layer.
+    When `exact_reference` (an ExactSolution) is given, per-point records
+    also carry optimal-hit counts and the exact optimal mass of the
+    prepared state. The histogram of all feasible samples pooled over the
+    sweep is available through `phqc_histogram`. Refuses runs over the
+    memory budget, with one charge per thread that gets a gamma row and
+    its schedules, before allocating the table, any state or any schedule.
     """
     if not 1 <= shots_per_point < 2**63:
         raise ValueError(f"need 1 <= shots_per_point < 2**63, not {shots_per_point}")
@@ -479,17 +455,23 @@ def phqc(
         optimal_labels = exact_reference.optimal_labels(params)
         optimal_cost = exact_reference.optimal_cost
     energies = energy_table(model)
-    tasks = [
-        (model, g, grid.betas, row * len(grid.betas), depth, shots_per_point, seed, score, optimal_labels, optimal_cost)
-        for row, g in enumerate(grid.gammas)
-    ]
+    betas = grid.betas
+
+    def grid_row(row):
+        # every beta of one gamma row, evolved from one shared first phase
+        # layer; outcomes in index order
+        gamma = grid.gammas[row]
+        states = evolve_row(params, energies, [Schedule.constant(gamma, beta, depth) for beta in betas])
+        return [
+            _grid_point(model, state, probs, gamma, beta, shots_per_point, seed, row * len(betas) + j, score, optimal_labels, optimal_cost)
+            for j, (beta, (state, probs)) in enumerate(zip(betas, states))
+        ]
+
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(energies,)
-        ) as pool:
-            rows = list(pool.map(_grid_row_star, tasks, chunksize=1))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(grid_row, range(len(grid.gammas))))
     else:
-        rows = [_grid_row(*t, energies=energies) for t in tasks]
+        rows = map(grid_row, range(len(grid.gammas)))
     records = []
     best = None
     pooled = {}

@@ -38,6 +38,12 @@ EXB_ONEHOT = "00000010" "00001000" "00010000" "01000000"
 EXB_PAIRS_1B = [(3, 2), (1, 2), (4, 1), (2, 1)]
 
 
+@pytest.fixture(autouse=True)
+def _no_jobs_from_the_environment(monkeypatch):
+    """Every test sees the default jobs, whatever COLORPERM_JOBS the shell exports."""
+    monkeypatch.delenv("COLORPERM_JOBS", raising=False)
+
+
 @pytest.fixture
 def exA():
     return Instance("exA", 3, 2, [1, 1, 1], [3, 3], EXA_W, EXA_LEGS, EXA_LEGS)

@@ -442,6 +442,35 @@ def test_jobs_env_var_not_an_integer(capsys, monkeypatch, exa_json):
     assert _single_error_line(capsys)
 
 
+def _brute_record(tmp_path, record):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    return main(["brute", "--instance", str(path)])
+
+
+def test_object_close_legs_exit_with_one_error_line(tmp_path, capsys):
+    assert _brute_record(tmp_path, {"W": [[0, 1], [1, 0]], "d": [1, 1], "Q": [2], "to_dep": {}}) == 1
+    assert _single_error_line(capsys)
+
+
+def test_object_distance_matrix_exits_with_one_error_line(tmp_path, capsys):
+    assert _brute_record(tmp_path, {"W": {"a": 1}, "d": [1, 1], "Q": [2]}) == 1
+    assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("field", ["W", "dep_to", "to_dep"])
+@pytest.mark.parametrize(
+    "value",
+    [{"a": 1}, [1, {"a": 1}], None, True, [True, 1], ["1", 1], [10**400, 1]],
+    ids=["object", "list-holding-an-object", "null", "bool", "list-holding-a-bool", "string", "past-float"],
+)
+def test_real_valued_field_that_is_no_real_exits_with_one_error_line(tmp_path, capsys, field, value):
+    record = {"W": [[0, 1], [1, 0]], "d": [1, 1], "Q": [2], field: value}
+    assert _brute_record(tmp_path, record) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite nonnegative numbers, not ") and len(err.splitlines()) == 1
+
+
 def test_malformed_config_file(tmp_path, capsys, exa_json):
     config = tmp_path / "cfg.json"
     config.write_text('{"shots": 32,')
@@ -642,7 +671,6 @@ def test_non_finite_config_weight_exits_with_one_error_line(tmp_path, capsys, ex
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_exit_with_one_error_line(capsys, monkeypatch, exa_json, tmp_path, jobs):
-    monkeypatch.delenv("COLORPERM_JOBS", raising=False)
     out = tmp_path / "run.json"
     argv = ["solve", "--instance", exa_json, "--grid-points", "2", "--out", str(out)]
     assert main([*argv, "--jobs", jobs]) == 1
@@ -823,7 +851,7 @@ def n10_budget_line():
     labels = 20**10
     need = (simulator.TABLE_BYTES + simulator.WORKER_BYTES) * labels + SCHEDULE_BYTES * 21 + EDGE_BYTES * 400
     return (
-        f"error: a onehot run on {labels} labels and 21 schedule layers in 1 worker process, with its 20 x 20 edge matrix,"
+        f"error: a onehot run on {labels} labels and 21 schedule layers in 1 thread, with its 20 x 20 edge matrix,"
         f" needs about {need} bytes, over the memory budget of {simulator.MEMORY_BUDGET} bytes\n"
     )
 
@@ -918,7 +946,6 @@ def _run_bytes(capsys, tmp_path, argv):
 def test_flag_and_config_file_give_the_same_bytes(tmp_path, capsys, monkeypatch, exa_json, demo_vrp_path, key):
     argv, flag_value, config_value = FLAG_CASES[key]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COLORPERM_JOBS", raising=False)
     (tmp_path / "data").mkdir()
     (tmp_path / EXA).write_text(Path(exa_json).read_text())
     (tmp_path / "data" / "demo-n4-k2.vrp").write_text(demo_vrp_path.read_text())

@@ -7,12 +7,14 @@ amplitudes * exp(-i*gamma*E) bit for bit, from its own table or a
 given one.
 A sweep evolves each gamma row from one shared first phase layer; its
 records, best and histogram must equal a per-point run_ansatz loop, for
-any worker count. Either register samples the one-hot state, with its
-phases from one energy table. The memory ceiling, charged per worker,
-refuses a run before allocating or starting a pool.
+any thread count, in one process. Either register samples the one-hot
+state, with its phases from one energy table. The memory ceiling, charged
+per thread, refuses a run before allocating or starting a pool.
 """
 
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -311,7 +313,7 @@ def test_budget_charges_the_table_once_and_each_worker(params3, monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + WORKER_BYTES * workers) * 216 + EDGE_BYTES * 36)
         check_budget(params3, "onehot", workers=workers)
-        with pytest.raises(AmplitudeBudgetError, match=f"in {workers + 1} worker processes"):
+        with pytest.raises(AmplitudeBudgetError, match=f"in {workers + 1} threads"):
             check_budget(params3, "onehot", workers=workers + 1)
 
 
@@ -326,16 +328,17 @@ def test_sweep_charges_a_worker_per_gamma_row_before_the_pool_starts(exA, monkey
         sizes.append(max_workers)
         raise PoolStarted
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", pool)
-    # two workers, each holding its row's one depth-1 schedule, and one edge matrix
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", pool)
+    # enough CPUs that only jobs and the gamma rows bound the threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    # two threads, each holding its row's one depth-1 schedule, and one edge matrix
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", (TABLE_BYTES + 2 * WORKER_BYTES) * 216 + 2 * SCHEDULE_BYTES + EDGE_BYTES * 36)
     model = EnergyModel.for_instance(exA)
     three_rows = GridSpec((0.1, 0.2, 0.3), (0.4,))
-    with pytest.raises(AmplitudeBudgetError, match="in 3 worker processes"):
+    with pytest.raises(AmplitudeBudgetError, match="in 3 threads"):
         phqc(exA, model, three_rows, 10, 1, jobs=3)
-    # jobs beyond the gamma rows add no worker, to the charge or to the
-    # pool (fork starts all max_workers at the first submit); one process
-    # needs no pool
+    # jobs beyond the gamma rows add no thread, to the charge or to the
+    # pool; one thread needs no pool
     with pytest.raises(PoolStarted):
         phqc(exA, model, GridSpec((0.1, 0.2), (0.4,)), 10, 1, jobs=3)
     assert sizes == [2]
@@ -343,3 +346,59 @@ def test_sweep_charges_a_worker_per_gamma_row_before_the_pool_starts(exA, monkey
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs >= 1"):
             phqc(exA, model, three_rows, 10, 1, jobs=jobs)
+
+
+@pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 3), (None, 1)])
+def test_sweep_threads_stop_at_the_cpu_count(monkeypatch, cpus, threads):
+    # charge_sweep alone: 2,000 gamma rows and jobs, never a thread started
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    params = EncodingParams(1, 1)
+    grid = GridSpec.default(params, 2000)
+    assert solver.charge_sweep(params, grid, 1, 2000) == threads
+    assert solver.charge_sweep(params, grid, 1, 2) == min(threads, 2)
+
+
+def test_sweep_under_jobs_runs_in_one_process(exA, monkeypatch):
+    # the parent's result, with os.fork refusing to start any process
+    model = EnergyModel.for_instance(exA)
+    grid = GridSpec((0.1, 0.2, 0.3), (0.4, 0.9))
+    one = phqc(exA, model, grid, 40, 3, jobs=1)
+
+    def fork():
+        raise AssertionError("the sweep forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert phqc(exA, model, grid, 40, 3, jobs=2) == one
+
+
+def test_threads_past_the_cores_keep_the_serial_result(exA, monkeypatch):
+    # more threads than cores, switching often: a buffer that two rows
+    # shared would change a record, the best or the histogram
+    model = EnergyModel.for_instance(exA)
+    grid = GridSpec(tuple(np.linspace(0.1, 1.2, 8)), (0.4, 0.9, 2.0))
+    exact = exact_solve(exA, model)
+    one = phqc(exA, model, grid, 200, 5, depth=2, jobs=1, exact_reference=exact)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = phqc(exA, model, grid, 200, 5, depth=2, jobs=8, exact_reference=exact)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == one
+
+
+def test_one_job_never_constructs_a_pool(exA, monkeypatch):
+    def pool(*args, **kwargs):
+        raise PoolStarted
+
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    model = EnergyModel.for_instance(exA)
+    grid = GridSpec((0.1, 0.2, 0.3), (0.4,))
+    assert phqc(exA, model, grid, 10, 1, jobs=1).total_shots == 30
+    # a single gamma row or a single CPU holds any jobs to one thread
+    assert phqc(exA, model, GridSpec((0.1,), (0.4, 0.9)), 10, 1, jobs=4).total_shots == 20
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert phqc(exA, model, grid, 10, 1, jobs=4).total_shots == 30

@@ -67,7 +67,6 @@ N6_GOLDEN = {
 def test_n6_solve_output_digests(tmp_path, monkeypatch, config):
     flags, expected = N6_GOLDEN[config]
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("COLORPERM_JOBS", raising=False)
     argv = ["solve", "--instance", N6_INSTANCE, "--grid-points", "2", *flags, "--out", str(tmp_path / "run.json")]
     assert main(argv) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
