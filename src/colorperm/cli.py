@@ -502,17 +502,20 @@ _COMMANDS = {
 
 
 def build_parser(command=None):
-    """The parser of every command, or, given one, the same parser with
-    the flags of that command only: its help and errors read the same."""
+    """The parser of every command, or, given one, a parser of that
+    command alone: its help and errors read the same, for it hands its
+    own errors to the full parser, whose usage lists every command."""
     parser = argparse.ArgumentParser(
         prog="colorperm",
         description="Colored-permutation routing encoder, simulator, and grid-sweep solver.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    if command in _COMMANDS:
+        parser.error = lambda message: build_parser().error(message)
     for name, (_, about, dests) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=about)
         if command in _COMMANDS and name != command:
             continue
+        sub = subs.add_parser(name, help=about)
         sub.add_argument("--config", help="JSON file of default flag values")
         for dest in dests:
             _, kind, text = _OPTIONS[dest]

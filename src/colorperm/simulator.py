@@ -17,24 +17,30 @@ complement (eigenvalue -1/(S-1)),
 so each block axis is mixed in place as x <- dg*x + off*sum(x).
 
 It runs on cache-sized blocks; a schedule's last layer also squares each
-block. A grid row shares its phase factor exp(-i*gamma*E): `evolve_row`
-writes it once per row, and the mixer multiplies it in as it first reads
-each slab, so a layer with the row's gamma takes no pass and no `exp` of
-its own. The first layer reads the factor times the uniform amplitude,
-which is the phased uniform state bit for bit. Layers with another gamma
-and `apply_phase` phase the state in a pass of their own. `sample`
-replays numpy's multinomial on only the labels a spread-out state can
-draw (`_replica`), hands numpy any draw it cannot follow, and returns
-the drawn labels, ascending, and their counts as two arrays.
+block into the float64 view of the state's own buffer, so a grid point's
+distribution takes no S^n array of its own. A grid row shares its phase
+factor exp(-i*gamma*E): `evolve_row` writes it once per row, and the
+mixer multiplies it in as it first reads each slab, so a layer with the
+row's gamma takes no pass and no `exp` of its own. The first layer reads
+the factor times the uniform amplitude, which is the phased uniform
+state bit for bit. Layers with another gamma phase the state in a pass
+of their own. `run_ansatz` is the slow reference: one phase pass and one
+mixer pass per layer, whose squares are the row's distributions bit for
+bit. `sample` replays numpy's multinomial on only the labels a spread-out
+distribution can draw (`_replica`), hands numpy any draw it cannot
+follow, and returns the drawn labels, ascending, and their counts as two
+arrays.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels on the one
 S^n energy table it is given, and `run_ansatz` builds that table and
 scatters a binary model's final amplitudes onto their binary labels
 (`EncodingParams.binary_labels`), leaving exact zeros on the padded
-words. A sweep never builds that vector: it samples the one-hot state
-and relabels only the labels it accepts. `check_budget` is the one
-ceiling on S^n-sized work; every entry charges it before it allocates.
+words. A sweep never builds that vector: it samples the one-hot
+distribution and relabels only the labels it accepts. `check_budget` is
+the one ceiling on S^n-sized work; every entry charges it before it
+allocates: per label, one thread of a sweep holds two 16-byte buffers
+beside the 8-byte table, and peaks at about 43 bytes (n = 6, K = 2).
 """
 
 from __future__ import annotations
@@ -49,24 +55,25 @@ from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per label of the
 # S^n state: the energy table once (8 bytes), and in each thread that
-# evolves grid rows the evolved state and the row's phase factor (16 each)
-# and the distribution (8) plus allocator slack. Measured peaks above the
-# import are 51.2 (n = 6, K = 2) and 50.3 (n = 5, K = 5) bytes per label
-# for one thread (the same at depth 2); tracemalloc puts the buffers of
-# one n = 6 row at 41.0. Under --jobs 2 the one process peaks at 93.5
-# (n = 6, K = 2) and 88.8 (n = 6, K = 3, charged 120) bytes per label.
+# evolves grid rows the evolved state and the row's phase factor (16 each),
+# whose buffers end as the distributions, plus allocator slack. Measured
+# VmHWM above the import is 43.4 (n = 6, K = 2, the same at depth 2) and
+# 42.5 (n = 5, K = 5) bytes per label for one thread, 77.4 and 75.8 under
+# --jobs 2; tracemalloc puts one n = 6 row of constant gamma at 32.2 above
+# the table (49.3 at n = 5, K = 2 for a row whose later layers change
+# gamma, which phases a whole PHASE_CHUNK at a time; no command runs one).
 # Building the table peaks at 18.0 and 19.4. Every other S^n entry (phase
-# profile, envelope) pays the one-thread charge: the whole `bound` peaks
-# at 28.8 (n = 6, K = 2) and 19.8 (n = 5, K = 5) bytes per label,
-# `phase_profile` alone at 27.4 and 19.5, the envelope at 9.0 and 8.4. A
-# Schedule holds 16 bytes per layer and peaks at 66 while it is built
-# (tracemalloc, depth 10**6); each layer of a thread's schedules is
-# charged that peak. The S x S edge matrix the energy table starts from
-# (`edge_cost_matrix`: three float64 arrays and a bool one) peaks at 25.0
-# bytes per entry.
+# profile, envelope) pays the one-thread charge: `run_ansatz` peaks at 41.3
+# (n = 5, K = 2) and 35.3 (n = 6, K = 2), the whole `bound` at 28.8
+# (n = 6, K = 2) and 19.8 (n = 5, K = 5) bytes per label, `phase_profile`
+# alone at 27.4 and 19.5, the envelope at 9.0 and 8.4. A Schedule holds 16
+# bytes per layer and peaks at 66 while it is built (tracemalloc, depth
+# 10**6); each layer of a thread's schedules is charged that peak. The
+# S x S edge matrix the energy table starts from (`edge_cost_matrix`:
+# three float64 arrays and a bool one) peaks at 25.0 bytes per entry.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
-WORKER_BYTES = 56
+WORKER_BYTES = 48
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
 SCHEDULE_BYTES = 66
 EDGE_BYTES = 25
@@ -187,16 +194,17 @@ def _mixer_coefficients(S, beta):
     return dg, (np.exp(-1j * beta) - dg) / S
 
 
-def _mix(amps, params, beta, probs=None, src=None, factor=None):
+def _mix(amps, params, beta, square=False, src=None, factor=None):
     """The block mixer on every axis of the (S,)*n view of `amps`, in
-    place, and |amps|**2 into `probs` when given. With `factor` (a scalar
-    or a per-label array) it mixes src * factor into `amps` instead, `src`
-    being `amps` unless given, both read in the first visit. The fewest
-    leading axes (at most n - 2) whose trailing sub-blocks fit in
-    MIX_BLOCK are mixed on slabs of whole trailing axes, each gathered
-    into one contiguous scratch buffer, then each sub-block's other axes
-    in one visit that squares it. Each sum keeps its order of additions
-    (a 1-D sub-block or 1-column slab would not), so the bytes do too."""
+    place; with `square`, |amps|**2 then overwrites the first half of
+    `amps`'s bytes as float64. With `factor` (a scalar or a per-label
+    array) it mixes src * factor into `amps` instead, `src` being `amps`
+    unless given, both read in the first visit. The fewest leading axes
+    (at most n - 2) whose trailing sub-blocks fit in MIX_BLOCK are mixed
+    on slabs of whole trailing axes, each gathered into one contiguous
+    scratch buffer, then each sub-block's other axes in one visit that
+    squares it. Each sum keeps its order of additions (a 1-D sub-block or
+    1-column slab would not), so the bytes do too."""
     S, n = params.S, params.n
     lead = min(max(n - 2, 0), next(L for L in range(n + 1) if S ** (n - L) <= MIX_BLOCK))
     cols = max([c for c in range(2, n - lead + 1) if S ** (lead + c) <= MIX_BLOCK], default=1)
@@ -226,19 +234,28 @@ def _mix(amps, params, beta, probs=None, src=None, factor=None):
         if lead:
             head[part] = slab
     size = S ** (n - lead)
+    probs = amps.view(np.float64)
     for lo in range(0, len(amps), size):
         block = amps[lo : lo + size]
         mix_axes(block.reshape((S,) * (n - lead)), n - lead)
-        if probs is not None:
-            np.abs(block, out=probs[lo : lo + size])
-            probs[lo : lo + size] **= 2
+        if square:
+            # sub-block m >= 1 squares into floats [m*size, (m+1)*size), the
+            # bytes of sub-blocks already done; sub-block 0's floats overlap
+            # its own amplitudes, where numpy's abs takes another loop and
+            # other bits, so it squares aside
+            out = probs[lo : lo + size] if lo else np.empty(size)
+            np.abs(block, out=out)
+            out **= 2
+            if not lo:
+                probs[:size] = out
 
 
 def _phase(amps, gamma, energies):
     """amps[z] *= exp(-i*gamma*energies[z]) in place, PHASE_CHUNK labels
-    at a time, so the exp temporaries stay small."""
+    at a time through one temporary, so the exp stays small."""
     for lo in range(0, len(amps), PHASE_CHUNK):
-        amps[lo : lo + PHASE_CHUNK] *= np.exp(-1j * gamma * energies[lo : lo + PHASE_CHUNK])
+        turn = np.multiply(-1j * gamma, energies[lo : lo + PHASE_CHUNK])
+        amps[lo : lo + PHASE_CHUNK] *= np.exp(turn, out=turn)
 
 
 def apply_mixer(state, beta):
@@ -273,18 +290,19 @@ def apply_phase(state, gamma, model, energies=None):
 
 
 def evolve_row(params, energies, schedules):
-    """Yield (state, probs) for each schedule, in order, for schedules
-    that all open with the same gamma: the one-hot state evolved on the
-    S^n energy table `energies` (a sweep builds it once for all its grid
-    points) and its distribution, squared in the last mixer layer.
+    """Yield the distribution of each schedule, in order, for schedules
+    that all open with the same gamma: |amplitude|**2 of the one-hot
+    state evolved on the S^n energy table `energies` (a sweep builds it
+    once for all its grid points), squared in the last mixer layer.
 
     The row's phase factor exp(-i*gamma*E) is computed once, in place;
     each schedule evolves in one work buffer from the factor times the
     uniform amplitude, and the last one evolves in the factor's own
     buffer unless a later layer of its own multiplies by the factor
-    again. Every yielded state and distribution lives in a buffer that
-    the next one overwrites, so use them before drawing the next. The
-    caller charges `check_budget` before it builds the table.
+    again. Each distribution is the float64 view of its schedule's
+    buffer, which the next schedule overwrites, so use it before drawing
+    the next. The caller charges `check_budget` before it builds the
+    table.
     """
     if len({s.gammas[0] for s in schedules}) != 1:
         raise ValueError("the schedules of a row must open with one gamma")
@@ -293,7 +311,6 @@ def evolve_row(params, energies, schedules):
     gamma0 = schedules[0].gammas[0]
     factor = np.multiply(-1j * gamma0, energies, out=np.empty(len(energies), dtype=complex))
     np.exp(factor, out=factor)
-    probs = np.empty(len(factor))
     work = None
     for i, schedule in enumerate(schedules):
         kept = [gamma == gamma0 for gamma in schedule.gammas]
@@ -302,7 +319,7 @@ def evolve_row(params, energies, schedules):
         elif work is None:
             work = np.empty_like(factor)
         for layer, (gamma, beta) in enumerate(zip(schedule.gammas, schedule.betas)):
-            last = probs if layer == schedule.p - 1 else None
+            last = layer == schedule.p - 1
             if not layer:
                 # the phased uniform state, bit for bit: IEEE products and sums commute
                 _mix(work, params, beta, last, src=factor, factor=_amplitude(params))
@@ -311,19 +328,24 @@ def evolve_row(params, energies, schedules):
             else:
                 _phase(work, gamma, energies)
                 _mix(work, params, beta, last)
-        yield EncodedState(work, "onehot", params), probs
+        yield work.view(np.float64)[: len(work)]
 
 
 def run_ansatz(params, model, schedule):
-    """Alternate phase and mixer layers from the uniform initial state:
-    the row of one schedule (`evolve_row`) on the model's energy table,
-    relabelled into the model's register. Refuses runs over the memory
-    budget (`check_budget`) before allocating anything."""
+    """Alternate phase and mixer layers from the uniform initial state,
+    one pass each on one buffer, on the model's energy table, relabelled
+    into the model's register: the slow reference of `evolve_row`.
+    Refuses runs over the memory budget (`check_budget`) before
+    allocating anything."""
     if params != model.params:
         raise ValueError("params do not match the model")
     check_budget(params, model.register)
-    ((state, _),) = evolve_row(params, energy_table(model), [schedule])
-    return _relabel(state, model.register)
+    energies = energy_table(model)
+    amps = initial_state(params).amplitudes
+    for gamma, beta in zip(schedule.gammas, schedule.betas):
+        _phase(amps, gamma, energies)
+        _mix(amps, params, beta)
+    return _relabel(EncodedState(amps, "onehot", params), model.register)
 
 
 def exact_distribution(state):
@@ -351,20 +373,20 @@ class SampleSet:
             raise ValueError("labels must be strictly ascending, each with a count of at least 1")
 
 
-def sample(state, shots, seed, probs=None):
-    """Draw a seeded multinomial sample from the exact distribution.
+def sample(probs, shots, seed, params, register):
+    """Draw a seeded multinomial sample from the distribution `probs`
+    over `register`'s labels (`exact_distribution` of a state, or a
+    distribution `evolve_row` yields); it is normalised in place.
 
     `seed` is an int, or a tuple (entropy, *spawn_key) for derived
     per-worker seeds. Identical seeds reproduce identical SampleSets:
     the labels `default_rng(seed).multinomial` draws and their counts,
-    from `_replica` on spread-out states. `probs` is
-    `exact_distribution(state)` when the caller already holds it; it is
-    normalised in place.
+    from `_replica` on spread-out distributions.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
-    if probs is None:
-        probs = exact_distribution(state)
+    if np.shape(probs) != (params.dim(register),):
+        raise ValueError(f"distribution must have length {params.dim(register)}")
     probs /= probs.sum()
     entropy, *spawn_key = seed if isinstance(seed, tuple) else (seed,)
     seq = np.random.SeedSequence(int(entropy), spawn_key=tuple(map(int, spawn_key)))
@@ -372,7 +394,7 @@ def sample(state, shots, seed, probs=None):
     if drawn is None:
         counts = np.random.default_rng(seq).multinomial(shots, probs)
         drawn = np.flatnonzero(counts), counts[counts > 0]
-    return SampleSet(*drawn, shots, state.register, state.params)
+    return SampleSet(*drawn, shots, register, params)
 
 
 def _replica(probs, shots, rng):

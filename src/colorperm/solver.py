@@ -374,16 +374,17 @@ def feasible_samples(samples, inst, register):
     return labels, samples.counts[ok].tolist(), bits
 
 
-def _grid_point(model, state, probs, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
-    """One grid point of a prepared state and its distribution `probs`
-    (`optimal_labels` in its register): sample, filter, score. Returns
-    the record, the local best as (score, index, label, bits, objective)
-    and the accepted {bits: count}, both in the model's register."""
+def _grid_point(model, probs, register, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
+    """One grid point of the distribution `probs` of a prepared state
+    over `register`'s labels (`optimal_labels` too): sample, filter,
+    score. Returns the record, the local best as (score, index, label,
+    bits, objective) and the accepted {bits: count}, both in the model's
+    register."""
     p_star_exact = None
     if optimal_labels is not None:
         p_star_exact = float(probs[np.asarray(optimal_labels, dtype=np.int64)].sum())
     # sample normalises the one distribution in place
-    samples = sample(state, shots, (base_seed, index), probs)
+    samples = sample(probs, shots, (base_seed, index), model.params, register)
     labels, counts, bits = feasible_samples(samples, model.inst, model.register)
     # for feasible labels "obj" equals energy_objective bit for bit, and
     # optimal hits are judged on it whatever the ranking score
@@ -412,8 +413,8 @@ def charge_sweep(params, grid, depth, jobs):
     """The threads a sweep of `grid` at `depth` runs its gamma rows on:
     `jobs`, but no more than its gamma rows or the machine's CPUs (past
     either, a thread adds a state and no speed), once `check_budget`
-    admits one charge per thread, each holding one row's state, factor,
-    distribution and schedules."""
+    admits one charge per thread, each holding one row's state (whose
+    buffer ends as its distribution), factor and schedules."""
     workers = min(jobs, len(grid.gammas), os.cpu_count() or 1)
     check_budget(params, "onehot", workers=workers, layers=depth * len(grid.betas))
     return workers
@@ -461,10 +462,10 @@ def phqc(
         # every beta of one gamma row, evolved from one shared first phase
         # layer; outcomes in index order
         gamma = grid.gammas[row]
-        states = evolve_row(params, energies, [Schedule.constant(gamma, beta, depth) for beta in betas])
+        dists = evolve_row(params, energies, [Schedule.constant(gamma, beta, depth) for beta in betas])
         return [
-            _grid_point(model, state, probs, gamma, beta, shots_per_point, seed, row * len(betas) + j, score, optimal_labels, optimal_cost)
-            for j, (beta, (state, probs)) in enumerate(zip(betas, states))
+            _grid_point(model, probs, "onehot", gamma, beta, shots_per_point, seed, row * len(betas) + j, score, optimal_labels, optimal_cost)
+            for j, (beta, probs) in enumerate(zip(betas, dists))
         ]
 
     if workers > 1:
@@ -525,5 +526,5 @@ def p_star(inst, model, gamma, beta, depth=1, exact=None):
         return 0.0
     schedule = Schedule.constant(gamma, beta, depth)
     check_budget(model.params)
-    ((_, probs),) = evolve_row(model.params, energy_table(model), [schedule])
+    (probs,) = evolve_row(model.params, energy_table(model), [schedule])
     return float(probs[np.asarray(exact.optimal_labels(model.params), dtype=np.int64)].sum())

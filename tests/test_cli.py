@@ -4,6 +4,7 @@ File outputs land in tmp_path; stdout JSON is parsed back and compared
 against the library calls the commands wrap.
 """
 
+import argparse
 import io
 import json
 from pathlib import Path
@@ -1062,6 +1063,28 @@ def test_one_command_parser_prints_what_the_full_parser_prints(command, flags, c
     # main builds only the named command's flags; its help and errors must not show it
     argv = [command, *flags]
     assert exit_text(lambda: main(argv), capsys) == exit_text(lambda: build_parser().parse_args(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["solve", "--bogus"], ["--help"], ["brute", "--help"], ["-h", "brute"], ["brute", "--seed"]],
+    ids=["none", "bogus", "solve-bogus", "help", "brute-help", "help-brute", "brute-seed"],
+)
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    assert exit_text(lambda: main(argv), capsys) == exit_text(lambda: build_parser().parse_args(argv), capsys)
+
+
+def test_a_named_command_builds_its_own_parser_only(monkeypatch, exa_json):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["brute", "--instance", exa_json]) == 0
+    assert built == ["colorperm", "colorperm brute"]
 
 
 @pytest.mark.parametrize(

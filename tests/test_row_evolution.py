@@ -15,6 +15,7 @@ per thread, refuses a run before allocating or starting a pool.
 import itertools
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from colorperm.cli import main
 from colorperm.encoding import REGISTERS, EncodingParams
 from colorperm.feasibility import OK, REASONS, label_reasons
 from colorperm.hamiltonian import EnergyModel, energy_components, energy_table
+from colorperm.instances import Instance
 from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
     EDGE_BYTES,
@@ -108,26 +110,89 @@ def test_row_states_equal_run_ansatz(exA, params3, register):
         Schedule((0.04, 0.07), (2.5, 0.6)),
         Schedule.constant(0.04, 0.0),
     ]
-    # each yielded state and distribution is overwritten by the next, so keep copies
-    rows = evolve_row(params3, energy_table(model), schedules)
-    row = [(state.amplitudes.copy(), probs.copy()) for state, probs in rows]
-    for (amps, probs), schedule in zip(row, schedules):
-        # the row evolves the one-hot labels; run_ansatz relabels them into its register
-        expected = run_ansatz(params3, model, schedule).amplitudes
-        assert np.array_equal(amps, expected[params3.binary_labels()] if register == "binary" else expected)
-        # the distribution squared in the last mixer layer is that of the one-hot state
-        assert np.array_equal(probs, exact_distribution(EncodedState(amps, "onehot", params3)))
+    # each yielded distribution is overwritten by the next, so keep copies
+    dists = [probs.copy() for probs in evolve_row(params3, energy_table(model), schedules)]
+    for probs, schedule in zip(dists, schedules):
+        # the row squares the one-hot labels; run_ansatz relabels them into its register
+        expected = exact_distribution(run_ansatz(params3, model, schedule))
+        assert np.array_equal(probs, expected[params3.binary_labels()] if register == "binary" else expected)
+
+
+def seeded_instance(n):
+    """Two vehicles, symmetric integer distances and shared legs, demands
+    1 and 2, room for every customer on one vehicle."""
+    rng = np.random.default_rng(0)
+    W = rng.integers(1, 60, size=(n, n)).astype(float)
+    W = W + W.T
+    np.fill_diagonal(W, 0.0)
+    legs = rng.integers(1, 60, size=n).astype(float)
+    d = [1 + i % 2 for i in range(n)]
+    return Instance(f"n{n}k2", n, 2, d, [sum(d)] * 2, W, legs, legs)
+
+
+# Rows of one opening gamma, with depths 1 to 3 and mixed gammas. The last
+# schedule of "factor-last" evolves in the row's factor buffer; that of
+# "work-last" multiplies by the factor again, so it keeps the work buffer.
+ROWS = {
+    "factor-last": [
+        Schedule.constant(0.04, 0.3),
+        Schedule.constant(0.04, 1.9, p=2),
+        Schedule((0.04, 0.07, 0.04), (2.5, 0.6, 1.3)),
+        Schedule.constant(0.04, 0.7, p=3),
+        Schedule((0.04, 0.07), (0.9, 0.2)),
+    ],
+    "work-last": [Schedule((0.04, 0.07), (2.5, 0.6)), Schedule.constant(0.04, 1.1, p=3)],
+}
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+@pytest.mark.parametrize("register", REGISTERS)
+@pytest.mark.parametrize("n", [4, 5])
+def test_multiblock_row_distributions_equal_run_ansatz(n, register, row):
+    # n = 4, K = 2: 4,096 labels in one sub-block, squared aside; n = 5:
+    # 10^5 labels in ten sub-blocks, all but the first squared into the
+    # float64 bytes of sub-blocks already done
+    params = EncodingParams(n, 2)
+    assert (params.dim("onehot") > simulator.MIX_BLOCK) == (n == 5)
+    model = EnergyModel.for_instance(seeded_instance(n), register=register)
+    dists = [probs.copy() for probs in evolve_row(params, energy_table(model), ROWS[row])]
+    assert len(dists) == len(ROWS[row])
+    for probs, schedule in zip(dists, ROWS[row]):
+        expected = exact_distribution(run_ansatz(params, model, schedule))
+        assert np.array_equal(probs, expected[params.binary_labels()] if register == "binary" else expected)
+
+
+def test_a_row_holds_its_distributions_in_its_state_buffers():
+    # n = 5, K = 2: 10^5 labels; the table is built before tracing starts.
+    # Both schedules keep a work buffer beside the factor, so an S^n
+    # float64 distribution of their own would lift the peak to 40 B/label.
+    params = EncodingParams(5, 2)
+    labels = params.dim("onehot")
+    energies = energy_table(EnergyModel.for_instance(seeded_instance(5)))
+    schedules = [Schedule.constant(0.04, 0.3, p=2), Schedule.constant(0.04, 1.9, p=2)]
+    tracemalloc.start()
+    try:
+        for probs in evolve_row(params, energies, schedules):
+            assert probs.dtype == np.float64 and len(probs) == labels and probs.base is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WORKER_BYTES * labels
+    assert peak < (16 + 16 + 8) * labels
 
 
 @pytest.mark.parametrize("gammas", [(0.3, 0.7, 0.3), (0.0, -0.0, 0.05), (0.2, 0.2, 1.1)])
 def test_mixed_gamma_ansatz_equals_the_layer_chain(exA, params3, gammas):
-    # layers with the opening gamma reuse the row's factor, the others phase anew
+    # run_ansatz is the layer chain; the row reuses its factor for layers
+    # with the opening gamma and phases the others anew, to the same distribution
     model = EnergyModel.for_instance(exA)
     schedule = Schedule(gammas, (0.4, 2.2, 1.3))
     state = initial_state(params3)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
         state = apply_mixer(apply_phase(state, gamma, model), beta)
     assert run_ansatz(params3, model, schedule).amplitudes.tobytes() == state.amplitudes.tobytes()
+    (probs,) = evolve_row(params3, energy_table(model), [schedule])
+    assert probs.tobytes() == exact_distribution(state).tobytes()
 
 
 def test_row_needs_one_first_gamma(exA, params3):
@@ -144,7 +209,7 @@ def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
     for index, (gamma, beta) in enumerate(itertools.product(grid.gammas, grid.betas)):
         state = run_ansatz(model.params, model, Schedule.constant(gamma, beta, depth))
         record, local_best, feasible_bits = solver._grid_point(
-            model, state, exact_distribution(state), gamma, beta, shots, seed, index, score, labels, exact.optimal_cost
+            model, exact_distribution(state), state.register, gamma, beta, shots, seed, index, score, labels, exact.optimal_cost
         )
         records.append(record)
         for bits, count in feasible_bits.items():
@@ -181,20 +246,20 @@ def test_jobs_parity_over_three_gamma_rows(exA, register):
 
 
 def squared_and_drawn(monkeypatch):
-    """Record the distribution each mixer layer squares into, and the
-    state and distribution each sample draws from; refuse any other
-    squaring of a state."""
+    """Record the buffer each mixer layer squares, and the distribution
+    and register each sample draws from; refuse any other squaring of a
+    state."""
     squared, drawn = [], []
     original_mix, original_sample = simulator._mix, simulator.sample
 
-    def mix(amps, params, beta, probs=None, **first_visit):
-        if probs is not None:
-            squared.append(probs)
-        original_mix(amps, params, beta, probs, **first_visit)
+    def mix(amps, params, beta, square=False, **first_visit):
+        if square:
+            squared.append(amps)
+        original_mix(amps, params, beta, square, **first_visit)
 
-    def draw(state, shots, seed, probs=None):
-        drawn.append((state, probs))
-        return original_sample(state, shots, seed, probs)
+    def draw(probs, shots, seed, params, register):
+        drawn.append((probs, register))
+        return original_sample(probs, shots, seed, params, register)
 
     def distribution(state):
         raise AssertionError("the sweep squared a state outside the mixer")
@@ -210,9 +275,10 @@ def test_one_distribution_per_grid_point(exA, params3, monkeypatch):
     model = EnergyModel.for_instance(exA)
     grid = GridSpec.default(params3, 3)
     phqc(exA, model, grid, 100, 5, exact_reference=exact_solve(exA, model))
-    # one square per grid point, in its last mixer layer, and the sample draws from it
+    # one square per grid point, in its last mixer layer, and the sample
+    # draws from the float64 view of the buffer it squared
     assert len(squared) == len(drawn) == len(grid)
-    assert all(probs is square for (_, probs), square in zip(drawn, squared))
+    assert all(probs.base is square and probs.ctypes.data == square.ctypes.data for (probs, _), square in zip(drawn, squared))
 
 
 def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
@@ -274,9 +340,10 @@ def test_sweep_draws_from_the_onehot_distribution(exA, params3, monkeypatch, reg
     model = EnergyModel.for_instance(exA, register=register)
     grid = GridSpec.default(params3, 3)
     phqc(exA, model, grid, 100, 5, exact_reference=exact_solve(exA, model))
-    sizes = [len(probs) for probs in squared] + [size for state, probs in drawn for size in (len(state.amplitudes), len(probs))]
-    assert len(sizes) == 3 * len(grid)
+    sizes = [len(amps) for amps in squared] + [len(probs) for probs, _ in drawn]
+    assert len(sizes) == 2 * len(grid)
     assert set(sizes) == {params3.dim("onehot")}
+    assert {register for _, register in drawn} == {"onehot"}
 
 
 @pytest.mark.parametrize("register", REGISTERS)

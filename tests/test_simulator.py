@@ -249,7 +249,7 @@ def test_exact_distribution_normalized(exA, params3):
 
 def test_sample_single_shot(params3):
     st = initial_state(params3)
-    ss = sample(st, 1, 42)
+    ss = sample(exact_distribution(st), 1, 42, params3, "onehot")
     assert ss.shots == 1
     assert len(ss.counts) == 1
     (z,) = ss.labels
@@ -263,19 +263,19 @@ def drawn(ss):
 
 def test_sample_seed_reproducibility(params3):
     st = initial_state(params3)
-    a = sample(st, 500, 1234)
-    b = sample(st, 500, 1234)
+    a = sample(exact_distribution(st), 500, 1234, params3, "onehot")
+    b = sample(exact_distribution(st), 500, 1234, params3, "onehot")
     assert drawn(a) == drawn(b)
-    c = sample(st, 500, (1234, 0))
-    d = sample(st, 500, (1234, 0))
+    c = sample(exact_distribution(st), 500, (1234, 0), params3, "onehot")
+    d = sample(exact_distribution(st), 500, (1234, 0), params3, "onehot")
     assert drawn(c) == drawn(d)
-    assert drawn(sample(st, 500, (1234, 1))) != drawn(c)
+    assert drawn(sample(exact_distribution(st), 500, (1234, 1), params3, "onehot")) != drawn(c)
 
 
 def test_sample_statistics(params3):
     st = initial_state(params3)
     shots = 1_000_000
-    ss = sample(st, shots, 7)
+    ss = sample(exact_distribution(st), shots, 7, params3, "onehot")
     freqs = np.zeros(216)
     for z, c in zip(*drawn(ss)):
         freqs[z] = c / shots
@@ -287,7 +287,7 @@ def test_sample_statistics(params3):
 def test_sample_validation(params3):
     st = initial_state(params3)
     with pytest.raises(ValueError):
-        sample(st, 0, 1)
+        sample(exact_distribution(st), 0, 1, params3, "onehot")
     with pytest.raises(ValueError):
         SampleSet(np.array([0]), np.array([2]), 3, "onehot", params3)
 
@@ -307,7 +307,7 @@ def test_sample_returns_ascending_labels_with_positive_counts(monkeypatch, n, sh
         return replicas[-1]
 
     monkeypatch.setattr(simulator, "_replica", replica)
-    ss = sample(EncodedState(amps, "onehot", params), shots, 11)
+    ss = sample(exact_distribution(EncodedState(amps, "onehot", params)), shots, 11, params, "onehot")
     assert [r is not None for r in replicas] == ([True] if n == 4 else [])
     assert ss.labels.dtype == ss.counts.dtype == np.int64
     assert (np.diff(ss.labels) > 0).all() and (ss.counts >= 1).all() and ss.counts.sum() == shots
@@ -321,13 +321,13 @@ def test_sampleset_refuses_unsorted_labels_and_empty_counts(params3, labels, cou
 
 def test_sampleset_views(params3):
     st = initial_state(params3)
-    ss = sample(st, 200, 99)
+    ss = sample(exact_distribution(st), 200, 99, params3, "onehot")
     labels, counts = drawn(ss)
     assert labels == sorted(labels)
     bc = {label_bitstring(z, params3, "onehot"): c for z, c in zip(labels, counts)}
     assert sum(bc.values()) == 200
     assert all(len(bits) == 18 and set(bits) <= {"0", "1"} for bits in bc)
-    binary = sample(initial_state(params3, "binary"), 50, 3)
+    binary = sample(exact_distribution(initial_state(params3, "binary")), 50, 3, params3, "binary")
     assert all(len(label_bitstring(z, params3, binary.register)) == 9 for z in binary.labels.tolist())
 
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from colorperm import simulator
 from colorperm.cli import main
 from colorperm.encoding import EncodingParams
-from colorperm.simulator import EncodedState, sample
+from colorperm.simulator import sample
 from tests.test_row_evolution import tensordot_mixer
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,8 +150,7 @@ def sample_and_reference(probs, shots, seed):
     """`sample`'s counts from `probs` on a 216-label state, and numpy's
     multinomial on the same normalised vector."""
     params = EncodingParams(3, 2)
-    state = EncodedState(np.zeros(params.dim("onehot"), dtype=complex), "onehot", params)
-    drawn = sample(state, shots, seed, probs.copy())
+    drawn = sample(probs.copy(), shots, seed, params, "onehot")
     return listed((drawn.labels, drawn.counts)), multinomial_counts(probs / probs.sum(), shots, seed)
 
 
@@ -207,6 +206,14 @@ def test_sample_runs_the_replica_only_on_spread_out_states(monkeypatch):
     assert ran == [216.0]
 
 
+def mixed(amps, params, beta, square=False):
+    """`_mix` on a copy of `amps`: the mixed amplitudes, or with `square`
+    the distribution it leaves in the float64 view of their buffer."""
+    out = amps.copy()
+    simulator._mix(out, params, beta, square)
+    return out.view(np.float64)[: len(out)] if square else out
+
+
 @pytest.mark.parametrize(
     "n, K, lead",
     [(3, 2, 1), (4, 2, 1), (4, 2, 2), (4, 3, 2), (5, 1, 3), (5, 2, 1), (5, 2, 3)],
@@ -217,18 +224,13 @@ def test_blocked_mix_equals_the_whole_state_mix(monkeypatch, n, K, lead, beta):
     rng = np.random.default_rng(n * 10 + K)
     amps = rng.standard_normal(params.dim("onehot")) + 1j * rng.standard_normal(params.dim("onehot"))
     monkeypatch.setattr(simulator, "MIX_BLOCK", params.dim("onehot"))
-    whole, whole_probs = amps.copy(), np.empty(len(amps))
-    simulator._mix(whole, params, beta, whole_probs)
+    whole, whole_probs = mixed(amps, params, beta), mixed(amps, params, beta, square=True)
     monkeypatch.setattr(simulator, "MIX_BLOCK", params.S ** (n - lead))
-    blocked, probs = amps.copy(), np.empty(len(amps))
-    simulator._mix(blocked, params, beta, probs)
+    blocked, probs = mixed(amps, params, beta), mixed(amps, params, beta, square=True)
     assert np.array_equal(blocked, whole)
     assert np.array_equal(probs, whole_probs)
     assert np.array_equal(probs, np.abs(whole) ** 2)
     assert np.abs(blocked - tensordot_mixer(amps, params, beta)).max() < 1e-12
-    without = amps.copy()
-    simulator._mix(without, params, beta)
-    assert np.array_equal(without, whole)
 
 
 @pytest.mark.parametrize("n, K", [(1, 3), (2, 2), (3, 2), (4, 1)])
