@@ -24,9 +24,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .hamiltonian import energy_table
-from .simulator import PHASE_CHUNK, block_mixer_matrix, check_budget
+from .simulator import block_mixer_matrix, check_budget
 
 TWO_PI = 2.0 * math.pi
+PHASE_CHUNK = 2**20
 REPORT_CONFIDENCES = (0.90, 0.95, 0.99)
 
 

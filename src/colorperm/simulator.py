@@ -24,12 +24,15 @@ mixer multiplies it in as it first reads each slab, so a layer with the
 row's gamma takes no pass and no `exp` of its own. The first layer reads
 the factor times the uniform amplitude, which is the phased uniform
 state bit for bit. Layers with another gamma phase the state in a pass
-of their own. `run_ansatz` is the slow reference: one phase pass and one
-mixer pass per layer, whose squares are the row's distributions bit for
-bit. `sample` replays numpy's multinomial on only the labels a spread-out
-distribution can draw (`_replica`), hands numpy any draw it cannot
-follow, and returns the drawn labels, ascending, and their counts as two
-arrays.
+of their own. A zero angle is the identity: a gamma-0 row builds no
+factor, a later gamma-0 layer takes no phase pass and a beta-0 layer
+mixes no axis; the full passes could only flip the sign of a zero, which
+|x|**2 cannot see. `run_ansatz` is the slow reference: one phase pass
+and one mixer pass per layer at every angle, whose squares are the row's
+distributions bit for bit. `sample` replays numpy's multinomial on only
+the labels a spread-out distribution can draw (`_replica`), hands numpy
+any draw it cannot follow, and returns the drawn labels, ascending, and
+their counts as two arrays.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels on the one
@@ -59,12 +62,12 @@ from .hamiltonian import energy_table
 # whose buffers end as the distributions, plus allocator slack. Measured
 # VmHWM above the import is 43.4 (n = 6, K = 2, the same at depth 2) and
 # 42.5 (n = 5, K = 5) bytes per label for one thread, 77.4 and 75.8 under
-# --jobs 2; tracemalloc puts one n = 6 row of constant gamma at 32.2 above
-# the table (49.3 at n = 5, K = 2 for a row whose later layers change
-# gamma, which phases a whole PHASE_CHUNK at a time; no command runs one).
+# --jobs 2; tracemalloc puts a two-schedule row at 32.2 above the table
+# (n = 6, K = 2) and 36.2 (n = 5, K = 2; 38.6 if its later layers change
+# gamma, phased MIX_BLOCK labels at a time; 19.9 at gamma 0, with no factor).
 # Building the table peaks at 18.0 and 19.4. Every other S^n entry (phase
-# profile, envelope) pays the one-thread charge: `run_ansatz` peaks at 41.3
-# (n = 5, K = 2) and 35.3 (n = 6, K = 2), the whole `bound` at 28.8
+# profile, envelope) pays the one-thread charge: `run_ansatz` peaks at 30.6
+# (n = 5, K = 2) and 24.2 (n = 6, K = 2), the whole `bound` at 28.8
 # (n = 6, K = 2) and 19.8 (n = 5, K = 5) bytes per label, `phase_profile`
 # alone at 27.4 and 19.5, the envelope at 9.0 and 8.4. A Schedule holds 16
 # bytes per layer and peaks at 66 while it is built (tracemalloc, depth
@@ -77,7 +80,6 @@ WORKER_BYTES = 48
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
 SCHEDULE_BYTES = 66
 EDGE_BYTES = 25
-PHASE_CHUNK = 2**20
 # Mixer blocks in amplitudes (512 KiB); `_replica` chunks, and the labels
 # per shot from which it beats numpy (they cross near 125 at n = 5, K = 2).
 MIX_BLOCK = 2**15
@@ -204,15 +206,17 @@ def _mix(amps, params, beta, square=False, src=None, factor=None):
     on slabs of whole trailing axes, each gathered into one contiguous
     scratch buffer, then each sub-block's other axes in one visit that
     squares it. Each sum keeps its order of additions (a 1-D sub-block or
-    1-column slab would not), so the bytes do too."""
+    1-column slab would not), so the bytes do too. A `beta` of None mixes
+    no axis."""
     S, n = params.S, params.n
     lead = min(max(n - 2, 0), next(L for L in range(n + 1) if S ** (n - L) <= MIX_BLOCK))
     cols = max([c for c in range(2, n - lead + 1) if S ** (lead + c) <= MIX_BLOCK], default=1)
-    if S > 1:
+    mixes = S > 1 and beta is not None
+    if mixes:
         dg, off = _mixer_coefficients(S, beta)
 
     def mix_axes(tensor, count):
-        for axis in range(count if S > 1 else 0):
+        for axis in range(count if mixes else 0):
             total = tensor.sum(axis=axis, keepdims=True)
             total *= off
             tensor *= dg
@@ -223,7 +227,8 @@ def _mix(amps, params, beta, square=False, src=None, factor=None):
     factor = factor.reshape(head.shape) if np.ndim(factor) else factor
     # without leading axes each slab is contiguous already
     scratch = np.empty(head.shape[:-1] + (S**cols,), dtype=complex) if lead else None
-    for lo in range(0, head.shape[-1], S**cols):
+    # a slab that is neither mixed nor multiplied stays where it is
+    for lo in range(0, head.shape[-1] if mixes or factor is not None else 0, S**cols):
         part = (..., slice(lo, lo + S**cols))
         slab = scratch if lead else head[part]
         if factor is not None:
@@ -251,11 +256,13 @@ def _mix(amps, params, beta, square=False, src=None, factor=None):
 
 
 def _phase(amps, gamma, energies):
-    """amps[z] *= exp(-i*gamma*energies[z]) in place, PHASE_CHUNK labels
-    at a time through one temporary, so the exp stays small."""
-    for lo in range(0, len(amps), PHASE_CHUNK):
-        turn = np.multiply(-1j * gamma, energies[lo : lo + PHASE_CHUNK])
-        amps[lo : lo + PHASE_CHUNK] *= np.exp(turn, out=turn)
+    """amps[z] *= exp(-i*gamma*energies[z]) in place, MIX_BLOCK labels
+    at a time through one cache-sized temporary."""
+    turn = np.empty(min(len(amps), MIX_BLOCK), dtype=complex)
+    for lo in range(0, len(amps), MIX_BLOCK):
+        part = turn[: min(MIX_BLOCK, len(amps) - lo)]
+        np.exp(np.multiply(-1j * gamma, energies[lo : lo + MIX_BLOCK], out=part), out=part)
+        amps[lo : lo + MIX_BLOCK] *= part
 
 
 def apply_mixer(state, beta):
@@ -297,36 +304,43 @@ def evolve_row(params, energies, schedules):
 
     The row's phase factor exp(-i*gamma*E) is computed once, in place;
     each schedule evolves in one work buffer from the factor times the
-    uniform amplitude, and the last one evolves in the factor's own
-    buffer unless a later layer of its own multiplies by the factor
-    again. Each distribution is the float64 view of its schedule's
-    buffer, which the next schedule overwrites, so use it before drawing
-    the next. The caller charges `check_budget` before it builds the
-    table.
+    uniform amplitude, and when the row has a factor the last one
+    evolves in the factor's own buffer unless a later layer of its own
+    multiplies by the factor again. A zero angle is the identity: a row
+    opening at gamma 0 has no factor and starts from the uniform
+    amplitude, a later gamma-0 layer takes no phase pass, and a beta-0
+    layer mixes no axis but still takes the factor and the square. Each
+    distribution is the float64 view of its schedule's buffer, which the
+    next schedule overwrites, so use it before drawing the next. The
+    caller charges `check_budget` before it builds the table.
     """
     if len({s.gammas[0] for s in schedules}) != 1:
         raise ValueError("the schedules of a row must open with one gamma")
     if np.shape(energies) != (params.dim("onehot"),):
         raise ValueError(f"energy table must have length {params.dim('onehot')}")
-    gamma0 = schedules[0].gammas[0]
-    factor = np.multiply(-1j * gamma0, energies, out=np.empty(len(energies), dtype=complex))
-    np.exp(factor, out=factor)
-    work = None
+    gamma0, factor, work = schedules[0].gammas[0], None, None
+    if gamma0:
+        factor = np.multiply(-1j * gamma0, energies, out=np.empty(len(energies), dtype=complex))
+        np.exp(factor, out=factor)
     for i, schedule in enumerate(schedules):
         kept = [gamma == gamma0 for gamma in schedule.gammas]
-        if i == len(schedules) - 1 and not any(kept[1:]):
+        if factor is not None and i == len(schedules) - 1 and not any(kept[1:]):
             work = factor
         elif work is None:
-            work = np.empty_like(factor)
+            work = np.empty(len(energies), dtype=complex)
         for layer, (gamma, beta) in enumerate(zip(schedule.gammas, schedule.betas)):
-            last = layer == schedule.p - 1
-            if not layer:
+            last, beta = layer == schedule.p - 1, None if beta == 0 else beta
+            if not layer and factor is None:
+                work.fill(_amplitude(params))
+                _mix(work, params, beta, last)
+            elif not layer:
                 # the phased uniform state, bit for bit: IEEE products and sums commute
                 _mix(work, params, beta, last, src=factor, factor=_amplitude(params))
             elif kept[layer]:
                 _mix(work, params, beta, last, factor=factor)
             else:
-                _phase(work, gamma, energies)
+                if gamma:
+                    _phase(work, gamma, energies)
                 _mix(work, params, beta, last)
         yield work.view(np.float64)[: len(work)]
 

@@ -7,10 +7,13 @@ against the library calls the commands wrap.
 import argparse
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorperm import cli, simulator, solver
 from colorperm.cli import _COMMANDS, _OPTIONS, build_parser, main
@@ -1103,3 +1106,71 @@ def test_lam_pad_changes_no_output_byte_but_its_echo(capsys, demo_vrp_path, argv
     default, padded = outputs
     assert '"lam_pad": null' in default
     assert padded.replace('"lam_pad": 9.0', '"lam_pad": null') == default
+
+
+# Values drawn for any field of a JSON record: every JSON type, the floats
+# json.loads reads beyond the standard, an integer past int64, and nested
+# and ragged lists of them.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.sampled_from(["", "1", "ab"])
+    | st.sampled_from([0, 1, 2, 3, -1, 2**70, 0.5, float("nan"), float("inf"), float("-inf")]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["a", "W"]), inner, max_size=2),
+    max_leaves=12,
+)
+RECORD_KEYS = ["W", "d", "Q", "dep_to", "to_dep", "K"]
+VRP_TOKENS = ["0", "1", "-1", "2.5", "1e308", "nan", "inf", "x", ":", "EOF", "DEPOT_SECTION", "99999999999999999999"]
+EXIT_CODES = (0, 1, 2, 3)
+
+
+def _run_every_command(path):
+    """brute, bound and a 2 x 2 solve on one instance file; the exit codes."""
+    out = str(path.with_suffix(".out"))
+    return [
+        main(["brute", "--instance", str(path), "--out", out]),
+        main(["bound", "--instance", str(path), "--gamma", "0.3", "--beta", "0.5", "--out", out]),
+        main(["solve", "--instance", str(path), "--grid-points", "2", "--shots", "16", "--out", out]),
+    ]
+
+
+@st.composite
+def json_records(draw):
+    # a valid three-customer record with some fields replaced or dropped
+    record = {"W": np.asarray(EXA_W).tolist(), "d": [1, 1, 1], "Q": [2, 2], "dep_to": EXA_LEGS, "to_dep": EXA_LEGS}
+    for key in draw(st.lists(st.sampled_from(RECORD_KEYS), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            record[key] = draw(JSON_VALUES)
+        else:
+            record.pop(key, None)
+    return json.dumps(record)
+
+
+@st.composite
+def vrp_mutations(draw):
+    lines = (Path(__file__).parent / "data" / "demo-n4-k2.vrp").read_text().splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["delete", "duplicate", "insert", "replace"]))
+    if edit == "delete":
+        del lines[at]
+    elif edit == "duplicate":
+        lines.insert(at, lines[at])
+    elif edit == "insert":
+        lines.insert(at, " ".join(draw(st.lists(st.sampled_from(VRP_TOKENS), min_size=1, max_size=3))))
+    elif lines[at].split():
+        tokens = lines[at].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(VRP_TOKENS))
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(st.one_of(json_records().map(lambda text: ("record-k2.json", text)), vrp_mutations().map(lambda text: ("mutant-n4-k2.vrp", text))))
+@settings(max_examples=60, deadline=None)
+def test_malformed_input_exits_with_a_documented_code(case):
+    # no exception escapes main, whatever the record or .vrp file holds
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        for code in _run_every_command(path):
+            assert code in EXIT_CODES

@@ -89,9 +89,10 @@ def test_single_symbol_mixer_is_identity():
 
 
 @pytest.mark.parametrize("source", ["table", "given"])
-@pytest.mark.parametrize("chunk", [7, 50, simulator.PHASE_CHUNK])
+@pytest.mark.parametrize("chunk", [7, 50, 2**20])
 def test_chunked_phase_equals_whole_vector_product(exA, params3, monkeypatch, source, chunk):
-    monkeypatch.setattr(simulator, "PHASE_CHUNK", chunk)
+    # the phase runs MIX_BLOCK labels at a time; 2**20 takes the state whole
+    monkeypatch.setattr(simulator, "MIX_BLOCK", chunk)
     model = EnergyModel.for_instance(exA)
     state = run_ansatz(params3, model, Schedule.constant(0.3, 0.8))
     energies = energy_components(model, np.arange(model.params.dim(model.register)))["total"]
@@ -133,7 +134,24 @@ def seeded_instance(n):
 # Rows of one opening gamma, with depths 1 to 3 and mixed gammas. The last
 # schedule of "factor-last" evolves in the row's factor buffer; that of
 # "work-last" multiplies by the factor again, so it keeps the work buffer.
+# A zero angle is the identity: "gamma-0" builds no factor (its schedules
+# open at 0.0 and -0.0), "zero-later" skips the phase pass of its later
+# gamma-0 layers, and the beta-0 layers of both mix no axis. run_ansatz
+# takes every pass at every angle, so it checks the skips bit for bit.
 ROWS = {
+    "gamma-0": [
+        Schedule.constant(0.0, 0.0),
+        Schedule.constant(-0.0, 0.3),
+        Schedule((0.0, 0.07), (0.0, 0.6)),
+        Schedule((-0.0, 0.07, 0.0), (2.5, -0.0, 1.3)),
+        Schedule.constant(0.0, 1.9, p=3),
+    ],
+    "zero-later": [
+        Schedule((0.04, 0.0), (0.0, 0.6)),
+        Schedule((0.04, -0.0, 0.04), (0.3, 0.0, -0.0)),
+        Schedule.constant(0.04, 0.0, p=2),
+        Schedule((0.04, 0.0, 0.07), (1.1, 2.2, 0.0)),
+    ],
     "factor-last": [
         Schedule.constant(0.04, 0.3),
         Schedule.constant(0.04, 1.9, p=2),
@@ -162,23 +180,40 @@ def test_multiblock_row_distributions_equal_run_ansatz(n, register, row):
         assert np.array_equal(probs, expected[params.binary_labels()] if register == "binary" else expected)
 
 
-def test_a_row_holds_its_distributions_in_its_state_buffers():
-    # n = 5, K = 2: 10^5 labels; the table is built before tracing starts.
-    # Both schedules keep a work buffer beside the factor, so an S^n
-    # float64 distribution of their own would lift the peak to 40 B/label.
-    params = EncodingParams(5, 2)
+def row_peak(params, schedules):
+    """tracemalloc's peak while `evolve_row` yields every distribution of
+    a row on a table built before tracing starts."""
     labels = params.dim("onehot")
-    energies = energy_table(EnergyModel.for_instance(seeded_instance(5)))
-    schedules = [Schedule.constant(0.04, 0.3, p=2), Schedule.constant(0.04, 1.9, p=2)]
+    energies = energy_table(EnergyModel.for_instance(seeded_instance(params.n)))
     tracemalloc.start()
     try:
         for probs in evolve_row(params, energies, schedules):
             assert probs.dtype == np.float64 and len(probs) == labels and probs.base is not None
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= WORKER_BYTES * labels
-    assert peak < (16 + 16 + 8) * labels
+
+
+def test_a_row_holds_its_distributions_in_its_state_buffers():
+    # n = 5, K = 2: 10^5 labels. Both schedules keep a work buffer beside
+    # the factor, so an S^n float64 distribution of their own would lift
+    # the peak to 40 B/label.
+    params = EncodingParams(5, 2)
+    constant = [Schedule.constant(0.04, 0.3, p=2), Schedule.constant(0.04, 1.9, p=2)]
+    peak = row_peak(params, constant)
+    assert peak <= WORKER_BYTES * params.dim("onehot")
+    assert peak < (16 + 16 + 8) * params.dim("onehot")
+    # later layers of another gamma are phased a cache-sized chunk at a time
+    changing = [Schedule((0.04, 0.07), (0.3, 0.6)), Schedule((0.04, 0.07), (1.9, 0.2))]
+    assert row_peak(params, changing) <= WORKER_BYTES * params.dim("onehot")
+
+
+def test_a_gamma_0_row_allocates_no_phase_factor():
+    # a row with a factor holds two 16-byte buffers per label; this one
+    # holds its work buffer alone, also when a later layer phases anew
+    params = EncodingParams(5, 2)
+    schedules = [Schedule.constant(0.0, 0.3, p=2), Schedule((-0.0, 0.07), (1.9, 0.2))]
+    assert row_peak(params, schedules) < 2 * 16 * params.dim("onehot")
 
 
 @pytest.mark.parametrize("gammas", [(0.3, 0.7, 0.3), (0.0, -0.0, 0.05), (0.2, 0.2, 1.1)])
