@@ -13,8 +13,11 @@ two leading axes mixed whole, 1,728 labels per shot). The depth-1 and
 depth-2 digests were taken from the multinomial over every label and the
 unblocked mixer, the depth-3 ones from the mixer before the phase factor
 moved into its first visit, and the instance is perfbench's sweep-n6k2 instance at seed 11, written by
-`perfbench/gen.py`'s `to_vrp`. It sits in its own directory so that
-`bench --dir tests/data` does not sweep it.
+`perfbench/gen.py`'s `to_vrp`. The n = 5, K = 3 digests pin a sweep
+where K = 3 meets leading mixer axes; its instance is
+`gen.generate(gen.instance_rng(11, "n5k3"), (1, 1, 2, 3, 4), 3)`. Each
+instance sits in its own directory so that `bench --dir tests/data` does
+not sweep it.
 """
 
 import hashlib
@@ -63,14 +66,49 @@ N6_GOLDEN = {
 }
 
 
+# n = 5, K = 3 (15^5 = 759,375 labels): the K = 3 sweep whose mixer has
+# leading axes, 1-column slabs and 3,375-label sub-blocks. Its digests were
+# taken before a gamma-0 layer ran on one slab and one sub-block.
+N5K3_INSTANCE = "tests/data/n5k3/n5-k3.vrp"
+
+N5K3_GOLDEN = {
+    "default": (
+        [],
+        {
+            "run.json": "68ff6385040f4d7435dc411448aa77efda9bbf02f1fb532fda1d931766d9d48c",
+            "run.grid.csv": "b0f11f8e87620fd7d801397f334e57c7e7e358c92521f1288e62f1bdddf3450d",
+            "run.hist.csv": "6d42e8419e9b1feb23155231002a5be49e47d0859213294b556691f4169f146b",
+        },
+    ),
+    "depth2": (
+        ["--depth", "2"],
+        {
+            "run.json": "a42fefcd327fe212c4264334c5158085677db7ad95d514e557bfcd0454080e86",
+            "run.grid.csv": "0ee8caddee347e1c428fcd70a23e498f211111edcbf36004249fc8f97e58069d",
+            "run.hist.csv": "b762196c6474d1389db91e721989d2ff6e4ba5c239c1cd5bbfeb88d149b2ef63",
+        },
+    ),
+}
+
+
+def solve_digests(tmp_path, monkeypatch, instance, flags, names):
+    """sha256 of each named output of `solve --grid-points 2` on `instance`."""
+    monkeypatch.chdir(ROOT)
+    argv = ["solve", "--instance", instance, "--grid-points", "2", *flags, "--out", str(tmp_path / "run.json")]
+    assert main(argv) == 0
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+
+
 @pytest.mark.parametrize("config", sorted(N6_GOLDEN))
 def test_n6_solve_output_digests(tmp_path, monkeypatch, config):
     flags, expected = N6_GOLDEN[config]
-    monkeypatch.chdir(ROOT)
-    argv = ["solve", "--instance", N6_INSTANCE, "--grid-points", "2", *flags, "--out", str(tmp_path / "run.json")]
-    assert main(argv) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
-    assert digests == expected
+    assert solve_digests(tmp_path, monkeypatch, N6_INSTANCE, flags, expected) == expected
+
+
+@pytest.mark.parametrize("config", sorted(N5K3_GOLDEN))
+def test_n5k3_solve_output_digests(tmp_path, monkeypatch, config):
+    flags, expected = N5K3_GOLDEN[config]
+    assert solve_digests(tmp_path, monkeypatch, N5K3_INSTANCE, flags, expected) == expected
 
 
 def multinomial_counts(probs, shots, seed):
