@@ -14,20 +14,16 @@ complement (eigenvalue -1/(S-1)),
     U(beta) = exp(-i*beta) * P_u + exp(+i*beta/(S-1)) * (I - P_u)
             = dg * I + off * J,
 
-so each block axis is mixed in place as x <- dg*x + off*sum(x).
-
-It runs on cache-sized blocks; a schedule's last layer also squares each
-block into the float64 view of the state's own buffer, so a grid point's
-distribution takes no S^n array of its own. A grid row shares its phase
-factor exp(-i*gamma*E): `evolve_row` writes it once per row, and the
-mixer multiplies it in as it first reads each slab, so a layer with the
-row's gamma takes no pass and no `exp` of its own. The first layer reads
-the factor times the uniform amplitude, which is the phased uniform
-state bit for bit. Layers with another gamma phase the state in a pass
-of their own. A zero angle is the identity: a gamma-0 row builds no
-factor, a later gamma-0 layer takes no phase pass and a beta-0 layer
-mixes no axis; the full passes could only flip the sign of a zero, which
-|x|**2 cannot see. `run_ansatz` is the slow reference: one phase pass
+so each block axis is mixed in place as x <- dg*x + off*sum(x), on
+cache-sized blocks; a schedule's last layer squares each block into the
+float64 view of the state's own buffer. `evolve_row` builds a grid row's
+phase factor exp(-i*gamma*E) once, running `exp` on the first ceil(K/2)
+vehicles of the first symbol alone when every other label's energy
+equals its vehicle-reversed label's bit for bit, and the mixer multiplies
+it in as it first reads each slab. A zero angle is the identity: a
+gamma-0 row builds no factor and evolves its uniform state on one slab
+and one sub-block, a later gamma-0 layer takes no phase pass and a beta-0
+layer mixes no axis. `run_ansatz` is the slow reference: one phase pass
 and one mixer pass per layer at every angle, whose squares are the row's
 distributions bit for bit. `sample` replays numpy's multinomial on only
 the labels a spread-out distribution can draw (`_replica`), hands numpy
@@ -35,15 +31,12 @@ any draw it cannot follow, and returns the drawn labels, ascending, and
 their counts as two arrays.
 
 The binary register is a relabelling of the same S^n state, not a
-second simulator: `evolve_row` evolves the one-hot labels on the one
-S^n energy table it is given, and `run_ansatz` builds that table and
-scatters a binary model's final amplitudes onto their binary labels
-(`EncodingParams.binary_labels`), leaving exact zeros on the padded
-words. A sweep never builds that vector: it samples the one-hot
-distribution and relabels only the labels it accepts. `check_budget` is
-the one ceiling on S^n-sized work; every entry charges it before it
-allocates: per label, one thread of a sweep holds two 16-byte buffers
-beside the 8-byte table, and peaks at about 43 bytes (n = 6, K = 2).
+second simulator: `evolve_row` evolves the one-hot labels, and
+`run_ansatz` scatters a binary model's final amplitudes onto their binary
+labels (`EncodingParams.binary_labels`), leaving exact zeros on the
+padded words; a sweep samples the one-hot distribution and relabels only
+the labels it accepts. `check_budget` is the one ceiling on S^n-sized
+work, and every entry charges it before it allocates.
 """
 
 from __future__ import annotations
@@ -56,24 +49,15 @@ import numpy as np
 from .encoding import EncodingParams
 from .hamiltonian import energy_table
 
-# The memory ceiling of a run, in bytes, and its charge per label of the
-# S^n state: the energy table once (8 bytes), and in each thread that
-# evolves grid rows the evolved state and the row's phase factor (16 each),
-# whose buffers end as the distributions, plus allocator slack. Measured
-# VmHWM above the import is 43.4 (n = 6, K = 2, the same at depth 2) and
-# 42.5 (n = 5, K = 5) bytes per label for one thread, 77.4 and 75.8 under
-# --jobs 2; tracemalloc puts a two-schedule row at 32.2 above the table
-# (n = 6, K = 2) and 36.2 (n = 5, K = 2; 38.6 if its later layers change
-# gamma, phased MIX_BLOCK labels at a time; 19.9 at gamma 0, with no factor).
-# Building the table peaks at 18.0 and 19.4. Every other S^n entry (phase
-# profile, envelope) pays the one-thread charge: `run_ansatz` peaks at 30.6
-# (n = 5, K = 2) and 24.2 (n = 6, K = 2), the whole `bound` at 28.8
-# (n = 6, K = 2) and 19.8 (n = 5, K = 5) bytes per label, `phase_profile`
-# alone at 27.4 and 19.5, the envelope at 9.0 and 8.4. A Schedule holds 16
-# bytes per layer and peaks at 66 while it is built (tracemalloc, depth
-# 10**6); each layer of a thread's schedules is charged that peak. The
-# S x S edge matrix the energy table starts from (`edge_cost_matrix`:
-# three float64 arrays and a bool one) peaks at 25.0 bytes per entry.
+# The memory ceiling of a run, in bytes, and its charge per S^n label: the
+# energy table once (8 bytes), and in each thread that evolves grid rows
+# the state and the row's phase factor (16 each), whose buffers end as the
+# distributions, plus slack. VmHWM above the import is 43.4 (n = 6, K = 2)
+# and 42.5 (n = 5, K = 5) bytes per label for one thread, 77.7 (n = 6,
+# K = 2) for two; every other S^n entry peaks lower and pays the one-thread
+# charge. A Schedule peaks at 66 bytes per layer while it is built
+# (tracemalloc, depth 10**6), and the S x S edge matrix the energy table
+# starts from (`edge_cost_matrix`) at 25.0 bytes per entry.
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 48
@@ -196,24 +180,36 @@ def _mixer_coefficients(S, beta):
     return dg, (np.exp(-1j * beta) - dg) / S
 
 
+def _blocking(params):
+    """`_mix`'s (lead, cols): the fewest leading axes (at most n - 2) whose
+    sub-blocks fit in MIX_BLOCK, and the most trailing axes, 2 or more
+    (else 1), whose slabs with them fit too."""
+    S, n = params.S, params.n
+    lead = min(max(n - 2, 0), next(L for L in range(n + 1) if S ** (n - L) <= MIX_BLOCK))
+    cols = max([c for c in range(2, n - lead + 1) if S ** (lead + c) <= MIX_BLOCK], default=1)
+    return lead, cols
+
+
 def _mix(amps, params, beta, square=False, src=None, factor=None):
     """The block mixer on every axis of the (S,)*n view of `amps`, in
     place; with `square`, |amps|**2 then overwrites the first half of
     `amps`'s bytes as float64. With `factor` (a scalar or a per-label
     array) it mixes src * factor into `amps` instead, `src` being `amps`
-    unless given, both read in the first visit. The fewest leading axes
-    (at most n - 2) whose trailing sub-blocks fit in MIX_BLOCK are mixed
-    on slabs of whole trailing axes, each gathered into one contiguous
-    scratch buffer, then each sub-block's other axes in one visit that
-    squares it. Each sum keeps its order of additions (a 1-D sub-block or
-    1-column slab would not), so the bytes do too. A `beta` of None mixes
-    no axis."""
+    unless given, both read in the first visit. The `_blocking` leading
+    axes are mixed on slabs of whole trailing axes, each gathered into
+    one contiguous scratch buffer, then each sub-block's other axes in
+    one visit that squares it. Each sum keeps its order of additions (a
+    1-D sub-block or 1-column slab would not), so the bytes do too. A
+    `beta` of None mixes no axis and takes the factor in one pass. `amps`
+    may be any whole number of slabs and sub-blocks of params's blocking."""
     S, n = params.S, params.n
-    lead = min(max(n - 2, 0), next(L for L in range(n + 1) if S ** (n - L) <= MIX_BLOCK))
-    cols = max([c for c in range(2, n - lead + 1) if S ** (lead + c) <= MIX_BLOCK], default=1)
+    lead, cols = _blocking(params)
     mixes = S > 1 and beta is not None
     if mixes:
         dg, off = _mixer_coefficients(S, beta)
+    elif factor is not None:
+        # no slab to gather: the factor goes in in one pass
+        np.multiply(amps if src is None else src, factor, out=amps)
 
     def mix_axes(tensor, count):
         for axis in range(count if mixes else 0):
@@ -227,8 +223,7 @@ def _mix(amps, params, beta, square=False, src=None, factor=None):
     factor = factor.reshape(head.shape) if np.ndim(factor) else factor
     # without leading axes each slab is contiguous already
     scratch = np.empty(head.shape[:-1] + (S**cols,), dtype=complex) if lead else None
-    # a slab that is neither mixed nor multiplied stays where it is
-    for lo in range(0, head.shape[-1] if mixes or factor is not None else 0, S**cols):
+    for lo in range(0, head.shape[-1] if mixes else 0, S**cols):
         part = (..., slice(lo, lo + S**cols))
         slab = scratch if lead else head[part]
         if factor is not None:
@@ -245,9 +240,8 @@ def _mix(amps, params, beta, square=False, src=None, factor=None):
         mix_axes(block.reshape((S,) * (n - lead)), n - lead)
         if square:
             # sub-block m >= 1 squares into floats [m*size, (m+1)*size), the
-            # bytes of sub-blocks already done; sub-block 0's floats overlap
-            # its own amplitudes, where numpy's abs takes another loop and
-            # other bits, so it squares aside
+            # bytes of sub-blocks already done; sub-block 0's overlap its own
+            # amplitudes, where numpy's abs takes other bits, so it squares aside
             out = probs[lo : lo + size] if lo else np.empty(size)
             np.abs(block, out=out)
             out **= 2
@@ -296,23 +290,43 @@ def apply_phase(state, gamma, model, energies=None):
     return EncodedState(amps, state.register, state.params)
 
 
+def _row_factor(params, gamma, energies):
+    """exp(-i*gamma*energies). Where the labels past the first ceil(K/2)
+    vehicles of the first symbol equal their vehicle-reversed labels bit
+    for bit (-0.0 is not 0.0), they copy those labels' factors, and `exp`
+    runs on the others alone."""
+    K, n, half = params.K, params.n, -(-params.K // 2)
+    orbit, flip = (K, n) * n, (slice(None, None, -1), slice(None)) * n
+    bits = energies.view(np.uint64).reshape(orbit)
+    mirrored = (bits[half:] == bits[flip][half:]).all()
+    head = len(energies) * (half if mirrored else K) // K
+    factor = np.empty(len(energies), dtype=complex)
+    np.exp(np.multiply(-1j * gamma, energies[:head], out=factor[:head]), out=factor[:head])
+    if mirrored:
+        factor.reshape(orbit)[half:] = factor.reshape(orbit)[flip][half:]
+    return factor
+
+
 def evolve_row(params, energies, schedules):
     """Yield the distribution of each schedule, in order, for schedules
     that all open with the same gamma: |amplitude|**2 of the one-hot
     state evolved on the S^n energy table `energies` (a sweep builds it
     once for all its grid points), squared in the last mixer layer.
 
-    The row's phase factor exp(-i*gamma*E) is computed once, in place;
-    each schedule evolves in one work buffer from the factor times the
-    uniform amplitude, and when the row has a factor the last one
-    evolves in the factor's own buffer unless a later layer of its own
-    multiplies by the factor again. A zero angle is the identity: a row
-    opening at gamma 0 has no factor and starts from the uniform
-    amplitude, a later gamma-0 layer takes no phase pass, and a beta-0
-    layer mixes no axis but still takes the factor and the square. Each
-    distribution is the float64 view of its schedule's buffer, which the
-    next schedule overwrites, so use it before drawing the next. The
-    caller charges `check_budget` before it builds the table.
+    The row's factor exp(-i*gamma*E) is built once (`_row_factor`); each
+    schedule evolves in one work buffer from the factor times the uniform
+    amplitude, and the last one in the factor's own buffer unless a later
+    layer of its own multiplies by the factor again. A zero angle is the
+    identity: a later gamma-0 layer takes no phase pass, and a beta-0
+    layer mixes no axis but still takes the factor and the square. A row
+    opening at gamma 0 has no factor; until its first nonzero gamma every
+    slab and sub-block of `_mix`'s blocking holds the same values through
+    the same passes, so those layers run on the first
+    S**max(lead + cols, n - lead) labels, one of each, whose label 0 then
+    fills the rest of the buffer, or of the distribution if no gamma
+    follows. Each distribution is the float64 view of its schedule's
+    buffer, which the next schedule overwrites, so use it before drawing
+    the next. The caller charges `check_budget` before it builds the table.
     """
     if len({s.gammas[0] for s in schedules}) != 1:
         raise ValueError("the schedules of a row must open with one gamma")
@@ -320,29 +334,37 @@ def evolve_row(params, energies, schedules):
         raise ValueError(f"energy table must have length {params.dim('onehot')}")
     gamma0, factor, work = schedules[0].gammas[0], None, None
     if gamma0:
-        factor = np.multiply(-1j * gamma0, energies, out=np.empty(len(energies), dtype=complex))
-        np.exp(factor, out=factor)
+        factor = _row_factor(params, gamma0, energies)
+    lead, cols = _blocking(params)
+    prefix = params.S ** max(lead + cols, params.n - lead)
     for i, schedule in enumerate(schedules):
         kept = [gamma == gamma0 for gamma in schedule.gammas]
         if factor is not None and i == len(schedules) - 1 and not any(kept[1:]):
             work = factor
         elif work is None:
             work = np.empty(len(energies), dtype=complex)
+        uniform = 0 if gamma0 else next((layer for layer, gamma in enumerate(schedule.gammas) if gamma), schedule.p)
+        if uniform:
+            work[:prefix] = _amplitude(params)
         for layer, (gamma, beta) in enumerate(zip(schedule.gammas, schedule.betas)):
             last, beta = layer == schedule.p - 1, None if beta == 0 else beta
-            if not layer and factor is None:
-                work.fill(_amplitude(params))
-                _mix(work, params, beta, last)
+            if layer < uniform:
+                _mix(work[:prefix], params, beta, last)
             elif not layer:
                 # the phased uniform state, bit for bit: IEEE products and sums commute
                 _mix(work, params, beta, last, src=factor, factor=_amplitude(params))
             elif kept[layer]:
                 _mix(work, params, beta, last, factor=factor)
             else:
+                if layer == uniform:
+                    work[prefix:] = work[0]
                 if gamma:
                     _phase(work, gamma, energies)
                 _mix(work, params, beta, last)
-        yield work.view(np.float64)[: len(work)]
+        probs = work.view(np.float64)[: len(work)]
+        if uniform == schedule.p:
+            probs[prefix:] = probs[0]
+        yield probs
 
 
 def run_ansatz(params, model, schedule):

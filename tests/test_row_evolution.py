@@ -12,10 +12,12 @@ state, with its phases from one energy table. The memory ceiling, charged
 per thread, refuses a run before allocating or starting a pool.
 """
 
+import importlib.util
 import itertools
 import os
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from colorperm.cli import main
 from colorperm.encoding import REGISTERS, EncodingParams
 from colorperm.feasibility import OK, REASONS, label_reasons
 from colorperm.hamiltonian import EnergyModel, energy_components, energy_table
-from colorperm.instances import Instance
+from colorperm.instances import Instance, load_instance, parse_vrp
 from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
     EDGE_BYTES,
@@ -48,6 +50,8 @@ from colorperm.simulator import (
     run_ansatz,
 )
 from colorperm.solver import GridSpec, exact_solve, phqc, phqc_histogram
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tensordot_mixer(amps, params, beta):
@@ -180,6 +184,99 @@ def test_multiblock_row_distributions_equal_run_ansatz(n, register, row):
         assert np.array_equal(probs, expected[params.binary_labels()] if register == "binary" else expected)
 
 
+# n = 6, K = 2: 12^6 labels, two leading axes and a 20,736-label prefix, so
+# a gamma-0 row evolves one slab and one sub-block until its first nonzero
+# gamma: all gamma 0, 0 then 0.3, and 0 -> 0.3 -> 0, at betas 0 and pi
+PREFIX_ROW = [
+    Schedule.constant(0.0, np.pi),
+    Schedule.constant(0.0, 0.0),
+    Schedule((0.0, 0.0), (0.0, np.pi)),
+    Schedule.constant(-0.0, np.pi, p=3),
+    Schedule((0.0, 0.3), (np.pi, 0.0)),
+    Schedule((0.0, 0.0, 0.3), (0.0, np.pi, np.pi)),
+    Schedule((0.0, 0.3, 0.0), (np.pi, np.pi, np.pi)),
+]
+
+
+def test_a_gamma_0_prefix_row_equals_run_ansatz(monkeypatch):
+    params = EncodingParams(6, 2)
+    lead, cols = simulator._blocking(params)
+    assert lead == 2 and params.S ** max(lead + cols, params.n - lead) == 20736 < params.dim("onehot")
+    model = EnergyModel.for_instance(seeded_instance(6))
+    energies = energy_table(model)
+    # run_ansatz builds its own table; it is the same one, so build it once
+    monkeypatch.setattr(simulator, "energy_table", lambda _: energies)
+    for probs, schedule in zip(evolve_row(params, energies, PREFIX_ROW), PREFIX_ROW):
+        assert np.array_equal(probs, exact_distribution(run_ansatz(params, model, schedule)))
+
+
+def perfbench_instance(workload, demands, K):
+    """A perfbench workload's instance at seed 11, through its .vrp text."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return parse_vrp(gen.to_vrp(gen.generate(gen.instance_rng(11, workload), demands, K), workload), K=K)
+
+
+def asymmetric_instance(K, legs):
+    """Three customers on K vehicles: with shared depot legs and a capacity
+    per vehicle, or with per-vehicle legs (n x K) and one capacity."""
+    n = 3
+    W = np.array([[0.0, 4.0, 7.5], [4.0, 0.0, 3.25], [7.5, 3.25, 0.0]])
+    dep = np.arange(1.0, 1.0 + n * K).reshape(n, K) if legs == "per-vehicle" else np.array([2.0, 5.0, 1.5])
+    Q = [2 + k for k in range(K)] if legs == "shared" else [6] * K
+    return Instance(f"asym-k{K}-{legs}", n, K, [1, 2, 2], Q, W, dep, dep + 0.5)
+
+
+def exp_sizes(monkeypatch):
+    """Record the size of every array np.exp runs on."""
+    sizes, original = [], np.exp
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return sizes
+
+
+def factor_case(table):
+    """(params, energy table, whether the table equals its vehicle-reversed
+    view on the labels past the first ceil(K/2) vehicles of the first symbol)."""
+    if table == "signed-zero":
+        # one -0.0 among zeros, whose phase differs from 0.0's in a zero's sign
+        params = EncodingParams(3, 2)
+        energies = np.zeros(params.dim("onehot"))
+        energies[-1] = -0.0
+        return params, energies, False
+    if table == "n6k2":
+        inst, mirrored = load_instance(ROOT / "tests" / "data" / "n6" / "n6-k2.vrp"), True
+    elif table == "perfbench-n4k3":
+        inst, mirrored = perfbench_instance("sweep-n4k3-binary", (1, 2, 3, 4), 3), True
+    else:
+        _, K, legs = table.split("-", 2)
+        inst, mirrored = asymmetric_instance(int(K[1:]), legs), False
+    return EncodingParams.for_instance(inst), energy_table(EnergyModel.for_instance(inst)), mirrored
+
+
+FACTOR_TABLES = ["n6k2", "perfbench-n4k3", "signed-zero"] + [f"asym-k{K}-{legs}" for K in (2, 3, 4) for legs in ("shared", "per-vehicle")]
+
+
+@pytest.mark.parametrize("table", FACTOR_TABLES)
+def test_the_row_factor_equals_the_phase_of_every_label(monkeypatch, table):
+    # exp runs on the labels of the first ceil(K/2) vehicles of the first
+    # symbol when the rest equal their vehicle-reversed labels bit for bit,
+    # and on every label otherwise
+    params, energies, mirrored = factor_case(table)
+    K, labels = params.K, params.dim("onehot")
+    for gamma in (0.3, np.pi):
+        sizes = exp_sizes(monkeypatch)
+        factor = simulator._row_factor(params, gamma, energies)
+        monkeypatch.undo()
+        assert sizes == [labels * -(-K // 2) // K if mirrored else labels]
+        assert factor.tobytes() == np.exp(-1j * gamma * energies).tobytes()
+
+
 def row_peak(params, schedules):
     """tracemalloc's peak while `evolve_row` yields every distribution of
     a row on a table built before tracing starts."""
@@ -210,10 +307,12 @@ def test_a_row_holds_its_distributions_in_its_state_buffers():
 
 def test_a_gamma_0_row_allocates_no_phase_factor():
     # a row with a factor holds two 16-byte buffers per label; this one
-    # holds its work buffer alone, also when a later layer phases anew
-    params = EncodingParams(5, 2)
+    # holds its work buffer alone, also when a later layer phases anew.
+    # At n = 6 its slab, sub-block and phase chunk take 0.2 B/label, so
+    # any other S^n array, even a bool one, would cross 17.
+    params = EncodingParams(6, 2)
     schedules = [Schedule.constant(0.0, 0.3, p=2), Schedule((-0.0, 0.07), (1.9, 0.2))]
-    assert row_peak(params, schedules) < 2 * 16 * params.dim("onehot")
+    assert row_peak(params, schedules) < 17 * params.dim("onehot")
 
 
 @pytest.mark.parametrize("gammas", [(0.3, 0.7, 0.3), (0.0, -0.0, 0.05), (0.2, 0.2, 1.1)])
@@ -311,9 +410,12 @@ def test_one_distribution_per_grid_point(exA, params3, monkeypatch):
     grid = GridSpec.default(params3, 3)
     phqc(exA, model, grid, 100, 5, exact_reference=exact_solve(exA, model))
     # one square per grid point, in its last mixer layer, and the sample
-    # draws from the float64 view of the buffer it squared
+    # draws from the float64 view of the buffer it squared: a gamma-0 row
+    # squares a prefix of its buffer, which the distribution starts at and covers
     assert len(squared) == len(drawn) == len(grid)
-    assert all(probs.base is square and probs.ctypes.data == square.ctypes.data for (probs, _), square in zip(drawn, squared))
+    for (probs, _), square in zip(drawn, squared):
+        assert probs.base is (square if square.base is None else square.base)
+        assert probs.ctypes.data == square.ctypes.data and len(probs) >= len(square)
 
 
 def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
