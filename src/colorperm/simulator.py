@@ -23,7 +23,8 @@ equals its vehicle-reversed label's bit for bit, and the mixer multiplies
 it in as it first reads each slab. A zero angle is the identity: a
 gamma-0 row builds no factor and evolves its uniform state on one slab
 and one sub-block, a later gamma-0 layer takes no phase pass and a beta-0
-layer mixes no axis. `run_ansatz` is the slow reference: one phase pass
+layer mixes no axis; the full passes could only flip the sign of a zero,
+which |x|**2 cannot see. `run_ansatz` is the slow reference: one phase pass
 and one mixer pass per layer at every angle, whose squares are the row's
 distributions bit for bit. `sample` replays numpy's multinomial on only
 the labels a spread-out distribution can draw (`_replica`), hands numpy

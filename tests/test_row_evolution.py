@@ -5,6 +5,9 @@ block axis; it must match the block_mixer_matrix tensordot contraction.
 The chunked in-place phase must equal the whole-vector product
 amplitudes * exp(-i*gamma*E) bit for bit, from its own table or a
 given one.
+The row's phase factor must equal exp(-i*gamma*E) bit for bit, whether or
+not it copies labels from their vehicle-reversed partners, and a gamma-0
+row run on one slab and one sub-block must equal run_ansatz bit for bit.
 A sweep evolves each gamma row from one shared first phase layer; its
 records, best and histogram must equal a per-point run_ansatz loop, for
 any thread count, in one process. Either register samples the one-hot
