@@ -247,7 +247,7 @@ def cmd_solve(cfg):
     params = model.params
     grid = GridSpec.default(params, cfg["grid_points"])
     # the sweep is charged first: the oracle can take a minute before the sweep refuses
-    charge_sweep(params, grid, cfg["depth"], cfg["jobs"])
+    charge_sweep(params, grid, cfg["depth"], cfg["jobs"], inst)
     exact = None if cfg["no_reference"] else exact_solve(inst, model)
     result, match = _sweep(cfg, inst, model, grid, exact)
     echo = _config_echo(cfg, "solve")

@@ -16,20 +16,20 @@ complement (eigenvalue -1/(S-1)),
 
 so each block axis is mixed in place as x <- dg*x + off*sum(x), on
 cache-sized blocks; a schedule's last layer squares each block into the
-float64 view of the state's own buffer. `evolve_row` builds a grid row's
-phase factor exp(-i*gamma*E) once, running `exp` on the first ceil(K/2)
-vehicles of the first symbol alone when every other label's energy
-equals its vehicle-reversed label's bit for bit, and the mixer multiplies
-it in as it first reads each slab. A zero angle is the identity: a
-gamma-0 row builds no factor and evolves its uniform state on one slab
-and one sub-block, a later gamma-0 layer takes no phase pass and a beta-0
-layer mixes no axis; the full passes could only flip the sign of a zero,
-which |x|**2 cannot see. `run_ansatz` is the slow reference: one phase pass
-and one mixer pass per layer at every angle, whose squares are the row's
-distributions bit for bit. `sample` replays numpy's multinomial on only
-the labels a spread-out distribution can draw (`_replica`), hands numpy
-any draw it cannot follow, and returns the drawn labels, ascending, and
-their counts as two arrays.
+float64 view of the state's own buffer. A sweep keeps only the energy
+table's `orbit_head` when every other label's energy equals its
+vehicle-reversed label's bit for bit; `evolve_row` builds a grid row's
+phase factor exp(-i*gamma*E) once on the labels the table holds, and the
+mixer multiplies it in as it first reads each slab, the other labels
+through their reversed view. A zero angle is the identity: a gamma-0 row
+builds no factor and evolves on one slab and one sub-block, a later
+gamma-0 layer takes no phase pass and a beta-0 layer mixes no axis; the
+full passes could only flip the sign of a zero, which |x|**2 cannot see.
+`run_ansatz` is the slow reference, one phase and one mixer pass per
+layer on the whole table, whose squares are the row's distributions bit
+for bit. `sample` replays numpy's multinomial on only the labels a
+spread-out distribution can draw (`_replica`), hands numpy any draw it
+cannot follow, and returns the drawn labels and their counts.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels, and
@@ -51,17 +51,18 @@ from .encoding import EncodingParams
 from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per S^n label: the
-# energy table once (8 bytes), and in each thread that evolves grid rows
-# the state and the row's phase factor (16 each), whose buffers end as the
-# distributions, plus slack. VmHWM above the import is 43.4 (n = 6, K = 2)
-# and 42.5 (n = 5, K = 5) bytes per label for one thread, 77.7 (n = 6,
-# K = 2) for two; every other S^n entry peaks lower and pays the one-thread
-# charge. A Schedule peaks at 66 bytes per layer while it is built
-# (tracemalloc, depth 10**6), and the S x S edge matrix the energy table
-# starts from (`edge_cost_matrix`) at 25.0 bytes per entry.
+# energy table once (8 bytes) and in each thread its work buffer and row
+# factor (16 each), plus slack; the table and factors hold `head_labels`
+# only. A sweep's VmHWM above the import is 31.2 (n = 6, K = 2) and 32.8
+# (n = 5, K = 5) bytes per label in one thread, 56.4 and 59.7 in two, and
+# 43.2 in one on a whole table (n = 6, K = 2, per-vehicle Q); every other
+# S^n entry peaks lower and pays the one-thread charge. A Schedule peaks at
+# 66 bytes per layer while built (tracemalloc, depth 10**6), and the S x S
+# edge matrix the table starts from (`edge_cost_matrix`) at 25.0 per entry.
 MEMORY_BUDGET = 2**32
-TABLE_BYTES = 8
-WORKER_BYTES = 48
+TABLE_BYTES = 12
+WORKER_BYTES = 40
+FACTOR_BYTES = 16
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
 SCHEDULE_BYTES = 66
 EDGE_BYTES = 25
@@ -116,14 +117,16 @@ class Schedule:
         return cls((gamma,) * p, (beta,) * p)
 
 
-def check_budget(params, register="onehot", workers=1, layers=0):
+def check_budget(params, register="onehot", workers=1, layers=0, inst=None):
     """Refuse work that would need more than MEMORY_BUDGET bytes. Any S^n
     work is charged, per S^n label, the table once and WORKER_BYTES in
-    each of `workers` threads, plus BYTES_PER_AMPLITUDE per label of a
-    relabelled binary state, plus SCHEDULE_BYTES in each thread per
-    angle layer of the `layers` its schedules hold, plus EDGE_BYTES per
-    entry of the S x S edge matrix."""
-    need = (TABLE_BYTES + WORKER_BYTES * workers) * params.dim("onehot") + SCHEDULE_BYTES * layers * workers
+    each of `workers` threads, less the table's and each factor's bytes
+    on the labels past `inst`'s `head_labels`, plus BYTES_PER_AMPLITUDE
+    per label of a relabelled binary state, SCHEDULE_BYTES in each thread
+    per layer of its schedules and EDGE_BYTES per S x S edge entry."""
+    labels = params.dim("onehot")
+    need = (TABLE_BYTES + WORKER_BYTES * workers) * labels + SCHEDULE_BYTES * layers * workers
+    need -= (TABLE_BYTES + FACTOR_BYTES * workers) * (labels - head_labels(params, inst))
     need += EDGE_BYTES * params.S**2
     if register != "onehot":
         need += BYTES_PER_AMPLITUDE * params.dim(register)
@@ -191,26 +194,38 @@ def _blocking(params):
     return lead, cols
 
 
+def _product(out, src, factor, params, lead=0, middle=()):
+    """out = src * factor on the labels whose symbols after the first
+    `lead` are the (vehicle, customer) pairs `middle`, into their
+    contiguous buffer `out`; an operand may be a head (`_orbit`) and
+    `factor` a scalar."""
+    K, n, half = params.K, params.n, -(-params.K // 2)
+    views = [_orbit(params, a) if np.ndim(a) else (a, a) for a in (src, factor)]
+    index = (slice(None),) * (2 * lead) + middle
+    whole = out.reshape((K, n) * (n - len(middle) // 2))
+    for side, rows in enumerate((slice(None, half), slice(half, None))):
+        np.multiply(*[v[side][index] if np.ndim(v[side]) else v[side] for v in views], out=whole[rows])
+
+
 def _mix(amps, params, beta, square=False, src=None, factor=None):
     """The block mixer on every axis of the (S,)*n view of `amps`, in
     place; with `square`, |amps|**2 then overwrites the first half of
-    `amps`'s bytes as float64. With `factor` (a scalar or a per-label
-    array) it mixes src * factor into `amps` instead, `src` being `amps`
-    unless given, both read in the first visit. The `_blocking` leading
-    axes are mixed on slabs of whole trailing axes, each gathered into
-    one contiguous scratch buffer, then each sub-block's other axes in
-    one visit that squares it. Each sum keeps its order of additions (a
-    1-D sub-block or 1-column slab would not), so the bytes do too. A
-    `beta` of None mixes no axis and takes the factor in one pass. `amps`
-    may be any whole number of slabs and sub-blocks of params's blocking."""
+    `amps`'s bytes as float64. With `factor` it mixes src * factor into
+    `amps` instead (`_product`; `src` is `amps` unless given). The
+    `_blocking` leading axes are mixed on slabs of whole trailing axes,
+    each gathered into one contiguous scratch buffer, then each sub-block's
+    other axes in one visit that squares it. Each sum keeps its order of
+    additions (a 1-D sub-block or 1-column slab would not), so the bytes
+    do too. Without leading axes, or with a `beta` of None (no axis), the
+    factor goes in in one pass. `amps` may be any whole number of slabs
+    and sub-blocks of params's blocking."""
     S, n = params.S, params.n
     lead, cols = _blocking(params)
     mixes = S > 1 and beta is not None
     if mixes:
         dg, off = _mixer_coefficients(S, beta)
-    elif factor is not None:
-        # no slab to gather: the factor goes in in one pass
-        np.multiply(amps if src is None else src, factor, out=amps)
+    if factor is not None and not (mixes and lead):
+        _product(amps, amps if src is None else src, factor, params)
 
     def mix_axes(tensor, count):
         for axis in range(count if mixes else 0):
@@ -220,20 +235,17 @@ def _mix(amps, params, beta, square=False, src=None, factor=None):
             tensor += total
 
     head = amps.reshape((S,) * lead + (-1,))
-    src = head if src is None else src.reshape(head.shape)
-    factor = factor.reshape(head.shape) if np.ndim(factor) else factor
     # without leading axes each slab is contiguous already
     scratch = np.empty(head.shape[:-1] + (S**cols,), dtype=complex) if lead else None
-    for lo in range(0, head.shape[-1] if mixes else 0, S**cols):
-        part = (..., slice(lo, lo + S**cols))
-        slab = scratch if lead else head[part]
-        if factor is not None:
-            np.multiply(src[part], factor[part] if np.ndim(factor) else factor, out=slab)
-        elif lead:
-            np.copyto(slab, head[part])
-        mix_axes(slab, lead)
-        if lead:
-            head[part] = slab
+    for lo in range(0, head.shape[-1] if mixes and lead else 0, S**cols):
+        if factor is None:
+            np.copyto(scratch, head[..., lo : lo + S**cols])
+        else:
+            # the slab's middle symbols, as (vehicle, customer) pairs
+            middle = np.unravel_index(lo // S**cols, (S,) * (n - lead - cols))
+            _product(scratch, amps if src is None else src, factor, params, lead, sum(((s // n, s % n) for s in middle), ()))
+        mix_axes(scratch, lead)
+        head[..., lo : lo + S**cols] = scratch
     size = S ** (n - lead)
     probs = amps.view(np.float64)
     for lo in range(0, len(amps), size):
@@ -291,59 +303,70 @@ def apply_phase(state, gamma, model, energies=None):
     return EncodedState(amps, state.register, state.params)
 
 
-def _row_factor(params, gamma, energies):
-    """exp(-i*gamma*energies). Where the labels past the first ceil(K/2)
-    vehicles of the first symbol equal their vehicle-reversed labels bit
-    for bit (-0.0 is not 0.0), they copy those labels' factors, and `exp`
-    runs on the others alone."""
+def _orbit(params, a):
+    """(head, tail) of `a` in the (K, n) * n shape of (vehicle, customer)
+    symbols, split after the first symbol's first ceil(K/2) vehicles; a
+    head alone (`orbit_head`) reads its tail in its vehicle-reversed view."""
     K, n, half = params.K, params.n, -(-params.K // 2)
-    orbit, flip = (K, n) * n, (slice(None, None, -1), slice(None)) * n
-    bits = energies.view(np.uint64).reshape(orbit)
-    mirrored = (bits[half:] == bits[flip][half:]).all()
-    head = len(energies) * (half if mirrored else K) // K
-    factor = np.empty(len(energies), dtype=complex)
-    np.exp(np.multiply(-1j * gamma, energies[:head], out=factor[:head]), out=factor[:head])
-    if mirrored:
-        factor.reshape(orbit)[half:] = factor.reshape(orbit)[flip][half:]
-    return factor
+    if len(a) == params.dim("onehot"):
+        whole = a.reshape((K, n) * n)
+        return whole[:half], whole[half:]
+    head = a.reshape((half, n) + (K, n) * (n - 1))
+    return head, head[(slice(None, None, -1), slice(None)) * n][2 * half - K :]
+
+
+def head_labels(params, inst=None):
+    """The labels of `inst`'s table a sweep holds: its head (`_orbit`) when
+    the vehicles are interchangeable (one capacity, 1-D legs), else all."""
+    shared = inst is not None and inst.uniform_capacity() is not None and inst.dep_to.ndim == inst.to_dep.ndim == 1
+    return params.dim("onehot") // params.K * (-(-params.K // 2) if shared else params.K)
+
+
+def orbit_head(params, energies):
+    """A copy of the S^n table's head (`_orbit`) when its tail equals the
+    head's reversed view bit for bit (-0.0 is not 0.0), else the table."""
+    bits, size = energies.view(np.uint64), len(energies) // params.K * -(-params.K // 2)
+    if size < len(energies) and (_orbit(params, bits)[1] == _orbit(params, bits[:size])[1]).all():
+        return energies[:size].copy()
+    return energies
+
+
+def _row_factor(gamma, energies):
+    """exp(-i*gamma*energies), in one buffer."""
+    factor = np.multiply(-1j * gamma, energies)
+    return np.exp(factor, out=factor)
 
 
 def evolve_row(params, energies, schedules):
     """Yield the distribution of each schedule, in order, for schedules
     that all open with the same gamma: |amplitude|**2 of the one-hot
-    state evolved on the S^n energy table `energies` (a sweep builds it
-    once for all its grid points), squared in the last mixer layer.
+    state evolved on `energies`, the S^n table or its `orbit_head` (which
+    refuses a schedule that phases anew), squared in the last mixer layer.
 
-    The row's factor exp(-i*gamma*E) is built once (`_row_factor`); each
-    schedule evolves in one work buffer from the factor times the uniform
-    amplitude, and the last one in the factor's own buffer unless a later
-    layer of its own multiplies by the factor again. A zero angle is the
-    identity: a later gamma-0 layer takes no phase pass, and a beta-0
-    layer mixes no axis but still takes the factor and the square. A row
-    opening at gamma 0 has no factor; until its first nonzero gamma every
-    slab and sub-block of `_mix`'s blocking holds the same values through
-    the same passes, so those layers run on the first
-    S**max(lead + cols, n - lead) labels, one of each, whose label 0 then
-    fills the rest of the buffer, or of the distribution if no gamma
-    follows. Each distribution is the float64 view of its schedule's
-    buffer, which the next schedule overwrites, so use it before drawing
-    the next. The caller charges `check_budget` before it builds the table.
+    The row's factor exp(-i*gamma*E) is built once on the table's labels,
+    and every schedule evolves in one work buffer from the factor times
+    the uniform amplitude. A later gamma-0 layer takes no phase pass, and
+    a beta-0 layer mixes no axis but still takes the factor and the
+    square. A row opening at gamma 0 has no factor; until its first
+    nonzero gamma every slab and sub-block of `_mix`'s blocking holds the
+    same values through the same passes, so those layers run on the first
+    S**max(lead + cols, n - lead) labels, whose label 0 then fills the
+    rest of the buffer, or of the distribution if no gamma follows. Each
+    distribution is the float64 view of the buffer, which the next
+    schedule overwrites. The caller charges `check_budget` first.
     """
+    gamma0, labels = schedules[0].gammas[0], params.dim("onehot")
     if len({s.gammas[0] for s in schedules}) != 1:
         raise ValueError("the schedules of a row must open with one gamma")
-    if np.shape(energies) != (params.dim("onehot"),):
-        raise ValueError(f"energy table must have length {params.dim('onehot')}")
-    gamma0, factor, work = schedules[0].gammas[0], None, None
-    if gamma0:
-        factor = _row_factor(params, gamma0, energies)
+    head = labels // params.K * -(-params.K // 2)
+    if np.shape(energies) != (labels,) and (np.shape(energies) != (head,) or any(g not in (0, gamma0) for s in schedules for g in s.gammas)):
+        raise ValueError(f"energy table must have length {labels}, or {head} (its orbit head) if no later gamma phases anew")
+    factor = _row_factor(gamma0, energies) if gamma0 else None
+    work = np.empty(labels, dtype=complex)
     lead, cols = _blocking(params)
     prefix = params.S ** max(lead + cols, params.n - lead)
-    for i, schedule in enumerate(schedules):
+    for schedule in schedules:
         kept = [gamma == gamma0 for gamma in schedule.gammas]
-        if factor is not None and i == len(schedules) - 1 and not any(kept[1:]):
-            work = factor
-        elif work is None:
-            work = np.empty(len(energies), dtype=complex)
         uniform = 0 if gamma0 else next((layer for layer, gamma in enumerate(schedule.gammas) if gamma), schedule.p)
         if uniform:
             work[:prefix] = _amplitude(params)
@@ -362,7 +385,7 @@ def evolve_row(params, energies, schedules):
                 if gamma:
                     _phase(work, gamma, energies)
                 _mix(work, params, beta, last)
-        probs = work.view(np.float64)[: len(work)]
+        probs = work.view(np.float64)[:labels]
         if uniform == schedule.p:
             probs[prefix:] = probs[0]
         yield probs

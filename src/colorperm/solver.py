@@ -7,8 +7,8 @@ label the digit-level feasibility verdict refuses, scores the survivors
 with the timeline objective (or the full diagonal cost on request) in one
 vectorized call, and keeps the strict minimum. The energy table does not
 depend on the angles, so a sweep builds it once (at any size its budget
-admits) and every grid point reads it; under `jobs` > 1 the gamma rows
-are dealt to threads of the one process, which all read the same table.
+admits), keeps its `orbit_head`, and every grid point reads that; under
+`jobs` > 1 the gamma rows are dealt to threads of the one process.
 Either register evolves and samples the one-hot labels; a binary sweep
 relabels only the labels it accepts. Grid rows are independent work
 items, each point drawn from its own (seed, index); the reduction is an
@@ -46,7 +46,7 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import depot_legs, energy_components, energy_table
-from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, sample
+from .simulator import MEMORY_BUDGET, AmplitudeBudgetError, Schedule, check_budget, evolve_row, head_labels, orbit_head, sample
 
 SCORE_TOL = 1e-9
 # Bytes a `brute` run holds per customer position of each gathered timeline,
@@ -409,14 +409,15 @@ def _grid_point(model, probs, register, gamma, beta, shots, base_seed, index, sc
     return record, local_best, feasible_bits
 
 
-def charge_sweep(params, grid, depth, jobs):
+def charge_sweep(params, grid, depth, jobs, inst=None):
     """The threads a sweep of `grid` at `depth` runs its gamma rows on:
     `jobs`, but no more than its gamma rows or the machine's CPUs (past
     either, a thread adds a state and no speed), once `check_budget`
     admits one charge per thread, each holding one row's state (whose
-    buffer ends as its distribution), factor and schedules."""
+    buffer ends as its distribution), factor and schedules, on `inst`'s
+    `head_labels`."""
     workers = min(jobs, len(grid.gammas), os.cpu_count() or 1)
-    check_budget(params, "onehot", workers=workers, layers=depth * len(grid.betas))
+    check_budget(params, "onehot", workers=workers, layers=depth * len(grid.betas), inst=inst)
     return workers
 
 
@@ -440,7 +441,8 @@ def phqc(
     prepared state. The histogram of all feasible samples pooled over the
     sweep is available through `phqc_histogram`. Refuses runs over the
     memory budget, with one charge per thread that gets a gamma row and
-    its schedules, before allocating the table, any state or any schedule.
+    its schedules, before allocating the table, any state or any schedule,
+    and a table charged as its head (`head_labels`) that is not mirrored.
     """
     if not 1 <= shots_per_point < 2**63:
         raise ValueError(f"need 1 <= shots_per_point < 2**63, not {shots_per_point}")
@@ -449,13 +451,15 @@ def phqc(
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, not {jobs}")
     params = model.params
-    workers = charge_sweep(params, grid, depth, jobs)
+    workers = charge_sweep(params, grid, depth, jobs, model.inst)
     optimal_labels = None
     optimal_cost = None
     if exact_reference is not None and exact_reference.optimal_assignments:
         optimal_labels = exact_reference.optimal_labels(params)
         optimal_cost = exact_reference.optimal_cost
-    energies = energy_table(model)
+    energies = orbit_head(params, energy_table(model))
+    if len(energies) > head_labels(params, model.inst):
+        raise AmplitudeBudgetError(f"the energy table of {model.inst.name} differs from its vehicle-reversed view, over its charge")
     betas = grid.betas
 
     def grid_row(row):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorperm import cli, simulator, solver
+from colorperm import cli, hamiltonian, simulator, solver
 from colorperm.cli import _COMMANDS, _OPTIONS, build_parser, main
 from colorperm.instances import load_instance
 from colorperm.simulator import BYTES_PER_AMPLITUDE, EDGE_BYTES, SCHEDULE_BYTES
@@ -776,14 +776,16 @@ def test_solve_refuses_shots_past_a_64_bit_count(tmp_path, capsys, exa_json):
 
 
 @pytest.mark.parametrize(
-    "command, layers_per_depth",
-    [(["solve", "--grid-points", "3", "--shots", "4"], 3), (["bound", "--gamma", "0.1", "--beta", "0.5"], 1)],
+    "command, layers_per_depth, head",
+    [(["solve", "--grid-points", "3", "--shots", "4"], 3, 108), (["bound", "--gamma", "0.1", "--beta", "0.5"], 1, 216)],
     ids=["solve", "bound"],
 )
-def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json, command, layers_per_depth):
-    # exA's 216 one-hot labels, its 6 x 6 edge matrix and ten layers of each
-    # schedule the run holds
-    budget = BYTES_PER_AMPLITUDE * 216 + EDGE_BYTES * 36 + SCHEDULE_BYTES * layers_per_depth * 10
+def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json, command, layers_per_depth, head):
+    # exA's 216 one-hot labels, of which a sweep's table and factor hold the
+    # 108 its interchangeable vehicles leave, its 6 x 6 edge matrix and ten
+    # layers of each schedule the run holds
+    labels = BYTES_PER_AMPLITUDE * 216 - (simulator.TABLE_BYTES + simulator.FACTOR_BYTES) * (216 - head)
+    budget = labels + EDGE_BYTES * 36 + SCHEDULE_BYTES * layers_per_depth * 10
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", budget)
     out = tmp_path / "run.json"
     argv = [command[0], "--instance", exa_json, *command[1:], "--out", str(out)]
@@ -793,6 +795,21 @@ def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: a onehot run on 216 labels and ") and "over the memory budget" in err
     assert len(err.splitlines()) == 1 and not out.exists()
+
+
+def test_a_head_charged_table_that_is_not_mirrored_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json):
+    # exA is charged its head; a table one ulp off its mirror cannot keep it
+    def table(model):
+        energies = hamiltonian.energy_table(model)
+        energies[-1] = np.nextafter(energies[-1], np.inf)
+        return energies
+
+    monkeypatch.setattr(solver, "energy_table", table)
+    out = tmp_path / "run.json"
+    assert main(["solve", "--instance", exa_json, "--grid-points", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the energy table of exa differs from its vehicle-reversed view, over its charge\n"
+    assert not out.exists()
 
 
 def test_solve_charges_the_edge_matrix_before_the_energy_table(tmp_path, capsys, monkeypatch):
@@ -852,8 +869,10 @@ def test_bench_row_of_n10_carries_the_oracle_optimum(tmp_path, capsys, n10_json)
 
 
 def n10_budget_line():
+    # one capacity and shared legs: the table and the factor hold half the labels
     labels = 20**10
-    need = (simulator.TABLE_BYTES + simulator.WORKER_BYTES) * labels + SCHEDULE_BYTES * 21 + EDGE_BYTES * 400
+    need = (simulator.TABLE_BYTES + simulator.WORKER_BYTES) * labels - (simulator.TABLE_BYTES + simulator.FACTOR_BYTES) * labels // 2
+    need += SCHEDULE_BYTES * 21 + EDGE_BYTES * 400
     return (
         f"error: a onehot run on {labels} labels and 21 schedule layers in 1 thread, with its 20 x 20 edge matrix,"
         f" needs about {need} bytes, over the memory budget of {simulator.MEMORY_BUDGET} bytes\n"

@@ -15,6 +15,7 @@ state, with its phases from one energy table. The memory ceiling, charged
 per thread, refuses a run before allocating or starting a pool.
 """
 
+import functools
 import importlib.util
 import itertools
 import os
@@ -38,6 +39,7 @@ from colorperm.simulator import (
     EDGE_BYTES,
     MEMORY_BUDGET,
     SCHEDULE_BYTES,
+    FACTOR_BYTES,
     TABLE_BYTES,
     WORKER_BYTES,
     AmplitudeBudgetError,
@@ -139,8 +141,8 @@ def seeded_instance(n):
 
 
 # Rows of one opening gamma, with depths 1 to 3 and mixed gammas. The last
-# schedule of "factor-last" evolves in the row's factor buffer; that of
-# "work-last" multiplies by the factor again, so it keeps the work buffer.
+# schedule of "factor-last" has no later layer of the opening gamma; that of
+# "work-last" multiplies by the factor again. Both evolve in the work buffer.
 # A zero angle is the identity: "gamma-0" builds no factor (its schedules
 # open at 0.0 and -0.0), "zero-later" skips the phase pass of its later
 # gamma-0 layers, and the beta-0 layers of both mix no axis. run_ansatz
@@ -244,22 +246,30 @@ def exp_sizes(monkeypatch):
 
 
 def factor_case(table):
-    """(params, energy table, whether the table equals its vehicle-reversed
-    view on the labels past the first ceil(K/2) vehicles of the first symbol)."""
+    """(model, energy table, whether the table equals its vehicle-reversed
+    view on the labels past the first ceil(K/2) vehicles of the first
+    symbol). The signed-zero table has no instance; its model is one of
+    its size."""
     if table == "signed-zero":
         # one -0.0 among zeros, whose phase differs from 0.0's in a zero's sign
-        params = EncodingParams(3, 2)
-        energies = np.zeros(params.dim("onehot"))
+        model = EnergyModel.for_instance(seeded_instance(3))
+        energies = np.zeros(model.params.dim("onehot"))
         energies[-1] = -0.0
-        return params, energies, False
+        return model, energies, False
     if table == "n6k2":
         inst, mirrored = load_instance(ROOT / "tests" / "data" / "n6" / "n6-k2.vrp"), True
     elif table == "perfbench-n4k3":
         inst, mirrored = perfbench_instance("sweep-n4k3-binary", (1, 2, 3, 4), 3), True
+    elif table.startswith("seeded"):
+        # n = 5, K = 2, or n = 4 on four vehicles of one capacity
+        inst, mirrored = seeded_instance(int(table[8])), True
+        if table.endswith("k4"):
+            inst = Instance("n4k4", 4, 4, inst.d, [6] * 4, inst.W, inst.dep_to, inst.to_dep)
     else:
         _, K, legs = table.split("-", 2)
         inst, mirrored = asymmetric_instance(int(K[1:]), legs), False
-    return EncodingParams.for_instance(inst), energy_table(EnergyModel.for_instance(inst)), mirrored
+    model = EnergyModel.for_instance(inst)
+    return model, energy_table(model), mirrored
 
 
 FACTOR_TABLES = ["n6k2", "perfbench-n4k3", "signed-zero"] + [f"asym-k{K}-{legs}" for K in (2, 3, 4) for legs in ("shared", "per-vehicle")]
@@ -267,24 +277,80 @@ FACTOR_TABLES = ["n6k2", "perfbench-n4k3", "signed-zero"] + [f"asym-k{K}-{legs}"
 
 @pytest.mark.parametrize("table", FACTOR_TABLES)
 def test_the_row_factor_equals_the_phase_of_every_label(monkeypatch, table):
-    # exp runs on the labels of the first ceil(K/2) vehicles of the first
-    # symbol when the rest equal their vehicle-reversed labels bit for bit,
-    # and on every label otherwise
-    params, energies, mirrored = factor_case(table)
+    # the table keeps the labels of the first ceil(K/2) vehicles of the
+    # first symbol when the rest equal their vehicle-reversed labels bit for
+    # bit, and every label otherwise; exp runs on the labels it keeps, and
+    # through the head and its reversed view every label reads its own phase
+    model, energies, mirrored = factor_case(table)
+    params = model.params
     K, labels = params.K, params.dim("onehot")
+    head = simulator.orbit_head(params, energies)
+    assert len(head) == (labels * -(-K // 2) // K if mirrored else labels)
     for gamma in (0.3, np.pi):
         sizes = exp_sizes(monkeypatch)
-        factor = simulator._row_factor(params, gamma, energies)
+        factor = simulator._row_factor(gamma, head)
         monkeypatch.undo()
-        assert sizes == [labels * -(-K // 2) // K if mirrored else labels]
-        assert factor.tobytes() == np.exp(-1j * gamma * energies).tobytes()
+        assert sizes == [len(head)]
+        expected = simulator._orbit(params, np.exp(-1j * gamma * energies))
+        assert [part.tobytes() for part in simulator._orbit(params, factor)] == [part.tobytes() for part in expected]
 
 
-def row_peak(params, schedules):
+@functools.cache
+def head_case(table):
+    return factor_case(table)
+
+
+@st.composite
+def head_rows(draw):
+    """A table of FACTOR_TABLES or a mirrored one, at n <= 5, and a row of
+    one to three schedules (depths 1-3) whose later gammas are the opening
+    one or 0, with angles that include 0 and pi."""
+    table = draw(st.sampled_from([t for t in FACTOR_TABLES if t != "n6k2"] + ["seeded-n5", "seeded-n4-k4"]))
+    angle = st.sampled_from([0.0, -0.0, np.pi]) | st.floats(-4.0, 4.0, allow_nan=False)
+    gamma0 = draw(angle)
+    row = []
+    for _ in range(draw(st.integers(1, 3))):
+        depth = draw(st.integers(1, 3))
+        gammas = [gamma0] + draw(st.lists(st.sampled_from([gamma0, 0.0]), min_size=depth - 1, max_size=depth - 1))
+        row.append(Schedule(gammas, draw(st.lists(angle, min_size=depth, max_size=depth))))
+    return table, row
+
+
+@given(head_rows())
+@settings(max_examples=60, deadline=None)
+def test_row_distributions_from_the_head_equal_run_ansatz(case):
+    # a mirrored table evolves from its head alone, any other whole
+    table, row = case
+    model, energies, mirrored = head_case(table)
+    params = model.params
+    head = simulator.orbit_head(params, energies)
+    assert (len(head) < len(energies)) == mirrored
+    dists = [probs.tobytes() for probs in evolve_row(params, head, row)]
+    with pytest.MonkeyPatch.context() as patch:
+        # run_ansatz builds the whole table itself: the signed-zero one has no instance
+        patch.setattr(simulator, "energy_table", lambda _: energies)
+        for probs, schedule in zip(dists, row):
+            assert probs == exact_distribution(run_ansatz(params, model, schedule)).tobytes()
+
+
+def test_a_head_refuses_a_schedule_that_phases_anew():
+    model = EnergyModel.for_instance(seeded_instance(3))
+    head = simulator.orbit_head(model.params, energy_table(model))
+    assert len(head) == model.params.dim("onehot") // 2
+    for gammas in ((0.3, 0.7), (0.0, 0.3)):
+        with pytest.raises(ValueError, match=r"length 216, or 108 \(its orbit head\) if no later gamma phases anew"):
+            list(evolve_row(model.params, head, [Schedule(gammas, (0.4, 0.5))]))
+    with pytest.raises(ValueError, match="length 216, or 108"):
+        list(evolve_row(model.params, head[1:], [Schedule.constant(0.3, 0.4)]))
+    # the whole table serves either
+    assert len(list(evolve_row(model.params, energy_table(model), [Schedule((0.3, 0.7), (0.4, 0.5))]))) == 1
+
+
+def row_peak(params, schedules, table=energy_table):
     """tracemalloc's peak while `evolve_row` yields every distribution of
     a row on a table built before tracing starts."""
     labels = params.dim("onehot")
-    energies = energy_table(EnergyModel.for_instance(seeded_instance(params.n)))
+    energies = table(EnergyModel.for_instance(seeded_instance(params.n)))
     tracemalloc.start()
     try:
         for probs in evolve_row(params, energies, schedules):
@@ -292,6 +358,15 @@ def row_peak(params, schedules):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_row_on_the_head_holds_half_a_factor():
+    # n = 6, K = 2, mirrored: the work buffer (16 B/label) and the factor of
+    # the head (8); the whole factor would lift the peak to 32
+    params = EncodingParams(6, 2)
+    schedules = [Schedule.constant(np.pi, 0.0), Schedule.constant(np.pi, np.pi)]
+    peak = row_peak(params, schedules, lambda model: simulator.orbit_head(params, energy_table(model)))
+    assert peak < 25 * params.dim("onehot")
 
 
 def test_a_row_holds_its_distributions_in_its_state_buffers():
@@ -426,10 +501,70 @@ def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
         raise AssertionError("the energy table was built before the budget check")
 
     monkeypatch.setattr(solver, "energy_table", no_table)
-    monkeypatch.setattr(simulator, "MEMORY_BUDGET", BYTES_PER_AMPLITUDE * 215)
+    # exA's vehicles are interchangeable: its table and factor hold 108 of
+    # its 216 labels; one byte below the charge of one depth-1 row
+    charge = BYTES_PER_AMPLITUDE * 216 - (TABLE_BYTES + FACTOR_BYTES) * 108 + SCHEDULE_BYTES + EDGE_BYTES * 36
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", charge - 1)
     model = EnergyModel.for_instance(exA)
     with pytest.raises(AmplitudeBudgetError):
         phqc(exA, model, GridSpec((0.1,), (0.2,)), 10, 1)
+
+
+def test_sweep_decides_the_mirror_once_per_table(exB, monkeypatch):
+    # one compare for the sweep's one table, whatever the thread count,
+    # and every row evolves on its head
+    heads, tables = [], []
+
+    def head(params, energies):
+        heads.append(len(energies))
+        return simulator.orbit_head(params, energies)
+
+    def row(params, energies, schedules):
+        tables.append(len(energies))
+        return evolve_row(params, energies, schedules)
+
+    monkeypatch.setattr(solver, "orbit_head", head)
+    monkeypatch.setattr(solver, "evolve_row", row)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    model = EnergyModel.for_instance(exB)
+    grid = GridSpec((0.0, 0.1, 0.2), (0.4, 0.9))
+    results = []
+    for jobs in (1, 2):
+        heads.clear(), tables.clear()
+        results.append(phqc(exB, model, grid, 50, 3, jobs=jobs).records)
+        assert heads == [4096] and tables == [2048] * 3
+    assert results[0] == results[1]
+
+
+def test_budget_charges_the_head_of_interchangeable_vehicles(exA, params3, monkeypatch):
+    # exA: 216 labels, 108 of them in the head; per-vehicle capacities or
+    # 2-D legs keep the whole table
+    per_vehicle = Instance("q", 3, 2, exA.d, [3, 4], exA.W, exA.dep_to, exA.to_dep)
+    legs = np.stack([exA.dep_to, exA.dep_to], axis=1)
+    two_d = Instance("legs", 3, 2, exA.d, [3, 3], exA.W, legs, legs)
+    assert simulator.head_labels(params3, exA) == 108
+    assert [simulator.head_labels(params3, inst) for inst in (None, per_vehicle, two_d)] == [216] * 3
+    for workers in (1, 2):
+        for inst, head in ((exA, 108), (per_vehicle, 216), (two_d, 216)):
+            need = (TABLE_BYTES + WORKER_BYTES * workers) * 216 - (TABLE_BYTES + FACTOR_BYTES * workers) * (216 - head)
+            monkeypatch.setattr(simulator, "MEMORY_BUDGET", need + EDGE_BYTES * 36)
+            check_budget(params3, "onehot", workers=workers, inst=inst)
+            monkeypatch.setattr(simulator, "MEMORY_BUDGET", need + EDGE_BYTES * 36 - 1)
+            with pytest.raises(AmplitudeBudgetError):
+                check_budget(params3, "onehot", workers=workers, inst=inst)
+
+
+def test_budget_admits_one_n7_k2_row_of_interchangeable_vehicles():
+    # arithmetic only: a one-thread sweep of one capacity and shared legs
+    # holds half the table and half the factor; two threads, or a table
+    # without the mirror, are refused
+    inst = seeded_instance(7)
+    params = EncodingParams.for_instance(inst)
+    check_budget(params, "onehot", workers=1, layers=4, inst=inst)
+    with pytest.raises(AmplitudeBudgetError, match="in 2 threads"):
+        check_budget(params, "onehot", workers=2, layers=4, inst=inst)
+    with pytest.raises(AmplitudeBudgetError, match="105413504 labels"):
+        check_budget(params, "onehot", workers=1, layers=4)
 
 
 def test_budget_counts_the_binary_vector(params3, monkeypatch):
