@@ -295,9 +295,7 @@ def test_the_row_factor_equals_the_phase_of_every_label(monkeypatch, table):
         assert [part.tobytes() for part in simulator._orbit(params, factor)] == [part.tobytes() for part in expected]
 
 
-@functools.cache
-def head_case(table):
-    return factor_case(table)
+head_case = functools.cache(factor_case)
 
 
 @st.composite
@@ -530,7 +528,8 @@ def test_sweep_decides_the_mirror_once_per_table(exB, monkeypatch):
     grid = GridSpec((0.0, 0.1, 0.2), (0.4, 0.9))
     results = []
     for jobs in (1, 2):
-        heads.clear(), tables.clear()
+        heads.clear()
+        tables.clear()
         results.append(phqc(exB, model, grid, 50, 3, jobs=jobs).records)
         assert heads == [4096] and tables == [2048] * 3
     assert results[0] == results[1]
