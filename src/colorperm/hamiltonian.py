@@ -20,13 +20,14 @@ covered by no valid block therefore still pays its (0 - 1)^2 once-term.
 Everything here is a plain function of the basis-state label.
 `energy_components` evaluates it over an array of labels of either
 register and is the reference; padded words exist only there.
-`energy_table` builds the one diagonal the simulator and the analysis
-read, over the S^n one-hot labels whatever the model's register: the
-once and capacity terms on the pairs of distinct symbol multisets of the
-two halves of a label, gathered into S^n, then the objective one
-position at a time. It adds in the reference's order, so the two agree
-bit for bit while every load is an integer below 2**53 (instances refuse
-a larger total demand).
+`table_parts` holds the one diagonal the simulator and the analysis read,
+over the S^n one-hot labels whatever the model's register, in small
+parts: the once and capacity terms on the pairs of distinct symbol
+multisets of the two halves of a label, and the objective of all but the
+last position. Its evaluator gives any range of labels, `energy_table`
+all. It adds in the reference's order, so the two agree bit for bit while
+every load is an integer below 2**53 (instances refuse a larger total
+demand).
 """
 
 from __future__ import annotations
@@ -229,21 +230,49 @@ def _half_multisets(S, digits):
     return label_digits_array(keys, digits, S), inverse
 
 
-def energy_table(model):
-    """Total energy of every S^n one-hot label, whatever the register.
+@dataclass(frozen=True, eq=False)
+class TableParts:
+    """The parts of the S^n energy table (`table_parts`), and its one
+    evaluator: `parts[lo:hi]` is the energy of the labels lo..hi-1."""
 
-    Allocates at any size: its callers charge the memory budget first
-    (`simulator.check_budget`). The once and capacity terms depend only
-    on the multiset of a label's symbols, and on integer counts and loads
-    that add up exactly (instances keep the total demand below 2**53), so
-    they are scored on each pair of distinct multisets of the first n // 2
-    digits and of the rest and gathered into S^n in one pass. The
-    objective is built one position at a time, each level the last one
-    plus an edge, so every label sums start, edges and close left to
-    right. The float operations run in the reference's order and the
-    result equals `energy_components` of the one-hot model at arange(S^n)
-    exactly.
-    """
+    pair: np.ndarray
+    head_of: np.ndarray
+    tail_of: np.ndarray
+    edges: np.ndarray
+    start: np.ndarray
+    close: np.ndarray
+    level: np.ndarray
+    lam_obj: float
+
+    def __getitem__(self, labels):
+        S, T = len(self.close), len(self.tail_of)
+        lo, hi, _ = labels.indices(len(self.head_of) * T)
+        # the last position adds its edge to `level`, or at n = 1 its start
+        # leg to the empty sum -0.0, which adds as an exact zero
+        steps = self.edges if len(self.level) > 1 else self.start[None]
+        run = S * len(steps)
+        first = lo - lo % run
+        obj = np.add(self.level[first // S : -(-hi // run) * run // S].reshape(-1, len(steps), 1), steps).reshape(-1)
+        last = obj.reshape(-1, S)
+        last += self.close
+        obj *= self.lam_obj
+        out = obj[lo - first : hi - first]
+        for h in range(lo // T, -(-hi // T)):
+            a, b = max(lo, h * T), min(hi, h * T + T)
+            out[a - lo : b - lo] += self.pair[self.head_of[h], self.tail_of[a - h * T : b - h * T]]
+        return out
+
+
+def table_parts(model):
+    """The parts of the S^n one-hot energy table, whatever the register:
+    `pair`, the once and capacity terms of each pair of symbol multisets
+    of a label's first n // 2 digits and of the rest, which depend only on
+    those multisets through integer counts and loads that add up exactly
+    (instances keep the total demand below 2**53), each half-label's
+    multiset (`head_of`, `tail_of`), and `level`, the objective of the
+    first n - 1 positions built one position at a time, each level the
+    last plus an edge. The evaluator adds in `energy_components`'s order,
+    so it equals it exactly."""
     inst = model.inst
     p = model.params
     w = model.weights
@@ -282,17 +311,19 @@ def energy_table(model):
             cap += load
         cap *= w.lam_cap
         pair += cap
-    total = np.take(pair[head_of], tail_of, axis=1).reshape(-1)
 
     edges, start, close = edge_cost_matrix(inst)
-    obj = start
-    for _ in range(n - 1):
-        obj = (obj.reshape(-1, S, 1) + edges).reshape(-1)
-    last = obj.reshape(-1, S)
-    last += close
-    obj *= w.lam_obj
-    total += obj
-    return total
+    level = start if n > 1 else np.array([-0.0])
+    for _ in range(n - 2):
+        level = (level.reshape(-1, S, 1) + edges).reshape(-1)
+    return TableParts(pair, head_of, tail_of, edges, start, close, level, w.lam_obj)
+
+
+def energy_table(model):
+    """Total energy of every S^n one-hot label, whatever the register, from
+    its `table_parts`. Allocates at any size: its callers charge the
+    memory budget first (`simulator.check_budget`)."""
+    return table_parts(model)[:]
 
 
 @dataclass(frozen=True)

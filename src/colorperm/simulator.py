@@ -16,20 +16,19 @@ complement (eigenvalue -1/(S-1)),
 
 so each block axis is mixed in place as x <- dg*x + off*sum(x), on
 cache-sized blocks; a schedule's last layer squares each block into the
-float64 view of the state's own buffer. A sweep keeps only the energy
-table's `orbit_head` when every other label's energy equals its
-vehicle-reversed label's bit for bit; `evolve_row` builds a grid row's
-phase factor exp(-i*gamma*E) once on the labels the table holds, and the
-mixer multiplies it in as it first reads each slab, the other labels
-through their reversed view. A zero angle is the identity: a gamma-0 row
-builds no factor and evolves on one slab and one sub-block, a later
-gamma-0 layer takes no phase pass and a beta-0 layer mixes no axis; the
-full passes could only flip the sign of a zero, which |x|**2 cannot see.
-`run_ansatz` is the slow reference, one phase and one mixer pass per
-layer on the whole table, whose squares are the row's distributions bit
-for bit. `sample` replays numpy's multinomial on only the labels a
-spread-out distribution can draw (`_replica`), hands numpy any draw it
-cannot follow, and returns the drawn labels and their counts.
+float64 view of the state's own buffer. A sweep holds no S^n energy
+table: `evolve_row` builds a grid row's phase factor exp(-i*gamma*E) once,
+a block at a time from the table's parts, on the vehicle-orbit head alone
+when the parts are mirrored (`orbit_labels`), and multiplies it into the
+state, the other labels through their reversed view. A zero angle is the
+identity: a gamma-0 row builds no factor and evolves on one slab and one
+sub-block, a later gamma-0 layer takes no phase pass and a beta-0 layer
+mixes no axis; the full passes could only flip the sign of a zero, which
+|x|**2 cannot see. `run_ansatz` is the slow reference, one phase and one
+mixer pass per layer on the whole table, whose squares are the row's
+distributions bit for bit. `sample` replays numpy's multinomial on only
+the labels a spread-out distribution can draw (`_replica`), hands numpy
+any draw it cannot follow, and returns the drawn labels and their counts.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels, and
@@ -51,24 +50,29 @@ from .encoding import EncodingParams
 from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per S^n label: the
-# energy table once (8 bytes) and in each thread its work buffer and row
-# factor (16 each), plus slack; the table and factors hold `head_labels`
-# only. A sweep's VmHWM above the import is 31.2 (n = 6, K = 2) and 32.8
-# (n = 5, K = 5) bytes per label in one thread, 56.4 and 59.7 in two, and
-# 43.2 in one on a whole table (n = 6, K = 2, per-vehicle Q); every other
-# S^n entry peaks lower and pays the one-thread charge. A Schedule peaks at
+# energy table once (8 bytes; a sweep holds `table_parts` and slack), and in
+# each thread its work buffer and row factor (16 each) and numpy's counts if
+# a draw falls back (8, plus slack); a sweep charges `head_labels` only for
+# the table and factors. A sweep's VmHWM above the import is 28.6 (n = 6,
+# K = 2) and 37.4 (n = 5, K = 5, one draw falling back) bytes per label in
+# one thread, 53.8 and 64.3 in two, and 36.7 in one with a factor on every
+# label (n = 6, K = 2, per-vehicle Q); the other S^n entries peak at 40.3
+# (`apply_phase`) or lower and pay the one-thread charge. A Schedule peaks at
 # 66 bytes per layer while built (tracemalloc, depth 10**6), and the S x S
-# edge matrix the table starts from (`edge_cost_matrix`) at 25.0 per entry.
+# edge matrix (`edge_cost_matrix`) at 25.0 per entry.
 MEMORY_BUDGET = 2**32
-TABLE_BYTES = 12
+TABLE_BYTES = 8
 WORKER_BYTES = 40
 FACTOR_BYTES = 16
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
 SCHEDULE_BYTES = 66
 EDGE_BYTES = 25
-# Mixer blocks in amplitudes (512 KiB); `_replica` chunks, and the labels
-# per shot from which it beats numpy (they cross near 125 at n = 5, K = 2).
+# Mixer blocks in amplitudes (512 KiB); `_phases` blocks, whose temporaries
+# (numpy's 64 KiB cast buffer the largest) stay below glibc's 128 KiB mmap
+# threshold; `_replica` chunks, and the labels per shot from which it beats
+# numpy (they cross near 125 at n = 5, K = 2).
 MIX_BLOCK = 2**15
+PHASE_BLOCK = 2**12
 REPLICA_CHUNK = 2**16
 REPLICA_SPREAD = 128
 
@@ -194,38 +198,30 @@ def _blocking(params):
     return lead, cols
 
 
-def _product(out, src, factor, params, lead=0, middle=()):
-    """out = src * factor on the labels whose symbols after the first
-    `lead` are the (vehicle, customer) pairs `middle`, into their
-    contiguous buffer `out`; an operand may be a head (`_orbit`) and
-    `factor` a scalar."""
-    K, n, half = params.K, params.n, -(-params.K // 2)
+def _product(out, src, factor, params):
+    """out = src * factor on every label; `src` or `factor` may be a head
+    (`_orbit`), read past it through its reversed view, and `factor` a
+    scalar."""
     views = [_orbit(params, a) if np.ndim(a) else (a, a) for a in (src, factor)]
-    index = (slice(None),) * (2 * lead) + middle
-    whole = out.reshape((K, n) * (n - len(middle) // 2))
-    for side, rows in enumerate((slice(None, half), slice(half, None))):
-        np.multiply(*[v[side][index] if np.ndim(v[side]) else v[side] for v in views], out=whole[rows])
+    for side, part in enumerate(_orbit(params, out)):
+        np.multiply(views[0][side], views[1][side], out=part)
 
 
-def _mix(amps, params, beta, square=False, src=None, factor=None):
+def _mix(amps, params, beta, square=False):
     """The block mixer on every axis of the (S,)*n view of `amps`, in
     place; with `square`, |amps|**2 then overwrites the first half of
-    `amps`'s bytes as float64. With `factor` it mixes src * factor into
-    `amps` instead (`_product`; `src` is `amps` unless given). The
-    `_blocking` leading axes are mixed on slabs of whole trailing axes,
-    each gathered into one contiguous scratch buffer, then each sub-block's
-    other axes in one visit that squares it. Each sum keeps its order of
-    additions (a 1-D sub-block or 1-column slab would not), so the bytes
-    do too. Without leading axes, or with a `beta` of None (no axis), the
-    factor goes in in one pass. `amps` may be any whole number of slabs
-    and sub-blocks of params's blocking."""
+    `amps`'s bytes as float64. The `_blocking` leading axes are mixed on
+    slabs of whole trailing axes, each gathered into one contiguous
+    scratch buffer, then each sub-block's other axes in one visit that
+    squares it. Each sum keeps its order of additions (a 1-D sub-block or
+    1-column slab would not), so the bytes do too. A `beta` of None mixes
+    no axis. `amps` may be any whole number of slabs and sub-blocks of
+    params's blocking."""
     S, n = params.S, params.n
     lead, cols = _blocking(params)
     mixes = S > 1 and beta is not None
     if mixes:
         dg, off = _mixer_coefficients(S, beta)
-    if factor is not None and not (mixes and lead):
-        _product(amps, amps if src is None else src, factor, params)
 
     def mix_axes(tensor, count):
         for axis in range(count if mixes else 0):
@@ -238,12 +234,7 @@ def _mix(amps, params, beta, square=False, src=None, factor=None):
     # without leading axes each slab is contiguous already
     scratch = np.empty(head.shape[:-1] + (S**cols,), dtype=complex) if lead else None
     for lo in range(0, head.shape[-1] if mixes and lead else 0, S**cols):
-        if factor is None:
-            np.copyto(scratch, head[..., lo : lo + S**cols])
-        else:
-            # the slab's middle symbols, as (vehicle, customer) pairs
-            middle = np.unravel_index(lo // S**cols, (S,) * (n - lead - cols))
-            _product(scratch, amps if src is None else src, factor, params, lead, sum(((s // n, s % n) for s in middle), ()))
+        np.copyto(scratch, head[..., lo : lo + S**cols])
         mix_axes(scratch, lead)
         head[..., lo : lo + S**cols] = scratch
     size = S ** (n - lead)
@@ -262,14 +253,22 @@ def _mix(amps, params, beta, square=False, src=None, factor=None):
                 probs[:size] = out
 
 
+def _phases(out, gamma, energies, lo=0):
+    """out = exp(-i*gamma*E) of the labels from `lo`, PHASE_BLOCK at a
+    time; `energies` is the S^n table or its `table_parts`."""
+    for at in range(0, len(out), PHASE_BLOCK):
+        part = out[at : at + PHASE_BLOCK]
+        np.exp(np.multiply(-1j * gamma, energies[lo + at : lo + at + len(part)], out=part), out=part)
+    return out
+
+
 def _phase(amps, gamma, energies):
-    """amps[z] *= exp(-i*gamma*energies[z]) in place, MIX_BLOCK labels
-    at a time through one cache-sized temporary."""
-    turn = np.empty(min(len(amps), MIX_BLOCK), dtype=complex)
-    for lo in range(0, len(amps), MIX_BLOCK):
-        part = turn[: min(MIX_BLOCK, len(amps) - lo)]
-        np.exp(np.multiply(-1j * gamma, energies[lo : lo + MIX_BLOCK], out=part), out=part)
-        amps[lo : lo + MIX_BLOCK] *= part
+    """amps[z] *= exp(-i*gamma*E(z)) in place, PHASE_BLOCK labels at a
+    time through one temporary; `energies` as in `_phases`."""
+    turn = np.empty(min(len(amps), PHASE_BLOCK), dtype=complex)
+    for lo in range(0, len(amps), PHASE_BLOCK):
+        part = amps[lo : lo + PHASE_BLOCK]
+        part *= _phases(turn[: len(part)], gamma, energies, lo)
 
 
 def apply_mixer(state, beta):
@@ -303,70 +302,73 @@ def apply_phase(state, gamma, model, energies=None):
     return EncodedState(amps, state.register, state.params)
 
 
+# an axis pair (vehicle, customer) of the (K, n) * n shape, vehicles reversed
+REVERSED = (slice(None, None, -1), slice(None))
+
+
 def _orbit(params, a):
     """(head, tail) of `a` in the (K, n) * n shape of (vehicle, customer)
     symbols, split after the first symbol's first ceil(K/2) vehicles; a
-    head alone (`orbit_head`) reads its tail in its vehicle-reversed view."""
+    head alone (`orbit_labels`) reads its tail in its vehicle-reversed view."""
     K, n, half = params.K, params.n, -(-params.K // 2)
     if len(a) == params.dim("onehot"):
         whole = a.reshape((K, n) * n)
         return whole[:half], whole[half:]
     head = a.reshape((half, n) + (K, n) * (n - 1))
-    return head, head[(slice(None, None, -1), slice(None)) * n][2 * half - K :]
+    return head, head[REVERSED * n][2 * half - K :]
 
 
 def head_labels(params, inst=None):
-    """The labels of `inst`'s table a sweep holds: its head (`_orbit`) when
-    the vehicles are interchangeable (one capacity, 1-D legs), else all."""
+    """The labels of `inst`'s table a sweep is charged: its head (`_orbit`)
+    when the vehicles are interchangeable (one capacity, 1-D legs), else all."""
     shared = inst is not None and inst.uniform_capacity() is not None and inst.dep_to.ndim == inst.to_dep.ndim == 1
     return params.dim("onehot") // params.K * (-(-params.K // 2) if shared else params.K)
 
 
-def orbit_head(params, energies):
-    """A copy of the S^n table's head (`_orbit`) when its tail equals the
-    head's reversed view bit for bit (-0.0 is not 0.0), else the table."""
-    bits, size = energies.view(np.uint64), len(energies) // params.K * -(-params.K // 2)
-    if size < len(energies) and (_orbit(params, bits)[1] == _orbit(params, bits[:size])[1]).all():
-        return energies[:size].copy()
-    return energies
+def orbit_labels(params, parts):
+    """The labels a row's factor holds: the head (`_orbit`) when each of
+    the `table_parts` equals its vehicle-reversed view bit for bit (-0.0 is
+    not 0.0), `pair` under the reversal's map on each half's multisets, so
+    that every label past the head adds equal operands in its reversed
+    label's order; else all."""
+    K, n = params.K, params.n
+    symbols, *halves = (np.arange(params.S**d).reshape((K, n) * d)[REVERSED * d].reshape(-1) for d in (1, n // 2, n - n // 2))
+    # each multiset's reversed multiset, through its first label
+    maps = [of[flipped][np.unique(of, return_index=True)[1]] for of, flipped in zip((parts.head_of, parts.tail_of), halves)]
+    views = ((parts.pair, np.ix_(*maps)), (parts.edges, np.ix_(symbols, symbols)), (parts.start, symbols), (parts.close, symbols))
+    mirrored = all(part.tobytes() == part[index].tobytes() for part, index in views)
+    return params.dim("onehot") // K * (-(-K // 2) if mirrored else K)
 
 
-def _row_factor(gamma, energies):
-    """exp(-i*gamma*energies), in one buffer."""
-    factor = np.multiply(-1j * gamma, energies)
-    return np.exp(factor, out=factor)
-
-
-def evolve_row(params, energies, schedules):
+def evolve_row(params, energies, schedules, head=None):
     """Yield the distribution of each schedule, in order, for schedules
     that all open with the same gamma: |amplitude|**2 of the one-hot
-    state evolved on `energies`, the S^n table or its `orbit_head` (which
-    refuses a schedule that phases anew), squared in the last mixer layer.
+    state evolved on `energies` (`table_parts`, or the S^n table), squared
+    in the last mixer layer.
 
-    The row's factor exp(-i*gamma*E) is built once on the table's labels,
-    and every schedule evolves in one work buffer from the factor times
-    the uniform amplitude. A later gamma-0 layer takes no phase pass, and
-    a beta-0 layer mixes no axis but still takes the factor and the
-    square. A row opening at gamma 0 has no factor; until its first
-    nonzero gamma every slab and sub-block of `_mix`'s blocking holds the
-    same values through the same passes, so those layers run on the first
-    S**max(lead + cols, n - lead) labels, whose label 0 then fills the
-    rest of the buffer, or of the distribution if no gamma follows. Each
-    distribution is the float64 view of the buffer, which the next
-    schedule overwrites. The caller charges `check_budget` first.
+    The row's factor exp(-i*gamma*E) is built once on the first `head`
+    labels (all by default; a sweep passes `orbit_labels`), and every
+    schedule evolves in one work buffer: a layer of the opening gamma
+    takes the factor (`_product`; the first one times the uniform
+    amplitude), one of another gamma phases anew (`_phase`). A later
+    gamma-0 layer takes no phase pass, and a beta-0 layer mixes no axis
+    but still takes the factor and the square. A row opening at gamma 0
+    has no factor; until its first nonzero gamma every slab and sub-block
+    of `_mix`'s blocking holds the same values through the same passes,
+    so those layers run on the first S**max(lead + cols, n - lead)
+    labels, whose label 0 then fills the rest of the buffer, or of the
+    distribution if no gamma follows. Each distribution is the float64
+    view of the buffer, which the next schedule overwrites. The caller
+    charges `check_budget` first.
     """
     gamma0, labels = schedules[0].gammas[0], params.dim("onehot")
     if len({s.gammas[0] for s in schedules}) != 1:
         raise ValueError("the schedules of a row must open with one gamma")
-    head = labels // params.K * -(-params.K // 2)
-    if np.shape(energies) != (labels,) and (np.shape(energies) != (head,) or any(g not in (0, gamma0) for s in schedules for g in s.gammas)):
-        raise ValueError(f"energy table must have length {labels}, or {head} (its orbit head) if no later gamma phases anew")
-    factor = _row_factor(gamma0, energies) if gamma0 else None
+    factor = _phases(np.empty(labels if head is None else head, dtype=complex), gamma0, energies) if gamma0 else None
     work = np.empty(labels, dtype=complex)
     lead, cols = _blocking(params)
     prefix = params.S ** max(lead + cols, params.n - lead)
     for schedule in schedules:
-        kept = [gamma == gamma0 for gamma in schedule.gammas]
         uniform = 0 if gamma0 else next((layer for layer, gamma in enumerate(schedule.gammas) if gamma), schedule.p)
         if uniform:
             work[:prefix] = _amplitude(params)
@@ -374,17 +376,18 @@ def evolve_row(params, energies, schedules):
             last, beta = layer == schedule.p - 1, None if beta == 0 else beta
             if layer < uniform:
                 _mix(work[:prefix], params, beta, last)
-            elif not layer:
-                # the phased uniform state, bit for bit: IEEE products and sums commute
-                _mix(work, params, beta, last, src=factor, factor=_amplitude(params))
-            elif kept[layer]:
-                _mix(work, params, beta, last, factor=factor)
+                continue
+            if not layer:
+                # the phased uniform state, bit for bit: IEEE products commute
+                _product(work, factor, _amplitude(params), params)
+            elif gamma and gamma == gamma0:
+                _product(work, work, factor, params)
             else:
                 if layer == uniform:
                     work[prefix:] = work[0]
                 if gamma:
                     _phase(work, gamma, energies)
-                _mix(work, params, beta, last)
+            _mix(work, params, beta, last)
         probs = work.view(np.float64)[:labels]
         if uniform == schedule.p:
             probs[prefix:] = probs[0]
@@ -464,10 +467,11 @@ def _replica(probs, shots, rng):
     left, each an inversion from one double while p <= 0.5 and
     p*dn <= 30. Before the last shot, p outside (0, 0.5] (numpy draws no
     double or inverts 1 - p), p*dn > 30 (BTPE) or an inversion restart
-    gives None."""
+    gives None. Every chunk is screened in the same three buffers."""
     d, dn, labels, counts, carry = len(probs), shots, [], [], 1.0
+    buffers = np.empty(REPLICA_CHUNK + 1), np.empty(REPLICA_CHUNK), np.empty(REPLICA_CHUNK, dtype=bool)
     for lo in range(0, d - 1, REPLICA_CHUNK):
-        walk, ps, us, carry = _screen(probs[lo : min(lo + REPLICA_CHUNK, d - 1)], carry, dn, rng)
+        walk, ps, us, carry = _screen(probs[lo : min(lo + REPLICA_CHUNK, d - 1)], carry, dn, rng, *buffers)
         for j, p, U in zip(walk, ps, us):
             X = _inversion(dn, p, U) if 0.0 < p <= 0.5 and p * dn <= 30.0 else None
             if X is None:
@@ -481,25 +485,33 @@ def _replica(probs, shots, rng):
     return np.array(labels + [d - 1]), np.array(counts + [dn])
 
 
-def _screen(pix, carry, dn, rng):
+def _screen(pix, carry, dn, rng, rem, v, keep):
     """One chunk of `_replica`: the positions that may draw a shot, their
-    p and U, and numpy's running `remaining` after it. An inversion is 0
-    exactly when U <= (1 - p)**dn (Kachitvichyanukul & Schmeiser, CACM
-    1988), so it is where 1 - U >= dn*(p + 2**-52)*(1 + 1e-9) + 1e-15 for
-    any dn up to the chunk's first. The first p outside (0, 0.5] is kept."""
-    rem = np.empty(len(pix) + 1)
+    p and U, and numpy's running `remaining` after it, in the buffers `rem`,
+    `v` and `keep`. An inversion is 0 exactly when U <= (1 - p)**dn
+    (Kachitvichyanukul & Schmeiser, CACM 1988), so it is where
+    1 - U >= dn*(p + 2**-52)*(1 + 1e-9) + 1e-15 for any dn up to the
+    chunk's first. That grows with p, and rounded division is monotone, so
+    while every p lies in [pix.min() / rem[0], pix.max() / rem[-2]], inside
+    (0, 0.5], only labels that pass at the upper bound are tested. Otherwise
+    all are, and the first p outside (0, 0.5] is kept."""
+    rem, v, keep = rem[: len(pix) + 1], v[: len(pix)], keep[: len(pix)]
     rem[0] = carry
     rem[1:] = pix
     np.subtract.accumulate(rem, out=rem)
+    np.subtract(1.0, rng.random(out=v), out=v)  # 1 - U, exactly
+    scale = dn * (1.0 + 1e-9)
     # a remainder rounded to 0 or below gives p = inf or nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = pix / rem[:-1]
-        v = 1.0 - rng.random(len(pix))  # 1 - U, exactly
-        keep = v < (p + 2.0**-52) * (dn * (1.0 + 1e-9)) + 1e-15
-        if not (p.min() > 0.0 and p.max() <= 0.5):
-            keep[np.argmin((p > 0.0) & (p <= 0.5))] = True
-    walk = np.flatnonzero(keep)
-    return walk.tolist(), p[walk].tolist(), (1.0 - v[walk]).tolist(), float(rem[-1])
+        bound = pix.max() / rem[-2]
+        fast = rem[-2] > 0.0 and pix.min() / rem[0] > 0.0 and bound <= 0.5
+        walk = np.flatnonzero(np.less(v, (bound + 2.0**-52) * scale + 1e-15, out=keep)) if fast else np.arange(len(pix))
+        p = pix[walk] / rem[walk]
+        passed = v[walk] < (p + 2.0**-52) * scale + 1e-15
+        inside = (p > 0.0) & (p <= 0.5)
+        if not inside.all():
+            passed[np.argmin(inside)] = True
+    return walk[passed].tolist(), p[passed].tolist(), (1.0 - v[walk[passed]]).tolist(), float(rem[-1])
 
 
 def _inversion(n, p, U):

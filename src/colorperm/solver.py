@@ -6,9 +6,10 @@ the depth-p state, draws a seeded multinomial sample, rejects every
 label the digit-level feasibility verdict refuses, scores the survivors
 with the timeline objective (or the full diagonal cost on request) in one
 vectorized call, and keeps the strict minimum. The energy table does not
-depend on the angles, so a sweep builds it once (at any size its budget
-admits), keeps its `orbit_head`, and every grid point reads that; under
-`jobs` > 1 the gamma rows are dealt to threads of the one process.
+depend on the angles, so a sweep builds its small parts once, decides on
+them whether its vehicles mirror (`orbit_labels`), and every gamma row
+builds its phase factor from them; under `jobs` > 1 the gamma rows are
+dealt to threads of the one process.
 Either register evolves and samples the one-hot labels; a binary sweep
 relabels only the labels it accepts. Grid rows are independent work
 items, each point drawn from its own (seed, index); the reduction is an
@@ -45,8 +46,8 @@ import numpy as np
 
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
-from .hamiltonian import depot_legs, energy_components, energy_table
-from .simulator import MEMORY_BUDGET, AmplitudeBudgetError, Schedule, check_budget, evolve_row, head_labels, orbit_head, sample
+from .hamiltonian import depot_legs, energy_components, table_parts
+from .simulator import MEMORY_BUDGET, AmplitudeBudgetError, Schedule, check_budget, evolve_row, head_labels, orbit_labels, sample
 
 SCORE_TOL = 1e-9
 # Bytes a `brute` run holds per customer position of each gathered timeline,
@@ -441,8 +442,9 @@ def phqc(
     prepared state. The histogram of all feasible samples pooled over the
     sweep is available through `phqc_histogram`. Refuses runs over the
     memory budget, with one charge per thread that gets a gamma row and
-    its schedules, before allocating the table, any state or any schedule,
-    and a table charged as its head (`head_labels`) that is not mirrored.
+    its schedules, before building the table's parts, any state or any
+    schedule, and parts charged as their head (`head_labels`) that are not
+    mirrored.
     """
     if not 1 <= shots_per_point < 2**63:
         raise ValueError(f"need 1 <= shots_per_point < 2**63, not {shots_per_point}")
@@ -457,8 +459,9 @@ def phqc(
     if exact_reference is not None and exact_reference.optimal_assignments:
         optimal_labels = exact_reference.optimal_labels(params)
         optimal_cost = exact_reference.optimal_cost
-    energies = orbit_head(params, energy_table(model))
-    if len(energies) > head_labels(params, model.inst):
+    parts = table_parts(model)
+    head = orbit_labels(params, parts)
+    if head > head_labels(params, model.inst):
         raise AmplitudeBudgetError(f"the energy table of {model.inst.name} differs from its vehicle-reversed view, over its charge")
     betas = grid.betas
 
@@ -466,7 +469,7 @@ def phqc(
         # every beta of one gamma row, evolved from one shared first phase
         # layer; outcomes in index order
         gamma = grid.gammas[row]
-        dists = evolve_row(params, energies, [Schedule.constant(gamma, beta, depth) for beta in betas])
+        dists = evolve_row(params, parts, [Schedule.constant(gamma, beta, depth) for beta in betas], head)
         return [
             _grid_point(model, probs, "onehot", gamma, beta, shots_per_point, seed, row * len(betas) + j, score, optimal_labels, optimal_cost)
             for j, (beta, probs) in enumerate(zip(betas, dists))
@@ -530,5 +533,5 @@ def p_star(inst, model, gamma, beta, depth=1, exact=None):
         return 0.0
     schedule = Schedule.constant(gamma, beta, depth)
     check_budget(model.params)
-    (probs,) = evolve_row(model.params, energy_table(model), [schedule])
+    (probs,) = evolve_row(model.params, table_parts(model), [schedule])
     return float(probs[np.asarray(exact.optimal_labels(model.params), dtype=np.int64)].sum())

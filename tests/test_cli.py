@@ -5,6 +5,7 @@ against the library calls the commands wrap.
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import tempfile
@@ -798,13 +799,15 @@ def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, 
 
 
 def test_a_head_charged_table_that_is_not_mirrored_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json):
-    # exA is charged its head; a table one ulp off its mirror cannot keep it
-    def table(model):
-        energies = hamiltonian.energy_table(model)
-        energies[-1] = np.nextafter(energies[-1], np.inf)
-        return energies
+    # exA is charged its head; parts one ulp off their mirror cannot keep it:
+    # the last pair of multisets, all on vehicle 2, against those on vehicle 1
+    def parts(model):
+        built = hamiltonian.table_parts(model)
+        pair = built.pair.copy()
+        pair[-1, -1] = np.nextafter(pair[-1, -1], np.inf)
+        return dataclasses.replace(built, pair=pair)
 
-    monkeypatch.setattr(solver, "energy_table", table)
+    monkeypatch.setattr(solver, "table_parts", parts)
     out = tmp_path / "run.json"
     assert main(["solve", "--instance", exa_json, "--grid-points", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -821,7 +824,7 @@ def test_solve_charges_the_edge_matrix_before_the_energy_table(tmp_path, capsys,
     def no_table(*args, **kwargs):
         raise AssertionError("the energy table was built before the budget check")
 
-    monkeypatch.setattr(solver, "energy_table", no_table)
+    monkeypatch.setattr(solver, "table_parts", no_table)
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", EDGE_BYTES * K**2 - 1)
     assert BYTES_PER_AMPLITUDE * K + SCHEDULE_BYTES < simulator.MEMORY_BUDGET
     assert main(["solve", "--instance", str(path), "--no-reference", "--grid-points", "1", "--out", str(tmp_path / "run.json")]) == 1

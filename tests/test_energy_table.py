@@ -4,8 +4,9 @@ reuse across a sweep.
 energy_table is the S^n one-hot diagonal of either register: it must
 equal energy_components at every one-hot label, or at its binary label
 (`EncodingParams.binary_labels`) on the binary register, exactly (not to
-a tolerance), in every capacity mode, under arbitrary weights; phqc must
-build it once per sweep.
+a tolerance), in every capacity mode, under arbitrary weights. Its parts'
+evaluator must equal both on any range of labels; phqc must build the
+parts once per sweep and no S^n table.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from colorperm.hamiltonian import (
     PenaltyWeights,
     energy_components,
     energy_table,
+    table_parts,
 )
 from colorperm.instances import Instance
 from colorperm.solver import GridSpec, exact_solve, phqc, phqc_histogram
@@ -83,6 +85,38 @@ def seeded_model(n, K, cap_mode, legs, seed):
     return EnergyModel.for_instance(inst, weights)
 
 
+@st.composite
+def ranges(draw):
+    """A model of n <= 5 customers on K <= 4 vehicles (at most 10^5
+    labels), of one capacity or one per vehicle, float or integer
+    distances, lam_obj 1.7, in every capacity mode; and a range of its
+    labels, aligned to S or to nothing."""
+    n = draw(st.integers(1, 5))
+    K = draw(st.integers(1, 4 if n <= 4 else 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.uniform(0.0, 100.0, (n, n)) if draw(st.booleans()) else rng.integers(0, 100, (n, n)).astype(float)
+    np.fill_diagonal(W, 0.0)
+    shape = draw(st.sampled_from([(n,), (n, K)]))
+    cap_mode = draw(st.sampled_from(CAP_MODES))
+    d = rng.integers(0, 7, n)
+    Q = [int(d.sum()) // K] * K if cap_mode == "quadratic-surrogate" or draw(st.booleans()) else rng.integers(0, int(d.sum()) + 1, K)
+    inst = Instance("range", n, K, d, Q, W, rng.uniform(0.0, 100.0, shape), rng.uniform(0.0, 100.0, shape))
+    model = EnergyModel.for_instance(inst, PenaltyWeights(lam_once=draw(weight), lam_cap=draw(weight), lam_obj=1.7, cap_mode=cap_mode))
+    size, unit = model.params.dim("onehot"), draw(st.sampled_from([1, model.params.S]))
+    lo = unit * draw(st.integers(0, size // unit))
+    return model, lo, unit * draw(st.integers(lo // unit, size // unit))
+
+
+@given(ranges())
+@settings(max_examples=100, deadline=None)
+def test_parts_evaluate_any_range_exactly(case):
+    model, lo, hi = case
+    parts = table_parts(model)
+    got = parts[lo:hi]
+    assert got.tobytes() == energy_table(model)[lo:hi].tobytes()
+    assert got.tobytes() == energy_components(model, np.arange(lo, hi))["total"].tobytes()
+
+
 @pytest.mark.parametrize("legs", ["shared", "per-vehicle"])
 @pytest.mark.parametrize("cap_mode", CAP_MODES)
 @pytest.mark.parametrize("n, K", [(5, 2), (5, 3), (6, 2), (6, 3)])
@@ -98,15 +132,18 @@ def test_half_table_equals_reference_on_seeded_labels(n, K, cap_mode, legs):
 
 @pytest.fixture
 def build_counter(monkeypatch):
-    """Count energy_table builds through every binding a sweep can use."""
+    """Count the sweep's table_parts builds, and refuse any S^n table."""
     calls = []
 
-    def counted(model, *args, **kwargs):
+    def counted(model):
         calls.append(model)
-        return energy_table(model, *args, **kwargs)
+        return table_parts(model)
 
-    monkeypatch.setattr(solver, "energy_table", counted)
-    monkeypatch.setattr(simulator, "energy_table", counted)
+    def whole(model):
+        raise AssertionError("a sweep built the S^n table")
+
+    monkeypatch.setattr(solver, "table_parts", counted)
+    monkeypatch.setattr(simulator, "energy_table", whole)
     return calls
 
 

@@ -5,9 +5,11 @@ block axis; it must match the block_mixer_matrix tensordot contraction.
 The chunked in-place phase must equal the whole-vector product
 amplitudes * exp(-i*gamma*E) bit for bit, from its own table or a
 given one.
-The row's phase factor must equal exp(-i*gamma*E) bit for bit, whether or
-not it copies labels from their vehicle-reversed partners, and a gamma-0
-row run on one slab and one sub-block must equal run_ansatz bit for bit.
+The row's phase factor, built from the table's parts a block at a time,
+must equal exp(-i*gamma*E) bit for bit on every label, whether or not the
+labels past its head read their vehicle-reversed partners, and the parts'
+mirror verdict must imply the S^n table's; a gamma-0 row run on one slab
+and one sub-block must equal run_ansatz bit for bit.
 A sweep evolves each gamma row from one shared first phase layer; its
 records, best and histogram must equal a per-point run_ansatz loop, for
 any thread count, in one process. Either register samples the one-hot
@@ -15,6 +17,7 @@ state, with its phases from one energy table. The memory ceiling, charged
 per thread, refuses a run before allocating or starting a pool.
 """
 
+import dataclasses
 import functools
 import importlib.util
 import itertools
@@ -32,7 +35,7 @@ from colorperm import simulator, solver
 from colorperm.cli import main
 from colorperm.encoding import REGISTERS, EncodingParams
 from colorperm.feasibility import OK, REASONS, label_reasons
-from colorperm.hamiltonian import EnergyModel, energy_components, energy_table
+from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_components, energy_table, table_parts
 from colorperm.instances import Instance, load_instance, parse_vrp
 from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
@@ -100,8 +103,8 @@ def test_single_symbol_mixer_is_identity():
 @pytest.mark.parametrize("source", ["table", "given"])
 @pytest.mark.parametrize("chunk", [7, 50, 2**20])
 def test_chunked_phase_equals_whole_vector_product(exA, params3, monkeypatch, source, chunk):
-    # the phase runs MIX_BLOCK labels at a time; 2**20 takes the state whole
-    monkeypatch.setattr(simulator, "MIX_BLOCK", chunk)
+    # the phase runs PHASE_BLOCK labels at a time; 2**20 takes the state whole
+    monkeypatch.setattr(simulator, "PHASE_BLOCK", chunk)
     model = EnergyModel.for_instance(exA)
     state = run_ansatz(params3, model, Schedule.constant(0.3, 0.8))
     energies = energy_components(model, np.arange(model.params.dim(model.register)))["total"]
@@ -245,17 +248,25 @@ def exp_sizes(monkeypatch):
     return sizes
 
 
+def signed_zero_parts():
+    """n = 3, K = 2 parts whose every value is -0.0, but one start leg 0.0:
+    the labels that start at symbol 0 sum to 0.0, their vehicle-reversed
+    labels to -0.0, as a float compare cannot tell."""
+    model = EnergyModel.for_instance(seeded_instance(3))
+    S = model.params.S
+    start, edges = np.full(S, -0.0), np.full((S, S), -0.0)
+    start[0] = 0.0
+    level = (start.reshape(-1, S, 1) + edges).reshape(-1)
+    parts = table_parts(model)
+    return model, dataclasses.replace(parts, pair=np.full_like(parts.pair, -0.0), edges=edges, start=start, close=np.full(S, -0.0), level=level)
+
+
 def factor_case(table):
-    """(model, energy table, whether the table equals its vehicle-reversed
-    view on the labels past the first ceil(K/2) vehicles of the first
-    symbol). The signed-zero table has no instance; its model is one of
-    its size."""
+    """(model, table parts, whether every label past the first ceil(K/2)
+    vehicles of the first symbol has its vehicle-reversed label's energy).
+    The signed-zero parts are planted on a model of their size."""
     if table == "signed-zero":
-        # one -0.0 among zeros, whose phase differs from 0.0's in a zero's sign
-        model = EnergyModel.for_instance(seeded_instance(3))
-        energies = np.zeros(model.params.dim("onehot"))
-        energies[-1] = -0.0
-        return model, energies, False
+        return (*signed_zero_parts(), False)
     if table == "n6k2":
         inst, mirrored = load_instance(ROOT / "tests" / "data" / "n6" / "n6-k2.vrp"), True
     elif table == "perfbench-n4k3":
@@ -269,7 +280,7 @@ def factor_case(table):
         _, K, legs = table.split("-", 2)
         inst, mirrored = asymmetric_instance(int(K[1:]), legs), False
     model = EnergyModel.for_instance(inst)
-    return model, energy_table(model), mirrored
+    return model, table_parts(model), mirrored
 
 
 FACTOR_TABLES = ["n6k2", "perfbench-n4k3", "signed-zero"] + [f"asym-k{K}-{legs}" for K in (2, 3, 4) for legs in ("shared", "per-vehicle")]
@@ -277,22 +288,73 @@ FACTOR_TABLES = ["n6k2", "perfbench-n4k3", "signed-zero"] + [f"asym-k{K}-{legs}"
 
 @pytest.mark.parametrize("table", FACTOR_TABLES)
 def test_the_row_factor_equals_the_phase_of_every_label(monkeypatch, table):
-    # the table keeps the labels of the first ceil(K/2) vehicles of the
-    # first symbol when the rest equal their vehicle-reversed labels bit for
-    # bit, and every label otherwise; exp runs on the labels it keeps, and
-    # through the head and its reversed view every label reads its own phase
-    model, energies, mirrored = factor_case(table)
+    # the factor covers the labels of the first ceil(K/2) vehicles of the
+    # first symbol when the parts are mirrored, and every label otherwise;
+    # exp runs PHASE_BLOCK labels at a time on those, and through the head
+    # and its reversed view every label reads its own phase
+    model, parts, mirrored = factor_case(table)
     params = model.params
     K, labels = params.K, params.dim("onehot")
-    head = simulator.orbit_head(params, energies)
-    assert len(head) == (labels * -(-K // 2) // K if mirrored else labels)
+    head = simulator.orbit_labels(params, parts)
+    assert head == (labels * -(-K // 2) // K if mirrored else labels)
+    energies = parts[:]
     for gamma in (0.3, np.pi):
         sizes = exp_sizes(monkeypatch)
-        factor = simulator._row_factor(gamma, head)
+        factor = simulator._phases(np.empty(head, dtype=complex), gamma, parts)
         monkeypatch.undo()
-        assert sizes == [len(head)]
+        assert sum(sizes) == head and max(sizes) <= simulator.PHASE_BLOCK
         expected = simulator._orbit(params, np.exp(-1j * gamma * energies))
         assert [part.tobytes() for part in simulator._orbit(params, factor)] == [part.tobytes() for part in expected]
+
+
+def table_mirrored(params, energies):
+    """The S^n compare: every label past the head (`_orbit`) equals its
+    vehicle-reversed label as uint64 bits."""
+    bits = energies.view(np.uint64)
+    size = len(bits) // params.K * -(-params.K // 2)
+    return bool((simulator._orbit(params, bits)[1] == simulator._orbit(params, bits[:size])[1]).all())
+
+
+@st.composite
+def mirror_models(draw):
+    """Models of n <= 4 customers on K <= 4 vehicles, of one capacity or one
+    per vehicle, with 1-D or per-vehicle (2-D) legs, float or integer
+    distances, in every capacity mode."""
+    n = draw(st.integers(1, 4))
+    K = draw(st.integers(1, 4 if n <= 3 else 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.uniform(0.0, 50.0, (n, n)) if draw(st.booleans()) else rng.integers(0, 50, (n, n)).astype(float)
+    np.fill_diagonal(W, 0.0)
+    shape = draw(st.sampled_from([(n,), (n, K)]))
+    legs = rng.uniform(0.0, 50.0, shape)
+    if len(shape) == 2 and draw(st.booleans()):
+        legs[:] = legs[:, :1]  # 2-D, but equal on every vehicle
+    cap_mode = draw(st.sampled_from(["hinge", "quadratic-surrogate", "filter-only"]))
+    Q = [int(rng.integers(0, 8))] * K if cap_mode == "quadratic-surrogate" or draw(st.booleans()) else rng.integers(0, 8, K).tolist()
+    inst = Instance("mirror", n, K, rng.integers(0, 4, n), Q, W, legs, legs[::-1].copy() if len(shape) == 1 else legs)
+    return EnergyModel.for_instance(inst, PenaltyWeights(lam_once=2.5, lam_cap=1.3, lam_obj=1.7, cap_mode=cap_mode))
+
+
+@given(mirror_models())
+@settings(max_examples=150, deadline=None)
+def test_the_parts_mirror_implies_the_table_mirror(model):
+    # a head from the parts keeps only labels whose energies equal their
+    # reversed labels' bit for bit; one capacity and 1-D legs always give one
+    params, inst = model.params, model.inst
+    parts = table_parts(model)
+    head = simulator.orbit_labels(params, parts)
+    assert head in (params.dim("onehot"), params.dim("onehot") // params.K * -(-params.K // 2))
+    if head < params.dim("onehot"):
+        assert table_mirrored(params, parts[:])
+    if simulator.head_labels(params, inst) < params.dim("onehot"):
+        assert head == simulator.head_labels(params, inst)
+
+
+def test_a_planted_signed_zero_breaks_both_mirrors():
+    # the table tells 0.0 from -0.0, and so does the parts' verdict
+    model, parts = signed_zero_parts()
+    assert not table_mirrored(model.params, parts[:])
+    assert simulator.orbit_labels(model.params, parts) == model.params.dim("onehot")
 
 
 head_case = functools.cache(factor_case)
@@ -302,14 +364,14 @@ head_case = functools.cache(factor_case)
 def head_rows(draw):
     """A table of FACTOR_TABLES or a mirrored one, at n <= 5, and a row of
     one to three schedules (depths 1-3) whose later gammas are the opening
-    one or 0, with angles that include 0 and pi."""
+    one, 0 or any other, with angles that include 0 and pi."""
     table = draw(st.sampled_from([t for t in FACTOR_TABLES if t != "n6k2"] + ["seeded-n5", "seeded-n4-k4"]))
     angle = st.sampled_from([0.0, -0.0, np.pi]) | st.floats(-4.0, 4.0, allow_nan=False)
     gamma0 = draw(angle)
     row = []
     for _ in range(draw(st.integers(1, 3))):
         depth = draw(st.integers(1, 3))
-        gammas = [gamma0] + draw(st.lists(st.sampled_from([gamma0, 0.0]), min_size=depth - 1, max_size=depth - 1))
+        gammas = [gamma0] + draw(st.lists(st.sampled_from([gamma0, 0.0]) | angle, min_size=depth - 1, max_size=depth - 1))
         row.append(Schedule(gammas, draw(st.lists(angle, min_size=depth, max_size=depth))))
     return table, row
 
@@ -317,41 +379,43 @@ def head_rows(draw):
 @given(head_rows())
 @settings(max_examples=60, deadline=None)
 def test_row_distributions_from_the_head_equal_run_ansatz(case):
-    # a mirrored table evolves from its head alone, any other whole
+    # a row on mirrored parts holds its factor on their head alone, any
+    # other on every label; a later gamma phases every label anew
     table, row = case
-    model, energies, mirrored = head_case(table)
+    model, parts, mirrored = head_case(table)
     params = model.params
-    head = simulator.orbit_head(params, energies)
-    assert (len(head) < len(energies)) == mirrored
-    dists = [probs.tobytes() for probs in evolve_row(params, head, row)]
+    head = simulator.orbit_labels(params, parts)
+    assert (head < params.dim("onehot")) == mirrored
+    dists = [probs.tobytes() for probs in evolve_row(params, parts, row, head)]
     with pytest.MonkeyPatch.context() as patch:
-        # run_ansatz builds the whole table itself: the signed-zero one has no instance
-        patch.setattr(simulator, "energy_table", lambda _: energies)
+        # run_ansatz builds the whole table itself: the signed-zero parts are planted
+        patch.setattr(simulator, "energy_table", lambda _: parts[:])
         for probs, schedule in zip(dists, row):
             assert probs == exact_distribution(run_ansatz(params, model, schedule)).tobytes()
 
 
-def test_a_head_refuses_a_schedule_that_phases_anew():
+def test_a_head_phases_a_later_gamma_anew(monkeypatch):
+    # a layer of another gamma phases every label from the parts, seven
+    # labels at a time here, beside a factor on the head or without one
+    monkeypatch.setattr(simulator, "PHASE_BLOCK", 7)
     model = EnergyModel.for_instance(seeded_instance(3))
-    head = simulator.orbit_head(model.params, energy_table(model))
-    assert len(head) == model.params.dim("onehot") // 2
-    for gammas in ((0.3, 0.7), (0.0, 0.3)):
-        with pytest.raises(ValueError, match=r"length 216, or 108 \(its orbit head\) if no later gamma phases anew"):
-            list(evolve_row(model.params, head, [Schedule(gammas, (0.4, 0.5))]))
-    with pytest.raises(ValueError, match="length 216, or 108"):
-        list(evolve_row(model.params, head[1:], [Schedule.constant(0.3, 0.4)]))
-    # the whole table serves either
-    assert len(list(evolve_row(model.params, energy_table(model), [Schedule((0.3, 0.7), (0.4, 0.5))]))) == 1
+    parts = table_parts(model)
+    head = simulator.orbit_labels(model.params, parts)
+    assert head == model.params.dim("onehot") // 2
+    for row in ([Schedule((0.3, 0.7), (0.4, 0.5)), Schedule((0.3, 0.0, -1.1), (0.4, 0.5, 2.0))], [Schedule((0.0, 0.3), (0.4, 0.5))]):
+        for probs, schedule in zip(evolve_row(model.params, parts, row, head), row):
+            assert probs.tobytes() == exact_distribution(run_ansatz(model.params, model, schedule)).tobytes()
 
 
-def row_peak(params, schedules, table=energy_table):
+def row_peak(params, schedules, table=energy_table, head=None):
     """tracemalloc's peak while `evolve_row` yields every distribution of
-    a row on a table built before tracing starts."""
+    a row, its factor on `head` labels, on a table (or its parts) built
+    before tracing starts."""
     labels = params.dim("onehot")
     energies = table(EnergyModel.for_instance(seeded_instance(params.n)))
     tracemalloc.start()
     try:
-        for probs in evolve_row(params, energies, schedules):
+        for probs in evolve_row(params, energies, schedules, head):
             assert probs.dtype == np.float64 and len(probs) == labels and probs.base is not None
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -363,8 +427,36 @@ def test_a_row_on_the_head_holds_half_a_factor():
     # the head (8); the whole factor would lift the peak to 32
     params = EncodingParams(6, 2)
     schedules = [Schedule.constant(np.pi, 0.0), Schedule.constant(np.pi, np.pi)]
-    peak = row_peak(params, schedules, lambda model: simulator.orbit_head(params, energy_table(model)))
+    peak = row_peak(params, schedules, table_parts, params.dim("onehot") // 2)
     assert peak < 25 * params.dim("onehot")
+
+
+def test_a_sweep_row_at_n6_holds_no_table():
+    # n = 6, K = 2: a float64 array of half the labels takes 4 B/label.
+    # Building the parts, building the head's factor (8 B/label) and a row
+    # on it (16 more for its work buffer) each peak less than that above
+    # what they keep, so none of them allocates such an array
+    params = EncodingParams(6, 2)
+    labels = params.dim("onehot")
+    model = EnergyModel.for_instance(seeded_instance(6))
+    tracemalloc.start()
+    try:
+        parts = table_parts(model)
+        assert tracemalloc.get_traced_memory()[1] < 4 * labels
+        head = simulator.orbit_labels(params, parts)
+        assert head == labels // 2
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        factor = simulator._phases(np.empty(head, dtype=complex), np.pi, parts)
+        assert tracemalloc.get_traced_memory()[1] - kept < (8 + 4) * labels
+        del factor
+        tracemalloc.reset_peak()
+        # a row that multiplies its factor in, and one layer that phases anew
+        for _ in evolve_row(params, parts, [Schedule.constant(np.pi, np.pi), Schedule((np.pi, 0.3), (np.pi, 0.0))], head):
+            pass
+        assert tracemalloc.get_traced_memory()[1] - kept < (8 + 16 + 4) * labels
+    finally:
+        tracemalloc.stop()
 
 
 def test_a_row_holds_its_distributions_in_its_state_buffers():
@@ -498,7 +590,7 @@ def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the energy table was built before the budget check")
 
-    monkeypatch.setattr(solver, "energy_table", no_table)
+    monkeypatch.setattr(solver, "table_parts", no_table)
     # exA's vehicles are interchangeable: its table and factor hold 108 of
     # its 216 labels; one byte below the charge of one depth-1 row
     charge = BYTES_PER_AMPLITUDE * 216 - (TABLE_BYTES + FACTOR_BYTES) * 108 + SCHEDULE_BYTES + EDGE_BYTES * 36
@@ -509,19 +601,19 @@ def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
 
 
 def test_sweep_decides_the_mirror_once_per_table(exB, monkeypatch):
-    # one compare for the sweep's one table, whatever the thread count,
-    # and every row evolves on its head
+    # one compare for the sweep's one set of parts, whatever the thread
+    # count, and every row holds its factor on the head
     heads, tables = [], []
 
-    def head(params, energies):
-        heads.append(len(energies))
-        return simulator.orbit_head(params, energies)
+    def head(params, parts):
+        heads.append(len(parts.head_of) * len(parts.tail_of))
+        return simulator.orbit_labels(params, parts)
 
-    def row(params, energies, schedules):
-        tables.append(len(energies))
-        return evolve_row(params, energies, schedules)
+    def row(params, parts, schedules, held):
+        tables.append(held)
+        return evolve_row(params, parts, schedules, held)
 
-    monkeypatch.setattr(solver, "orbit_head", head)
+    monkeypatch.setattr(solver, "orbit_labels", head)
     monkeypatch.setattr(solver, "evolve_row", row)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     model = EnergyModel.for_instance(exB)
@@ -622,19 +714,23 @@ def test_sweep_draws_from_the_onehot_distribution(exA, params3, monkeypatch, reg
 
 @pytest.mark.parametrize("register", REGISTERS)
 def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
-    # one S^n table (exA: 216 labels) serves every phase, whatever the register
+    # the parts of one S^n table (exA: 216 labels) serve every phase,
+    # whatever the register, and no S^n table is built
     tables, scored = [], []
 
-    def table(model):
-        built = energy_table(model)
-        tables.append(len(built))
+    def parts(model):
+        built = table_parts(model)
+        tables.append(len(built.head_of) * len(built.tail_of))
         return built
+
+    def table(model):
+        raise AssertionError("the sweep built an S^n table")
 
     def components(model, labels):
         scored.append(np.asarray(labels, dtype=np.int64))
         return energy_components(model, labels)
 
-    monkeypatch.setattr(solver, "energy_table", table)
+    monkeypatch.setattr(solver, "table_parts", parts)
     monkeypatch.setattr(simulator, "energy_table", table)
     monkeypatch.setattr(solver, "energy_components", components)
     model = EnergyModel.for_instance(exA, register=register)

@@ -184,6 +184,59 @@ def test_replica_runs_and_matches_across_chunk_edges(monkeypatch, chunk):
             assert got == multinomial_counts(probs, shots, seed)
 
 
+def full_screen(pix, carry, dn, rng):
+    """The screen without its bound: every label's p and threshold, as
+    `_screen` ran before it divided out only the candidates."""
+    rem = np.empty(len(pix) + 1)
+    rem[0] = carry
+    rem[1:] = pix
+    np.subtract.accumulate(rem, out=rem)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = pix / rem[:-1]
+        v = 1.0 - rng.random(len(pix))
+        keep = v < (p + 2.0**-52) * (dn * (1.0 + 1e-9)) + 1e-15
+        if not (p.min() > 0.0 and p.max() <= 0.5):
+            keep[np.argmin((p > 0.0) & (p <= 0.5))] = True
+    walk = np.flatnonzero(keep)
+    return walk.tolist(), p[walk].tolist(), (1.0 - v[walk]).tolist(), float(rem[-1])
+
+
+@st.composite
+def chunks(draw):
+    """A chunk of a law as `_replica` screens it: spread out (the bound
+    holds), with zeros, with the remainder exhausted so that it rounds to
+    0 or below, or with one p above 0.5; its carry and shots left."""
+    kind = draw(st.sampled_from(["spread", "zeros", "exhausted", "over-half"]))
+    m = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pix = lognormal(rng, m)
+    carry = draw(st.sampled_from([1.0, 0.37, 1e-3]))
+    pix *= carry / pix.sum() * (1.0 if kind == "exhausted" else draw(st.sampled_from([0.9, 0.1, 1e-4])))
+    if kind == "zeros":
+        pix[rng.random(m) < draw(st.sampled_from([0.01, 0.3, 1.0]))] = 0.0
+    elif kind == "over-half":
+        pix[rng.integers(m)] = carry * 0.6
+    return pix, carry, draw(st.integers(min_value=1, max_value=60)), draw(st.integers(min_value=0, max_value=2**63 - 1))
+
+
+@given(chunks())
+@settings(max_examples=400, deadline=None)
+def test_screen_equals_the_full_screen(case):
+    # the bound screen walks the labels, p and U of every label's test,
+    # draws the same doubles, and runs in buffers longer than the chunk
+    pix, carry, dn, seed = case
+    buffers = np.empty(len(pix) + 8), np.empty(len(pix) + 7), np.zeros(len(pix) + 7, dtype=bool)
+    got_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulator._screen(pix, carry, dn, got_rng, *buffers)
+    assert repr(got) == repr(full_screen(pix, carry, dn, full_rng))
+    assert got_rng.random() == full_rng.random()
+    rem = np.subtract.accumulate(np.concatenate([[carry], pix]))
+    if pix.min() > 0.0 and rem[-2] > 0.0 and pix.max() / rem[-2] <= 0.5:
+        # the bound held, so only the labels under its threshold were tested
+        v = 1.0 - np.random.default_rng(seed).random(len(pix))
+        assert np.array_equal(buffers[2][: len(pix)], v < (pix.max() / rem[-2] + 2.0**-52) * (dn * (1.0 + 1e-9)) + 1e-15)
+
+
 def sample_and_reference(probs, shots, seed):
     """`sample`'s counts from `probs` on a 216-label state, and numpy's
     multinomial on the same normalised vector."""
