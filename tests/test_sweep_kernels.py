@@ -185,8 +185,8 @@ def test_replica_runs_and_matches_across_chunk_edges(monkeypatch, chunk):
 
 
 def full_screen(pix, carry, dn, rng):
-    """The screen without its bound: every label's p and threshold, as
-    `_screen` ran before it divided out only the candidates."""
+    """The reference screen: every label's p and threshold, with no bound
+    to skip the labels that cannot draw."""
     rem = np.empty(len(pix) + 1)
     rem[0] = carry
     rem[1:] = pix
@@ -235,6 +235,35 @@ def test_screen_equals_the_full_screen(case):
         # the bound held, so only the labels under its threshold were tested
         v = 1.0 - np.random.default_rng(seed).random(len(pix))
         assert np.array_equal(buffers[2][: len(pix)], v < (pix.max() / rem[-2] + 2.0**-52) * (dn * (1.0 + 1e-9)) + 1e-15)
+
+
+class Doubles:
+    """A generator stand-in whose `random` gives the same doubles, as an
+    array of a size or into `out`."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[:] = self.values[: len(out)]
+        return out
+
+
+def test_screen_walks_a_double_just_under_the_bounds_threshold():
+    # the chunk's last label has p at the bound; its 1 - U is the largest
+    # double on U's 2**-53 grid under its threshold, so the bound's test
+    # must keep it, and the walk must equal the full screen's
+    pix, carry, dn = np.full(50, 1e-3), 1.0, 7
+    rem = np.subtract.accumulate(np.concatenate([[carry], pix]))
+    threshold = (pix[-1] / rem[-2] + 2.0**-52) * (dn * (1.0 + 1e-9)) + 1e-15
+    under = math.ceil(threshold / 2.0**-53 - 1) * 2.0**-53
+    assert under < threshold <= under + 2.0**-53
+    U = np.full(50, 0.5)
+    U[-1] = 1.0 - under
+    buffers = np.empty(51), np.empty(50), np.empty(50, dtype=bool)
+    got = simulator._screen(pix, carry, dn, Doubles(U), *buffers)
+    assert got[0] == [49] and repr(got) == repr(full_screen(pix, carry, dn, Doubles(U)))
 
 
 def sample_and_reference(probs, shots, seed):
