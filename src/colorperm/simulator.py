@@ -15,16 +15,18 @@ complement (eigenvalue -1/(S-1)),
             = dg * I + off * J,
 
 so each block axis is mixed in place as x <- dg*x + off*sum(x), on
-cache-sized blocks; a schedule's last layer squares each block into the
-float64 view of the state's own buffer. A sweep holds no S^n energy
-table: `evolve_row` builds a grid row's phase factor exp(-i*gamma*E) once,
-a block at a time from the table's parts, on the vehicle-orbit head alone
-when the parts are mirrored (`orbit_labels`), and multiplies it into the
-state, the other labels through their reversed view. A zero angle is the
-identity: a gamma-0 row builds no factor and evolves on one slab and one
-sub-block, a later gamma-0 layer takes no phase pass and a beta-0 layer
-mixes no axis; the full passes could only flip the sign of a zero, which
-|x|**2 cannot see. `run_ansatz` is the slow reference, one phase and one
+cache-sized blocks; a schedule's last layer squares each block into a
+float64 distribution. A sweep holds no S^n energy table: `evolve_row`
+builds a grid row's phase factor exp(-i*gamma*E) once, a block at a time
+from the table's parts, on the vehicle-orbit head alone when the parts are
+mirrored (`orbit_labels`), and reads it a leading digit at a time, the
+labels past the head through their reversed view. A depth-1 row streams
+its one layer over the blocks of the leading digit, so it holds its
+distribution and no complex state. A zero angle is the identity: a gamma-0
+row builds no factor and evolves on one slab and one sub-block, a later
+gamma-0 layer takes no phase pass and a beta-0 layer mixes no axis; the
+full passes could only flip the sign of a zero, which |x|**2 cannot see.
+`run_ansatz` is the slow reference, one phase and one
 mixer pass per layer on the whole table, whose squares are the row's
 distributions bit for bit. `sample` replays numpy's multinomial on only
 the labels a spread-out distribution can draw (`_replica`), hands numpy
@@ -51,12 +53,15 @@ from .hamiltonian import energy_table
 
 # The memory ceiling of a run, in bytes, and its charge per S^n label: the
 # energy table once (8 bytes; a sweep holds `table_parts` and slack), and in
-# each thread its work buffer and row factor (16 each) and numpy's counts if
-# a draw falls back (8, plus slack); a sweep charges `head_labels` only for
-# the table and factors. A sweep's VmHWM above the import is 28.6 (n = 6,
-# K = 2) and 37.4 (n = 5, K = 5, one draw falling back) bytes per label in
-# one thread, 53.8 and 64.3 in two, and 36.7 in one with a factor on every
-# label (n = 6, K = 2, per-vehicle Q); the other S^n entries peak at 40.3
+# each thread its work buffer and row factor (16 each; a streamed depth-1 row
+# holds its float64 distribution and three S^(n-1) blocks in the buffer's
+# place) and numpy's counts if a draw falls back (8); a sweep charges
+# `head_labels` only for the table and factors. A sweep's VmHWM above the
+# import (`--grid-points 4`), at depths 1 and 2, is 24.0 and 28.2 (n = 6,
+# K = 2), 30.2 and 36.5 (n = 5, K = 5, one draw falling back) bytes per label
+# in one thread, 44.9/52.8 and 51.3/63.4 in two, 32.1 and 36.2 in one with a
+# factor on every label (n = 6, K = 2, per-vehicle Q), and 31.7 and 33.7 at
+# n = 8, K = 1 (66.1 at depth 2 in two); the other S^n entries peak at 40.3
 # (`apply_phase`) or lower and pay the one-thread charge. A Schedule peaks at
 # 66 bytes per layer while built (tracemalloc, depth 10**6), and the S x S
 # edge matrix (`edge_cost_matrix`) at 25.0 per entry.
@@ -188,37 +193,28 @@ def _mixer_coefficients(S, beta):
     return dg, (np.exp(-1j * beta) - dg) / S
 
 
-def _blocking(params):
-    """`_mix`'s (lead, cols): the fewest leading axes (at most n - 2) whose
-    sub-blocks fit in MIX_BLOCK, and the most trailing axes, 2 or more
-    (else 1), whose slabs with them fit too."""
-    S, n = params.S, params.n
+def _blocking(params, digits=None):
+    """`_mix`'s (lead, cols) on `digits` (n by default) axes: the fewest
+    leading axes (at most digits - 2) whose sub-blocks fit in MIX_BLOCK,
+    and the most trailing axes, 2 or more (else 1), whose slabs fit too."""
+    S, n = params.S, params.n if digits is None else digits
     lead = min(max(n - 2, 0), next(L for L in range(n + 1) if S ** (n - L) <= MIX_BLOCK))
     cols = max([c for c in range(2, n - lead + 1) if S ** (lead + c) <= MIX_BLOCK], default=1)
     return lead, cols
 
 
-def _product(out, src, factor, params):
-    """out = src * factor on every label; `src` or `factor` may be a head
-    (`_orbit`), read past it through its reversed view, and `factor` a
-    scalar."""
-    views = [_orbit(params, a) if np.ndim(a) else (a, a) for a in (src, factor)]
-    for side, part in enumerate(_orbit(params, out)):
-        np.multiply(views[0][side], views[1][side], out=part)
-
-
-def _mix(amps, params, beta, square=False):
-    """The block mixer on every axis of the (S,)*n view of `amps`, in
-    place; with `square`, |amps|**2 then overwrites the first half of
-    `amps`'s bytes as float64. The `_blocking` leading axes are mixed on
-    slabs of whole trailing axes, each gathered into one contiguous
-    scratch buffer, then each sub-block's other axes in one visit that
-    squares it. Each sum keeps its order of additions (a 1-D sub-block or
-    1-column slab would not), so the bytes do too. A `beta` of None mixes
-    no axis. `amps` may be any whole number of slabs and sub-blocks of
-    params's blocking."""
-    S, n = params.S, params.n
-    lead, cols = _blocking(params)
+def _mix(amps, params, beta, square=False, out=None, digits=None):
+    """The block mixer on every axis of the (S,)*digits view (n by default)
+    of `amps`, in place; with `square`, |amps|**2 then goes to the float64
+    `out`, by default the first half of `amps`'s bytes. The `_blocking`
+    leading axes are mixed on slabs of whole trailing axes, each gathered
+    into one contiguous scratch buffer, then each sub-block's other axes in
+    one visit that squares it. Each sum keeps its order of additions (a 1-D
+    sub-block or 1-column slab would not), so the bytes do too. A `beta` of
+    None mixes no axis. `amps` may be any whole number of slabs and
+    sub-blocks of that blocking."""
+    S, n = params.S, params.n if digits is None else digits
+    lead, cols = _blocking(params, n)
     mixes = S > 1 and beta is not None
     if mixes:
         dg, off = _mixer_coefficients(S, beta)
@@ -238,37 +234,34 @@ def _mix(amps, params, beta, square=False):
         mix_axes(scratch, lead)
         head[..., lo : lo + S**cols] = scratch
     size = S ** (n - lead)
-    probs = amps.view(np.float64)
+    probs = amps.view(np.float64) if out is None else out
     for lo in range(0, len(amps), size):
         block = amps[lo : lo + size]
         mix_axes(block.reshape((S,) * (n - lead)), n - lead)
         if square:
-            # sub-block m >= 1 squares into floats [m*size, (m+1)*size), the
-            # bytes of sub-blocks already done; sub-block 0's overlap its own
-            # amplitudes, where numpy's abs takes other bits, so it squares aside
-            out = probs[lo : lo + size] if lo else np.empty(size)
-            np.abs(block, out=out)
-            out **= 2
-            if not lo:
-                probs[:size] = out
+            # floats that overlap their own sub-block's amplitudes (the first
+            # one's, squared into its own bytes) take other bits from numpy's
+            # abs, so they square aside; any other overlap is of amplitudes done
+            into = probs[lo : lo + size]
+            part = np.empty(size) if np.may_share_memory(into, block) else into
+            np.abs(block, out=part)
+            part **= 2
+            if part is not into:
+                into[...] = part
 
 
-def _phases(out, gamma, energies, lo=0):
-    """out = exp(-i*gamma*E) of the labels from `lo`, PHASE_BLOCK at a
-    time; `energies` is the S^n table or its `table_parts`."""
-    for at in range(0, len(out), PHASE_BLOCK):
-        part = out[at : at + PHASE_BLOCK]
-        np.exp(np.multiply(-1j * gamma, energies[lo + at : lo + at + len(part)], out=part), out=part)
+def _phases(out, gamma, energies, times=False):
+    """out = exp(-i*gamma*E), or with `times` out *= exp(-i*gamma*E)
+    through one temporary, PHASE_BLOCK labels at a time; `energies` is the
+    S^n table or its `table_parts`."""
+    turn = np.empty(min(len(out), PHASE_BLOCK), dtype=complex) if times else None
+    for lo in range(0, len(out), PHASE_BLOCK):
+        part = out[lo : lo + PHASE_BLOCK]
+        phase = turn[: len(part)] if times else part
+        np.exp(np.multiply(-1j * gamma, energies[lo : lo + len(part)], out=phase), out=phase)
+        if times:
+            part *= phase
     return out
-
-
-def _phase(amps, gamma, energies):
-    """amps[z] *= exp(-i*gamma*E(z)) in place, PHASE_BLOCK labels at a
-    time through one temporary; `energies` as in `_phases`."""
-    turn = np.empty(min(len(amps), PHASE_BLOCK), dtype=complex)
-    for lo in range(0, len(amps), PHASE_BLOCK):
-        part = amps[lo : lo + PHASE_BLOCK]
-        part *= _phases(turn[: len(part)], gamma, energies, lo)
 
 
 def apply_mixer(state, beta):
@@ -298,7 +291,7 @@ def apply_phase(state, gamma, model, energies=None):
     if energies is None:
         energies = energy_table(model)
     amps = state.amplitudes.copy()
-    _phase(amps, gamma, energies)
+    _phases(amps, gamma, energies, True)
     return EncodedState(amps, state.register, state.params)
 
 
@@ -306,27 +299,26 @@ def apply_phase(state, gamma, model, energies=None):
 REVERSED = (slice(None, None, -1), slice(None))
 
 
-def _orbit(params, a):
-    """(head, tail) of `a` in the (K, n) * n shape of (vehicle, customer)
-    symbols, split after the first symbol's first ceil(K/2) vehicles; a
-    head alone (`orbit_labels`) reads its tail in its vehicle-reversed view."""
-    K, n, half = params.K, params.n, -(-params.K // 2)
-    if len(a) == params.dim("onehot"):
-        whole = a.reshape((K, n) * n)
-        return whole[:half], whole[half:]
-    head = a.reshape((half, n) + (K, n) * (n - 1))
-    return head, head[REVERSED * n][2 * half - K :]
+def _digit_block(params, factor, d):
+    """The S^(n-1) labels of leading digit d of a row factor held on its
+    first len(factor) labels (`orbit_labels`), in the (K, n) * (n - 1) shape
+    of (vehicle, customer) symbols: its own labels, or past the head the
+    vehicle-reversed view of the head's block of the vehicle-reversed digit."""
+    K, n = params.K, params.n
+    (k, c), held = divmod(d, n), factor.reshape((-1, n) + (K, n) * (n - 1))
+    return held[k, c] if k < len(held) else held[K - 1 - k, c][REVERSED * (n - 1)]
 
 
 def head_labels(params, inst=None):
-    """The labels of `inst`'s table a sweep is charged: its head (`_orbit`)
+    """The labels of `inst`'s table a sweep is charged: its head (`orbit_labels`)
     when the vehicles are interchangeable (one capacity, 1-D legs), else all."""
     shared = inst is not None and inst.uniform_capacity() is not None and inst.dep_to.ndim == inst.to_dep.ndim == 1
     return params.dim("onehot") // params.K * (-(-params.K // 2) if shared else params.K)
 
 
 def orbit_labels(params, parts):
-    """The labels a row's factor holds: the head (`_orbit`) when each of
+    """The labels a row's factor holds: the head, the labels of the first
+    ceil(K/2) vehicles of the first symbol (`_digit_block`), when each of
     the `table_parts` equals its vehicle-reversed view bit for bit (-0.0 is
     not 0.0), `pair` under the reversal's map on each half's multisets, so
     that every label past the head adds equal operands in its reversed
@@ -347,48 +339,77 @@ def evolve_row(params, energies, schedules, head=None):
     in the last mixer layer.
 
     The row's factor exp(-i*gamma*E) is built once on the first `head`
-    labels (all by default; a sweep passes `orbit_labels`), and every
-    schedule evolves in one work buffer: a layer of the opening gamma
-    takes the factor (`_product`; the first one times the uniform
-    amplitude), one of another gamma phases anew (`_phase`). A later
-    gamma-0 layer takes no phase pass, and a beta-0 layer mixes no axis
-    but still takes the factor and the square. A row opening at gamma 0
-    has no factor; until its first nonzero gamma every slab and sub-block
-    of `_mix`'s blocking holds the same values through the same passes,
-    so those layers run on the first S**max(lead + cols, n - lead)
-    labels, whose label 0 then fills the rest of the buffer, or of the
-    distribution if no gamma follows. Each distribution is the float64
-    view of the buffer, which the next schedule overwrites. The caller
-    charges `check_budget` first.
+    labels (all by default; a sweep passes `orbit_labels`) and read a
+    leading digit at a time (`_digit_block`), times the uniform amplitude
+    in a first layer. A depth-1 row on a state with `_blocking` leading
+    axes holds no complex state: it streams the S blocks of its leading
+    digit, summed once per row, each block times dg plus that sum times
+    off mixed on its other axes in one scratch block (`_mix`) and squared
+    into its block of the float64 distribution. Other rows evolve in one
+    work buffer, mixed whole: a later layer of the opening gamma takes the
+    factor, one of another gamma phases anew (`_phases`), a later gamma-0
+    layer takes no phase pass, and the last layer squares into the
+    buffer's float64 view. A beta-0 layer mixes no axis but still takes
+    the factor and the square. A row opening at gamma 0 has no factor;
+    until its first nonzero gamma every slab and sub-block of `_mix`'s
+    blocking holds the same values through the same passes, so those
+    layers run on the first S**max(lead + cols, n - lead) labels, whose
+    label 0 then fills the rest of the buffer, or of the distribution if
+    no gamma follows. Each distribution is overwritten by the next. The
+    caller charges `check_budget` first.
     """
-    gamma0, labels = schedules[0].gammas[0], params.dim("onehot")
+    S, n, labels = params.S, params.n, params.dim("onehot")
+    gamma0, amp, digit = schedules[0].gammas[0], _amplitude(params), S ** (n - 1)
     if len({s.gammas[0] for s in schedules}) != 1:
         raise ValueError("the schedules of a row must open with one gamma")
     factor = _phases(np.empty(labels if head is None else head, dtype=complex), gamma0, energies) if gamma0 else None
-    work = np.empty(labels, dtype=complex)
     lead, cols = _blocking(params)
-    prefix = params.S ** max(lead + cols, params.n - lead)
+    prefix, stream = S ** max(lead + cols, n - lead), lead and max(s.p for s in schedules) == 1
+    work = np.empty(-(-labels // 2) if stream else labels, dtype=complex)
+    probs, total = work.view(np.float64)[:labels], None
+    shift, spare = (np.empty(digit, dtype=complex) for _ in range(2)) if stream else (None, None)
+
+    def times_factor(src, out, lo=0):
+        # out = src * factor on the labels from lo, a leading digit at a time;
+        # src is the uniform amplitude, or out itself
+        for d in range(lo // digit, (lo + len(out)) // digit):
+            part = _digit_block(params, factor, d)
+            block = out[d * digit - lo : (d + 1) * digit - lo].reshape(np.shape(part))
+            np.multiply(block if src is out else src, part, out=block)
+        return out
+
     for schedule in schedules:
         uniform = 0 if gamma0 else next((layer for layer, gamma in enumerate(schedule.gammas) if gamma), schedule.p)
         if uniform:
-            work[:prefix] = _amplitude(params)
+            work[:prefix] = amp
         for layer, (gamma, beta) in enumerate(zip(schedule.gammas, schedule.betas)):
             last, beta = layer == schedule.p - 1, None if beta == 0 else beta
             if layer < uniform:
                 _mix(work[:prefix], params, beta, last)
-                continue
-            if not layer:
-                # the phased uniform state, bit for bit: IEEE products commute
-                _product(work, factor, _amplitude(params), params)
-            elif gamma and gamma == gamma0:
-                _product(work, work, factor, params)
+            elif stream:
+                if beta is not None:
+                    dg, off = _mixer_coefficients(S, beta)
+                    if total is None:
+                        # numpy's order of a sum over the leading axis: from 0, a block at a time
+                        total = np.add(times_factor(amp, shift), 0.0)
+                        for lo in range(digit, labels, digit):
+                            total += times_factor(amp, spare, lo)
+                    np.multiply(total, off, out=shift)
+                for lo in range(0, labels, digit):
+                    block = times_factor(amp, spare, lo)
+                    if beta is not None:
+                        block *= dg
+                        block += shift
+                    _mix(block, params, beta, True, out=probs[lo : lo + digit], digits=n - 1)
             else:
-                if layer == uniform:
-                    work[prefix:] = work[0]
-                if gamma:
-                    _phase(work, gamma, energies)
-            _mix(work, params, beta, last)
-        probs = work.view(np.float64)[:labels]
+                if gamma and gamma == gamma0:
+                    times_factor(work if layer else amp, work)
+                else:
+                    if layer == uniform:
+                        work[prefix:] = work[0]
+                    if gamma:
+                        _phases(work, gamma, energies, True)
+                _mix(work, params, beta, last)
         if uniform == schedule.p:
             probs[prefix:] = probs[0]
         yield probs
@@ -406,7 +427,7 @@ def run_ansatz(params, model, schedule):
     energies = energy_table(model)
     amps = initial_state(params).amplitudes
     for gamma, beta in zip(schedule.gammas, schedule.betas):
-        _phase(amps, gamma, energies)
+        _phases(amps, gamma, energies, True)
         _mix(amps, params, beta)
     return _relabel(EncodedState(amps, "onehot", params), model.register)
 
@@ -456,7 +477,8 @@ def sample(probs, shots, seed, params, register):
     drawn = _replica(probs, shots, np.random.default_rng(seq)) if len(probs) >= REPLICA_SPREAD * shots else None
     if drawn is None:
         counts = np.random.default_rng(seq).multinomial(shots, probs)
-        drawn = np.flatnonzero(counts), counts[counts > 0]
+        labels = np.flatnonzero(counts)
+        drawn = labels, counts[labels]
     return SampleSet(*drawn, shots, register, params)
 
 
@@ -494,7 +516,8 @@ def _screen(pix, carry, dn, rng, rem, v, keep):
     chunk's first. That grows with p, and rounded division is monotone, so
     while every p lies in [pix.min() / rem[0], pix.max() / rem[-2]], inside
     (0, 0.5], only labels that pass at the upper bound are tested. Otherwise
-    all are, and the first p outside (0, 0.5] is kept."""
+    (as in a draw's last chunk) all are, p in the remainders' place and
+    PHASE_BLOCK thresholds at a time, and the first p outside (0, 0.5] is kept."""
     rem, v, keep = rem[: len(pix) + 1], v[: len(pix)], keep[: len(pix)]
     rem[0] = carry
     rem[1:] = pix
@@ -504,14 +527,21 @@ def _screen(pix, carry, dn, rng, rem, v, keep):
     # a remainder rounded to 0 or below gives p = inf or nan
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = pix.max() / rem[-2]
-        fast = rem[-2] > 0.0 and pix.min() / rem[0] > 0.0 and bound <= 0.5
-        walk = np.flatnonzero(np.less(v, (bound + 2.0**-52) * scale + 1e-15, out=keep)) if fast else np.arange(len(pix))
-        p = pix[walk] / rem[walk]
-        passed = v[walk] < (p + 2.0**-52) * scale + 1e-15
-        inside = (p > 0.0) & (p <= 0.5)
-        if not inside.all():
-            passed[np.argmin(inside)] = True
-    return walk[passed].tolist(), p[passed].tolist(), (1.0 - v[walk[passed]]).tolist(), float(rem[-1])
+        if rem[-2] > 0.0 and pix.min() / rem[0] > 0.0 and bound <= 0.5:
+            walk = np.flatnonzero(np.less(v, (bound + 2.0**-52) * scale + 1e-15, out=keep))
+            p = pix[walk] / rem[walk]
+            passed = v[walk] < (p + 2.0**-52) * scale + 1e-15
+            walk, p = walk[passed], p[passed]
+        else:
+            p = np.divide(pix, rem[:-1], out=rem[:-1])
+            first = np.argmin(np.logical_and(np.less_equal(p, 0.5, out=keep), p > 0.0, out=keep))
+            outside = not keep[first]
+            for lo in range(0, len(pix), PHASE_BLOCK):
+                np.less(v[lo : lo + PHASE_BLOCK], (p[lo : lo + PHASE_BLOCK] + 2.0**-52) * scale + 1e-15, out=keep[lo : lo + PHASE_BLOCK])
+            keep[first] |= outside
+            walk = np.flatnonzero(keep)
+            p = p[walk]
+    return walk.tolist(), p.tolist(), (1.0 - v[walk]).tolist(), float(rem[-1])
 
 
 def _inversion(n, p, U):

@@ -303,16 +303,17 @@ def test_the_row_factor_equals_the_phase_of_every_label(monkeypatch, table):
         factor = simulator._phases(np.empty(head, dtype=complex), gamma, parts)
         monkeypatch.undo()
         assert sum(sizes) == head and max(sizes) <= simulator.PHASE_BLOCK
-        expected = simulator._orbit(params, np.exp(-1j * gamma * energies))
-        assert [part.tobytes() for part in simulator._orbit(params, factor)] == [part.tobytes() for part in expected]
+        expected = np.exp(-1j * gamma * energies)
+        blocks = [(simulator._digit_block(params, factor, d), simulator._digit_block(params, expected, d)) for d in range(params.S)]
+        assert all(got.tobytes() == want.tobytes() for got, want in blocks)
 
 
 def table_mirrored(params, energies):
-    """The S^n compare: every label past the head (`_orbit`) equals its
-    vehicle-reversed label as uint64 bits."""
+    """The S^n compare: every label past the head (`_digit_block`) equals
+    its vehicle-reversed label as uint64 bits."""
     bits = energies.view(np.uint64)
     size = len(bits) // params.K * -(-params.K // 2)
-    return bool((simulator._orbit(params, bits)[1] == simulator._orbit(params, bits[:size])[1]).all())
+    return all(np.array_equal(simulator._digit_block(params, bits, d), simulator._digit_block(params, bits[:size], d)) for d in range(params.S))
 
 
 @st.composite
@@ -481,6 +482,81 @@ def test_a_gamma_0_row_allocates_no_phase_factor():
     params = EncodingParams(6, 2)
     schedules = [Schedule.constant(0.0, 0.3, p=2), Schedule((-0.0, 0.07), (1.9, 0.2))]
     assert row_peak(params, schedules) < 17 * params.dim("onehot")
+
+
+def fleet_instance(n, K, mirrored):
+    """n customers on K vehicles with shared depot legs: of one capacity,
+    whose parts mirror, or of a capacity per vehicle, whose parts do not
+    (at K >= 2)."""
+    base = seeded_instance(n)
+    Q = [sum(base.d)] * K if mirrored else [sum(base.d) - k for k in range(K)]
+    return Instance(f"n{n}k{K}", n, K, base.d, Q, base.W, base.dep_to, base.to_dep)
+
+
+@st.composite
+def streamed_rows(draw):
+    """A shape at n = 3-5, K = 1-5 of at most 10^5 labels, a MIX_BLOCK
+    that gives it 1 to n - 2 leading axes, mirrored parts or not, a
+    register, and a row of one to three schedules of one depth, 1 (which
+    streams) or 2, opening at one gamma (0 or not), with angles that
+    include 0 and pi."""
+    n, K = draw(st.sampled_from([(n, K) for n in (3, 4, 5) for K in range(1, 6) if (n * K) ** n <= 10**5]))
+    lead = draw(st.integers(1, n - 2))
+    angle = st.sampled_from([0.0, -0.0, np.pi]) | st.floats(-4.0, 4.0, allow_nan=False)
+    # mostly a factor, on mirrored parts: the head's reversed view is read
+    gamma0, depth = draw(st.sampled_from([np.pi, 0.7]) | angle), draw(st.integers(1, 2))
+    row = []
+    for _ in range(draw(st.integers(1, 3))):
+        gammas = [gamma0] + draw(st.lists(st.sampled_from([gamma0, 0.0]) | angle, min_size=depth - 1, max_size=depth - 1))
+        row.append(Schedule(gammas, draw(st.lists(angle, min_size=depth, max_size=depth))))
+    return n, K, lead, draw(st.integers(0, 3)) > 0, draw(st.sampled_from(REGISTERS)), row
+
+
+@given(streamed_rows())
+@settings(max_examples=120, deadline=None)
+def test_streamed_rows_equal_run_ansatz(case):
+    # with MIX_BLOCK patched small, a depth-1 row on a factor streams the
+    # blocks of its leading digit (an (n - 1)-digit `_mix` per block); its
+    # distributions, and a deeper row's, equal run_ansatz's under the
+    # default blocking bit for bit
+    n, K, lead, mirrored, register, row = case
+    model = EnergyModel.for_instance(fleet_instance(n, K, mirrored), register=register)
+    params, parts = model.params, table_parts(model)
+    head = simulator.orbit_labels(params, parts)
+    expected = [exact_distribution(run_ansatz(params, model, schedule)) for schedule in row]
+    digits = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "MIX_BLOCK", params.S ** (n - lead))
+        assert simulator._blocking(params)[0] == lead
+        original = simulator._mix
+        patch.setattr(simulator, "_mix", lambda *args, **kwargs: digits.append(kwargs.get("digits")) or original(*args, **kwargs))
+        dists = [probs.tobytes() for probs in evolve_row(params, parts, row, head)]
+    for probs, reference in zip(dists, expected):
+        assert probs == (reference[params.binary_labels()] if register == "binary" else reference).tobytes()
+    streamed = row[0].p == 1 and row[0].gammas[0] != 0
+    assert (n - 1 in digits) == streamed
+    if streamed:
+        assert digits.count(n - 1) == params.S * len(row)
+
+
+def test_a_streamed_row_holds_its_distribution_and_three_blocks():
+    # n = 6, K = 2, depth 1: the float64 distribution (8 B/label), the
+    # factor on the head (8), and the leading digit's sum, its product with
+    # off and one scratch block (48 / S = 4); a complex state would add 8
+    params = EncodingParams(6, 2)
+    schedules = [Schedule.constant(np.pi, np.pi), Schedule.constant(np.pi, 0.0), Schedule.constant(np.pi, 0.3)]
+    peak = row_peak(params, schedules, table_parts, params.dim("onehot") // 2)
+    assert peak < (8 + 8 + 48 / params.S + 1) * params.dim("onehot")
+
+
+def test_the_benchmark_shapes_keep_their_mixer_path():
+    # perfbench's sweeps: n = 6, K = 2 has leading axes, so its depth-1
+    # rows stream the 12 blocks of the leading digit; n = 4, K = 3 is one
+    # block, mixed whole. n = 7, K = 2 has a one-column slab. A MIX_BLOCK
+    # change that moves any of them shows here first
+    assert simulator._blocking(EncodingParams(6, 2)) == (2, 2)
+    assert simulator._blocking(EncodingParams(4, 3)) == (0, 4)
+    assert simulator._blocking(EncodingParams(7, 2)) == (4, 1)
 
 
 @pytest.mark.parametrize("gammas", [(0.3, 0.7, 0.3), (0.0, -0.0, 0.05), (0.2, 0.2, 1.1)])

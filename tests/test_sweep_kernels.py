@@ -22,6 +22,7 @@ not sweep it.
 
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,54 @@ def test_screen_walks_a_double_just_under_the_bounds_threshold():
     buffers = np.empty(51), np.empty(50), np.empty(50, dtype=bool)
     got = simulator._screen(pix, carry, dn, Doubles(U), *buffers)
     assert got[0] == [49] and repr(got) == repr(full_screen(pix, carry, dn, Doubles(U)))
+
+
+@st.composite
+def crossing_chunks(draw):
+    """A chunk whose remainder runs out inside it, as at the end of a law:
+    p passes 0.5 at a drawn label and climbs to 1 or more after it, with
+    labels spread out before it; its carry and shots left."""
+    m = draw(st.integers(min_value=2, max_value=3 * simulator.PHASE_BLOCK))
+    cross = draw(st.integers(min_value=1, max_value=m - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pix = lognormal(rng, m) * 1e-6
+    carry = pix[:cross].sum() + pix[cross] * draw(st.sampled_from([1.0, 1.5, 1.9]))
+    return pix, carry, draw(st.integers(min_value=1, max_value=60)), draw(st.integers(min_value=0, max_value=2**63 - 1))
+
+
+@given(crossing_chunks())
+@settings(max_examples=200, deadline=None)
+def test_a_chunk_crossing_half_equals_the_full_screen(case):
+    # every label is tested, PHASE_BLOCK thresholds at a time, and the first
+    # p above 0.5 is kept wherever it falls among the blocks
+    pix, carry, dn, seed = case
+    buffers = np.empty(len(pix) + 3), np.empty(len(pix) + 2), np.zeros(len(pix) + 2, dtype=bool)
+    got_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulator._screen(pix, carry, dn, got_rng, *buffers)
+    reference = full_screen(pix, carry, dn, full_rng)
+    assert repr(got) == repr(reference)
+    assert got_rng.random() == full_rng.random()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = pix / np.subtract.accumulate(np.concatenate([[carry], pix]))[:-1]
+    assert np.argmax(~((p > 0.0) & (p <= 0.5))) in got[0]
+
+
+def test_a_chunk_crossing_half_allocates_no_chunk_sized_array():
+    # a draw's last chunk tests every label: p goes into the remainders'
+    # buffer, and the thresholds are made PHASE_BLOCK at a time, so the
+    # screen peaks far below one float64 array of the chunk
+    m = simulator.REPLICA_CHUNK
+    pix = lognormal(np.random.default_rng(5), m) * 1e-6
+    carry = pix[: m - 40].sum() * (1 + 1e-12)
+    buffers = np.empty(m + 1), np.empty(m), np.empty(m, dtype=bool)
+    tracemalloc.start()
+    try:
+        walk, ps, _, _ = simulator._screen(pix, carry, 9, np.random.default_rng(1), *buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(ps) > 0.5 and len(walk) < 1000
+    assert peak < 2 * m
 
 
 def sample_and_reference(probs, shots, seed):
