@@ -23,9 +23,9 @@ mirrored (`orbit_labels`), and reads it a leading digit at a time, the
 labels past the head through their reversed view. A depth-1 row streams
 its one layer over the blocks of the leading digit, so it holds its
 distribution and no complex state. A zero angle is the identity: a gamma-0
-row builds no factor and evolves on one slab and one sub-block, a later
-gamma-0 layer takes no phase pass and a beta-0 layer mixes no axis; the
-full passes could only flip the sign of a zero, which |x|**2 cannot see.
+row builds no factor and evolves on one slab and one sub-block, and a
+beta-0 layer mixes no axis; the full passes could only flip the sign of a
+zero, which |x|**2 cannot see.
 `run_ansatz` is the slow reference, one phase and one
 mixer pass per layer on the whole table, whose squares are the row's
 distributions bit for bit. `sample` replays numpy's multinomial on only
@@ -334,9 +334,9 @@ def orbit_labels(params, parts):
 
 def evolve_row(params, energies, schedules, head=None):
     """Yield the distribution of each schedule, in order, for schedules
-    that all open with the same gamma: |amplitude|**2 of the one-hot
-    state evolved on `energies` (`table_parts`, or the S^n table), squared
-    in the last mixer layer.
+    whose every layer takes the row's one gamma (a ValueError otherwise):
+    |amplitude|**2 of the one-hot state evolved on `energies`
+    (`table_parts`, or the S^n table), squared in the last mixer layer.
 
     The row's factor exp(-i*gamma*E) is built once on the first `head`
     labels (all by default; a sweep passes `orbit_labels`) and read a
@@ -346,23 +346,20 @@ def evolve_row(params, energies, schedules, head=None):
     digit, summed once per row, each block times dg plus that sum times
     off mixed on its other axes in one scratch block (`_mix`) and squared
     into its block of the float64 distribution. Other rows evolve in one
-    work buffer, mixed whole: a later layer of the opening gamma takes the
-    factor, one of another gamma phases anew (`_phases`), a later gamma-0
-    layer takes no phase pass, and the last layer squares into the
-    buffer's float64 view. A beta-0 layer mixes no axis but still takes
-    the factor and the square. A row opening at gamma 0 has no factor;
-    until its first nonzero gamma every slab and sub-block of `_mix`'s
-    blocking holds the same values through the same passes, so those
-    layers run on the first S**max(lead + cols, n - lead) labels, whose
-    label 0 then fills the rest of the buffer, or of the distribution if
-    no gamma follows. Each distribution is overwritten by the next. The
-    caller charges `check_budget` first.
+    work buffer, mixed whole: every layer takes the factor, and the last
+    layer squares into the buffer's float64 view. A beta-0 layer mixes no
+    axis but still takes the factor and the square. A gamma-0 row has no
+    factor; every slab and sub-block of `_mix`'s blocking holds the same
+    values through the same passes, so all its layers run on the first
+    S**max(lead + cols, n - lead) labels, whose label 0 then fills the
+    rest of the distribution. Each distribution is overwritten by the
+    next. The caller charges `check_budget` first.
     """
     S, n, labels = params.S, params.n, params.dim("onehot")
-    gamma0, amp, digit = schedules[0].gammas[0], _amplitude(params), S ** (n - 1)
-    if len({s.gammas[0] for s in schedules}) != 1:
-        raise ValueError("the schedules of a row must open with one gamma")
-    factor = _phases(np.empty(labels if head is None else head, dtype=complex), gamma0, energies) if gamma0 else None
+    gamma, amp, digit = schedules[0].gammas[0], _amplitude(params), S ** (n - 1)
+    if any(g != gamma for s in schedules for g in s.gammas):
+        raise ValueError(f"every layer of a row's schedules must take the row's gamma {gamma}")
+    factor = _phases(np.empty(labels if head is None else head, dtype=complex), gamma, energies) if gamma else None
     lead, cols = _blocking(params)
     prefix, stream = S ** max(lead + cols, n - lead), lead and max(s.p for s in schedules) == 1
     work = np.empty(-(-labels // 2) if stream else labels, dtype=complex)
@@ -379,12 +376,11 @@ def evolve_row(params, energies, schedules, head=None):
         return out
 
     for schedule in schedules:
-        uniform = 0 if gamma0 else next((layer for layer, gamma in enumerate(schedule.gammas) if gamma), schedule.p)
-        if uniform:
+        if not gamma:
             work[:prefix] = amp
-        for layer, (gamma, beta) in enumerate(zip(schedule.gammas, schedule.betas)):
+        for layer, beta in enumerate(schedule.betas):
             last, beta = layer == schedule.p - 1, None if beta == 0 else beta
-            if layer < uniform:
+            if not gamma:
                 _mix(work[:prefix], params, beta, last)
             elif stream:
                 if beta is not None:
@@ -402,15 +398,9 @@ def evolve_row(params, energies, schedules, head=None):
                         block += shift
                     _mix(block, params, beta, True, out=probs[lo : lo + digit], digits=n - 1)
             else:
-                if gamma and gamma == gamma0:
-                    times_factor(work if layer else amp, work)
-                else:
-                    if layer == uniform:
-                        work[prefix:] = work[0]
-                    if gamma:
-                        _phases(work, gamma, energies, True)
+                times_factor(work if layer else amp, work)
                 _mix(work, params, beta, last)
-        if uniform == schedule.p:
+        if not gamma:
             probs[prefix:] = probs[0]
         yield probs
 

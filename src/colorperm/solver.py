@@ -47,7 +47,7 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import depot_legs, energy_components, table_parts
-from .simulator import MEMORY_BUDGET, AmplitudeBudgetError, Schedule, check_budget, evolve_row, head_labels, orbit_labels, sample
+from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, head_labels, orbit_labels, sample
 
 SCORE_TOL = 1e-9
 # Bytes a `brute` run holds per customer position of each gathered timeline,
@@ -443,8 +443,8 @@ def phqc(
     sweep is available through `phqc_histogram`. Refuses runs over the
     memory budget, with one charge per thread that gets a gamma row and
     its schedules, before building the table's parts, any state or any
-    schedule, and parts charged as their head (`head_labels`) that are not
-    mirrored.
+    schedule; parts charged as their head (`head_labels`) that are not
+    mirrored (`orbit_labels`) are charged again on every label.
     """
     if not 1 <= shots_per_point < 2**63:
         raise ValueError(f"need 1 <= shots_per_point < 2**63, not {shots_per_point}")
@@ -462,7 +462,7 @@ def phqc(
     parts = table_parts(model)
     head = orbit_labels(params, parts)
     if head > head_labels(params, model.inst):
-        raise AmplitudeBudgetError(f"the energy table of {model.inst.name} differs from its vehicle-reversed view, over its charge")
+        charge_sweep(params, grid, depth, jobs)
     betas = grid.betas
 
     def grid_row(row):
@@ -526,12 +526,12 @@ def phqc_histogram(result, params):
 
 
 def p_star(inst, model, gamma, beta, depth=1, exact=None):
-    """Exact optimal feasible mass of the depth-p state at (gamma, beta)."""
+    """Exact optimal feasible mass of the depth-p state at (gamma, beta),
+    once `check_budget` admits it and its schedule, before the oracle runs."""
+    check_budget(model.params, layers=depth)
     if exact is None:
         exact = exact_solve(inst, model)
     if not exact.optimal_assignments:
         return 0.0
-    schedule = Schedule.constant(gamma, beta, depth)
-    check_budget(model.params)
-    (probs,) = evolve_row(model.params, table_parts(model), [schedule])
+    (probs,) = evolve_row(model.params, table_parts(model), [Schedule.constant(gamma, beta, depth)])
     return float(probs[np.asarray(exact.optimal_labels(model.params), dtype=np.int64)].sum())

@@ -798,21 +798,76 @@ def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, 
     assert len(err.splitlines()) == 1 and not out.exists()
 
 
-def test_a_head_charged_table_that_is_not_mirrored_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json):
-    # exA is charged its head; parts one ulp off their mirror cannot keep it:
-    # the last pair of multisets, all on vehicle 2, against those on vehicle 1
-    def parts(model):
-        built = hamiltonian.table_parts(model)
-        pair = built.pair.copy()
-        pair[-1, -1] = np.nextafter(pair[-1, -1], np.inf)
-        return dataclasses.replace(built, pair=pair)
+def rows_held(monkeypatch):
+    """Record the labels each sweep row's factor holds, and a copy of each
+    distribution it yields with its schedule."""
+    held, dists = [], []
 
-    monkeypatch.setattr(solver, "table_parts", parts)
+    def row(params, parts, schedules, head):
+        held.append(head)
+        for schedule, probs in zip(schedules, simulator.evolve_row(params, parts, schedules, head)):
+            dists.append((schedule, probs.copy()))
+            yield probs
+
+    monkeypatch.setattr(solver, "evolve_row", row)
+    return held, dists
+
+
+def off_mirror_parts(model):
+    """exA's parts one ulp off their mirror: the last pair of multisets, all
+    on vehicle 2, against those on vehicle 1."""
+    built = hamiltonian.table_parts(model)
+    pair = built.pair.copy()
+    pair[-1, -1] = np.nextafter(pair[-1, -1], np.inf)
+    return dataclasses.replace(built, pair=pair)
+
+
+def test_a_head_charged_table_that_is_not_mirrored_is_charged_every_label(tmp_path, monkeypatch, exa_json):
+    # exA is charged its head; parts off their mirror cannot keep it, so the
+    # sweep is charged again on every label and, admitted, holds each row's
+    # factor on all of them
+    monkeypatch.setattr(solver, "table_parts", off_mirror_parts)
+    held, _ = rows_held(monkeypatch)
+    out = tmp_path / "run.json"
+    assert main(["solve", "--instance", exa_json, "--grid-points", "2", "--out", str(out)]) == 0
+    assert held == [216, 216] and out.exists()
+
+
+def test_a_head_charged_table_that_is_not_mirrored_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json):
+    # a budget one byte below the charge on every label, and above the head's
+    # (two layers in one thread, the table's and the factor's bytes left out
+    # on the 108 labels past the head): check_budget's line is the one refusal
+    monkeypatch.setattr(solver, "table_parts", off_mirror_parts)
+    held, _ = rows_held(monkeypatch)
+    need = BYTES_PER_AMPLITUDE * 216 + SCHEDULE_BYTES * 2 + EDGE_BYTES * 36
+    assert need - (simulator.TABLE_BYTES + simulator.FACTOR_BYTES) * 108 < need - 1
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", need - 1)
     out = tmp_path / "run.json"
     assert main(["solve", "--instance", exa_json, "--grid-points", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: the energy table of exa differs from its vehicle-reversed view, over its charge\n"
-    assert not out.exists()
+    assert err == (
+        f"error: a onehot run on 216 labels and 2 schedule layers in 1 thread, with its 6 x 6 edge matrix,"
+        f" needs about {need} bytes, over the memory budget of {need - 1} bytes\n"
+    )
+    assert held == [] and not out.exists()
+
+
+def test_capacity_penalties_past_2_53_that_miss_their_mirror_still_run(tmp_path, monkeypatch):
+    # demands near 10^12 (their total below 2**53) on K = 3 vehicles of one
+    # capacity: the squared overloads round differently when the vehicles
+    # add in reversed order, so the parts miss their mirror and every row
+    # holds its factor on all 729 labels, to run_ansatz's distributions
+    path = tmp_path / "k3.json"
+    record = {"W": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "d": [1259697105427, 2103708207250, 552261955215], "Q": [862918], "K": 3}
+    path.write_text(json.dumps(record))
+    model = hamiltonian.EnergyModel.for_instance(load_instance(path))
+    params = model.params
+    assert simulator.orbit_labels(params, hamiltonian.table_parts(model)) == 729 > simulator.head_labels(params, model.inst) == 486
+    held, dists = rows_held(monkeypatch)
+    assert main(["solve", "--instance", str(path), "--grid-points", "3", "--out", str(tmp_path / "run.json")]) == 0
+    assert held == [729] * 3 and len(dists) == 9
+    for schedule, probs in dists:
+        assert probs.tobytes() == simulator.exact_distribution(simulator.run_ansatz(params, model, schedule)).tobytes()
 
 
 def test_solve_charges_the_edge_matrix_before_the_energy_table(tmp_path, capsys, monkeypatch):

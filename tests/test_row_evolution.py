@@ -10,11 +10,12 @@ must equal exp(-i*gamma*E) bit for bit on every label, whether or not the
 labels past its head read their vehicle-reversed partners, and the parts'
 mirror verdict must imply the S^n table's; a gamma-0 row run on one slab
 and one sub-block must equal run_ansatz bit for bit.
-A sweep evolves each gamma row from one shared first phase layer; its
-records, best and histogram must equal a per-point run_ansatz loop, for
-any thread count, in one process. Either register samples the one-hot
-state, with its phases from one energy table. The memory ceiling, charged
-per thread, refuses a run before allocating or starting a pool.
+A sweep evolves each gamma row, whose every layer takes its one gamma (a
+row with a layer of another is refused), from one shared first phase
+layer; its records, best and histogram must equal a per-point run_ansatz
+loop, for any thread count, in one process. Either register samples the
+one-hot state, with its phases from one energy table. The memory ceiling,
+charged per thread, refuses a run before allocating or starting a pool.
 """
 
 import dataclasses
@@ -120,7 +121,7 @@ def test_row_states_equal_run_ansatz(exA, params3, register):
     schedules = [
         Schedule.constant(0.04, 0.3),
         Schedule.constant(0.04, 1.9, p=2),
-        Schedule((0.04, 0.07), (2.5, 0.6)),
+        Schedule((0.04, 0.04), (2.5, 0.6)),
         Schedule.constant(0.04, 0.0),
     ]
     # each yielded distribution is overwritten by the next, so keep copies
@@ -143,35 +144,34 @@ def seeded_instance(n):
     return Instance(f"n{n}k2", n, 2, d, [sum(d)] * 2, W, legs, legs)
 
 
-# Rows of one opening gamma, with depths 1 to 3 and mixed gammas. The last
-# schedule of "factor-last" has no later layer of the opening gamma; that of
-# "work-last" multiplies by the factor again. Both evolve in the work buffer.
-# A zero angle is the identity: "gamma-0" builds no factor (its schedules
-# open at 0.0 and -0.0), "zero-later" skips the phase pass of its later
-# gamma-0 layers, and the beta-0 layers of both mix no axis. run_ansatz
-# takes every pass at every angle, so it checks the skips bit for bit.
+# Rows of one gamma, at depths 1 to 3 with per-layer betas. The last
+# schedule of "factor-last" is one layer, the uniform amplitude times the
+# factor, after deeper schedules left the work buffer; that of "work-last"
+# multiplies the work buffer by the factor again. A zero angle is the
+# identity: "gamma-0" builds no factor (its layers take 0.0 and -0.0), and
+# the beta-0 layers mix no axis. run_ansatz takes every pass at every angle,
+# so it checks the skips bit for bit.
 ROWS = {
     "gamma-0": [
         Schedule.constant(0.0, 0.0),
         Schedule.constant(-0.0, 0.3),
-        Schedule((0.0, 0.07), (0.0, 0.6)),
-        Schedule((-0.0, 0.07, 0.0), (2.5, -0.0, 1.3)),
+        Schedule((0.0, -0.0), (0.0, 0.6)),
+        Schedule((-0.0, 0.0, -0.0), (2.5, -0.0, 1.3)),
         Schedule.constant(0.0, 1.9, p=3),
     ],
-    "zero-later": [
-        Schedule((0.04, 0.0), (0.0, 0.6)),
-        Schedule((0.04, -0.0, 0.04), (0.3, 0.0, -0.0)),
-        Schedule.constant(0.04, 0.0, p=2),
-        Schedule((0.04, 0.0, 0.07), (1.1, 2.2, 0.0)),
+    "gamma-pi": [
+        Schedule.constant(np.pi, np.pi),
+        Schedule((np.pi, np.pi), (0.0, np.pi)),
+        Schedule((np.pi,) * 3, (np.pi, 0.4, 0.0)),
     ],
     "factor-last": [
         Schedule.constant(0.04, 0.3),
         Schedule.constant(0.04, 1.9, p=2),
-        Schedule((0.04, 0.07, 0.04), (2.5, 0.6, 1.3)),
+        Schedule((0.04,) * 3, (2.5, 0.0, 1.3)),
         Schedule.constant(0.04, 0.7, p=3),
-        Schedule((0.04, 0.07), (0.9, 0.2)),
+        Schedule.constant(0.04, np.pi),
     ],
-    "work-last": [Schedule((0.04, 0.07), (2.5, 0.6)), Schedule.constant(0.04, 1.1, p=3)],
+    "work-last": [Schedule((0.04, 0.04), (2.5, np.pi)), Schedule((0.04,) * 3, (1.1, 0.0, 1.1))],
 }
 
 
@@ -193,16 +193,14 @@ def test_multiblock_row_distributions_equal_run_ansatz(n, register, row):
 
 
 # n = 6, K = 2: 12^6 labels, two leading axes and a 20,736-label prefix, so
-# a gamma-0 row evolves one slab and one sub-block until its first nonzero
-# gamma: all gamma 0, 0 then 0.3, and 0 -> 0.3 -> 0, at betas 0 and pi
+# a gamma-0 row evolves one slab and one sub-block at depths 1 to 3, at
+# betas 0 and pi
 PREFIX_ROW = [
     Schedule.constant(0.0, np.pi),
     Schedule.constant(0.0, 0.0),
-    Schedule((0.0, 0.0), (0.0, np.pi)),
+    Schedule((0.0, -0.0), (0.0, np.pi)),
     Schedule.constant(-0.0, np.pi, p=3),
-    Schedule((0.0, 0.3), (np.pi, 0.0)),
-    Schedule((0.0, 0.0, 0.3), (0.0, np.pi, np.pi)),
-    Schedule((0.0, 0.3, 0.0), (np.pi, np.pi, np.pi)),
+    Schedule((0.0,) * 3, (np.pi, 0.0, np.pi)),
 ]
 
 
@@ -364,16 +362,16 @@ head_case = functools.cache(factor_case)
 @st.composite
 def head_rows(draw):
     """A table of FACTOR_TABLES or a mirrored one, at n <= 5, and a row of
-    one to three schedules (depths 1-3) whose later gammas are the opening
-    one, 0 or any other, with angles that include 0 and pi."""
+    one to three schedules (depths 1-3) of one gamma, whose zero layers
+    take 0.0 or -0.0, with angles that include 0 and pi."""
     table = draw(st.sampled_from([t for t in FACTOR_TABLES if t != "n6k2"] + ["seeded-n5", "seeded-n4-k4"]))
     angle = st.sampled_from([0.0, -0.0, np.pi]) | st.floats(-4.0, 4.0, allow_nan=False)
-    gamma0 = draw(angle)
+    gamma = draw(angle)
+    layer = st.sampled_from([0.0, -0.0]) if gamma == 0 else st.just(gamma)
     row = []
     for _ in range(draw(st.integers(1, 3))):
         depth = draw(st.integers(1, 3))
-        gammas = [gamma0] + draw(st.lists(st.sampled_from([gamma0, 0.0]) | angle, min_size=depth - 1, max_size=depth - 1))
-        row.append(Schedule(gammas, draw(st.lists(angle, min_size=depth, max_size=depth))))
+        row.append(Schedule(draw(st.lists(layer, min_size=depth, max_size=depth)), draw(st.lists(angle, min_size=depth, max_size=depth))))
     return table, row
 
 
@@ -381,7 +379,7 @@ def head_rows(draw):
 @settings(max_examples=60, deadline=None)
 def test_row_distributions_from_the_head_equal_run_ansatz(case):
     # a row on mirrored parts holds its factor on their head alone, any
-    # other on every label; a later gamma phases every label anew
+    # other on every label
     table, row = case
     model, parts, mirrored = head_case(table)
     params = model.params
@@ -395,15 +393,15 @@ def test_row_distributions_from_the_head_equal_run_ansatz(case):
             assert probs == exact_distribution(run_ansatz(params, model, schedule)).tobytes()
 
 
-def test_a_head_phases_a_later_gamma_anew(monkeypatch):
-    # a layer of another gamma phases every label from the parts, seven
-    # labels at a time here, beside a factor on the head or without one
+def test_a_head_factor_built_seven_labels_at_a_time_equals_run_ansatz(monkeypatch):
+    # the factor is built from the parts seven labels at a time here, on the
+    # head, and taken in every layer; a gamma-0 row builds none
     monkeypatch.setattr(simulator, "PHASE_BLOCK", 7)
     model = EnergyModel.for_instance(seeded_instance(3))
     parts = table_parts(model)
     head = simulator.orbit_labels(model.params, parts)
     assert head == model.params.dim("onehot") // 2
-    for row in ([Schedule((0.3, 0.7), (0.4, 0.5)), Schedule((0.3, 0.0, -1.1), (0.4, 0.5, 2.0))], [Schedule((0.0, 0.3), (0.4, 0.5))]):
+    for row in ([Schedule((0.3, 0.3), (0.4, 0.5)), Schedule((0.3,) * 3, (0.4, 0.0, 2.0))], [Schedule((0.0, -0.0), (0.4, 0.5))]):
         for probs, schedule in zip(evolve_row(model.params, parts, row, head), row):
             assert probs.tobytes() == exact_distribution(run_ansatz(model.params, model, schedule)).tobytes()
 
@@ -452,8 +450,8 @@ def test_a_sweep_row_at_n6_holds_no_table():
         assert tracemalloc.get_traced_memory()[1] - kept < (8 + 4) * labels
         del factor
         tracemalloc.reset_peak()
-        # a row that multiplies its factor in, and one layer that phases anew
-        for _ in evolve_row(params, parts, [Schedule.constant(np.pi, np.pi), Schedule((np.pi, 0.3), (np.pi, 0.0))], head):
+        # a row that multiplies its factor in at depths 1 and 2
+        for _ in evolve_row(params, parts, [Schedule.constant(np.pi, np.pi), Schedule((np.pi, np.pi), (np.pi, 0.0))], head):
             pass
         assert tracemalloc.get_traced_memory()[1] - kept < (8 + 16 + 4) * labels
     finally:
@@ -469,18 +467,19 @@ def test_a_row_holds_its_distributions_in_its_state_buffers():
     peak = row_peak(params, constant)
     assert peak <= WORKER_BYTES * params.dim("onehot")
     assert peak < (16 + 16 + 8) * params.dim("onehot")
-    # later layers of another gamma are phased a cache-sized chunk at a time
-    changing = [Schedule((0.04, 0.07), (0.3, 0.6)), Schedule((0.04, 0.07), (1.9, 0.2))]
-    assert row_peak(params, changing) <= WORKER_BYTES * params.dim("onehot")
+    # per-layer betas, 0 and pi among them, keep the same two buffers
+    varying = [Schedule((0.04, 0.04), (0.3, 0.0)), Schedule((0.04, 0.04), (np.pi, 0.2))]
+    peak = row_peak(params, varying)
+    assert peak <= WORKER_BYTES * params.dim("onehot")
+    assert peak < (16 + 16 + 8) * params.dim("onehot")
 
 
 def test_a_gamma_0_row_allocates_no_phase_factor():
     # a row with a factor holds two 16-byte buffers per label; this one
-    # holds its work buffer alone, also when a later layer phases anew.
-    # At n = 6 its slab, sub-block and phase chunk take 0.2 B/label, so
-    # any other S^n array, even a bool one, would cross 17.
+    # holds its work buffer alone. At n = 6 its slab and sub-block take
+    # 0.2 B/label, so any other S^n array, even a bool one, would cross 17.
     params = EncodingParams(6, 2)
-    schedules = [Schedule.constant(0.0, 0.3, p=2), Schedule((-0.0, 0.07), (1.9, 0.2))]
+    schedules = [Schedule.constant(0.0, 0.3, p=2), Schedule((-0.0, 0.0), (1.9, 0.2))]
     assert row_peak(params, schedules) < 17 * params.dim("onehot")
 
 
@@ -498,17 +497,17 @@ def streamed_rows(draw):
     """A shape at n = 3-5, K = 1-5 of at most 10^5 labels, a MIX_BLOCK
     that gives it 1 to n - 2 leading axes, mirrored parts or not, a
     register, and a row of one to three schedules of one depth, 1 (which
-    streams) or 2, opening at one gamma (0 or not), with angles that
-    include 0 and pi."""
+    streams) or 2, of one gamma (0 or not), with angles that include 0 and
+    pi."""
     n, K = draw(st.sampled_from([(n, K) for n in (3, 4, 5) for K in range(1, 6) if (n * K) ** n <= 10**5]))
     lead = draw(st.integers(1, n - 2))
     angle = st.sampled_from([0.0, -0.0, np.pi]) | st.floats(-4.0, 4.0, allow_nan=False)
     # mostly a factor, on mirrored parts: the head's reversed view is read
-    gamma0, depth = draw(st.sampled_from([np.pi, 0.7]) | angle), draw(st.integers(1, 2))
+    gamma, depth = draw(st.sampled_from([np.pi, 0.7]) | angle), draw(st.integers(1, 2))
+    layer = st.sampled_from([0.0, -0.0]) if gamma == 0 else st.just(gamma)
     row = []
     for _ in range(draw(st.integers(1, 3))):
-        gammas = [gamma0] + draw(st.lists(st.sampled_from([gamma0, 0.0]) | angle, min_size=depth - 1, max_size=depth - 1))
-        row.append(Schedule(gammas, draw(st.lists(angle, min_size=depth, max_size=depth))))
+        row.append(Schedule(draw(st.lists(layer, min_size=depth, max_size=depth)), draw(st.lists(angle, min_size=depth, max_size=depth))))
     return n, K, lead, draw(st.integers(0, 3)) > 0, draw(st.sampled_from(REGISTERS)), row
 
 
@@ -561,22 +560,38 @@ def test_the_benchmark_shapes_keep_their_mixer_path():
 
 @pytest.mark.parametrize("gammas", [(0.3, 0.7, 0.3), (0.0, -0.0, 0.05), (0.2, 0.2, 1.1)])
 def test_mixed_gamma_ansatz_equals_the_layer_chain(exA, params3, gammas):
-    # run_ansatz is the layer chain; the row reuses its factor for layers
-    # with the opening gamma and phases the others anew, to the same distribution
+    # run_ansatz is the layer chain, whatever gamma each layer takes
     model = EnergyModel.for_instance(exA)
     schedule = Schedule(gammas, (0.4, 2.2, 1.3))
     state = initial_state(params3)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
         state = apply_mixer(apply_phase(state, gamma, model), beta)
     assert run_ansatz(params3, model, schedule).amplitudes.tobytes() == state.amplitudes.tobytes()
-    (probs,) = evolve_row(params3, energy_table(model), [schedule])
-    assert probs.tobytes() == exact_distribution(state).tobytes()
 
 
 def test_row_needs_one_first_gamma(exA, params3):
     model = EnergyModel.for_instance(exA)
     with pytest.raises(ValueError):
         list(evolve_row(params3, energy_table(model), [Schedule.constant(0.1, 0.2), Schedule.constant(0.2, 0.2)]))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [Schedule((0.3, 0.7), (0.4, 0.5))],
+        [Schedule((0.0, 0.05), (0.4, 0.5))],
+        [Schedule((0.2, 0.0), (0.4, 0.5))],
+        [Schedule.constant(0.3, 0.4, p=2), Schedule((0.3, 0.3, 1.1), (0.4, 2.2, 1.3))],
+    ],
+    ids=["later", "after-zero", "to-zero", "second-schedule"],
+)
+def test_a_row_whose_later_layer_changes_gamma_is_refused(exA, params3, row):
+    # every layer of a row takes its one gamma; no distribution is yielded
+    # for a row with a layer of another, even after schedules that have none
+    model = EnergyModel.for_instance(exA)
+    dists = evolve_row(params3, energy_table(model), row)
+    with pytest.raises(ValueError, match="the row's gamma"):
+        next(dists)
 
 
 def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):

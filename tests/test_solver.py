@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from colorperm import solver
+from colorperm import simulator, solver
 from colorperm.encoding import REGISTERS, EncodingParams, assignment_label, label_assignment, label_to_onehot
 from colorperm.feasibility import (
     OK,
@@ -30,6 +30,7 @@ from colorperm.hamiltonian import (
     energy_total,
 )
 from colorperm.instances import Instance, PdpInstance
+from colorperm.simulator import BYTES_PER_AMPLITUDE, EDGE_BYTES, SCHEDULE_BYTES, AmplitudeBudgetError
 from colorperm.solver import (
     ExactSolution,
     GridSpec,
@@ -180,6 +181,27 @@ def test_p_star_all_infeasible(exA):
     starved = Instance("starved", 3, 2, exA.d, [0, 0], exA.W, exA.dep_to, exA.to_dep)
     model = EnergyModel.for_instance(starved)
     assert p_star(starved, model, 0.1, 0.2) == 0.0
+
+
+def test_p_star_charges_its_layers_before_the_oracle_or_the_schedule(exA, monkeypatch):
+    # exA's 216 labels in one thread, 1,000 layers and the 6 x 6 edge
+    # matrix: one byte below that charge, neither the oracle runs nor the
+    # schedule is built; at the charge itself the oracle is next
+    depth = 1000
+    need = BYTES_PER_AMPLITUDE * 216 + SCHEDULE_BYTES * depth + EDGE_BYTES * 36
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(solver, "exact_solve", built)
+    monkeypatch.setattr(solver, "Schedule", built)
+    model = EnergyModel.for_instance(exA)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", need - 1)
+    with pytest.raises(AmplitudeBudgetError, match=f"and {depth} schedule layers in 1 thread"):
+        p_star(exA, model, 0.1, 0.2, depth=depth)
+    monkeypatch.setattr(simulator, "MEMORY_BUDGET", need)
+    with pytest.raises(AssertionError, match="before the budget check"):
+        p_star(exA, model, 0.1, 0.2, depth=depth)
 
 
 def run_sweep(exA, params3, **kw):
