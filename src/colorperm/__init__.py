@@ -71,8 +71,6 @@ from .simulator import (
     EncodedState,
     SampleSet,
     Schedule,
-    apply_mixer,
-    apply_phase,
     block_mixer_matrix,
     exact_distribution,
     initial_state,

@@ -215,10 +215,19 @@ def _model(cfg, inst):
     return EnergyModel.for_instance(inst, weights, register=cfg["register"])
 
 
-def _sweep(cfg, inst, model, grid, exact):
-    """The configured sweep of `grid`, shared by solve and bench. Returns
-    the PhqcResult and whether its best sample's objective matches the
-    exact optimum (None without a reference)."""
+def _admit(cfg, model):
+    """The points per axis of the sweep's default grid (--grid-points, or
+    S + 1) and its admission (`charge_sweep`), made before the grid is built."""
+    points = cfg["grid_points"] or model.params.S + 1
+    return points, charge_sweep(model, (points, points), cfg["depth"], cfg["jobs"])
+
+
+def _sweep(cfg, inst, model, exact, admitted):
+    """The sweep `_admit` admitted, shared by solve and bench. Returns its
+    grid, the PhqcResult and whether its best sample's objective matches
+    the exact optimum (None without a reference)."""
+    points, admission = admitted
+    grid = GridSpec.default(model.params, points)
     shots = cfg["shots"] if cfg["shots"] is not None else default_shots(model.params, cfg["shots_rule"])
     result = phqc(
         inst,
@@ -230,6 +239,7 @@ def _sweep(cfg, inst, model, grid, exact):
         score=cfg["score"],
         jobs=cfg["jobs"],
         exact_reference=exact,
+        admission=admission,
     )
     match = None
     if exact is not None:
@@ -238,18 +248,17 @@ def _sweep(cfg, inst, model, grid, exact):
             and exact.optimal_cost is not None
             and abs(result.best_objective - exact.optimal_cost) <= SCORE_TOL
         )
-    return result, match
+    return grid, result, match
 
 
 def cmd_solve(cfg):
     inst = _load(cfg)
     model = _model(cfg, inst)
     params = model.params
-    grid = GridSpec.default(params, cfg["grid_points"])
-    # the sweep is charged first: the oracle can take a minute before the sweep refuses
-    charge_sweep(params, grid, cfg["depth"], cfg["jobs"], inst)
+    # admitted first: the oracle can take a minute before a refusal
+    admitted = _admit(cfg, model)
     exact = None if cfg["no_reference"] else exact_solve(inst, model)
-    result, match = _sweep(cfg, inst, model, grid, exact)
+    grid, result, match = _sweep(cfg, inst, model, exact, admitted)
     echo = _config_echo(cfg, "solve")
     record = {
         "config": echo,
@@ -473,7 +482,7 @@ def cmd_bench(cfg):
                 if model.params.dim("onehot") > cfg["phqc_budget"]:
                     row["phqc_best"] = "budget-exceeded"
                 else:
-                    result, match = _sweep(cfg, inst, model, GridSpec.default(model.params, cfg["grid_points"]), exact)
+                    _, result, match = _sweep(cfg, inst, model, exact, _admit(cfg, model))
                     if result.best_score is not None:
                         row["phqc_best"] = repr(result.best_score)
                         if match is not None:

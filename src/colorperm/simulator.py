@@ -55,8 +55,8 @@ from .hamiltonian import energy_table
 # energy table once (8 bytes; a sweep holds `table_parts` and slack), and in
 # each thread its work buffer and row factor (16 each; a streamed depth-1 row
 # holds its float64 distribution and three S^(n-1) blocks in the buffer's
-# place) and numpy's counts if a draw falls back (8); a sweep charges
-# `head_labels` only for the table and factors. A sweep's VmHWM above the
+# place) and numpy's counts if a draw falls back (8); a sweep charges the
+# table and factors on its head only (`orbit_labels`). A sweep's VmHWM above the
 # import (`--grid-points 4`), at depths 1 and 2, is 24.0 and 28.2 (n = 6,
 # K = 2), 30.2 and 36.5 (n = 5, K = 5, one draw falling back) bytes per label
 # in one thread, 44.9/52.8 and 51.3/63.4 in two, 32.1 and 36.2 in one with a
@@ -64,7 +64,11 @@ from .hamiltonian import energy_table
 # n = 8, K = 1 (66.1 at depth 2 in two); the other S^n entries peak at 40.3
 # (`apply_phase`) or lower and pay the one-thread charge. A Schedule peaks at
 # 66 bytes per layer while built (tracemalloc, depth 10**6), and the S x S
-# edge matrix (`edge_cost_matrix`) at 25.0 per entry.
+# edge matrix (`edge_cost_matrix`) at 25.0 per entry. A grid axis point peaks
+# at 158 bytes as `solve` builds both axes and writes them to run.json
+# (tracemalloc, 10**6 points per axis), and a 4-label `solve` at 422-470
+# bytes per grid point in one thread and 508-612 in two (its records, the
+# rows the threads return and its CSV rows; 10**4 to 4 * 10**4 points).
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 40
@@ -72,6 +76,8 @@ FACTOR_BYTES = 16
 BYTES_PER_AMPLITUDE = TABLE_BYTES + WORKER_BYTES
 SCHEDULE_BYTES = 66
 EDGE_BYTES = 25
+AXIS_BYTES = 160
+POINT_BYTES = 640
 # Mixer blocks in amplitudes (512 KiB); `_phases` blocks, whose temporaries
 # (numpy's 64 KiB cast buffer the largest) stay below glibc's 128 KiB mmap
 # threshold; `_replica` chunks, and the labels per shot from which it beats
@@ -126,17 +132,19 @@ class Schedule:
         return cls((gamma,) * p, (beta,) * p)
 
 
-def check_budget(params, register="onehot", workers=1, layers=0, inst=None):
+def check_budget(params, register="onehot", workers=1, layers=0, head=None, grid=(0, 0)):
     """Refuse work that would need more than MEMORY_BUDGET bytes. Any S^n
     work is charged, per S^n label, the table once and WORKER_BYTES in
     each of `workers` threads, less the table's and each factor's bytes
-    on the labels past `inst`'s `head_labels`, plus BYTES_PER_AMPLITUDE
-    per label of a relabelled binary state, SCHEDULE_BYTES in each thread
-    per layer of its schedules and EDGE_BYTES per S x S edge entry."""
+    on the labels past the first `head` (every label by default), plus
+    BYTES_PER_AMPLITUDE per label of a relabelled binary state,
+    SCHEDULE_BYTES in each thread per layer of its schedules, EDGE_BYTES
+    per S x S edge entry, and for a (rows, columns) `grid` AXIS_BYTES per
+    axis point and POINT_BYTES per grid point."""
     labels = params.dim("onehot")
-    need = (TABLE_BYTES + WORKER_BYTES * workers) * labels + SCHEDULE_BYTES * layers * workers
-    need -= (TABLE_BYTES + FACTOR_BYTES * workers) * (labels - head_labels(params, inst))
-    need += EDGE_BYTES * params.S**2
+    held = labels if head is None else head
+    need = (TABLE_BYTES + FACTOR_BYTES * workers) * held + (WORKER_BYTES - FACTOR_BYTES) * workers * labels
+    need += SCHEDULE_BYTES * layers * workers + EDGE_BYTES * params.S**2 + AXIS_BYTES * sum(grid) + POINT_BYTES * math.prod(grid)
     if register != "onehot":
         need += BYTES_PER_AMPLITUDE * params.dim(register)
     if need > MEMORY_BUDGET:
@@ -307,13 +315,6 @@ def _digit_block(params, factor, d):
     K, n = params.K, params.n
     (k, c), held = divmod(d, n), factor.reshape((-1, n) + (K, n) * (n - 1))
     return held[k, c] if k < len(held) else held[K - 1 - k, c][REVERSED * (n - 1)]
-
-
-def head_labels(params, inst=None):
-    """The labels of `inst`'s table a sweep is charged: its head (`orbit_labels`)
-    when the vehicles are interchangeable (one capacity, 1-D legs), else all."""
-    shared = inst is not None and inst.uniform_capacity() is not None and inst.dep_to.ndim == inst.to_dep.ndim == 1
-    return params.dim("onehot") // params.K * (-(-params.K // 2) if shared else params.K)
 
 
 def orbit_labels(params, parts):

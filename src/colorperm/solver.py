@@ -47,7 +47,7 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import depot_legs, energy_components, table_parts
-from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, head_labels, orbit_labels, sample
+from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, orbit_labels, sample
 
 SCORE_TOL = 1e-9
 # Bytes a `brute` run holds per customer position of each gathered timeline,
@@ -410,16 +410,24 @@ def _grid_point(model, probs, register, gamma, beta, shots, base_seed, index, sc
     return record, local_best, feasible_bits
 
 
-def charge_sweep(params, grid, depth, jobs, inst=None):
-    """The threads a sweep of `grid` at `depth` runs its gamma rows on:
+def charge_sweep(model, shape, depth, jobs):
+    """Admit a sweep of a (gamma rows, betas) grid `shape` at `depth`
+    before its grid, any row or the oracle is built; return its threads,
+    its `table_parts` and the labels each row's factor holds. Threads:
     `jobs`, but no more than its gamma rows or the machine's CPUs (past
-    either, a thread adds a state and no speed), once `check_budget`
-    admits one charge per thread, each holding one row's state (whose
-    buffer ends as its distribution), factor and schedules, on `inst`'s
-    `head_labels`."""
-    workers = min(jobs, len(grid.gammas), os.cpu_count() or 1)
-    check_budget(params, "onehot", workers=workers, layers=depth * len(grid.betas), inst=inst)
-    return workers
+    either, a thread adds a state and no speed). `check_budget` charges
+    each thread a row's state, factor and schedules, and the sweep its grid:
+    on the vehicle-orbit head, the least a sweep holds, before the parts
+    are built (its table charge holds them), then on the head the parts
+    decide (`orbit_labels`)."""
+    params, (rows, betas) = model.params, shape
+    workers = min(jobs, rows, os.cpu_count() or 1)
+    least = params.dim("onehot") // params.K * -(-params.K // 2)
+    check_budget(params, "onehot", workers, depth * betas, least, shape)
+    parts = table_parts(model)
+    head = orbit_labels(params, parts)
+    check_budget(params, "onehot", workers, depth * betas, head, shape)
+    return workers, parts, head
 
 
 def phqc(
@@ -432,6 +440,7 @@ def phqc(
     score="objective",
     jobs=1,
     exact_reference=None,
+    admission=None,
 ):
     """Grid sweep with feasibility filtering and strict-minimum scoring.
 
@@ -440,11 +449,11 @@ def phqc(
     When `exact_reference` (an ExactSolution) is given, per-point records
     also carry optimal-hit counts and the exact optimal mass of the
     prepared state. The histogram of all feasible samples pooled over the
-    sweep is available through `phqc_histogram`. Refuses runs over the
-    memory budget, with one charge per thread that gets a gamma row and
-    its schedules, before building the table's parts, any state or any
-    schedule; parts charged as their head (`head_labels`) that are not
-    mirrored (`orbit_labels`) are charged again on every label.
+    sweep is available through `phqc_histogram`. The sweep runs on the
+    threads, parts and head of its `admission`, which `charge_sweep`
+    returned for this grid, depth and `jobs`; without one, `charge_sweep`
+    admits it here, and refuses runs over the memory budget before any
+    state or schedule is built.
     """
     if not 1 <= shots_per_point < 2**63:
         raise ValueError(f"need 1 <= shots_per_point < 2**63, not {shots_per_point}")
@@ -453,16 +462,12 @@ def phqc(
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, not {jobs}")
     params = model.params
-    workers = charge_sweep(params, grid, depth, jobs, model.inst)
+    workers, parts, head = admission or charge_sweep(model, (len(grid.gammas), len(grid.betas)), depth, jobs)
     optimal_labels = None
     optimal_cost = None
     if exact_reference is not None and exact_reference.optimal_assignments:
         optimal_labels = exact_reference.optimal_labels(params)
         optimal_cost = exact_reference.optimal_cost
-    parts = table_parts(model)
-    head = orbit_labels(params, parts)
-    if head > head_labels(params, model.inst):
-        charge_sweep(params, grid, depth, jobs)
     betas = grid.betas
 
     def grid_row(row):

@@ -5,6 +5,7 @@ against the library calls the commands wrap.
 """
 
 import argparse
+import csv
 import dataclasses
 import io
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from colorperm import cli, hamiltonian, simulator, solver
 from colorperm.cli import _COMMANDS, _OPTIONS, build_parser, main
 from colorperm.instances import load_instance
-from colorperm.simulator import BYTES_PER_AMPLITUDE, EDGE_BYTES, SCHEDULE_BYTES
+from colorperm.simulator import AXIS_BYTES, BYTES_PER_AMPLITUDE, EDGE_BYTES, POINT_BYTES, SCHEDULE_BYTES
 from tests.conftest import EXA_BINARY, EXA_LEGS, EXA_ONEHOT, EXA_W
 
 NONCONTIG = "100000" + "000010" + "001000"
@@ -777,16 +778,18 @@ def test_solve_refuses_shots_past_a_64_bit_count(tmp_path, capsys, exa_json):
 
 
 @pytest.mark.parametrize(
-    "command, layers_per_depth, head",
-    [(["solve", "--grid-points", "3", "--shots", "4"], 3, 108), (["bound", "--gamma", "0.1", "--beta", "0.5"], 1, 216)],
+    "command, layers_per_depth, head, points",
+    [(["solve", "--grid-points", "3", "--shots", "4"], 3, 108, 3), (["bound", "--gamma", "0.1", "--beta", "0.5"], 1, 216, 0)],
     ids=["solve", "bound"],
 )
-def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json, command, layers_per_depth, head):
+def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json, command, layers_per_depth, head, points):
     # exA's 216 one-hot labels, of which a sweep's table and factor hold the
-    # 108 its interchangeable vehicles leave, its 6 x 6 edge matrix and ten
-    # layers of each schedule the run holds
+    # 108 its interchangeable vehicles leave, its 6 x 6 edge matrix, ten
+    # layers of each schedule the run holds, and a sweep's two axes of
+    # `points` points and its points**2 grid points
     labels = BYTES_PER_AMPLITUDE * 216 - (simulator.TABLE_BYTES + simulator.FACTOR_BYTES) * (216 - head)
-    budget = labels + EDGE_BYTES * 36 + SCHEDULE_BYTES * layers_per_depth * 10
+    grid = AXIS_BYTES * 2 * points + POINT_BYTES * points**2
+    budget = labels + EDGE_BYTES * 36 + SCHEDULE_BYTES * layers_per_depth * 10 + grid
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", budget)
     out = tmp_path / "run.json"
     argv = [command[0], "--instance", exa_json, *command[1:], "--out", str(out)]
@@ -823,9 +826,9 @@ def off_mirror_parts(model):
 
 
 def test_a_head_charged_table_that_is_not_mirrored_is_charged_every_label(tmp_path, monkeypatch, exa_json):
-    # exA is charged its head; parts off their mirror cannot keep it, so the
-    # sweep is charged again on every label and, admitted, holds each row's
-    # factor on all of them
+    # exA is first charged its head; parts off their mirror cannot keep it,
+    # so the admission charges the sweep on every label and, admitted, each
+    # row holds its factor on all of them
     monkeypatch.setattr(solver, "table_parts", off_mirror_parts)
     held, _ = rows_held(monkeypatch)
     out = tmp_path / "run.json"
@@ -836,10 +839,13 @@ def test_a_head_charged_table_that_is_not_mirrored_is_charged_every_label(tmp_pa
 def test_a_head_charged_table_that_is_not_mirrored_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json):
     # a budget one byte below the charge on every label, and above the head's
     # (two layers in one thread, the table's and the factor's bytes left out
-    # on the 108 labels past the head): check_budget's line is the one refusal
+    # on the 108 labels past the head, and a 2 x 2 grid): check_budget's line
+    # is the one refusal, and the oracle never runs
     monkeypatch.setattr(solver, "table_parts", off_mirror_parts)
     held, _ = rows_held(monkeypatch)
-    need = BYTES_PER_AMPLITUDE * 216 + SCHEDULE_BYTES * 2 + EDGE_BYTES * 36
+    oracle = []
+    monkeypatch.setattr(cli, "exact_solve", lambda *args: oracle.append(args))
+    need = BYTES_PER_AMPLITUDE * 216 + SCHEDULE_BYTES * 2 + EDGE_BYTES * 36 + AXIS_BYTES * 4 + POINT_BYTES * 4
     assert need - (simulator.TABLE_BYTES + simulator.FACTOR_BYTES) * 108 < need - 1
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", need - 1)
     out = tmp_path / "run.json"
@@ -849,23 +855,30 @@ def test_a_head_charged_table_that_is_not_mirrored_is_refused_in_one_line(tmp_pa
         f"error: a onehot run on 216 labels and 2 schedule layers in 1 thread, with its 6 x 6 edge matrix,"
         f" needs about {need} bytes, over the memory budget of {need - 1} bytes\n"
     )
-    assert held == [] and not out.exists()
+    assert held == [] and oracle == [] and not out.exists()
 
 
 def test_capacity_penalties_past_2_53_that_miss_their_mirror_still_run(tmp_path, monkeypatch):
     # demands near 10^12 (their total below 2**53) on K = 3 vehicles of one
     # capacity: the squared overloads round differently when the vehicles
     # add in reversed order, so the parts miss their mirror and every row
-    # holds its factor on all 729 labels, to run_ansatz's distributions
+    # holds its factor on all 729 labels, to run_ansatz's distributions; the
+    # admission charges the head of two vehicles' 486 labels, then all 729
     path = tmp_path / "k3.json"
     record = {"W": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "d": [1259697105427, 2103708207250, 552261955215], "Q": [862918], "K": 3}
     path.write_text(json.dumps(record))
     model = hamiltonian.EnergyModel.for_instance(load_instance(path))
     params = model.params
-    assert simulator.orbit_labels(params, hamiltonian.table_parts(model)) == 729 > simulator.head_labels(params, model.inst) == 486
+    charged = []
+
+    def charge(*args):
+        charged.append(args[4])
+        return simulator.check_budget(*args)
+
+    monkeypatch.setattr(solver, "check_budget", charge)
     held, dists = rows_held(monkeypatch)
     assert main(["solve", "--instance", str(path), "--grid-points", "3", "--out", str(tmp_path / "run.json")]) == 0
-    assert held == [729] * 3 and len(dists) == 9
+    assert charged == [486, 729] and held == [729] * 3 and len(dists) == 9
     for schedule, probs in dists:
         assert probs.tobytes() == simulator.exact_distribution(simulator.run_ansatz(params, model, schedule)).tobytes()
 
@@ -931,6 +944,8 @@ def n10_budget_line():
     labels = 20**10
     need = (simulator.TABLE_BYTES + simulator.WORKER_BYTES) * labels - (simulator.TABLE_BYTES + simulator.FACTOR_BYTES) * labels // 2
     need += SCHEDULE_BYTES * 21 + EDGE_BYTES * 400
+    # the default grid: two axes of 21 points, 21 x 21 grid points
+    need += AXIS_BYTES * 2 * 21 + POINT_BYTES * 21**2
     return (
         f"error: a onehot run on {labels} labels and 21 schedule layers in 1 thread, with its 20 x 20 edge matrix,"
         f" needs about {need} bytes, over the memory budget of {simulator.MEMORY_BUDGET} bytes\n"
@@ -951,6 +966,50 @@ def test_solve_charges_the_sweep_before_the_oracle(capsys, monkeypatch, n10_json
     monkeypatch.setattr(cli, "exact_solve", oracle)
     assert main(["solve", "--instance", n10_json]) == 1
     assert capsys.readouterr().err == n10_budget_line()
+
+
+def no_grid_axes(monkeypatch):
+    """Fail the test if any grid axis is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(solver.GridSpec, "default", classmethod(refuse))
+
+
+def demo_grid_line(points):
+    # demo-n4-k2: 4,096 labels, whose table and factor hold the 2,048 of
+    # its head, one thread, one schedule layer per beta, an 8 x 8 edge
+    # matrix, two axes of `points` points and points**2 grid points
+    need = (simulator.TABLE_BYTES + simulator.WORKER_BYTES) * 4096 - (simulator.TABLE_BYTES + simulator.FACTOR_BYTES) * 2048
+    need += SCHEDULE_BYTES * points + EDGE_BYTES * 64
+    need += AXIS_BYTES * 2 * points + POINT_BYTES * points**2
+    return (
+        f"a onehot run on 4096 labels and {points} schedule layers in 1 thread, with its 8 x 8 edge matrix,"
+        f" needs about {need} bytes, over the memory budget of {simulator.MEMORY_BUDGET} bytes"
+    )
+
+
+@pytest.mark.parametrize("points", [10**8, 10**6])
+def test_solve_refuses_a_grid_over_the_budget_before_building_it(tmp_path, capsys, monkeypatch, demo_vrp_path, points):
+    # 10**8 points per axis: building the axes alone would take about 10 GB,
+    # and the schedules 6.6 GB; 10**6: the schedules fit, 10**12 grid points do not
+    no_grid_axes(monkeypatch)
+    out = tmp_path / "run.json"
+    assert main(["solve", "--instance", str(demo_vrp_path), "--grid-points", str(points), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {demo_grid_line(points)}\n"
+    assert not out.exists()
+
+
+def test_bench_reports_a_grid_over_the_budget_in_its_error_column(tmp_path, capsys, monkeypatch, demo_vrp_path):
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    (bench_dir / "demo-n4-k2.vrp").write_text(Path(demo_vrp_path).read_text())
+    no_grid_axes(monkeypatch)
+    assert main(["bench", "--dir", str(bench_dir), "--grid-points", str(10**8)]) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines()[1:])
+    assert dict(zip(header, row))["error"] == demo_grid_line(10**8)
 
 
 def test_brute_past_the_work_ceiling_exits_with_one_error_line(capsys, monkeypatch, n10_json):

@@ -42,6 +42,8 @@ from colorperm.simulator import (
     BYTES_PER_AMPLITUDE,
     EDGE_BYTES,
     MEMORY_BUDGET,
+    AXIS_BYTES,
+    POINT_BYTES,
     SCHEDULE_BYTES,
     FACTOR_BYTES,
     TABLE_BYTES,
@@ -342,11 +344,12 @@ def test_the_parts_mirror_implies_the_table_mirror(model):
     params, inst = model.params, model.inst
     parts = table_parts(model)
     head = simulator.orbit_labels(params, parts)
-    assert head in (params.dim("onehot"), params.dim("onehot") // params.K * -(-params.K // 2))
+    least = params.dim("onehot") // params.K * -(-params.K // 2)
+    assert head in (params.dim("onehot"), least)
     if head < params.dim("onehot"):
         assert table_mirrored(params, parts[:])
-    if simulator.head_labels(params, inst) < params.dim("onehot"):
-        assert head == simulator.head_labels(params, inst)
+    if inst.uniform_capacity() is not None and inst.dep_to.ndim == inst.to_dep.ndim == 1:
+        assert head == least
 
 
 def test_a_planted_signed_zero_breaks_both_mirrors():
@@ -691,6 +694,21 @@ def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
         phqc(exA, model, GridSpec((0.1,), (0.2,)), 10, 1)
 
 
+def test_a_sweep_of_10_12_grid_points_is_refused_before_any_row(exA, monkeypatch):
+    # 10**6 gammas and betas: the schedules fit, the grid points do not
+    axis = (0.5,) * 10**6
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the admission")
+
+    grid = GridSpec(axis, axis)
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(GridSpec, "default", classmethod(refuse))
+    monkeypatch.setattr(solver, "evolve_row", refuse)
+    with pytest.raises(AmplitudeBudgetError, match="216 labels and 1000000 schedule layers in 1 thread"):
+        phqc(exA, EnergyModel.for_instance(exA), grid, 10, 1)
+
+
 def test_sweep_decides_the_mirror_once_per_table(exB, monkeypatch):
     # one compare for the sweep's one set of parts, whatever the thread
     # count, and every row holds its factor on the head
@@ -718,35 +736,43 @@ def test_sweep_decides_the_mirror_once_per_table(exB, monkeypatch):
     assert results[0] == results[1]
 
 
-def test_budget_charges_the_head_of_interchangeable_vehicles(exA, params3, monkeypatch):
-    # exA: 216 labels, 108 of them in the head; per-vehicle capacities or
-    # 2-D legs keep the whole table
-    per_vehicle = Instance("q", 3, 2, exA.d, [3, 4], exA.W, exA.dep_to, exA.to_dep)
-    legs = np.stack([exA.dep_to, exA.dep_to], axis=1)
-    two_d = Instance("legs", 3, 2, exA.d, [3, 3], exA.W, legs, legs)
-    assert simulator.head_labels(params3, exA) == 108
-    assert [simulator.head_labels(params3, inst) for inst in (None, per_vehicle, two_d)] == [216] * 3
+def test_budget_charges_the_head_of_interchangeable_vehicles(exA, monkeypatch):
+    # exA: 216 labels, 108 of them in the head. The admission charges the
+    # head its parts decide: a per-vehicle capacity that a load passes, or
+    # per-vehicle legs that differ, keep the whole table; a second capacity
+    # no load reaches, or 2-D legs equal on both vehicles, keep the head.
+    # Each sweep has one depth-1 row per thread, of one beta.
+    def variant(Q, legs):
+        return Instance("variant", 3, 2, exA.d, Q, exA.W, legs, legs)
+
+    equal, unequal = (np.stack([exA.dep_to, exA.dep_to + shift], axis=1) for shift in (0, 1))
+    cases = ((exA, 108), (variant([2, 3], exA.dep_to), 216), (variant([3, 3], unequal), 216), (variant([3, 4], exA.dep_to), 108), (variant([3, 3], equal), 108))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for workers in (1, 2):
-        for inst, head in ((exA, 108), (per_vehicle, 216), (two_d, 216)):
+        for inst, head in cases:
+            model = EnergyModel.for_instance(inst)
             need = (TABLE_BYTES + WORKER_BYTES * workers) * 216 - (TABLE_BYTES + FACTOR_BYTES * workers) * (216 - head)
-            monkeypatch.setattr(simulator, "MEMORY_BUDGET", need + EDGE_BYTES * 36)
-            check_budget(params3, "onehot", workers=workers, inst=inst)
-            monkeypatch.setattr(simulator, "MEMORY_BUDGET", need + EDGE_BYTES * 36 - 1)
+            need += EDGE_BYTES * 36 + SCHEDULE_BYTES * workers + AXIS_BYTES * (workers + 1) + POINT_BYTES * workers
+            monkeypatch.setattr(simulator, "MEMORY_BUDGET", need)
+            assert solver.charge_sweep(model, (workers, 1), 1, workers)[::2] == (workers, head)
+            monkeypatch.setattr(simulator, "MEMORY_BUDGET", need - 1)
             with pytest.raises(AmplitudeBudgetError):
-                check_budget(params3, "onehot", workers=workers, inst=inst)
+                solver.charge_sweep(model, (workers, 1), 1, workers)
 
 
-def test_budget_admits_one_n7_k2_row_of_interchangeable_vehicles():
-    # arithmetic only: a one-thread sweep of one capacity and shared legs
-    # holds half the table and half the factor; two threads, or a table
-    # without the mirror, are refused
-    inst = seeded_instance(7)
-    params = EncodingParams.for_instance(inst)
-    check_budget(params, "onehot", workers=1, layers=4, inst=inst)
+def test_budget_admits_one_n7_k2_row_of_interchangeable_vehicles(monkeypatch):
+    # a one-thread sweep of one capacity and shared legs holds half the
+    # table and half the factor; two threads, or parts without the mirror,
+    # are refused. Nothing of size 14^7 is allocated: only the parts, whose
+    # largest is the 14^6 objective level
+    model = EnergyModel.for_instance(seeded_instance(7))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert solver.charge_sweep(model, (2, 2), 2, 1)[::2] == (1, 14**7 // 2)
     with pytest.raises(AmplitudeBudgetError, match="in 2 threads"):
-        check_budget(params, "onehot", workers=2, layers=4, inst=inst)
-    with pytest.raises(AmplitudeBudgetError, match="105413504 labels"):
-        check_budget(params, "onehot", workers=1, layers=4)
+        solver.charge_sweep(model, (2, 2), 2, 2)
+    monkeypatch.setattr(solver, "orbit_labels", lambda params, parts: params.dim("onehot"))
+    with pytest.raises(AmplitudeBudgetError, match="105413504 labels and 4 schedule layers in 1 thread"):
+        solver.charge_sweep(model, (2, 2), 2, 1)
 
 
 def test_budget_counts_the_binary_vector(params3, monkeypatch):
@@ -880,10 +906,9 @@ def test_sweep_charges_a_worker_per_gamma_row_before_the_pool_starts(exA, monkey
 def test_sweep_threads_stop_at_the_cpu_count(monkeypatch, cpus, threads):
     # charge_sweep alone: 2,000 gamma rows and jobs, never a thread started
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    params = EncodingParams(1, 1)
-    grid = GridSpec.default(params, 2000)
-    assert solver.charge_sweep(params, grid, 1, 2000) == threads
-    assert solver.charge_sweep(params, grid, 1, 2) == min(threads, 2)
+    model = EnergyModel.for_instance(Instance("one", 1, 1, [1], [1], [[0.0]], [1.0], [1.0]))
+    assert solver.charge_sweep(model, (2000, 2000), 1, 2000)[0] == threads
+    assert solver.charge_sweep(model, (2000, 2000), 1, 2)[0] == min(threads, 2)
 
 
 def test_sweep_under_jobs_runs_in_one_process(exA, monkeypatch):
