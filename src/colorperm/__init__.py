@@ -83,7 +83,6 @@ from .solver import (
     PhqcResult,
     default_shots,
     exact_solve,
-    p_star,
     phqc,
     phqc_histogram,
 )

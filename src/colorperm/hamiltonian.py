@@ -247,12 +247,14 @@ class TableParts:
     def __getitem__(self, labels):
         S, T = len(self.close), len(self.tail_of)
         lo, hi, _ = labels.indices(len(self.head_of) * T)
-        # the last position adds its edge to `level`, or at n = 1 its start
-        # leg to the empty sum -0.0, which adds as an exact zero
-        steps = self.edges if len(self.level) > 1 else self.start[None]
-        run = S * len(steps)
-        first = lo - lo % run
-        obj = np.add(self.level[first // S : -(-hi // run) * run // S].reshape(-1, len(steps), 1), steps).reshape(-1)
+        # `level` takes the last two positions' legs (at n = 1, the one), at
+        # n <= 2 the start leg first onto its one empty sum -0.0 (an exact zero),
+        # each leg on the whole groups of values, one per last symbol, in lo..hi
+        obj, first, width = self.level, 0, len(self.head_of) * T // len(self.level)
+        for leg in [self.edges if len(self.level) > 1 else self.start[None]] + [self.edges] * (len(self.head_of) > 1):
+            span = width * len(leg)
+            a, b = (lo - first) // span * len(leg), -(-(hi - first) // span) * len(leg)
+            obj, first, width = _leg(obj[a:b], leg), first + a * width, width // S
         last = obj.reshape(-1, S)
         last += self.close
         obj *= self.lam_obj
@@ -263,6 +265,11 @@ class TableParts:
         return out
 
 
+def _leg(level, leg):
+    """Each value of `level` plus the row of `leg` (edges, or start legs as one row) its last symbol picks."""
+    return (level.reshape(-1, len(leg), 1) + leg).reshape(-1)
+
+
 def table_parts(model):
     """The parts of the S^n one-hot energy table, whatever the register:
     `pair`, the once and capacity terms of each pair of symbol multisets
@@ -270,9 +277,9 @@ def table_parts(model):
     those multisets through integer counts and loads that add up exactly
     (instances keep the total demand below 2**53), each half-label's
     multiset (`head_of`, `tail_of`), and `level`, the objective of the
-    first n - 1 positions built one position at a time, each level the
-    last plus an edge. The evaluator adds in `energy_components`'s order,
-    so it equals it exactly."""
+    first max(n - 2, 0) positions built one position at a time, each level
+    the last plus an edge. The evaluator adds in `energy_components`'s
+    order, so it equals it exactly."""
     inst = model.inst
     p = model.params
     w = model.weights
@@ -313,9 +320,9 @@ def table_parts(model):
         pair += cap
 
     edges, start, close = edge_cost_matrix(inst)
-    level = start if n > 1 else np.array([-0.0])
-    for _ in range(n - 2):
-        level = (level.reshape(-1, S, 1) + edges).reshape(-1)
+    level = np.array([-0.0])
+    for j in range(n - 2):
+        level = _leg(level, edges if j else start[None])
     return TableParts(pair, head_of, tail_of, edges, start, close, level, w.lam_obj)
 
 

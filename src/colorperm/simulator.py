@@ -21,8 +21,8 @@ builds a grid row's phase factor exp(-i*gamma*E) once, a block at a time
 from the table's parts, on the vehicle-orbit head alone when the parts are
 mirrored (`orbit_labels`), and reads it a leading digit at a time, the
 labels past the head through their reversed view. A depth-1 row streams
-its one layer over the blocks of the leading digit, so it holds its
-distribution and no complex state. A zero angle is the identity: a gamma-0
+its one layer over the blocks of the leading digit in its distribution's
+buffer, so it holds no complex state. A zero angle is the identity: a gamma-0
 row builds no factor and evolves on one slab and one sub-block, and a
 beta-0 layer mixes no axis; the full passes could only flip the sign of a
 zero, which |x|**2 cannot see.
@@ -54,21 +54,22 @@ from .hamiltonian import energy_table
 # The memory ceiling of a run, in bytes, and its charge per S^n label: the
 # energy table once (8 bytes; a sweep holds `table_parts` and slack), and in
 # each thread its work buffer and row factor (16 each; a streamed depth-1 row
-# holds its float64 distribution and three S^(n-1) blocks in the buffer's
-# place) and numpy's counts if a draw falls back (8); a sweep charges the
-# table and factors on its head only (`orbit_labels`). A sweep's VmHWM above the
-# import (`--grid-points 4`), at depths 1 and 2, is 24.0 and 28.2 (n = 6,
-# K = 2), 30.2 and 36.5 (n = 5, K = 5, one draw falling back) bytes per label
-# in one thread, 44.9/52.8 and 51.3/63.4 in two, 32.1 and 36.2 in one with a
-# factor on every label (n = 6, K = 2, per-vehicle Q), and 31.7 and 33.7 at
-# n = 8, K = 1 (66.1 at depth 2 in two); the other S^n entries peak at 40.3
-# (`apply_phase`) or lower and pay the one-thread charge. A Schedule peaks at
+# holds its float64 distribution, one S^(n-1) digit of floats and the digit's
+# complex sum in the buffer's place) and numpy's counts if a draw falls back
+# (8); a sweep charges the table and factors on its head only (`orbit_labels`).
+# A sweep's VmHWM above the import (`--grid-points 4`), at depths 1 and 2, is
+# 21.4 and 27.4 (n = 6, K = 2), 28.8 and 35.8 (n = 5, K = 5, one draw falling
+# back) bytes per label in one thread, 40.5/52.0 and 48.2/56.1 in two, 29.4 and
+# 35.4 in one with a factor on every label (n = 6, K = 2, per-vehicle Q), and
+# 27.7 and 32.8 at n = 8, K = 1 (65.0 at depth 2 in two); the other S^n entries
+# peak at 40.5 (`apply_phase`) or lower and pay the one-thread charge. A Schedule peaks at
 # 66 bytes per layer while built (tracemalloc, depth 10**6), and the S x S
 # edge matrix (`edge_cost_matrix`) at 25.0 per entry. A grid axis point peaks
 # at 158 bytes as `solve` builds both axes and writes them to run.json
-# (tracemalloc, 10**6 points per axis), and a 4-label `solve` at 422-470
-# bytes per grid point in one thread and 508-612 in two (its records, the
-# rows the threads return and its CSV rows; 10**4 to 4 * 10**4 points).
+# (tracemalloc, 10**6 points per axis), and a 4-label `solve` at 454-549
+# bytes per grid point in one thread and 455-577 in two (its records, the
+# rows the threads finish ahead of the reduce and its CSV rows; 10**4 to
+# 4 * 10**4 points).
 MEMORY_BUDGET = 2**32
 TABLE_BYTES = 8
 WORKER_BYTES = 40
@@ -211,10 +212,10 @@ def _blocking(params, digits=None):
     return lead, cols
 
 
-def _mix(amps, params, beta, square=False, out=None, digits=None):
+def _mix(amps, params, beta, square=False, digits=None):
     """The block mixer on every axis of the (S,)*digits view (n by default)
     of `amps`, in place; with `square`, |amps|**2 then goes to the float64
-    `out`, by default the first half of `amps`'s bytes. The `_blocking`
+    view of the first half of `amps`'s bytes. The `_blocking`
     leading axes are mixed on slabs of whole trailing axes, each gathered
     into one contiguous scratch buffer, then each sub-block's other axes in
     one visit that squares it. Each sum keeps its order of additions (a 1-D
@@ -242,7 +243,7 @@ def _mix(amps, params, beta, square=False, out=None, digits=None):
         mix_axes(scratch, lead)
         head[..., lo : lo + S**cols] = scratch
     size = S ** (n - lead)
-    probs = amps.view(np.float64) if out is None else out
+    probs = amps.view(np.float64)
     for lo in range(0, len(amps), size):
         block = amps[lo : lo + size]
         mix_axes(block.reshape((S,) * (n - lead)), n - lead)
@@ -344,9 +345,11 @@ def evolve_row(params, energies, schedules, head=None):
     leading digit at a time (`_digit_block`), times the uniform amplitude
     in a first layer. A depth-1 row on a state with `_blocking` leading
     axes holds no complex state: it streams the S blocks of its leading
-    digit, summed once per row, each block times dg plus that sum times
-    off mixed on its other axes in one scratch block (`_mix`) and squared
-    into its block of the float64 distribution. Other rows evolve in one
+    digit, summed once per row in the buffer. Block d is built in the
+    buffer's floats [d, d + 2) digits (one digit past the distribution for
+    the last), times dg plus that sum times off a MIX_BLOCK slice at a
+    time, mixed on its other axes (`_mix`) and squared into its own first
+    half, its block of the float64 distribution. Other rows evolve in one
     work buffer, mixed whole: every layer takes the factor, and the last
     layer squares into the buffer's float64 view. A beta-0 layer mixes no
     axis but still takes the factor and the square. A gamma-0 row has no
@@ -363,9 +366,9 @@ def evolve_row(params, energies, schedules, head=None):
     factor = _phases(np.empty(labels if head is None else head, dtype=complex), gamma, energies) if gamma else None
     lead, cols = _blocking(params)
     prefix, stream = S ** max(lead + cols, n - lead), lead and max(s.p for s in schedules) == 1
-    work = np.empty(-(-labels // 2) if stream else labels, dtype=complex)
-    probs, total = work.view(np.float64)[:labels], None
-    shift, spare = (np.empty(digit, dtype=complex) for _ in range(2)) if stream else (None, None)
+    work = np.empty(-(-(labels + digit) // 2) if stream else labels, dtype=complex)
+    floats, total = work.view(np.float64), None
+    probs, turn = floats[:labels], np.empty(min(digit, MIX_BLOCK), dtype=complex) if stream else None
 
     def times_factor(src, out, lo=0):
         # out = src * factor on the labels from lo, a leading digit at a time;
@@ -388,16 +391,17 @@ def evolve_row(params, energies, schedules, head=None):
                     dg, off = _mixer_coefficients(S, beta)
                     if total is None:
                         # numpy's order of a sum over the leading axis: from 0, a block at a time
-                        total = np.add(times_factor(amp, shift), 0.0)
+                        total = np.add(times_factor(amp, work[:digit]), 0.0)
                         for lo in range(digit, labels, digit):
-                            total += times_factor(amp, spare, lo)
-                    np.multiply(total, off, out=shift)
+                            total += times_factor(amp, work[:digit], lo)
                 for lo in range(0, labels, digit):
-                    block = times_factor(amp, spare, lo)
+                    block = times_factor(amp, floats[lo : lo + 2 * digit].view(complex), lo)
                     if beta is not None:
                         block *= dg
-                        block += shift
-                    _mix(block, params, beta, True, out=probs[lo : lo + digit], digits=n - 1)
+                        for at in range(0, digit, len(turn)):
+                            part = block[at : at + len(turn)]
+                            part += np.multiply(total[at : at + len(turn)], off, out=turn[: len(part)])
+                    _mix(block, params, beta, True, digits=n - 1)
             else:
                 times_factor(work if layer else amp, work)
                 _mix(work, params, beta, last)

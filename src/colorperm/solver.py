@@ -36,6 +36,7 @@ timelines, and then gathering stops with a ValueError.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -480,20 +481,19 @@ def phqc(
             for j, (beta, probs) in enumerate(zip(betas, dists))
         ]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(grid_row, range(len(grid.gammas))))
-    else:
-        rows = map(grid_row, range(len(grid.gammas)))
     records = []
     best = None
     pooled = {}
-    for record, local_best, feasible_bits in itertools.chain.from_iterable(rows):
-        records.append(record)
-        for bits, count in feasible_bits.items():
-            pooled[bits] = pooled.get(bits, 0) + count
-        if local_best is not None and (best is None or local_best[:3] < best[:3]):
-            best = local_best
+    # each row is reduced as it is yielded, in grid order: only the rows that
+    # finish ahead of the reduce are held
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        rows = (pool.map if pool else map)(grid_row, range(len(grid.gammas)))
+        for record, local_best, feasible_bits in itertools.chain.from_iterable(rows):
+            records.append(record)
+            for bits, count in feasible_bits.items():
+                pooled[bits] = pooled.get(bits, 0) + count
+            if local_best is not None and (best is None or local_best[:3] < best[:3]):
+                best = local_best
     return PhqcResult(
         best_bitstring=None if best is None else best[3],
         best_score=None if best is None else float(best[0]),
@@ -529,14 +529,3 @@ def phqc_histogram(result, params):
     """Histogram rows of the pooled feasible counts of a sweep."""
     return feasible_histogram(result.feasible_counts, result.total_shots, params)[0]
 
-
-def p_star(inst, model, gamma, beta, depth=1, exact=None):
-    """Exact optimal feasible mass of the depth-p state at (gamma, beta),
-    once `check_budget` admits it and its schedule, before the oracle runs."""
-    check_budget(model.params, layers=depth)
-    if exact is None:
-        exact = exact_solve(inst, model)
-    if not exact.optimal_assignments:
-        return 0.0
-    (probs,) = evolve_row(model.params, table_parts(model), [Schedule.constant(gamma, beta, depth)])
-    return float(probs[np.asarray(exact.optimal_labels(model.params), dtype=np.int64)].sum())

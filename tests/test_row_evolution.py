@@ -256,7 +256,8 @@ def signed_zero_parts():
     S = model.params.S
     start, edges = np.full(S, -0.0), np.full((S, S), -0.0)
     start[0] = 0.0
-    level = (start.reshape(-1, S, 1) + edges).reshape(-1)
+    # the objective of the first n - 2 positions: the start legs, 0.0 at symbol 0
+    level = start.copy()
     parts = table_parts(model)
     return model, dataclasses.replace(parts, pair=np.full_like(parts.pair, -0.0), edges=edges, start=start, close=np.full(S, -0.0), level=level)
 
@@ -551,6 +552,17 @@ def test_a_streamed_row_holds_its_distribution_and_three_blocks():
     assert peak < (8 + 8 + 48 / params.S + 1) * params.dim("onehot")
 
 
+def test_a_streamed_row_holds_its_distribution_and_one_block():
+    # n = 6, K = 2, depth 1: the float64 distribution (8 B/label), the
+    # factor on the head (8), the leading digit's sum (16 / S) and the one
+    # digit of floats the buffer holds past the distribution (8 / S); each
+    # block is built in the buffer, so any other block (16 / S) would cross
+    params = EncodingParams(6, 2)
+    schedules = [Schedule.constant(np.pi, np.pi), Schedule.constant(np.pi, 0.0), Schedule.constant(np.pi, 0.3)]
+    peak = row_peak(params, schedules, table_parts, params.dim("onehot") // 2)
+    assert peak < (8 + 8 + 24 / params.S + 1) * params.dim("onehot")
+
+
 def test_the_benchmark_shapes_keep_their_mixer_path():
     # perfbench's sweeps: n = 6, K = 2 has leading axes, so its depth-1
     # rows stream the 12 blocks of the leading digit; n = 4, K = 3 is one
@@ -764,7 +776,8 @@ def test_budget_admits_one_n7_k2_row_of_interchangeable_vehicles(monkeypatch):
     # a one-thread sweep of one capacity and shared legs holds half the
     # table and half the factor; two threads, or parts without the mirror,
     # are refused. Nothing of size 14^7 is allocated: only the parts, whose
-    # largest is the 14^6 objective level
+    # largest is the pair table of 560 x 2,380 multisets (the objective level
+    # holds 14^5 values)
     model = EnergyModel.for_instance(seeded_instance(7))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert solver.charge_sweep(model, (2, 2), 2, 1)[::2] == (1, 14**7 // 2)

@@ -7,6 +7,7 @@ the optimum and the feasible count.
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -30,13 +31,21 @@ from colorperm.hamiltonian import (
     energy_total,
 )
 from colorperm.instances import Instance, PdpInstance
-from colorperm.simulator import BYTES_PER_AMPLITUDE, EDGE_BYTES, SCHEDULE_BYTES, AmplitudeBudgetError
+from colorperm.simulator import (
+    AXIS_BYTES,
+    BYTES_PER_AMPLITUDE,
+    EDGE_BYTES,
+    FACTOR_BYTES,
+    POINT_BYTES,
+    SCHEDULE_BYTES,
+    TABLE_BYTES,
+    AmplitudeBudgetError,
+)
 from colorperm.solver import (
     ExactSolution,
     GridSpec,
     default_shots,
     exact_solve,
-    p_star,
     phqc,
     phqc_histogram,
 )
@@ -163,6 +172,13 @@ def test_exact_solution_labels_and_dict(exA, params3):
     assert all(min(min(pair) for pair in a) >= 1 for a in d["optimal_assignments"])
 
 
+def p_star(inst, model, gamma, beta, depth=1, exact=None):
+    """The exact optimal mass of the depth-p state at (gamma, beta): the
+    `p_star_exact` of a one-point sweep."""
+    exact = exact or exact_solve(inst, model)
+    return phqc(inst, model, GridSpec((gamma,), (beta,)), 1, 7, depth, exact_reference=exact).records[0].p_star_exact
+
+
 def test_p_star_uniform_at_zero_angles(exA, params3):
     model = EnergyModel.for_instance(exA)
     assert p_star(exA, model, 0.0, 0.0) == pytest.approx(4 / 216, abs=1e-12)
@@ -178,30 +194,31 @@ def test_p_star_bounds_and_reference(exA):
 
 
 def test_p_star_all_infeasible(exA):
+    # no optimum: the sweep's records carry no optimal mass
     starved = Instance("starved", 3, 2, exA.d, [0, 0], exA.W, exA.dep_to, exA.to_dep)
     model = EnergyModel.for_instance(starved)
-    assert p_star(starved, model, 0.1, 0.2) == 0.0
+    assert p_star(starved, model, 0.1, 0.2) is None
 
 
-def test_p_star_charges_its_layers_before_the_oracle_or_the_schedule(exA, monkeypatch):
-    # exA's 216 labels in one thread, 1,000 layers and the 6 x 6 edge
-    # matrix: one byte below that charge, neither the oracle runs nor the
-    # schedule is built; at the charge itself the oracle is next
+def test_a_one_point_sweep_charges_its_layers_before_the_schedule(exA, monkeypatch):
+    # exA's 216 labels in one thread, its factor on the head of 108,
+    # 1,000 layers, the 6 x 6 edge matrix and a one-point grid: one byte
+    # below that charge no schedule is built; at the charge itself it is
     depth = 1000
-    need = BYTES_PER_AMPLITUDE * 216 + SCHEDULE_BYTES * depth + EDGE_BYTES * 36
+    need = BYTES_PER_AMPLITUDE * 216 - (TABLE_BYTES + FACTOR_BYTES) * 108 + SCHEDULE_BYTES * depth + EDGE_BYTES * 36 + AXIS_BYTES * 2 + POINT_BYTES
 
     def built(*args, **kwargs):
         raise AssertionError("built before the budget check")
 
-    monkeypatch.setattr(solver, "exact_solve", built)
-    monkeypatch.setattr(solver, "Schedule", built)
+    monkeypatch.setattr(solver, "Schedule", types.SimpleNamespace(constant=built))
     model = EnergyModel.for_instance(exA)
+    sol = exact_solve(exA, model)
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", need - 1)
     with pytest.raises(AmplitudeBudgetError, match=f"and {depth} schedule layers in 1 thread"):
-        p_star(exA, model, 0.1, 0.2, depth=depth)
+        p_star(exA, model, 0.1, 0.2, depth=depth, exact=sol)
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", need)
     with pytest.raises(AssertionError, match="before the budget check"):
-        p_star(exA, model, 0.1, 0.2, depth=depth)
+        p_star(exA, model, 0.1, 0.2, depth=depth, exact=sol)
 
 
 def run_sweep(exA, params3, **kw):
