@@ -17,17 +17,17 @@ contributes lam_pad and is excluded from the once/capacity/objective
 sums, which are built from projectors onto valid words only. A customer
 covered by no valid block therefore still pays its (0 - 1)^2 once-term.
 
-Everything here is a plain function of the basis-state label.
-`energy_components` evaluates it over an array of labels of either
-register and is the reference; padded words exist only there.
-`table_parts` holds the one diagonal the simulator and the analysis read,
-over the S^n one-hot labels whatever the model's register, in small
-parts: the once and capacity terms on the pairs of distinct symbol
-multisets of the two halves of a label, and the objective of all but the
-last position. Its evaluator gives any range of labels, `energy_table`
-all. It adds in the reference's order, so the two agree bit for bit while
-every load is an integer below 2**53 (instances refuse a larger total
-demand).
+Everything here is a plain function of the basis-state label, and each
+term has one arithmetic over rows of symbols: `_penalties` (once and
+capacity) and `_timeline` (objective). `energy_components` applies both to
+labels of either register and is the reference; padded words exist only
+there. `table_parts` holds the one diagonal the simulator and the analysis
+read, over the S^n one-hot labels whatever the model's register, in small
+parts: `_penalties` on the pairs of distinct symbol multisets of the two
+halves of a label, and the objective of all but the last two positions.
+Its evaluator gives any range of labels, `energy_table` all; they equal
+the reference bit for bit while every load is an integer below 2**53
+(instances refuse a larger total demand).
 """
 
 from __future__ import annotations
@@ -158,61 +158,75 @@ def energy_objective(a, inst, lam_obj=1.0):
 energy_objective_pdp = energy_objective
 
 
+def _penalties(model, sym, valid=None):
+    """The once-each and capacity terms of n rows of symbols that broadcast
+    together, a position whose `valid` is False (a padded word) covering no
+    customer. Pairs and loads are counted exactly in integers (at most n*n;
+    instances keep the total demand below 2**53), then scaled once."""
+    inst, w = model.inst, model.weights
+    n, K, S = model.params.n, model.params.K, model.params.S
+    ok = [True] * n if valid is None else valid
+    # once: sum_i (count_i - 1)**2 is 2 per same-customer pair of valid
+    # positions plus 1 per padded one, whose customer n pairs with none
+    cust = [np.where(ok[j], sym[j] % n, n) for j in range(n)]
+    same = np.diag(2 * (np.arange(n + 1) < n)).astype(np.int16)
+    count = np.zeros(np.broadcast_shapes(*map(np.shape, sym)), dtype=np.int16)
+    for j1 in range(n):
+        for j2 in range(j1 + 1, n):
+            count += same[cust[j1], cust[j2]]
+    count += n - np.sum(ok, axis=0)
+    once = count.astype(float)
+    once *= w.lam_once
+
+    cap = np.zeros(once.shape)
+    if w.cap_mode != "filter-only":
+        veh, demand = np.arange(S) // n, np.asarray(inst.d, dtype=float)[np.arange(S) % n]
+        for k in range(K):
+            per_digit = np.where(veh == k, demand, 0.0)
+            load = np.zeros(once.shape)
+            for j in range(n):
+                load += per_digit[sym[j]] * ok[j]
+            # in place: hinge max(0, load - Q_k)**2 or surrogate (load - Q)**2
+            if w.cap_mode == "hinge":
+                load -= inst.Q[k]
+                np.maximum(load, 0.0, out=load)
+            else:
+                load -= inst.uniform_capacity()
+            load *= load
+            cap += load
+        cap *= w.lam_cap
+    return once, cap
+
+
+def _timeline(inst, sym, lam_obj, valid=None):
+    """The timeline objective of n rows of symbols that broadcast together:
+    the start leg, each adjacent pair's leg (W on one vehicle, else the edge
+    matrix's entry, close leg plus start leg) and the close leg in position
+    order, with no S x S matrix, then scaled once; a padded word's legs add 0."""
+    n = inst.n
+    ok = [True] * n if valid is None else valid
+    start, close = depot_legs(inst)
+    obj = start[sym[0]] * ok[0]
+    for a, b, both in zip(sym[:-1], sym[1:], np.logical_and(ok[:-1], ok[1:])):
+        obj = obj + np.where(a // n == b // n, inst.W[a % n, b % n], close[a] + start[b]) * both
+    obj = obj + close[sym[-1]] * ok[-1]
+    return obj * lam_obj
+
+
 def energy_components(model, labels):
     """Vectorized energy breakdown for an array of basis-state labels.
 
     Returns a dict of equally shaped float arrays with keys "once",
-    "cap", "obj", "pad", "total".
+    "cap", "obj", "pad", "total": `_penalties` and `_timeline` on the
+    labels' digits, each padded binary word (digit >= S) masked out.
     """
-    inst = model.inst
     p = model.params
-    w = model.weights
-    n, K, S = p.n, p.K, p.S
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    m = len(labels)
-    digits = label_digits_array(labels, n, model.radix)
-    valid = (
-        np.ones((n, m), dtype=bool) if model.register == "onehot" else digits < S
-    )
-    sym = np.minimum(digits, S - 1)
-    cust = sym % n
-    veh = sym // n
-
-    n_valid = valid.sum(axis=0)
-    once = np.zeros(m)
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            pair = valid[j1] & valid[j2] & (cust[j1] == cust[j2])
-            once += 2.0 * pair
-    once += n - n_valid
-    once *= w.lam_once
-
-    cap = np.zeros(m)
-    if w.cap_mode != "filter-only":
-        loads = np.zeros((K, m))
-        demand = np.asarray(inst.d, dtype=float)
-        for j in range(n):
-            dj = np.where(valid[j], demand[cust[j]], 0.0)
-            for k in range(K):
-                loads[k] += np.where(veh[j] == k, dj, 0.0)
-        if w.cap_mode == "hinge":
-            for k in range(K):
-                over = np.maximum(0.0, loads[k] - inst.Q[k])
-                cap += over**2
-        else:
-            Q0 = inst.uniform_capacity()
-            cap = ((loads - Q0) ** 2).sum(axis=0)
-        cap *= w.lam_cap
-
-    edges, start, close = edge_cost_matrix(inst)
-    obj = np.where(valid[0], start[sym[0]], 0.0)
-    for j in range(n - 1):
-        pair = valid[j] & valid[j + 1]
-        obj += np.where(pair, edges[sym[j], sym[j + 1]], 0.0)
-    obj = obj + np.where(valid[n - 1], close[sym[n - 1]], 0.0)
-    obj *= w.lam_obj
-
-    pad = w.lam_pad * (n - n_valid).astype(float)
+    digits = label_digits_array(np.atleast_1d(np.asarray(labels, dtype=np.int64)), p.n, model.radix)
+    valid = digits < p.S
+    sym = np.minimum(digits, p.S - 1)
+    once, cap = _penalties(model, sym, valid)
+    obj = _timeline(model.inst, sym, model.weights.lam_obj, valid)
+    pad = model.weights.lam_pad * (p.n - valid.sum(axis=0)).astype(float)
     return {"once": once, "cap": cap, "obj": obj, "pad": pad, "total": once + cap + obj + pad}
 
 
@@ -273,57 +287,23 @@ def _leg(level, leg):
 def table_parts(model):
     """The parts of the S^n one-hot energy table, whatever the register:
     `pair`, the once and capacity terms of each pair of symbol multisets
-    of a label's first n // 2 digits and of the rest, which depend only on
-    those multisets through integer counts and loads that add up exactly
-    (instances keep the total demand below 2**53), each half-label's
-    multiset (`head_of`, `tail_of`), and `level`, the objective of the
-    first max(n - 2, 0) positions built one position at a time, each level
-    the last plus an edge. The evaluator adds in `energy_components`'s
-    order, so it equals it exactly."""
-    inst = model.inst
-    p = model.params
-    w = model.weights
-    n, K, S = p.n, p.K, p.S
+    of a label's first n // 2 digits and of the rest (they depend only on
+    those multisets), which is `_penalties` on the pairs' broadcast rows,
+    the reference's own arithmetic; each half-label's multiset (`head_of`,
+    `tail_of`); and `level`, the objective of the first max(n - 2, 0)
+    positions built one position at a time, each level the last plus an
+    edge. The evaluator adds the legs in `_timeline`'s order, so it equals
+    `energy_components` exactly."""
+    n, S = model.params.n, model.params.S
     (head, head_of), (tail, tail_of) = _half_multisets(S, n // 2), _half_multisets(S, n - n // 2)
     # the symbol at each position of every (head, tail) pair of multisets
-    sym = [row[:, None] for row in head] + [row[None, :] for row in tail]
-    cust = np.arange(S) % n
-    veh = np.arange(S) // n
-
-    # once: 2 per same-customer digit pair, counted exactly in integers
-    # (at most n*n) and scaled once
-    same = 2 * (cust[:, None] == cust[None, :]).astype(np.int16)
-    count = np.zeros((head.shape[1], tail.shape[1]), dtype=np.int16)
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            count += same[sym[j1], sym[j2]]
-    pair = count.astype(float)
-    pair *= w.lam_once
-
-    if w.cap_mode != "filter-only":
-        demand = np.asarray(inst.d, dtype=float)
-        cap = np.zeros(pair.shape)
-        for k in range(K):
-            per_digit = np.where(veh == k, demand[cust], 0.0)
-            load = np.zeros(pair.shape)
-            for j in range(n):
-                load += per_digit[sym[j]]
-            # in place: hinge max(0, load - Q_k)**2 or surrogate (load - Q)**2
-            if w.cap_mode == "hinge":
-                load -= inst.Q[k]
-                np.maximum(load, 0.0, out=load)
-            else:
-                load -= inst.uniform_capacity()
-            load *= load
-            cap += load
-        cap *= w.lam_cap
-        pair += cap
-
-    edges, start, close = edge_cost_matrix(inst)
+    pair, cap = _penalties(model, [row[:, None] for row in head] + [row[None, :] for row in tail])
+    pair += cap
+    edges, start, close = edge_cost_matrix(model.inst)
     level = np.array([-0.0])
     for j in range(n - 2):
         level = _leg(level, edges if j else start[None])
-    return TableParts(pair, head_of, tail_of, edges, start, close, level, w.lam_obj)
+    return TableParts(pair, head_of, tail_of, edges, start, close, level, model.weights.lam_obj)
 
 
 def energy_table(model):

@@ -25,11 +25,11 @@ dynamic program over the vehicles in index order gives the optimum and the
 feasible count: O(K 3^n) (rest, submask) pairs, taken as one numpy step per
 reachable rest (the last vehicle: one step in all), with int64 counts
 while the all-fit count stays below 2^63 and Python integers past it.
-Backtracking recovers every timeline near the optimum, each scored once in
-`energy_objective`'s order: W within a vehicle, the close and start legs
-across a vehicle change. Before any table is built, one admission step
-refuses with a ValueError an instance whose route tables would pass
-MEMORY_BUDGET or whose dynamic program would pass WORK_CEILING; many ties
+Backtracking recovers every timeline near the optimum, each scored once
+by `_timeline`, the sampled labels' own scorer. Before any table is
+built, one admission step refuses with a ValueError an instance whose
+route tables would pass MEMORY_BUDGET or whose dynamic program, its
+counts weighed by their dtype, would pass WORK_CEILING; many ties
 can still pass the winner ceiling, MEMORY_BUDGET // (WINNER_BYTES * n)
 timelines, and then gathering stops with a ValueError.
 """
@@ -47,7 +47,7 @@ import numpy as np
 
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
 from .feasibility import OK, REASONS, label_reasons
-from .hamiltonian import depot_legs, energy_components, table_parts
+from .hamiltonian import _timeline, depot_legs, energy_components, table_parts
 from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, orbit_labels, sample
 
 SCORE_TOL = 1e-9
@@ -66,10 +66,12 @@ ROUTE_BYTES = 224
 # start-leg vector a table of n^2 2^n entries in n^2 numpy steps, and for
 # each vehicle but the first and the last up to 2^n steps over up to 3^n
 # (rest, submask) pairs of n counts each; a numpy step costs STEP_WORK and a
-# count COUNT_WORK. The ceiling admits n = 9, K = 1,359 with per-vehicle
+# count COUNT_WORK, or INT64_COUNT_WORK in int64 (fitted 0.37-0.44 on all-fit
+# K = 3, n = 14-17). The ceiling admits n = 9, K = 1,359 with per-vehicle
 # legs, the slowest instance an n <= 9 limit admitted.
 STEP_WORK = 1360
 COUNT_WORK = 4
+INT64_COUNT_WORK = 0.5
 WORK_CEILING = 1359 * 81 * (2**9 + STEP_WORK) + 1357 * (STEP_WORK * 2**9 + COUNT_WORK * 9 * 3**9)
 # Vehicle DP counts are int64 while the all-fit count is below this.
 COUNT_LIMIT = 2**63
@@ -167,6 +169,13 @@ def _route_tables(inst, start, close):
     return costs, fits, tables
 
 
+def _count_dtype(n, K):
+    """The vehicle DP's count dtype: int64 while the all-fit count, which
+    bounds every count, is below COUNT_LIMIT; Python integers past it."""
+    total = math.factorial(n) * sum(math.comb(n - 1, r - 1) * math.perm(K, r) for r in range(1, n + 1))
+    return np.int64 if total < COUNT_LIMIT else object
+
+
 def _vehicle_tables(costs, fits, n):
     """G[k][mask], the least cost of serving mask with vehicles 0..k-1,
     each unused or on one route (the last vehicle fills the full mask
@@ -177,9 +186,7 @@ def _vehicle_tables(costs, fits, n):
     K, full = len(costs), (1 << n) - 1
     bits = (np.arange(full + 1)[:, None] >> np.arange(n)) & 1
     size = bits.sum(axis=1)
-    # the all-fit count bounds every count below; past int64, Python ints
-    total = math.factorial(n) * sum(math.comb(n - 1, r - 1) * math.perm(K, r) for r in range(1, n + 1))
-    dtype = np.int64 if total < COUNT_LIMIT else object
+    dtype = _count_dtype(n, K)
     fact = np.array([math.factorial(r) for r in range(n + 1)], dtype=dtype)
     G = np.full((K + 1, full + 1), np.inf)
     G[0, 0] = 0.0
@@ -259,11 +266,11 @@ def exact_solve(inst, model=None):
     """Return the optimum over every feasible configuration.
 
     Scores use the timeline objective scaled by the model's lam_obj
-    (1.0 without a model), each summed once in `energy_objective`'s order,
-    so the reported optimal_cost is bit-comparable with per-sample scores
-    elsewhere. Argmins are gathered to a 1e-9 tolerance. Refuses, before
-    building anything, route tables over the memory budget (ROUTE_BYTES
-    per entry) and work over WORK_CEILING.
+    (1.0 without a model), each summed once by `_timeline`, the sampled
+    labels' own scorer, so the reported optimal_cost is bit-comparable
+    with per-sample scores elsewhere. Argmins are gathered to a 1e-9
+    tolerance. Refuses, before building anything, route tables over the
+    memory budget (ROUTE_BYTES per entry) and work over WORK_CEILING.
     """
     n, K = inst.n, inst.K
     need = ROUTE_BYTES * (K * (n + 2) << n)
@@ -271,7 +278,8 @@ def exact_solve(inst, model=None):
         raise ValueError(f"the exact oracle's tables at n = {n}, K = {K} need about {need} bytes, over the memory budget of {MEMORY_BUDGET} bytes")
     start, close = depot_legs(inst)
     starts = len({start[k * n : (k + 1) * n].tobytes() for k in range(K)})
-    work = starts * n * n * (2**n + STEP_WORK) + max(K - 2, 0) * (STEP_WORK * 2**n + COUNT_WORK * n * 3**n)
+    count_work = INT64_COUNT_WORK if _count_dtype(n, K) is np.int64 else COUNT_WORK
+    work = starts * n * n * (2**n + STEP_WORK) + max(K - 2, 0) * (STEP_WORK * 2**n + math.ceil(count_work * n * 3**n))
     if work > WORK_CEILING:
         raise ValueError(f"the exact oracle at n = {n}, K = {K} needs about {work} units of work, over its work ceiling of {WORK_CEILING}")
     lam_obj = model.weights.lam_obj if model is not None else 1.0
@@ -283,7 +291,7 @@ def exact_solve(inst, model=None):
     # The tables sum route by route, a timeline's score along the timeline;
     # the two can differ in the last bits. So recover every timeline within
     # a margin past the tolerance and gather them on their timeline scores,
-    # added in energy_objective's order so each equals it bit for bit.
+    # added by `_timeline`, so each equals energy_objective bit for bit.
     best = G[K][-1]
     bound = best + (SCORE_TOL / lam_obj if lam_obj > 0 else np.inf) + 1e-9 * (1 + best)
     ceiling = MEMORY_BUDGET // (WINNER_BYTES * n)
@@ -291,10 +299,7 @@ def exact_solve(inst, model=None):
     syms = np.fromiter(found, dtype=np.dtype((np.int64, (n,))))
     if len(syms) > ceiling:
         raise ValueError(f"more than {ceiling} timelines tie for the optimum, over the winner ceiling at n = {n}")
-    cost = start[syms[:, 0]]
-    for a, b in zip(syms.T[:-1], syms.T[1:]):
-        cost = cost + np.where(a // n == b // n, inst.W[a % n, b % n], close[a] + start[b])
-    cost = lam_obj * (cost + close[syms[:, -1]])
+    cost = _timeline(inst, syms.T, lam_obj)
     optimum = cost.min()
     pairs = [(s % n, s // n) for s in range(n * K)]
     winners = sorted(

@@ -6,6 +6,8 @@ so the two implementations never share a code path for the same number.
 """
 
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from colorperm.hamiltonian import (
     export_qubo,
 )
 from colorperm.instances import Instance, PdpInstance
+from colorperm.solver import exact_solve
 from tests.conftest import EXA_PAIRS_1B
 
 W0 = PenaltyWeights()
@@ -232,6 +235,30 @@ def test_energy_table_and_limit(exA):
     table = energy_table(model)
     assert table.shape == (216,)
     assert table[np.argmin(table)] <= table.min() + 1e-12
+
+
+def test_label_energies_and_oracle_winners_read_legs_without_the_edge_matrix():
+    # n = 2, K = 3,000 with per-vehicle legs: S = 6,000, so an S x S edge
+    # matrix is 288 MB of floats; four labels and the oracle's winners are
+    # scored leg by leg, each under 8 MB
+    n, K = 2, 3000
+    rng = np.random.default_rng(3)
+    legs = rng.uniform(1.0, 9.0, (2, n, K))
+    inst = Instance("fleet", n, K, [1] * n, [n] * K, np.array([[0.0, 2.0], [3.0, 0.0]]), *legs)
+    model = EnergyModel.for_instance(inst)
+    S = model.params.S
+    labels = [0, S + 1, S * (S - 1) + 3, S * S - 1]
+    for run in (lambda: energy_components(model, labels), lambda: exact_solve(inst, model)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+    assert all(result.optimal_cost == energy_objective(a, inst) for a in result.optimal_assignments)
+    objs = energy_components(model, labels)["obj"]
+    assert objs.tolist() == [energy_objective(label_assignment(z, model.params), inst) for z in labels]
 
 
 def test_label_out_of_range_rejected(exA):

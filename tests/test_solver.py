@@ -7,6 +7,7 @@ the optimum and the feasible count.
 """
 
 import itertools
+import math
 import types
 
 import numpy as np
@@ -136,12 +137,13 @@ def test_exact_solve_lam_obj_scaling(exA):
 def test_exact_solve_ceiling(monkeypatch):
     # n = 10, K = 3, two distinct start-leg vectors: two Held-Karp tables of
     # n^2 2^n entries in n^2 steps each, and one middle vehicle of 2^n steps
-    # over 3^n pairs of n counts
+    # over 3^n pairs of n counts, int64 below COUNT_LIMIT
     n = 10
     legs = np.zeros((n, 3))
     legs[:, 2] = 1.0
     big = Instance("big", n, 3, [1] * n, [n] * 3, np.zeros((n, n)), legs, legs)
-    work = 2 * n * n * (2**n + solver.STEP_WORK) + solver.STEP_WORK * 2**n + solver.COUNT_WORK * n * 3**n
+    assert solver._count_dtype(n, 3) is np.int64
+    work = 2 * n * n * (2**n + solver.STEP_WORK) + solver.STEP_WORK * 2**n + math.ceil(solver.INT64_COUNT_WORK * n * 3**n)
 
     def no_tables(*args):
         raise AssertionError("the route tables were built before the work check")
@@ -151,6 +153,24 @@ def test_exact_solve_ceiling(monkeypatch):
     with pytest.raises(ValueError) as refused:
         exact_solve(big)
     assert str(refused.value) == f"the exact oracle at n = 10, K = 3 needs about {work} units of work, over its work ceiling of {work - 1}"
+
+
+def test_exact_solve_charges_python_integer_counts_at_count_work(monkeypatch):
+    # n = 10, K = 40: the all-fit count passes 2**63, so the 38 middle
+    # vehicles count in Python integers at COUNT_WORK each
+    n, K = 10, 40
+    big = Instance("fleet", n, K, [1] * n, [n] * K, np.zeros((n, n)), np.zeros(n), np.zeros(n))
+    assert solver._count_dtype(n, K) is object
+    work = n * n * (2**n + solver.STEP_WORK) + (K - 2) * (solver.STEP_WORK * 2**n + solver.COUNT_WORK * n * 3**n)
+
+    def no_tables(*args):
+        raise AssertionError("the route tables were built before the work check")
+
+    monkeypatch.setattr(solver, "_route_tables", no_tables)
+    monkeypatch.setattr(solver, "WORK_CEILING", work - 1)
+    with pytest.raises(ValueError) as refused:
+        exact_solve(big)
+    assert str(refused.value) == f"the exact oracle at n = 10, K = 40 needs about {work} units of work, over its work ceiling of {work - 1}"
 
 
 def test_exact_solve_all_infeasible(exA):
