@@ -7,14 +7,13 @@ timeline. The scan reads blocks left to right with an early exit on a
 second set bit, decodes (i, k) from the unique set bit, and accumulates
 per-customer seen flags plus per-vehicle load/count/firstpos/lastpos,
 then sweeps the vehicles checking capacity and contiguity. Total work is
-O(n^2 K) bit visits.
+O(n^2 K) bit visits. The verdict reports the first violation in exactly
+that scan order, so a given string always fails for the same reason.
 
-The verdict reports the first violation in exactly that scan order, so a
-given string always fails for the same reason.
-
-The scan is the reference. Sampled register labels are already digit
-arrays, so `label_reasons` gives the same reason for many labels at once
-straight from their digits, without rendering or scanning a string.
+The scan is the reference. `label_reasons` gives the same reasons to
+many register labels at once from their digits: a digit >= S is a
+PaddingLeak, one customer bitmask per label (int64 labels bound n at
+15) finds the repeats, and only the labels left are checked by vehicle.
 """
 
 from __future__ import annotations
@@ -140,23 +139,24 @@ def label_reasons(labels, inst, register):
     A label's blocks are one-hot by construction, so the codes are, in
     the scan's order of precedence: PaddingLeak (a binary word >= S),
     RepeatedCustomer, then per vehicle k = 0..K-1 capacity before
-    contiguity, else OK.
+    contiguity, else OK. A customer bitmask per label finds the repeats
+    (n <= 15 in int64 labels); only the labels that pass get per-vehicle
+    loads (exact: total demand < 2**53) and run starts (a vehicle starting
+    two runs is not contiguous).
     """
     p = EncodingParams.for_instance(inst)
-    digits = label_digits_array(labels, p.n, p.radix(register))
-    sym = np.minimum(digits, p.S - 1)
-    cust, veh = sym % p.n, sym // p.n
+    radix = p.radix(register)
+    digits = label_digits_array(labels, p.n, radix)
+    bits = (1 << np.arange(radix) % p.n)[digits]
     codes = np.zeros(digits.shape[1], dtype=np.int8)
-    demand = np.asarray(inst.d)[cust]
-    positions = np.arange(p.n)[:, None]
-    for k in range(p.K - 1, -1, -1):
-        on = veh == k
-        count = on.sum(axis=0)
-        first = np.where(on, positions, p.n).min(axis=0)
-        last = np.where(on, positions, -1).max(axis=0)
-        codes[(count > 0) & (last - first + 1 != count)] = REASONS.index(NON_CONTIGUOUS)
-        codes[np.where(on, demand, 0).sum(axis=0) > inst.Q[k]] = REASONS.index(CAPACITY_VIOLATION)
-    repeated = (np.diff(np.sort(cust, axis=0), axis=0) == 0).any(axis=0)
-    codes[repeated] = REASONS.index(REPEATED_CUSTOMER)
+    codes[np.bitwise_or.reduce(bits) != bits.sum(axis=0)] = REASONS.index(REPEATED_CUSTOMER)
     codes[(digits >= p.S).any(axis=0)] = REASONS.index(PADDING_LEAK)
+    live = np.flatnonzero(codes == REASONS.index(OK))
+    veh, cust = np.divmod(digits[:, live], p.n)
+    m = len(live)
+    cell = veh * m + np.arange(m)
+    load = np.bincount(cell.ravel(), inst.d[cust].ravel(), p.K * m).reshape(p.K, m)
+    runs = np.bincount(cell[np.diff(veh, axis=0, prepend=-1) != 0], minlength=p.K * m).reshape(p.K, m)
+    why = np.where(load > inst.Q[:, None], REASONS.index(CAPACITY_VIOLATION), (runs > 1) * REASONS.index(NON_CONTIGUOUS))
+    codes[live] = why[(why != 0).argmax(axis=0), np.arange(m)]
     return codes

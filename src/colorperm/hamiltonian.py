@@ -164,7 +164,7 @@ def _penalties(model, sym, valid=None):
     customer. Pairs and loads are counted exactly in integers (at most n*n;
     instances keep the total demand below 2**53), then scaled once."""
     inst, w = model.inst, model.weights
-    n, K, S = model.params.n, model.params.K, model.params.S
+    n, K = model.params.n, model.params.K
     ok = [True] * n if valid is None else valid
     # once: sum_i (count_i - 1)**2 is 2 per same-customer pair of valid
     # positions plus 1 per padded one, whose customer n pairs with none
@@ -180,12 +180,12 @@ def _penalties(model, sym, valid=None):
 
     cap = np.zeros(once.shape)
     if w.cap_mode != "filter-only":
-        veh, demand = np.arange(S) // n, np.asarray(inst.d, dtype=float)[np.arange(S) % n]
+        # each position's vehicle and (valid) demand, read once for all K vehicles
+        veh, demand = [s // n for s in sym], [inst.d[s % n] * ok[j] for j, s in enumerate(sym)]
         for k in range(K):
-            per_digit = np.where(veh == k, demand, 0.0)
             load = np.zeros(once.shape)
             for j in range(n):
-                load += per_digit[sym[j]] * ok[j]
+                load += np.where(veh[j] == k, demand[j], 0.0)
             # in place: hinge max(0, load - Q_k)**2 or surrogate (load - Q)**2
             if w.cap_mode == "hinge":
                 load -= inst.Q[k]

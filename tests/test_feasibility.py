@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorperm.encoding import REGISTERS, EncodingParams, label_to_binary, label_to_onehot
+from colorperm.encoding import REGISTERS, EncodingParams, digits_label, label_to_binary, label_to_onehot
 from colorperm.feasibility import (
     CAPACITY_VIOLATION,
     MULTI_HOT,
@@ -223,6 +223,39 @@ def test_label_reasons_match_the_reference_scan(case):
     inst, register, labels = case
     codes = label_reasons(labels, inst, register)
     assert [REASONS[c] for c in codes] == [_reference_reason(z, inst, register) for z in labels]
+
+
+@st.composite
+def wide_fleets_and_heavy_demands(draw):
+    # vehicles may outnumber customers; demands reach 2**20, some of them
+    # zero, and capacities sit near the total, so one vehicle can carry
+    # every customer and still fail by a little
+    n = draw(st.integers(min_value=1, max_value=4))
+    K = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.lists(st.just(0) | st.integers(min_value=0, max_value=2**20), min_size=n, max_size=n))
+    total = sum(d)
+    Q = draw(st.lists(st.integers(min_value=max(0, total - max(d)), max_value=total + 1), min_size=K, max_size=K))
+    inst = Instance("h", n, K, d, Q, np.zeros((n, n)), np.zeros(n), np.zeros(n))
+    register = draw(st.sampled_from(REGISTERS))
+    p = EncodingParams(n, K)
+    labels = draw(st.lists(st.integers(min_value=0, max_value=p.dim(register) - 1), max_size=20))
+    # labels that repeat no customer, so that the vehicle checks decide
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        order = draw(st.permutations(range(n)))
+        fleet = draw(st.lists(st.integers(min_value=0, max_value=K - 1), min_size=n, max_size=n))
+        labels.append(digits_label([i + n * k for i, k in zip(order, fleet)], p.radix(register)))
+    return inst, register, labels
+
+
+@given(wide_fleets_and_heavy_demands())
+@settings(max_examples=200, deadline=None)
+def test_label_reasons_match_the_reference_scan_on_wide_fleets_and_heavy_demands(case):
+    inst, register, labels = case
+    codes = label_reasons(labels, inst, register)
+    assert codes.dtype == np.int8
+    assert [REASONS[c] for c in codes] == [_reference_reason(z, inst, register) for z in labels]
+    none = label_reasons(np.array([], dtype=np.int64), inst, register)
+    assert none.dtype == np.int8 and none.shape == (0,)
 
 
 @pytest.mark.parametrize("register", REGISTERS)

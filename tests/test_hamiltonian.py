@@ -17,11 +17,13 @@ from colorperm.encoding import (
     digits_label,
     label_assignment,
     label_digits,
+    label_digits_array,
 )
 from colorperm.feasibility import NON_CONTIGUOUS, OK, feasible_global_positions
 from colorperm.hamiltonian import (
     EnergyModel,
     PenaltyWeights,
+    _penalties,
     edge_cost,
     edge_cost_matrix,
     energy_capacity,
@@ -259,6 +261,30 @@ def test_label_energies_and_oracle_winners_read_legs_without_the_edge_matrix():
     assert all(result.optimal_cost == energy_objective(a, inst) for a in result.optimal_assignments)
     objs = energy_components(model, labels)["obj"]
     assert objs.tolist() == [energy_objective(label_assignment(z, model.params), inst) for z in labels]
+
+
+def test_penalties_read_each_position_once_for_every_vehicle():
+    # n = 2, K = 3,000: S = 6,000. The capacity term of four labels reads each
+    # position's vehicle and demand once and sums them per vehicle, so no
+    # S-length per-vehicle array (48 KB of floats) is built
+    n, K = 2, 3000
+    inst = Instance("fleet", n, K, [1, 2], [1] * K, np.array([[0.0, 2.0], [3.0, 0.0]]), np.ones(n), np.ones(n))
+    S = n * K
+    sym = label_digits_array([0, S + 1, S * (S - 1) + 3, S * S - 1], n, S)
+    for mode in ("hinge", "quadratic-surrogate"):
+        model = EnergyModel.for_instance(inst, PenaltyWeights(cap_mode=mode))
+        tracemalloc.start()
+        try:
+            _, cap = _penalties(model, sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * S
+        loads = np.zeros((sym.shape[1], K), dtype=np.int64)
+        for col, row in enumerate(sym.T):
+            for s in row:
+                loads[col, s // n] += inst.d[s % n]
+        assert cap.tolist() == [energy_capacity(load, inst.Q, model.weights) for load in loads]
 
 
 def test_label_out_of_range_rejected(exA):
