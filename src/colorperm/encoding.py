@@ -305,9 +305,14 @@ def label_to_binary(z, p):
     return "".join(format(w, f"0{q}b") for w in words) if q else ""
 
 
-def label_bitstring(z, p, register):
-    """Bitstring of a register label: one-hot blocks or binary words."""
-    return (label_to_onehot if register == "onehot" else label_to_binary)(z, p)
+def label_bitstrings(labels, p, register):
+    """Bitstrings of an array of register labels, each as `label_to_onehot`
+    or `label_to_binary` renders it: one-hot blocks or binary words."""
+    digits = label_digits_array(labels, p.n, p.radix(register))[..., None]
+    bits = digits == np.arange(p.S) if register == "onehot" else digits >> np.arange(p.q - 1, -1, -1) & 1
+    text = (np.ascontiguousarray(bits.transpose(1, 0, 2), dtype=np.uint8) + ord("0")).tobytes().decode()
+    width = p.n * bits.shape[2]
+    return [text[i * width : (i + 1) * width] for i in range(bits.shape[1])]
 
 
 def binary_to_label(y, p):

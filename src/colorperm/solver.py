@@ -2,14 +2,15 @@
 
 The solver sweeps a coarse (gamma, beta) grid row by row: the points of
 one gamma row share their first phase layer. At each point it prepares
-the depth-p state, draws a seeded multinomial sample, rejects every
-label the digit-level feasibility verdict refuses, scores the survivors
-with the timeline objective (or the full diagonal cost on request) in one
-vectorized call, and keeps the strict minimum. The energy table does not
-depend on the angles, so a sweep builds its small parts once, decides on
-them whether its vehicles mirror (`orbit_labels`), and every gamma row
-builds its phase factor from them; under `jobs` > 1 the gamma rows are
-dealt to threads of the one process.
+the depth-p state, draws a seeded multinomial sample and keeps only the
+labels the digit-level feasibility verdict accepts, freeing the sample
+before the next draw. Each row then relabels, renders and scores all its
+points' survivors at once, with the timeline objective (or the full
+diagonal cost on request) in one vectorized call, and keeps the strict
+minimum. The energy table does not depend on the angles, so a sweep
+builds its small parts once, decides on them whether its vehicles mirror
+(`orbit_labels`), and every gamma row builds its phase factor from them;
+under `jobs` > 1 the gamma rows are dealt to threads of the one process.
 Either register evolves and samples the one-hot labels; a binary sweep
 relabels only the labels it accepts. Grid rows are independent work
 items, each point drawn from its own (seed, index); the reduction is an
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstring, recode_labels
+from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstrings, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import _timeline, depot_legs, energy_components, table_parts
 from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, orbit_labels, sample
@@ -370,50 +371,47 @@ class PhqcResult:
         }
 
 
-def feasible_samples(samples, inst, register):
-    """The distinct sampled labels the feasibility oracle accepts, in
-    ascending order, as (labels, counts, bitstrings) of `register`. One
-    digit-level verdict masks both arrays; only the accepted labels are
-    relabelled and rendered."""
-    ok = label_reasons(samples.labels, inst, samples.register) == REASONS.index(OK)
-    labels = recode_labels(samples.labels[ok], samples.params, samples.register, register).tolist()
-    bits = [label_bitstring(z, samples.params, register) for z in labels]
-    return labels, samples.counts[ok].tolist(), bits
-
-
-def _grid_point(model, probs, register, gamma, beta, shots, base_seed, index, score_mode, optimal_labels, optimal_cost):
-    """One grid point of the distribution `probs` of a prepared state
-    over `register`'s labels (`optimal_labels` too): sample, filter,
-    score. Returns the record, the local best as (score, index, label,
-    bits, objective) and the accepted {bits: count}, both in the model's
-    register."""
-    p_star_exact = None
-    if optimal_labels is not None:
-        p_star_exact = float(probs[np.asarray(optimal_labels, dtype=np.int64)].sum())
-    # sample normalises the one distribution in place
-    samples = sample(probs, shots, (base_seed, index), model.params, register)
-    labels, counts, bits = feasible_samples(samples, model.inst, model.register)
+def grid_row(model, register, gamma, betas, dists, shots, seed, first, score_mode, optimal):
+    """One gamma row, from each beta's distribution over `register`'s
+    labels; `optimal` is None or the exact oracle's (labels in `register`
+    as an int64 array, cost). Each point draws its sample, keeps the labels
+    the digit-level verdict accepts and frees the rest before the next
+    draw; the row's accepted labels are then relabelled, rendered and
+    scored at once. Returns per point, in index order, the record, the
+    local best as (score, index, label, bits, objective) and the accepted
+    {bits: count}, both in the model's register."""
+    params = model.params
+    stars, labels, counts = [], [], []
+    for j, probs in enumerate(dists):
+        stars.append(None if optimal is None else float(probs[optimal[0]].sum()))
+        # sample normalises the one distribution in place
+        drawn = sample(probs, shots, (seed, first + j), params, register)
+        ok = label_reasons(drawn.labels, model.inst, register) == REASONS.index(OK)
+        labels.append(drawn.labels[ok])
+        counts.append(drawn.counts[ok])
+        # a full sample can be the size of the state: hold one at a time
+        del drawn
+    ends = np.cumsum([0] + [len(a) for a in labels]).tolist()
+    accepted = recode_labels(np.concatenate(labels), params, register, model.register)
+    bits = label_bitstrings(accepted, params, model.register)
     # for feasible labels "obj" equals energy_objective bit for bit, and
     # optimal hits are judged on it whatever the ranking score
-    parts = energy_components(model, labels)
+    parts = energy_components(model, accepted)
     objs = parts["obj"].tolist()
     scores = objs if score_mode == "objective" else parts["total"].tolist()
-    local_best = min(zip(scores, [index] * len(labels), labels, bits, objs), default=None)
-    feasible_bits = dict(zip(bits, counts))
-    _, share = feasible_histogram(feasible_bits, shots, model.params)
-    hits = None
-    if optimal_labels is not None:
-        hits = sum(c for c, obj in zip(counts, objs) if abs(obj - optimal_cost) <= SCORE_TOL)
-    record = GridPointRecord(
-        index=index,
-        gamma=gamma,
-        beta=beta,
-        feasible_count=sum(counts),
-        share_above_baseline=share,
-        optimal_hits=hits,
-        p_star_exact=p_star_exact,
-    )
-    return record, local_best, feasible_bits
+    counts = np.concatenate(counts)
+    hits = None if optimal is None else np.where(np.abs(parts["obj"] - optimal[1]) <= SCORE_TOL, counts, 0).tolist()
+    accepted, counts = accepted.tolist(), counts.tolist()
+    points = []
+    for j, (beta, star) in enumerate(zip(betas, stars)):
+        cut = slice(ends[j], ends[j + 1])
+        local_best = min(zip(scores[cut], itertools.repeat(first + j), accepted[cut], bits[cut], objs[cut]), default=None)
+        feasible_bits = dict(zip(bits[cut], counts[cut]))
+        _, share = feasible_histogram(feasible_bits, shots, params)
+        hit = None if hits is None else sum(hits[cut])
+        record = GridPointRecord(first + j, gamma, beta, sum(counts[cut]), share, hit, star)
+        points.append((record, local_best, feasible_bits))
+    return points
 
 
 def charge_sweep(model, shape, depth, jobs):
@@ -451,10 +449,11 @@ def phqc(
     """Grid sweep with feasibility filtering and strict-minimum scoring.
 
     The sweep runs row by row, on up to `jobs` threads: one call per
-    gamma evolves every beta of its row from a shared first phase layer.
-    When `exact_reference` (an ExactSolution) is given, per-point records
-    also carry optimal-hit counts and the exact optimal mass of the
-    prepared state. The histogram of all feasible samples pooled over the
+    gamma evolves every beta of its row from a shared first phase layer,
+    and `grid_row` scores the row's accepted samples in one pass. When
+    `exact_reference` (an ExactSolution) is given, per-point records also
+    carry optimal-hit counts and the exact optimal mass of the prepared
+    state. The histogram of all feasible samples pooled over the
     sweep is available through `phqc_histogram`. The sweep runs on the
     threads, parts and head of its `admission`, which `charge_sweep`
     returned for this grid, depth and `jobs`; without one, `charge_sweep`
@@ -469,22 +468,16 @@ def phqc(
         raise ValueError(f"need jobs >= 1, not {jobs}")
     params = model.params
     workers, parts, head = admission or charge_sweep(model, (len(grid.gammas), len(grid.betas)), depth, jobs)
-    optimal_labels = None
-    optimal_cost = None
+    optimal = None
     if exact_reference is not None and exact_reference.optimal_assignments:
-        optimal_labels = exact_reference.optimal_labels(params)
-        optimal_cost = exact_reference.optimal_cost
+        optimal = np.asarray(exact_reference.optimal_labels(params), dtype=np.int64), exact_reference.optimal_cost
     betas = grid.betas
 
-    def grid_row(row):
-        # every beta of one gamma row, evolved from one shared first phase
-        # layer; outcomes in index order
-        gamma = grid.gammas[row]
+    def row(r):
+        # every beta of one gamma row, evolved from one shared first phase layer
+        gamma = grid.gammas[r]
         dists = evolve_row(params, parts, [Schedule.constant(gamma, beta, depth) for beta in betas], head)
-        return [
-            _grid_point(model, probs, "onehot", gamma, beta, shots_per_point, seed, row * len(betas) + j, score, optimal_labels, optimal_cost)
-            for j, (beta, probs) in enumerate(zip(betas, dists))
-        ]
+        return grid_row(model, "onehot", gamma, betas, dists, shots_per_point, seed, r * len(betas), score, optimal)
 
     records = []
     best = None
@@ -492,7 +485,7 @@ def phqc(
     # each row is reduced as it is yielded, in grid order: only the rows that
     # finish ahead of the reduce are held
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        rows = (pool.map if pool else map)(grid_row, range(len(grid.gammas)))
+        rows = (pool.map if pool else map)(row, range(len(grid.gammas)))
         for record, local_best, feasible_bits in itertools.chain.from_iterable(rows):
             records.append(record)
             for bits, count in feasible_bits.items():

@@ -21,13 +21,13 @@ from colorperm.analysis import (
     phase_profile_from_energies,
     required_shots,
 )
-from colorperm.encoding import EncodingParams, label_to_onehot
+from colorperm.encoding import EncodingParams, assignment_label, binary_to_label, decode_bitstring, label_to_onehot
 from colorperm.feasibility import feasible_global_positions
 from colorperm.hamiltonian import EnergyModel, energy_table
 from colorperm.instances import load_instance
-from colorperm import analysis, simulator
+from colorperm import analysis, simulator, solver
 from colorperm.simulator import BYTES_PER_AMPLITUDE, AmplitudeBudgetError, SampleSet
-from colorperm.solver import exact_solve, feasible_histogram, feasible_samples
+from colorperm.solver import exact_solve, feasible_histogram
 
 TWO_PI = 2 * math.pi
 
@@ -306,6 +306,21 @@ def feasible_label(exA, params3):
     raise AssertionError("no feasible label")
 
 
+def feasible_samples(ss, inst, register):
+    # the accepted (labels, counts, bitstrings) of `register` of one drawn
+    # SampleSet, through a one-point row of the sweep
+    model = EnergyModel.for_instance(inst, register=register)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "sample", lambda *args: ss)
+        [(_, _, feasible_bits)] = solver.grid_row(model, ss.register, 0.0, (0.0,), [None], ss.shots, 0, 0, "objective", None)
+    bits = list(feasible_bits)
+    if register == "onehot":
+        labels = [assignment_label(decode_bitstring(b, ss.params), ss.params) for b in bits]
+    else:
+        labels = [binary_to_label(b, ss.params) for b in bits]
+    return labels, list(feasible_bits.values()), bits
+
+
 def feasible_rows(ss, inst):
     # the feasible histogram of one SampleSet, as solve builds hist.csv
     _, counts, bits = feasible_samples(ss, inst, ss.register)
@@ -348,7 +363,7 @@ def test_anticoncentration_histogram_order(exA, params3):
 
 
 def test_anticoncentration_binary_register(exA, params3):
-    from colorperm.encoding import digits_label, label_bitstring, label_digits
+    from colorperm.encoding import digits_label, label_digits, label_to_binary
 
     z = feasible_label(exA, params3)
     zb = digits_label(label_digits(z, 3, 6), 8)
@@ -356,4 +371,4 @@ def test_anticoncentration_binary_register(exA, params3):
     ss = SampleSet(np.array([zb, padded]), np.array([10, 10]), 20, "binary", params3)
     labels, counts, bits = feasible_samples(ss, exA, "binary")
     assert labels == [zb] and counts == [10]
-    assert bits == [label_bitstring(zb, params3, "binary")]
+    assert bits == [label_to_binary(zb, params3)]

@@ -65,3 +65,5 @@ def test_traced_binary_sweep_keeps_its_bytes_and_counts(tmp_path, capsys):
     counts = tracer.report()
     assert counts["hamiltonian.energy_components.labels"] > 0
     assert counts["simulator.sample.shots"] > 0
+    # the sweep scores each of its 2 gamma rows' accepted labels in one call
+    assert counts["hamiltonian.energy_components.calls"] == 2

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorperm.encoding import (
+    REGISTERS,
     CodecError,
     ColoredAssignment,
     EncodingParams,
@@ -21,6 +22,7 @@ from colorperm.encoding import (
     encode_assignment,
     grouped,
     label_assignment,
+    label_bitstrings,
     label_to_binary,
     label_to_onehot,
     permutation_view,
@@ -199,6 +201,24 @@ def test_onehot_label_round_trip(z):
 def test_binary_label_round_trip(z):
     p = EncodingParams(4, 2)
     assert binary_to_label(label_to_binary(z, p), p) == z
+
+
+@st.composite
+def register_labels(draw):
+    p = EncodingParams(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    register = draw(st.sampled_from(REGISTERS))
+    return p, register, draw(st.lists(st.integers(0, p.dim(register) - 1), max_size=12))
+
+
+@given(register_labels())
+@example((EncodingParams(1, 1), "binary", [0, 0]))
+@example((EncodingParams(3, 2), "onehot", []))
+@settings(max_examples=150, deadline=None)
+def test_label_bitstrings_render_each_label_as_the_scalar_renderers(case):
+    # at n = K = 1 the binary words have q = 0 bits: every string is empty
+    p, register, labels = case
+    scalar = label_to_onehot if register == "onehot" else label_to_binary
+    assert label_bitstrings(np.array(labels, dtype=np.int64), p, register) == [scalar(z, p) for z in labels]
 
 
 def test_label_assignment_consistency(params3):

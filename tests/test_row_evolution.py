@@ -25,6 +25,7 @@ import itertools
 import os
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -616,8 +617,8 @@ def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
     records, best, pooled = [], None, {}
     for index, (gamma, beta) in enumerate(itertools.product(grid.gammas, grid.betas)):
         state = run_ansatz(model.params, model, Schedule.constant(gamma, beta, depth))
-        record, local_best, feasible_bits = solver._grid_point(
-            model, exact_distribution(state), state.register, gamma, beta, shots, seed, index, score, labels, exact.optimal_cost
+        [(record, local_best, feasible_bits)] = solver.grid_row(
+            model, state.register, gamma, (beta,), [exact_distribution(state)], shots, seed, index, score, (labels, exact.optimal_cost)
         )
         records.append(record)
         for bits, count in feasible_bits.items():
@@ -627,18 +628,26 @@ def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
     return tuple(records), best, pooled
 
 
-@pytest.mark.parametrize("register", REGISTERS)
-@pytest.mark.parametrize("depth", [1, 2])
-def test_rowwise_sweep_equals_per_point_loop(exB, register, depth):
-    model = EnergyModel.for_instance(exB, register=register)
+@pytest.mark.parametrize(
+    "register, depth, cap_mode, shots",
+    [
+        *(pytest.param(register, depth, "hinge", 300, id=f"{depth}-{register}") for depth in (1, 2) for register in REGISTERS),
+        pytest.param("binary", 2, "quadratic-surrogate", 300, id="surrogate"),
+        pytest.param("onehot", 1, "hinge", 6, id="empty-point"),
+    ],
+)
+def test_rowwise_sweep_equals_per_point_loop(exB, register, depth, cap_mode, shots):
+    model = EnergyModel.for_instance(exB, PenaltyWeights(cap_mode=cap_mode), register)
     exact = exact_solve(exB, model)
     grid = GridSpec((0.0, 0.02, 0.05), (0.3, 1.2, 2.9))
-    result = phqc(exB, model, grid, 300, 11, depth=depth, score="total", exact_reference=exact)
-    records, best, pooled = per_point_sweep(exB, model, grid, 300, 11, depth, "total", exact)
+    result = phqc(exB, model, grid, shots, 11, depth=depth, score="total", exact_reference=exact)
+    records, best, pooled = per_point_sweep(exB, model, grid, shots, 11, depth, "total", exact)
     assert result.records == records
     assert (result.best_score, result.best_bitstring) == (best[0], best[3])
     assert result.feasible_counts == pooled
     assert all(r.p_star_exact is not None for r in records)
+    # 6 shots leave some points of the grid without an accepted label
+    assert any(r.feasible_count == 0 for r in records) == (shots == 6)
 
 
 @pytest.mark.parametrize("register", REGISTERS)
@@ -690,6 +699,27 @@ def test_one_distribution_per_grid_point(exA, params3, monkeypatch):
     for (probs, _), square in zip(drawn, squared):
         assert probs.base is (square if square.base is None else square.base)
         assert probs.ctypes.data == square.ctypes.data and len(probs) >= len(square)
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+def test_each_point_frees_its_sample_before_the_next_draw(exA, monkeypatch, register):
+    # a row keeps only its points' accepted labels and counts: a full
+    # sample can be as large as the state (about 48 MB at 10**7 shots on
+    # n = 6), so a row holding all of them would hold that once per point
+    samples = []
+    original = solver.sample
+
+    def draw(*args):
+        assert all(ref() is None for ref in samples), "an earlier point's sample is still held"
+        drawn = original(*args)
+        samples.append(weakref.ref(drawn))
+        return drawn
+
+    monkeypatch.setattr(solver, "sample", draw)
+    model = EnergyModel.for_instance(exA, register=register)
+    grid = GridSpec((0.1, 0.4), (0.2, 0.9, 1.7))
+    phqc(exA, model, grid, 500, 3, exact_reference=exact_solve(exA, model))
+    assert len(samples) == len(grid) and all(ref() is None for ref in samples)
 
 
 def test_sweep_checks_the_budget_before_allocating(exA, monkeypatch):
@@ -867,10 +897,10 @@ def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
     grid = GridSpec((0.1, 0.2, 0.3), (0.4, 0.9))
     phqc(exA, model, grid, 40, 3)
     assert tables == [216]
-    # one scoring call per grid point, on the accepted labels only
-    assert len(scored) == len(grid)
+    # one scoring call per gamma row, on its points' accepted labels only
+    assert len(scored) == len(grid.gammas)
     for labels in scored:
-        assert len(labels) <= 40
+        assert len(labels) <= 40 * len(grid.betas)
         assert (label_reasons(labels, exA, register) == REASONS.index(OK)).all()
 
 

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from colorperm import simulator
-from colorperm.encoding import EncodingParams, digits_label, label_assignment, label_bitstring, label_digits
+from colorperm.encoding import EncodingParams, digits_label, label_assignment, label_bitstrings, label_digits
 from colorperm.hamiltonian import (
     EnergyModel,
     PenaltyWeights,
@@ -324,11 +324,11 @@ def test_sampleset_views(params3):
     ss = sample(exact_distribution(st), 200, 99, params3, "onehot")
     labels, counts = drawn(ss)
     assert labels == sorted(labels)
-    bc = {label_bitstring(z, params3, "onehot"): c for z, c in zip(labels, counts)}
+    bc = dict(zip(label_bitstrings(ss.labels, params3, "onehot"), counts))
     assert sum(bc.values()) == 200
     assert all(len(bits) == 18 and set(bits) <= {"0", "1"} for bits in bc)
     binary = sample(exact_distribution(initial_state(params3, "binary")), 50, 3, params3, "binary")
-    assert all(len(label_bitstring(z, params3, binary.register)) == 9 for z in binary.labels.tolist())
+    assert all(len(bits) == 9 for bits in label_bitstrings(binary.labels, params3, binary.register))
 
 
 def _binary_label(z, n, S, q):
