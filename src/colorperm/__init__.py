@@ -50,7 +50,6 @@ from .hamiltonian import (
     energy_capacity,
     energy_components,
     energy_objective,
-    energy_objective_pdp,
     energy_once,
     energy_table,
     energy_total,
@@ -59,7 +58,6 @@ from .hamiltonian import (
 from .instances import (
     Instance,
     ParseError,
-    PdpInstance,
     build_matrices,
     from_matrices,
     load_instance,

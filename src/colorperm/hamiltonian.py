@@ -153,11 +153,6 @@ def energy_objective(a, inst, lam_obj=1.0):
     return lam_obj * total
 
 
-# Pickup-and-delivery tours score the same way: PdpInstance.W is its
-# dead-mile matrix Wtilde.
-energy_objective_pdp = energy_objective
-
-
 def _penalties(model, sym, valid=None):
     """The once-each and capacity terms of n rows of symbols that broadcast
     together, a position whose `valid` is False (a padded word) covering no

@@ -114,21 +114,32 @@ def _reals(values, what):
     return items.astype(float)
 
 
-class _Record:
-    """Validation and depot legs shared by both instance records: n items
-    (customers or tours), K vehicles, integer demands `d` and capacities
-    `Q`, an n x n cost matrix and the legs `dep_to` / `to_dep`, each a
-    length-n vector (shared depot) or an n x K matrix (per-vehicle depots).
+@dataclass(frozen=True)
+class Instance:
+    """Immutable CVRP problem datum: n customers, K vehicles, integer
+    demands `d` and capacities `Q`, an n x n distance matrix `W` with a
+    zero diagonal, and the depot legs `dep_to` / `to_dep`, each a length-n
+    vector (shared depot) or an n x K matrix (per-vehicle depots); use
+    `dep_out` / `dep_in` to read a leg without caring which.
     """
 
-    def _validate(self, n, cost, cvrp):
-        """Check the shared fields and freeze them read-only; `cvrp` adds the
-        zero-diagonal check in place, keeping the order."""
+    name: str
+    n: int
+    K: int
+    d: np.ndarray
+    Q: np.ndarray
+    W: np.ndarray
+    dep_to: np.ndarray
+    to_dep: np.ndarray
+
+    def __post_init__(self):
+        """Check the fields and freeze them read-only."""
+        n = self.n
         if n < 1 or self.K < 1:
             raise ValueError("need n >= 1 and K >= 1")
         d = _integers(self.d, "demands")
         Q = _integers(self.Q, "capacities")
-        W = _as_readonly(getattr(self, cost))
+        W = _as_readonly(self.W)
         if d.shape != (n,):
             raise ValueError("demand vector must have length n")
         if Q.shape != (self.K,):
@@ -144,7 +155,7 @@ class _Record:
             raise ValueError("W must be n x n")
         if not (np.isfinite(W) & (W >= 0)).all():
             raise ValueError("distances must be finite nonnegative numbers")
-        if cvrp and np.abs(np.diagonal(W)).max(initial=0.0) > 0:
+        if np.abs(np.diagonal(W)).max(initial=0.0) > 0:
             raise ValueError("W must have a zero diagonal")
         for name in ("dep_to", "to_dep"):
             v = _as_readonly(getattr(self, name))
@@ -155,7 +166,7 @@ class _Record:
             object.__setattr__(self, name, v)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, cost, W)
+        object.__setattr__(self, "W", W)
 
     def uniform_capacity(self):
         """The shared capacity value, or None if vehicles differ."""
@@ -164,69 +175,14 @@ class _Record:
         return None
 
     def dep_out(self, i, k):
-        """Depot -> item i leg for vehicle k."""
+        """Depot -> customer i leg for vehicle k."""
         v = self.dep_to
         return float(v[i] if v.ndim == 1 else v[i, k])
 
     def dep_in(self, i, k):
-        """Item i -> depot leg for vehicle k."""
+        """Customer i -> depot leg for vehicle k."""
         v = self.to_dep
         return float(v[i] if v.ndim == 1 else v[i, k])
-
-
-@dataclass(frozen=True)
-class Instance(_Record):
-    """Immutable CVRP problem datum.
-
-    `dep_to` / `to_dep` are either length-n vectors (shared depot) or
-    n x K matrices (per-vehicle depots); use `dep_out` / `dep_in` to read
-    a leg without caring which.
-    """
-
-    name: str
-    n: int
-    K: int
-    d: np.ndarray
-    Q: np.ndarray
-    W: np.ndarray
-    dep_to: np.ndarray
-    to_dep: np.ndarray
-
-    def __post_init__(self):
-        self._validate(self.n, "W", cvrp=True)
-
-
-@dataclass(frozen=True)
-class PdpInstance(_Record):
-    """Pickup-and-delivery data: T atomic tours routed by K vehicles.
-
-    Wtilde[t, t'] is the dead-mile cost of running tour t' right after
-    tour t on the same vehicle; it may be asymmetric and its diagonal is
-    not required to vanish. Zero tour weights are allowed. The checks and
-    their messages are `Instance`'s, with n standing for T and W for
-    Wtilde.
-    """
-
-    T: int
-    K: int
-    d: np.ndarray
-    Q: np.ndarray
-    Wtilde: np.ndarray
-    dep_to: np.ndarray
-    to_dep: np.ndarray
-
-    def __post_init__(self):
-        self._validate(self.T, "Wtilde", cvrp=False)
-
-    @property
-    def n(self):
-        """T under the CVRP name, so the model and the oracle count tours."""
-        return self.T
-
-    @property
-    def W(self):
-        """Wtilde under the CVRP name, so `energy_objective` scores tours."""
-        return self.Wtilde
 
 
 # data section -> (each field's conversion, what a line holds, repeat message)

@@ -21,16 +21,19 @@ builds a grid row's phase factor exp(-i*gamma*E) once, a block at a time
 from the table's parts, on the vehicle-orbit head alone when the parts are
 mirrored (`orbit_labels`), and reads it a leading digit at a time, the
 labels past the head through their reversed view. A depth-1 row streams
-its one layer over the blocks of the leading digit in its distribution's
-buffer, so it holds no complex state. A zero angle is the identity: a gamma-0
+its one layer over the head's blocks of the leading digit in its
+distribution's buffer, so it holds no complex state, and copies the
+reversed head past the head. A zero angle is the identity: a gamma-0
 row builds no factor and evolves on one slab and one sub-block, and a
 beta-0 layer mixes no axis; the full passes could only flip the sign of a
 zero, which |x|**2 cannot see.
 `run_ansatz` is the slow reference, one phase and one
 mixer pass per layer on the whole table, whose squares are the row's
-distributions bit for bit. `sample` replays numpy's multinomial on only
-the labels a spread-out distribution can draw (`_replica`), hands numpy
-any draw it cannot follow, and returns the drawn labels and their counts.
+distributions bit for bit, but past the head of a streamed row: there the
+row's reversed head sums the same values in another order. `sample`
+replays numpy's multinomial on only the labels a spread-out distribution
+can draw (`_replica`), hands numpy any draw it cannot follow, and returns
+the drawn labels and their counts.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels, and
@@ -344,13 +347,16 @@ def evolve_row(params, energies, schedules, head=None):
     labels (all by default; a sweep passes `orbit_labels`) and read a
     leading digit at a time (`_digit_block`), times the uniform amplitude
     in a first layer. A depth-1 row on a state with `_blocking` leading
-    axes holds no complex state: it streams the S blocks of its leading
-    digit, summed once per row in the buffer. Block d is built in the
-    buffer's floats [d, d + 2) digits (one digit past the distribution for
-    the last), times dg plus that sum times off a MIX_BLOCK slice at a
-    time, mixed on its other axes (`_mix`) and squared into its own first
-    half, its block of the float64 distribution. Other rows evolve in one
-    work buffer, mixed whole: every layer takes the factor, and the last
+    axes holds no complex state: it streams the head's blocks of its
+    leading digit, after all S are summed once per row in the buffer.
+    Block d is built in the buffer's floats [d, d + 2) digits (one digit
+    past the distribution for the last), times dg plus that sum times off
+    a MIX_BLOCK slice at a time, mixed on its other axes (`_mix`) and
+    squared into its own first half, its block of the float64
+    distribution. The state is invariant under the vehicle reversal that
+    maps the head onto the rest, so each block past the head is a copy of
+    its `_digit_block` view of the head's distribution. Other rows evolve
+    in one work buffer, mixed whole: every layer takes the factor, and the last
     layer squares into the buffer's float64 view. A beta-0 layer mixes no
     axis but still takes the factor and the square. A gamma-0 row has no
     factor; every slab and sub-block of `_mix`'s blocking holds the same
@@ -394,7 +400,7 @@ def evolve_row(params, energies, schedules, head=None):
                         total = np.add(times_factor(amp, work[:digit]), 0.0)
                         for lo in range(digit, labels, digit):
                             total += times_factor(amp, work[:digit], lo)
-                for lo in range(0, labels, digit):
+                for lo in range(0, len(factor), digit):
                     block = times_factor(amp, floats[lo : lo + 2 * digit].view(complex), lo)
                     if beta is not None:
                         block *= dg
@@ -402,6 +408,9 @@ def evolve_row(params, energies, schedules, head=None):
                             part = block[at : at + len(turn)]
                             part += np.multiply(total[at : at + len(turn)], off, out=turn[: len(part)])
                     _mix(block, params, beta, True, digits=n - 1)
+                for d in range(len(factor) // digit, S):
+                    part = _digit_block(params, probs[: len(factor)], d)
+                    probs[d * digit : (d + 1) * digit].reshape(part.shape)[...] = part
             else:
                 times_factor(work if layer else amp, work)
                 _mix(work, params, beta, last)

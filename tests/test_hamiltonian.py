@@ -29,13 +29,12 @@ from colorperm.hamiltonian import (
     energy_capacity,
     energy_components,
     energy_objective,
-    energy_objective_pdp,
     energy_once,
     energy_table,
     energy_total,
     export_qubo,
 )
-from colorperm.instances import Instance, PdpInstance
+from colorperm.instances import Instance
 from colorperm.solver import exact_solve
 from tests.conftest import EXA_PAIRS_1B
 
@@ -293,28 +292,14 @@ def test_label_out_of_range_rejected(exA):
         energy_total(216, model)
 
 
-def test_pdp_single_tour():
-    pdp = PdpInstance(1, 1, [1], [1], [[0.0]], [4.0], [6.0])
-    a = ColoredAssignment(((0, 0),), 1)
-    assert energy_objective_pdp(a, pdp) == 10.0
-
-
-def test_pdp_chain_and_self_transition():
-    Wt = np.array([[1.0, 2.0], [3.0, 4.0]])
-    pdp = PdpInstance(2, 2, [1, 1], [2, 2], Wt, [5.0, 6.0], [7.0, 8.0])
+def test_energy_objective_reads_an_asymmetric_matrix_in_route_order():
+    # customer 0 then 1 on one vehicle pays W[0, 1], not W[1, 0]; a
+    # vehicle change pays the close leg of 0 and the start leg of 1
+    inst = Instance("asym", 2, 2, [1, 1], [2, 2], [[0.0, 2.0], [3.0, 0.0]], [5.0, 6.0], [7.0, 8.0])
     same = ColoredAssignment(((0, 0), (1, 0)), 2)
-    assert energy_objective_pdp(same, pdp) == 5.0 + 2.0 + 8.0
+    assert energy_objective(same, inst) == 5.0 + 2.0 + 8.0
     change = ColoredAssignment(((0, 0), (1, 1)), 2)
-    assert energy_objective_pdp(change, pdp) == 5.0 + (7.0 + 6.0) + 8.0
-
-
-def test_pdp_reduces_to_cvrp_timeline(exA):
-    pdp = PdpInstance(3, 2, exA.d, exA.Q, exA.W, exA.dep_to, exA.to_dep)
-    for z in range(216):
-        a = label_assignment(z, EncodingParams(3, 2))
-        assert energy_objective_pdp(a, pdp) == pytest.approx(
-            energy_objective(a, exA), abs=1e-12
-        )
+    assert energy_objective(change, inst) == 5.0 + (7.0 + 6.0) + 8.0
 
 
 def test_qubo_refuses_hinge(exA):

@@ -8,7 +8,6 @@ from colorperm.cli import main
 from colorperm.instances import (
     Instance,
     ParseError,
-    PdpInstance,
     build_matrices,
     from_matrices,
     load_instance,
@@ -220,18 +219,10 @@ def test_uniform_capacity(exA):
     assert mixed.uniform_capacity() is None
 
 
-def test_pdp_instance_asymmetric_diagonal():
-    Wt = [[0.5, 1.0], [2.0, 0.25]]
-    pdp = PdpInstance(2, 1, [0, 1], [3], Wt, [1.0, 1.0], [1.0, 1.0])
-    assert pdp.Wtilde[0][0] == 0.5
-    assert pdp.Wtilde[0][1] != pdp.Wtilde[1][0]
-    assert pdp.d.tolist() == [0, 1]
-
-
-def test_pdp_instance_reads_as_a_cvrp_record():
-    pdp = PdpInstance(2, 2, [0, 1], [3, 3], [[0.5, 1.0], [2.0, 0.25]], [1.0, 1.0], [1.0, 1.0])
-    assert pdp.n == pdp.T == 2
-    assert pdp.uniform_capacity() == 3
+def test_instance_keeps_an_asymmetric_matrix_and_zero_demands():
+    inst = Instance("asym", 2, 1, [0, 1], [3], [[0.0, 1.0], [2.0, 0.0]], [1.0, 1.0], [1.0, 1.0])
+    assert inst.W[0][1] != inst.W[1][0]
+    assert inst.d.tolist() == [0, 1]
 
 
 def test_load_instance_checks_the_rounding_mode_of_both_formats(tmp_path):
@@ -321,27 +312,16 @@ def test_vrp_non_finite_distances_are_refused(x):
         parse_vrp(MINIMAL_VRP.replace("2 1 0\n", f"2 {x} 0\n"))
 
 
-@pytest.mark.parametrize(
-    "Wt, legs",
-    [([[0, math.inf], [1, 0]], [1, 1]), ([[0, 1], [1, 0]], [math.inf, 1])],
-    ids=["inf-dead-mile", "inf-leg"],
-)
-def test_pdp_non_finite_costs_are_refused(Wt, legs):
-    with pytest.raises(ValueError, match="finite nonnegative"):
-        PdpInstance(2, 1, [1, 1], [3], Wt, legs, [1, 1])
-
-
 GOOD_FIELDS = {"K": 1, "d": [1, 1], "Q": [3], "W": [[0, 1], [1, 0]], "dep_to": [0, 0], "to_dep": [0, 0]}
 
 
 def _record(cls, **fields):
-    """A two-item record of either class; `W` stands for Wtilde."""
+    """A two-customer record of `cls`."""
     f = {**GOOD_FIELDS, **fields}
-    lead = ("bad", 2) if cls is Instance else (2,)
-    return cls(*lead, f["K"], f["d"], f["Q"], f["W"], f["dep_to"], f["to_dep"])
+    return cls("bad", 2, f["K"], f["d"], f["Q"], f["W"], f["dep_to"], f["to_dep"])
 
 
-@pytest.mark.parametrize("cls", [Instance, PdpInstance])
+@pytest.mark.parametrize("cls", [Instance])
 @pytest.mark.parametrize(
     "fields, message",
     [({"K": 0}, "need n >= 1 and K >= 1"),
@@ -357,11 +337,12 @@ def _record(cls, **fields):
      ({"W": [[0, math.inf], [1, 0]]}, "distances must be finite nonnegative numbers"),
      ({"W": [[0, math.nan], [1, 0]]}, "distances must be finite nonnegative numbers"),
      ({"W": [[0, -1], [1, 0]]}, "distances must be finite nonnegative numbers"),
+     ({"W": [[0.5, 1], [1, 0]]}, "W must have a zero diagonal"),
      ({"dep_to": [math.inf, 0]}, "depot legs must be finite nonnegative numbers"),
      ({"to_dep": [0, math.nan]}, "depot legs must be finite nonnegative numbers")],
     ids=["K-0", "negative-demand", "negative-capacity", "fractional-demand", "fractional-capacity",
          "demand-shape", "capacity-shape", "matrix-shape", "start-leg-shape", "close-leg-shape",
-         "inf-matrix", "nan-matrix", "negative-matrix", "inf-start-leg", "nan-close-leg"],
+         "inf-matrix", "nan-matrix", "negative-matrix", "nonzero-diagonal", "inf-start-leg", "nan-close-leg"],
 )
 def test_both_records_refuse_the_same_bad_fields(cls, fields, message):
     with pytest.raises(ValueError) as err:

@@ -9,7 +9,8 @@ The row's phase factor, built from the table's parts a block at a time,
 must equal exp(-i*gamma*E) bit for bit on every label, whether or not the
 labels past its head read their vehicle-reversed partners, and the parts'
 mirror verdict must imply the S^n table's; a gamma-0 row run on one slab
-and one sub-block must equal run_ansatz bit for bit.
+and one sub-block must equal run_ansatz bit for bit, and so must a streamed
+depth-1 row on its head, past which it reads the reversed head.
 A sweep evolves each gamma row, whose every layer takes its one gamma (a
 row with a layer of another is refused), from one shared first phase
 layer; its records, best and histogram must equal a per-point run_ansatz
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorperm import simulator, solver
@@ -381,21 +382,38 @@ def head_rows(draw):
 
 
 @given(head_rows())
+@example(("seeded-n5", [Schedule.constant(0.4, 0.9), Schedule.constant(0.4, np.pi)]))
+@example(("seeded-n4-k4", [Schedule.constant(1.3, 0.4), Schedule.constant(1.3, 0.0)]))
 @settings(max_examples=60, deadline=None)
 def test_row_distributions_from_the_head_equal_run_ansatz(case):
     # a row on mirrored parts holds its factor on their head alone, any
-    # other on every label
+    # other on every label; a depth-1 row with leading mixer axes (n = 5,
+    # K = 2 and n = 4, K = 4 here) streams the head and copies it past
     table, row = case
     model, parts, mirrored = head_case(table)
     params = model.params
     head = simulator.orbit_labels(params, parts)
     assert (head < params.dim("onehot")) == mirrored
-    dists = [probs.tobytes() for probs in evolve_row(params, parts, row, head)]
+    streamed = simulator._blocking(params)[0] and max(s.p for s in row) == 1 and row[0].gammas[0] != 0
+    dists = [probs.copy() for probs in evolve_row(params, parts, row, head)]
     with pytest.MonkeyPatch.context() as patch:
         # run_ansatz builds the whole table itself: the signed-zero parts are planted
         patch.setattr(simulator, "energy_table", lambda _: parts[:])
         for probs, schedule in zip(dists, row):
-            assert probs == exact_distribution(run_ansatz(params, model, schedule)).tobytes()
+            assert_head_then_reversed(params, probs, exact_distribution(run_ansatz(params, model, schedule)), head if streamed else len(probs))
+
+
+def assert_head_then_reversed(params, probs, reference, held):
+    """A row's distribution equals run_ansatz's `reference` bit for bit on
+    its first `held` labels; past them (a streamed depth-1 row on mirrored
+    parts) it reads exactly the head's vehicle-reversed view, which sums
+    the same values in another order, so it agrees within 1e-12 relative:
+    to each label's own mass, or to the largest where a sum cancels to
+    near 0 (at n = 6 a label of mass 1.4e-15 moves by 1e-11 of itself)."""
+    assert probs[:held].tobytes() == reference[:held].tobytes()
+    past = range(held // params.S ** (params.n - 1), params.S)
+    assert all(simulator._digit_block(params, probs, d).tobytes() == simulator._digit_block(params, probs[:held], d).tobytes() for d in past)
+    np.testing.assert_allclose(probs[held:], reference[held:], rtol=1e-12, atol=1e-12 * reference.max())
 
 
 def test_a_head_factor_built_seven_labels_at_a_time_equals_run_ansatz(monkeypatch):
@@ -517,16 +535,21 @@ def streamed_rows(draw):
 
 
 @given(streamed_rows())
+@example((4, 3, 2, True, "binary", [Schedule.constant(0.7, 0.4), Schedule.constant(0.7, 0.0), Schedule.constant(0.7, np.pi)]))
+@example((3, 3, 1, True, "onehot", [Schedule.constant(np.pi, 1.3)]))
 @settings(max_examples=120, deadline=None)
 def test_streamed_rows_equal_run_ansatz(case):
     # with MIX_BLOCK patched small, a depth-1 row on a factor streams the
-    # blocks of its leading digit (an (n - 1)-digit `_mix` per block); its
-    # distributions, and a deeper row's, equal run_ansatz's under the
-    # default blocking bit for bit
+    # blocks of its leading digit in the head (an (n - 1)-digit `_mix` per
+    # block), ceil(K/2) of K vehicles on mirrored parts, and copies the
+    # reversed head past it; its distributions on the head, and a deeper
+    # row's on every label, equal run_ansatz's under the default blocking
+    # bit for bit. At K = 3 the head's middle vehicle is its own reverse
     n, K, lead, mirrored, register, row = case
     model = EnergyModel.for_instance(fleet_instance(n, K, mirrored), register=register)
     params, parts = model.params, table_parts(model)
     head = simulator.orbit_labels(params, parts)
+    assert head == (params.dim("onehot") // K * -(-K // 2) if mirrored else params.dim("onehot"))
     expected = [exact_distribution(run_ansatz(params, model, schedule)) for schedule in row]
     digits = []
     with pytest.MonkeyPatch.context() as patch:
@@ -534,13 +557,14 @@ def test_streamed_rows_equal_run_ansatz(case):
         assert simulator._blocking(params)[0] == lead
         original = simulator._mix
         patch.setattr(simulator, "_mix", lambda *args, **kwargs: digits.append(kwargs.get("digits")) or original(*args, **kwargs))
-        dists = [probs.tobytes() for probs in evolve_row(params, parts, row, head)]
-    for probs, reference in zip(dists, expected):
-        assert probs == (reference[params.binary_labels()] if register == "binary" else reference).tobytes()
+        dists = [probs.copy() for probs in evolve_row(params, parts, row, head)]
     streamed = row[0].p == 1 and row[0].gammas[0] != 0
+    for probs, reference in zip(dists, expected):
+        reference = reference[params.binary_labels()] if register == "binary" else reference
+        assert_head_then_reversed(params, probs, reference, head if streamed else len(probs))
     assert (n - 1 in digits) == streamed
     if streamed:
-        assert digits.count(n - 1) == params.S * len(row)
+        assert digits.count(n - 1) == (params.S // K * -(-K // 2) if mirrored else params.S) * len(row)
 
 
 def test_a_streamed_row_holds_its_distribution_and_three_blocks():

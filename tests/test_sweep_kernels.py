@@ -44,7 +44,7 @@ N6_GOLDEN = {
         [],
         {
             "run.json": "0c2c7a84f1d95b6306b147295a97829f19979cf7bc92c6c9d359ea79a90bbbf1",
-            "run.grid.csv": "1a4546c9b3e0f98dbcc04fd58d9b1f0da001d2b7ff19b9f3de5a88b5d6f3770b",
+            "run.grid.csv": "19e97260fbc727d8baa124fcae2cf034c92d2504f88d3460f5ef4f6c0158bd55",
             "run.hist.csv": "8d5fa686deea588317bd1ba192c446a956b08d219b5f3cc415bead043052775e",
         },
     ),
@@ -65,6 +65,16 @@ N6_GOLDEN = {
         },
     ),
 }
+
+
+# The default grid CSV before a streamed depth-1 row copied its reversed
+# head past the head (ROADMAP item 8): its digest and its p_star_exact
+# strings, which sum optimal labels on both sides of the head and so move in
+# their last bits. Every other byte is kept.
+N6_HEAD_COPY = (
+    "1a4546c9b3e0f98dbcc04fd58d9b1f0da001d2b7ff19b9f3de5a88b5d6f3770b",
+    ["5.358367626886145e-06", "5.358367626886145e-06", "5.358367626886145e-06", "2.4404234518723326e-06"],
+)
 
 
 # n = 5, K = 3 (15^5 = 759,375 labels): the K = 3 sweep whose mixer has
@@ -104,6 +114,19 @@ def solve_digests(tmp_path, monkeypatch, instance, flags, names):
 def test_n6_solve_output_digests(tmp_path, monkeypatch, config):
     flags, expected = N6_GOLDEN[config]
     assert solve_digests(tmp_path, monkeypatch, N6_INSTANCE, flags, expected) == expected
+    if config == "default":
+        # with the earlier p_star_exact strings put back, the grid CSV is the
+        # earlier one byte for byte; each new string is within 1e-12 relative
+        digest, strings = N6_HEAD_COPY
+        config_line, header, *rows = (tmp_path / "run.grid.csv").read_bytes().split(b"\n")
+        column = header.split(b",").index(b"p_star_exact")
+        cells = [row.split(b",") for row in rows[:-1]]
+        assert len(cells) == len(strings) and rows[-1] == b""
+        for row, string in zip(cells, strings):
+            assert math.isclose(float(row[column]), float(string), rel_tol=1e-12, abs_tol=0.0)
+            row[column] = string.encode()
+        earlier = b"\n".join([config_line, header, *(b",".join(row) for row in cells), b""])
+        assert hashlib.sha256(earlier).hexdigest() == digest
 
 
 @pytest.mark.parametrize("config", sorted(N5K3_GOLDEN))
