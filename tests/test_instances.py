@@ -312,6 +312,17 @@ def test_vrp_non_finite_distances_are_refused(x):
         parse_vrp(MINIMAL_VRP.replace("2 1 0\n", f"2 {x} 0\n"))
 
 
+@pytest.mark.parametrize(
+    "Wt, legs",
+    [([[0, math.inf], [1, 0]], [1, 1]), ([[0, 1], [1, 0]], [math.inf, 1])],
+    ids=["inf-dead-mile", "inf-leg"],
+)
+def test_pdp_non_finite_costs_are_refused(Wt, legs):
+    # a pickup-and-delivery problem enters as the Instance of its dead miles and legs
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        Instance("pdp", 2, 1, [1, 1], [3], Wt, legs, [1, 1])
+
+
 GOOD_FIELDS = {"K": 1, "d": [1, 1], "Q": [3], "W": [[0, 1], [1, 0]], "dep_to": [0, 0], "to_dep": [0, 0]}
 
 

@@ -31,7 +31,7 @@ from colorperm.hamiltonian import (
     energy_objective,
     energy_total,
 )
-from colorperm.instances import Instance
+from colorperm.instances import Instance, from_matrices
 from colorperm.simulator import (
     AXIS_BYTES,
     BYTES_PER_AMPLITUDE,
@@ -452,13 +452,28 @@ def test_exact_solve_scores_equal_energy_objective_bit_for_bit(seed):
     assert sorted(obj.tolist()) == sorted(scores)
 
 
+# a pickup-and-delivery problem: dead miles and depot legs that differ by direction
+PDP_RECORD = {"W": [[0.0, 2.0, 5.0], [1.0, 0.0, 3.0], [4.0, 2.0, 0.0]], "d": [1, 2, 1], "Q": [3, 2],
+              "dep_to": [1.0, 2.0, 1.5], "to_dep": [2.0, 1.0, 0.5]}
+
+
+def _pdp_instance():
+    r = PDP_RECORD
+    return Instance("asym", 3, 2, r["d"], r["Q"], r["W"], r["dep_to"], r["to_dep"])
+
+
+def test_pdp_reaches_the_oracle_as_the_instance_of_its_arrays():
+    pdp = from_matrices(PDP_RECORD)
+    inst = _pdp_instance()
+    sol = exact_solve(pdp, EnergyModel.for_instance(pdp))
+    assert sol == exact_solve(inst, EnergyModel.for_instance(inst))
+    assert sol.feasible_count > 0
+
+
 def test_phqc_recovers_the_optimum_of_an_asymmetric_instance():
-    # distances and depot legs that differ by direction
-    W = [[0.0, 2.0, 5.0], [1.0, 0.0, 3.0], [4.0, 2.0, 0.0]]
-    inst = Instance("asym", 3, 2, [1, 2, 1], [3, 2], W, [1.0, 2.0, 1.5], [2.0, 1.0, 0.5])
+    inst = _pdp_instance()
     model = EnergyModel.for_instance(inst)
     exact = exact_solve(inst, model)
-    assert exact.feasible_count > 0
     run = phqc(inst, model, GridSpec.default(model.params, 4), 216, seed=7, exact_reference=exact)
     assert abs(run.best_score - exact.optimal_cost) <= solver.SCORE_TOL
     assert feasible_global_positions(run.best_bitstring, inst).feasible
