@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -182,6 +183,13 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
+def _out_dir(out):
+    """Refuse an --out file in a missing directory, before any work, with
+    the error its open would raise there."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def _emit_json(record, out):
     _write(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n", out)
 
@@ -257,6 +265,7 @@ def cmd_solve(cfg):
     params = model.params
     # admitted first: the oracle can take a minute before a refusal
     admitted = _admit(cfg, model)
+    _out_dir(cfg["out"])
     exact = None if cfg["no_reference"] else exact_solve(inst, model)
     grid, result, match = _sweep(cfg, inst, model, exact, admitted)
     echo = _config_echo(cfg, "solve")
@@ -449,6 +458,7 @@ def cmd_bench(cfg):
     root = pathlib.Path(cfg["dir"])
     if not root.is_dir():
         raise FileNotFoundError(f"no such directory: {root}")
+    _out_dir(cfg["out"])
     files = sorted(
         [p for p in root.iterdir() if p.suffix.lower() in (".vrp", ".json")],
         key=lambda p: p.name,

@@ -22,18 +22,20 @@ from the table's parts, on the vehicle-orbit head alone when the parts are
 mirrored (`orbit_labels`), and reads it a leading digit at a time, the
 labels past the head through their reversed view. A depth-1 row streams
 its one layer over the head's blocks of the leading digit in its
-distribution's buffer, so it holds no complex state, and copies the
-reversed head past the head. A zero angle is the identity: a gamma-0
-row builds no factor and evolves on one slab and one sub-block, and a
-beta-0 layer mixes no axis; the full passes could only flip the sign of a
-zero, which |x|**2 cannot see.
+distribution's buffer, so it holds no complex state, and holds and
+yields the head's distribution alone. A zero angle is the identity: a
+gamma-0 row builds no factor and evolves on one slab and one sub-block,
+and a beta-0 layer mixes no axis; the full passes could only flip the
+sign of a zero, which |x|**2 cannot see.
 `run_ansatz` is the slow reference, one phase and one
 mixer pass per layer on the whole table, whose squares are the row's
 distributions bit for bit, but past the head of a streamed row: there the
-row's reversed head sums the same values in another order. `sample`
-replays numpy's multinomial on only the labels a spread-out distribution
-can draw (`_replica`), hands numpy any draw it cannot follow, and returns
-the drawn labels and their counts.
+head's reversed view sums the same values in another order. `sample`
+reads the labels past a head through that view, divides each chunk by
+numpy's own sum of every label as it reads it, replays numpy's
+multinomial on only the labels a spread-out distribution can draw
+(`_replica`), hands numpy any draw it cannot follow, and returns the
+drawn labels and their counts.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels, and
@@ -57,14 +59,16 @@ from .hamiltonian import energy_table
 # The memory ceiling of a run, in bytes, and its charge per S^n label: the
 # energy table once (8 bytes; a sweep holds `table_parts` and slack), and in
 # each thread its work buffer and row factor (16 each; a streamed depth-1 row
-# holds its float64 distribution, one S^(n-1) digit of floats and the digit's
-# complex sum in the buffer's place) and numpy's counts if a draw falls back
-# (8); a sweep charges the table and factors on its head only (`orbit_labels`).
-# A sweep's VmHWM above the import (`--grid-points 4`), at depths 1 and 2, is
-# 21.4 and 27.4 (n = 6, K = 2), 28.8 and 35.8 (n = 5, K = 5, one draw falling
-# back) bytes per label in one thread, 40.5/52.0 and 48.2/56.1 in two, 29.4 and
-# 35.4 in one with a factor on every label (n = 6, K = 2, per-vehicle Q), and
-# 27.7 and 32.8 at n = 8, K = 1 (65.0 at depth 2 in two); the other S^n entries
+# holds in the buffer's place its float64 distribution on the head, one
+# S^(n-1) digit of floats and the digit's complex sum) and numpy's counts if a
+# draw falls back (8; from a head, 8 more for the whole distribution it
+# builds); a sweep charges the table and factors on its head only
+# (`orbit_labels`). A sweep's VmHWM above the import (`--grid-points 4`), at
+# depths 1 and 2, is 17.9 and 27.8 (n = 6, K = 2), 33.7 and 35.8 (n = 5,
+# K = 5, one draw falling back) bytes per label in one thread, 34.1/52.6 and
+# 49.8/54.1 in two; rows that hold every label peak at 29.4 and 35.4 in one
+# thread with a factor on every label (n = 6, K = 2, per-vehicle Q), and 27.7
+# and 32.8 at n = 8, K = 1 (65.0 at depth 2 in two); the other S^n entries
 # peak at 40.5 (`apply_phase`) or lower and pay the one-thread charge. A Schedule peaks at
 # 66 bytes per layer while built (tracemalloc, depth 10**6), and the S x S
 # edge matrix (`edge_cost_matrix`) at 25.0 per entry. A grid axis point peaks
@@ -84,7 +88,8 @@ AXIS_BYTES = 160
 POINT_BYTES = 640
 # Mixer blocks in amplitudes (512 KiB); `_phases` blocks, whose temporaries
 # (numpy's 64 KiB cast buffer the largest) stay below glibc's 128 KiB mmap
-# threshold; `_replica` chunks, and the labels per shot from which it beats
+# threshold; `_replica` chunks, at least numpy's own 128-label sum blocks
+# (`_total` sums them whole), and the labels per shot from which it beats
 # numpy (they cross near 125 at n = 5, K = 2).
 MIX_BLOCK = 2**15
 PHASE_BLOCK = 2**12
@@ -337,6 +342,17 @@ def orbit_labels(params, parts):
     return params.dim("onehot") // K * (-(-K // 2) if mirrored else K)
 
 
+def held_labels(params, labels, held):
+    """`labels`, each past a distribution's first `held` one-hot labels (a
+    row held on its vehicle-orbit head) as its vehicle-reversed label, where
+    the distribution holds its value."""
+    labels = np.array(labels, dtype=np.int64)
+    shape, past = (params.K, params.n) * params.n, labels >= held
+    digits = np.unravel_index(labels[past], shape)
+    labels[past] = np.ravel_multi_index([params.K - 1 - x if axis % 2 == 0 else x for axis, x in enumerate(digits)], shape)
+    return labels
+
+
 def evolve_row(params, energies, schedules, head=None):
     """Yield the distribution of each schedule, in order, for schedules
     whose every layer takes the row's one gamma (a ValueError otherwise):
@@ -354,27 +370,32 @@ def evolve_row(params, energies, schedules, head=None):
     a MIX_BLOCK slice at a time, mixed on its other axes (`_mix`) and
     squared into its own first half, its block of the float64
     distribution. The state is invariant under the vehicle reversal that
-    maps the head onto the rest, so each block past the head is a copy of
-    its `_digit_block` view of the head's distribution. Other rows evolve
-    in one work buffer, mixed whole: every layer takes the factor, and the last
-    layer squares into the buffer's float64 view. A beta-0 layer mixes no
-    axis but still takes the factor and the square. A gamma-0 row has no
-    factor; every slab and sub-block of `_mix`'s blocking holds the same
-    values through the same passes, so all its layers run on the first
+    maps the head onto the rest, so the row holds and yields the head's
+    distribution alone, in a buffer of `head` + S^(n-1) floats; past the
+    head, each block is its `_digit_block` view of the head, which `sample`
+    reads. Other rows evolve in one work buffer, mixed whole, and yield
+    every label: every layer takes the factor, and the last layer squares
+    into the buffer's float64 view. A beta-0 layer mixes no axis but still
+    takes the factor and the square. A gamma-0 row has no factor; every
+    slab and sub-block of `_mix`'s blocking holds the same values through
+    the same passes, so all its layers run on the first
     S**max(lead + cols, n - lead) labels, whose label 0 then fills the
-    rest of the distribution. Each distribution is overwritten by the
-    next. The caller charges `check_budget` first.
+    rest of the distribution (the head alone when it streams). Each
+    distribution is overwritten by the next. The caller charges
+    `check_budget` first.
     """
     S, n, labels = params.S, params.n, params.dim("onehot")
     gamma, amp, digit = schedules[0].gammas[0], _amplitude(params), S ** (n - 1)
     if any(g != gamma for s in schedules for g in s.gammas):
         raise ValueError(f"every layer of a row's schedules must take the row's gamma {gamma}")
-    factor = _phases(np.empty(labels if head is None else head, dtype=complex), gamma, energies) if gamma else None
+    held = labels if head is None else head
+    factor = _phases(np.empty(held, dtype=complex), gamma, energies) if gamma else None
     lead, cols = _blocking(params)
     prefix, stream = S ** max(lead + cols, n - lead), lead and max(s.p for s in schedules) == 1
-    work = np.empty(-(-(labels + digit) // 2) if stream else labels, dtype=complex)
+    held = held if stream else labels
+    work = np.empty(-(-(held + digit) // 2) if stream else labels, dtype=complex)
     floats, total = work.view(np.float64), None
-    probs, turn = floats[:labels], np.empty(min(digit, MIX_BLOCK), dtype=complex) if stream else None
+    probs, turn = floats[:held], np.empty(min(digit, MIX_BLOCK), dtype=complex) if stream else None
 
     def times_factor(src, out, lo=0):
         # out = src * factor on the labels from lo, a leading digit at a time;
@@ -400,7 +421,7 @@ def evolve_row(params, energies, schedules, head=None):
                         total = np.add(times_factor(amp, work[:digit]), 0.0)
                         for lo in range(digit, labels, digit):
                             total += times_factor(amp, work[:digit], lo)
-                for lo in range(0, len(factor), digit):
+                for lo in range(0, held, digit):
                     block = times_factor(amp, floats[lo : lo + 2 * digit].view(complex), lo)
                     if beta is not None:
                         block *= dg
@@ -408,9 +429,6 @@ def evolve_row(params, energies, schedules, head=None):
                             part = block[at : at + len(turn)]
                             part += np.multiply(total[at : at + len(turn)], off, out=turn[: len(part)])
                     _mix(block, params, beta, True, digits=n - 1)
-                for d in range(len(factor) // digit, S):
-                    part = _digit_block(params, probs[: len(factor)], d)
-                    probs[d * digit : (d + 1) * digit].reshape(part.shape)[...] = part
             else:
                 times_factor(work if layer else amp, work)
                 _mix(work, params, beta, last)
@@ -464,7 +482,13 @@ class SampleSet:
 def sample(probs, shots, seed, params, register):
     """Draw a seeded multinomial sample from the distribution `probs`
     over `register`'s labels (`exact_distribution` of a state, or a
-    distribution `evolve_row` yields); it is normalised in place.
+    distribution `evolve_row` yields), normalised in place. A one-hot
+    `probs` may hold only the vehicle-orbit head of a mirrored row
+    (`orbit_labels` of ceil(K/2) of K vehicles), which is left as it is:
+    the labels past it are read through their reversed view (`_read`), and
+    each chunk is divided, as it is read, by numpy's sum of every label
+    (`_total`); a draw numpy makes from a head first builds a new array of
+    every label (`_every_label`).
 
     `seed` is an int, or a tuple (entropy, *spawn_key) for derived
     per-worker seeds. Identical seeds reproduce identical SampleSets:
@@ -473,17 +497,99 @@ def sample(probs, shots, seed, params, register):
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
-    if np.shape(probs) != (params.dim(register),):
-        raise ValueError(f"distribution must have length {params.dim(register)}")
-    probs /= probs.sum()
+    labels = params.dim(register)
+    head = labels // params.K * -(-params.K // 2) if register == "onehot" else labels
+    if np.shape(probs) not in ((labels,), (head,)):
+        raise ValueError(f"distribution must have length {labels}" + (f" or its head's {head}" if head < labels else ""))
+    spread = labels >= REPLICA_SPREAD * shots
+    if not spread and len(probs) < labels:
+        probs = _every_label(params, probs)
+    source = _Normalised(params, probs, labels) if len(probs) < labels else probs
+    if source is probs:
+        probs /= probs.sum()
     entropy, *spawn_key = seed if isinstance(seed, tuple) else (seed,)
     seq = np.random.SeedSequence(int(entropy), spawn_key=tuple(map(int, spawn_key)))
-    drawn = _replica(probs, shots, np.random.default_rng(seq)) if len(probs) >= REPLICA_SPREAD * shots else None
+    drawn = _replica(source, shots, np.random.default_rng(seq)) if spread else None
     if drawn is None:
+        if source is not probs:
+            probs = _every_label(params, probs)
+            probs /= source.total
         counts = np.random.default_rng(seq).multinomial(shots, probs)
         labels = np.flatnonzero(counts)
         drawn = labels, counts[labels]
     return SampleSet(*drawn, shots, register, params)
+
+
+def _every_label(params, head):
+    """A new array of every label a distribution's head stands for: past
+    it, each leading digit's `_digit_block` view of the head."""
+    digit, full = params.S ** (params.n - 1), np.empty(params.dim("onehot"))
+    full[: len(head)] = head
+    for d in range(len(head) // digit, params.S):
+        part = _digit_block(params, head, d)
+        full[d * digit : (d + 1) * digit].reshape(part.shape)[...] = part
+    return full
+
+
+def _read(params, probs, lo, out):
+    """Labels [lo, lo + len(out)) of the distribution `probs` holds: a view
+    of its own labels, or, past them, each leading digit's `_digit_block`
+    view of the head copied into `out`."""
+    hi, digit = lo + len(out), params.S ** (params.n - 1)
+    if hi <= len(probs):
+        return probs[lo:hi]
+    for d in range(lo // digit, -(-hi // digit)):
+        at = max(lo, d * digit)
+        _copy_flat(_digit_block(params, probs, d), at - d * digit, out[at - lo : min(hi, (d + 1) * digit) - lo])
+    return out
+
+
+def _copy_flat(view, at, out):
+    """out = the labels [at, at + len(out)) of `view` in C order, copied a
+    whole sub-array of its first axis at a time; only a view of at most
+    PHASE_BLOCK labels is copied whole."""
+    if view.size <= PHASE_BLOCK:
+        out[...] = view.reshape(-1)[at : at + len(out)]
+        return
+    unit = view[0].size
+    first, skip = divmod(at, unit)
+    if skip:
+        part = min(unit - skip, len(out))
+        _copy_flat(view[first], skip, out[:part])
+        out, first = out[part:], first + 1
+    whole = len(out) // unit
+    if whole:
+        out[: whole * unit].reshape((whole,) + view.shape[1:])[...] = view[first : first + whole]
+    if len(out) > whole * unit:
+        _copy_flat(view[first + whole], 0, out[whole * unit :])
+
+
+def _total(params, probs, lo, count, chunk):
+    """numpy's float64 sum of `count` labels from `lo` (`_read`), bit for
+    bit: its pairwise split at count // 2 rounded down to a multiple of 8,
+    down to leaves of at most len(chunk) labels, each summed by numpy."""
+    if count <= len(chunk):
+        return np.add.reduce(_read(params, probs, lo, chunk[:count]))
+    half = count // 2 - count // 2 % 8
+    return _total(params, probs, lo, half, chunk) + _total(params, probs, lo + half, count - half, chunk)
+
+
+class _Normalised:
+    """Every label of the distribution a head `probs` stands for (`_read`),
+    divided by numpy's sum of them (`_total`) as a slice of at most
+    REPLICA_CHUNK labels is read into one buffer: the normalised array
+    `_replica` walks."""
+
+    def __init__(self, params, probs, labels):
+        self.params, self.probs, self.labels, self.chunk = params, probs, labels, np.empty(min(labels, REPLICA_CHUNK))
+        self.total = _total(params, probs, 0, labels, self.chunk)
+
+    def __len__(self):
+        return self.labels
+
+    def __getitem__(self, cut):
+        out = self.chunk[: cut.stop - cut.start]
+        return np.divide(_read(self.params, self.probs, cut.start, out), self.total, out=out)
 
 
 def _replica(probs, shots, rng):

@@ -49,7 +49,7 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstrings, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import _timeline, depot_legs, energy_components, table_parts
-from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, orbit_labels, sample
+from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, held_labels, orbit_labels, sample
 
 SCORE_TOL = 1e-9
 # Bytes a `brute` run holds per customer position of each gathered timeline,
@@ -373,8 +373,10 @@ class PhqcResult:
 
 def grid_row(model, register, gamma, betas, dists, shots, seed, first, score_mode, optimal):
     """One gamma row, from each beta's distribution over `register`'s
-    labels; `optimal` is None or the exact oracle's (labels in `register`
-    as an int64 array, cost). Each point draws its sample, keeps the labels
+    labels, or over a one-hot head (`sample`), which holds an optimal
+    label past it at its vehicle-reversed label (`held_labels`); `optimal`
+    is None or the exact oracle's (labels in `register` as an int64 array,
+    cost). Each point draws its sample, keeps the labels
     the digit-level verdict accepts and frees the rest before the next
     draw; the row's accepted labels are then relabelled, rendered and
     scored at once. Returns per point, in index order, the record, the
@@ -383,8 +385,8 @@ def grid_row(model, register, gamma, betas, dists, shots, seed, first, score_mod
     params = model.params
     stars, labels, counts = [], [], []
     for j, probs in enumerate(dists):
-        stars.append(None if optimal is None else float(probs[optimal[0]].sum()))
-        # sample normalises the one distribution in place
+        stars.append(None if optimal is None else float(probs[held_labels(params, optimal[0], len(probs))].sum()))
+        # sample normalises a whole distribution in place
         drawn = sample(probs, shots, (seed, first + j), params, register)
         ok = label_reasons(drawn.labels, model.inst, register) == REASONS.index(OK)
         labels.append(drawn.labels[ok])

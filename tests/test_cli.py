@@ -372,6 +372,22 @@ def test_bench_missing_dir(capsys, tmp_path):
     assert main(["bench", "--dir", str(tmp_path / "nope")]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_an_out_file_in_a_missing_directory_exits_2_before_the_oracle(capsys, tmp_path, monkeypatch, exa_json, command):
+    # the error line is the one opening the file would give, but no oracle
+    # or sweep runs first
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle or the sweep ran before the --out directory was checked")
+
+    monkeypatch.setattr(cli, "exact_solve", refuse)
+    monkeypatch.setattr(cli, "phqc", refuse)
+    out = tmp_path / "nope" / "run.json"
+    source = ["--instance", exa_json] if command == "solve" else ["--dir", str(tmp_path)]
+    assert main([command, *source, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not out.parent.exists()
+
+
 def test_config_file_precedence(tmp_path, capsys, exa_json):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"shots": 32, "seed": 3, "grid_points": 3}))

@@ -10,7 +10,8 @@ must equal exp(-i*gamma*E) bit for bit on every label, whether or not the
 labels past its head read their vehicle-reversed partners, and the parts'
 mirror verdict must imply the S^n table's; a gamma-0 row run on one slab
 and one sub-block must equal run_ansatz bit for bit, and so must a streamed
-depth-1 row on its head, past which it reads the reversed head.
+depth-1 row on its head, which is all it holds: past it, the head's
+reversed view agrees with run_ansatz within 1e-12 relative.
 A sweep evolves each gamma row, whose every layer takes its one gamma (a
 row with a layer of another is refused), from one shared first phase
 layer; its records, best and histogram must equal a per-point run_ansatz
@@ -388,32 +389,33 @@ def head_rows(draw):
 def test_row_distributions_from_the_head_equal_run_ansatz(case):
     # a row on mirrored parts holds its factor on their head alone, any
     # other on every label; a depth-1 row with leading mixer axes (n = 5,
-    # K = 2 and n = 4, K = 4 here) streams the head and copies it past
+    # K = 2 and n = 4, K = 4 here) streams the head and yields it alone,
+    # and so does a gamma-0 one
     table, row = case
     model, parts, mirrored = head_case(table)
     params = model.params
     head = simulator.orbit_labels(params, parts)
     assert (head < params.dim("onehot")) == mirrored
-    streamed = simulator._blocking(params)[0] and max(s.p for s in row) == 1 and row[0].gammas[0] != 0
+    streamed = simulator._blocking(params)[0] and max(s.p for s in row) == 1
     dists = [probs.copy() for probs in evolve_row(params, parts, row, head)]
     with pytest.MonkeyPatch.context() as patch:
         # run_ansatz builds the whole table itself: the signed-zero parts are planted
         patch.setattr(simulator, "energy_table", lambda _: parts[:])
         for probs, schedule in zip(dists, row):
-            assert_head_then_reversed(params, probs, exact_distribution(run_ansatz(params, model, schedule)), head if streamed else len(probs))
+            assert_head_then_reversed(params, probs, exact_distribution(run_ansatz(params, model, schedule)), head if streamed else params.dim("onehot"))
 
 
 def assert_head_then_reversed(params, probs, reference, held):
-    """A row's distribution equals run_ansatz's `reference` bit for bit on
-    its first `held` labels; past them (a streamed depth-1 row on mirrored
-    parts) it reads exactly the head's vehicle-reversed view, which sums
-    the same values in another order, so it agrees within 1e-12 relative:
-    to each label's own mass, or to the largest where a sum cancels to
-    near 0 (at n = 6 a label of mass 1.4e-15 moves by 1e-11 of itself)."""
-    assert probs[:held].tobytes() == reference[:held].tobytes()
-    past = range(held // params.S ** (params.n - 1), params.S)
-    assert all(simulator._digit_block(params, probs, d).tobytes() == simulator._digit_block(params, probs[:held], d).tobytes() for d in past)
-    np.testing.assert_allclose(probs[held:], reference[held:], rtol=1e-12, atol=1e-12 * reference.max())
+    """A row's distribution holds its first `held` labels (the head of a
+    streamed depth-1 row on mirrored parts, else every label) and equals
+    run_ansatz's `reference` on them bit for bit; past them the head's
+    vehicle-reversed view, which the sampler reads there, sums the same
+    values in another order, so it agrees within 1e-12 relative: to each
+    label's own mass, or to the largest where a sum cancels to near 0 (at
+    n = 6 a label of mass 1.4e-15 moves by 1e-11 of itself)."""
+    assert len(probs) == held and probs.tobytes() == reference[:held].tobytes()
+    past = [simulator._digit_block(params, probs, d).reshape(-1) for d in range(held // params.S ** (params.n - 1), params.S)]
+    np.testing.assert_allclose(np.concatenate([probs[:0]] + past), reference[held:], rtol=1e-12, atol=1e-12 * reference.max())
 
 
 def test_a_head_factor_built_seven_labels_at_a_time_equals_run_ansatz(monkeypatch):
@@ -432,13 +434,14 @@ def test_a_head_factor_built_seven_labels_at_a_time_equals_run_ansatz(monkeypatc
 def row_peak(params, schedules, table=energy_table, head=None):
     """tracemalloc's peak while `evolve_row` yields every distribution of
     a row, its factor on `head` labels, on a table (or its parts) built
-    before tracing starts."""
-    labels = params.dim("onehot")
+    before tracing starts. A streamed depth-1 row yields the head alone."""
+    streamed = simulator._blocking(params)[0] and max(s.p for s in schedules) == 1
+    held = head if streamed and head is not None else params.dim("onehot")
     energies = table(EnergyModel.for_instance(seeded_instance(params.n)))
     tracemalloc.start()
     try:
         for probs in evolve_row(params, energies, schedules, head):
-            assert probs.dtype == np.float64 and len(probs) == labels and probs.base is not None
+            assert probs.dtype == np.float64 and len(probs) == held and probs.base is not None
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -541,10 +544,11 @@ def streamed_rows(draw):
 def test_streamed_rows_equal_run_ansatz(case):
     # with MIX_BLOCK patched small, a depth-1 row on a factor streams the
     # blocks of its leading digit in the head (an (n - 1)-digit `_mix` per
-    # block), ceil(K/2) of K vehicles on mirrored parts, and copies the
-    # reversed head past it; its distributions on the head, and a deeper
-    # row's on every label, equal run_ansatz's under the default blocking
-    # bit for bit. At K = 3 the head's middle vehicle is its own reverse
+    # block), ceil(K/2) of K vehicles on mirrored parts, and yields the
+    # head, as a gamma-0 depth-1 row does; its distributions on the head,
+    # and a deeper row's on every label, equal run_ansatz's under the
+    # default blocking bit for bit. At K = 3 the head's middle vehicle is
+    # its own reverse
     n, K, lead, mirrored, register, row = case
     model = EnergyModel.for_instance(fleet_instance(n, K, mirrored), register=register)
     params, parts = model.params, table_parts(model)
@@ -561,31 +565,56 @@ def test_streamed_rows_equal_run_ansatz(case):
     streamed = row[0].p == 1 and row[0].gammas[0] != 0
     for probs, reference in zip(dists, expected):
         reference = reference[params.binary_labels()] if register == "binary" else reference
-        assert_head_then_reversed(params, probs, reference, head if streamed else len(probs))
+        assert_head_then_reversed(params, probs, reference, head if row[0].p == 1 else params.dim("onehot"))
     assert (n - 1 in digits) == streamed
     if streamed:
         assert digits.count(n - 1) == (params.S // K * -(-K // 2) if mirrored else params.S) * len(row)
 
 
 def test_a_streamed_row_holds_its_distribution_and_three_blocks():
-    # n = 6, K = 2, depth 1: the float64 distribution (8 B/label), the
-    # factor on the head (8), and the leading digit's sum, its product with
-    # off and one scratch block (48 / S = 4); a complex state would add 8
+    # n = 6, K = 2, depth 1: the float64 distribution of the head (4 B per
+    # label), the factor on the head (8), and the leading digit's sum, its
+    # product with off and one scratch block (48 / S = 4); a complex state
+    # would add 8
     params = EncodingParams(6, 2)
     schedules = [Schedule.constant(np.pi, np.pi), Schedule.constant(np.pi, 0.0), Schedule.constant(np.pi, 0.3)]
     peak = row_peak(params, schedules, table_parts, params.dim("onehot") // 2)
-    assert peak < (8 + 8 + 48 / params.S + 1) * params.dim("onehot")
+    assert peak < (4 + 8 + 48 / params.S + 1) * params.dim("onehot")
 
 
 def test_a_streamed_row_holds_its_distribution_and_one_block():
-    # n = 6, K = 2, depth 1: the float64 distribution (8 B/label), the
-    # factor on the head (8), the leading digit's sum (16 / S) and the one
-    # digit of floats the buffer holds past the distribution (8 / S); each
-    # block is built in the buffer, so any other block (16 / S) would cross
+    # n = 6, K = 2, depth 1: the float64 distribution of the head (4 B per
+    # label), the factor on the head (8), the leading digit's sum (16 / S)
+    # and the one digit of floats the buffer holds past the distribution
+    # (8 / S); each block is built in the buffer, so any other block
+    # (16 / S) would cross
     params = EncodingParams(6, 2)
     schedules = [Schedule.constant(np.pi, np.pi), Schedule.constant(np.pi, 0.0), Schedule.constant(np.pi, 0.3)]
     peak = row_peak(params, schedules, table_parts, params.dim("onehot") // 2)
-    assert peak < (8 + 8 + 24 / params.S + 1) * params.dim("onehot")
+    assert peak < (4 + 8 + 24 / params.S + 1) * params.dim("onehot")
+
+
+@pytest.mark.parametrize("gamma, factor", [(np.pi, 8), (0.0, 0)])
+def test_a_streamed_row_and_its_draws_allocate_no_float_per_label(gamma, factor):
+    # n = 6, K = 2, depth 1, 1,728 shots a point: the head's distribution (4
+    # B/label), one digit past it (8 / S), the factor on the head (8, none at
+    # gamma 0), the leading digit's sum (16 / S) and the sampler's buffers of
+    # REPLICA_CHUNK labels (under 3 B/label); the draws read the labels past
+    # the head through its reversed view, so a float64 array of every label
+    # (8) would cross
+    params = EncodingParams(6, 2)
+    labels = params.dim("onehot")
+    parts = table_parts(EnergyModel.for_instance(seeded_instance(6)))
+    tracemalloc.start()
+    try:
+        row = [Schedule.constant(gamma, beta) for beta in (np.pi, 0.0, 0.3)]
+        for j, probs in enumerate(evolve_row(params, parts, row, labels // 2)):
+            assert len(probs) == labels // 2
+            assert simulator.sample(probs, 1728, (11, j), params, "onehot").shots == 1728
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 + factor + 24 / params.S + 3) * labels
 
 
 def test_the_benchmark_shapes_keep_their_mixer_path():

@@ -398,6 +398,76 @@ def test_sample_runs_the_replica_only_on_spread_out_states(monkeypatch):
     assert ran == [216.0]
 
 
+def materialised(params, head):
+    """The distribution of every label a head on ceil(K/2) of K vehicles
+    stands for: past it, each leading digit's `_digit_block` view."""
+    digit = params.S ** (params.n - 1)
+    return np.concatenate([head] + [simulator._digit_block(params, head, d).reshape(-1) for d in range(len(head) // digit, params.S)])
+
+
+@st.composite
+def heads(draw):
+    """A head at K = 2-5 of at most 2 * 10**5 labels in all, with or without
+    zeros, and a leaf of 128 (numpy's own block) or more labels."""
+    K = draw(st.integers(2, 5))
+    params = EncodingParams(draw(st.sampled_from([n for n in range(1, 6) if (n * K) ** n <= 2 * 10**5])), K)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    head = lognormal(rng, params.dim("onehot") // K * -(-K // 2))
+    head[rng.random(len(head)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return params, head, draw(st.sampled_from([128, 1000, 4096, simulator.REPLICA_CHUNK]))
+
+
+@given(heads())
+@settings(max_examples=150, deadline=None)
+def test_the_total_of_a_head_is_numpys_sum_of_every_label(case):
+    # numpy's pairwise split, replayed down to leaves it sums itself, reads
+    # the labels past the head through their reversed view
+    params, head, leaf = case
+    full = materialised(params, head)
+    assert len(full) == params.dim("onehot")
+    assert simulator._total(params, head, 0, len(full), np.empty(leaf)).tobytes() == full.sum().tobytes()
+    # and every label is held at its own label or its vehicle-reversed one
+    assert head[simulator.held_labels(params, np.arange(len(full)), len(head))].tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("path", ["replica", "small-state", "zero"])
+@pytest.mark.parametrize("n, K", [(4, 2), (5, 2), (3, 3), (3, 5)])
+def test_a_head_draws_what_its_whole_distribution_draws(monkeypatch, n, K, path):
+    # chunks of 1,000 labels cross the head and the leading digits; a
+    # spread rule no state meets, or a first label of mass 0 (numpy draws
+    # no double for it), hands the draw to numpy, which draws from the
+    # whole distribution built from the head. The head is never written
+    params = EncodingParams(n, K)
+    head = lognormal(np.random.default_rng(10 * n + K), params.dim("onehot") // K * -(-K // 2), sigma=0.5)
+    if path == "zero":
+        head[0] = 0.0
+    if path == "small-state":
+        monkeypatch.setattr(simulator, "REPLICA_SPREAD", 10**9)
+    monkeypatch.setattr(simulator, "REPLICA_CHUNK", 1000)
+    ran, original = [], simulator._replica
+    monkeypatch.setattr(simulator, "_replica", lambda *args: ran.append(original(*args)) or ran[-1])
+    full, kept, shots = materialised(params, head), head.copy(), params.dim("onehot") // 200
+    for seed in range(3):
+        got, want = sample(head, shots, (seed, 1), params, "onehot"), sample(full.copy(), shots, (seed, 1), params, "onehot")
+        assert (got.labels.tolist(), got.counts.tolist()) == (want.labels.tolist(), want.counts.tolist())
+    assert head.tobytes() == kept.tobytes()
+    assert [drawn is None for drawn in ran] == {"replica": [False] * 6, "small-state": [], "zero": [True] * 6}[path]
+
+
+def test_sample_refuses_any_other_length():
+    # n = 3, K = 2: 216 one-hot labels, 108 in the head, and 512 binary
+    # labels, of which a head is never drawn
+    params = EncodingParams(3, 2)
+    for length in (107, 109, 215, 217):
+        with pytest.raises(ValueError, match="must have length 216 or its head's 108$"):
+            sample(np.ones(length), 5, 0, params, "onehot")
+    for length in (108, 256, 511):
+        with pytest.raises(ValueError, match="must have length 512$"):
+            sample(np.ones(length), 5, 0, params, "binary")
+    with pytest.raises(ValueError, match="must have length 27$"):
+        sample(np.ones(26), 5, 0, EncodingParams(3, 1), "onehot")
+
+
 def mixed(amps, params, beta, square=False):
     """`_mix` on a copy of `amps`: the mixed amplitudes, or with `square`
     the distribution it leaves in the float64 view of their buffer."""
