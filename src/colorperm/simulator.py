@@ -33,9 +33,9 @@ distributions bit for bit, but past the head of a streamed row: there the
 head's reversed view sums the same values in another order. `sample`
 reads the labels past a head through that view, divides each chunk by
 numpy's own sum of every label as it reads it, replays numpy's
-multinomial on only the labels a spread-out distribution can draw
-(`_replica`), hands numpy any draw it cannot follow, and returns the
-drawn labels and their counts.
+multinomial on a spread-out distribution (`_replica`: its inversions on
+only the labels that can be drawn, numpy's own draw of each other label),
+and returns the drawn labels and their counts.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels, and
@@ -60,13 +60,17 @@ from .hamiltonian import energy_table
 # energy table once (8 bytes; a sweep holds `table_parts` and slack), and in
 # each thread its work buffer and row factor (16 each; a streamed depth-1 row
 # holds in the buffer's place its float64 distribution on the head, one
-# S^(n-1) digit of floats and the digit's complex sum) and numpy's counts if a
-# draw falls back (8; from a head, 8 more for the whole distribution it
-# builds); a sweep charges the table and factors on its head only
-# (`orbit_labels`). A sweep's VmHWM above the import (`--grid-points 4`), at
-# depths 1 and 2, is 17.9 and 27.8 (n = 6, K = 2), 33.7 and 35.8 (n = 5,
-# K = 5, one draw falling back) bytes per label in one thread, 34.1/52.6 and
-# 49.8/54.1 in two; rows that hold every label peak at 29.4 and 35.4 in one
+# S^(n-1) digit of floats and the digit's complex sum) and numpy's counts in a
+# draw under the spread rule (8; from a head, 8 more for the whole
+# distribution it copies); a sweep charges the table and factors on its head
+# only (`orbit_labels`). A spread-out draw (`_replica`) needs neither, but
+# WORKER_BYTES stays: the shots set the path, and n = 6, K = 2 under
+# `--shots-rule fifty-cubed` (86,400 shots for 2,985,984 labels) draws with
+# numpy and peaks at 33.9 in one thread at depth 1, so a charge by path must
+# read the shots. A sweep's VmHWM above the import (`--grid-points 4`), at
+# depths 1 and 2, is 17.9 and 27.8 (n = 6, K = 2) and 17.7 and 27.8 (n = 5,
+# K = 5) bytes per label in one thread, 34.1/52.6 and 33.7/54.0 in two;
+# rows that hold every label peak at 29.4 and 35.4 in one
 # thread with a factor on every label (n = 6, K = 2, per-vehicle Q), and 27.7
 # and 32.8 at n = 8, K = 1 (65.0 at depth 2 in two); the other S^n entries
 # peak at 40.5 (`apply_phase`) or lower and pay the one-thread charge. A Schedule peaks at
@@ -487,13 +491,13 @@ def sample(probs, shots, seed, params, register):
     (`orbit_labels` of ceil(K/2) of K vehicles), which is left as it is:
     the labels past it are read through their reversed view (`_read`), and
     each chunk is divided, as it is read, by numpy's sum of every label
-    (`_total`); a draw numpy makes from a head first builds a new array of
-    every label (`_every_label`).
+    (`_total`).
 
     `seed` is an int, or a tuple (entropy, *spawn_key) for derived
     per-worker seeds. Identical seeds reproduce identical SampleSets:
-    the labels `default_rng(seed).multinomial` draws and their counts,
-    from `_replica` on spread-out distributions.
+    the labels `default_rng(seed).multinomial` draws and their counts:
+    `_replica` on spread-out distributions, else `multinomial` itself, on
+    every label a head stands for.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
@@ -503,32 +507,15 @@ def sample(probs, shots, seed, params, register):
         raise ValueError(f"distribution must have length {labels}" + (f" or its head's {head}" if head < labels else ""))
     spread = labels >= REPLICA_SPREAD * shots
     if not spread and len(probs) < labels:
-        probs = _every_label(params, probs)
-    source = _Normalised(params, probs, labels) if len(probs) < labels else probs
-    if source is probs:
-        probs /= probs.sum()
+        probs = _read(params, probs, 0, np.empty(labels))
+    probs = _Normalised(params, probs, labels) if len(probs) < labels else np.divide(probs, probs.sum(), out=probs)
     entropy, *spawn_key = seed if isinstance(seed, tuple) else (seed,)
-    seq = np.random.SeedSequence(int(entropy), spawn_key=tuple(map(int, spawn_key)))
-    drawn = _replica(source, shots, np.random.default_rng(seq)) if spread else None
-    if drawn is None:
-        if source is not probs:
-            probs = _every_label(params, probs)
-            probs /= source.total
-        counts = np.random.default_rng(seq).multinomial(shots, probs)
-        labels = np.flatnonzero(counts)
-        drawn = labels, counts[labels]
-    return SampleSet(*drawn, shots, register, params)
-
-
-def _every_label(params, head):
-    """A new array of every label a distribution's head stands for: past
-    it, each leading digit's `_digit_block` view of the head."""
-    digit, full = params.S ** (params.n - 1), np.empty(params.dim("onehot"))
-    full[: len(head)] = head
-    for d in range(len(head) // digit, params.S):
-        part = _digit_block(params, head, d)
-        full[d * digit : (d + 1) * digit].reshape(part.shape)[...] = part
-    return full
+    rng = np.random.default_rng(np.random.SeedSequence(int(entropy), spawn_key=tuple(map(int, spawn_key))))
+    if spread:
+        return SampleSet(*_replica(probs, shots, rng), shots, register, params)
+    counts = rng.multinomial(shots, probs)
+    drawn = np.flatnonzero(counts)
+    return SampleSet(drawn, counts[drawn], shots, register, params)
 
 
 def _read(params, probs, lo, out):
@@ -558,8 +545,7 @@ def _copy_flat(view, at, out):
         _copy_flat(view[first], skip, out[:part])
         out, first = out[part:], first + 1
     whole = len(out) // unit
-    if whole:
-        out[: whole * unit].reshape((whole,) + view.shape[1:])[...] = view[first : first + whole]
+    out[: whole * unit].reshape((whole,) + view.shape[1:])[...] = view[first : first + whole]
     if len(out) > whole * unit:
         _copy_flat(view[first + whole], 0, out[whole * unit :])
 
@@ -594,63 +580,77 @@ class _Normalised:
 
 def _replica(probs, shots, rng):
     """`rng.multinomial(shots, probs)` as (labels, counts) of its nonzero
-    entries, or None where numpy leaves this path: it draws
-    binomial(dn, probs[j] / remaining) for j < d - 1 until no shot is
-    left, each an inversion from one double while p <= 0.5 and
-    p*dn <= 30. Before the last shot, p outside (0, 0.5] (numpy draws no
-    double or inverts 1 - p), p*dn > 30 (BTPE) or an inversion restart
-    gives None. Every chunk is screened in the same three buffers."""
+    entries: numpy draws binomial(dn, probs[j] / remaining) for j < d - 1
+    until no shot is left. Each chunk read refuses a NaN or negative label,
+    as numpy does, and drops its zeros, which draw no double; the rest are
+    screened in three buffers (`_screen`) and walked with numpy's inversion
+    from one double (`_inversion`). At a label numpy draws otherwise (p
+    outside (0, 0.5], p*dn > 30 for BTPE, or an inversion restart) the
+    generator goes back to that label's double, `Generator.binomial` draws
+    it, and the chunk's rest is screened again; p > 1 draws as 1 (numpy
+    inverts q = 1 - p < 0 from one double, as q = 0). p < 0 cannot occur:
+    the remainder stays above 0 until a p of 1 or more takes the last shot."""
     d, dn, labels, counts, carry = len(probs), shots, [], [], 1.0
     buffers = np.empty(REPLICA_CHUNK + 1), np.empty(REPLICA_CHUNK), np.empty(REPLICA_CHUNK, dtype=bool)
     for lo in range(0, d - 1, REPLICA_CHUNK):
-        walk, ps, us, carry = _screen(probs[lo : min(lo + REPLICA_CHUNK, d - 1)], carry, dn, rng, *buffers)
-        for j, p, U in zip(walk, ps, us):
-            X = _inversion(dn, p, U) if 0.0 < p <= 0.5 and p * dn <= 30.0 else None
-            if X is None:
-                return None
-            if X:
-                labels.append(lo + j)
-                counts.append(X)
-                dn -= X
-                if not dn:
-                    return np.array(labels), np.array(counts)
+        pix, rest = probs[lo : min(lo + REPLICA_CHUNK, d - 1)], 0
+        low = pix.min()
+        if not low >= 0.0:
+            raise ValueError("pvals < 0, pvals > 1 or pvals contains NaNs")
+        at = np.flatnonzero(pix) if low == 0.0 else range(len(pix))
+        pix = pix[at] if low == 0.0 else pix
+        while rest < len(pix):
+            walk, ps, us, carry = _screen(pix[rest:], carry, dn, rng, *buffers)
+            skip, rest = rest, len(pix)
+            for j, p, U in zip(walk, ps, us):
+                X = _inversion(dn, p, U) if 0.0 < p <= 0.5 and p * dn <= 30.0 else None
+                if X is None:
+                    rng.bit_generator.advance(skip + j - len(pix))
+                    X, rest, carry = int(rng.binomial(dn, min(p, 1.0))), skip + j + 1, float(buffers[0][j + 1])
+                if X:
+                    labels.append(lo + at[skip + j])
+                    counts.append(X)
+                    dn -= X
+                    if not dn:
+                        return np.array(labels), np.array(counts)
+                if rest < len(pix):
+                    break
     return np.array(labels + [d - 1]), np.array(counts + [dn])
 
 
 def _screen(pix, carry, dn, rng, rem, v, keep):
-    """One chunk of `_replica`: the positions that may draw a shot, their
-    p and U, and numpy's running `remaining` after it, in the buffers `rem`,
-    `v` and `keep`. An inversion is 0 exactly when U <= (1 - p)**dn
-    (Kachitvichyanukul & Schmeiser, CACM 1988), so it is where
+    """One chunk of `_replica`, of labels above 0: the positions that may
+    draw a shot, their p and U, and numpy's running `remaining` after it,
+    in the buffers `rem`, `v` and `keep`; `rem` keeps every remainder. An
+    inversion is 0 exactly when U <= (1 - p)**dn (Kachitvichyanukul &
+    Schmeiser, CACM 1988), so it is where
     1 - U >= dn*(p + 2**-52)*(1 + 1e-9) + 1e-15 for any dn up to the
     chunk's first. That grows with p, and rounded division is monotone, so
-    while every p lies in [pix.min() / rem[0], pix.max() / rem[-2]], inside
-    (0, 0.5], only labels that pass at the upper bound are tested. Otherwise
-    (as in a draw's last chunk) all are, p in the remainders' place and
-    PHASE_BLOCK thresholds at a time, and the first p outside (0, 0.5] is kept."""
+    while every p lies in (0, pix.max() / rem[-2]] inside (0, 0.5], only
+    labels that pass at the upper bound are tested. Otherwise (as in a
+    draw's last chunk) all are, PHASE_BLOCK labels at a time, and every p
+    above 0.5 is kept (the test misses one at dn = 1; numpy inverts 1 - p)."""
     rem, v, keep = rem[: len(pix) + 1], v[: len(pix)], keep[: len(pix)]
     rem[0] = carry
     rem[1:] = pix
     np.subtract.accumulate(rem, out=rem)
     np.subtract(1.0, rng.random(out=v), out=v)  # 1 - U, exactly
     scale = dn * (1.0 + 1e-9)
-    # a remainder rounded to 0 or below gives p = inf or nan
+    # a remainder rounded to 0 or below gives p = inf or below 0
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = pix.max() / rem[-2]
-        if rem[-2] > 0.0 and pix.min() / rem[0] > 0.0 and bound <= 0.5:
+        if rem[-2] > 0.0 and bound <= 0.5:
             walk = np.flatnonzero(np.less(v, (bound + 2.0**-52) * scale + 1e-15, out=keep))
             p = pix[walk] / rem[walk]
             passed = v[walk] < (p + 2.0**-52) * scale + 1e-15
             walk, p = walk[passed], p[passed]
         else:
-            p = np.divide(pix, rem[:-1], out=rem[:-1])
-            first = np.argmin(np.logical_and(np.less_equal(p, 0.5, out=keep), p > 0.0, out=keep))
-            outside = not keep[first]
             for lo in range(0, len(pix), PHASE_BLOCK):
-                np.less(v[lo : lo + PHASE_BLOCK], (p[lo : lo + PHASE_BLOCK] + 2.0**-52) * scale + 1e-15, out=keep[lo : lo + PHASE_BLOCK])
-            keep[first] |= outside
+                p = pix[lo : lo + PHASE_BLOCK] / rem[:-1][lo : lo + PHASE_BLOCK]
+                np.less(v[lo : lo + PHASE_BLOCK], (p + 2.0**-52) * scale + 1e-15, out=keep[lo : lo + PHASE_BLOCK])
+                keep[lo : lo + PHASE_BLOCK] |= p > 0.5
             walk = np.flatnonzero(keep)
-            p = p[walk]
+            p = pix[walk] / rem[walk]
     return walk.tolist(), p.tolist(), (1.0 - v[walk]).tolist(), float(rem[-1])
 
 

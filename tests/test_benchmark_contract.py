@@ -6,7 +6,8 @@ renaming one of them must fail here rather than in a benchmark run. The
 traced binary sweep runs here too: the tracer's hooks read call shapes
 (`energy_components`' positional labels, `sample`'s SampleSet), and the
 benchmark's PaddingLeak gate runs under them. The benchmark's generated
-instances keep the row path its figures were measured on.
+instances keep the row path and the sampler path its figures were
+measured on.
 """
 
 import ast
@@ -21,8 +22,10 @@ import pytest
 import colorperm
 from colorperm import simulator
 from colorperm.cli import main
+from colorperm.encoding import EncodingParams
 from colorperm.hamiltonian import EnergyModel, table_parts
 from colorperm.instances import parse_vrp
+from colorperm.solver import default_shots
 
 DATA = Path(__file__).resolve().parent / "data"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -106,3 +109,17 @@ def test_the_benchmark_sweeps_keep_their_row_path(workload, seed, streams):
         assert head == labels // 2
     probs = next(simulator.evolve_row(params, parts, [simulator.Schedule.constant(np.pi, np.pi, depth)], head))
     assert len(probs) == (head if streams else labels)
+
+
+def test_the_benchmark_has_a_sweep_on_each_side_of_the_spread_rule():
+    # sweep-n6k2 draws every sample with the replica (2,985,984 labels for
+    # 1,728 shots), sweep-n4k3-binary with numpy's multinomial (20,736
+    # labels for 1,728 shots), so the benchmark times both sampler paths
+    spread = {}
+    for workload in ("sweep-n6k2", "sweep-n4k3-binary"):
+        demands, K, argv = _workloads()[workload]
+        assert "--shots" not in argv and "--shots-rule" not in argv
+        params = EncodingParams(len(demands), K)
+        spread[workload] = params.dim("onehot"), simulator.REPLICA_SPREAD * default_shots(params)
+    assert spread == {"sweep-n6k2": (2_985_984, 221_184), "sweep-n4k3-binary": (20_736, 221_184)}
+    assert [labels >= rule for labels, rule in spread.values()] == [True, False]

@@ -1,9 +1,9 @@
 """The two per-point kernels of a sweep against their references.
 
-`simulator._replica` replays numpy's multinomial (`random_multinomial`,
-inversion draws only) on the labels that can be drawn; wherever it runs
-it must give `Generator.multinomial`'s counts exactly, and wherever numpy
-would take another path it must hand back to numpy. It depends on numpy
+`simulator._replica` replays numpy's multinomial (`random_multinomial`)
+on the labels that can be drawn, with numpy's inversion, and lets numpy
+draw each label it draws another way; it must give
+`Generator.multinomial`'s counts exactly on every law. It depends on numpy
 internals, so a numpy change must fail here rather than move output
 bytes. `simulator._mix` visits cache-sized sub-blocks after mixing the
 leading axes; its bytes must not depend on the blocking.
@@ -180,7 +180,8 @@ def distributions(draw):
         w = np.zeros(params.dim("binary"))
         w[params.binary_labels()] = lognormal(rng, params.dim("onehot"))
     probs = w / w.sum()
-    shots = draw(st.sampled_from([1, 2, 3, 7, 20, 60]))
+    # 1,000 and 20,000 shots take BTPE and p > 0.5 draws on many laws
+    shots = draw(st.sampled_from([1, 2, 3, 7, 20, 60, 1000, 20_000]))
     return probs, shots, draw(st.integers(min_value=0, max_value=2**63 - 1))
 
 
@@ -189,7 +190,7 @@ def distributions(draw):
 def test_replica_draws_numpys_counts(case):
     probs, shots, seed = case
     got = listed(simulator._replica(probs, shots, np.random.default_rng(seed)))
-    assert got is None or got == multinomial_counts(probs, shots, seed)
+    assert got == multinomial_counts(probs, shots, seed)
 
 
 @pytest.mark.parametrize("chunk", [5, 64, simulator.REPLICA_CHUNK])
@@ -210,7 +211,8 @@ def test_replica_runs_and_matches_across_chunk_edges(monkeypatch, chunk):
 
 def full_screen(pix, carry, dn, rng):
     """The reference screen: every label's p and threshold, with no bound
-    to skip the labels that cannot draw."""
+    to skip the labels that cannot draw; past the bound, every p above 0.5
+    is kept."""
     rem = np.empty(len(pix) + 1)
     rem[0] = carry
     rem[1:] = pix
@@ -220,25 +222,23 @@ def full_screen(pix, carry, dn, rng):
         v = 1.0 - rng.random(len(pix))
         keep = v < (p + 2.0**-52) * (dn * (1.0 + 1e-9)) + 1e-15
         if not (p.min() > 0.0 and p.max() <= 0.5):
-            keep[np.argmin((p > 0.0) & (p <= 0.5))] = True
+            keep |= p > 0.5
     walk = np.flatnonzero(keep)
     return walk.tolist(), p[walk].tolist(), (1.0 - v[walk]).tolist(), float(rem[-1])
 
 
 @st.composite
 def chunks(draw):
-    """A chunk of a law as `_replica` screens it: spread out (the bound
-    holds), with zeros, with the remainder exhausted so that it rounds to
-    0 or below, or with one p above 0.5; its carry and shots left."""
-    kind = draw(st.sampled_from(["spread", "zeros", "exhausted", "over-half"]))
+    """A chunk of a law as `_replica` screens it, its zeros dropped: spread
+    out (the bound holds), with the remainder exhausted so that it rounds
+    to 0 or below, or with one p above 0.5; its carry and shots left."""
+    kind = draw(st.sampled_from(["spread", "exhausted", "over-half"]))
     m = draw(st.integers(min_value=1, max_value=300))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     pix = lognormal(rng, m)
     carry = draw(st.sampled_from([1.0, 0.37, 1e-3]))
     pix *= carry / pix.sum() * (1.0 if kind == "exhausted" else draw(st.sampled_from([0.9, 0.1, 1e-4])))
-    if kind == "zeros":
-        pix[rng.random(m) < draw(st.sampled_from([0.01, 0.3, 1.0]))] = 0.0
-    elif kind == "over-half":
+    if kind == "over-half":
         pix[rng.integers(m)] = carry * 0.6
     return pix, carry, draw(st.integers(min_value=1, max_value=60)), draw(st.integers(min_value=0, max_value=2**63 - 1))
 
@@ -306,8 +306,8 @@ def crossing_chunks(draw):
 @given(crossing_chunks())
 @settings(max_examples=200, deadline=None)
 def test_a_chunk_crossing_half_equals_the_full_screen(case):
-    # every label is tested, PHASE_BLOCK thresholds at a time, and the first
-    # p above 0.5 is kept wherever it falls among the blocks
+    # every label is tested, PHASE_BLOCK thresholds at a time, and each p
+    # above 0.5 is kept wherever it falls among the blocks
     pix, carry, dn, seed = case
     buffers = np.empty(len(pix) + 3), np.empty(len(pix) + 2), np.zeros(len(pix) + 2, dtype=bool)
     got_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -321,8 +321,8 @@ def test_a_chunk_crossing_half_equals_the_full_screen(case):
 
 
 def test_a_chunk_crossing_half_allocates_no_chunk_sized_array():
-    # a draw's last chunk tests every label: p goes into the remainders'
-    # buffer, and the thresholds are made PHASE_BLOCK at a time, so the
+    # a draw's last chunk tests every label: p and the thresholds are made
+    # PHASE_BLOCK labels at a time, beside the remainders' buffer, so the
     # screen peaks far below one float64 array of the chunk
     m = simulator.REPLICA_CHUNK
     pix = lognormal(np.random.default_rng(5), m) * 1e-6
@@ -352,8 +352,37 @@ def uniform_with(head):
     return probs
 
 
+class CountedRng:
+    """A generator that notes each draw numpy makes for it whole: a
+    binomial (one label) as "binomial", a multinomial as its length."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def binomial(self, n, p):
+        self.calls.append("binomial")
+        return self.rng.binomial(n, p)
+
+    def multinomial(self, shots, probs):
+        self.calls.append(len(probs))
+        return self.rng.multinomial(shots, probs)
+
+
+def counted_rngs(monkeypatch):
+    """The draws of every generator `np.random.default_rng` makes from now
+    on (`CountedRng`)."""
+    calls, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountedRng(make(seed), calls))
+    return calls
+
+
 @pytest.mark.parametrize("case", ["zero", "over-half", "btpe", "restart"])
 def test_each_fallback_hands_the_draw_to_numpy(monkeypatch, case):
+    # each label numpy draws another way is drawn by numpy itself; a zero
+    # label, which draws no double, is dropped from the screen instead
     monkeypatch.setattr(simulator, "REPLICA_SPREAD", 0)
     shots, probs = 5, uniform_with([])
     if case == "zero":
@@ -366,20 +395,86 @@ def test_each_fallback_hands_the_draw_to_numpy(monkeypatch, case):
         # (1 - p)**dn of 0 sends every inversion past its bound
         monkeypatch.setattr(simulator, "math", type("libm", (), {"exp": lambda x: 0.0, "log": math.log, "sqrt": math.sqrt}))
     for seed in range(3):
-        assert simulator._replica(probs, shots, np.random.default_rng(seed)) is None
+        calls = []
+        got = listed(simulator._replica(probs, shots, CountedRng(np.random.default_rng(seed), calls)))
+        assert got == multinomial_counts(probs, shots, seed)
+        assert calls.count("binomial") == len(calls) and bool(calls) == (case != "zero")
         drawn, reference = sample_and_reference(probs, shots, seed)
         assert drawn == reference
 
 
 def test_a_non_finite_law_hands_the_draw_to_numpy(monkeypatch):
-    # numpy refuses the law, and so does sample
+    # numpy refuses the law, and so do the replica and sample
     monkeypatch.setattr(simulator, "REPLICA_SPREAD", 0)
-    probs = uniform_with([np.nan])
-    assert simulator._replica(probs, 5, np.random.default_rng(0)) is None
-    with pytest.raises(ValueError, match="pvals"):
-        np.random.default_rng(0).multinomial(5, probs)
-    with pytest.raises(ValueError, match="pvals"):
-        sample_and_reference(probs, 5, 0)
+    for probs in (uniform_with([np.nan]), uniform_with([0.5, -0.1])):
+        with pytest.raises(ValueError, match="pvals"):
+            simulator._replica(probs, 5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="pvals"):
+            np.random.default_rng(0).multinomial(5, probs)
+        with pytest.raises(ValueError, match="pvals"):
+            sample_and_reference(probs, 5, 0)
+
+
+@pytest.mark.parametrize("shots", [1, 40, 1000])
+def test_a_law_of_zeros_is_screened_once_per_chunk(monkeypatch, shots):
+    # 95% exact zeros: each chunk drops them once, so it is screened once,
+    # and again only after each label numpy draws itself
+    monkeypatch.setattr(simulator, "REPLICA_CHUNK", 1000)
+    rng = np.random.default_rng(23)
+    w = lognormal(rng, 20_000)
+    w[rng.random(len(w)) < 0.95] = 0.0
+    probs = w / w.sum()
+    screens, original = [], simulator._screen
+    monkeypatch.setattr(simulator, "_screen", lambda *args: screens.append(len(args[0])) or original(*args))
+    for seed in range(3):
+        screens.clear()
+        calls = []
+        got = listed(simulator._replica(probs, shots, CountedRng(np.random.default_rng(seed), calls)))
+        assert got == multinomial_counts(probs, shots, seed)
+        assert len(screens) <= math.ceil((len(probs) - 1) / 1000) + len(calls)
+        assert max(screens) < 200
+
+
+def test_a_spread_draw_from_a_head_allocates_nothing_label_sized(monkeypatch):
+    # n = 5, K = 2: 100,000 labels, 500 shots, and a head label holding a
+    # third of the mass (its reversed label another), which numpy draws by
+    # BTPE; the draw reads the head a chunk at a time and peaks below half a
+    # float64 array of every label
+    monkeypatch.setattr(simulator, "REPLICA_CHUNK", 2**12)
+    params = EncodingParams(5, 2)
+    head = lognormal(np.random.default_rng(3), params.dim("onehot") // 2, sigma=0.5)
+    head[777] = head.sum() * 2
+    full, shots = materialised(params, head), params.dim("onehot") // 200
+    want = sample(full, shots, (4, 1), params, "onehot")
+    calls = counted_rngs(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = sample(head, shots, (4, 1), params, "onehot")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.labels.tolist(), got.counts.tolist()) == (want.labels.tolist(), want.counts.tolist())
+    assert "binomial" in calls and peak < 4 * len(full)
+
+
+@pytest.mark.parametrize("n, K", [(3, 2), (4, 2), (3, 5)])
+def test_no_spread_out_draw_is_a_whole_array_draw(monkeypatch, n, K):
+    # heads and whole laws with zeros, a label over half the mass or one
+    # numpy draws by BTPE: every state at or above the spread rule is drawn
+    # by the replica; the others by one multinomial on every label
+    params = EncodingParams(n, K)
+    labels, make = params.dim("onehot"), np.random.default_rng
+    calls = counted_rngs(monkeypatch)
+    for heavy, zeros in ((0.0, 0.0), (0.6, 0.0), (0.3, 0.5)):
+        head = lognormal(make(n + K), labels // K * -(-K // 2))
+        head[make(1).random(len(head)) < zeros] = 0.0
+        head[-1] = head.sum() * heavy
+        for shots in (1, labels // simulator.REPLICA_SPREAD, labels // simulator.REPLICA_SPREAD + 1, labels):
+            for probs in (head, materialised(params, head)):
+                calls.clear()
+                assert sample(probs.copy(), shots, 5, params, "onehot").counts.sum() == shots
+                whole = [call for call in calls if call != "binomial"]
+                assert whole == ([] if labels >= simulator.REPLICA_SPREAD * shots else [labels])
 
 
 def test_sample_runs_the_replica_only_on_spread_out_states(monkeypatch):
@@ -433,10 +528,11 @@ def test_the_total_of_a_head_is_numpys_sum_of_every_label(case):
 @pytest.mark.parametrize("path", ["replica", "small-state", "zero"])
 @pytest.mark.parametrize("n, K", [(4, 2), (5, 2), (3, 3), (3, 5)])
 def test_a_head_draws_what_its_whole_distribution_draws(monkeypatch, n, K, path):
-    # chunks of 1,000 labels cross the head and the leading digits; a
-    # spread rule no state meets, or a first label of mass 0 (numpy draws
-    # no double for it), hands the draw to numpy, which draws from the
-    # whole distribution built from the head. The head is never written
+    # chunks of 1,000 labels cross the head and the leading digits; a first
+    # label of mass 0 (numpy draws no double for it) is dropped from its
+    # chunk's screen; a spread rule no state meets hands the draw to numpy,
+    # which draws from the whole distribution built from the head. The head
+    # is never written
     params = EncodingParams(n, K)
     head = lognormal(np.random.default_rng(10 * n + K), params.dim("onehot") // K * -(-K // 2), sigma=0.5)
     if path == "zero":
@@ -451,7 +547,7 @@ def test_a_head_draws_what_its_whole_distribution_draws(monkeypatch, n, K, path)
         got, want = sample(head, shots, (seed, 1), params, "onehot"), sample(full.copy(), shots, (seed, 1), params, "onehot")
         assert (got.labels.tolist(), got.counts.tolist()) == (want.labels.tolist(), want.counts.tolist())
     assert head.tobytes() == kept.tobytes()
-    assert [drawn is None for drawn in ran] == {"replica": [False] * 6, "small-state": [], "zero": [True] * 6}[path]
+    assert [drawn is None for drawn in ran] == {"replica": [False] * 6, "small-state": [], "zero": [False] * 6}[path]
 
 
 def test_sample_refuses_any_other_length():
