@@ -326,15 +326,21 @@ def cmd_check(cfg, stream=None):
     return 0 if all_ok else 1
 
 
-def _parse_betas(cfg):
+def _parse_betas(cfg, params):
+    """The --beta schedule, charged (`check_budget`) for its layers before
+    a single angle is repeated --depth times."""
     if cfg["beta"] is None:
         raise ValueError("bound needs --beta")
-    betas = tuple(float(tok) for tok in str(cfg["beta"]).split(","))
+    betas = []
+    for tok in str(cfg["beta"]).split(","):
+        try:
+            betas.append(float(tok))
+        except ValueError:
+            raise ValueError(f"--beta token {tok!r} is not a number, like '0.5' or '0.9,1.1,0.3'") from None
     if len(betas) > 1 and "depth" in cfg["_given"] and cfg["depth"] != len(betas):
         raise ValueError(f"depth {cfg['depth']} contradicts the {len(betas)} angles given by --beta")
-    if len(betas) == 1 and cfg["depth"] > 1:
-        betas = betas * cfg["depth"]
-    return betas
+    check_budget(params, layers=max(len(betas), cfg["depth"]))
+    return tuple(betas * cfg["depth"] if len(betas) == 1 else betas)
 
 
 def cmd_bound(cfg):
@@ -343,8 +349,7 @@ def cmd_bound(cfg):
     params = model.params
     if cfg["gamma"] is None:
         raise ValueError("bound needs --gamma")
-    check_budget(params, layers=cfg["depth"])
-    betas = _parse_betas(cfg)
+    betas = _parse_betas(cfg, params)
     exact = exact_solve(inst, model)
     if not exact.optimal_assignments:
         sys.stderr.write("no feasible configuration: the optimal set is empty\n")

@@ -30,12 +30,12 @@ sign of a zero, which |x|**2 cannot see.
 `run_ansatz` is the slow reference, one phase and one
 mixer pass per layer on the whole table, whose squares are the row's
 distributions bit for bit, but past the head of a streamed row: there the
-head's reversed view sums the same values in another order. `sample`
-reads the labels past a head through that view, divides each chunk by
-numpy's own sum of every label as it reads it, replays numpy's
-multinomial on a spread-out distribution (`_replica`: its inversions on
-only the labels that can be drawn, numpy's own draw of each other label),
-and returns the drawn labels and their counts.
+head's reversed view sums the same values in another order. `sample` divides
+a distribution or a head by numpy's own sum of every label (`_total`),
+reading past a head through that view, replays numpy's multinomial a chunk
+at a time on a spread-out one (`_replica`: inversions on the labels that can
+be drawn, numpy's own draw of the others), and writes the caller's array
+only to normalise a whole one under the spread rule.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels, and
@@ -92,9 +92,9 @@ AXIS_BYTES = 160
 POINT_BYTES = 640
 # Mixer blocks in amplitudes (512 KiB); `_phases` blocks, whose temporaries
 # (numpy's 64 KiB cast buffer the largest) stay below glibc's 128 KiB mmap
-# threshold; `_replica` chunks, at least numpy's own 128-label sum blocks
-# (`_total` sums them whole), and the labels per shot from which it beats
-# numpy (they cross near 125 at n = 5, K = 2).
+# threshold; `sample`'s one chunk buffer (`_total`'s leaves, at least numpy's
+# own 128-label sum blocks, and `_replica`'s reads), and the labels per shot
+# from which `_replica` beats numpy (they cross near 125 at n = 5, K = 2).
 MIX_BLOCK = 2**15
 PHASE_BLOCK = 2**12
 REPLICA_CHUNK = 2**16
@@ -330,20 +330,22 @@ def _digit_block(params, factor, d):
     return held[k, c] if k < len(held) else held[K - 1 - k, c][REVERSED * (n - 1)]
 
 
-def orbit_labels(params, parts):
+def orbit_labels(params, parts=None):
     """The labels a row's factor holds: the head, the labels of the first
     ceil(K/2) vehicles of the first symbol (`_digit_block`), when each of
     the `table_parts` equals its vehicle-reversed view bit for bit (-0.0 is
     not 0.0), `pair` under the reversal's map on each half's multisets, so
     that every label past the head adds equal operands in its reversed
-    label's order; else all."""
+    label's order; else all; without `parts`, the head."""
     K, n = params.K, params.n
+    if parts is None:
+        return params.dim("onehot") // K * -(-K // 2)
     symbols, *halves = (np.arange(params.S**d).reshape((K, n) * d)[REVERSED * d].reshape(-1) for d in (1, n // 2, n - n // 2))
     # each multiset's reversed multiset, through its first label
     maps = [of[flipped][np.unique(of, return_index=True)[1]] for of, flipped in zip((parts.head_of, parts.tail_of), halves)]
     views = ((parts.pair, np.ix_(*maps)), (parts.edges, np.ix_(symbols, symbols)), (parts.start, symbols), (parts.close, symbols))
     mirrored = all(part.tobytes() == part[index].tobytes() for part, index in views)
-    return params.dim("onehot") // K * (-(-K // 2) if mirrored else K)
+    return orbit_labels(params) if mirrored else params.dim("onehot")
 
 
 def held_labels(params, labels, held):
@@ -486,45 +488,46 @@ class SampleSet:
 def sample(probs, shots, seed, params, register):
     """Draw a seeded multinomial sample from the distribution `probs`
     over `register`'s labels (`exact_distribution` of a state, or a
-    distribution `evolve_row` yields), normalised in place. A one-hot
-    `probs` may hold only the vehicle-orbit head of a mirrored row
-    (`orbit_labels` of ceil(K/2) of K vehicles), which is left as it is:
-    the labels past it are read through their reversed view (`_read`), and
-    each chunk is divided, as it is read, by numpy's sum of every label
-    (`_total`).
+    distribution `evolve_row` yields), or the vehicle-orbit head of a
+    mirrored one-hot row (`orbit_labels(params)`), whose labels past it
+    are read through their reversed view (`_read`). Every label is divided
+    by numpy's sum of every label (`_total`; `probs.sum()` bit for bit on
+    a whole array): a spread-out draw divides each chunk into one buffer
+    as it reads it and writes nothing of `probs`; a draw under the spread
+    rule divides a whole `probs` in place, or a copy of every label.
 
     `seed` is an int, or a tuple (entropy, *spawn_key) for derived
-    per-worker seeds. Identical seeds reproduce identical SampleSets:
-    the labels `default_rng(seed).multinomial` draws and their counts:
-    `_replica` on spread-out distributions, else `multinomial` itself, on
-    every label a head stands for.
+    per-worker seeds. Identical seeds reproduce identical SampleSets: the
+    labels `default_rng(seed).multinomial` draws on every label and their
+    counts, from `_replica` on spread-out distributions, else from it.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
     labels = params.dim(register)
-    head = labels // params.K * -(-params.K // 2) if register == "onehot" else labels
+    head = orbit_labels(params) if register == "onehot" else labels
     if np.shape(probs) not in ((labels,), (head,)):
         raise ValueError(f"distribution must have length {labels}" + (f" or its head's {head}" if head < labels else ""))
     spread = labels >= REPLICA_SPREAD * shots
-    if not spread and len(probs) < labels:
-        probs = _read(params, probs, 0, np.empty(labels))
-    probs = _Normalised(params, probs, labels) if len(probs) < labels else np.divide(probs, probs.sum(), out=probs)
+    every = probs if spread else _read(params, probs, 0, labels)
+    chunk = np.empty(min(labels, REPLICA_CHUNK))
+    total = _total(params, every, 0, labels, chunk)
     entropy, *spawn_key = seed if isinstance(seed, tuple) else (seed,)
     rng = np.random.default_rng(np.random.SeedSequence(int(entropy), spawn_key=tuple(map(int, spawn_key))))
     if spread:
-        return SampleSet(*_replica(probs, shots, rng), shots, register, params)
-    counts = rng.multinomial(shots, probs)
+        drawn = _replica(lambda lo, hi: np.divide(_read(params, every, lo, hi, chunk), total, out=chunk[: hi - lo]), labels, shots, rng)
+        return SampleSet(*drawn, shots, register, params)
+    counts = rng.multinomial(shots, np.divide(every, total, out=every))
     drawn = np.flatnonzero(counts)
     return SampleSet(drawn, counts[drawn], shots, register, params)
 
 
-def _read(params, probs, lo, out):
-    """Labels [lo, lo + len(out)) of the distribution `probs` holds: a view
-    of its own labels, or, past them, each leading digit's `_digit_block`
-    view of the head copied into `out`."""
-    hi, digit = lo + len(out), params.S ** (params.n - 1)
+def _read(params, probs, lo, hi, out=None):
+    """Labels [lo, hi) of the distribution `probs` holds: a view of its own
+    labels, or, past them, each leading digit's `_digit_block` view of the
+    head copied into `out` (a new array by default)."""
     if hi <= len(probs):
         return probs[lo:hi]
+    out, digit = np.empty(hi - lo) if out is None else out[: hi - lo], params.S ** (params.n - 1)
     for d in range(lo // digit, -(-hi // digit)):
         at = max(lo, d * digit)
         _copy_flat(_digit_block(params, probs, d), at - d * digit, out[at - lo : min(hi, (d + 1) * digit) - lo])
@@ -555,45 +558,27 @@ def _total(params, probs, lo, count, chunk):
     bit: its pairwise split at count // 2 rounded down to a multiple of 8,
     down to leaves of at most len(chunk) labels, each summed by numpy."""
     if count <= len(chunk):
-        return np.add.reduce(_read(params, probs, lo, chunk[:count]))
+        return np.add.reduce(_read(params, probs, lo, lo + count, chunk))
     half = count // 2 - count // 2 % 8
     return _total(params, probs, lo, half, chunk) + _total(params, probs, lo + half, count - half, chunk)
 
 
-class _Normalised:
-    """Every label of the distribution a head `probs` stands for (`_read`),
-    divided by numpy's sum of them (`_total`) as a slice of at most
-    REPLICA_CHUNK labels is read into one buffer: the normalised array
-    `_replica` walks."""
-
-    def __init__(self, params, probs, labels):
-        self.params, self.probs, self.labels, self.chunk = params, probs, labels, np.empty(min(labels, REPLICA_CHUNK))
-        self.total = _total(params, probs, 0, labels, self.chunk)
-
-    def __len__(self):
-        return self.labels
-
-    def __getitem__(self, cut):
-        out = self.chunk[: cut.stop - cut.start]
-        return np.divide(_read(self.params, self.probs, cut.start, out), self.total, out=out)
-
-
-def _replica(probs, shots, rng):
+def _replica(read, d, shots, rng):
     """`rng.multinomial(shots, probs)` as (labels, counts) of its nonzero
-    entries: numpy draws binomial(dn, probs[j] / remaining) for j < d - 1
-    until no shot is left. Each chunk read refuses a NaN or negative label,
-    as numpy does, and drops its zeros, which draw no double; the rest are
-    screened in three buffers (`_screen`) and walked with numpy's inversion
-    from one double (`_inversion`). At a label numpy draws otherwise (p
-    outside (0, 0.5], p*dn > 30 for BTPE, or an inversion restart) the
-    generator goes back to that label's double, `Generator.binomial` draws
-    it, and the chunk's rest is screened again; p > 1 draws as 1 (numpy
-    inverts q = 1 - p < 0 from one double, as q = 0). p < 0 cannot occur:
-    the remainder stays above 0 until a p of 1 or more takes the last shot."""
-    d, dn, labels, counts, carry = len(probs), shots, [], [], 1.0
+    entries, `read(lo, hi)` returning probs[lo:hi] of its d labels: numpy
+    draws binomial(dn, probs[j] / remaining) for j < d - 1 until no shot is
+    left. Each chunk refuses a NaN or negative label, as numpy does, and
+    drops its zeros, which draw no double; the rest are screened (`_screen`)
+    and walked with numpy's inversion from one double (`_inversion`). At a
+    label numpy draws otherwise (p outside (0, 0.5], p*dn > 30 for BTPE, or
+    an inversion restart) the generator goes back to that label's double,
+    `Generator.binomial` draws it, and the chunk's rest is screened again;
+    p > 1 draws as 1 (numpy inverts q = 1 - p < 0 as q = 0). p < 0 cannot
+    occur: the remainder stays above 0 until a p >= 1 takes the last shot."""
+    dn, labels, counts, carry = shots, [], [], 1.0
     buffers = np.empty(REPLICA_CHUNK + 1), np.empty(REPLICA_CHUNK), np.empty(REPLICA_CHUNK, dtype=bool)
     for lo in range(0, d - 1, REPLICA_CHUNK):
-        pix, rest = probs[lo : min(lo + REPLICA_CHUNK, d - 1)], 0
+        pix, rest = read(lo, min(lo + REPLICA_CHUNK, d - 1)), 0
         low = pix.min()
         if not low >= 0.0:
             raise ValueError("pvals < 0, pvals > 1 or pvals contains NaNs")

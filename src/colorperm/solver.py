@@ -386,7 +386,7 @@ def grid_row(model, register, gamma, betas, dists, shots, seed, first, score_mod
     stars, labels, counts = [], [], []
     for j, probs in enumerate(dists):
         stars.append(None if optimal is None else float(probs[held_labels(params, optimal[0], len(probs))].sum()))
-        # sample normalises a whole distribution in place
+        # a draw under the spread rule normalises a whole distribution in place
         drawn = sample(probs, shots, (seed, first + j), params, register)
         ok = label_reasons(drawn.labels, model.inst, register) == REASONS.index(OK)
         labels.append(drawn.labels[ok])
@@ -428,8 +428,7 @@ def charge_sweep(model, shape, depth, jobs):
     decide (`orbit_labels`)."""
     params, (rows, betas) = model.params, shape
     workers = min(jobs, rows, os.cpu_count() or 1)
-    least = params.dim("onehot") // params.K * -(-params.K // 2)
-    check_budget(params, "onehot", workers, depth * betas, least, shape)
+    check_budget(params, "onehot", workers, depth * betas, orbit_labels(params), shape)
     parts = table_parts(model)
     head = orbit_labels(params, parts)
     check_budget(params, "onehot", workers, depth * betas, head, shape)

@@ -100,6 +100,12 @@ def test_encode_bad_pairs_names_the_token(capsys, pairs, token):
     assert capsys.readouterr().err == f"error: --pairs token {token} is not i:k, two integers like '1:1,3:2,2:1'\n"
 
 
+@pytest.mark.parametrize(("beta", "token"), [("0.5,,0.7", "''"), ("", "''"), ("0.5,x", "'x'"), ("1:2", "'1:2'")])
+def test_bound_bad_beta_names_the_token(capsys, exa_json, beta, token):
+    assert main(["bound", "--instance", exa_json, "--gamma", "0.1", "--beta", beta]) == 1
+    assert capsys.readouterr().err == f"error: --beta token {token} is not a number, like '0.5' or '0.9,1.1,0.3'\n"
+
+
 def test_decode_onehot(capsys):
     code, rec = run_json(capsys, ["decode", "--bits", EXA_ONEHOT])
     assert code == 0
@@ -794,24 +800,33 @@ def test_solve_refuses_shots_past_a_64_bit_count(tmp_path, capsys, exa_json):
 
 
 @pytest.mark.parametrize(
-    "command, layers_per_depth, head, points",
-    [(["solve", "--grid-points", "3", "--shots", "4"], 3, 108, 3), (["bound", "--gamma", "0.1", "--beta", "0.5"], 1, 216, 0)],
-    ids=["solve", "bound"],
+    "command, layers_per_depth, head, points, flag",
+    [
+        (["solve", "--grid-points", "3", "--shots", "4"], 3, 108, 3, "--depth"),
+        (["bound", "--gamma", "0.1", "--beta", "0.5"], 1, 216, 0, "--depth"),
+        (["bound", "--gamma", "0.1"], 1, 216, 0, "--beta"),
+    ],
+    ids=["solve", "bound", "bound-beta-list"],
 )
-def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json, command, layers_per_depth, head, points):
+def test_depth_whose_schedules_pass_the_budget_is_refused_in_one_line(tmp_path, capsys, monkeypatch, exa_json, command, layers_per_depth, head, points, flag):
     # exA's 216 one-hot labels, of which a sweep's table and factor hold the
     # 108 its interchangeable vehicles leave, its 6 x 6 edge matrix, ten
     # layers of each schedule the run holds, and a sweep's two axes of
-    # `points` points and its points**2 grid points
+    # `points` points and its points**2 grid points; a --beta list of ten
+    # angles holds ten layers, as --depth 10 does
     labels = BYTES_PER_AMPLITUDE * 216 - (simulator.TABLE_BYTES + simulator.FACTOR_BYTES) * (216 - head)
     grid = AXIS_BYTES * 2 * points + POINT_BYTES * points**2
     budget = labels + EDGE_BYTES * 36 + SCHEDULE_BYTES * layers_per_depth * 10 + grid
     monkeypatch.setattr(simulator, "MEMORY_BUDGET", budget)
     out = tmp_path / "run.json"
     argv = [command[0], "--instance", exa_json, *command[1:], "--out", str(out)]
-    assert main(argv + ["--depth", "10"]) == 0
+
+    def schedule(layers):
+        return [flag, str(layers) if flag == "--depth" else ",".join(["0.5"] * layers)]
+
+    assert main(argv + schedule(10)) == 0
     out.unlink()
-    assert main(argv + ["--depth", "11"]) == 1
+    assert main(argv + schedule(11)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a onehot run on 216 labels and ") and "over the memory budget" in err
     assert len(err.splitlines()) == 1 and not out.exists()

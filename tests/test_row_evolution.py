@@ -809,8 +809,9 @@ def test_sweep_decides_the_mirror_once_per_table(exB, monkeypatch):
     # count, and every row holds its factor on the head
     heads, tables = [], []
 
-    def head(params, parts):
-        heads.append(len(parts.head_of) * len(parts.tail_of))
+    def head(params, parts=None):
+        if parts is not None:
+            heads.append(len(parts.head_of) * len(parts.tail_of))
         return simulator.orbit_labels(params, parts)
 
     def row(params, parts, schedules, held):
@@ -866,7 +867,7 @@ def test_budget_admits_one_n7_k2_row_of_interchangeable_vehicles(monkeypatch):
     assert solver.charge_sweep(model, (2, 2), 2, 1)[::2] == (1, 14**7 // 2)
     with pytest.raises(AmplitudeBudgetError, match="in 2 threads"):
         solver.charge_sweep(model, (2, 2), 2, 2)
-    monkeypatch.setattr(solver, "orbit_labels", lambda params, parts: params.dim("onehot"))
+    monkeypatch.setattr(solver, "orbit_labels", lambda params, parts=None: simulator.orbit_labels(params) if parts is None else params.dim("onehot"))
     with pytest.raises(AmplitudeBudgetError, match="105413504 labels and 4 schedule layers in 1 thread"):
         solver.charge_sweep(model, (2, 2), 2, 1)
 

@@ -302,8 +302,8 @@ def test_sample_returns_ascending_labels_with_positive_counts(monkeypatch, n, sh
     replicas = []
     original = simulator._replica
 
-    def replica(probs, shots, rng):
-        replicas.append(original(probs, shots, rng))
+    def replica(read, d, shots, rng):
+        replicas.append(original(read, d, shots, rng))
         return replicas[-1]
 
     monkeypatch.setattr(simulator, "_replica", replica)

@@ -185,11 +185,16 @@ def distributions(draw):
     return probs, shots, draw(st.integers(min_value=0, max_value=2**63 - 1))
 
 
+def array_replica(probs, shots, rng):
+    """`simulator._replica` on the normalised array `probs`, read as views."""
+    return simulator._replica(lambda lo, hi: probs[lo:hi], len(probs), shots, rng)
+
+
 @given(distributions())
 @settings(max_examples=400, deadline=None)
 def test_replica_draws_numpys_counts(case):
     probs, shots, seed = case
-    got = listed(simulator._replica(probs, shots, np.random.default_rng(seed)))
+    got = listed(array_replica(probs, shots, np.random.default_rng(seed)))
     assert got == multinomial_counts(probs, shots, seed)
 
 
@@ -205,7 +210,7 @@ def test_replica_runs_and_matches_across_chunk_edges(monkeypatch, chunk):
         w[-1] = w[:-1].sum()
         probs = w / w.sum()
         for seed in range(5):
-            got = listed(simulator._replica(probs, shots, np.random.default_rng(seed)))
+            got = listed(array_replica(probs, shots, np.random.default_rng(seed)))
             assert got == multinomial_counts(probs, shots, seed)
 
 
@@ -396,7 +401,7 @@ def test_each_fallback_hands_the_draw_to_numpy(monkeypatch, case):
         monkeypatch.setattr(simulator, "math", type("libm", (), {"exp": lambda x: 0.0, "log": math.log, "sqrt": math.sqrt}))
     for seed in range(3):
         calls = []
-        got = listed(simulator._replica(probs, shots, CountedRng(np.random.default_rng(seed), calls)))
+        got = listed(array_replica(probs, shots, CountedRng(np.random.default_rng(seed), calls)))
         assert got == multinomial_counts(probs, shots, seed)
         assert calls.count("binomial") == len(calls) and bool(calls) == (case != "zero")
         drawn, reference = sample_and_reference(probs, shots, seed)
@@ -408,7 +413,7 @@ def test_a_non_finite_law_hands_the_draw_to_numpy(monkeypatch):
     monkeypatch.setattr(simulator, "REPLICA_SPREAD", 0)
     for probs in (uniform_with([np.nan]), uniform_with([0.5, -0.1])):
         with pytest.raises(ValueError, match="pvals"):
-            simulator._replica(probs, 5, np.random.default_rng(0))
+            array_replica(probs, 5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="pvals"):
             np.random.default_rng(0).multinomial(5, probs)
         with pytest.raises(ValueError, match="pvals"):
@@ -429,7 +434,7 @@ def test_a_law_of_zeros_is_screened_once_per_chunk(monkeypatch, shots):
     for seed in range(3):
         screens.clear()
         calls = []
-        got = listed(simulator._replica(probs, shots, CountedRng(np.random.default_rng(seed), calls)))
+        got = listed(array_replica(probs, shots, CountedRng(np.random.default_rng(seed), calls)))
         assert got == multinomial_counts(probs, shots, seed)
         assert len(screens) <= math.ceil((len(probs) - 1) / 1000) + len(calls)
         assert max(screens) < 200
@@ -439,22 +444,27 @@ def test_a_spread_draw_from_a_head_allocates_nothing_label_sized(monkeypatch):
     # n = 5, K = 2: 100,000 labels, 500 shots, and a head label holding a
     # third of the mass (its reversed label another), which numpy draws by
     # BTPE; the draw reads the head a chunk at a time and peaks below half a
-    # float64 array of every label
+    # float64 array of every label. So does a draw from the whole
+    # distribution, which it reads into the same chunk and does not write
     monkeypatch.setattr(simulator, "REPLICA_CHUNK", 2**12)
     params = EncodingParams(5, 2)
     head = lognormal(np.random.default_rng(3), params.dim("onehot") // 2, sigma=0.5)
     head[777] = head.sum() * 2
     full, shots = materialised(params, head), params.dim("onehot") // 200
-    want = sample(full, shots, (4, 1), params, "onehot")
+    kept = full.copy()
+    want = sample(full.copy(), shots, (4, 1), params, "onehot")
     calls = counted_rngs(monkeypatch)
-    tracemalloc.start()
-    try:
-        got = sample(head, shots, (4, 1), params, "onehot")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (got.labels.tolist(), got.counts.tolist()) == (want.labels.tolist(), want.counts.tolist())
-    assert "binomial" in calls and peak < 4 * len(full)
+    for probs in (head, full):
+        calls.clear()
+        tracemalloc.start()
+        try:
+            got = sample(probs, shots, (4, 1), params, "onehot")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.labels.tolist(), got.counts.tolist()) == (want.labels.tolist(), want.counts.tolist())
+        assert "binomial" in calls and peak < 4 * len(full)
+    assert full.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("n, K", [(3, 2), (4, 2), (3, 5)])
@@ -481,9 +491,9 @@ def test_sample_runs_the_replica_only_on_spread_out_states(monkeypatch):
     ran = []
     original = simulator._replica
 
-    def replica(probs, shots, rng):
-        ran.append(len(probs) / shots)
-        return original(probs, shots, rng)
+    def replica(read, d, shots, rng):
+        ran.append(d / shots)
+        return original(read, d, shots, rng)
 
     monkeypatch.setattr(simulator, "_replica", replica)
     probs = uniform_with([])
@@ -516,11 +526,16 @@ def heads(draw):
 @settings(max_examples=150, deadline=None)
 def test_the_total_of_a_head_is_numpys_sum_of_every_label(case):
     # numpy's pairwise split, replayed down to leaves it sums itself, reads
-    # the labels past the head through their reversed view
+    # the labels past the head through their reversed view; on a whole
+    # one-hot distribution, and on a binary one with zeros on its padded
+    # words, it reads views of every label
     params, head, leaf = case
     full = materialised(params, head)
     assert len(full) == params.dim("onehot")
-    assert simulator._total(params, head, 0, len(full), np.empty(leaf)).tobytes() == full.sum().tobytes()
+    binary = np.zeros(params.dim("binary"))
+    binary[params.binary_labels()] = full
+    for probs, every in ((head, full), (full, full), (binary, binary)):
+        assert simulator._total(params, probs, 0, len(every), np.empty(leaf)).tobytes() == every.sum().tobytes()
     # and every label is held at its own label or its vehicle-reversed one
     assert head[simulator.held_labels(params, np.arange(len(full)), len(head))].tobytes() == full.tobytes()
 
