@@ -184,10 +184,12 @@ def _write(text, out):
 
 
 def _out_dir(out):
-    """Refuse an --out file in a missing directory, before any work, with
-    the error its open would raise there."""
+    """Refuse an --out file in a missing directory, or an --out that is a
+    directory, before any work, with the error its open would raise there."""
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if out and os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
 
 
 def _emit_json(record, out):
@@ -227,7 +229,7 @@ def _admit(cfg, model):
     """The points per axis of the sweep's default grid (--grid-points, or
     S + 1) and its admission (`charge_sweep`), made before the grid is built."""
     points = cfg["grid_points"] or model.params.S + 1
-    return points, charge_sweep(model, (points, points), cfg["depth"], cfg["jobs"])
+    return points, charge_sweep(model, (points, points), cfg["depth"], cfg["jobs"], math.pi * (points > 1))  # the grid's largest gamma
 
 
 def _sweep(cfg, inst, model, exact, admitted):

@@ -65,7 +65,7 @@ class PenaltyWeights:
 @dataclass(frozen=True)
 class EnergyModel:
     """An instance, weights, and a register choice; energies are pure
-    functions of the basis-state label."""
+    functions of the basis-state label, and `largest_energy` must be finite."""
 
     inst: object
     weights: PenaltyWeights
@@ -80,10 +80,21 @@ class EnergyModel:
         if self.weights.cap_mode == "quadratic-surrogate":
             if self.inst.uniform_capacity() is None:
                 raise ValueError("quadratic-surrogate needs a uniform capacity")
+        if not np.isfinite(self.largest_energy):
+            raise ValueError(f"{self.weights} give instance {self.inst.name!r} energies past float range")
 
     @property
     def radix(self):
         return self.params.radix(self.register)
+
+    @property
+    def largest_energy(self):
+        """A bound on every energy: n**2 once pairs, K loads n * max d off Q,
+        n + 1 legs of twice the longest, n padded words, each times its weight."""
+        inst, w, n = self.inst, self.weights, self.params.n
+        load = (n * float(inst.d.max()) + float(inst.Q.max())) * (w.cap_mode != "filter-only")
+        leg = max(float(inst.W.max()), float(inst.dep_to.max()), float(inst.to_dep.max()))
+        return n * n * w.lam_once + load * load * self.params.K * w.lam_cap + 2 * (n + 1) * leg * w.lam_obj + (self.register == "binary") * n * w.lam_pad
 
     @classmethod
     def for_instance(cls, inst, weights=None, register="onehot"):

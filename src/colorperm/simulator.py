@@ -31,11 +31,11 @@ sign of a zero, which |x|**2 cannot see.
 mixer pass per layer on the whole table, whose squares are the row's
 distributions bit for bit, but past the head of a streamed row: there the
 head's reversed view sums the same values in another order. `sample` divides
-a distribution or a head by numpy's own sum of every label (`_total`),
-reading past a head through that view, replays numpy's multinomial a chunk
-at a time on a spread-out one (`_replica`: inversions on the labels that can
-be drawn, numpy's own draw of the others), and writes the caller's array
-only to normalise a whole one under the spread rule.
+a distribution or a head by numpy's own sum of every label (`_total`,
+replayed only past a head, through that view), replays numpy's multinomial
+a chunk at a time on a spread-out one (`_replica`: inversions on the labels
+that can be drawn, numpy's own draw of the others), and writes the caller's
+array only to normalise a whole one under the spread rule.
 
 The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels, and
@@ -92,9 +92,9 @@ AXIS_BYTES = 160
 POINT_BYTES = 640
 # Mixer blocks in amplitudes (512 KiB); `_phases` blocks, whose temporaries
 # (numpy's 64 KiB cast buffer the largest) stay below glibc's 128 KiB mmap
-# threshold; `sample`'s one chunk buffer (`_total`'s leaves, at least numpy's
-# own 128-label sum blocks, and `_replica`'s reads), and the labels per shot
-# from which `_replica` beats numpy (they cross near 125 at n = 5, K = 2).
+# threshold; `sample`'s one chunk buffer (`_total`'s leaves past a head, at
+# least numpy's own 128-label sum blocks, and `_replica`'s reads), and the
+# labels per shot from which `_replica` beats numpy (near 125 at n = 5, K = 2).
 MIX_BLOCK = 2**15
 PHASE_BLOCK = 2**12
 REPLICA_CHUNK = 2**16
@@ -348,17 +348,6 @@ def orbit_labels(params, parts=None):
     return orbit_labels(params) if mirrored else params.dim("onehot")
 
 
-def held_labels(params, labels, held):
-    """`labels`, each past a distribution's first `held` one-hot labels (a
-    row held on its vehicle-orbit head) as its vehicle-reversed label, where
-    the distribution holds its value."""
-    labels = np.array(labels, dtype=np.int64)
-    shape, past = (params.K, params.n) * params.n, labels >= held
-    digits = np.unravel_index(labels[past], shape)
-    labels[past] = np.ravel_multi_index([params.K - 1 - x if axis % 2 == 0 else x for axis, x in enumerate(digits)], shape)
-    return labels
-
-
 def evolve_row(params, energies, schedules, head=None):
     """Yield the distribution of each schedule, in order, for schedules
     whose every layer takes the row's one gamma (a ValueError otherwise):
@@ -527,37 +516,32 @@ def _read(params, probs, lo, hi, out=None):
     head copied into `out` (a new array by default)."""
     if hi <= len(probs):
         return probs[lo:hi]
-    out, digit = np.empty(hi - lo) if out is None else out[: hi - lo], params.S ** (params.n - 1)
-    for d in range(lo // digit, -(-hi // digit)):
-        at = max(lo, d * digit)
-        _copy_flat(_digit_block(params, probs, d), at - d * digit, out[at - lo : min(hi, (d + 1) * digit) - lo])
+    out = np.empty(hi - lo) if out is None else out[: hi - lo]
+    _copy_flat(lambda d: _digit_block(params, probs, d), params.S ** (params.n - 1), lo, out)
     return out
 
 
-def _copy_flat(view, at, out):
-    """out = the labels [at, at + len(out)) of `view` in C order, copied a
-    whole sub-array of its first axis at a time; only a view of at most
-    PHASE_BLOCK labels is copied whole."""
-    if view.size <= PHASE_BLOCK:
-        out[...] = view.reshape(-1)[at : at + len(out)]
-        return
-    unit = view[0].size
-    first, skip = divmod(at, unit)
-    if skip:
-        part = min(unit - skip, len(out))
-        _copy_flat(view[first], skip, out[:part])
-        out, first = out[part:], first + 1
-    whole = len(out) // unit
-    out[: whole * unit].reshape((whole,) + view.shape[1:])[...] = view[first : first + whole]
-    if len(out) > whole * unit:
-        _copy_flat(view[first + whole], 0, out[whole * unit :])
+def _copy_flat(part, unit, at, out):
+    """out = the labels [at, at + len(out)) of the views part(0), part(1),
+    ... of `unit` labels each, in C order: a whole view in one copy, a
+    part of one of at most PHASE_BLOCK labels through its flat copy, and of
+    a larger one through the sub-arrays of its first axis."""
+    for i in range(at // unit, -(-(at + len(out)) // unit)):
+        view, lo, hi = part(i), max(at - i * unit, 0), min(at + len(out) - i * unit, unit)
+        into = out[i * unit + lo - at : i * unit + hi - at]
+        if hi - lo == unit:
+            into.reshape(view.shape)[...] = view
+        elif unit <= PHASE_BLOCK:
+            into[...] = view.reshape(-1)[lo:hi]
+        else:
+            _copy_flat(view.__getitem__, view[0].size, lo, into)
 
 
 def _total(params, probs, lo, count, chunk):
     """numpy's float64 sum of `count` labels from `lo` (`_read`), bit for
     bit: its pairwise split at count // 2 rounded down to a multiple of 8,
-    down to leaves of at most len(chunk) labels, each summed by numpy."""
-    if count <= len(chunk):
+    replayed past `probs` down to nodes inside it or of len(chunk) labels."""
+    if lo + count <= len(probs) or count <= len(chunk):
         return np.add.reduce(_read(params, probs, lo, lo + count, chunk))
     half = count // 2 - count // 2 % 8
     return _total(params, probs, lo, half, chunk) + _total(params, probs, lo + half, count - half, chunk)

@@ -49,7 +49,7 @@ import numpy as np
 from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstrings, recode_labels
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import _timeline, depot_legs, energy_components, table_parts
-from .simulator import MEMORY_BUDGET, Schedule, check_budget, evolve_row, held_labels, orbit_labels, sample
+from .simulator import MEMORY_BUDGET, Schedule, _digit_block, check_budget, evolve_row, orbit_labels, sample
 
 SCORE_TOL = 1e-9
 # Bytes a `brute` run holds per customer position of each gathered timeline,
@@ -373,19 +373,23 @@ class PhqcResult:
 
 def grid_row(model, register, gamma, betas, dists, shots, seed, first, score_mode, optimal):
     """One gamma row, from each beta's distribution over `register`'s
-    labels, or over a one-hot head (`sample`), which holds an optimal
-    label past it at its vehicle-reversed label (`held_labels`); `optimal`
-    is None or the exact oracle's (labels in `register` as an int64 array,
-    cost). Each point draws its sample, keeps the labels
+    labels, or over a one-hot head (`sample`), whose optimal labels past
+    it are read through their leading digit's `_digit_block` view; `optimal`
+    is None or the exact oracle's (ascending labels in `register` as an
+    int64 array, cost). Each point draws its sample, keeps the labels
     the digit-level verdict accepts and frees the rest before the next
     draw; the row's accepted labels are then relabelled, rendered and
     scored at once. Returns per point, in index order, the record, the
     local best as (score, index, label, bits, objective) and the accepted
     {bits: count}, both in the model's register."""
     params = model.params
-    stars, labels, counts = [], [], []
+    stars, labels, counts = [None] * len(betas), [], []
     for j, probs in enumerate(dists):
-        stars.append(None if optimal is None else float(probs[held_labels(params, optimal[0], len(probs))].sum()))
+        if optimal is not None:
+            cut = np.searchsorted(optimal[0], len(probs))
+            digits, at = np.divmod(optimal[0][cut:], params.S ** (params.n - 1))
+            past = [_digit_block(params, probs, d).flat[at[digits == d]] for d in sorted(set(digits.tolist()))]
+            stars[j] = float(np.concatenate([probs[optimal[0][:cut]], *past]).sum())
         # a draw under the spread rule normalises a whole distribution in place
         drawn = sample(probs, shots, (seed, first + j), params, register)
         ok = label_reasons(drawn.labels, model.inst, register) == REASONS.index(OK)
@@ -416,17 +420,19 @@ def grid_row(model, register, gamma, betas, dists, shots, seed, first, score_mod
     return points
 
 
-def charge_sweep(model, shape, depth, jobs):
-    """Admit a sweep of a (gamma rows, betas) grid `shape` at `depth`
-    before its grid, any row or the oracle is built; return its threads,
-    its `table_parts` and the labels each row's factor holds. Threads:
-    `jobs`, but no more than its gamma rows or the machine's CPUs (past
-    either, a thread adds a state and no speed). `check_budget` charges
-    each thread a row's state, factor and schedules, and the sweep its grid:
-    on the vehicle-orbit head, the least a sweep holds, before the parts
-    are built (its table charge holds them), then on the head the parts
-    decide (`orbit_labels`)."""
+def charge_sweep(model, shape, depth, jobs, gamma=math.pi):
+    """Admit a sweep of a (gamma rows, betas) grid `shape` at `depth`, its
+    largest |gamma| `gamma` times `largest_energy` finite, before its grid,
+    any row or the oracle is built; return its threads, its `table_parts`
+    and the labels each row's factor holds. Threads: `jobs`, but no more
+    than its gamma rows or the machine's CPUs (past either, a thread adds a
+    state and no speed). `check_budget` charges each thread a row's state,
+    factor and schedules, and the sweep its grid: on the vehicle-orbit head,
+    the least a sweep holds, before the parts are built (its table charge
+    holds them), then on the head the parts decide (`orbit_labels`)."""
     params, (rows, betas) = model.params, shape
+    if not math.isfinite(gamma * model.largest_energy):
+        raise ValueError(f"gamma {gamma!r} times the energies of {model.weights} on {model.inst.name!r} is past float range")
     workers = min(jobs, rows, os.cpu_count() or 1)
     check_budget(params, "onehot", workers, depth * betas, orbit_labels(params), shape)
     parts = table_parts(model)
@@ -468,7 +474,7 @@ def phqc(
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, not {jobs}")
     params = model.params
-    workers, parts, head = admission or charge_sweep(model, (len(grid.gammas), len(grid.betas)), depth, jobs)
+    workers, parts, head = admission or charge_sweep(model, (len(grid.gammas), len(grid.betas)), depth, jobs, max(map(abs, grid.gammas)))
     optimal = None
     if exact_reference is not None and exact_reference.optimal_assignments:
         optimal = np.asarray(exact_reference.optimal_labels(params), dtype=np.int64), exact_reference.optimal_cost

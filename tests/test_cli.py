@@ -394,6 +394,22 @@ def test_an_out_file_in_a_missing_directory_exits_2_before_the_oracle(capsys, tm
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_an_out_that_is_a_directory_exits_1_before_the_oracle(capsys, tmp_path, monkeypatch, exa_json, command):
+    # the error line is the one opening the directory would give
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle or the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "exact_solve", refuse)
+    monkeypatch.setattr(cli, "phqc", refuse)
+    out = tmp_path / "out"
+    out.mkdir()
+    source = ["--instance", exa_json] if command == "solve" else ["--dir", str(tmp_path)]
+    assert main([command, *source, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert not any(out.iterdir())
+
+
 def test_config_file_precedence(tmp_path, capsys, exa_json):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"shots": 32, "seed": 3, "grid_points": 3}))
@@ -687,6 +703,34 @@ def test_non_finite_weights_exit_with_one_error_line(capsys, exa_json, argv, nam
     assert main([*argv, "--instance", exa_json]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must be a finite") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["brute", "--lam-obj", "1e308"], "lam_obj=1e+308"),
+     (["bound", "--lam-obj", "1e308", "--gamma", "0.1", "--beta", "0.2"], "lam_obj=1e+308"),
+     *((["solve", f"--lam-{term}", "1e308", "--grid-points", "2"], f"lam_{term}=1e+308") for term in ("obj", "once", "cap")),
+     (["solve", "--lam-obj", "2e306", "--grid-points", "2"], "gamma 3.141592653589793")],
+    ids=["brute-obj", "bound-obj", "solve-obj", "solve-once", "solve-cap", "solve-gamma-times-obj"],
+)
+def test_weights_whose_energies_overflow_exit_with_one_error_line(capsys, monkeypatch, demo_vrp_path, argv, name):
+    # refused where the model is built, or the sweep where it is admitted:
+    # before the oracle and any row, not by numpy later
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle or the sweep ran before the weights were refused")
+
+    monkeypatch.setattr(cli, "exact_solve", refuse)
+    monkeypatch.setattr(cli, "phqc", refuse)
+    assert main([*argv, "--instance", str(demo_vrp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and len(err.splitlines()) == 1
+
+
+def test_finite_energies_run_where_no_gamma_takes_them_past_float_range(capsys, demo_vrp_path):
+    # 2e306 leaves every energy finite; only a gamma above 0 overflows it
+    assert main(["brute", "--lam-obj", "2e306", "--instance", str(demo_vrp_path)]) == 0
+    assert main(["solve", "--lam-obj", "2e306", "--grid-points", "1", "--instance", str(demo_vrp_path)]) == 0
+    capsys.readouterr()
 
 
 def test_non_finite_config_weight_exits_with_one_error_line(tmp_path, capsys, exa_json):

@@ -682,19 +682,22 @@ def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
 
 
 @pytest.mark.parametrize(
-    "register, depth, cap_mode, shots",
+    "instance, register, depth, cap_mode, shots",
     [
-        *(pytest.param(register, depth, "hinge", 300, id=f"{depth}-{register}") for depth in (1, 2) for register in REGISTERS),
-        pytest.param("binary", 2, "quadratic-surrogate", 300, id="surrogate"),
-        pytest.param("onehot", 1, "hinge", 6, id="empty-point"),
+        *(pytest.param("exB", register, depth, "hinge", 300, id=f"{depth}-{register}") for depth in (1, 2) for register in REGISTERS),
+        pytest.param("exB", "binary", 2, "quadratic-surrogate", 300, id="surrogate"),
+        pytest.param("exB", "onehot", 1, "hinge", 6, id="empty-point"),
+        # S = 6: every binary word pads, so the loop's distributions hold zeros
+        pytest.param("exA", "binary", 1, "hinge", 300, id="padded-binary"),
     ],
 )
-def test_rowwise_sweep_equals_per_point_loop(exB, register, depth, cap_mode, shots):
-    model = EnergyModel.for_instance(exB, PenaltyWeights(cap_mode=cap_mode), register)
-    exact = exact_solve(exB, model)
+def test_rowwise_sweep_equals_per_point_loop(request, instance, register, depth, cap_mode, shots):
+    inst = request.getfixturevalue(instance)
+    model = EnergyModel.for_instance(inst, PenaltyWeights(cap_mode=cap_mode), register)
+    exact = exact_solve(inst, model)
     grid = GridSpec((0.0, 0.02, 0.05), (0.3, 1.2, 2.9))
-    result = phqc(exB, model, grid, shots, 11, depth=depth, score="total", exact_reference=exact)
-    records, best, pooled = per_point_sweep(exB, model, grid, shots, 11, depth, "total", exact)
+    result = phqc(inst, model, grid, shots, 11, depth=depth, score="total", exact_reference=exact)
+    records, best, pooled = per_point_sweep(inst, model, grid, shots, 11, depth, "total", exact)
     assert result.records == records
     assert (result.best_score, result.best_bitstring) == (best[0], best[3])
     assert result.feasible_counts == pooled

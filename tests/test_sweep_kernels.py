@@ -27,12 +27,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from colorperm import simulator
+from colorperm import simulator, solver
 from colorperm.cli import main
 from colorperm.encoding import EncodingParams
+from colorperm.hamiltonian import EnergyModel, PenaltyWeights
+from colorperm.instances import Instance
 from colorperm.simulator import sample
 from tests.test_row_evolution import tensordot_mixer
 
@@ -537,7 +539,34 @@ def test_the_total_of_a_head_is_numpys_sum_of_every_label(case):
     for probs, every in ((head, full), (full, full), (binary, binary)):
         assert simulator._total(params, probs, 0, len(every), np.empty(leaf)).tobytes() == every.sum().tobytes()
     # and every label is held at its own label or its vehicle-reversed one
-    assert head[simulator.held_labels(params, np.arange(len(full)), len(head))].tobytes() == full.tobytes()
+    labels = np.arange(len(full))
+    assert head[np.where(labels < len(head), labels, vehicle_reversed(params, labels))].tobytes() == full.tobytes()
+
+
+def vehicle_reversed(params, labels):
+    """Each one-hot label with the vehicle k of every position read as
+    K - 1 - k, from its (vehicle, customer) digits: the reversal that
+    `_digit_block` views past a head."""
+    shape = (params.K, params.n) * params.n
+    digits = np.unravel_index(labels, shape)
+    return np.ravel_multi_index([params.K - 1 - x if axis % 2 == 0 else x for axis, x in enumerate(digits)], shape)
+
+
+@given(heads(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_p_star_exact_of_a_head_is_that_of_its_whole_distribution(case, seed):
+    # grid_row reads optimal labels inside the distribution by index and
+    # past a head through their leading digit's reversed view, in label
+    # order: numpy's sum of those labels of every label, bit for bit
+    params, head, _ = case
+    assume(head.any())  # a draw divides by the total
+    full, n, K = materialised(params, head), params.n, params.K
+    inst = Instance("t", n, K, [1] * n, [n] * K, np.zeros((n, n)), np.ones(n), np.ones(n))
+    model = EnergyModel(inst, PenaltyWeights(), params)
+    for optimal in (np.arange(len(full)), np.flatnonzero(np.random.default_rng(seed).random(len(full)) < 0.01)):
+        for probs in (head, full):
+            [(record, _, _)] = solver.grid_row(model, "onehot", 0.1, (0.2,), [probs.copy()], 1, 0, 0, "objective", (optimal, 0.0))
+            assert record.p_star_exact == float(full[optimal].sum())
 
 
 @pytest.mark.parametrize("path", ["replica", "small-state", "zero"])
