@@ -64,7 +64,7 @@ _OPTIONS = {
     "lam_once": (4.0, float, None),
     "lam_cap": (4.0, float, None),
     "lam_obj": (1.0, float, None),
-    "lam_pad": (None, float, "padded binary word weight (default: lam_once); only energy_components scores a padded word and no command does, so it changes no output byte but its own echo"),
+    "lam_pad": (None, float, "padded binary word weight (default: lam_once); no command scores a padded word, so it changes no output byte but its own echo, except that a binary model refuses one that takes its energy bound past float range"),
     "seed": (7, int, None),
     "out": (None, str, "output file (default: stdout)"),
     "grid_points": (None, int, "points per grid axis (default S+1)"),
@@ -183,13 +183,15 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
-def _out_dir(out):
-    """Refuse an --out file in a missing directory, or an --out that is a
+def _out_dir(out, *beside):
+    """Refuse an --out file in a missing directory, or an --out or a file
+    written beside it (its base name and each suffix in `beside`) that is a
     directory, before any work, with the error its open would raise there."""
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-    if out and os.path.isdir(out):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    for path in [out, *(out.removesuffix(".json") + suffix for suffix in beside)] if out else []:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _emit_json(record, out):
@@ -267,7 +269,7 @@ def cmd_solve(cfg):
     params = model.params
     # admitted first: the oracle can take a minute before a refusal
     admitted = _admit(cfg, model)
-    _out_dir(cfg["out"])
+    _out_dir(cfg["out"], ".grid.csv", ".hist.csv")
     exact = None if cfg["no_reference"] else exact_solve(inst, model)
     grid, result, match = _sweep(cfg, inst, model, exact, admitted)
     echo = _config_echo(cfg, "solve")

@@ -274,11 +274,6 @@ def label_digits_array(labels, n, radix):
     return digits
 
 
-def recode_labels(labels, p, source, target):
-    """`source` labels without a padded word as `target` labels: the same digits in its radix."""
-    return p.radix(target) ** np.arange(p.n - 1, -1, -1) @ label_digits_array(labels, p.n, p.radix(source))
-
-
 def digits_label(digits, radix):
     z = 0
     for d in digits:
@@ -306,9 +301,10 @@ def label_to_binary(z, p):
 
 
 def label_bitstrings(labels, p, register):
-    """Bitstrings of an array of register labels, each as `label_to_onehot`
-    or `label_to_binary` renders it: one-hot blocks or binary words."""
-    digits = label_digits_array(labels, p.n, p.radix(register))[..., None]
+    """Bitstrings in `register` of an array of one-hot labels: their
+    radix-S digits as one-hot blocks (`label_to_onehot`) or as the binary
+    words `label_to_binary` renders at their binary labels."""
+    digits = label_digits_array(labels, p.n, p.S)[..., None]
     bits = digits == np.arange(p.S) if register == "onehot" else digits >> np.arange(p.q - 1, -1, -1) & 1
     text = (np.ascontiguousarray(bits.transpose(1, 0, 2), dtype=np.uint8) + ord("0")).tobytes().decode()
     width = p.n * bits.shape[2]

@@ -11,9 +11,9 @@ O(n^2 K) bit visits. The verdict reports the first violation in exactly
 that scan order, so a given string always fails for the same reason.
 
 The scan is the reference. `label_reasons` gives the same reasons to
-many register labels at once from their digits: a digit >= S is a
-PaddingLeak, one customer bitmask per label (int64 labels bound n at
-15) finds the repeats, and only the labels left are checked by vehicle.
+many one-hot labels at once from their digits, which pad no word: one
+customer bitmask per label (int64 labels bound n at 15) finds the
+repeats, and only the labels left are checked by vehicle.
 """
 
 from __future__ import annotations
@@ -133,24 +133,21 @@ def decode_binary_and_check(y, inst):
     return feasible_global_positions(b, inst)
 
 
-def label_reasons(labels, inst, register):
-    """Index into REASONS of the reference verdict on each register label.
+def label_reasons(labels, inst):
+    """Index into REASONS of the reference verdict on each one-hot label.
 
     A label's blocks are one-hot by construction, so the codes are, in
-    the scan's order of precedence: PaddingLeak (a binary word >= S),
-    RepeatedCustomer, then per vehicle k = 0..K-1 capacity before
-    contiguity, else OK. A customer bitmask per label finds the repeats
-    (n <= 15 in int64 labels); only the labels that pass get per-vehicle
-    loads (exact: total demand < 2**53) and run starts (a vehicle starting
-    two runs is not contiguous).
+    the scan's order of precedence: RepeatedCustomer, then per vehicle
+    k = 0..K-1 capacity before contiguity, else OK. A customer bitmask
+    per label finds the repeats (n <= 15 in int64 labels); only the
+    labels that pass get per-vehicle loads (exact: total demand < 2**53)
+    and run starts (a vehicle starting two runs is not contiguous).
     """
     p = EncodingParams.for_instance(inst)
-    radix = p.radix(register)
-    digits = label_digits_array(labels, p.n, radix)
-    bits = (1 << np.arange(radix) % p.n)[digits]
+    digits = label_digits_array(labels, p.n, p.S)
+    bits = (1 << np.arange(p.S) % p.n)[digits]
     codes = np.zeros(digits.shape[1], dtype=np.int8)
     codes[np.bitwise_or.reduce(bits) != bits.sum(axis=0)] = REASONS.index(REPEATED_CUSTOMER)
-    codes[(digits >= p.S).any(axis=0)] = REASONS.index(PADDING_LEAK)
     live = np.flatnonzero(codes == REASONS.index(OK))
     veh, cust = np.divmod(digits[:, live], p.n)
     m = len(live)

@@ -41,9 +41,9 @@ The binary register is a relabelling of the same S^n state, not a
 second simulator: `evolve_row` evolves the one-hot labels, and
 `run_ansatz` scatters a binary model's final amplitudes onto their binary
 labels (`EncodingParams.binary_labels`), leaving exact zeros on the
-padded words; a sweep samples the one-hot distribution and relabels only
-the labels it accepts. `check_budget` is the one ceiling on S^n-sized
-work, and every entry charges it before it allocates.
+padded words; `sample` draws one-hot labels only, and a sweep renders
+the labels it accepts as binary words. `check_budget` is the one
+ceiling on S^n-sized work, and every entry charges it before it allocates.
 """
 
 from __future__ import annotations
@@ -464,8 +464,6 @@ class SampleSet:
     labels: np.ndarray
     counts: np.ndarray
     shots: int
-    register: str
-    params: EncodingParams
 
     def __post_init__(self):
         if self.counts.sum() != self.shots:
@@ -474,12 +472,12 @@ class SampleSet:
             raise ValueError("labels must be strictly ascending, each with a count of at least 1")
 
 
-def sample(probs, shots, seed, params, register):
+def sample(probs, shots, seed, params):
     """Draw a seeded multinomial sample from the distribution `probs`
-    over `register`'s labels (`exact_distribution` of a state, or a
-    distribution `evolve_row` yields), or the vehicle-orbit head of a
-    mirrored one-hot row (`orbit_labels(params)`), whose labels past it
-    are read through their reversed view (`_read`). Every label is divided
+    over the one-hot labels (`exact_distribution` of a one-hot state, or
+    a distribution `evolve_row` yields), or the vehicle-orbit head of a
+    mirrored row (`orbit_labels(params)`), whose labels past it are read
+    through their reversed view (`_read`). Every label is divided
     by numpy's sum of every label (`_total`; `probs.sum()` bit for bit on
     a whole array): a spread-out draw divides each chunk into one buffer
     as it reads it and writes nothing of `probs`; a draw under the spread
@@ -492,8 +490,8 @@ def sample(probs, shots, seed, params, register):
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
-    labels = params.dim(register)
-    head = orbit_labels(params) if register == "onehot" else labels
+    labels = params.dim("onehot")
+    head = orbit_labels(params)
     if np.shape(probs) not in ((labels,), (head,)):
         raise ValueError(f"distribution must have length {labels}" + (f" or its head's {head}" if head < labels else ""))
     spread = labels >= REPLICA_SPREAD * shots
@@ -504,10 +502,10 @@ def sample(probs, shots, seed, params, register):
     rng = np.random.default_rng(np.random.SeedSequence(int(entropy), spawn_key=tuple(map(int, spawn_key))))
     if spread:
         drawn = _replica(lambda lo, hi: np.divide(_read(params, every, lo, hi, chunk), total, out=chunk[: hi - lo]), labels, shots, rng)
-        return SampleSet(*drawn, shots, register, params)
+        return SampleSet(*drawn, shots)
     counts = rng.multinomial(shots, np.divide(every, total, out=every))
     drawn = np.flatnonzero(counts)
-    return SampleSet(drawn, counts[drawn], shots, register, params)
+    return SampleSet(drawn, counts[drawn], shots)
 
 
 def _read(params, probs, lo, hi, out=None):

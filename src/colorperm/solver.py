@@ -4,18 +4,18 @@ The solver sweeps a coarse (gamma, beta) grid row by row: the points of
 one gamma row share their first phase layer. At each point it prepares
 the depth-p state, draws a seeded multinomial sample and keeps only the
 labels the digit-level feasibility verdict accepts, freeing the sample
-before the next draw. Each row then relabels, renders and scores all its
-points' survivors at once, with the timeline objective (or the full
-diagonal cost on request) in one vectorized call, and keeps the strict
-minimum. The energy table does not depend on the angles, so a sweep
-builds its small parts once, decides on them whether its vehicles mirror
+before the next draw. Each row then renders and scores all its points'
+survivors at once, with the timeline objective (or the full diagonal
+cost on request) in one vectorized call, and keeps the strict minimum.
+The energy table does not depend on the angles, so a sweep builds its
+small parts once, decides on them whether its vehicles mirror
 (`orbit_labels`), and every gamma row builds its phase factor from them;
 under `jobs` > 1 the gamma rows are dealt to threads of the one process.
-Either register evolves and samples the one-hot labels; a binary sweep
-relabels only the labels it accepts. Grid rows are independent work
-items, each point drawn from its own (seed, index); the reduction is an
-associative min keyed by (score, grid_index, label), taken in grid
-order, so the thread count never changes the result.
+Either register evolves, draws, judges, scores and reduces one-hot
+labels; a binary sweep only renders the labels it accepts. Grid rows are
+independent work items, each point drawn from its own (seed, index); the
+reduction is an associative min keyed by (score, grid_index, label),
+taken in grid order, so the thread count never changes the result.
 
 The exact oracle splits the timeline cost into routes: each used vehicle
 serves one contiguous run and pays its start leg, W along the run and its
@@ -42,11 +42,11 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstrings, recode_labels
+from .encoding import ColoredAssignment, assignment_label, label_assignment, label_bitstrings
 from .feasibility import OK, REASONS, label_reasons
 from .hamiltonian import _timeline, depot_legs, energy_components, table_parts
 from .simulator import MEMORY_BUDGET, Schedule, _digit_block, check_budget, evolve_row, orbit_labels, sample
@@ -371,38 +371,37 @@ class PhqcResult:
         }
 
 
-def grid_row(model, register, gamma, betas, dists, shots, seed, first, score_mode, optimal):
-    """One gamma row, from each beta's distribution over `register`'s
-    labels, or over a one-hot head (`sample`), whose optimal labels past
-    it are read through their leading digit's `_digit_block` view; `optimal`
-    is None or the exact oracle's (ascending labels in `register` as an
-    int64 array, cost). Each point draws its sample, keeps the labels
-    the digit-level verdict accepts and frees the rest before the next
-    draw; the row's accepted labels are then relabelled, rendered and
-    scored at once. Returns per point, in index order, the record, the
-    local best as (score, index, label, bits, objective) and the accepted
-    {bits: count}, both in the model's register."""
+def grid_row(model, gamma, betas, dists, shots, seed, first, score_mode, optimal):
+    """One gamma row, from each beta's distribution over the one-hot
+    labels or their head (`sample`), whose optimal labels are read through
+    their leading digit's `_digit_block` view; `optimal` is None or the
+    exact oracle's (ascending one-hot labels as an int64 array, cost).
+    Each point draws its sample, keeps the labels the digit-level verdict
+    accepts and frees the rest before the next draw; the row's accepted
+    labels are then scored at once by the model's one-hot twin, whose
+    energies are the model's at their binary labels, and rendered in its
+    register. Returns per point, in index order, the record, the local
+    best (score, index, one-hot label, bits, objective) and {bits: count}."""
     params = model.params
     stars, labels, counts = [None] * len(betas), [], []
     for j, probs in enumerate(dists):
         if optimal is not None:
-            cut = np.searchsorted(optimal[0], len(probs))
-            digits, at = np.divmod(optimal[0][cut:], params.S ** (params.n - 1))
-            past = [_digit_block(params, probs, d).flat[at[digits == d]] for d in sorted(set(digits.tolist()))]
-            stars[j] = float(np.concatenate([probs[optimal[0][:cut]], *past]).sum())
+            digits, at = np.divmod(optimal[0], params.S ** (params.n - 1))
+            blocks = [_digit_block(params, probs, d).flat[at[digits == d]] for d in sorted(set(digits.tolist()))]
+            stars[j] = float(np.concatenate([np.zeros(0), *blocks]).sum())
         # a draw under the spread rule normalises a whole distribution in place
-        drawn = sample(probs, shots, (seed, first + j), params, register)
-        ok = label_reasons(drawn.labels, model.inst, register) == REASONS.index(OK)
+        drawn = sample(probs, shots, (seed, first + j), params)
+        ok = label_reasons(drawn.labels, model.inst) == REASONS.index(OK)
         labels.append(drawn.labels[ok])
         counts.append(drawn.counts[ok])
         # a full sample can be the size of the state: hold one at a time
         del drawn
     ends = np.cumsum([0] + [len(a) for a in labels]).tolist()
-    accepted = recode_labels(np.concatenate(labels), params, register, model.register)
+    accepted = np.concatenate(labels)
     bits = label_bitstrings(accepted, params, model.register)
     # for feasible labels "obj" equals energy_objective bit for bit, and
     # optimal hits are judged on it whatever the ranking score
-    parts = energy_components(model, accepted)
+    parts = energy_components(replace(model, register="onehot"), accepted)
     objs = parts["obj"].tolist()
     scores = objs if score_mode == "objective" else parts["total"].tolist()
     counts = np.concatenate(counts)
@@ -484,7 +483,7 @@ def phqc(
         # every beta of one gamma row, evolved from one shared first phase layer
         gamma = grid.gammas[r]
         dists = evolve_row(params, parts, [Schedule.constant(gamma, beta, depth) for beta in betas], head)
-        return grid_row(model, "onehot", gamma, betas, dists, shots_per_point, seed, r * len(betas), score, optimal)
+        return grid_row(model, gamma, betas, dists, shots_per_point, seed, r * len(betas), score, optimal)
 
     records = []
     best = None
@@ -503,7 +502,7 @@ def phqc(
         best_bitstring=None if best is None else best[3],
         best_score=None if best is None else float(best[0]),
         best_objective=None if best is None else float(best[4]),
-        best_assignment=None if best is None else label_assignment(best[2], params, model.register),
+        best_assignment=None if best is None else label_assignment(best[2], params),
         records=tuple(records),
         total_shots=shots_per_point * len(grid),
         shots_per_point=shots_per_point,

@@ -307,29 +307,29 @@ def feasible_label(exA, params3):
 
 
 def feasible_samples(ss, inst, register):
-    # the accepted (labels, counts, bitstrings) of `register` of one drawn
-    # SampleSet, through a one-point row of the sweep
+    # the accepted (labels in `register`, counts, bitstrings) of one drawn
+    # SampleSet of one-hot labels, through a one-point row of the sweep
     model = EnergyModel.for_instance(inst, register=register)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "sample", lambda *args: ss)
-        [(_, _, feasible_bits)] = solver.grid_row(model, ss.register, 0.0, (0.0,), [None], ss.shots, 0, 0, "objective", None)
+        [(_, _, feasible_bits)] = solver.grid_row(model, 0.0, (0.0,), [None], ss.shots, 0, 0, "objective", None)
     bits = list(feasible_bits)
     if register == "onehot":
-        labels = [assignment_label(decode_bitstring(b, ss.params), ss.params) for b in bits]
+        labels = [assignment_label(decode_bitstring(b, model.params), model.params) for b in bits]
     else:
-        labels = [binary_to_label(b, ss.params) for b in bits]
+        labels = [binary_to_label(b, model.params) for b in bits]
     return labels, list(feasible_bits.values()), bits
 
 
 def feasible_rows(ss, inst):
     # the feasible histogram of one SampleSet, as solve builds hist.csv
-    _, counts, bits = feasible_samples(ss, inst, ss.register)
-    return feasible_histogram(dict(zip(bits, counts)), ss.shots, ss.params)
+    _, counts, bits = feasible_samples(ss, inst, "onehot")
+    return feasible_histogram(dict(zip(bits, counts)), ss.shots, EncodingParams.for_instance(inst))
 
 
 def test_anticoncentration_single_outcome(exA, params3):
     z = feasible_label(exA, params3)
-    ss = SampleSet(np.array([z]), np.array([50]), 50, "onehot", params3)
+    ss = SampleSet(np.array([z]), np.array([50]), 50)
     rows, share = feasible_rows(ss, exA)
     assert share == 1.0
     assert rows == [(label_to_onehot(z, params3), 50, 1.0, pytest.approx(50.0 / 50.0 * 216))]
@@ -339,7 +339,7 @@ def test_anticoncentration_filters_infeasible(exA, params3):
     z = feasible_label(exA, params3)
     bad = 0  # label 0 repeats customer 0 three times
     assert not feasible_global_positions(label_to_onehot(bad, params3), exA).feasible
-    ss = SampleSet(np.array([bad, z]), np.array([20, 30]), 50, "onehot", params3)
+    ss = SampleSet(np.array([bad, z]), np.array([20, 30]), 50)
     labels, counts, _ = feasible_samples(ss, exA, "onehot")
     assert labels == [z] and counts == [30]
     # frequencies stay out of all 50 shots, infeasible ones included
@@ -353,7 +353,7 @@ def test_anticoncentration_histogram_order(exA, params3):
         for z in range(216)
         if feasible_global_positions(label_to_onehot(z, params3), exA).feasible
     ][:3]
-    ss = SampleSet(np.array(labels), np.array([5, 20, 5]), 30, "onehot", params3)
+    ss = SampleSet(np.array(labels), np.array([5, 20, 5]), 30)
     rows, share = feasible_rows(ss, exA)
     counts = [row[1] for row in rows]
     assert counts == [20, 5, 5]
@@ -365,10 +365,12 @@ def test_anticoncentration_histogram_order(exA, params3):
 def test_anticoncentration_binary_register(exA, params3):
     from colorperm.encoding import digits_label, label_digits, label_to_binary
 
+    # a binary sweep draws and judges one-hot labels, and renders the
+    # accepted ones as the binary words of their binary labels
     z = feasible_label(exA, params3)
     zb = digits_label(label_digits(z, 3, 6), 8)
-    padded = digits_label([7, 7, 7], 8)
-    ss = SampleSet(np.array([zb, padded]), np.array([10, 10]), 20, "binary", params3)
+    bad = 0  # label 0 repeats customer 0 three times
+    ss = SampleSet(np.array([bad, z]), np.array([10, 10]), 20)
     labels, counts, bits = feasible_samples(ss, exA, "binary")
     assert labels == [zb] and counts == [10]
     assert bits == [label_to_binary(zb, params3)]

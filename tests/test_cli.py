@@ -394,20 +394,28 @@ def test_an_out_file_in_a_missing_directory_exits_2_before_the_oracle(capsys, tm
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
-def test_an_out_that_is_a_directory_exits_1_before_the_oracle(capsys, tmp_path, monkeypatch, exa_json, command):
-    # the error line is the one opening the directory would give
+@pytest.mark.parametrize(
+    "command, directory",
+    [("solve", "out"), ("bench", "out"), ("solve", "out.grid.csv"), ("solve", "out.hist.csv")],
+    ids=["solve", "bench", "solve-grid-csv", "solve-hist-csv"],
+)
+def test_an_out_that_is_a_directory_exits_1_before_the_oracle(capsys, tmp_path, monkeypatch, exa_json, command, directory):
+    # --out itself, or a CSV that solve writes beside it (its base name
+    # with .grid.csv or .hist.csv): the error line is the one opening the
+    # directory would give, and nothing is written
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle or the sweep ran before --out was checked")
 
     monkeypatch.setattr(cli, "exact_solve", refuse)
     monkeypatch.setattr(cli, "phqc", refuse)
-    out = tmp_path / "out"
-    out.mkdir()
+    found = tmp_path / directory
+    found.mkdir()
+    out = tmp_path / ("out" if directory == "out" else "out.json")
     source = ["--instance", exa_json] if command == "solve" else ["--dir", str(tmp_path)]
     assert main([command, *source, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
-    assert not any(out.iterdir())
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(found)!r}\n"
+    assert not any(found.iterdir())
+    assert {path.name for path in tmp_path.iterdir()} == {"exa.json", directory}
 
 
 def test_config_file_precedence(tmp_path, capsys, exa_json):
@@ -710,8 +718,10 @@ def test_non_finite_weights_exit_with_one_error_line(capsys, exa_json, argv, nam
     [(["brute", "--lam-obj", "1e308"], "lam_obj=1e+308"),
      (["bound", "--lam-obj", "1e308", "--gamma", "0.1", "--beta", "0.2"], "lam_obj=1e+308"),
      *((["solve", f"--lam-{term}", "1e308", "--grid-points", "2"], f"lam_{term}=1e+308") for term in ("obj", "once", "cap")),
-     (["solve", "--lam-obj", "2e306", "--grid-points", "2"], "gamma 3.141592653589793")],
-    ids=["brute-obj", "bound-obj", "solve-obj", "solve-once", "solve-cap", "solve-gamma-times-obj"],
+     (["solve", "--lam-obj", "2e306", "--grid-points", "2"], "gamma 3.141592653589793"),
+     # a binary model's bound counts its n padded words; the one-hot run exits 0
+     (["brute", "--register", "binary", "--lam-pad", "1e308"], "lam_pad=1e+308")],
+    ids=["brute-obj", "bound-obj", "solve-obj", "solve-once", "solve-cap", "solve-gamma-times-obj", "brute-binary-pad"],
 )
 def test_weights_whose_energies_overflow_exit_with_one_error_line(capsys, monkeypatch, demo_vrp_path, argv, name):
     # refused where the model is built, or the sweep where it is admitted:

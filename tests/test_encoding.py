@@ -19,10 +19,12 @@ from colorperm.encoding import (
     compress,
     decode_bitstring,
     decompress,
+    digits_label,
     encode_assignment,
     grouped,
     label_assignment,
     label_bitstrings,
+    label_digits,
     label_to_binary,
     label_to_onehot,
     permutation_view,
@@ -207,7 +209,7 @@ def test_binary_label_round_trip(z):
 def register_labels(draw):
     p = EncodingParams(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
     register = draw(st.sampled_from(REGISTERS))
-    return p, register, draw(st.lists(st.integers(0, p.dim(register) - 1), max_size=12))
+    return p, register, draw(st.lists(st.integers(0, p.dim("onehot") - 1), max_size=12))
 
 
 @given(register_labels())
@@ -215,10 +217,15 @@ def register_labels(draw):
 @example((EncodingParams(3, 2), "onehot", []))
 @settings(max_examples=150, deadline=None)
 def test_label_bitstrings_render_each_label_as_the_scalar_renderers(case):
-    # at n = K = 1 the binary words have q = 0 bits: every string is empty
+    # one-hot labels, rendered as one-hot blocks or as the binary words of
+    # their binary labels (the same digits in radix 2^q); at n = K = 1 the
+    # binary words have q = 0 bits: every string is empty
     p, register, labels = case
-    scalar = label_to_onehot if register == "onehot" else label_to_binary
-    assert label_bitstrings(np.array(labels, dtype=np.int64), p, register) == [scalar(z, p) for z in labels]
+    if register == "onehot":
+        want = [label_to_onehot(z, p) for z in labels]
+    else:
+        want = [label_to_binary(digits_label(label_digits(z, p.n, p.S), 1 << p.q), p) for z in labels]
+    assert label_bitstrings(np.array(labels, dtype=np.int64), p, register) == want
 
 
 def test_label_assignment_consistency(params3):

@@ -6,8 +6,12 @@ equal energy_components at every one-hot label, or at its binary label
 (`EncodingParams.binary_labels`) on the binary register, exactly (not to
 a tolerance), in every capacity mode, under arbitrary weights. Its parts'
 evaluator must equal both on any range of labels; phqc must build the
-parts once per sweep and no S^n table.
+parts once per sweep and no S^n table. A binary model's every energy term
+at a label's binary relabelling must equal its one-hot twin's, which is
+what the sweep scores with.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,11 +36,11 @@ distance = st.floats(min_value=0.0, max_value=150.0, allow_nan=False)
 
 
 @st.composite
-def models(draw):
+def models(draw, registers=REGISTERS, top_K=3):
     n = draw(st.integers(min_value=1, max_value=4))
-    K = draw(st.integers(min_value=1, max_value=3 if n <= 3 else 2))
+    K = draw(st.integers(min_value=1, max_value=top_K if n <= 3 else 2))
     cap_mode = draw(st.sampled_from(CAP_MODES))
-    register = draw(st.sampled_from(REGISTERS))
+    register = draw(st.sampled_from(registers))
     W = np.array(draw(st.lists(distance, min_size=n * n, max_size=n * n))).reshape(n, n)
     np.fill_diagonal(W, 0.0)
     leg_shape = draw(st.sampled_from([(n,), (n, K)]))
@@ -58,6 +62,26 @@ def models(draw):
         cap_mode=cap_mode,
     )
     return EnergyModel.for_instance(inst, weights, register=register)
+
+
+@given(models(registers=("binary",), top_K=4))
+@settings(max_examples=100, deadline=None)
+def test_a_binary_model_at_the_binary_relabelling_is_its_one_hot_twin(model):
+    # the sweep scores one-hot labels with the one-hot twin and reduces on
+    # them: each energy term of the binary model at a label's binary label
+    # (its radix-S digits read in radix 2^q) must equal the twin's bit for
+    # bit, and the relabelling must keep the labels' order
+    n, S = model.params.n, model.params.S
+    q = (S - 1).bit_length()
+    labels = np.arange(S**n)
+    place = np.arange(n - 1, -1, -1)
+    binary = ((labels[:, None] // S**place % S) << (q * place)).sum(axis=1)
+    assert (np.diff(binary) > 0).all()
+    ours = energy_components(model, binary)
+    twin = energy_components(dataclasses.replace(model, register="onehot"), labels)
+    assert ours.keys() == twin.keys()
+    for term in ours:
+        assert ours[term].tobytes() == twin[term].tobytes(), term
 
 
 @given(models())

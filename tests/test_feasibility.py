@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorperm.encoding import REGISTERS, EncodingParams, digits_label, label_to_binary, label_to_onehot
+from colorperm.encoding import REGISTERS, EncodingParams, digits_label, label_digits, label_to_binary, label_to_onehot
 from colorperm.feasibility import (
     CAPACITY_VIOLATION,
     MULTI_HOT,
@@ -197,10 +197,12 @@ def test_binary_check_matches_decompressed(exA):
 
 
 def _reference_reason(z, inst, register):
+    # the scan of one-hot label z, rendered in `register`: at its binary
+    # label, the same digits read in radix 2^q
     p = EncodingParams.for_instance(inst)
     if register == "onehot":
         return feasible_global_positions(label_to_onehot(z, p), inst).reason
-    return decode_binary_and_check(label_to_binary(z, p), inst).reason
+    return decode_binary_and_check(label_to_binary(digits_label(label_digits(z, p.n, p.S), 1 << p.q), p), inst).reason
 
 
 @st.composite
@@ -211,7 +213,7 @@ def instances_and_labels(draw):
     Q = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=K, max_size=K))
     inst = Instance("h", n, K, d, Q, np.zeros((n, n)), np.zeros(n), np.zeros(n))
     register = draw(st.sampled_from(REGISTERS))
-    top = EncodingParams(n, K).dim(register) - 1
+    top = EncodingParams(n, K).dim("onehot") - 1
     labels = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=1, max_size=30))
     return inst, register, labels
 
@@ -219,9 +221,9 @@ def instances_and_labels(draw):
 @given(instances_and_labels())
 @settings(max_examples=200, deadline=None)
 def test_label_reasons_match_the_reference_scan(case):
-    # binary registers whose S is not a power of two include padded words
+    # one-hot labels, scanned as one-hot strings or as their binary words
     inst, register, labels = case
-    codes = label_reasons(labels, inst, register)
+    codes = label_reasons(labels, inst)
     assert [REASONS[c] for c in codes] == [_reference_reason(z, inst, register) for z in labels]
 
 
@@ -238,12 +240,12 @@ def wide_fleets_and_heavy_demands(draw):
     inst = Instance("h", n, K, d, Q, np.zeros((n, n)), np.zeros(n), np.zeros(n))
     register = draw(st.sampled_from(REGISTERS))
     p = EncodingParams(n, K)
-    labels = draw(st.lists(st.integers(min_value=0, max_value=p.dim(register) - 1), max_size=20))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=p.dim("onehot") - 1), max_size=20))
     # labels that repeat no customer, so that the vehicle checks decide
     for _ in range(draw(st.integers(min_value=0, max_value=20))):
         order = draw(st.permutations(range(n)))
         fleet = draw(st.lists(st.integers(min_value=0, max_value=K - 1), min_size=n, max_size=n))
-        labels.append(digits_label([i + n * k for i, k in zip(order, fleet)], p.radix(register)))
+        labels.append(digits_label([i + n * k for i, k in zip(order, fleet)], p.S))
     return inst, register, labels
 
 
@@ -251,20 +253,20 @@ def wide_fleets_and_heavy_demands(draw):
 @settings(max_examples=200, deadline=None)
 def test_label_reasons_match_the_reference_scan_on_wide_fleets_and_heavy_demands(case):
     inst, register, labels = case
-    codes = label_reasons(labels, inst, register)
+    codes = label_reasons(labels, inst)
     assert codes.dtype == np.int8
     assert [REASONS[c] for c in codes] == [_reference_reason(z, inst, register) for z in labels]
-    none = label_reasons(np.array([], dtype=np.int64), inst, register)
+    none = label_reasons(np.array([], dtype=np.int64), inst)
     assert none.dtype == np.int8 and none.shape == (0,)
 
 
 @pytest.mark.parametrize("register", REGISTERS)
 def test_label_reasons_exhaustive_example_a(exA, register):
-    # S = 6: 512 binary labels, 296 of them with a padded word
-    labels = list(range(EncodingParams(3, 2).dim(register)))
-    codes = label_reasons(labels, exA, register)
-    assert [REASONS[c] for c in codes] == [_reference_reason(z, exA, register) for z in labels]
-    assert (codes == REASONS.index(PADDING_LEAK)).sum() == (296 if register == "binary" else 0)
+    # S = 6: every one-hot label, whose binary word pads none of the 8
+    labels = list(range(EncodingParams(3, 2).dim("onehot")))
+    reasons = [_reference_reason(z, exA, register) for z in labels]
+    assert [REASONS[c] for c in label_reasons(labels, exA)] == reasons
+    assert PADDING_LEAK not in reasons
 
 
 def test_label_reasons_exhaustive_first_failing_vehicle():
@@ -272,7 +274,7 @@ def test_label_reasons_exhaustive_first_failing_vehicle():
     # other fails contiguity, so the verdict must come from the lower k
     inst = Instance("tight", 4, 2, [1, 2, 2, 1], [2, 4], np.zeros((4, 4)), np.zeros(4), np.zeros(4))
     labels = list(range(EncodingParams(4, 2).dim("onehot")))
-    codes = label_reasons(labels, inst, "onehot")
+    codes = label_reasons(labels, inst)
     reasons = [_reference_reason(z, inst, "onehot") for z in labels]
     assert [REASONS[c] for c in codes] == reasons
     assert {CAPACITY_VIOLATION, NON_CONTIGUOUS, OK} <= set(reasons)

@@ -610,7 +610,7 @@ def test_a_streamed_row_and_its_draws_allocate_no_float_per_label(gamma, factor)
         row = [Schedule.constant(gamma, beta) for beta in (np.pi, 0.0, 0.3)]
         for j, probs in enumerate(evolve_row(params, parts, row, labels // 2)):
             assert len(probs) == labels // 2
-            assert simulator.sample(probs, 1728, (11, j), params, "onehot").shots == 1728
+            assert simulator.sample(probs, 1728, (11, j), params).shots == 1728
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -665,13 +665,16 @@ def test_a_row_whose_later_layer_changes_gamma_is_refused(exA, params3, row):
 
 def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
     """The sweep's reduction over points prepared one by one with
-    run_ansatz, each from its own uniform state."""
-    labels = exact.optimal_labels(model.params, model.register)
+    run_ansatz in the model's register, each from its own uniform state,
+    and drawn from its one-hot labels (a binary state's at their binary
+    labels)."""
+    labels = exact.optimal_labels(model.params)
+    one_hot = model.params.binary_labels() if model.register == "binary" else slice(None)
     records, best, pooled = [], None, {}
     for index, (gamma, beta) in enumerate(itertools.product(grid.gammas, grid.betas)):
         state = run_ansatz(model.params, model, Schedule.constant(gamma, beta, depth))
         [(record, local_best, feasible_bits)] = solver.grid_row(
-            model, state.register, gamma, (beta,), [exact_distribution(state)], shots, seed, index, score, (labels, exact.optimal_cost)
+            model, gamma, (beta,), [exact_distribution(state)[one_hot]], shots, seed, index, score, (labels, exact.optimal_cost)
         )
         records.append(record)
         for bits, count in feasible_bits.items():
@@ -687,8 +690,6 @@ def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
         *(pytest.param("exB", register, depth, "hinge", 300, id=f"{depth}-{register}") for depth in (1, 2) for register in REGISTERS),
         pytest.param("exB", "binary", 2, "quadratic-surrogate", 300, id="surrogate"),
         pytest.param("exB", "onehot", 1, "hinge", 6, id="empty-point"),
-        # S = 6: every binary word pads, so the loop's distributions hold zeros
-        pytest.param("exA", "binary", 1, "hinge", 300, id="padded-binary"),
     ],
 )
 def test_rowwise_sweep_equals_per_point_loop(request, instance, register, depth, cap_mode, shots):
@@ -720,8 +721,7 @@ def test_jobs_parity_over_three_gamma_rows(exA, register):
 
 def squared_and_drawn(monkeypatch):
     """Record the buffer each mixer layer squares, and the distribution
-    and register each sample draws from; refuse any other squaring of a
-    state."""
+    each sample draws from; refuse any other squaring of a state."""
     squared, drawn = [], []
     original_mix, original_sample = simulator._mix, simulator.sample
 
@@ -730,9 +730,9 @@ def squared_and_drawn(monkeypatch):
             squared.append(amps)
         original_mix(amps, params, beta, square, **first_visit)
 
-    def draw(probs, shots, seed, params, register):
-        drawn.append((probs, register))
-        return original_sample(probs, shots, seed, params, register)
+    def draw(probs, shots, seed, params):
+        drawn.append(probs)
+        return original_sample(probs, shots, seed, params)
 
     def distribution(state):
         raise AssertionError("the sweep squared a state outside the mixer")
@@ -752,7 +752,7 @@ def test_one_distribution_per_grid_point(exA, params3, monkeypatch):
     # draws from the float64 view of the buffer it squared: a gamma-0 row
     # squares a prefix of its buffer, which the distribution starts at and covers
     assert len(squared) == len(drawn) == len(grid)
-    for (probs, _), square in zip(drawn, squared):
+    for probs, square in zip(drawn, squared):
         assert probs.base is (square if square.base is None else square.base)
         assert probs.ctypes.data == square.ctypes.data and len(probs) >= len(square)
 
@@ -923,16 +923,16 @@ def test_sweep_draws_from_the_onehot_distribution(exA, params3, monkeypatch, reg
     model = EnergyModel.for_instance(exA, register=register)
     grid = GridSpec.default(params3, 3)
     phqc(exA, model, grid, 100, 5, exact_reference=exact_solve(exA, model))
-    sizes = [len(amps) for amps in squared] + [len(probs) for probs, _ in drawn]
+    sizes = [len(amps) for amps in squared] + [len(probs) for probs in drawn]
     assert len(sizes) == 2 * len(grid)
     assert set(sizes) == {params3.dim("onehot")}
-    assert {register for _, register in drawn} == {"onehot"}
 
 
 @pytest.mark.parametrize("register", REGISTERS)
 def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
     # the parts of one S^n table (exA: 216 labels) serve every phase,
-    # whatever the register, and no S^n table is built
+    # whatever the register, and no S^n table is built; the accepted
+    # one-hot labels are scored by the model's one-hot twin
     tables, scored = [], []
 
     def parts(model):
@@ -943,9 +943,10 @@ def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
     def table(model):
         raise AssertionError("the sweep built an S^n table")
 
-    def components(model, labels):
+    def components(twin, labels):
+        assert twin == dataclasses.replace(model, register="onehot")
         scored.append(np.asarray(labels, dtype=np.int64))
-        return energy_components(model, labels)
+        return energy_components(twin, labels)
 
     monkeypatch.setattr(solver, "table_parts", parts)
     monkeypatch.setattr(simulator, "energy_table", table)
@@ -958,7 +959,7 @@ def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
     assert len(scored) == len(grid.gammas)
     for labels in scored:
         assert len(labels) <= 40 * len(grid.betas)
-        assert (label_reasons(labels, exA, register) == REASONS.index(OK)).all()
+        assert (label_reasons(labels, exA) == REASONS.index(OK)).all()
 
 
 def test_budget_charges_the_table_once_and_each_worker(params3, monkeypatch):

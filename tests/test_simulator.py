@@ -249,7 +249,7 @@ def test_exact_distribution_normalized(exA, params3):
 
 def test_sample_single_shot(params3):
     st = initial_state(params3)
-    ss = sample(exact_distribution(st), 1, 42, params3, "onehot")
+    ss = sample(exact_distribution(st), 1, 42, params3)
     assert ss.shots == 1
     assert len(ss.counts) == 1
     (z,) = ss.labels
@@ -263,19 +263,19 @@ def drawn(ss):
 
 def test_sample_seed_reproducibility(params3):
     st = initial_state(params3)
-    a = sample(exact_distribution(st), 500, 1234, params3, "onehot")
-    b = sample(exact_distribution(st), 500, 1234, params3, "onehot")
+    a = sample(exact_distribution(st), 500, 1234, params3)
+    b = sample(exact_distribution(st), 500, 1234, params3)
     assert drawn(a) == drawn(b)
-    c = sample(exact_distribution(st), 500, (1234, 0), params3, "onehot")
-    d = sample(exact_distribution(st), 500, (1234, 0), params3, "onehot")
+    c = sample(exact_distribution(st), 500, (1234, 0), params3)
+    d = sample(exact_distribution(st), 500, (1234, 0), params3)
     assert drawn(c) == drawn(d)
-    assert drawn(sample(exact_distribution(st), 500, (1234, 1), params3, "onehot")) != drawn(c)
+    assert drawn(sample(exact_distribution(st), 500, (1234, 1), params3)) != drawn(c)
 
 
 def test_sample_statistics(params3):
     st = initial_state(params3)
     shots = 1_000_000
-    ss = sample(exact_distribution(st), shots, 7, params3, "onehot")
+    ss = sample(exact_distribution(st), shots, 7, params3)
     freqs = np.zeros(216)
     for z, c in zip(*drawn(ss)):
         freqs[z] = c / shots
@@ -287,9 +287,9 @@ def test_sample_statistics(params3):
 def test_sample_validation(params3):
     st = initial_state(params3)
     with pytest.raises(ValueError):
-        sample(exact_distribution(st), 0, 1, params3, "onehot")
+        sample(exact_distribution(st), 0, 1, params3)
     with pytest.raises(ValueError):
-        SampleSet(np.array([0]), np.array([2]), 3, "onehot", params3)
+        SampleSet(np.array([0]), np.array([2]), 3)
 
 
 @pytest.mark.parametrize("n, shots", [(4, 20), (3, 500)])
@@ -307,7 +307,7 @@ def test_sample_returns_ascending_labels_with_positive_counts(monkeypatch, n, sh
         return replicas[-1]
 
     monkeypatch.setattr(simulator, "_replica", replica)
-    ss = sample(exact_distribution(EncodedState(amps, "onehot", params)), shots, 11, params, "onehot")
+    ss = sample(exact_distribution(EncodedState(amps, "onehot", params)), shots, 11, params)
     assert [r is not None for r in replicas] == ([True] if n == 4 else [])
     assert ss.labels.dtype == ss.counts.dtype == np.int64
     assert (np.diff(ss.labels) > 0).all() and (ss.counts >= 1).all() and ss.counts.sum() == shots
@@ -316,19 +316,19 @@ def test_sample_returns_ascending_labels_with_positive_counts(monkeypatch, n, sh
 @pytest.mark.parametrize("labels, counts", [([5, 3], [1, 1]), ([3, 3], [1, 1]), ([3, 5], [2, 0])])
 def test_sampleset_refuses_unsorted_labels_and_empty_counts(params3, labels, counts):
     with pytest.raises(ValueError, match="strictly ascending"):
-        SampleSet(np.array(labels), np.array(counts), 2, "onehot", params3)
+        SampleSet(np.array(labels), np.array(counts), 2)
 
 
 def test_sampleset_views(params3):
     st = initial_state(params3)
-    ss = sample(exact_distribution(st), 200, 99, params3, "onehot")
+    ss = sample(exact_distribution(st), 200, 99, params3)
     labels, counts = drawn(ss)
     assert labels == sorted(labels)
     bc = dict(zip(label_bitstrings(ss.labels, params3, "onehot"), counts))
     assert sum(bc.values()) == 200
     assert all(len(bits) == 18 and set(bits) <= {"0", "1"} for bits in bc)
-    binary = sample(exact_distribution(initial_state(params3, "binary")), 50, 3, params3, "binary")
-    assert all(len(bits) == 9 for bits in label_bitstrings(binary.labels, params3, binary.register))
+    # the drawn one-hot labels render as binary words too
+    assert all(len(bits) == 9 for bits in label_bitstrings(ss.labels, params3, "binary"))
 
 
 def _binary_label(z, n, S, q):

@@ -17,7 +17,6 @@ from colorperm import simulator, solver
 from colorperm.encoding import REGISTERS, EncodingParams, assignment_label, label_assignment, label_to_onehot
 from colorperm.feasibility import (
     OK,
-    PADDING_LEAK,
     REASONS,
     REPEATED_CUSTOMER,
     decode_binary_and_check,
@@ -411,19 +410,24 @@ def test_sweep_scores_equal_the_scalar_evaluators(exA, monkeypatch, register):
             z = assignment_label(res.best_assignment, model.params, register)
             assert res.best_score == energy_total(z, model)
     assert sum(len(labels) for _, labels, _ in scored) > 8
+    # the sweep scores one-hot labels with the model's one-hot twin; each
+    # score is the model's own at the label's register label
     for m, labels, comp in scored:
+        assert m.register == "onehot" and m.inst is exA and m.weights == w
         for z, obj, total in zip(labels, comp["obj"].tolist(), comp["total"].tolist()):
-            assert obj == energy_objective(label_assignment(z, m.params, register), exA, 1.7)
-            assert total == energy_total(z, m)
+            a = label_assignment(z, m.params)
+            assert obj == energy_objective(a, exA, 1.7)
+            assert total == energy_total(assignment_label(a, model.params, register), model)
 
 
 def test_binary_sweep_draws_no_padding_leak(exA, params3, monkeypatch):
     # exA has S = 6, so 296 of the 512 binary labels carry a padded word;
-    # the relabelled state gives them exactly zero mass
-    codes = []
+    # a binary sweep draws and judges the 216 one-hot labels, which carry none
+    labels, codes = [], []
 
-    def spy(labels, inst, register):
-        out = label_reasons(labels, inst, register)
+    def spy(drawn, inst):
+        out = label_reasons(drawn, inst)
+        labels.extend(drawn.tolist())
         codes.extend(out.tolist())
         return out
 
@@ -431,7 +435,7 @@ def test_binary_sweep_draws_no_padding_leak(exA, params3, monkeypatch):
     model = EnergyModel.for_instance(exA, register="binary")
     phqc(exA, model, GridSpec.default(params3, 4), 216, 7)
     assert REASONS.index(OK) in codes and REASONS.index(REPEATED_CUSTOMER) in codes
-    assert REASONS.index(PADDING_LEAK) not in codes
+    assert 0 <= min(labels) and max(labels) < params3.dim("onehot")
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -349,7 +349,7 @@ def sample_and_reference(probs, shots, seed):
     """`sample`'s counts from `probs` on a 216-label state, and numpy's
     multinomial on the same normalised vector."""
     params = EncodingParams(3, 2)
-    drawn = sample(probs.copy(), shots, seed, params, "onehot")
+    drawn = sample(probs.copy(), shots, seed, params)
     return listed((drawn.labels, drawn.counts)), multinomial_counts(probs / probs.sum(), shots, seed)
 
 
@@ -454,13 +454,13 @@ def test_a_spread_draw_from_a_head_allocates_nothing_label_sized(monkeypatch):
     head[777] = head.sum() * 2
     full, shots = materialised(params, head), params.dim("onehot") // 200
     kept = full.copy()
-    want = sample(full.copy(), shots, (4, 1), params, "onehot")
+    want = sample(full.copy(), shots, (4, 1), params)
     calls = counted_rngs(monkeypatch)
     for probs in (head, full):
         calls.clear()
         tracemalloc.start()
         try:
-            got = sample(probs, shots, (4, 1), params, "onehot")
+            got = sample(probs, shots, (4, 1), params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -484,7 +484,7 @@ def test_no_spread_out_draw_is_a_whole_array_draw(monkeypatch, n, K):
         for shots in (1, labels // simulator.REPLICA_SPREAD, labels // simulator.REPLICA_SPREAD + 1, labels):
             for probs in (head, materialised(params, head)):
                 calls.clear()
-                assert sample(probs.copy(), shots, 5, params, "onehot").counts.sum() == shots
+                assert sample(probs.copy(), shots, 5, params).counts.sum() == shots
                 whole = [call for call in calls if call != "binomial"]
                 assert whole == ([] if labels >= simulator.REPLICA_SPREAD * shots else [labels])
 
@@ -555,9 +555,9 @@ def vehicle_reversed(params, labels):
 @given(heads(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_p_star_exact_of_a_head_is_that_of_its_whole_distribution(case, seed):
-    # grid_row reads optimal labels inside the distribution by index and
-    # past a head through their leading digit's reversed view, in label
-    # order: numpy's sum of those labels of every label, bit for bit
+    # grid_row reads every optimal label through its leading digit's
+    # `_digit_block` view, reversed past a head, in label order: numpy's
+    # sum of those labels of every label, bit for bit
     params, head, _ = case
     assume(head.any())  # a draw divides by the total
     full, n, K = materialised(params, head), params.n, params.K
@@ -565,7 +565,7 @@ def test_p_star_exact_of_a_head_is_that_of_its_whole_distribution(case, seed):
     model = EnergyModel(inst, PenaltyWeights(), params)
     for optimal in (np.arange(len(full)), np.flatnonzero(np.random.default_rng(seed).random(len(full)) < 0.01)):
         for probs in (head, full):
-            [(record, _, _)] = solver.grid_row(model, "onehot", 0.1, (0.2,), [probs.copy()], 1, 0, 0, "objective", (optimal, 0.0))
+            [(record, _, _)] = solver.grid_row(model, 0.1, (0.2,), [probs.copy()], 1, 0, 0, "objective", (optimal, 0.0))
             assert record.p_star_exact == float(full[optimal].sum())
 
 
@@ -588,24 +588,21 @@ def test_a_head_draws_what_its_whole_distribution_draws(monkeypatch, n, K, path)
     monkeypatch.setattr(simulator, "_replica", lambda *args: ran.append(original(*args)) or ran[-1])
     full, kept, shots = materialised(params, head), head.copy(), params.dim("onehot") // 200
     for seed in range(3):
-        got, want = sample(head, shots, (seed, 1), params, "onehot"), sample(full.copy(), shots, (seed, 1), params, "onehot")
+        got, want = sample(head, shots, (seed, 1), params), sample(full.copy(), shots, (seed, 1), params)
         assert (got.labels.tolist(), got.counts.tolist()) == (want.labels.tolist(), want.counts.tolist())
     assert head.tobytes() == kept.tobytes()
     assert [drawn is None for drawn in ran] == {"replica": [False] * 6, "small-state": [], "zero": [False] * 6}[path]
 
 
 def test_sample_refuses_any_other_length():
-    # n = 3, K = 2: 216 one-hot labels, 108 in the head, and 512 binary
-    # labels, of which a head is never drawn
+    # n = 3, K = 2: 216 one-hot labels, 108 in the head; a binary state's
+    # 512 labels are never drawn
     params = EncodingParams(3, 2)
-    for length in (107, 109, 215, 217):
+    for length in (107, 109, 215, 217, 512):
         with pytest.raises(ValueError, match="must have length 216 or its head's 108$"):
-            sample(np.ones(length), 5, 0, params, "onehot")
-    for length in (108, 256, 511):
-        with pytest.raises(ValueError, match="must have length 512$"):
-            sample(np.ones(length), 5, 0, params, "binary")
+            sample(np.ones(length), 5, 0, params)
     with pytest.raises(ValueError, match="must have length 27$"):
-        sample(np.ones(26), 5, 0, EncodingParams(3, 1), "onehot")
+        sample(np.ones(26), 5, 0, EncodingParams(3, 1))
 
 
 def mixed(amps, params, beta, square=False):
