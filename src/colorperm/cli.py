@@ -64,7 +64,7 @@ _OPTIONS = {
     "lam_once": (4.0, float, None),
     "lam_cap": (4.0, float, None),
     "lam_obj": (1.0, float, None),
-    "lam_pad": (None, float, "padded binary word weight (default: lam_once); no command scores a padded word, so it changes no output byte but its own echo, except that a binary model refuses one that takes its energy bound past float range"),
+    "lam_pad": (None, float, "padded binary word weight (default: lam_once); no energy reads a padded word, so it changes no output byte but its own echo"),
     "seed": (7, int, None),
     "out": (None, str, "output file (default: stdout)"),
     "grid_points": (None, int, "points per grid axis (default S+1)"),
@@ -298,6 +298,7 @@ def cmd_solve(cfg):
 def cmd_brute(cfg):
     inst = _load(cfg)
     model = _model(cfg, inst)
+    _out_dir(cfg["out"])
     exact = exact_solve(inst, model)
     record = {
         "config": _config_echo(cfg, "brute"),
@@ -313,6 +314,7 @@ def cmd_check(cfg, stream=None):
     checker = (
         feasible_global_positions if cfg["register"] == "onehot" else decode_binary_and_check
     )
+    _out_dir(cfg["out"])
     stream = stream if stream is not None else sys.stdin
     lines = []
     all_ok = True
@@ -354,6 +356,7 @@ def cmd_bound(cfg):
     if cfg["gamma"] is None:
         raise ValueError("bound needs --gamma")
     betas = _parse_betas(cfg, params)
+    _out_dir(cfg["out"])
     exact = exact_solve(inst, model)
     if not exact.optimal_assignments:
         sys.stderr.write("no feasible configuration: the optimal set is empty\n")

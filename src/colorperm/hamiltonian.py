@@ -2,7 +2,7 @@
 
 The total energy of a basis state is
 
-    E = once_penalty + capacity_penalty + objective (+ padding_penalty)
+    E = once_penalty + capacity_penalty + objective
 
 where the once-penalty charges lam_once * (count_i - 1)^2 per customer,
 the capacity term is a hinge lam_cap * max(0, load_k - Q_k)^2 per vehicle
@@ -12,17 +12,13 @@ adjacent positions on the same vehicle pay the customer-customer
 distance, a vehicle change pays close-to-depot plus start-from-depot, and
 the first and last positions pay their depot legs.
 
-On the binary register a block whose word value is >= S is "padded": it
-contributes lam_pad and is excluded from the once/capacity/objective
-sums, which are built from projectors onto valid words only. A customer
-covered by no valid block therefore still pays its (0 - 1)^2 once-term.
-
-Everything here is a plain function of the basis-state label, and each
-term has one arithmetic over rows of symbols: `_penalties` (once and
-capacity) and `_timeline` (objective). `energy_components` applies both to
-labels of either register and is the reference; padded words exist only
-there. `table_parts` holds the one diagonal the simulator and the analysis
-read, over the S^n one-hot labels whatever the model's register, in small
+Everything here is a plain function of the one-hot label, whatever the
+model's register: the binary register is a relabelling of the same S^n
+labels, and no energy reads a padded binary word. Each term has one
+arithmetic over rows of symbols: `_penalties` (once and capacity) and
+`_timeline` (objective). `energy_components` applies both to any one-hot
+labels and is the reference. `table_parts` holds the one diagonal the
+simulator and the analysis read, over the S^n one-hot labels, in small
 parts: `_penalties` on the pairs of distinct symbol multisets of the two
 halves of a label, and the objective of all but the last two positions.
 Its evaluator gives any range of labels, `energy_table` all; they equal
@@ -43,7 +39,7 @@ CAP_MODES = ("hinge", "quadratic-surrogate", "filter-only")
 
 @dataclass(frozen=True)
 class PenaltyWeights:
-    """Penalty and objective weights; lam_pad defaults to lam_once."""
+    """Penalty and objective weights; lam_pad (read by no energy) defaults to lam_once."""
 
     lam_once: float = 4.0
     lam_cap: float = 4.0
@@ -65,7 +61,7 @@ class PenaltyWeights:
 @dataclass(frozen=True)
 class EnergyModel:
     """An instance, weights, and a register choice; energies are pure
-    functions of the basis-state label, and `largest_energy` must be finite."""
+    functions of the one-hot label, and `largest_energy` must be finite."""
 
     inst: object
     weights: PenaltyWeights
@@ -84,17 +80,13 @@ class EnergyModel:
             raise ValueError(f"{self.weights} give instance {self.inst.name!r} energies past float range")
 
     @property
-    def radix(self):
-        return self.params.radix(self.register)
-
-    @property
     def largest_energy(self):
         """A bound on every energy: n**2 once pairs, K loads n * max d off Q,
-        n + 1 legs of twice the longest, n padded words, each times its weight."""
+        n + 1 legs of twice the longest, each times its weight."""
         inst, w, n = self.inst, self.weights, self.params.n
         load = (n * float(inst.d.max()) + float(inst.Q.max())) * (w.cap_mode != "filter-only")
         leg = max(float(inst.W.max()), float(inst.dep_to.max()), float(inst.to_dep.max()))
-        return n * n * w.lam_once + load * load * self.params.K * w.lam_cap + 2 * (n + 1) * leg * w.lam_obj + (self.register == "binary") * n * w.lam_pad
+        return n * n * w.lam_once + load * load * self.params.K * w.lam_cap + 2 * (n + 1) * leg * w.lam_obj
 
     @classmethod
     def for_instance(cls, inst, weights=None, register="onehot"):
@@ -164,30 +156,26 @@ def energy_objective(a, inst, lam_obj=1.0):
     return lam_obj * total
 
 
-def _penalties(model, sym, valid=None):
+def _penalties(model, sym):
     """The once-each and capacity terms of n rows of symbols that broadcast
-    together, a position whose `valid` is False (a padded word) covering no
-    customer. Pairs and loads are counted exactly in integers (at most n*n;
+    together. Pairs and loads are counted exactly in integers (at most n*n;
     instances keep the total demand below 2**53), then scaled once."""
     inst, w = model.inst, model.weights
     n, K = model.params.n, model.params.K
-    ok = [True] * n if valid is None else valid
-    # once: sum_i (count_i - 1)**2 is 2 per same-customer pair of valid
-    # positions plus 1 per padded one, whose customer n pairs with none
-    cust = [np.where(ok[j], sym[j] % n, n) for j in range(n)]
-    same = np.diag(2 * (np.arange(n + 1) < n)).astype(np.int16)
+    # once: sum_i (count_i - 1)**2 is 2 per same-customer pair of positions
+    cust = [s % n for s in sym]
+    same = np.diag(np.full(n, 2, dtype=np.int16))
     count = np.zeros(np.broadcast_shapes(*map(np.shape, sym)), dtype=np.int16)
     for j1 in range(n):
         for j2 in range(j1 + 1, n):
             count += same[cust[j1], cust[j2]]
-    count += n - np.sum(ok, axis=0)
     once = count.astype(float)
     once *= w.lam_once
 
     cap = np.zeros(once.shape)
     if w.cap_mode != "filter-only":
-        # each position's vehicle and (valid) demand, read once for all K vehicles
-        veh, demand = [s // n for s in sym], [inst.d[s % n] * ok[j] for j, s in enumerate(sym)]
+        # each position's vehicle and demand, read once for all K vehicles
+        veh, demand = [s // n for s in sym], [inst.d[c] for c in cust]
         for k in range(K):
             load = np.zeros(once.shape)
             for j in range(n):
@@ -204,40 +192,37 @@ def _penalties(model, sym, valid=None):
     return once, cap
 
 
-def _timeline(inst, sym, lam_obj, valid=None):
+def _timeline(inst, sym, lam_obj):
     """The timeline objective of n rows of symbols that broadcast together:
     the start leg, each adjacent pair's leg (W on one vehicle, else the edge
     matrix's entry, close leg plus start leg) and the close leg in position
-    order, with no S x S matrix, then scaled once; a padded word's legs add 0."""
+    order, with no S x S matrix, then scaled once."""
     n = inst.n
-    ok = [True] * n if valid is None else valid
     start, close = depot_legs(inst)
-    obj = start[sym[0]] * ok[0]
-    for a, b, both in zip(sym[:-1], sym[1:], np.logical_and(ok[:-1], ok[1:])):
-        obj = obj + np.where(a // n == b // n, inst.W[a % n, b % n], close[a] + start[b]) * both
-    obj = obj + close[sym[-1]] * ok[-1]
+    obj = start[sym[0]]
+    for a, b in zip(sym[:-1], sym[1:]):
+        obj = obj + np.where(a // n == b // n, inst.W[a % n, b % n], close[a] + start[b])
+    obj = obj + close[sym[-1]]
     return obj * lam_obj
 
 
 def energy_components(model, labels):
-    """Vectorized energy breakdown for an array of basis-state labels.
+    """Vectorized energy breakdown for an array of one-hot labels,
+    whatever the model's register.
 
     Returns a dict of equally shaped float arrays with keys "once",
-    "cap", "obj", "pad", "total": `_penalties` and `_timeline` on the
-    labels' digits, each padded binary word (digit >= S) masked out.
+    "cap", "obj", "total": `_penalties` and `_timeline` on the labels'
+    radix-S digits.
     """
     p = model.params
-    digits = label_digits_array(np.atleast_1d(np.asarray(labels, dtype=np.int64)), p.n, model.radix)
-    valid = digits < p.S
-    sym = np.minimum(digits, p.S - 1)
-    once, cap = _penalties(model, sym, valid)
-    obj = _timeline(model.inst, sym, model.weights.lam_obj, valid)
-    pad = model.weights.lam_pad * (p.n - valid.sum(axis=0)).astype(float)
-    return {"once": once, "cap": cap, "obj": obj, "pad": pad, "total": once + cap + obj + pad}
+    sym = label_digits_array(np.atleast_1d(np.asarray(labels, dtype=np.int64)), p.n, p.S)
+    once, cap = _penalties(model, sym)
+    obj = _timeline(model.inst, sym, model.weights.lam_obj)
+    return {"once": once, "cap": cap, "obj": obj, "total": once + cap + obj}
 
 
 def energy_total(z, model):
-    """Total energy of one basis-state label."""
+    """Total energy of one one-hot label."""
     return float(energy_components(model, [z])["total"][0])
 
 

@@ -38,11 +38,12 @@ that can be drawn, numpy's own draw of the others), and writes the caller's
 array only to normalise a whole one under the spread rule.
 
 The binary register is a relabelling of the same S^n state, not a
-second simulator: `evolve_row` evolves the one-hot labels, and
-`run_ansatz` scatters a binary model's final amplitudes onto their binary
-labels (`EncodingParams.binary_labels`), leaving exact zeros on the
-padded words; `sample` draws one-hot labels only, and a sweep renders
-the labels it accepts as binary words. `check_budget` is the one
+second simulator: `initial_state` and `evolve_row` hold one-hot labels,
+whose energies a model reads whatever its register, and `run_ansatz`
+scatters a binary model's final amplitudes onto their binary labels
+(`EncodingParams.binary_labels`), leaving exact zeros on the padded
+words; `sample` draws one-hot labels only, and a sweep renders its
+pooled labels as binary words once. `check_budget` is the one
 ceiling on S^n-sized work, and every entry charges it before it allocates.
 """
 
@@ -173,23 +174,13 @@ def _amplitude(params):
     return 1.0 / np.sqrt(float(params.S) ** params.n)
 
 
-def initial_state(params, register="onehot"):
-    """Uniform superposition over the encoded basis: 1/sqrt(S^n) on every
-    one-hot label (a uniform product of per-block uniform symbol states),
-    relabelled into `register`, once `check_budget` admits it."""
-    check_budget(params, register)
+def initial_state(params):
+    """Uniform superposition over the one-hot basis: 1/sqrt(S^n) on every
+    label (a uniform product of per-block uniform symbol states), once
+    `check_budget` admits it."""
+    check_budget(params)
     amps = np.full(params.dim("onehot"), _amplitude(params), dtype=complex)
-    return _relabel(EncodedState(amps, "onehot", params), register)
-
-
-def _relabel(state, register):
-    """A one-hot state in `register`'s numbering. The binary register
-    gets each amplitude at its binary label and exact zeros on padding."""
-    if register == "onehot":
-        return state
-    vec = np.zeros(state.params.dim(register), dtype=complex)
-    vec[state.params.binary_labels()] = state.amplitudes
-    return EncodedState(vec, register, state.params)
+    return EncodedState(amps, "onehot", params)
 
 
 def block_mixer_matrix(S, beta):
@@ -306,8 +297,6 @@ def apply_phase(state, gamma, model, energies=None):
     """
     if state.register != "onehot":
         raise ValueError("the phase acts on one-hot states; run_ansatz relabels binary runs")
-    if model.register != state.register:
-        raise ValueError("model register does not match the state")
     check_budget(state.params)
     if energies is None:
         energies = energy_table(model)
@@ -434,9 +423,10 @@ def evolve_row(params, energies, schedules, head=None):
 
 def run_ansatz(params, model, schedule):
     """Alternate phase and mixer layers from the uniform initial state,
-    one pass each on one buffer, on the model's energy table, relabelled
-    into the model's register: the slow reference of `evolve_row`.
-    Refuses runs over the memory budget (`check_budget`) before
+    one pass each on one buffer, on the model's energy table: the slow
+    reference of `evolve_row`. A binary model's state is then relabelled,
+    each amplitude at its binary label and exact zeros on the padded
+    words. Refuses runs over the memory budget (`check_budget`) before
     allocating anything."""
     if params != model.params:
         raise ValueError("params do not match the model")
@@ -446,7 +436,11 @@ def run_ansatz(params, model, schedule):
     for gamma, beta in zip(schedule.gammas, schedule.betas):
         _phases(amps, gamma, energies, True)
         _mix(amps, params, beta)
-    return _relabel(EncodedState(amps, "onehot", params), model.register)
+    if model.register == "onehot":
+        return EncodedState(amps, "onehot", params)
+    vec = np.zeros(params.dim(model.register), dtype=complex)
+    vec[params.binary_labels()] = amps
+    return EncodedState(vec, model.register, params)
 
 
 def exact_distribution(state):

@@ -4,15 +4,15 @@ The solver sweeps a coarse (gamma, beta) grid row by row: the points of
 one gamma row share their first phase layer. At each point it prepares
 the depth-p state, draws a seeded multinomial sample and keeps only the
 labels the digit-level feasibility verdict accepts, freeing the sample
-before the next draw. Each row then renders and scores all its points'
-survivors at once, with the timeline objective (or the full diagonal
-cost on request) in one vectorized call, and keeps the strict minimum.
+before the next draw. Each row then scores all its points' survivors at
+once, with the timeline objective (or the full diagonal cost on
+request) in one vectorized call, and keeps the strict minimum.
 The energy table does not depend on the angles, so a sweep builds its
 small parts once, decides on them whether its vehicles mirror
 (`orbit_labels`), and every gamma row builds its phase factor from them;
 under `jobs` > 1 the gamma rows are dealt to threads of the one process.
 Either register evolves, draws, judges, scores and reduces one-hot
-labels; a binary sweep only renders the labels it accepts. Grid rows are
+labels, and a sweep renders its pooled labels once. Grid rows are
 independent work items, each point drawn from its own (seed, index); the
 reduction is an associative min keyed by (score, grid_index, label),
 taken in grid order, so the thread count never changes the result.
@@ -42,7 +42,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -378,10 +378,9 @@ def grid_row(model, gamma, betas, dists, shots, seed, first, score_mode, optimal
     exact oracle's (ascending one-hot labels as an int64 array, cost).
     Each point draws its sample, keeps the labels the digit-level verdict
     accepts and frees the rest before the next draw; the row's accepted
-    labels are then scored at once by the model's one-hot twin, whose
-    energies are the model's at their binary labels, and rendered in its
-    register. Returns per point, in index order, the record, the local
-    best (score, index, one-hot label, bits, objective) and {bits: count}."""
+    labels are then scored at once by the model, whatever its register.
+    Returns per point, in index order, the record, the local best (score,
+    index, label, objective) and {label: count}, all on one-hot labels."""
     params = model.params
     stars, labels, counts = [None] * len(betas), [], []
     for j, probs in enumerate(dists):
@@ -398,10 +397,9 @@ def grid_row(model, gamma, betas, dists, shots, seed, first, score_mode, optimal
         del drawn
     ends = np.cumsum([0] + [len(a) for a in labels]).tolist()
     accepted = np.concatenate(labels)
-    bits = label_bitstrings(accepted, params, model.register)
     # for feasible labels "obj" equals energy_objective bit for bit, and
     # optimal hits are judged on it whatever the ranking score
-    parts = energy_components(replace(model, register="onehot"), accepted)
+    parts = energy_components(model, accepted)
     objs = parts["obj"].tolist()
     scores = objs if score_mode == "objective" else parts["total"].tolist()
     counts = np.concatenate(counts)
@@ -410,12 +408,12 @@ def grid_row(model, gamma, betas, dists, shots, seed, first, score_mode, optimal
     points = []
     for j, (beta, star) in enumerate(zip(betas, stars)):
         cut = slice(ends[j], ends[j + 1])
-        local_best = min(zip(scores[cut], itertools.repeat(first + j), accepted[cut], bits[cut], objs[cut]), default=None)
-        feasible_bits = dict(zip(bits[cut], counts[cut]))
-        _, share = feasible_histogram(feasible_bits, shots, params)
+        local_best = min(zip(scores[cut], itertools.repeat(first + j), accepted[cut], objs[cut]), default=None)
+        feasible = dict(zip(accepted[cut], counts[cut]))
+        _, share = feasible_histogram(feasible, shots, params)
         hit = None if hits is None else sum(hits[cut])
         record = GridPointRecord(first + j, gamma, beta, sum(counts[cut]), share, hit, star)
-        points.append((record, local_best, feasible_bits))
+        points.append((record, local_best, feasible))
     return points
 
 
@@ -459,8 +457,9 @@ def phqc(
     and `grid_row` scores the row's accepted samples in one pass. When
     `exact_reference` (an ExactSolution) is given, per-point records also
     carry optimal-hit counts and the exact optimal mass of the prepared
-    state. The histogram of all feasible samples pooled over the
-    sweep is available through `phqc_histogram`. The sweep runs on the
+    state. The accepted labels pooled over the sweep (`phqc_histogram`)
+    and the best are rendered in the model's register by one
+    `label_bitstrings` call, after the reduce. The sweep runs on the
     threads, parts and head of its `admission`, which `charge_sweep`
     returned for this grid, depth and `jobs`; without one, `charge_sweep`
     admits it here, and refuses runs over the memory budget before any
@@ -492,16 +491,18 @@ def phqc(
     # finish ahead of the reduce are held
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         rows = (pool.map if pool else map)(row, range(len(grid.gammas)))
-        for record, local_best, feasible_bits in itertools.chain.from_iterable(rows):
+        for record, local_best, feasible in itertools.chain.from_iterable(rows):
             records.append(record)
-            for bits, count in feasible_bits.items():
-                pooled[bits] = pooled.get(bits, 0) + count
+            for label, count in feasible.items():
+                pooled[label] = pooled.get(label, 0) + count
             if local_best is not None and (best is None or local_best[:3] < best[:3]):
                 best = local_best
+    # the sweep's one rendering: every pooled label, the best among them
+    bits = dict(zip(pooled, label_bitstrings(np.fromiter(pooled, np.int64, len(pooled)), params, model.register)))
     return PhqcResult(
-        best_bitstring=None if best is None else best[3],
+        best_bitstring=None if best is None else bits[best[2]],
         best_score=None if best is None else float(best[0]),
-        best_objective=None if best is None else float(best[4]),
+        best_objective=None if best is None else float(best[3]),
         best_assignment=None if best is None else label_assignment(best[2], params),
         records=tuple(records),
         total_shots=shots_per_point * len(grid),
@@ -509,7 +510,7 @@ def phqc(
         seed=seed,
         depth=depth,
         register=model.register,
-        feasible_counts=pooled,
+        feasible_counts={bits[label]: count for label, count in pooled.items()},
     )
 
 

@@ -17,9 +17,14 @@ The cases are the run list of ROADMAP item 4 (the perfbench sweep-n6k2
 and sweep-n4k3-binary instances at seeds 3 and 11, `--jobs` 1 and 2,
 depths 1 and 2; demo-n4-k2 and n5k3 on their default grids; n = 5, K = 5
 at `--grid-points 4`; n = 6 under `--shots-rule fifty-cubed`; n = 7 at
-`--grid-points 2`), `check`, `brute` and `bench` in both registers, and
+`--grid-points 2`), `check`, `brute` and `bench` in both registers,
 `--register binary --cap-mode quadratic-surrogate --score total` on
-demo-n4-k2 and n5k3. The n = 7 case peaks near 1.5 GiB.
+demo-n4-k2 and n5k3, `bound` in both registers at a one-angle and a
+two-angle `--beta`, `encode` and `decode` in both registers, and binary
+`solve` and `brute` on demo-n4-k2 at `--lam-pad 1e308`. The n = 7 case
+peaks near 1.5 GiB. Against a tree whose binary model counts padded
+words in its energy bound, the two `--lam-pad 1e308` cases differ: there
+they exit 1 with "energies past float range".
 """
 
 from __future__ import annotations
@@ -105,6 +110,16 @@ def cases(paths):
         yield f"brute-{name}-{register}", ["brute", "--instance", str(paths[name]), "--register", register, *out], None
     for register in ("onehot", "binary"):
         yield f"bench-{register}", ["bench", "--dir", str(paths["bench"]), "--register", register, "--out", "bench.csv"], None
+    for register, name, beta in itertools.product(("onehot", "binary"), ("demo", "n5k3"), ("0.9", "0.9,0.3")):
+        argv = ["bound", "--instance", str(paths[name]), "--register", register, "--gamma", "0.4", "--beta", beta, *out]
+        yield f"bound-{name}-{register}-beta{beta.count(',') + 1}", argv, None
+    # demo-n4-k2's symbols 0, 5, 2, 7: customers 1, 2, 3, 4 on vehicles 1, 2, 1, 2
+    words = {"onehot": "".join("0" * d + "1" + "0" * (7 - d) for d in (0, 5, 2, 7)), "binary": "000101010111"}
+    for register in ("onehot", "binary"):
+        yield f"encode-{register}", ["encode", "--pairs", "1:1,2:2,3:1,4:2", "--register", register, *out], None
+        yield f"decode-{register}", ["decode", "--bits", words[register], "--K", "2", "--register", register, *out], None
+    for command in ("solve", "brute"):
+        yield f"{command}-demo-binary-lam-pad-1e308", [command, "--instance", str(paths["demo"]), "--register", "binary", "--lam-pad", "1e308", *out], None
 
 
 def run(tree, argv, stdin, workdir):

@@ -21,7 +21,7 @@ from colorperm.analysis import (
     phase_profile_from_energies,
     required_shots,
 )
-from colorperm.encoding import EncodingParams, assignment_label, binary_to_label, decode_bitstring, label_to_onehot
+from colorperm.encoding import EncodingParams, label_bitstrings, label_to_onehot
 from colorperm.feasibility import feasible_global_positions
 from colorperm.hamiltonian import EnergyModel, energy_table
 from colorperm.instances import load_instance
@@ -307,18 +307,15 @@ def feasible_label(exA, params3):
 
 
 def feasible_samples(ss, inst, register):
-    # the accepted (labels in `register`, counts, bitstrings) of one drawn
-    # SampleSet of one-hot labels, through a one-point row of the sweep
+    # the accepted (one-hot labels, counts) of one drawn SampleSet of one-hot
+    # labels, through a one-point row of the sweep, and their bitstrings in
+    # `register`, as the sweep renders its pooled labels
     model = EnergyModel.for_instance(inst, register=register)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "sample", lambda *args: ss)
-        [(_, _, feasible_bits)] = solver.grid_row(model, 0.0, (0.0,), [None], ss.shots, 0, 0, "objective", None)
-    bits = list(feasible_bits)
-    if register == "onehot":
-        labels = [assignment_label(decode_bitstring(b, model.params), model.params) for b in bits]
-    else:
-        labels = [binary_to_label(b, model.params) for b in bits]
-    return labels, list(feasible_bits.values()), bits
+        [(_, _, feasible)] = solver.grid_row(model, 0.0, (0.0,), [None], ss.shots, 0, 0, "objective", None)
+    labels = list(feasible)
+    return labels, list(feasible.values()), label_bitstrings(np.array(labels, dtype=np.int64), model.params, register)
 
 
 def feasible_rows(ss, inst):
@@ -365,12 +362,12 @@ def test_anticoncentration_histogram_order(exA, params3):
 def test_anticoncentration_binary_register(exA, params3):
     from colorperm.encoding import digits_label, label_digits, label_to_binary
 
-    # a binary sweep draws and judges one-hot labels, and renders the
+    # a binary sweep draws, judges and keeps one-hot labels, and renders the
     # accepted ones as the binary words of their binary labels
     z = feasible_label(exA, params3)
     zb = digits_label(label_digits(z, 3, 6), 8)
     bad = 0  # label 0 repeats customer 0 three times
     ss = SampleSet(np.array([bad, z]), np.array([10, 10]), 20)
     labels, counts, bits = feasible_samples(ss, exA, "binary")
-    assert labels == [zb] and counts == [10]
+    assert labels == [z] and counts == [10]
     assert bits == [label_to_binary(zb, params3)]

@@ -378,17 +378,33 @@ def test_bench_missing_dir(capsys, tmp_path):
     assert main(["bench", "--dir", str(tmp_path / "nope")]) == 2
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
-def test_an_out_file_in_a_missing_directory_exits_2_before_the_oracle(capsys, tmp_path, monkeypatch, exa_json, command):
-    # the error line is the one opening the file would give, but no oracle
-    # or sweep runs first
+class UnreadStdin:
+    """A stdin that fails the test when a command reads it."""
+
+    def __iter__(self):
+        raise AssertionError("check read stdin before --out was checked")
+
+
+def refuse_work(monkeypatch, tmp_path, exa_json, command):
+    """Refuse the oracle, the sweep and any read of stdin; return the input
+    flags of `command`, whose --out is checked before all three."""
+
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle or the sweep ran before the --out directory was checked")
+        raise AssertionError("the oracle or the sweep ran before --out was checked")
 
     monkeypatch.setattr(cli, "exact_solve", refuse)
     monkeypatch.setattr(cli, "phqc", refuse)
+    monkeypatch.setattr("sys.stdin", UnreadStdin())
+    inputs = {"bench": ["--dir", str(tmp_path)], "bound": ["--instance", exa_json, "--gamma", "0.4", "--beta", "0.9"]}
+    return inputs.get(command, ["--instance", exa_json])
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "brute", "bound", "check"])
+def test_an_out_file_in_a_missing_directory_exits_2_before_the_oracle(capsys, tmp_path, monkeypatch, exa_json, command):
+    # the error line is the one opening the file would give, but no oracle
+    # or sweep runs first, and check reads no stdin
+    source = refuse_work(monkeypatch, tmp_path, exa_json, command)
     out = tmp_path / "nope" / "run.json"
-    source = ["--instance", exa_json] if command == "solve" else ["--dir", str(tmp_path)]
     assert main([command, *source, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
     assert not out.parent.exists()
@@ -396,22 +412,17 @@ def test_an_out_file_in_a_missing_directory_exits_2_before_the_oracle(capsys, tm
 
 @pytest.mark.parametrize(
     "command, directory",
-    [("solve", "out"), ("bench", "out"), ("solve", "out.grid.csv"), ("solve", "out.hist.csv")],
-    ids=["solve", "bench", "solve-grid-csv", "solve-hist-csv"],
+    [*((command, "out") for command in ("solve", "bench", "brute", "bound", "check")), ("solve", "out.grid.csv"), ("solve", "out.hist.csv")],
+    ids=["solve", "bench", "brute", "bound", "check", "solve-grid-csv", "solve-hist-csv"],
 )
 def test_an_out_that_is_a_directory_exits_1_before_the_oracle(capsys, tmp_path, monkeypatch, exa_json, command, directory):
     # --out itself, or a CSV that solve writes beside it (its base name
     # with .grid.csv or .hist.csv): the error line is the one opening the
     # directory would give, and nothing is written
-    def refuse(*args, **kwargs):
-        raise AssertionError("the oracle or the sweep ran before --out was checked")
-
-    monkeypatch.setattr(cli, "exact_solve", refuse)
-    monkeypatch.setattr(cli, "phqc", refuse)
+    source = refuse_work(monkeypatch, tmp_path, exa_json, command)
     found = tmp_path / directory
     found.mkdir()
     out = tmp_path / ("out" if directory == "out" else "out.json")
-    source = ["--instance", exa_json] if command == "solve" else ["--dir", str(tmp_path)]
     assert main([command, *source, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(found)!r}\n"
     assert not any(found.iterdir())
@@ -718,10 +729,8 @@ def test_non_finite_weights_exit_with_one_error_line(capsys, exa_json, argv, nam
     [(["brute", "--lam-obj", "1e308"], "lam_obj=1e+308"),
      (["bound", "--lam-obj", "1e308", "--gamma", "0.1", "--beta", "0.2"], "lam_obj=1e+308"),
      *((["solve", f"--lam-{term}", "1e308", "--grid-points", "2"], f"lam_{term}=1e+308") for term in ("obj", "once", "cap")),
-     (["solve", "--lam-obj", "2e306", "--grid-points", "2"], "gamma 3.141592653589793"),
-     # a binary model's bound counts its n padded words; the one-hot run exits 0
-     (["brute", "--register", "binary", "--lam-pad", "1e308"], "lam_pad=1e+308")],
-    ids=["brute-obj", "bound-obj", "solve-obj", "solve-once", "solve-cap", "solve-gamma-times-obj", "brute-binary-pad"],
+     (["solve", "--lam-obj", "2e306", "--grid-points", "2"], "gamma 3.141592653589793")],
+    ids=["brute-obj", "bound-obj", "solve-obj", "solve-once", "solve-cap", "solve-gamma-times-obj"],
 )
 def test_weights_whose_energies_overflow_exit_with_one_error_line(capsys, monkeypatch, demo_vrp_path, argv, name):
     # refused where the model is built, or the sweep where it is admitted:
@@ -1316,17 +1325,21 @@ def test_a_named_command_builds_its_own_parser_only(monkeypatch, exa_json):
     [
         ["solve", "--register", "binary", "--depth", "2", "--score", "total"],
         ["bound", "--register", "binary", "--gamma", "0.4", "--beta", "0.9"],
+        ["brute", "--register", "binary"],
+        ["solve", "--depth", "2", "--score", "total"],
+        ["bound", "--gamma", "0.4", "--beta", "0.9"],
+        ["brute"],
     ],
 )
 def test_lam_pad_changes_no_output_byte_but_its_echo(capsys, demo_vrp_path, argv):
-    # padded words exist only in energy_components, and no command scores one
-    outputs = []
-    for pad in ([], ["--lam-pad", "9"]):
-        assert main([*argv, "--instance", str(demo_vrp_path), *pad]) == 0
-        outputs.append(capsys.readouterr().out)
-    default, padded = outputs
+    # no energy reads a padded word, so no weight of one moves a byte, not
+    # even one past every other energy's float range
+    assert main([*argv, "--instance", str(demo_vrp_path)]) == 0
+    default = capsys.readouterr().out
     assert '"lam_pad": null' in default
-    assert padded.replace('"lam_pad": 9.0', '"lam_pad": null') == default
+    for pad in ("9", "1e308"):
+        assert main([*argv, "--instance", str(demo_vrp_path), "--lam-pad", pad]) == 0
+        assert capsys.readouterr().out.replace(f'"lam_pad": {float(pad)!r}', '"lam_pad": null') == default
 
 
 # Values drawn for any field of a JSON record: every JSON type, the floats

@@ -16,7 +16,6 @@ from colorperm.encoding import (
     EncodingParams,
     digits_label,
     label_assignment,
-    label_digits,
     label_digits_array,
 )
 from colorperm.feasibility import NON_CONTIGUOUS, OK, feasible_global_positions
@@ -65,9 +64,9 @@ def test_weights_must_be_finite(name, value):
 
 def test_model_shapes(exA):
     m = EnergyModel.for_instance(exA)
-    assert (m.params.dim(m.register), m.radix) == (216, 6)
+    assert m.params.dim(m.register) == 216
     b = EnergyModel.for_instance(exA, register="binary")
-    assert (b.params.dim(b.register), b.radix) == (512, 8)
+    assert b.params.dim(b.register) == 512
     with pytest.raises(ValueError):
         EnergyModel.for_instance(exA, register="gray")
     with pytest.raises(ValueError):
@@ -175,6 +174,7 @@ def test_components_match_scalar_recomputation(exA):
         w = PenaltyWeights(lam_once=3.0, lam_cap=2.0, lam_obj=1.5, cap_mode=mode)
         model = EnergyModel.for_instance(exA, w)
         comp = energy_components(model, np.arange(216))
+        assert list(comp) == ["once", "cap", "obj", "total"]
         for z in range(216):
             a = label_assignment(z, model.params)
             loads = [0.0, 0.0]
@@ -186,7 +186,6 @@ def test_components_match_scalar_recomputation(exA):
             assert comp["once"][z] == pytest.approx(expect_once, abs=1e-12)
             assert comp["cap"][z] == pytest.approx(expect_cap, abs=1e-12)
             assert comp["obj"][z] == pytest.approx(expect_obj, abs=1e-10)
-            assert comp["pad"][z] == 0.0
             total = expect_once + expect_cap + expect_obj
             assert comp["total"][z] == pytest.approx(total, abs=1e-10)
 
@@ -205,30 +204,30 @@ def test_zero_penalty_characterization(exA):
 
 
 def test_binary_register_matches_onehot_on_valid_words(exA):
+    # the valid words are the one-hot labels: a binary model reads each at
+    # its one-hot label, as the one-hot model does
     onehot = EnergyModel.for_instance(exA)
     binary = EnergyModel.for_instance(exA, register="binary")
     for z in range(216):
-        digits = label_digits(z, 3, 6)
-        zb = digits_label(digits, 8)
-        assert energy_total(zb, binary) == energy_total(z, onehot)
+        assert energy_total(z, binary) == energy_total(z, onehot)
 
 
 def test_binary_padding_energy(exA):
+    # no energy reads a padded word: the model has no padding term, and the
+    # all-padded word's binary label (511) is no one-hot label of exA's 216
     binary = EnergyModel.for_instance(exA, register="binary")
-    all_padded = digits_label([7, 7, 7], 8)
-    w = binary.weights
-    assert energy_total(all_padded, binary) == 3 * (w.lam_once + w.lam_pad)
-    # one valid block, two padded: uncovered customers pay their once
-    # terms and the valid block still opens the timeline
-    mixed = digits_label([0, 7, 7], 8)
-    expect = 2 * w.lam_once + 2 * w.lam_pad + w.lam_obj * exA.dep_out(0, 0)
-    assert energy_total(mixed, binary) == pytest.approx(expect, abs=1e-12)
+    assert "pad" not in energy_components(binary, [0])
+    with pytest.raises(ValueError):
+        energy_total(digits_label([7, 7, 7], 8), binary)
 
 
 def test_binary_padding_custom_weight(exA):
-    w = PenaltyWeights(lam_pad=2.0)
-    binary = EnergyModel.for_instance(exA, w, register="binary")
-    assert energy_total(digits_label([7, 7, 7], 8), binary) == 3 * (4.0 + 2.0)
+    # lam_pad changes no energy, even past the others' float range
+    default = energy_components(EnergyModel.for_instance(exA, register="binary"), np.arange(216))
+    for lam_pad in (2.0, 1e308):
+        binary = EnergyModel.for_instance(exA, PenaltyWeights(lam_pad=lam_pad), register="binary")
+        comp = energy_components(binary, np.arange(216))
+        assert all(comp[term].tobytes() == default[term].tobytes() for term in default)
 
 
 def test_energy_table_and_limit(exA):

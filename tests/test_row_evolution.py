@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from colorperm import simulator, solver
 from colorperm.cli import main
-from colorperm.encoding import REGISTERS, EncodingParams
+from colorperm.encoding import REGISTERS, EncodingParams, label_to_binary, label_to_onehot
 from colorperm.feasibility import OK, REASONS, label_reasons
 from colorperm.hamiltonian import EnergyModel, PenaltyWeights, energy_components, energy_table, table_parts
 from colorperm.instances import Instance, load_instance, parse_vrp
@@ -667,21 +667,27 @@ def per_point_sweep(inst, model, grid, shots, seed, depth, score, exact):
     """The sweep's reduction over points prepared one by one with
     run_ansatz in the model's register, each from its own uniform state,
     and drawn from its one-hot labels (a binary state's at their binary
-    labels)."""
-    labels = exact.optimal_labels(model.params)
-    one_hot = model.params.binary_labels() if model.register == "binary" else slice(None)
+    labels); the best and the pooled labels are keyed by their one-hot
+    labels, and rendered one by one by the scalar renderers."""
+    p = model.params
+    labels = exact.optimal_labels(p)
+    one_hot = p.binary_labels() if model.register == "binary" else slice(None)
     records, best, pooled = [], None, {}
     for index, (gamma, beta) in enumerate(itertools.product(grid.gammas, grid.betas)):
-        state = run_ansatz(model.params, model, Schedule.constant(gamma, beta, depth))
-        [(record, local_best, feasible_bits)] = solver.grid_row(
+        state = run_ansatz(p, model, Schedule.constant(gamma, beta, depth))
+        [(record, local_best, feasible)] = solver.grid_row(
             model, gamma, (beta,), [exact_distribution(state)[one_hot]], shots, seed, index, score, (labels, exact.optimal_cost)
         )
         records.append(record)
-        for bits, count in feasible_bits.items():
-            pooled[bits] = pooled.get(bits, 0) + count
+        for z, count in feasible.items():
+            pooled[z] = pooled.get(z, 0) + count
         if local_best is not None and (best is None or local_best[:3] < best[:3]):
             best = local_best
-    return tuple(records), best, pooled
+
+    def render(z):
+        return label_to_onehot(z, p) if model.register == "onehot" else label_to_binary(int(p.binary_labels()[z]), p)
+
+    return tuple(records), (best[0], render(best[2])), {render(z): count for z, count in pooled.items()}
 
 
 @pytest.mark.parametrize(
@@ -700,7 +706,7 @@ def test_rowwise_sweep_equals_per_point_loop(request, instance, register, depth,
     result = phqc(inst, model, grid, shots, 11, depth=depth, score="total", exact_reference=exact)
     records, best, pooled = per_point_sweep(inst, model, grid, shots, 11, depth, "total", exact)
     assert result.records == records
-    assert (result.best_score, result.best_bitstring) == (best[0], best[3])
+    assert (result.best_score, result.best_bitstring) == best
     assert result.feasible_counts == pooled
     assert all(r.p_star_exact is not None for r in records)
     # 6 shots leave some points of the grid without an accepted label
@@ -932,7 +938,7 @@ def test_sweep_draws_from_the_onehot_distribution(exA, params3, monkeypatch, reg
 def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
     # the parts of one S^n table (exA: 216 labels) serve every phase,
     # whatever the register, and no S^n table is built; the accepted
-    # one-hot labels are scored by the model's one-hot twin
+    # one-hot labels are scored by the model itself
     tables, scored = [], []
 
     def parts(model):
@@ -943,10 +949,10 @@ def test_sweep_phases_come_from_one_table(exA, monkeypatch, register):
     def table(model):
         raise AssertionError("the sweep built an S^n table")
 
-    def components(twin, labels):
-        assert twin == dataclasses.replace(model, register="onehot")
+    def components(scorer, labels):
+        assert scorer is model
         scored.append(np.asarray(labels, dtype=np.int64))
-        return energy_components(twin, labels)
+        return energy_components(scorer, labels)
 
     monkeypatch.setattr(solver, "table_parts", parts)
     monkeypatch.setattr(simulator, "energy_table", table)

@@ -96,8 +96,10 @@ def test_initial_state_uniform(params3):
     assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_initial_state_binary_support(params3):
-    st = initial_state(params3, "binary")
+def test_initial_state_binary_support(exA, params3):
+    # initial_state holds the one-hot labels alone; a binary state is a
+    # relabelled output of run_ansatz, here at zero angles
+    st = run_ansatz(params3, EnergyModel.for_instance(exA, register="binary"), Schedule.constant(0.0, 0.0))
     assert len(st.amplitudes) == 512
     nonzero = np.nonzero(st.amplitudes)[0]
     assert len(nonzero) == 216
@@ -182,9 +184,11 @@ def test_apply_phase_additivity(exA, params3):
 
 
 def test_apply_phase_register_mismatch(exA, params3):
-    model = EnergyModel.for_instance(exA, register="binary")
-    with pytest.raises(ValueError):
-        apply_phase(initial_state(params3), 0.1, model)
+    # a binary model's energies are its one-hot labels': it phases a one-hot
+    # state as the one-hot model does
+    binary = apply_phase(initial_state(params3), 0.1, EnergyModel.for_instance(exA, register="binary"))
+    onehot = apply_phase(initial_state(params3), 0.1, EnergyModel.for_instance(exA))
+    assert binary.amplitudes.tobytes() == onehot.amplitudes.tobytes()
 
 
 def test_run_ansatz_gamma_zero_stays_uniform(exA, params3):
@@ -355,4 +359,4 @@ def test_binary_run_is_exact_relabelling(exA, K_demands):
 
 def test_apply_mixer_refuses_binary_state(params3):
     with pytest.raises(ValueError):
-        apply_mixer(initial_state(params3, "binary"), 0.4)
+        apply_mixer(EncodedState(np.zeros(512, dtype=complex), "binary", params3), 0.4)

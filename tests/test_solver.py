@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from colorperm import simulator, solver
-from colorperm.encoding import REGISTERS, EncodingParams, assignment_label, label_assignment, label_to_onehot
+from colorperm.encoding import REGISTERS, EncodingParams, assignment_label, label_assignment, label_bitstrings, label_to_onehot
 from colorperm.feasibility import (
     OK,
     REASONS,
@@ -407,17 +407,36 @@ def test_sweep_scores_equal_the_scalar_evaluators(exA, monkeypatch, register):
         if score == "objective":
             assert res.best_score == energy_objective(res.best_assignment, exA, 1.7)
         else:
-            z = assignment_label(res.best_assignment, model.params, register)
+            z = assignment_label(res.best_assignment, model.params)
             assert res.best_score == energy_total(z, model)
     assert sum(len(labels) for _, labels, _ in scored) > 8
-    # the sweep scores one-hot labels with the model's one-hot twin; each
-    # score is the model's own at the label's register label
+    # the sweep scores one-hot labels with the model itself, whatever its
+    # register; each score is the scalar one at the label
     for m, labels, comp in scored:
-        assert m.register == "onehot" and m.inst is exA and m.weights == w
+        assert m is model
         for z, obj, total in zip(labels, comp["obj"].tolist(), comp["total"].tolist()):
-            a = label_assignment(z, m.params)
-            assert obj == energy_objective(a, exA, 1.7)
-            assert total == energy_total(assignment_label(a, model.params, register), model)
+            assert obj == energy_objective(label_assignment(z, m.params), exA, 1.7)
+            assert total == energy_total(z, model)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("register", REGISTERS)
+def test_a_sweep_renders_its_pooled_labels_in_one_call(exA, monkeypatch, register, jobs):
+    # every row keys its counts and its best by one-hot label; the sweep
+    # renders the pooled labels, the best among them, once, after its reduce
+    rendered = []
+
+    def spy(labels, params, reg):
+        rendered.append((labels.tolist(), reg))
+        return label_bitstrings(labels, params, reg)
+
+    monkeypatch.setattr(solver, "label_bitstrings", spy)
+    model = EnergyModel.for_instance(exA, register=register)
+    res = phqc(exA, model, GridSpec((0.0, 0.1, 0.2), (0.4, 1.1)), 100, 7, jobs=jobs)
+    [(labels, reg)] = rendered
+    assert reg == register and len(set(labels)) == len(labels)
+    assert label_bitstrings(np.array(labels, dtype=np.int64), model.params, register) == list(res.feasible_counts)
+    assert res.best_bitstring in res.feasible_counts
 
 
 def test_binary_sweep_draws_no_padding_leak(exA, params3, monkeypatch):
